@@ -10,6 +10,14 @@ SGR-only and SGR+CF variants: one hash map for owned keys (modulo-hashed
 ownership) and one for the per-round remote cache. Every read is a hash
 probe, and because ownership ignores the partition, even a host's own master
 nodes usually live elsewhere and must be fetched each round.
+
+The GAR dense vector is a *typed property column*: one ``int64``/``float64``
+ndarray plus a validity mask while only the bulk API touches it (array
+mode), and a plain ``list`` once anything needs the per-element API or an
+object / mixed-type value (list mode). The representation follows from
+what the store observes - there is no option - and only ever moves from
+array to list, so a scalar-kernel run converts once and never flip-flops.
+Counters are charged identically in both modes.
 """
 
 from __future__ import annotations
@@ -24,6 +32,39 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import Counters
 from repro.core.reducers import ReduceOp
 from repro.partition.base import PartitionedGraph
+
+# Exact native ``int``/``float`` only: ``bool`` is an ``int`` subclass but
+# must not come back as one, narrower dtypes are not what ``.tolist()``
+# round-trips through, and everything else is an object.
+_COLUMN_DTYPES = (np.dtype(np.int64), np.dtype(np.float64))
+
+
+def native_list(values: Any) -> list[Any]:
+    """A batch as a list of plain Python values (``.tolist()`` yields exact
+    native ``int``/``float``; numpy scalars must never reach a list-mode
+    column, the remote cache or a report)."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
+
+
+class _ColumnTrap:
+    """Array-mode stand-in for :attr:`GarHostStore.values`.
+
+    The per-element API subscripts ``self.values`` exactly as it always
+    did; while the column is an ndarray that attribute is this object, so
+    the first scalar touch lands here, converts the column to list mode
+    once, and every later touch indexes the real list - the scalar hot
+    path carries no mode branch."""
+
+    __slots__ = ("_store",)
+
+    def __init__(self, store: "GarHostStore") -> None:
+        self._store = store
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._store._to_list_mode()[index]
+
+    def __setitem__(self, index: Any, value: Any) -> None:
+        self._store._to_list_mode()[index] = value
 
 
 class GarHostStore:
@@ -49,7 +90,13 @@ class GarHostStore:
         self.part = pgraph.parts[host_id]
         self.owner = pgraph.owner
         self.remote_layout = remote_layout
-        self.values: list[Any] = [None] * self.part.num_local
+        # The typed property column. Array mode: ``_valid`` marks the set
+        # slots of ``_col`` (None until the first typed bulk write picks
+        # the dtype) and ``values`` is the trap. List mode: ``values`` is
+        # the list and ``_col``/``_valid`` are None.
+        self._col: np.ndarray | None = None
+        self._valid: np.ndarray | None = np.zeros(self.part.num_local, dtype=bool)
+        self.values: Any = _ColumnTrap(self)
         masters = self.part.masters_global
         # Blocked policies give contiguous master id ranges, enabling O(1)
         # global -> local translation for masters (the heart of GAR).
@@ -76,6 +123,88 @@ class GarHostStore:
             self._g2l_arr = arr
         return self._g2l_arr
 
+    # -- the typed column ----------------------------------------------------
+
+    def _to_list_mode(self) -> list[Any]:
+        """The column as a list, converting from array mode on first use
+        (``.tolist()`` restores exact native ``int``/``float``). One way:
+        nothing converts a list back, so the mode is stable for the run."""
+        if self._valid is not None:
+            if self._col is None:
+                values: list[Any] = [None] * self.part.num_local
+            else:
+                values = self._col.tolist()
+                for local in np.flatnonzero(~self._valid).tolist():
+                    values[local] = None
+            self.values = values
+            self._col = self._valid = None
+        return self.values
+
+    def _column_for(self, batch: Any) -> np.ndarray | None:
+        """The ndarray column when ``batch`` can operate on it directly
+        (array mode and the same exact dtype; an untyped column takes the
+        first eligible batch's dtype), else None."""
+        if (
+            self._valid is None
+            or not isinstance(batch, np.ndarray)
+            or batch.dtype not in _COLUMN_DTYPES
+        ):
+            return None
+        if self._col is None:
+            self._col = np.zeros(self.part.num_local, dtype=batch.dtype)
+        elif self._col.dtype != batch.dtype:
+            return None
+        return self._col
+
+    def _gather(self, locals_: np.ndarray) -> np.ndarray | list[Any]:
+        """Values at ``locals_``: a column slice in array mode when every
+        touched slot is set, else (list mode) a list that may hold None."""
+        if self._col is not None and self._valid[locals_].all():
+            return self._col[locals_]
+        store = self._to_list_mode()
+        return [store[i] for i in locals_.tolist()]
+
+    def _scatter(self, locals_: np.ndarray, values: Any) -> None:
+        """Write ``values`` (ndarray or list) at ``locals_``: straight into
+        the column when the batch matches it, else per element in list
+        mode."""
+        col = self._column_for(values)
+        if col is not None:
+            col[locals_] = values
+            self._valid[locals_] = True
+            return
+        store = self._to_list_mode()
+        for local, value in zip(locals_.tolist(), native_list(values)):
+            store[local] = value
+
+    def master_items(self) -> Iterable[tuple[int, Any]]:
+        """``(global id, value)`` of every set master, ascending local id,
+        as plain Python values (uncharged; never changes the mode)."""
+        num_masters = self.part.num_masters
+        keys = self.part.masters_global
+        if self._valid is None:
+            return (
+                (key, value)
+                for key, value in zip(keys.tolist(), self.values[:num_masters])
+                if value is not None
+            )
+        if self._col is None:
+            return ()
+        valid = self._valid[:num_masters]
+        return zip(keys[valid].tolist(), self._col[:num_masters][valid].tolist())
+
+    def master_column(self) -> np.ndarray | None:
+        """The masters' values as one numeric array in local-id order, or
+        None when a master is unset or not numeric (uncharged; never
+        changes the mode)."""
+        num_masters = self.part.num_masters
+        if self._valid is None:
+            arr = np.asarray(self.values[:num_masters])
+            return arr if arr.dtype != object else None
+        if self._col is not None and self._valid[:num_masters].all():
+            return self._col[:num_masters]
+        return None
+
     # -- local id translation ----------------------------------------------
 
     def master_local(self, key: int) -> int | None:
@@ -92,6 +221,19 @@ class GarHostStore:
             return None
         return local
 
+    def _locals_of(self, keys: np.ndarray) -> np.ndarray:
+        """Master-local translation of keys this host owns: no ownership
+        check and no charge (callers that owe the probe charge pay it)."""
+        if self._masters_contiguous:
+            return keys - self._master_base
+        return self._translate_arr()[keys]
+
+    def _charge_master_probes(self, count: int) -> None:
+        """The per-key hash probe :meth:`master_local` pays when masters
+        are not id-contiguous."""
+        if not self._masters_contiguous:
+            self._check_counters().hash_probes += count
+
     def _master_locals(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`master_local` for keys this host must own.
 
@@ -101,10 +243,8 @@ class GarHostStore:
         if keys.size and np.any(self.owner[keys] != self.host_id):
             bad = int(keys[self.owner[keys] != self.host_id][0])
             raise KeyError(f"node {bad} is not a master on host {self.host_id}")
-        if self._masters_contiguous:
-            return keys - self._master_base
-        self._check_counters().hash_probes += int(keys.size)
-        return self._translate_arr()[keys]
+        self._charge_master_probes(int(keys.size))
+        return self._locals_of(keys)
 
     # -- reads ----------------------------------------------------------------
 
@@ -211,17 +351,24 @@ class GarHostStore:
         masters = int(np.count_nonzero(local_ids < self.part.num_masters))
         counters.reads_master += masters
         counters.reads_remote += count - masters
-        store = self.values
-        out = [store[i] for i in local_ids.tolist()]
-        arr = np.asarray(out)
-        if arr.dtype == object:
-            for local_id, value in zip(local_ids.tolist(), out):
-                if value is None:
-                    global_id = int(self.part.local_to_global[local_id])
-                    raise KeyError(
-                        f"local node {local_id} (global {global_id}) has no value"
-                    )
-        return arr
+        if self._valid is not None:
+            present = self._valid[local_ids]
+            if present.all():
+                # An untyped column has no set slot, so the batch is empty.
+                return self._col[local_ids] if self._col is not None else np.empty(0)
+            absent = int(local_ids[~present][0])
+        else:
+            store = self.values
+            ids = local_ids.tolist()
+            out = [store[i] for i in ids]
+            arr = np.asarray(out)
+            absent = None
+            if arr.dtype == object:
+                absent = next((i for i, v in zip(ids, out) if v is None), None)
+            if absent is None:
+                return arr
+        global_id = int(self.part.local_to_global[absent])
+        raise KeyError(f"local node {absent} (global {global_id}) has no value")
 
     # -- writes (owner side) -------------------------------------------------
 
@@ -256,100 +403,91 @@ class GarHostStore:
 
     # -- bulk owner-side operations (vectorized execution path) ---------------
 
-    def write_master_bulk(self, keys: np.ndarray, values: list[Any]) -> None:
-        """Batched :meth:`write_master` with aggregate accounting."""
+    def write_master_bulk(self, keys: np.ndarray, values: Any) -> None:
+        """Batched :meth:`write_master` with aggregate accounting
+        (``values``: an ndarray, or a list of plain values)."""
         locals_ = self._master_locals(keys)
         self.cluster.counters(self.host_id).local_ops += int(keys.size)
-        store = self.values
-        for local, value in zip(locals_.tolist(), values):
-            store[local] = value
+        self._scatter(locals_, values)
 
-    def serve_master_bulk(self, keys: np.ndarray) -> list[Any]:
-        """Batched :meth:`serve_master`: one dense gather, same charges."""
+    def serve_master_bulk(self, keys: np.ndarray) -> np.ndarray | list[Any]:
+        """Batched :meth:`serve_master`: one dense gather, same charges.
+        A column slice in array mode, a list in list mode."""
         if keys.size == 0:
             return []
         locals_ = self._master_locals(keys)
         self.cluster.counters(self.host_id).vector_reads += int(keys.size)
-        store = self.values
-        return [store[i] for i in locals_.tolist()]
+        return self._gather(locals_)
 
     def apply_master_bulk(
-        self, keys: np.ndarray, values: np.ndarray, op: ReduceOp
+        self,
+        keys: np.ndarray,
+        values: np.ndarray,
+        op: ReduceOp,
+        locals_: np.ndarray | None = None,
     ) -> np.ndarray:
         """Batched :meth:`apply_master`; returns the keys whose canonical
-        value changed. Bit-identical results and accounting: numeric batches
-        fold through the op's ufunc elementwise (each key appears once per
-        batch), everything else falls back to the per-key scalar rule.
+        value changed. Bit-identical results and accounting: a batch of
+        the column's dtype folds through the op's ufunc on the column
+        itself (each key appears once per batch); anything else - list
+        mode, another dtype, an unset slot, an op with no ufunc - runs
+        the per-key scalar rule in list mode.
+
+        ``locals_`` is the keys' master-local translation when the caller
+        holds it already (a prepared sync route, validated when it was
+        built); the translation charge is paid either way.
         """
         if keys.size == 0:
             return keys
-        locals_ = self._master_locals(keys)
         count = int(keys.size)
+        if locals_ is None:
+            locals_ = self._master_locals(keys)
+        else:
+            self._charge_master_probes(count)
         counters = self.cluster.counters(self.host_id)
         counters.vector_reads += count
         counters.local_ops += count
-        store = self.values
-        local_list = locals_.tolist()
-        olds = [store[i] for i in local_list]
-        values_arr = np.asarray(values)
-        if values_arr.dtype != object and (
-            op.ufunc is not None or op.name == "overwrite"
-        ):
-            old_arr = np.asarray(olds)
-            if old_arr.dtype != object:
-                if op.name == "overwrite":
-                    new_arr = values_arr
-                else:
-                    new_arr = op.ufunc(old_arr, values_arr)
-                changed = new_arr != old_arr
-                if changed.any():
-                    changed_idx = np.flatnonzero(changed)
-                    for pos, value in zip(
-                        changed_idx.tolist(), new_arr[changed_idx].tolist()
-                    ):
-                        store[local_list[pos]] = value
+        overwrite = op.name == "overwrite"
+        if op.ufunc is not None or overwrite:
+            col = self._column_for(values)
+            if col is not None and self._valid[locals_].all():
+                old = col[locals_]
+                new = values if overwrite else op.ufunc(old, values)
+                changed = new != old
+                col[locals_[changed]] = new[changed]
                 return keys[changed]
+        store = self._to_list_mode()
         changed_keys: list[int] = []
-        value_list = values_arr.tolist()
-        for pos, (local, old) in enumerate(zip(local_list, olds)):
-            value = value_list[pos]
+        for key, local, value in zip(
+            keys.tolist(), locals_.tolist(), native_list(values)
+        ):
+            old = store[local]
             new = value if old is None else op(old, value)
             if new != old:
                 store[local] = new
-                changed_keys.append(int(keys[pos]))
+                changed_keys.append(key)
         return np.asarray(changed_keys, dtype=np.int64)
 
     # -- uncharged replica installs (host-sharded sync collectives) ------------
+    # The peer that produced a sharded-sync delta already paid the modeled
+    # cost of the work; installing the delta on a replica is free.
 
-    def _locals_uncharged(self, keys: np.ndarray) -> list[int]:
-        """Global-to-local translation with no counter charges: the peer
-        that produced a sharded-sync delta already paid the modeled cost
-        of the work; installing the delta on a replica is free."""
-        if self._masters_contiguous:
-            return (keys - self._master_base).tolist()
-        return self._translate_arr()[keys].tolist()
-
-    def peek_masters(self, keys: np.ndarray) -> list[Any]:
+    def peek_masters(self, keys: np.ndarray) -> np.ndarray | list[Any]:
         """Uncharged :meth:`serve_master_bulk`, for exporting the values a
         sharded reduce-sync changed (the applies were already charged)."""
-        store = self.values
-        return [store[i] for i in self._locals_uncharged(keys)]
+        return self._gather(self._locals_of(keys))
 
-    def poke_masters(self, keys: np.ndarray, values: list[Any]) -> None:
+    def poke_masters(self, keys: np.ndarray, values: Any) -> None:
         """Uncharged :meth:`write_master_bulk`: install a peer's owner-side
         apply results into this replica."""
-        store = self.values
-        for local, value in zip(self._locals_uncharged(keys), values):
-            store[local] = value
+        self._scatter(self._locals_of(keys), values)
 
-    def poke_mirrors(self, keys: np.ndarray, values: list[Any]) -> None:
+    def poke_mirrors(self, keys: np.ndarray, values: Any) -> None:
         """Uncharged :meth:`write_mirror_bulk`: install a peer's broadcast
         fan-out writes into this replica."""
-        store = self.values
-        for local, value in zip(self._translate_arr()[keys].tolist(), values):
-            store[local] = value
+        self._scatter(self._translate_arr()[keys], values)
 
-    def write_mirror_bulk(self, keys: np.ndarray, values: list[Any]) -> None:
+    def write_mirror_bulk(self, keys: np.ndarray, values: Any) -> None:
         """Batched :meth:`write_mirror` with aggregate accounting."""
         count = int(keys.size)
         counters = self.cluster.counters(self.host_id)
@@ -360,9 +498,7 @@ class GarHostStore:
         if bad.any():
             key = int(keys[bad][0])
             raise KeyError(f"node {key} is not a mirror on host {self.host_id}")
-        store = self.values
-        for local, value in zip(locals_.tolist(), values):
-            store[local] = value
+        self._scatter(locals_, values)
 
     # -- remote cache ----------------------------------------------------------
 
@@ -409,9 +545,16 @@ class GarHostStore:
 
     def checkpoint(self) -> dict:
         """Copy the full mutable state; not charged (the checkpoint phase
-        prices serialization through the cluster counters)."""
+        prices serialization through the cluster counters). The column is
+        saved in its current mode: ``("list", values)`` or
+        ``("array", column or None, valid)``."""
+        if self._valid is None:
+            column: tuple = ("list", copy.deepcopy(self.values))
+        else:
+            col = None if self._col is None else self._col.copy()
+            column = ("array", col, self._valid.copy())
         return {
-            "values": copy.deepcopy(self.values),
+            "column": column,
             "remote_keys": self._remote_keys.copy(),
             "remote_values": copy.deepcopy(self._remote_values),
             "remote_hash": copy.deepcopy(self._remote_hash),
@@ -420,7 +563,12 @@ class GarHostStore:
 
     def restore(self, state: dict) -> None:
         """Reinstate a checkpoint; copies again so it can be restored twice."""
-        self.values = copy.deepcopy(state["values"])
+        column = state["column"]
+        if column[0] == "list":
+            self.values = copy.deepcopy(column[1])
+            self._col = self._valid = None
+        else:
+            self.attach_values_slab(column[1], column[2])
         self._remote_keys = state["remote_keys"].copy()
         self._remote_values = copy.deepcopy(state["remote_values"])
         self._remote_hash = copy.deepcopy(state["remote_hash"])
@@ -434,12 +582,18 @@ class GarHostStore:
 
         The slab is the zero-copy transport of the parallel backend's
         epoch blobs: protocol-5 pickling ships both arrays as raw buffers
-        straight into a shared-memory arena. Only exact native ``int`` /
-        ``float`` homogeneous vectors qualify (``bool`` stays out - it is
-        an ``int`` subclass but must not come back as one; huge ints
-        overflow ``int64``); anything else falls back to the generic
-        checkpoint encoding.
+        straight into a shared-memory arena. An array-mode column *is* the
+        slab and is handed over as it stands. A list-mode column qualifies
+        only when it holds exact native ``int`` / ``float`` homogeneous
+        values (``bool`` stays out - it is an ``int`` subclass but must
+        not come back as one; huge ints overflow ``int64``); anything else
+        falls back to the generic checkpoint encoding.
         """
+        if self._valid is not None:
+            col = self._col
+            if col is None:
+                col = np.zeros(self.part.num_local, dtype=np.int64)
+            return col, self._valid
         values = self.values
         mask = np.fromiter(
             (v is not None for v in values), dtype=bool, count=len(values)
@@ -458,15 +612,13 @@ class GarHostStore:
             return None
         return slab, mask
 
-    def attach_values_slab(self, slab: np.ndarray, mask: np.ndarray) -> None:
-        """Replace the value vector from an exported slab, restoring the
-        exact native scalar types (``.tolist()`` yields ``int``/``float``)."""
-        values: list[Any] = [None] * len(mask)
-        unpacked = slab.tolist()
-        for local, ok in enumerate(mask.tolist()):
-            if ok:
-                values[local] = unpacked[local]
-        self.values = values
+    def attach_values_slab(self, slab: np.ndarray | None, mask: np.ndarray) -> None:
+        """Replace the value vector with a copy of an exported slab: the
+        store is in array mode afterwards (untyped when no slot is set, so
+        the next typed write still picks the dtype)."""
+        self._valid = np.array(mask, dtype=bool)
+        self._col = np.array(slab) if slab is not None and self._valid.any() else None
+        self.values = _ColumnTrap(self)
 
     def export_epoch(self) -> tuple:
         slab = self.export_values_slab()
@@ -501,8 +653,11 @@ class GarHostStore:
 
     def unpin(self) -> None:
         self.pinned = False
-        for local in range(self.part.num_masters, self.part.num_local):
-            self.values[local] = None
+        num_masters = self.part.num_masters
+        if self._valid is not None:
+            self._valid[num_masters:] = False
+        else:
+            self.values[num_masters:] = [None] * (self.part.num_local - num_masters)
 
     def write_mirror(self, key: int, value: Any) -> None:
         mirror = self._mirror_local(key)

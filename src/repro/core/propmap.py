@@ -21,13 +21,18 @@ Execution-model contract (Section 4.1):
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
-from repro.core.backends import GarHostStore, HashHostStore, make_store
+from repro.core.backends import (
+    GarHostStore,
+    HashHostStore,
+    native_list,
+    make_store,
+)
 from repro.core.bitset import ConcurrentBitset
 from repro.core.reducers import ReduceOp
 from repro.core.reduction import (
@@ -44,6 +49,20 @@ KEY_BYTES = 8
 # Sentinel for "activity mask not built this round" (None is a valid cache
 # value: it marks a built-and-empty active set).
 _ACTIVE_UNBUILT = object()
+
+
+class _Leg(NamedTuple):
+    """One leg of a reduce-sync route: the part of a source host's
+    collected batch that one owner host applies."""
+
+    owner: int
+    idx: np.ndarray  # positions of the leg's keys in the collected batch
+    keys: np.ndarray
+    locals_: np.ndarray | None  # master-local ids on the owner (GAR only)
+
+
+# (the self-owned leg or None, the cross-host legs in ascending owner order)
+_Route = tuple[_Leg | None, list[_Leg]]
 
 
 class NodePropMap:
@@ -127,6 +146,10 @@ class NodePropMap:
         self._pinned = False
         self._pin_invariant = "none"
         self._mirror_filter_cache: dict[str, list[dict[int, np.ndarray]]] = {}
+        # Per source host: the last collected key array and its route
+        # (see _route). A prepared fold collects the *same frozen key
+        # object* every round, so the entry is then built once per run.
+        self._routes: list[tuple[np.ndarray, _Route] | None] = [None] * num_hosts
 
     # ------------------------------------------------------------------ util
 
@@ -149,8 +172,6 @@ class NodePropMap:
         memory the paper attributes to CF ("max RSS ... on average 10%
         higher than Vite", Section 6.2).
         """
-        from repro.core.backends import GarHostStore
-
         for host in range(self.cluster.num_hosts):
             store = self.stores[host]
             if isinstance(store, GarHostStore):
@@ -442,14 +463,8 @@ class NodePropMap:
                 store._check_counters().hash_probes += int(np.count_nonzero(own))
             eligible = ~own
             if self._pinned:
-                translate = store.part.global_to_local
-                num_masters = store.part.num_masters
-                mirror = np.fromiter(
-                    (translate.get(int(k), -1) >= num_masters for k in keys),
-                    dtype=bool,
-                    count=keys.size,
-                )
-                eligible &= ~mirror
+                # Absent keys translate to -1, below every mirror slot.
+                eligible &= store._translate_arr()[keys] < store.part.num_masters
         accepted = np.zeros(keys.size, dtype=bool)
         eligible_idx = np.flatnonzero(eligible)
         if self.request_dedup:
@@ -508,8 +523,10 @@ class NodePropMap:
                         host,
                         (KEY_BYTES + self.value_nbytes) * owned_keys.size,
                     )
-                for index, value in zip(np.flatnonzero(mask), served):
-                    gathered_values[int(index)] = value
+                for index, value in zip(
+                    np.flatnonzero(mask).tolist(), native_list(served)
+                ):
+                    gathered_values[index] = value
             self.stores[host].materialize_remote(keys, gathered_values)
 
     def _kv_fetch_requests(self, include_always: bool) -> None:
@@ -619,41 +636,58 @@ class NodePropMap:
         for store in self.stores:
             store.drop_remote()
 
+    def _route(self, host: int, keys: np.ndarray) -> _Route:
+        """Where source ``host``'s collected ``keys`` go: the address
+        translation of a reduce-sync, hoisted out of the round.
+
+        Owners, the self-owned / per-owner index sets and each leg's
+        master-local translation are pure functions of the key array and
+        the partition, so they are cached against the key *object*: a
+        prepared fold hands back one frozen array every round and routes
+        once; subset/frontier and generic batches collect a fresh array
+        and are routed afresh. Legs are cut by owner, so ownership holds
+        by construction and the owner stores skip re-validating it.
+        """
+        cached = self._routes[host]
+        if cached is not None and cached[0] is keys:
+            return cached[1]
+        gar = self.variant.uses_gar
+        owners = self.pgraph.owner[keys] if gar else keys % self.cluster.num_hosts
+
+        def leg(owner_host: int) -> _Leg:
+            idx = np.flatnonzero(owners == owner_host)
+            leg_keys = keys[idx]
+            locals_ = self.stores[owner_host]._locals_of(leg_keys) if gar else None
+            return _Leg(owner_host, idx, leg_keys, locals_)
+
+        owner_hosts = np.unique(owners).tolist()
+        route: _Route = (
+            leg(host) if host in owner_hosts else None,
+            [leg(owner_host) for owner_host in owner_hosts if owner_host != host],
+        )
+        self._routes[host] = (keys, route)
+        return route
+
     def _sgr_reduce_bulk(self, op: ReduceOp) -> None:
         """Array scatter-gather-reduce: collect per-host folded arrays,
         apply self-owned partials during the host scan (as the scalar path
         does), then ship and apply cross-host payloads in ascending source
         order - the same per-key application order, message count, and
         byte totals as the scalar path."""
-        num_hosts = self.cluster.num_hosts
-        payloads: list[tuple[int, int, np.ndarray, np.ndarray]] = []
-        for host in range(num_hosts):
+        payloads: list[tuple[int, _Leg, np.ndarray]] = []
+        for host in range(self.cluster.num_hosts):
             keys, values = self.reductions[host].collect_arrays(op)
             if keys.size == 0:
                 continue
-            owners = (
-                self.pgraph.owner[keys]
-                if self.variant.uses_gar
-                else keys % num_hosts
-            )
-            own = owners == host
-            if own.any():
-                self._apply_at_owner_bulk(host, keys[own], values[own], op)
-            remote = ~own
-            if remote.any():
-                remote_keys = keys[remote]
-                remote_values = values[remote]
-                remote_owners = owners[remote]
-                for owner_host in np.unique(remote_owners).tolist():
-                    mask = remote_owners == owner_host
-                    payloads.append(
-                        (host, int(owner_host), remote_keys[mask], remote_values[mask])
-                    )
-        for src, dst, keys, values in payloads:
+            own, remote = self._route(host, keys)
+            if own is not None:
+                self._apply_at_owner_bulk(own, values[own.idx], op)
+            payloads.extend((host, leg, values[leg.idx]) for leg in remote)
+        for src, leg, values in payloads:
             self.cluster.network.send(
-                src, dst, (KEY_BYTES + self.value_nbytes) * int(keys.size)
+                src, leg.owner, (KEY_BYTES + self.value_nbytes) * int(leg.keys.size)
             )
-            self._apply_at_owner_bulk(dst, keys, values, op)
+            self._apply_at_owner_bulk(leg, values, op)
         for store in self.stores:
             store.drop_remote()
 
@@ -672,8 +706,9 @@ class NodePropMap:
         host scan applies it inline at ``src == owner`` - then cross-host
         payloads by ascending source), charging the sends and owner-side
         counters for exactly that work. A second all-gather ships each
-        owner's changed ``(key, value)`` deltas plus the phase's counter
-        and traffic rows; replicas install the deltas uncharged and the
+        owner's changed ``(key, value)`` deltas - column slices when the
+        owner's column is in array mode - plus the phase's counter and
+        traffic rows; replicas install the deltas uncharged and the
         coordinator folds the rows into ``record``. Every payload is
         handled by exactly one process and per-host charges are additive,
         so the merged record and final state are byte-identical to the
@@ -687,43 +722,36 @@ class NodePropMap:
             else:
                 self.reductions[host].discard()
         gathered = pool.exchange_shards([folded[host] for host in pool.shard])
+        # This shard's own entry comes back as the very objects passed in,
+        # so its collected keys still hit the route cache.
         for index, shard in enumerate(pool.shards):
             for host, arrays in zip(shard, gathered[index]):
                 folded[host] = arrays
-        own_partial: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        incoming: dict[int, list[tuple[int, np.ndarray, np.ndarray]]] = {}
+        # Per owner in this shard: (source, leg, values), self-owned first.
+        incoming: dict[int, list[tuple[int, _Leg, np.ndarray]]] = {}
         for src in range(num_hosts):
             keys, values = folded[src]
             if keys.size == 0:
                 continue
-            owners = self.pgraph.owner[keys]
-            own = owners == src
-            if own.any():
-                own_partial[src] = (keys[own], values[own])
-            remote = ~own
-            if remote.any():
-                remote_keys = keys[remote]
-                remote_values = values[remote]
-                remote_owners = owners[remote]
-                for owner_host in np.unique(remote_owners).tolist():
-                    mask = remote_owners == owner_host
-                    incoming.setdefault(int(owner_host), []).append(
-                        (src, remote_keys[mask], remote_values[mask])
+            own, remote = self._route(src, keys)
+            if own is not None and src in pool.shard:
+                incoming.setdefault(src, []).insert(0, (src, own, values[own.idx]))
+            for leg in remote:
+                if leg.owner in pool.shard:
+                    incoming.setdefault(leg.owner, []).append(
+                        (src, leg, values[leg.idx])
                     )
-        deltas: dict[int, tuple[np.ndarray, list[Any]]] = {}
+        deltas: dict[int, tuple[np.ndarray, Any]] = {}
         for dst in pool.shard:
-            sequence: list[tuple[int, np.ndarray, np.ndarray]] = []
-            if dst in own_partial:
-                keys, values = own_partial[dst]
-                sequence.append((dst, keys, values))
-            sequence.extend(incoming.get(dst, ()))
             changed_keys: set[int] = set()
-            for src, keys, values in sequence:
+            for src, leg, values in incoming.get(dst, ()):
                 if src != dst:
                     self.cluster.network.send(
-                        src, dst, (KEY_BYTES + self.value_nbytes) * int(keys.size)
+                        src, dst, (KEY_BYTES + self.value_nbytes) * int(leg.keys.size)
                     )
-                changed = self.stores[dst].apply_master_bulk(keys, values, op)
+                changed = self.stores[dst].apply_master_bulk(
+                    leg.keys, values, op, leg.locals_
+                )
                 if changed.size:
                     changed_list = changed.tolist()
                     self._any_updated = True
@@ -757,10 +785,14 @@ class NodePropMap:
                 self._updated_masters[owner].add(key)
                 self._next_active[owner].add(key)
 
-    def _apply_at_owner_bulk(
-        self, owner: int, keys: np.ndarray, values: np.ndarray, op: ReduceOp
-    ) -> None:
-        changed = self.stores[owner].apply_master_bulk(keys, values, op)
+    def _apply_at_owner_bulk(self, leg: _Leg, values: np.ndarray, op: ReduceOp) -> None:
+        owner = leg.owner
+        if leg.locals_ is None:
+            changed = self.stores[owner].apply_master_bulk(leg.keys, values, op)
+        else:
+            changed = self.stores[owner].apply_master_bulk(
+                leg.keys, values, op, leg.locals_
+            )
         if changed.size:
             self._any_updated = True
             if self.variant.uses_gar:
@@ -827,7 +859,7 @@ class NodePropMap:
                 if invariant == "none":
                     kept = ids
                 else:
-                    locals_ = np.asarray([part.global_to_local[int(g)] for g in ids])
+                    locals_ = self.stores[mirror_host]._translate_arr()[ids]
                     if invariant == "push":
                         degrees = part.indptr[locals_ + 1] - part.indptr[locals_]
                     else:
@@ -884,12 +916,13 @@ class NodePropMap:
         writes of exactly that work (mirror hosts may lie outside the
         shard - the all-gather's full counter-row merge accounts them on
         the coordinator). One all-gather then ships the written mirror
-        slabs so every replica converges. A key has one owner, so fan-out
+        values (column slices when the owner's column is in array mode) so
+        every replica converges. A key has one owner, so fan-out
         writes are disjoint across processes and the merged charges are
         additive-identical to the serial owner scan.
         """
         fan_out = self._mirror_targets(self._pin_invariant)
-        outgoing: list[tuple[int, np.ndarray, list[Any]]] = []
+        outgoing: list[tuple[int, np.ndarray, Any]] = []
         for owner_host in pool.shard:
             pending = self._updated_masters[owner_host]
             if not pending:
@@ -954,7 +987,7 @@ class NodePropMap:
             return
         if self.variant.uses_gar:
             # GAR masters are owned by their own host: no network traffic.
-            self.stores[host].write_master_bulk(keys, values.tolist())
+            self.stores[host].write_master_bulk(keys, values)
             return
         owners = keys % self.cluster.num_hosts
         for owner in np.unique(owners).tolist():
@@ -1010,10 +1043,7 @@ class NodePropMap:
         for host in range(self.cluster.num_hosts):
             store = self.stores[host]
             if isinstance(store, GarHostStore):
-                for local, key in enumerate(store.part.masters_global.tolist()):
-                    value = store.values[local]
-                    if value is not None:
-                        result[key] = value
+                result.update(store.master_items())
             else:
                 assert isinstance(store, HashHostStore)
                 result.update(store.owned)
@@ -1026,35 +1056,28 @@ class NodePropMap:
         Requires every node to hold a numeric value.
         """
         num_nodes = self.pgraph.num_nodes
-        if self.variant.uses_gar and all(
-            store._masters_contiguous for store in self.stores
-        ):
-            chunks: list[tuple[int, np.ndarray]] = []
+        if self.variant.uses_gar:
+            # Every node is a master on exactly one host, so the per-host
+            # master columns scatter through masters_global into one array.
+            chunks: list[tuple[np.ndarray, np.ndarray]] = []
             for store in self.stores:
-                num_masters = store.part.num_masters
-                if num_masters == 0:
+                if store.part.num_masters == 0:
                     continue
-                arr = np.asarray(store.values[:num_masters])
-                if arr.dtype == object:
+                arr = store.master_column()
+                if arr is None:
                     raise ValueError(
                         f"map {self.name!r} has uninitialized or non-numeric "
                         "masters; snapshot_array needs a value for every node"
                     )
-                chunks.append((store._master_base, arr))
-            filled = sum(arr.size for _, arr in chunks)
-            if filled != num_nodes:
-                raise ValueError(
-                    f"map {self.name!r} has {filled} of {num_nodes} values; "
-                    "snapshot_array needs a value for every node"
-                )
+                chunks.append((store.part.masters_global, arr))
             out = np.zeros(
                 num_nodes,
                 dtype=np.result_type(*[arr.dtype for _, arr in chunks])
                 if chunks
                 else np.float64,
             )
-            for base, arr in chunks:
-                out[base : base + arr.size] = arr
+            for ids, arr in chunks:
+                out[ids] = arr
             return out
         values = self.snapshot()
         if len(values) != num_nodes:

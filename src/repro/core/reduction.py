@@ -69,7 +69,50 @@ def _fold_batch(
     return uniq, acc
 
 
-class PreparedFold:
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _FoldPlan:
+    """The static half of :func:`_fold_batch` for one key array: sorted
+    unique keys plus the first-occurrence / ``ufunc.at`` / last-occurrence
+    decomposition, frozen. :meth:`replay` is the value half - the same
+    first-assign + sequential ``ufunc.at`` order, hence bit-identical."""
+
+    __slots__ = ("uniq", "first_idx", "rest", "inverse_rest", "last")
+
+    def __init__(self, keys: np.ndarray) -> None:
+        uniq, first_idx, inverse = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        inverse = inverse.reshape(-1)
+        self.uniq = _frozen(uniq)
+        self.first_idx = _frozen(first_idx)
+        rest = np.ones(keys.size, dtype=bool)
+        rest[first_idx] = False
+        self.rest = _frozen(rest)
+        self.inverse_rest = _frozen(inverse[rest])
+        # Last occurrence per key, for the overwrite fold.
+        last = np.zeros(uniq.size, dtype=np.int64)
+        np.maximum.at(last, inverse, np.arange(keys.size, dtype=np.int64))
+        self.last = _frozen(last)
+
+    def replay(self, values: np.ndarray, op: ReduceOp) -> np.ndarray:
+        """Deliberately replays ``_fold_batch``'s first-occurrence +
+        ``ufunc.at`` decomposition rather than e.g. ``reduceat`` over a
+        sorted copy: ``add.reduceat`` folds segments pairwise, which is
+        not bit-identical to the sequential left-to-right application
+        the scalar oracle produces."""
+        if op.name == "overwrite":
+            return values[self.last]
+        acc = values[self.first_idx]
+        if self.inverse_rest.size:
+            op.ufunc.at(acc, self.inverse_rest, values[self.rest])
+        return acc
+
+
+class PreparedFold(_FoldPlan):
     """A precomputed composite-key fold plan for a *static* reduce batch.
 
     Plan-to-kernel codegen (``repro.exec.codegen``) reduces with the same
@@ -81,64 +124,40 @@ class PreparedFold:
     first-occurrence assignment, same ``ufunc.at`` duplicate application
     order, same sorted unique keys - bit-identical folded state.
 
+    The batch's reduce-sync collect (:meth:`collect`) folds the per-thread
+    runs of ``uniq`` by plain key; that key array is static too, so its
+    plan is built on the first collect and replayed afterwards, and the
+    collected keys are one frozen array for the life of the plan.
+
     Holds the original ``threads``/``keys`` so a consumer can fall back to
     the generic :meth:`ThreadLocalReduction.reduce_bulk` whenever the fast
     path's preconditions (clean thread maps, ufunc-foldable op) fail at
     run time.
     """
 
-    __slots__ = (
-        "threads",
-        "keys",
-        "count",
-        "span",
-        "uniq",
-        "first_idx",
-        "rest",
-        "inverse_rest",
-        "last",
-    )
+    __slots__ = ("threads", "keys", "count", "span", "_collect_plan")
 
     def __init__(self, threads: np.ndarray, keys: np.ndarray) -> None:
-        def frozen(array: np.ndarray) -> np.ndarray:
-            array.flags.writeable = False
-            return array
-
         self.threads = threads
         self.keys = keys
         self.count = int(keys.size)
         self.span = int(keys.max()) + 1
-        composite = threads * self.span + keys
-        uniq, first_idx, inverse = np.unique(
-            composite, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-        self.uniq = frozen(uniq)
-        self.first_idx = frozen(first_idx)
-        rest = np.ones(self.count, dtype=bool)
-        rest[first_idx] = False
-        self.rest = frozen(rest)
-        self.inverse_rest = frozen(inverse[rest])
-        # Last occurrence per key, for the overwrite fold.
-        last = np.zeros(uniq.size, dtype=np.int64)
-        np.maximum.at(last, inverse, np.arange(self.count, dtype=np.int64))
-        self.last = frozen(last)
+        super().__init__(threads * self.span + keys)
+        self._collect_plan: _FoldPlan | None = None
 
     def fold(self, values: np.ndarray, op: ReduceOp) -> np.ndarray:
-        """The value-side of :func:`_fold_batch` under this plan.
+        """The value-side of :func:`_fold_batch` under this plan."""
+        return self.replay(values, op)
 
-        Deliberately replays ``_fold_batch``'s first-occurrence +
-        ``ufunc.at`` decomposition rather than e.g. ``reduceat`` over a
-        sorted copy: ``add.reduceat`` folds segments pairwise, which is
-        not bit-identical to the sequential left-to-right application
-        the scalar oracle produces.
-        """
-        if op.name == "overwrite":
-            return values[self.last]
-        acc = values[self.first_idx]
-        if self.inverse_rest.size:
-            op.ufunc.at(acc, self.inverse_rest, values[self.rest])
-        return acc
+    def collect(
+        self, folded: np.ndarray, op: ReduceOp
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``_fold_batch(uniq % span, folded, op)`` - the thread-order
+        merge of this plan's folded batch - without its per-round sort."""
+        plan = self._collect_plan
+        if plan is None:
+            plan = self._collect_plan = _FoldPlan(self.uniq % self.span)
+        return plan.uniq, plan.replay(folded, op)
 
 
 class PreparedSubsetFold:
@@ -164,10 +183,6 @@ class PreparedSubsetFold:
     __slots__ = ("threads", "keys", "count", "span", "rank", "composite")
 
     def __init__(self, threads: np.ndarray, keys: np.ndarray) -> None:
-        def frozen(array: np.ndarray) -> np.ndarray:
-            array.flags.writeable = False
-            return array
-
         self.threads = threads
         self.keys = keys
         self.count = int(keys.size)
@@ -181,8 +196,8 @@ class PreparedSubsetFold:
         order = np.argsort(composite, kind="stable")
         rank = np.empty(order.size, dtype=np.int64)
         rank[order] = np.arange(order.size, dtype=np.int64)
-        self.rank = frozen(rank)
-        self.composite = frozen(composite)
+        self.rank = _frozen(rank)
+        self.composite = _frozen(composite)
 
     def fold(
         self, idx: np.ndarray, values: np.ndarray, op: ReduceOp
@@ -238,6 +253,11 @@ class ThreadLocalReduction:
         # reduces (or back-to-back bulk batches) spills the batch into the
         # per-thread dicts with values unchanged.
         self._batch: tuple[int, np.ndarray, np.ndarray] | None = None
+        # The PreparedFold that produced ``_batch``, if one did. Only ever
+        # trusted after an identity check of its ``uniq`` against the
+        # pending batch's, so a batch from any other source (generic
+        # reduce, subset fold, another process's export) never meets it.
+        self._batch_plan: PreparedFold | None = None
 
     def reduce(self, thread: int, key: int, value: Any, op: ReduceOp) -> None:
         counters = self.cluster.counters(self.host_id)
@@ -320,6 +340,7 @@ class ThreadLocalReduction:
         counters = self.cluster.counters(self.host_id)
         counters.reduce_calls += prepared.count
         self._batch = (prepared.span, prepared.uniq, prepared.fold(values, op))
+        self._batch_plan = prepared
 
     def prepare_bulk_subsets(
         self, threads: np.ndarray, keys: np.ndarray
@@ -459,6 +480,9 @@ class ThreadLocalReduction:
         # key runs concatenated in thread order, so one more fold matches
         # the thread-order dict merge of :meth:`collect` (first occurrence
         # assigns, later threads fold left-to-right, overwrite keeps last).
+        plan = self._batch_plan
+        if plan is not None and plan.uniq is uniq:
+            return plan.collect(folded, op)
         merged = _fold_batch(uniq % span, folded, op)
         if merged is None:  # pragma: no cover - batches are ufunc-foldable
             raise TypeError(f"cannot fold bulk batch with op {op.name!r}")

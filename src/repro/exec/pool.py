@@ -43,8 +43,9 @@ shared-memory, per-sync-boundary effect exchange.**
   (double-buffered) plus a broadcast arena, all created before the fork
   so every process inherits the same mapping. Bundles are encoded with
   pickle protocol 5; numpy payloads (reduction batch arrays, counter
-  matrices, GAR value slabs in epoch blobs) travel as raw out-of-band
-  buffers written directly into the arena. Pipes carry only fixed-size
+  matrices, the typed GAR property columns in epoch blobs and their
+  slices in sharded-sync deltas) travel as raw out-of-band buffers
+  written directly into the arena. Pipes carry only fixed-size
   tokens; every process reads every peer's arena directly, so the
   coordinator never re-serializes the fan-out. Oversized bundles fall
   back to the pipe and the next refork grows the arenas.

@@ -280,3 +280,86 @@ def test_backend_contract_parity(ops):
             # The two GAR layouts differ only in remote-cache representation:
             # identical ops must yield identical readability and values.
             assert outcomes[0] == outcomes[1]
+
+
+# --------------------------------------------------------------------------
+# Type-leak guard: array-mode columns must never let a numpy scalar out.
+# --------------------------------------------------------------------------
+
+
+def _assert_native(values, where):
+    leaked = {type(v).__name__ for v in values if type(v) not in (int, float)}
+    assert not leaked, f"{where} holds non-native values: {sorted(leaked)}"
+
+
+def _assert_checkpoint_native(state, where):
+    for host, store_state in enumerate(state["stores"]):
+        column = store_state["column"]
+        if column[0] == "list":
+            _assert_native([v for v in column[1] if v is not None], f"{where} list")
+        else:
+            assert column[1] is None or column[1].dtype in (np.int64, np.float64)
+        _assert_native(store_state["remote_values"], f"{where} remote cache {host}")
+        _assert_native(store_state["remote_hash"].values(), f"{where} remote hash")
+
+
+@pytest.mark.parametrize("app", ["PR", "SSSP", "CC-SV"])
+def test_bulk_runs_leak_no_numpy_scalars(app, monkeypatch):
+    """PR and SSSP keep their columns in array mode for the whole run and
+    CC-SV's scalar kernels convert them mid-run; in every case what leaves
+    the stores - final values, snapshots, the requested-remote cache at
+    the moment it is filled, checkpoints - is plain ``int``/``float``."""
+    from repro.core.propmap import NodePropMap
+    from repro.eval.harness import run_kimbap
+
+    maps = []
+    init = NodePropMap.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        maps.append(self)
+
+    materialize = GarHostStore.materialize_remote
+    cached = []
+
+    def checking_materialize(self, keys, values):
+        materialize(self, keys, values)
+        _assert_native(self._remote_values, "remote cache")
+        cached.append(len(self._remote_values))
+
+    monkeypatch.setattr(NodePropMap, "__init__", recording_init)
+    monkeypatch.setattr(GarHostStore, "materialize_remote", checking_materialize)
+    run = run_kimbap(app, "powerlaw", 4, bulk=True)
+
+    _assert_native(run.values.values(), "run.values")
+    assert maps
+    array_mode = 0
+    for prop in maps:
+        _assert_native(prop.snapshot().values(), f"{prop.name}.snapshot()")
+        _assert_checkpoint_native(prop.checkpoint_state(), prop.name)
+        array_mode += sum(store._valid is not None for store in prop.stores)
+    if app == "CC-SV":
+        assert cached and max(cached) > 0  # the trans-vertex requests ran
+    else:
+        assert array_mode  # the guard looked at live ndarray columns
+
+
+def test_serve_requests_from_an_array_mode_owner_materializes_natives():
+    from repro.core import NodePropMap
+
+    _, pgraph, cluster = make_setup()
+    prop = NodePropMap(cluster, pgraph, "p")
+    prop.set_initial_bulk(lambda nodes: nodes * 0.5)
+    host = mirror_host(pgraph)
+    wanted = pgraph.parts[host].mirrors_global
+    with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+        assert prop.request_bulk(host, wanted).all()
+    prop.request_sync()
+    store = prop.stores[host]
+    assert store._remote_keys.tolist() == sorted(wanted.tolist())
+    _assert_native(store._remote_values, "remote cache")
+    assert store._remote_values == [k * 0.5 for k in sorted(wanted.tolist())]
+    # Serving never needed the per-element API: the owners stay array mode.
+    assert all(s._valid is not None for s in prop.stores)
+    with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+        assert type(prop.read(host, int(wanted[0]))) is float

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from repro.cluster.metrics import PhaseKind
 from repro.core import MIN, SUM, NodePropMap, RuntimeVariant
 from repro.graph import generators
 from repro.partition import partition
+from repro.partition.base import build_partitioned
 
 ALL_VARIANTS = list(RuntimeVariant)
 
@@ -239,6 +241,151 @@ class TestPinnedMirrors:
         cluster, _, prop = self.make_pinned()
         with pytest.raises(ValueError):
             prop.pin_mirrors(invariant="sideways")
+
+
+class TestDenseTranslation:
+    """The bulk paths translate global ids with the store's dense
+    global->local array; the per-key dict is the reference."""
+
+    @pytest.mark.parametrize("policy", ["oec", "cvc", "hvc"])
+    @pytest.mark.parametrize("dedup", [True, False])
+    def test_pinned_request_bulk_matches_per_key_requests(self, policy, dedup):
+        graph = generators.powerlaw_like(6, seed=2)
+        pgraph = partition(graph, 4, policy)
+        # Every node twice, plus the same again: masters, pinned mirrors,
+        # keys with no proxy on the host, and duplicates.
+        keys = np.concatenate([np.arange(graph.num_nodes)] * 2)[::-1].copy()
+        outcomes = []
+        for bulk in (False, True):
+            cluster = Cluster(4, threads_per_host=4)
+            prop = NodePropMap(cluster, pgraph, "p", request_dedup=dedup)
+            prop.set_initial(lambda n: n)
+            prop.pin_mirrors()
+            cluster.reset()
+            accepted = []
+            with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                for host in range(4):
+                    if bulk:
+                        accepted.append(prop.request_bulk(host, keys).tolist())
+                    else:
+                        accepted.append([prop.request(host, k) for k in keys.tolist()])
+            pending = [bitset.nonzero().tolist() for bitset in prop.bitsets]
+            outcomes.append(
+                (accepted, pending, prop._dup_requests, cluster.log.total_counters())
+            )
+        assert outcomes[0] == outcomes[1]
+        assert any(any(row) for row in outcomes[0][0])
+
+    @pytest.mark.parametrize("policy", ["cvc", "hvc", "iec"])
+    @pytest.mark.parametrize("invariant", ["push", "pull"])
+    def test_mirror_targets_match_dict_translation(self, policy, invariant):
+        graph = generators.powerlaw_like(6, seed=2)
+        pgraph = partition(graph, 4, policy)
+        prop = NodePropMap(Cluster(4, threads_per_host=4), pgraph, "p")
+        fan_out = prop._mirror_targets(invariant)
+        kept_any = False
+        for owner_host, pairs in enumerate(pgraph.mirror_hosts_by_owner):
+            expected = {}
+            for mirror_host, ids in pairs:
+                part = pgraph.parts[mirror_host]
+                locals_ = [part.global_to_local[g] for g in ids.tolist()]
+                if invariant == "push":
+                    degrees = [part.indptr[i + 1] - part.indptr[i] for i in locals_]
+                else:
+                    degrees = [part.in_degrees[i] for i in locals_]
+                kept = [g for g, d in zip(ids.tolist(), degrees) if d > 0]
+                if kept:
+                    expected[mirror_host] = kept
+            got = {host: ids.tolist() for host, ids in fan_out[owner_host].items()}
+            assert got == expected
+            kept_any = kept_any or bool(expected)
+        assert kept_any or policy != "cvc"  # some policies elide every mirror
+
+    def test_snapshot_array_gathers_non_contiguous_masters(self):
+        # No built-in policy interleaves owners; a round-robin one does.
+        graph = generators.powerlaw_like(6, seed=2)
+        owner = np.arange(graph.num_nodes, dtype=np.int64) % 4
+        pgraph = build_partitioned(
+            graph, "round-robin", owner, owner[graph.edge_sources()], num_hosts=4
+        )
+        cluster = Cluster(4, threads_per_host=4)
+        prop = NodePropMap(cluster, pgraph, "p")
+        assert not any(store._masters_contiguous for store in prop.stores)
+        prop.set_initial_bulk(lambda nodes: nodes * 0.5)
+        want = prop.snapshot()
+        got = prop.snapshot_array()
+        assert got.dtype == np.float64
+        assert got.tolist() == [want[n] for n in range(graph.num_nodes)]
+        # Scalar-touched (list mode) columns take the same route.
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            for host in range(4):
+                prop.read_local(host, 0)
+        assert prop.snapshot_array().tolist() == got.tolist()
+        assert prop.snapshot() == want
+
+    def test_snapshot_array_rejects_unset_masters(self):
+        _, pgraph, prop = make_map()
+        with pytest.raises(ValueError, match="uninitialized or non-numeric"):
+            prop.snapshot_array()
+
+
+class TestSyncRoute:
+    def test_route_is_reused_for_the_same_collected_keys_only(self):
+        cluster, pgraph, prop = make_map(hosts=3, policy="cvc")
+        keys = np.arange(pgraph.num_nodes, dtype=np.int64)
+        route = prop._route(1, keys)
+        assert prop._route(1, keys) is route
+        assert prop._route(1, keys.copy()) is not route
+        own, remote = route
+        assert own.owner == 1 and [leg.owner for leg in remote] == [0, 2]
+        for leg in (own, *remote):
+            store = prop.stores[leg.owner]
+            assert keys[leg.idx].tolist() == leg.keys.tolist()
+            assert set(pgraph.owner[leg.keys].tolist()) == {leg.owner}
+            with cluster.phase(PhaseKind.REDUCE_SYNC):
+                assert leg.locals_.tolist() == [
+                    store.master_local(k) for k in leg.keys.tolist()
+                ]
+
+
+    def test_routed_sync_charges_like_the_scalar_path_without_contiguity(self):
+        # Interleaved owners: every owner-side translation is a charged
+        # hash probe, which a route's pre-translated locals must still pay.
+        graph = generators.powerlaw_like(6, seed=2)
+        owner = np.arange(graph.num_nodes, dtype=np.int64) % 4
+        pgraph = build_partitioned(
+            graph, "round-robin", owner, owner[graph.edge_sources()], num_hosts=4
+        )
+        rng = np.random.default_rng(3)
+        threads = np.sort(rng.integers(0, 4, size=200))
+        keys = rng.integers(0, graph.num_nodes, size=200).astype(np.int64)
+        rounds = rng.integers(0, 100, size=(2, 200)).astype(np.float64)
+        outcomes = []
+        for bulk in (False, True):
+            cluster = Cluster(4, threads_per_host=4)
+            prop = NodePropMap(cluster, pgraph, "p")
+            prop.set_initial_bulk(lambda nodes: np.full(nodes.size, 50.0))
+            plans = [prop.prepare_reduce_bulk(host, threads, keys) for host in range(4)]
+            routes = []
+            for values in rounds:
+                with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                    for host in range(4):
+                        if bulk:
+                            prop.reduce_bulk_prepared(host, plans[host], values, MIN)
+                        else:
+                            for t, k, v in zip(
+                                threads.tolist(), keys.tolist(), values.tolist()
+                            ):
+                                prop.reduce(host, t, k, v, MIN)
+                prop.reduce_sync()
+                routes.append([entry and entry[1] for entry in prop._routes])
+            if bulk:  # the second round replayed the first round's routes
+                assert all(a is b for a, b in zip(*routes)) and all(routes[0])
+            outcomes.append(
+                (prop.snapshot(), cluster.log.total_counters(), cluster.log.total_bytes())
+            )
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1].hash_probes > 0
 
 
 class TestCrossVariantAgreement:

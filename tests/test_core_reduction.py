@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
-from repro.core.reducers import MIN, SUM
+from repro.core.reducers import MIN, OVERWRITE, SUM
 from repro.core.reduction import (
     KvCasReduction,
     SharedMapReduction,
     ThreadLocalReduction,
+    _fold_batch,
 )
 from repro.kvstore import KvClient
 
@@ -60,6 +63,108 @@ class TestThreadLocal:
         # combining is communication-side work (the paper's CF overhead)
         sync = cluster.log.phases[-1]
         assert sync.counters[0].combine_ops > 0
+
+
+class TestPreparedCollect:
+    """The collect plan cached on a PreparedFold replays ``_fold_batch``
+    over the thread-stripped keys: same bits, no per-round sort, and never
+    applied to a batch it was not built for."""
+
+    THREADS = 4
+
+    def _static_batch(self, seed=5, count=400, keys=23):
+        rng = np.random.default_rng(seed)
+        threads = np.sort(rng.integers(0, self.THREADS, size=count))
+        return threads, rng.integers(0, keys, size=count).astype(np.int64), rng
+
+    def _pair(self):
+        return [
+            ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
+            for _ in range(2)
+        ]
+
+    def _collect(self, reduction, op):
+        with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+            return reduction.collect_arrays(op)
+
+    @pytest.mark.parametrize("op", [SUM, MIN, OVERWRITE], ids=lambda op: op.name)
+    def test_parity_with_fold_batch_every_round(self, op):
+        threads, keys, rng = self._static_batch()
+        prepared_red, generic_red = self._pair()
+        plan = prepared_red.prepare_bulk(threads, keys)
+        collected_keys = None
+        for _ in range(3):
+            # Magnitudes far apart: float addition order shows in the bits.
+            values = rng.random(keys.size) * 10.0 ** rng.integers(-8, 8, keys.size)
+            with prepared_red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                prepared_red.reduce_bulk_prepared(plan, values, op)
+            with generic_red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                generic_red.reduce_bulk(threads, keys, values, op)
+            span, uniq, folded = generic_red._batch
+            want_keys, want = _fold_batch(uniq % span, folded, op)
+            got_keys, got = self._collect(prepared_red, op)
+            ref_keys, ref = self._collect(generic_red, op)
+            assert got_keys.tolist() == want_keys.tolist() == ref_keys.tolist()
+            assert got.tobytes() == want.tobytes() == ref.tobytes()
+            # One frozen key object for the life of the plan (what the
+            # reduce-sync route cache is keyed on).
+            assert collected_keys is None or got_keys is collected_keys
+            assert not got_keys.flags.writeable
+            collected_keys = got_keys
+        assert (
+            prepared_red.cluster.log.total_counters()
+            == generic_red.cluster.log.total_counters()
+        )
+
+    def test_overwrite_keeps_the_last_thread(self):
+        threads = np.array([0, 0, 1, 3])
+        keys = np.array([5, 5, 5, 2], dtype=np.int64)
+        reduction, _ = self._pair()
+        plan = reduction.prepare_bulk(threads, keys)
+        with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            reduction.reduce_bulk_prepared(
+                plan, np.array([1.0, 2.0, 3.0, 4.0]), OVERWRITE
+            )
+        got_keys, got = self._collect(reduction, OVERWRITE)
+        assert got_keys.tolist() == [2, 5] and got.tolist() == [4.0, 3.0]
+
+    def test_generic_batch_after_a_prepared_one_ignores_the_plan(self):
+        threads, keys, rng = self._static_batch()
+        reduction, reference = self._pair()
+        plan = reduction.prepare_bulk(threads, keys)
+        values = rng.random(keys.size)
+        with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            reduction.reduce_bulk_prepared(plan, values, SUM)
+        self._collect(reduction, SUM)
+        # Different keys, and fewer of them: replaying the stale plan
+        # would index out of range or fold the wrong slots.
+        other_threads, other_keys = threads[:50], (keys[:50] + 7) % 11
+        for red in (reduction, reference):
+            with red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                red.reduce_bulk(other_threads, other_keys, values[:50], SUM)
+        got_keys, got = self._collect(reduction, SUM)
+        want_keys, want = self._collect(reference, SUM)
+        assert got_keys.tolist() == want_keys.tolist()
+        assert got.tobytes() == want.tobytes()
+        assert got_keys is not plan.collect(plan.fold(values, SUM), SUM)[0]
+
+    def test_installed_copy_of_a_prepared_batch_ignores_the_plan(self):
+        # Another process's export carries equal but distinct arrays; the
+        # identity check sends it down the generic fold.
+        threads, keys, rng = self._static_batch()
+        reduction, reference = self._pair()
+        plan = reduction.prepare_bulk(threads, keys)
+        values = rng.random(keys.size)
+        for red in (reduction, reference):
+            with red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                red.reduce_bulk_prepared(plan, values, SUM)
+        tag, maps, (span, uniq, folded) = reduction.export_state()
+        reduction.install_state((tag, maps, (span, uniq.copy(), folded.copy())))
+        got_keys, got = self._collect(reduction, SUM)
+        want_keys, want = self._collect(reference, SUM)
+        assert got_keys is not want_keys
+        assert got_keys.tolist() == want_keys.tolist()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSharedMap:
