@@ -39,16 +39,13 @@ from repro.core.reduction import (
     KvCasReduction,
     SharedMapReduction,
     ThreadLocalReduction,
+    _frozen,
 )
 from repro.core.variants import RuntimeVariant
 from repro.kvstore.client import KvClient
 from repro.partition.base import PartitionedGraph
 
 KEY_BYTES = 8
-
-# Sentinel for "activity mask not built this round" (None is a valid cache
-# value: it marks a built-and-empty active set).
-_ACTIVE_UNBUILT = object()
 
 
 class _Leg(NamedTuple):
@@ -121,7 +118,11 @@ class NodePropMap:
         self._dup_requests: list[list[int]] = [[] for _ in range(num_hosts)]
         self._op: ReduceOp | None = None
         self._any_updated = False
-        self._updated_masters: list[set[int]] = [set() for _ in range(num_hosts)]
+        # Pending and activity state: per host, one dense bool mask over
+        # global node ids (3*H*N bytes per map) - writers scatter, readers
+        # gather, nothing boxes a node id.
+        # _updated_masters: masters changed since the last broadcast.
+        self._updated_masters = [self._empty_mask() for _ in range(num_hosts)]
         # Activity tracking for data-driven operators (delta propagation):
         # the global ids whose locally-readable copy changed in the last
         # completed round. Gluon exposes the same information through its
@@ -129,20 +130,10 @@ class NodePropMap:
         # quiescent nodes.
         # Both buffers start full so the first round after initialization
         # sees every node active (reset_updated swaps buffers per round).
-        self._active: list[set[int]] = [
-            set(pgraph.parts[h].local_to_global.tolist())
-            for h in range(num_hosts)
-        ]
-        self._next_active: list[set[int]] = [
-            set(pgraph.parts[h].local_to_global.tolist())
-            for h in range(num_hosts)
-        ]
-        # Per-host dense bool mask over the last completed round's active
-        # set, built lazily on first probe and reused by every kernel in
-        # the round (the sets are immutable between buffer swaps; the
-        # swap sites invalidate). _ACTIVE_UNBUILT marks "not built yet";
-        # None marks a built-and-empty active set.
-        self._active_mask_cache: list[Any] = [_ACTIVE_UNBUILT] * num_hosts
+        # _active is only ever replaced wholesale and active_mask hands it
+        # out, so its masks are read-only.
+        self._active = [_frozen(self._local_mask(h)) for h in range(num_hosts)]
+        self._next_active = [self._local_mask(h) for h in range(num_hosts)]
         self._pinned = False
         self._pin_invariant = "none"
         self._mirror_filter_cache: dict[str, list[dict[int, np.ndarray]]] = {}
@@ -158,6 +149,15 @@ class NodePropMap:
 
     def _note_change(self, key: int) -> None:
         self._any_updated = True
+
+    def _empty_mask(self) -> np.ndarray:
+        return np.zeros(self.pgraph.num_nodes, dtype=bool)
+
+    def _local_mask(self, host: int) -> np.ndarray:
+        """Mask of every node with a copy (master or mirror) on ``host``."""
+        mask = self._empty_mask()
+        mask[self.pgraph.parts[host].local_to_global] = True
+        return mask
 
     def owner_of(self, key: int) -> int:
         if self.variant.uses_gar:
@@ -362,36 +362,20 @@ class NodePropMap:
 
     def reset_updated(self) -> None:
         self._any_updated = False
-        self._active = self._next_active
-        self._next_active = [set() for _ in range(self.cluster.num_hosts)]
-        self._invalidate_active_cache()
-
-    def _invalidate_active_cache(self) -> None:
-        """Drop the cached activity masks (the buffers just swapped)."""
-        self._active_mask_cache = [_ACTIVE_UNBUILT] * self.cluster.num_hosts
+        self._active = [_frozen(mask) for mask in self._next_active]
+        self._next_active = [self._empty_mask() for _ in self._active]
 
     def active_mask(self, host: int) -> np.ndarray | None:
         """Dense bool mask (by global node id) of ``host``'s last-round
-        active set, or None when the set is empty.
+        active nodes, or None when there are none.
 
-        Built once per round per host and frozen: ``_active`` is only
-        ever replaced wholesale (buffer swap, checkpoint restore, epoch
-        install - all of which invalidate), never mutated in place, so
-        every activity probe in a round shares one gather instead of
-        rebuilding ``np.isin`` per kernel.
+        This *is* the live activity state, handed out read-only:
+        ``_active`` is only ever replaced wholesale (buffer swap,
+        checkpoint restore, epoch install), never written in place, so a
+        kernel can neither disturb the frontier nor see it move mid-round.
         """
-        cached = self._active_mask_cache[host]
-        if cached is _ACTIVE_UNBUILT:
-            active = self._active[host]
-            if active:
-                mask = np.zeros(self.pgraph.num_nodes, dtype=bool)
-                mask[np.fromiter(active, dtype=np.int64, count=len(active))] = True
-                mask.flags.writeable = False
-                cached = mask
-            else:
-                cached = None
-            self._active_mask_cache[host] = cached
-        return cached
+        mask = self._active[host]
+        return mask if mask.any() else None
 
     def is_active(self, host: int, key: int) -> bool:
         """Did ``key``'s locally-readable copy change last round?
@@ -402,22 +386,15 @@ class NodePropMap:
         """
         if not self.variant.uses_gar:
             return True
-        return key in self._active[host]
+        return bool(self._active[host][key])
 
     def is_active_bulk(self, host: int, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_active` (uncharged, like the scalar probe).
-
-        Gathers from the cached :meth:`active_mask`, so the per-round
-        frontier materialization happens once per host, not once per
-        kernel probe (membership results are identical to the former
-        ``np.isin`` scan)."""
+        """Vectorized :meth:`is_active` (uncharged, like the scalar probe):
+        one gather from the activity mask."""
         keys = np.asarray(keys)
         if not self.variant.uses_gar:
             return np.ones(keys.size, dtype=bool)
-        mask = self.active_mask(host)
-        if mask is None:
-            return np.zeros(keys.size, dtype=bool)
-        return mask[keys]
+        return self._active[host][keys]
 
     def is_updated(self) -> bool:
         """Did the last reduce_sync change any master value? (BSP-round vote)"""
@@ -743,7 +720,7 @@ class NodePropMap:
                     )
         deltas: dict[int, tuple[np.ndarray, Any]] = {}
         for dst in pool.shard:
-            changed_keys: set[int] = set()
+            changed_legs: list[np.ndarray] = []
             for src, leg, values in incoming.get(dst, ()):
                 if src != dst:
                     self.cluster.network.send(
@@ -753,15 +730,10 @@ class NodePropMap:
                     leg.keys, values, op, leg.locals_
                 )
                 if changed.size:
-                    changed_list = changed.tolist()
-                    self._any_updated = True
-                    self._updated_masters[dst].update(changed_list)
-                    self._next_active[dst].update(changed_list)
-                    changed_keys.update(changed_list)
-            if changed_keys:
-                keys = np.fromiter(
-                    sorted(changed_keys), dtype=np.int64, count=len(changed_keys)
-                )
+                    self._mark_changed(dst, changed)
+                    changed_legs.append(changed)
+            if changed_legs:
+                keys = np.unique(np.concatenate(changed_legs))
                 deltas[dst] = (keys, self.stores[dst].peek_masters(keys))
         blob = {"deltas": deltas, "updated": self._any_updated}
         for index, peer in enumerate(pool.exchange_shards(blob, record=record)):
@@ -771,19 +743,22 @@ class NodePropMap:
                 self._any_updated = True
             for dst, (keys, values) in peer["deltas"].items():
                 self.stores[dst].poke_masters(keys, values)
-                key_list = keys.tolist()
-                self._updated_masters[dst].update(key_list)
-                self._next_active[dst].update(key_list)
+                self._updated_masters[dst][keys] = True
+                self._next_active[dst][keys] = True
         for store in self.stores:
             store.drop_remote()
 
     def _apply_at_owner(self, owner: int, key: int, value: Any, op: ReduceOp) -> None:
-        changed = self.stores[owner].apply_master(key, value, op)
-        if changed:
-            self._any_updated = True
-            if self.variant.uses_gar:
-                self._updated_masters[owner].add(key)
-                self._next_active[owner].add(key)
+        if self.stores[owner].apply_master(key, value, op):
+            self._mark_changed(owner, key)
+
+    def _mark_changed(self, owner: int, changed: int | np.ndarray) -> None:
+        """Record master(s) of ``owner`` whose value an apply changed:
+        the round vote, pending for the next broadcast, active next round."""
+        self._any_updated = True
+        if self.variant.uses_gar:
+            self._updated_masters[owner][changed] = True
+            self._next_active[owner][changed] = True
 
     def _apply_at_owner_bulk(self, leg: _Leg, values: np.ndarray, op: ReduceOp) -> None:
         owner = leg.owner
@@ -794,11 +769,7 @@ class NodePropMap:
                 leg.keys, values, op, leg.locals_
             )
         if changed.size:
-            self._any_updated = True
-            if self.variant.uses_gar:
-                changed_list = changed.tolist()
-                self._updated_masters[owner].update(changed_list)
-                self._next_active[owner].update(changed_list)
+            self._mark_changed(owner, changed)
 
     # ------------------------------------------------------- pinned mirrors
 
@@ -870,28 +841,15 @@ class NodePropMap:
         self._mirror_filter_cache[invariant] = fan_out
         return fan_out
 
-    def _pending_mask(self, pending: set[int]) -> np.ndarray:
-        """Dense bool mask over global ids of an updated-masters set: one
-        scatter per owner host, then every fan-out pair filters by O(|ids|)
-        gather instead of a per-pair ``np.isin`` sort."""
-        mask = np.zeros(self.pgraph.num_nodes, dtype=bool)
-        mask[np.fromiter(pending, dtype=np.int64, count=len(pending))] = True
-        return mask
-
     def _broadcast(self, full: bool) -> None:
         fan_out = self._mirror_targets(self._pin_invariant)
         for owner_host in range(self.cluster.num_hosts):
             pending = self._updated_masters[owner_host]
-            pending_mask: np.ndarray | None = None
-            if not full and pending:
-                pending_mask = self._pending_mask(pending)
+            if not full and not pending.any():
+                continue
             for mirror_host, ids in fan_out[owner_host].items():
-                if full:
-                    selected = ids
-                else:
-                    if pending_mask is None:
-                        continue
-                    selected = ids[pending_mask[ids]]
+                # Every fan-out pair filters by one O(|ids|) gather.
+                selected = ids if full else ids[pending[ids]]
                 if selected.size == 0:
                     continue
                 self.cluster.network.send(
@@ -902,11 +860,14 @@ class NodePropMap:
                 values = self.stores[owner_host].serve_master_bulk(selected)
                 self.stores[mirror_host].write_mirror_bulk(selected, values)
                 if not full:
-                    self._next_active[mirror_host].update(selected.tolist())
-        # Keys may have mirrors on several hosts, so the pending sets only
-        # clear after the whole fan-out ran.
-        for owner_host in range(self.cluster.num_hosts):
-            self._updated_masters[owner_host].clear()
+                    self._next_active[mirror_host][selected] = True
+        self._clear_pending()
+
+    def _clear_pending(self) -> None:
+        """Nothing is pending broadcast any more. (Keys may have mirrors
+        on several hosts, so this only runs after a whole fan-out.)"""
+        for pending in self._updated_masters:
+            pending.fill(False)
 
     def _broadcast_sharded(self, pool: Any, record: Any) -> None:
         """Owner-sharded :meth:`_broadcast` (the ``jobs=N`` backend).
@@ -925,11 +886,10 @@ class NodePropMap:
         outgoing: list[tuple[int, np.ndarray, Any]] = []
         for owner_host in pool.shard:
             pending = self._updated_masters[owner_host]
-            if not pending:
+            if not pending.any():
                 continue
-            pending_mask = self._pending_mask(pending)
             for mirror_host, ids in fan_out[owner_host].items():
-                selected = ids[pending_mask[ids]]
+                selected = ids[pending[ids]]
                 if selected.size == 0:
                     continue
                 self.cluster.network.send(
@@ -939,16 +899,15 @@ class NodePropMap:
                 )
                 values = self.stores[owner_host].serve_master_bulk(selected)
                 self.stores[mirror_host].write_mirror_bulk(selected, values)
-                self._next_active[mirror_host].update(selected.tolist())
+                self._next_active[mirror_host][selected] = True
                 outgoing.append((mirror_host, selected, values))
         for index, peer in enumerate(pool.exchange_shards(outgoing, record=record)):
             if index == pool.index:
                 continue
             for mirror_host, keys, values in peer:
                 self.stores[mirror_host].poke_mirrors(keys, values)
-                self._next_active[mirror_host].update(keys.tolist())
-        for owner_host in range(self.cluster.num_hosts):
-            self._updated_masters[owner_host].clear()
+                self._next_active[mirror_host][keys] = True
+        self._clear_pending()
 
     # --------------------------------------------------------------- helpers
 
@@ -1008,8 +967,7 @@ class NodePropMap:
         """
         self._op = None
         self._any_updated = False
-        for pending in self._updated_masters:
-            pending.clear()
+        self._clear_pending()
         self.set_initial(value_of)
 
     def reset_values_bulk(
@@ -1018,8 +976,7 @@ class NodePropMap:
         """Vectorized :meth:`reset_values` (same cost as set_initial_bulk)."""
         self._op = None
         self._any_updated = False
-        for pending in self._updated_masters:
-            pending.clear()
+        self._clear_pending()
         self.set_initial_bulk(values_of)
 
     def snapshot(self) -> dict[int, Any]:
@@ -1120,7 +1077,7 @@ class NodePropMap:
         Compute phases mutate exactly four things on the computing host:
         the pending reduction state, the request bitset, the duplicate
         request log, and the map's bound reduction operator. Everything
-        else (stores, activity sets, updated flags) changes only during
+        else (stores, activity masks, updated flags) changes only during
         sync collectives, which every process replays identically. The
         state is *cumulative* since the last reduce-sync, so installing an
         export replaces the receiver's copy wholesale - re-installing a
@@ -1158,6 +1115,22 @@ class NodePropMap:
         self.bitsets[host].install_state(request_bits)
         self._dup_requests[host] = list(dup_requests)
 
+    def _copy_masks(self) -> dict[str, list[np.ndarray]]:
+        """Private copies of the pending/activity masks, for a snapshot."""
+        return {
+            "updated_masters": [mask.copy() for mask in self._updated_masters],
+            "active": [mask.copy() for mask in self._active],
+            "next_active": [mask.copy() for mask in self._next_active],
+        }
+
+    def _install_masks(self, state: dict) -> None:
+        """Reinstate :meth:`_copy_masks` output, copying again: the saved
+        arrays stay untouched (a checkpoint restores any number of times;
+        an epoch blob's buffers belong to the exchange arena)."""
+        self._updated_masters = [mask.copy() for mask in state["updated_masters"]]
+        self._active = [_frozen(mask.copy()) for mask in state["active"]]
+        self._next_active = [mask.copy() for mask in state["next_active"]]
+
     def export_epoch_state(self) -> dict:
         """All mutable state, in a picklable form, for the parallel pool's
         warm-run epoch protocol (``repro.exec.pool``).
@@ -1174,9 +1147,7 @@ class NodePropMap:
         state = {
             "stores": [store.export_epoch() for store in self.stores],
             "any_updated": self._any_updated,
-            "updated_masters": [set(s) for s in self._updated_masters],
-            "active": [set(s) for s in self._active],
-            "next_active": [set(s) for s in self._next_active],
+            **self._copy_masks(),
             "op": self._op.name if self._op is not None else None,
             "pinned": self._pinned,
             "pin_invariant": self._pin_invariant,
@@ -1200,10 +1171,7 @@ class NodePropMap:
         for store, store_state in zip(self.stores, state["stores"]):
             store.install_epoch(store_state)
         self._any_updated = state["any_updated"]
-        self._updated_masters = [set(s) for s in state["updated_masters"]]
-        self._active = [set(s) for s in state["active"]]
-        self._next_active = [set(s) for s in state["next_active"]]
-        self._invalidate_active_cache()
+        self._install_masks(state)
         op_name = state["op"]
         self._op = None if op_name is None else resolve_op(self.name, op_name)
         self._pinned = state["pinned"]
@@ -1227,9 +1195,7 @@ class NodePropMap:
         state = {
             "stores": [store.checkpoint() for store in self.stores],
             "any_updated": self._any_updated,
-            "updated_masters": [set(s) for s in self._updated_masters],
-            "active": [set(s) for s in self._active],
-            "next_active": [set(s) for s in self._next_active],
+            **self._copy_masks(),
             "op": self._op,
             "pinned": self._pinned,
             "pin_invariant": self._pin_invariant,
@@ -1247,10 +1213,7 @@ class NodePropMap:
         for store, store_state in zip(self.stores, state["stores"]):
             store.restore(store_state)
         self._any_updated = state["any_updated"]
-        self._updated_masters = [set(s) for s in state["updated_masters"]]
-        self._active = [set(s) for s in state["active"]]
-        self._next_active = [set(s) for s in state["next_active"]]
-        self._invalidate_active_cache()
+        self._install_masks(state)
         self._op = state["op"]
         self._pinned = state["pinned"]
         self._pin_invariant = state["pin_invariant"]

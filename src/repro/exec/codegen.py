@@ -250,7 +250,7 @@ class PreparedFrontierPush(_SpecializedKernel):
     (:class:`~repro.exec.plan.CmpFilter`,
     :class:`~repro.exec.plan.DstCmpFilter`) depend on live values. Each
     round the kernel gathers the frontier once (``np.flatnonzero`` over
-    the map's cached activity-mask snapshot), shrinks it with the
+    a gather from the map's dense activity mask), shrinks it with the
     compiled value mask, and intersects the surviving sources with the
     frozen expansion through one of two paths chosen by frontier
     density (``FRONTIER_DENSE_SWITCH``):
@@ -357,7 +357,7 @@ class PreparedFrontierPush(_SpecializedKernel):
             if charge_src:
                 counters.local_ops += charge_src
             # Frontier gather: one uncharged activity probe over the
-            # frozen candidate list (the map caches the round's mask).
+            # frozen candidate list (a gather from the map's activity mask).
             sel_pos = all_pos
             if require_active is not None:
                 keep = require_active.is_active_bulk(host, node_sel)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
@@ -107,6 +110,38 @@ class TestRequestDedup:
             assert prop.read(0, remote) == remote
 
 
+def mirrored_setting():
+    """A cvc-partitioned map with pinned mirrors, plus one (owner host,
+    mirror host, node) triple to drive a broadcast through."""
+    graph = generators.powerlaw_like(6, seed=2)
+    pgraph = partition(graph, 4, "cvc")
+    cluster = Cluster(4, threads_per_host=4)
+    prop = NodePropMap(cluster, pgraph, "p")
+    prop.set_initial(lambda node: node)
+    prop.pin_mirrors(invariant="none")
+    for owner, pairs in enumerate(pgraph.mirror_hosts_by_owner):
+        if pairs:
+            mirror_host, ids = pairs[0]
+            return pgraph, cluster, prop, owner, mirror_host, int(ids[0])
+    raise AssertionError("partition has no mirrors")
+
+
+def reduce_bulk_synced(cluster, prop, host, keys, values):
+    """One compute phase of MIN ``reduce_bulk`` on ``host``, reduce-synced."""
+    keys = np.asarray(keys, dtype=np.int64)
+    with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+        prop.reduce_bulk(
+            host, np.zeros(keys.size, dtype=np.int64), keys, np.asarray(values), MIN
+        )
+    prop.reduce_sync()
+
+
+def reduce_bulk_round(cluster, prop, host, keys, values):
+    """One whole bulk round: reduce, reduce-sync, broadcast-sync."""
+    reduce_bulk_synced(cluster, prop, host, keys, values)
+    prop.broadcast_sync()
+
+
 class TestActivityTracking:
     def test_everything_active_initially(self):
         _, pgraph, cluster, prop = setting()
@@ -138,18 +173,7 @@ class TestActivityTracking:
         assert not prop.is_active(0, target)
 
     def test_mirror_becomes_active_via_broadcast(self):
-        graph = generators.powerlaw_like(6, seed=2)
-        pgraph = partition(graph, 4, "cvc")
-        cluster = Cluster(4, threads_per_host=4)
-        prop = NodePropMap(cluster, pgraph, "p")
-        prop.set_initial(lambda node: node)
-        prop.pin_mirrors(invariant="none")
-        owner, mirror_host, node = None, None, None
-        for candidate, pairs in enumerate(pgraph.mirror_hosts_by_owner):
-            if pairs:
-                owner, (mirror_host, ids) = candidate, pairs[0]
-                node = int(ids[0])
-                break
+        _, cluster, prop, owner, mirror_host, node = mirrored_setting()
         prop.reset_updated()
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             prop.reduce(owner, 0, node, -5, MIN)
@@ -165,3 +189,93 @@ class TestActivityTracking:
         prop.reset_updated()
         prop.reset_updated()
         assert prop.is_active(0, int(pgraph.parts[0].masters_global[0]))
+
+    # Bulk twins: the same predicates through reduce_bulk + the array
+    # sync path (set_initial_bulk keeps the store columns in array mode).
+
+    def bulk_setting(self):
+        _, pgraph, cluster, prop = setting()
+        prop.reset_values_bulk(lambda keys: keys)
+        prop.reset_updated()
+        return pgraph, cluster, prop
+
+    def test_bulk_changed_master_active_on_owner(self):
+        pgraph, cluster, prop = self.bulk_setting()
+        target, untouched = pgraph.parts[0].masters_global[:2].tolist()
+        reduce_bulk_round(cluster, prop, 0, [target], [-1])
+        prop.reset_updated()
+        assert prop.is_active(0, target)
+        assert not prop.is_active(0, untouched)
+        assert prop.is_active_bulk(0, [target, untouched]).tolist() == [True, False]
+
+    def test_bulk_losing_reduce_inactive(self):
+        pgraph, cluster, prop = self.bulk_setting()
+        target = int(pgraph.parts[0].masters_global[0])
+        reduce_bulk_round(cluster, prop, 0, [target], [10_000])
+        prop.reset_updated()
+        assert not prop.is_active(0, target)
+        assert prop.active_mask(0) is None
+
+    def test_bulk_mirror_active_only_after_broadcast(self):
+        _, cluster, prop, owner, mirror_host, node = mirrored_setting()
+        prop.reset_updated()
+        reduce_bulk_synced(cluster, prop, owner, [node], [-5])
+        prop.reset_updated()
+        assert prop.is_active(owner, node)
+        assert not prop.is_active(mirror_host, node)
+        prop.broadcast_sync()
+        prop.reset_updated()
+        assert prop.is_active(mirror_host, node)
+        assert not prop.is_active(owner, node)
+
+    def test_bulk_reset_leaves_nothing_pending(self):
+        _, cluster, prop, owner, _, node = mirrored_setting()
+        reduce_bulk_synced(cluster, prop, owner, [node], [-5])
+        prop.reset_values_bulk(lambda keys: keys)
+        before = cluster.log.total_bytes()
+        prop.broadcast_sync()
+        assert cluster.log.total_bytes() == before
+
+    def test_active_mask_is_read_only(self):
+        _, cluster, prop, owner, _, node = mirrored_setting()
+        for _ in range(2):  # the initial buffer, then a swapped-in one
+            mask = prop.active_mask(owner)
+            assert mask is not None and mask[node]
+            with pytest.raises(ValueError):
+                mask[node] = False
+            assert prop.is_active(owner, node)
+            reduce_bulk_round(cluster, prop, owner, [node], [-5])
+            prop.reset_updated()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        rounds=st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 10_000), st.integers(-50, 50)),
+                max_size=12,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_probes_agree_with_set_model(self, rounds):
+        """The set of changed keys is the oracle: after every round, a
+        copy on ``h`` is active iff its master changed this round."""
+        pgraph, cluster, prop, *_ = mirrored_setting()
+        prop.reset_values_bulk(lambda keys: keys)
+        prop.reset_updated()
+        for pushes in rounds:
+            before = prop.snapshot_array()
+            host = len(pushes) % cluster.num_hosts
+            reduce_bulk_round(
+                cluster, prop, host,
+                [key % pgraph.num_nodes for key, _ in pushes],
+                [value for _, value in pushes],
+            )
+            prop.reset_updated()
+            reference_set = set(np.flatnonzero(prop.snapshot_array() != before).tolist())
+            for h in range(cluster.num_hosts):
+                for k in pgraph.parts[h].local_to_global.tolist():
+                    expected = k in reference_set
+                    assert prop.is_active(h, k) == expected
+                    assert prop.is_active_bulk(h, [k])[0] == expected

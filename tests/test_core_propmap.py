@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,93 @@ class TestPinnedMirrors:
         cluster, _, prop = self.make_pinned()
         with pytest.raises(ValueError):
             prop.pin_mirrors(invariant="sideways")
+
+
+class TestActivitySnapshots:
+    """Checkpoints and epoch blobs carry *copies* of the pending/activity
+    masks: the live ones are scattered into and cleared in place, which a
+    snapshot sharing their memory would silently follow."""
+
+    MASKS = ("updated_masters", "active", "next_active")
+
+    def make(self):
+        """A pinned map mid-loop: one node active from a finished round,
+        another changed but still pending broadcast."""
+        cluster, pgraph, prop = TestPinnedMirrors().make_pinned()
+        _, ids = pgraph.mirror_hosts_by_owner[0][0]
+        mirrored = ids[:2].tolist()
+        assert len(set(mirrored)) == 2
+        prop.reset_updated()
+        self.round(cluster, prop, mirrored[0], -5)
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            prop.reduce(0, 0, mirrored[1], -6, MIN)
+        prop.reduce_sync()
+        return cluster, pgraph, prop
+
+    @staticmethod
+    def round(cluster, prop, node, value):
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            prop.reduce(0, 0, node, value, MIN)
+        prop.reduce_sync()
+        TestActivitySnapshots.finish_round(prop)
+
+    @staticmethod
+    def finish_round(prop):
+        prop.broadcast_sync()
+        prop.reset_updated()
+
+    @staticmethod
+    def activity(pgraph, prop):
+        return [
+            [prop.is_active(part.host_id, k) for k in part.local_to_global.tolist()]
+            for part in pgraph.parts
+        ]
+
+    def assert_disjoint(self, state, prop):
+        live = {
+            "updated_masters": prop._updated_masters,
+            "active": prop._active,
+            "next_active": prop._next_active,
+        }
+        for name in self.MASKS:
+            for saved in state[name]:
+                assert saved.dtype == bool
+                assert not any(np.shares_memory(saved, mask) for mask in live[name])
+
+    def test_checkpoint_restores_activity_twice(self):
+        cluster, pgraph, prop = self.make()
+        saved = prop.checkpoint_state()
+        self.assert_disjoint(saved, prop)
+        now = self.activity(pgraph, prop)
+        self.finish_round(prop)
+        after = self.activity(pgraph, prop)
+        assert now != after and any(any(host) for host in after)
+        for value in (-7, -8):
+            self.round(cluster, prop, int(pgraph.parts[1].masters_global[0]), value)
+            assert self.activity(pgraph, prop) != now
+            prop.restore_state(saved)
+            self.assert_disjoint(saved, prop)
+            assert self.activity(pgraph, prop) == now
+            self.finish_round(prop)
+            assert self.activity(pgraph, prop) == after
+
+    def test_epoch_state_installs_activity_on_a_second_map(self):
+        _, pgraph, prop = self.make()
+        state = prop.export_epoch_state()
+        self.assert_disjoint(state, prop)
+        buffers: list[pickle.PickleBuffer] = []
+        blob = pickle.dumps(state, protocol=5, buffer_callback=buffers.append)
+        assert len(buffers) >= 3 * len(self.MASKS)  # masks ship out of band
+        shipped = pickle.loads(blob, buffers=buffers)
+        replica = NodePropMap(Cluster(4, threads_per_host=4), pgraph, "p")
+        replica.install_epoch_state(shipped, lambda map_name, op_name: MIN)
+        self.assert_disjoint(shipped, replica)
+        assert self.activity(pgraph, replica) == self.activity(pgraph, prop)
+        self.finish_round(prop)
+        self.finish_round(replica)
+        after = self.activity(pgraph, prop)
+        assert any(any(host) for host in after)
+        assert self.activity(pgraph, replica) == after
 
 
 class TestDenseTranslation:
