@@ -27,7 +27,7 @@ hidden. The CI floor therefore gates on the internal yardstick: when
 armed (>=4 cores or ``REPRO_BENCH_REQUIRE_SPEEDUP=1``, the
 arm-only-in-CI pattern), PageRank, SSSP, and CC-LP must each report a
 configuration that beats the single-thread scalar baseline, so
-codegen/bulk/parallel gains are always re-proven against a single
+bulk/parallel gains are always re-proven against a single
 thread and the external COST columns are always published next to them.
 
 Every configuration's final property values are verified against the
@@ -64,15 +64,14 @@ from repro.eval.workloads import load_graph  # noqa: E402
 REPORT_SCHEMA = "repro-bench-report/v1"
 TITLE = "COST guardrail: cheapest configuration beating a single thread"
 PR_TOLERANCE = 1e-9
-# Configuration matrix: (column key, bulk flag, jobs, codegen, cores).
+# Configuration matrix: (column key, bulk flag, jobs, cores).
 # ``cores`` is the configuration's price in the COST ordering - cheapest
 # (fewest cores, then fastest) winning configuration is the app's COST.
 MATRIX = (
-    ("scalar_j1", False, 1, None, 1),
-    ("bulk_nocg_j1", True, 1, False, 1),
-    ("bulk_j1", True, 1, None, 1),
-    ("bulk_j2", True, 2, None, 2),
-    ("bulk_j4", True, 4, None, 4),
+    ("scalar_j1", False, 1, 1),
+    ("bulk_j1", True, 1, 1),
+    ("bulk_j2", True, 2, 2),
+    ("bulk_j4", True, 4, 4),
 )
 YARDSTICKS = ("straight", "tuned", "scalar")
 HEADERS = (
@@ -81,11 +80,9 @@ HEADERS = (
     "straight(s)",
     "tuned(s)",
     "scalar j1(s)",
-    "bulk nocg(s)",
     "bulk j1(s)",
     "bulk j2(s)",
     "bulk j4(s)",
-    "frontier codegen",
     "COST straight",
     "COST tuned",
     "COST scalar",
@@ -166,32 +163,21 @@ def run_cell(app: str, graph_name: str, hosts: int) -> dict:
     }
     configs = []
     diverged = []
-    for key, bulk, jobs, codegen, cores in matrix():
+    for key, bulk, jobs, cores in matrix():
         result = run_kimbap(
-            app, graph_name, hosts, graph=graph, bulk=bulk, jobs=jobs,
-            codegen=codegen,
+            app, graph_name, hosts, graph=graph, bulk=bulk, jobs=jobs
         )
         if values_diverge(app, result.values, oracle):
             diverged.append(key)
         wallclock = best_of(
             lambda: run_kimbap(
-                app, graph_name, hosts, graph=graph, bulk=bulk, jobs=jobs,
-                codegen=codegen,
+                app, graph_name, hosts, graph=graph, bulk=bulk, jobs=jobs
             ),
             reps,
         )
         configs.append({"key": key, "cores": cores, "wallclock_s": wallclock})
     by_key = {c["key"]: c for c in configs}
     baseline_s["scalar"] = by_key["scalar_j1"]["wallclock_s"]
-    # Generated kernels (incl. the frontier-aware SSSP/CC-LP ones) vs the
-    # interpreted bulk pipeline at the same single-core configuration -
-    # the same contrast the wall-clock bench gates on, published here so
-    # the COST table shows what codegen itself buys.
-    frontier_codegen = (
-        by_key["bulk_nocg_j1"]["wallclock_s"] / by_key["bulk_j1"]["wallclock_s"]
-        if by_key["bulk_j1"]["wallclock_s"] > 0
-        else float("inf")
-    )
     # The scalar reference cannot win against itself; every other
     # configuration competes against every yardstick.
     cost = {
@@ -207,7 +193,6 @@ def run_cell(app: str, graph_name: str, hosts: int) -> dict:
         "hosts": hosts,
         "baseline_s": baseline_s,
         "configs": configs,
-        "frontier_codegen": frontier_codegen,
         "cost": {
             yardstick: (winner["key"] if winner else None)
             for yardstick, winner in cost.items()
@@ -237,11 +222,9 @@ def main() -> int:
             f"{cell['baseline_s']['straight']:.3f}",
             f"{cell['baseline_s']['tuned']:.3f}",
             seconds(cell, "scalar_j1"),
-            seconds(cell, "bulk_nocg_j1"),
             seconds(cell, "bulk_j1"),
             seconds(cell, "bulk_j2"),
             seconds(cell, "bulk_j4"),
-            f"{cell['frontier_codegen']:.2f}x",
             cell["cost"]["straight"] or "unbounded",
             cell["cost"]["tuned"] or "unbounded",
             cell["cost"]["scalar"] or "unbounded",

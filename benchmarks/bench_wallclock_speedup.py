@@ -1,11 +1,10 @@
 #!/usr/bin/env python
-"""Wall-clock speedup of the bulk, codegen, and host-parallel paths.
+"""Wall-clock speedup of the bulk and host-parallel paths.
 
 Standalone script (no pytest dependency - CI's smoke job runs it directly):
 for each app cell it runs the full backend matrix on the same workload -
-scalar ``jobs=1`` (the oracle), scalar ``jobs=4``, interpreted bulk
-``jobs=1`` (``codegen=False``), generated-kernel bulk ``jobs=1``
-(``repro.exec.codegen``, the bulk default), and bulk ``jobs=2/4``
+scalar ``jobs=1`` (the oracle), scalar ``jobs=4``, bulk ``jobs=1`` (the
+compiled kernels of ``repro.exec.codegen``), and bulk ``jobs=2/4``
 (host-shard process parallelism, ``repro.exec.pool``) - times every
 variant with ``time.perf_counter`` over a cell-shared prebuilt
 partition (graph loading/partitioning is excluded from the measured
@@ -18,19 +17,11 @@ the CI smoke job doubles as the equivalence gate.
 On runners with at least 4 cores the script additionally gates on real
 parallel speedup: the headline cell's scalar ``jobs=4`` run must beat
 scalar ``jobs=1`` by ``REPRO_BENCH_MIN_PARALLEL_SPEEDUP`` (default 1.8x),
-bulk ``jobs=2`` must beat bulk ``jobs=1`` by
-``REPRO_BENCH_MIN_BULK_J2_SPEEDUP`` (default 1.3x), and generated
-kernels must beat the interpreted bulk path by
-``REPRO_BENCH_MIN_CODEGEN_SPEEDUP`` (default 1.2x) at the same jobs=1
-configuration (that ratio is core-count independent, but it shares the
-gate switch so loaded single-core machines never fail on timer noise).
-The full (non-fast) sweep additionally runs the **SSSP frontier-codegen
-floor** (``FRONTIER_FLOOR_CELL``): road SSSP at scale 4 - the
-hundreds-of-rounds wavefront workload the compiled frontier kernels of
-``repro.exec.codegen.PreparedFrontierPush`` exist for - timed min-of-N
-interpreted vs generated, gated on the same
-``REPRO_BENCH_MIN_CODEGEN_SPEEDUP`` floor and on byte-identical
-results. The scalar backend is
+and bulk ``jobs=2`` must beat bulk ``jobs=1`` by
+``REPRO_BENCH_MIN_BULK_J2_SPEEDUP`` (default 1.3x). How fast the compiled
+kernels are in absolute terms is measured against an external loop by
+``benchmarks/e2e`` (``pr-powerlaw-dense``, ``sssp-road-wavefront``), not
+here. The scalar backend is
 the easy parallelism demonstration: its compute phases dominate the run.
 The bulk gate is the honest one (the COST caution of PAPERS.md): the
 vectorized baseline is fast, so winning against it demands the
@@ -53,7 +44,6 @@ equivalence-critical cells, ``REPRO_BENCH_SCALE`` rescales the graphs.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import time
@@ -70,17 +60,14 @@ TITLE = (
     "Bulk + host-parallel execution paths: wall-clock speedup "
     "(byte-identical metrics)"
 )
-# Backend matrix per cell: (column key, bulk flag, jobs, codegen). The
-# scalar jobs=1 run is the oracle every other variant must match byte for
-# byte; bulk_nocg_j1 pins the interpreted bulk kernels (codegen=False) as
-# the honest baseline for the codegen speedup column.
+# Backend matrix per cell: (column key, bulk flag, jobs). The scalar
+# jobs=1 run is the oracle every other variant must match byte for byte.
 MATRIX = (
-    ("scalar_j1", False, 1, None),
-    ("scalar_j4", False, 4, None),
-    ("bulk_nocg_j1", True, 1, False),
-    ("bulk_j1", True, 1, None),
-    ("bulk_j2", True, 2, None),
-    ("bulk_j4", True, 4, None),
+    ("scalar_j1", False, 1),
+    ("scalar_j4", False, 4),
+    ("bulk_j1", True, 1),
+    ("bulk_j2", True, 2),
+    ("bulk_j4", True, 4),
 )
 HEADERS = (
     "app",
@@ -88,12 +75,10 @@ HEADERS = (
     "hosts",
     "scalar j1(s)",
     "scalar j4(s)",
-    "bulk nocg(s)",
     "bulk j1(s)",
     "bulk j2(s)",
     "bulk j4(s)",
     "bulk/scalar",
-    "codegen",
     "scalar j4/j1",
     "bulk j2/j1",
     "bulk j4/j1",
@@ -113,10 +98,6 @@ def min_parallel_speedup() -> float:
 
 def min_bulk_j2_speedup() -> float:
     return float(os.environ.get("REPRO_BENCH_MIN_BULK_J2_SPEEDUP", "1.3"))
-
-
-def min_codegen_speedup() -> float:
-    return float(os.environ.get("REPRO_BENCH_MIN_CODEGEN_SPEEDUP", "1.2"))
 
 
 def gate_speedup() -> bool:
@@ -146,66 +127,6 @@ def cells() -> list[tuple[str, str, int]]:
     return sweep
 
 
-# The SSSP frontier-codegen floor cell: app, graph, hosts, graph scale,
-# timing repeats (min-of-N on each side). Road SSSP is the workload the
-# frontier-aware kernels exist for - a high-diameter wavefront that runs
-# hundreds of rounds over the same frozen decomposition - and the scale-4
-# grid gives the compiled path enough rounds to amortize its one-time
-# builds the way any real input would (the default bench analogs are
-# ~10^4x smaller than the paper's graphs, so per-run constants loom
-# disproportionately large at scale 0).
-FRONTIER_FLOOR_CELL = ("SSSP", "road", 4, 4, 5)
-
-
-def run_frontier_floor() -> dict:
-    """Time interpreted-bulk vs generated frontier kernels head to head.
-
-    Scalar oracles are impractical at this scale, so the equivalence
-    check here is interpreted vs generated (both are matrix-verified
-    against the scalar oracle at default scale above): byte-identical
-    ``RunResult.to_dict()`` and final values, min-of-N wall-clock on
-    each side. The repeats interleave (interpreted, generated) pairs so
-    a monotonic system-load drift penalizes both sides equally instead
-    of whichever ran second.
-    """
-    app, graph_name, hosts, scale, repeats = FRONTIER_FLOOR_CELL
-    graph = load_graph(graph_name, weighted=(app == "SSSP"), scale=scale)
-    pgraph = partition(graph, hosts, APP_POLICY[app])
-
-    def timed(codegen):
-        start = time.perf_counter()
-        result = run_kimbap(
-            app, graph_name, hosts, graph=graph, pgraph=pgraph,
-            bulk=True, jobs=1, codegen=codegen,
-        )
-        return time.perf_counter() - start, result
-
-    interp_s = codegen_s = math.inf
-    interp = compiled = None
-    for _ in range(repeats):
-        elapsed, interp = timed(False)
-        interp_s = min(interp_s, elapsed)
-        elapsed, compiled = timed(None)
-        codegen_s = min(codegen_s, elapsed)
-    return {
-        "app": app,
-        "graph": graph_name,
-        "hosts": hosts,
-        "scale": scale,
-        "repeats": repeats,
-        "rounds": interp.rounds,
-        "interpreted_s": interp_s,
-        "codegen_s": codegen_s,
-        "codegen_speedup": (
-            interp_s / codegen_s if codegen_s > 0 else float("inf")
-        ),
-        "identical": (
-            canonical(interp) == canonical(compiled)
-            and interp.values == compiled.values
-        ),
-    }
-
-
 def canonical(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
 
@@ -218,11 +139,11 @@ def run_cell(app: str, graph_name: str, hosts: int) -> dict:
     pgraph = partition(graph, hosts, APP_POLICY[app])
     wallclock: dict[str, float] = {}
     results: dict[str, object] = {}
-    for key, bulk, jobs, codegen in MATRIX:
+    for key, bulk, jobs in MATRIX:
         start = time.perf_counter()
         results[key] = run_kimbap(
             app, graph_name, hosts, graph=graph, pgraph=pgraph, bulk=bulk,
-            jobs=jobs, codegen=codegen,
+            jobs=jobs,
         )
         wallclock[key] = time.perf_counter() - start
     oracle = results["scalar_j1"]
@@ -252,11 +173,6 @@ def run_cell(app: str, graph_name: str, hosts: int) -> dict:
             if wallclock["scalar_j4"] > 0
             else float("inf")
         ),
-        "codegen_speedup": (
-            wallclock["bulk_nocg_j1"] / wallclock["bulk_j1"]
-            if wallclock["bulk_j1"] > 0
-            else float("inf")
-        ),
         "bulk_j2_speedup": (
             wallclock["bulk_j1"] / wallclock["bulk_j2"]
             if wallclock["bulk_j2"] > 0
@@ -278,10 +194,6 @@ def run_cell(app: str, graph_name: str, hosts: int) -> dict:
 
 
 def main() -> int:
-    # The floor runs before the matrix: a fresh process gives it the
-    # same memory layout every time, instead of whatever the full
-    # matrix's allocator churn left behind.
-    frontier_floor = None if fast_mode() else run_frontier_floor()
     rows = [run_cell(*cell) for cell in cells()]
 
     from repro.eval.reporting import format_table
@@ -293,12 +205,10 @@ def main() -> int:
             r["hosts"],
             f"{r['wallclock_s']['scalar_j1']:.3f}",
             f"{r['wallclock_s']['scalar_j4']:.3f}",
-            f"{r['wallclock_s']['bulk_nocg_j1']:.3f}",
             f"{r['wallclock_s']['bulk_j1']:.3f}",
             f"{r['wallclock_s']['bulk_j2']:.3f}",
             f"{r['wallclock_s']['bulk_j4']:.3f}",
             f"{r['bulk_speedup']:.1f}x",
-            f"{r['codegen_speedup']:.2f}x",
             f"{r['parallel_speedup']:.2f}x",
             f"{r['bulk_j2_speedup']:.2f}x",
             f"{r['bulk_parallel_speedup']:.2f}x",
@@ -309,15 +219,6 @@ def main() -> int:
         for r in rows
     ]
     text = f"\n\n===== {TITLE} =====\n" + format_table(HEADERS, printable) + "\n"
-    if frontier_floor is not None:
-        f = frontier_floor
-        text += (
-            f"\nfrontier codegen floor: {f['app']} {f['graph']}@{f['hosts']} "
-            f"(scale {f['scale']}, {f['rounds']} rounds, min of "
-            f"{f['repeats']}): interpreted {f['interpreted_s']:.3f}s, "
-            f"generated {f['codegen_s']:.3f}s = {f['codegen_speedup']:.2f}x "
-            f"({'identical' if f['identical'] else 'DIVERGED'})\n"
-        )
     print(text)
 
     reports_dir = os.path.join(os.path.dirname(os.path.abspath(__file__)), "reports")
@@ -332,13 +233,11 @@ def main() -> int:
         "results": [],
         "rows": [list(row) for row in printable],
         "cells": rows,
-        "frontier_floor": frontier_floor,
         "matrix": [list(entry) for entry in MATRIX],
         "cpu_count": os.cpu_count(),
         "speedup_gated": gate_speedup(),
         "min_parallel_speedup": min_parallel_speedup(),
         "min_bulk_j2_speedup": min_bulk_j2_speedup(),
-        "min_codegen_speedup": min_codegen_speedup(),
         "fast_mode": fast_mode(),
     }
     with open(os.path.join(reports_dir, "bench_wallclock_speedup.json"), "w") as handle:
@@ -373,46 +272,11 @@ def main() -> int:
             f"(< {min_bulk_j2_speedup():.1f}x, cpu_count={os.cpu_count()})",
             file=sys.stderr,
         )
-    if gate_speedup() and headline["codegen_speedup"] < min_codegen_speedup():
-        failed = True
-        print(
-            f"SPEEDUP FAILURE: headline {headline['app']} "
-            f"{headline['graph']}@{headline['hosts']} generated kernels "
-            f"over interpreted bulk is {headline['codegen_speedup']:.2f}x "
-            f"(< {min_codegen_speedup():.1f}x, cpu_count={os.cpu_count()})",
-            file=sys.stderr,
-        )
-    if frontier_floor is not None:
-        if not frontier_floor["identical"]:
-            failed = True
-            print(
-                f"EQUIVALENCE FAILURE: frontier floor "
-                f"{frontier_floor['app']} on {frontier_floor['graph']} @ "
-                f"{frontier_floor['hosts']} hosts (scale "
-                f"{frontier_floor['scale']}) - generated kernels diverged "
-                "from interpreted bulk",
-                file=sys.stderr,
-            )
-        if (
-            gate_speedup()
-            and frontier_floor["codegen_speedup"] < min_codegen_speedup()
-        ):
-            failed = True
-            print(
-                f"SPEEDUP FAILURE: frontier floor {frontier_floor['app']} "
-                f"{frontier_floor['graph']}@{frontier_floor['hosts']} "
-                f"(scale {frontier_floor['scale']}) generated kernels over "
-                f"interpreted bulk is "
-                f"{frontier_floor['codegen_speedup']:.2f}x "
-                f"(< {min_codegen_speedup():.1f}x, cpu_count={os.cpu_count()})",
-                file=sys.stderr,
-            )
     if failed:
         return 1
     print(
         f"headline: {headline['app']} {headline['graph']}@{headline['hosts']} "
         f"bulk/scalar {headline['bulk_speedup']:.1f}x, "
-        f"codegen {headline['codegen_speedup']:.2f}x, "
         f"scalar j4/j1 {headline['parallel_speedup']:.2f}x, "
         f"bulk j2/j1 {headline['bulk_j2_speedup']:.2f}x, "
         f"bulk j4/j1 {headline['bulk_parallel_speedup']:.2f}x, "

@@ -76,10 +76,9 @@ def cc_lp(
     pgraph: PartitionedGraph,
     variant: RuntimeVariant = RuntimeVariant.KIMBAP,
     executor: Executor | None = None,
-    bulk: bool | None = None,
 ) -> AlgorithmResult:
     """Run label-propagation connected components; values are component ids."""
-    executor = resolve_executor(cluster, executor, bulk, "cc_lp")
+    executor = resolve_executor(cluster, executor)
     label = NodePropMap(cluster, pgraph, "cc_label", variant=variant)
     executor.init_map(label, lambda nodes: nodes.copy())
     label.pin_mirrors(invariant="push")

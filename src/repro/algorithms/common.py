@@ -7,7 +7,6 @@ coarsening step shared by Louvain and Leiden.
 
 from __future__ import annotations
 
-import warnings
 import weakref
 from dataclasses import dataclass, field
 from typing import Any
@@ -34,30 +33,14 @@ from repro.partition.base import PartitionedGraph
 # covers it; it stays re-exported here for the historical import path.
 
 
-def resolve_executor(
-    cluster: Cluster,
-    executor: Executor | None,
-    bulk: bool | None = None,
-    name: str = "algorithm",
-) -> Executor:
+def resolve_executor(cluster: Cluster, executor: Executor | None) -> Executor:
     """Resolve the executor an algorithm should run its plans on.
 
     Algorithms take ``executor=``; the backend (scalar vs bulk) is the
-    executor's choice, not the algorithm's. The legacy per-algorithm
-    ``bulk=`` flag still works as a deprecation shim.
+    executor's choice, not the algorithm's. ``None`` means the scalar
+    reference backend.
     """
-    if executor is not None:
-        return executor
-    if bulk is not None:
-        warnings.warn(
-            f"{name}(bulk=...) is deprecated; construct an "
-            "Executor(bulk=...) from repro.exec and pass executor=, or "
-            "pass bulk= to run_kimbap",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return Executor(cluster, bulk=bool(bulk))
-    return Executor(cluster)
+    return executor if executor is not None else Executor(cluster)
 
 
 @dataclass

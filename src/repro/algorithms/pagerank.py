@@ -52,10 +52,9 @@ def pagerank(
     max_rounds: int = 100,
     variant: RuntimeVariant = RuntimeVariant.KIMBAP,
     executor: Executor | None = None,
-    bulk: bool | None = None,
 ) -> AlgorithmResult:
     """Compute PageRank; values sum to 1 over all nodes."""
-    executor = resolve_executor(cluster, executor, bulk, "pagerank")
+    executor = resolve_executor(cluster, executor)
     if not 0 < damping < 1:
         raise ValueError("damping must be in (0, 1)")
     num_nodes = pgraph.num_nodes

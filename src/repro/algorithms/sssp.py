@@ -54,9 +54,8 @@ def sssp_plan(
                         source=dist,
                         # Declarative filters: the frontier (distances
                         # that improved last round) and the reachability
-                        # predicate serialize in the plan and compile to
-                        # a frontier-aware kernel instead of running the
-                        # interpreted bulk pipeline.
+                        # predicate serialize in the plan and keep the
+                        # push fusable.
                         require_active=ActiveFilter(dist),
                         charge_per_source=1,
                         value_filter=CmpFilter("ne", UNREACHED),
@@ -84,10 +83,9 @@ def sssp(
     variant: RuntimeVariant = RuntimeVariant.KIMBAP,
     unit_weights: bool = False,
     executor: Executor | None = None,
-    bulk: bool | None = None,
 ) -> AlgorithmResult:
     """Single-source shortest paths; values are distances (inf = unreached)."""
-    executor = resolve_executor(cluster, executor, bulk, "sssp")
+    executor = resolve_executor(cluster, executor)
     if not 0 <= source < pgraph.num_nodes:
         raise ValueError(f"source {source} out of range")
     dist = NodePropMap(cluster, pgraph, "sssp_dist", variant=variant)
@@ -111,10 +109,9 @@ def bfs(
     source: int = 0,
     variant: RuntimeVariant = RuntimeVariant.KIMBAP,
     executor: Executor | None = None,
-    bulk: bool | None = None,
 ) -> AlgorithmResult:
     """BFS levels from ``source``: unit-weight SSSP with integer levels."""
-    executor = resolve_executor(cluster, executor, bulk, "bfs")
+    executor = resolve_executor(cluster, executor)
     result = sssp(
         cluster,
         pgraph,

@@ -77,7 +77,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         threads=args.threads,
         bulk=args.bulk,
         jobs=args.jobs,
-        codegen=False if args.no_codegen else None,
         engine=args.engine,
     )
     print(_result_rows([result]))
@@ -105,7 +104,6 @@ def cmd_variants(args: argparse.Namespace) -> int:
             threads=args.threads,
             bulk=args.bulk,
             jobs=args.jobs,
-            codegen=False if args.no_codegen else None,
             engine=args.engine,
         )
         for variant in (
@@ -127,7 +125,6 @@ def cmd_compare_lv(args: argparse.Namespace) -> int:
         threads=args.threads,
         bulk=args.bulk,
         jobs=args.jobs,
-        codegen=False if args.no_codegen else None,
         engine=args.engine,
     )
     vite = run_vite(args.graph, args.hosts, threads=args.threads)
@@ -151,7 +148,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         threads=args.threads,
         bulk=args.bulk,
         jobs=args.jobs,
-        codegen=False if args.no_codegen else None,
         engine=args.engine,
     )
     timeline = result.timeline()
@@ -180,7 +176,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         threads=args.threads,
         bulk=args.bulk,
         jobs=args.jobs,
-        codegen=False if args.no_codegen else None,
         engine=args.engine,
     )
     cluster = result.cluster
@@ -236,7 +231,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         threads=args.threads,
         bulk=args.bulk,
         jobs=args.jobs,
-        codegen=False if args.no_codegen else None,
     )
     faulted = run_kimbap(
         args.app,
@@ -247,7 +241,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         fault_plan=plan,
         bulk=args.bulk,
         jobs=args.jobs,
-        codegen=False if args.no_codegen else None,
     )
     print(_result_rows([baseline, faulted]))
     if faulted.outcome != "ok":
@@ -333,7 +326,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         threads=args.threads,
         bulk=args.bulk,
         jobs=1,
-        codegen=False if args.no_codegen else None,
     )
     chaotic = run_kimbap(
         args.app,
@@ -343,7 +335,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         threads=args.threads,
         bulk=args.bulk,
         jobs=args.jobs,
-        codegen=False if args.no_codegen else None,
         chaos_plan=chaos,
         recovery=args.policy,
     )
@@ -505,12 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--bulk",
             action="store_true",
             help="use the vectorized bulk kernel backend (byte-identical)",
-        )
-        sub_parser.add_argument(
-            "--no-codegen",
-            action="store_true",
-            help="disable plan-to-kernel code generation on the bulk "
-            "backend (interpreted kernel bodies; byte-identical)",
         )
         sub_parser.add_argument(
             "--engine",

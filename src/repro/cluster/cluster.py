@@ -105,15 +105,6 @@ class Cluster:
         # attached an injector; every hook call site guards on this, so the
         # fault layer is zero-overhead when off.
         self.faults = None
-        # Thread-dealing caches: chunk bounds and per-item thread ids are a
-        # pure function of (n_items, threads_per_host), and the same
-        # iteration-set sizes recur every round, so recomputing them per
-        # phase was pure waste. Cached arrays are frozen (writeable=False);
-        # hit/miss counts back the cache micro-benchmark.
-        self._boundary_cache: dict[int, np.ndarray] = {}
-        self._threads_of_cache: dict[int, np.ndarray] = {}
-        self.boundary_cache_hits = 0
-        self.boundary_cache_misses = 0
 
     # -- phase scoping -----------------------------------------------------
 
@@ -244,39 +235,24 @@ class Cluster:
 
         Item ``i`` is dealt to thread ``t`` iff ``bounds[t] <= i <
         bounds[t + 1]``; agrees with :func:`static_thread` for every index
-        (the bulk execution path derives per-thread segments from these
-        bounds instead of calling the dealing function per item).
-
-        Results are cached per item count (``threads_per_host`` is fixed
-        for the cluster's lifetime) and returned read-only.
+        (the compiled kernels derive per-thread segments from these bounds
+        once per ``(kernel, host)`` build instead of calling the dealing
+        function per item). Returned read-only.
         """
-        bounds = self._boundary_cache.get(total)
-        if bounds is not None:
-            self.boundary_cache_hits += 1
-            return bounds
-        self.boundary_cache_misses += 1
         threads = self.threads_per_host
         t = np.arange(threads + 1, dtype=np.int64)
         bounds = np.minimum((t * total + threads - 1) // threads, total)
         bounds.flags.writeable = False
-        self._boundary_cache[total] = bounds
         return bounds
 
     def threads_of(self, total: int) -> np.ndarray:
-        """Vectorized :func:`static_thread`: the thread id of every item.
-
-        Cached per item count, like :meth:`thread_boundaries` (a cached
-        lookup here counts as a boundary-cache hit)."""
-        threads = self._threads_of_cache.get(total)
-        if threads is not None:
-            self.boundary_cache_hits += 1
-            return threads
-        bounds = self.thread_boundaries(total)
+        """Vectorized :func:`static_thread`: the thread id of every item
+        (read-only)."""
         threads = np.repeat(
-            np.arange(self.threads_per_host, dtype=np.int64), np.diff(bounds)
+            np.arange(self.threads_per_host, dtype=np.int64),
+            np.diff(self.thread_boundaries(total)),
         )
         threads.flags.writeable = False
-        self._threads_of_cache[total] = threads
         return threads
 
     # -- memory accounting ---------------------------------------------------

@@ -243,7 +243,7 @@ class NodePropMap:
         """Batched :meth:`reduce` (the bulk execution path).
 
         ``threads`` must be non-decreasing - exactly what the static
-        dealing of ``par_for_bulk`` produces. The contract is byte-identical
+        dealing of the compiled kernels produces. The contract is byte-identical
         counters, conflicts, and folded values vs the per-item calls.
         """
         keys = np.asarray(keys, dtype=np.int64)

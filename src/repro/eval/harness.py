@@ -278,7 +278,6 @@ def run_kimbap(
     jobs: int = 1,
     chaos_plan: Any | None = None,
     recovery: str = "fail-fast",
-    codegen: bool | None = None,
     engine: str = "bsp",
     **kwargs: Any,
 ) -> RunResult:
@@ -294,10 +293,7 @@ def run_kimbap(
     per-algorithm flag, so every application supports it. ``jobs`` fans
     shardable compute phases out to that many OS processes
     (``repro.exec.pool``); it composes with either backend and preserves
-    byte-identical results by contract. ``codegen`` controls the
-    plan-to-kernel generation stage (``repro.exec.codegen``; None = on
-    for the bulk backend); ``codegen=False`` pins the interpreted bulk
-    kernels, byte-identical by contract.
+    byte-identical results by contract.
 
     With a ``fault_plan``, the run executes under deterministic fault
     injection (``repro.faults``) and the result carries the structured
@@ -331,7 +327,6 @@ def run_kimbap(
         jobs=jobs,
         recovery=recovery,
         chaos=chaos_plan,
-        codegen=codegen,
         engine=engine,
     )
     label = "Kimbap" if variant is RuntimeVariant.KIMBAP else f"Kimbap[{variant.label}]"

@@ -2,11 +2,12 @@
 
 Algorithms are written once as declarative :class:`Plan` objects
 (operator specs + a loop/convergence driver); a single :class:`Executor`
-dispatches each plan to the scalar reference backend or the vectorized
+dispatches each plan to the scalar reference backend or the compiled
 bulk backend with byte-identical metrics, and hosts the shared
 checkpoint/recovery and trace/profile wiring. The code generation stage
-(:mod:`repro.exec.codegen`) lowers each plan to a flat list of prebound,
-specialized (and where legal, fused) kernels the per-round loop replays.
+(:mod:`repro.exec.codegen`) lowers each plan to a flat list of prebound
+(and on the bulk backend compiled and, where legal, fused) kernels the
+per-round loop replays.
 """
 
 from repro.exec.codegen import (

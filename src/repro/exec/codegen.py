@@ -3,54 +3,55 @@
 Given a :class:`~repro.exec.plan.Plan` and a concrete ``(cluster,
 backend)`` binding, :func:`compile_plan` lowers the plan's step walk into
 a :class:`CompiledPlan` - a flat list of prebound entries the executor
-replays each round with no per-round ``isinstance`` dispatch, no per-round
-kernel-closure construction, and (on the bulk backend) *specialized*
-kernels whose static inputs are assembled exactly once:
+replays each round with no per-round ``isinstance`` dispatch and no
+per-round kernel-closure construction. There is one implementation per
+kernel form and backend: the scalar backend binds the reference
+``par_for`` bodies (the oracle), the bulk backend binds the compiled
+kernels below.
 
 * **Dispatch caching** - every step's backend decision (``par_for`` vs
-  ``par_for_bulk``, scalar vs bulk kernel body, reset/host callables) is
-  made at compile time, once per ``(plan, executor)`` binding.
-* **Specialization** - a statically analyzable bulk kernel (an
-  :class:`~repro.exec.plan.EdgePush` with no activity/value/edge filter, a
-  :class:`~repro.exec.plan.NodeUpdate`, a
-  :class:`~repro.exec.plan.DegreeReduce`) is compiled per host into a
+  :func:`run_hosted`, kernel body, reset/host callables) is made at
+  compile time, once per ``(plan, executor)`` binding.
+* **Compiled kernels** - each declarative kernel form
+  (:class:`~repro.exec.plan.EdgePush`, :class:`~repro.exec.plan.NodeUpdate`,
+  :class:`~repro.exec.plan.DegreeReduce`) is built per host into a
   straight-line numpy runner over *preassembled* CSR slices: the degree
   filter, edge expansion (``source_pos``/``edge_ids``), thread dealing,
   destination gather, weights, and constant pushes are computed once and
   frozen; each round only reads the live property values, applies the
   baked transform, and reduces. Charge constants (``charge_per_source *
-  |sel|``, ``charge_per_edge * |edges|``, thread boundaries) are baked at
-  generation time. The per-round work drops from the full O(E) expansion
-  pipeline to one gather + one reduce.
-* **Frontier specialization** - an EdgePush whose dynamic parts are
-  *declarative filter specs* (an activity map, a
-  :class:`~repro.exec.plan.CmpFilter` value filter, a
-  :class:`~repro.exec.plan.DstCmpFilter` edge filter) compiles into a
-  :class:`PreparedFrontierPush`: the same frozen static decomposition,
-  plus a per-round frontier gather intersected with the frozen CSR
+  |sel|``, thread boundaries) are baked at build time. The per-round work
+  drops from the full O(E) expansion pipeline to a gather + a reduce.
+* **One EdgePush kernel** - :class:`PreparedFrontierPush` serves every
+  push. What cannot be frozen is the *selection*: each round it gathers
+  the frontier (the ``require_active`` map's dense activity mask), shrinks
+  it with the value filter, and intersects the survivors with the frozen
   expansion through a density-switched dense-mask / sparse-gather path
-  (``FRONTIER_DENSE_SWITCH``), with the filters compiled to numpy masks
-  instead of per-node Python calls. Opaque callable filters keep the
-  kernel interpreted (the legal fallback).
-* **Fusion** - maximal runs of *adjacent* specialized operator steps with
+  (``FRONTIER_DENSE_SWITCH``). Filters are mask calls - declarative
+  specs (:class:`~repro.exec.plan.CmpFilter`,
+  :class:`~repro.exec.plan.DstCmpFilter`) and opaque array-style
+  callables share the spec call signature - and a filter-free push is the
+  full-frontier case of the same kernel.
+* **Fusion** - maximal runs of *adjacent* compiled operator steps with
   compatible reads/writes metadata (no later step reads a map an earlier
-  step writes; no key-value-store carriers) fuse into one
-  :class:`FusedGroup` that executes all constituents per host in a single
-  pass. Every constituent keeps its own :class:`PhaseRecord` (opened
-  up-front in step order via :meth:`Cluster.fused_phases`), so counters,
-  traffic, modeled seconds, and trace rows stay byte-identical to the
-  unfused walk; the records carry the group's labels in
-  ``PhaseRecord.fused`` so profiles remain interpretable.
+  step writes; no key-value-store carriers; declarative filters only)
+  fuse into one :class:`FusedGroup` that executes all constituents per
+  host in a single pass. Every constituent keeps its own
+  :class:`PhaseRecord` (opened up-front in step order via
+  :meth:`Cluster.fused_phases`), so counters, traffic, modeled seconds,
+  and trace rows stay byte-identical to the unfused walk; the records
+  carry the group's labels in ``PhaseRecord.fused`` so profiles remain
+  interpretable.
 
-The byte-identity contract is the same one the bulk backend honors
-against the scalar oracle: a compiled run's ``RunResult.to_dict()`` -
-counters, conflicts, modeled seconds, trace rows - matches the
-interpreted bulk path exactly (``tests/test_codegen_equivalence.py``).
+The byte-identity contract is the one the bulk backend honors against the
+scalar oracle: a compiled run's ``RunResult.to_dict()`` - counters,
+conflicts, modeled seconds, trace rows - matches the scalar run exactly
+(``tests/test_bulk_equivalence.py``, ``tests/test_codegen_equivalence.py``).
 Composition rules mirror the ``jobs=N`` pool gating (PR 6): fusion is
 disabled when a fault injector is installed (its ``on_phase_start`` hook
 needs the serial per-phase cadence) or when a memory limit is set (an OOM
-can surface on a different host under the fused per-host interleave);
-specialization alone stays on everywhere because it preserves the exact
+can surface on a different host under the fused per-host interleave); the
+compiled kernels themselves run everywhere because they preserve the exact
 per-host event sequence.
 """
 
@@ -77,7 +78,7 @@ from repro.exec.plan import (
     SyncStep,
     apply_value_filter,
 )
-from repro.runtime.engine import _iteration_set, par_for, par_for_bulk
+from repro.runtime.engine import _iteration_set, par_for
 
 # Direction-optimization-style density switch for compiled frontier
 # pushes: with fewer than 1/FRONTIER_DENSE_SWITCH of a host's candidate
@@ -125,7 +126,7 @@ class _SpecializedKernel:
     Subclasses build one zero-argument runner closure per host over the
     host's static arrays; ``run_host`` is called inside an open phase with
     ``node_iters`` already charged (by :func:`run_hosted` or a
-    :class:`FusedGroup`), exactly like an interpreted bulk body.
+    :class:`FusedGroup`).
     """
 
     def __init__(self, kernel: Any, space: str) -> None:
@@ -148,112 +149,19 @@ def _noop() -> None:
     return None
 
 
-class SpecializedEdgePush(_SpecializedKernel):
-    """A filter-free EdgePush with its whole static pipeline preassembled.
-
-    Mirrors ``Executor._edge_push_bulk`` aggregate-for-aggregate: the
-    degree selection, per-source/per-edge charges, ``edge_iters`` total,
-    thread dealing, destination gather, and weight vector are a pure
-    function of the partition, so they are computed once; per round only
-    the source read, the transform, and the value gather + reduce run.
-    """
-
-    def _build(self, cluster: Cluster, part: Any, host: int):
-        k = self.kernel
-        total = len(_iteration_set(part, self.space))
-        indptr = part.indptr
-        local_ids = np.arange(total, dtype=np.int64)
-        degrees = indptr[local_ids + 1] - indptr[local_ids]
-        if k.skip_zero_degree:
-            sel = np.flatnonzero(degrees > 0)
-            if sel.size == 0:
-                return _noop
-        else:
-            sel = local_ids
-        if sel.size == 0:
-            return _noop
-        charge_src = int(k.charge_per_source * sel.size)
-        node_sel = _freeze(part.local_to_global[sel])
-        # The edge expansion of BulkOperatorContext.expand_edges, computed
-        # once; its edge_iters charge is baked as ``edge_total``.
-        starts = indptr[sel]
-        counts = indptr[sel + 1] - starts
-        edge_total = int(counts.sum())
-        charge_edge = int(k.charge_per_edge * edge_total)
-        if edge_total:
-            source_pos = np.repeat(np.arange(sel.size, dtype=np.int64), counts)
-            offsets = np.cumsum(counts) - counts
-            edge_ids = (
-                np.arange(edge_total, dtype=np.int64)
-                - np.repeat(offsets, counts)
-                + np.repeat(starts, counts)
-            )
-            threads_sel = _freeze(cluster.threads_of(total)[sel][source_pos])
-            dst = _freeze(part.local_to_global[part.indices[edge_ids]])
-            source_pos = _freeze(source_pos)
-            prepared = k.target.prepare_reduce_bulk(host, threads_sel, dst)
-        else:
-            source_pos = threads_sel = dst = prepared = None
-        weights = None
-        if k.with_weight == "add" and edge_total:
-            if k.unit_weights or part.weights is None:
-                weights = np.ones(edge_total, dtype=np.float64)
-            else:
-                weights = part.weights[edge_ids]
-            weights = _freeze(np.asarray(weights))
-        const_pushes = None
-        if k.const_value is not None and edge_total:
-            const_pushes = np.full(edge_total, k.const_value)
-            if weights is not None:
-                const_pushes = const_pushes + weights
-            const_pushes = _freeze(const_pushes)
-        sel = _freeze(sel)
-        source, target, op, transform = k.source, k.target, k.op, k.transform
-
-        def run() -> None:
-            counters = cluster.counters(host)
-            if charge_src:
-                counters.local_ops += charge_src
-            values = None
-            if source is not None:
-                values = source.read_local_bulk(host, sel)
-                if transform is not None:
-                    values = np.asarray(transform(values, node_sel))
-            counters.edge_iters += edge_total
-            if charge_edge:
-                counters.local_ops += charge_edge
-            if edge_total == 0:
-                return
-            if const_pushes is not None:
-                pushes = const_pushes
-            else:
-                pushes = values[source_pos]
-                if weights is not None:
-                    pushes = pushes + weights
-            if prepared is not None:
-                target.reduce_bulk_prepared(host, prepared, pushes, op)
-            else:
-                target.reduce_bulk(host, threads_sel, dst, pushes, op)
-
-        return run
-
-
 class PreparedFrontierPush(_SpecializedKernel):
-    """A frontier/filtered EdgePush with the static decomposition frozen
-    and the per-round filters compiled to numpy masks.
+    """The compiled EdgePush: the static decomposition frozen at build,
+    the per-round selection applied as numpy masks.
 
     The partition-derived pipeline - degree selection, CSR expansion
     (``source_pos``/destinations/threads/weights), charge constants - is
-    exactly :class:`SpecializedEdgePush`'s and is computed once per host.
-    What cannot be frozen is the *selection*: the active set changes
-    every round, and declarative value/edge filters
-    (:class:`~repro.exec.plan.CmpFilter`,
-    :class:`~repro.exec.plan.DstCmpFilter`) depend on live values. Each
-    round the kernel gathers the frontier once (``np.flatnonzero`` over
-    a gather from the map's dense activity mask), shrinks it with the
-    compiled value mask, and intersects the surviving sources with the
-    frozen expansion through one of two paths chosen by frontier
-    density (``FRONTIER_DENSE_SWITCH``):
+    computed once per host. What cannot be frozen is the *selection*: the
+    active set changes every round, and value/edge filters depend on live
+    values. Each round the kernel gathers the frontier once
+    (``np.flatnonzero`` over a gather from the map's dense activity
+    mask), shrinks it with the value-filter mask, and intersects the
+    surviving sources with the frozen expansion through one of two paths
+    chosen by frontier density (``FRONTIER_DENSE_SWITCH``):
 
     * **dense** - scatter the surviving sources into a boolean mask over
       the candidate list, ``np.repeat`` it across the frozen expansion,
@@ -263,9 +171,10 @@ class PreparedFrontierPush(_SpecializedKernel):
 
     Both produce the same ascending index array into the frozen
     expansion, so counters, read/reduce accounting, and folded values
-    stay byte-identical to ``Executor._edge_push_bulk`` (the interpreted
-    reference) whichever path runs; the choice is recorded per host in
-    ``PhaseRecord.frontier`` for trace inspection.
+    stay byte-identical to the scalar oracle whichever path runs; the
+    choice is recorded per host in ``PhaseRecord.frontier`` for trace
+    inspection. A push with no filter at all is the degenerate case:
+    every round is a full frontier, replayed through the full-batch fold.
     """
 
     def _build(self, cluster: Cluster, part: Any, host: int):
@@ -315,22 +224,35 @@ class PreparedFrontierPush(_SpecializedKernel):
         num_candidates = sel.size
         require_active = k.require_active
         source, target, op = k.source, k.target, k.op
+        value_filter, transform, edge_filter = (
+            k.value_filter,
+            k.transform,
+            k.edge_filter,
+        )
+        filtered = (
+            require_active is not None
+            or value_filter is not None
+            or edge_filter is not None
+        )
         # Reduce-fold plans over the frozen expansion: the full-batch plan
         # serves full-frontier rounds outright; the subset plan folds any
         # ascending subset without the per-round composite sort. Both are
         # None for strategies with no prepared path (generic reduce_bulk
-        # then runs, still byte-identical) and built lazily only after
-        # ``FOLD_PLAN_WARMUP`` qualifying rounds, so sparse-frontier and
-        # short runs never pay the one-time sort of the full expansion.
+        # then runs, still byte-identical). Under a filter they are built
+        # lazily, only after ``FOLD_PLAN_WARMUP`` qualifying rounds, so
+        # sparse-frontier and short runs never pay the one-time sort of
+        # the full expansion; a filter-free push is provably full every
+        # round, so its full-batch plan is built at first use.
         fold_plans: dict[str, Any] = {}
         fold_qualified: dict[str, int] = {"full": 0, "subset": 0}
 
         def fold_plan(kind: str) -> Any:
             if kind in fold_plans:
                 return fold_plans[kind]
-            fold_qualified[kind] += 1
-            if fold_qualified[kind] <= FOLD_PLAN_WARMUP:
-                return None
+            if filtered:
+                fold_qualified[kind] += 1
+                if fold_qualified[kind] <= FOLD_PLAN_WARMUP:
+                    return None
             prepare = (
                 k.target.prepare_reduce_bulk
                 if kind == "full"
@@ -338,11 +260,7 @@ class PreparedFrontierPush(_SpecializedKernel):
             )
             fold_plans[kind] = prepare(host, threads_full, dst_full)
             return fold_plans[kind]
-        value_filter, transform, edge_filter = (
-            k.value_filter,
-            k.transform,
-            k.edge_filter,
-        )
+
         charge_per_edge = k.charge_per_edge
 
         def mark(path: str) -> None:
@@ -433,18 +351,16 @@ class PreparedFrontierPush(_SpecializedKernel):
             # O(frontier log frontier), no composite rebuild. Warmup
             # rounds (and strategies with no prepared path) take the
             # generic fold below.
-            if idx.size == edge_total:
-                plan = ("full", fold_plan("full"))
-            else:
-                plan = ("subset", fold_plan("subset"))
-            if plan is None or plan[1] is None:
+            full = idx.size == edge_total
+            plan = fold_plan("full" if full else "subset")
+            if plan is None:
                 target.reduce_bulk(
                     host, threads_full[idx], dst_full[idx], pushes, op
                 )
-            elif plan[0] == "full":
-                target.reduce_bulk_prepared(host, plan[1], pushes, op)
+            elif full:
+                target.reduce_bulk_prepared(host, plan, pushes, op)
             else:
-                target.reduce_bulk_subset(host, plan[1], idx, pushes, op)
+                target.reduce_bulk_subset(host, plan, idx, pushes, op)
             mark(path)
 
         return run
@@ -514,10 +430,10 @@ def run_hosted(
     label: str = "",
     hosts: Any | None = None,
 ) -> None:
-    """The specialized-kernel driver: ``par_for_bulk``'s phase/accounting
-    shell without the per-round context construction. Signature-compatible
-    with the pool's ``run_sharded`` driver slot (``hosts`` restricts the
-    visit to a shard)."""
+    """The compiled-kernel driver (the bulk ParFor): one phase, one
+    aggregate ``node_iters`` charge and one ``run_host`` call per host.
+    Signature-compatible with ``par_for`` and the pool's ``run_sharded``
+    driver slot (``hosts`` restricts the visit to a shard)."""
     operator = label or type(body).__name__
     with cluster.phase(kind, label=label, operator=operator):
         for host in range(cluster.num_hosts) if hosts is None else hosts:
@@ -532,8 +448,9 @@ def run_hosted(
 
 class CompiledOperator:
     """One compute phase with its backend dispatch decided at compile time:
-    the driver (``par_for`` / ``par_for_bulk`` / :func:`run_hosted`) and
-    the bound kernel body, reused every round."""
+    the driver (``par_for`` / :func:`run_hosted`) and the bound kernel
+    body, reused every round. ``specialized`` marks a compiled bulk kernel
+    (as opposed to a scalar reference loop)."""
 
     __slots__ = ("operator", "driver", "body", "specialized")
 
@@ -609,34 +526,14 @@ class CompiledPlan:
 # ----------------------------------------------------------------- compiler
 
 
-def _static_push(kernel: EdgePush) -> bool:
-    """Fully static: the push's whole control flow is a pure function of
-    the partition (no activity/value/edge filters at all)."""
-    return (
-        kernel.require_active is None
-        and kernel.value_filter is None
-        and kernel.edge_filter is None
-    )
-
-
 def _declarative_filters(kernel: EdgePush) -> bool:
-    """Every filter the push carries is a declarative spec the generator
-    can compile to a numpy mask (activity maps always qualify; opaque
-    callables never do - they keep the kernel interpreted)."""
+    """Every filter the push carries is a declarative spec (activity maps
+    always qualify; opaque callables never do - what they read is not in
+    the plan metadata the fusion rule reasons from)."""
     vf, ef = kernel.value_filter, kernel.edge_filter
     return (vf is None or isinstance(vf, CmpFilter)) and (
         ef is None or isinstance(ef, DstCmpFilter)
     )
-
-
-def _specializable(kernel: Any) -> bool:
-    """Static analyzability: either the kernel's whole control flow is a
-    pure function of the partition, or its dynamic parts are declarative
-    filter specs the generator compiles to masks
-    (:class:`PreparedFrontierPush`)."""
-    if isinstance(kernel, EdgePush):
-        return _static_push(kernel) or _declarative_filters(kernel)
-    return isinstance(kernel, (NodeUpdate, DegreeReduce))
 
 
 def _kernel_carriers(kernel: Any) -> list[Any]:
@@ -649,12 +546,15 @@ def _kernel_carriers(kernel: Any) -> list[Any]:
 
 
 def _fusable(operator: Operator) -> bool:
-    """Fusion eligibility: specialized forms only, and never a map backed
-    by the key-value store - KvCas reductions apply immediately against
-    shared server shards whose contention draws depend on the cross-host
-    execution order fusion changes."""
+    """Fusion eligibility: the compiled forms only, a push only with
+    declarative filters, and never a map backed by the key-value store -
+    KvCas reductions apply immediately against shared server shards whose
+    contention draws depend on the cross-host execution order fusion
+    changes."""
     kernel = operator.kernel
-    if not _specializable(kernel):
+    if isinstance(kernel, ScalarKernel):
+        return False
+    if isinstance(kernel, EdgePush) and not _declarative_filters(kernel):
         return False
     return not any(
         getattr(c, "variant", None) is not None and c.variant.uses_kvstore
@@ -679,14 +579,13 @@ def fusion_enabled(executor) -> bool:
     an OOM on a different host under the fused interleave."""
     return (
         executor.bulk
-        and executor.codegen
         and executor.cluster.faults is None
         and executor.cluster.memory_limit_slots is None
     )
 
 
 _SPECIALIZED_FORMS = {
-    EdgePush: SpecializedEdgePush,
+    EdgePush: PreparedFrontierPush,
     NodeUpdate: SpecializedNodeUpdate,
     DegreeReduce: SpecializedDegreeReduce,
 }
@@ -697,35 +596,18 @@ def _compile_operator(executor, operator: Operator) -> CompiledOperator:
     if isinstance(kernel, ScalarKernel):
         # Reference-loop semantics on both backends (executor module doc).
         return CompiledOperator(operator, par_for, kernel.body, False)
-    if executor.bulk and executor.codegen and _specializable(kernel):
-        if isinstance(kernel, EdgePush) and not _static_push(kernel):
-            body: _SpecializedKernel = PreparedFrontierPush(kernel, operator.space)
-        else:
-            body = _SPECIALIZED_FORMS[type(kernel)](kernel, operator.space)
+    if executor.bulk:
+        body = _SPECIALIZED_FORMS[type(kernel)](kernel, operator.space)
         return CompiledOperator(operator, run_hosted, body, True)
     if isinstance(kernel, EdgePush):
-        body = (
-            executor._edge_push_bulk(kernel)
-            if executor.bulk
-            else executor._edge_push_scalar(kernel)
-        )
+        body = executor._edge_push_scalar(kernel)
     elif isinstance(kernel, NodeUpdate):
-        body = (
-            executor._node_update_bulk(kernel)
-            if executor.bulk
-            else executor._node_update_scalar(kernel)
-        )
+        body = executor._node_update_scalar(kernel)
     elif isinstance(kernel, DegreeReduce):
-        body = (
-            executor._degree_reduce_bulk(kernel)
-            if executor.bulk
-            else executor._degree_reduce_scalar(kernel)
-        )
+        body = executor._degree_reduce_scalar(kernel)
     else:  # pragma: no cover - the kernel union is closed
         raise TypeError(f"unknown kernel form {kernel!r}")
-    return CompiledOperator(
-        operator, par_for_bulk if executor.bulk else par_for, body, False
-    )
+    return CompiledOperator(operator, par_for, body, False)
 
 
 def _compile_reset(executor, step: ResetStep) -> Callable[[], None]:
@@ -790,7 +672,6 @@ __all__ = [
     "FusedGroup",
     "PreparedFrontierPush",
     "SpecializedDegreeReduce",
-    "SpecializedEdgePush",
     "SpecializedNodeUpdate",
     "compile_plan",
     "fusion_enabled",

@@ -1,14 +1,14 @@
-"""The plan executor: one algorithm spec, three execution backends.
+"""The plan executor: one algorithm spec, two execution backends.
 
 ``Executor`` runs :class:`repro.exec.plan.Plan` objects. Construction
 picks the backend: ``bulk=False`` executes operator kernels with the
-scalar reference ``par_for`` loops, ``bulk=True`` with the vectorized
-``par_for_bulk`` array kernels. Both interpretations of each declarative
-kernel form live here, side by side, and follow the same canonical
-metering pipeline, so an algorithm expressed once as a plan is
-byte-identical across backends (counters, conflicts, modeled seconds,
-values) - the contract ``tests/test_bulk_equivalence.py`` enforces for
-all twelve algorithms.
+scalar reference ``par_for`` loops defined here (the readable oracle),
+``bulk=True`` with the compiled array kernels of
+:mod:`repro.exec.codegen`. Both follow the same canonical metering
+pipeline, so an algorithm expressed once as a plan is byte-identical
+across backends (counters, conflicts, modeled seconds, values) - the
+contract ``tests/test_bulk_equivalence.py`` enforces for all twelve
+algorithms.
 
 ``jobs=N`` composes with either kernel backend: each plan run forks
 ``N - 1`` worker processes that replay the same plan loop over disjoint
@@ -38,12 +38,8 @@ Each ``run`` executes through a compiled form of the plan
 bulk driver, kernel-closure construction, reset binding - is decided
 once per ``(plan, executor)`` binding and cached, and the per-round loop
 replays a flat list of prebound entries instead of re-walking the step
-list with ``isinstance`` checks. On the bulk backend, ``codegen=True``
-(the default for ``bulk=True``) additionally specializes statically
-analyzable kernels into preassembled numpy runners and fuses adjacent
-compatible compute phases; ``codegen=False`` pins the interpreted bulk
-bodies, which is the honest baseline the codegen benchmarks compare
-against.
+list with ``isinstance`` checks. On the bulk backend adjacent compatible
+compute phases additionally fuse into one per-host pass.
 """
 
 from __future__ import annotations
@@ -73,10 +69,7 @@ from repro.exec.plan import (
     apply_value_filter,
 )
 from repro.exec.pool import HostShardPool, create_pool
-from repro.runtime.engine import (
-    BulkOperatorContext,
-    OperatorContext,
-)
+from repro.runtime.engine import OperatorContext
 
 
 def _scalar(value: Any) -> Any:
@@ -109,18 +102,11 @@ class Executor:
         jobs: int = 1,
         recovery: str = "fail-fast",
         chaos: Any | None = None,
-        codegen: bool | None = None,
         engine: str | Engine = "bsp",
         engine_options: dict[str, Any] | None = None,
     ) -> None:
         self.cluster = cluster
         self.bulk = bool(bulk)
-        # Plan-to-kernel code generation (repro.exec.codegen): None means
-        # "on wherever it can apply", i.e. with the bulk backend (the
-        # scalar backend is the reference oracle and never specializes).
-        # codegen=False pins the interpreted bulk kernel bodies - the
-        # baseline the codegen speedup benchmarks measure against.
-        self.codegen = self.bulk if codegen is None else bool(codegen)
         # Compiled plans, keyed by plan id and revalidated against the
         # plan object and the fusion gate (a fault injector installed
         # between runs must recompile fusion away).
@@ -315,7 +301,7 @@ class Executor:
             label=operator.label,
         )
 
-    # ----------------------------------------------- EdgePush, both forms
+    # ------------------------------- the scalar oracle bodies, per form
 
     def _edge_push_scalar(self, k: EdgePush) -> Callable[[OperatorContext], None]:
         def body(ctx: OperatorContext) -> None:
@@ -356,75 +342,6 @@ class Executor:
 
         return body
 
-    def _edge_push_bulk(self, k: EdgePush) -> Callable[[BulkOperatorContext], None]:
-        def body(ctx: BulkOperatorContext) -> None:
-            sel = np.arange(ctx.local_ids.size, dtype=np.int64)
-            # The node-id view is hoisted once and shrunk alongside sel,
-            # so the activity/value/edge filters share one gather instead
-            # of re-indexing ctx.node_ids per filter stage.
-            nodes = ctx.node_ids
-            if k.skip_zero_degree:
-                sel = np.flatnonzero(ctx.degrees() > 0)
-                if sel.size == 0:
-                    return
-                nodes = ctx.node_ids[sel]
-            if k.charge_per_source:
-                ctx.charge(int(k.charge_per_source * sel.size))
-            if sel.size == 0:
-                return
-            if k.require_active is not None:
-                keep = k.require_active.is_active_bulk(ctx.host, nodes)
-                sel = sel[keep]
-                nodes = nodes[keep]
-                if sel.size == 0:
-                    return
-            values = None
-            if k.source is not None:
-                values = k.source.read_local_bulk(ctx.host, ctx.local_ids[sel])
-                if k.value_filter is not None:
-                    keep = np.asarray(
-                        apply_value_filter(k.value_filter, values, nodes)
-                    )
-                    sel = sel[keep]
-                    nodes = nodes[keep]
-                    values = values[keep]
-                    if sel.size == 0:
-                        return
-                if k.transform is not None:
-                    values = np.asarray(k.transform(values, nodes))
-            source_pos, edge_ids = ctx.expand_edges(ctx.local_ids[sel])
-            if k.charge_per_edge:
-                ctx.charge(int(k.charge_per_edge * edge_ids.size))
-            if edge_ids.size == 0:
-                return
-            threads = ctx.threads[sel][source_pos]
-            dst = ctx.edge_dst(edge_ids)
-            if k.const_value is not None:
-                pushes = np.full(edge_ids.size, k.const_value)
-            else:
-                pushes = values[source_pos]
-            if k.edge_filter is not None:
-                keep = np.asarray(k.edge_filter(nodes[source_pos], dst))
-                if not np.all(keep):
-                    threads = threads[keep]
-                    dst = dst[keep]
-                    pushes = pushes[keep]
-                    edge_ids = edge_ids[keep]
-                    if edge_ids.size == 0:
-                        return
-            if k.with_weight == "add":
-                weights = (
-                    np.ones(edge_ids.size, dtype=np.float64)
-                    if k.unit_weights
-                    else ctx.edge_weights(edge_ids)
-                )
-                pushes = pushes + weights
-            k.target.reduce_bulk(ctx.host, threads, dst, pushes, k.op)
-
-        return body
-
-    # --------------------------------------------- NodeUpdate, both forms
-
     def _node_update_scalar(self, k: NodeUpdate) -> Callable[[OperatorContext], None]:
         value_of = _elementwise(k.value)
 
@@ -435,19 +352,6 @@ class Executor:
 
         return body
 
-    def _node_update_bulk(self, k: NodeUpdate) -> Callable[[BulkOperatorContext], None]:
-        def body(ctx: BulkOperatorContext) -> None:
-            if k.charge_per_node:
-                ctx.charge(int(k.charge_per_node * ctx.node_ids.size))
-            if ctx.node_ids.size == 0:
-                return
-            values = np.asarray(k.value(ctx.node_ids))
-            k.target.reduce_bulk(ctx.host, ctx.threads, ctx.node_ids, values, k.op)
-
-        return body
-
-    # ------------------------------------------- DegreeReduce, both forms
-
     def _degree_reduce_scalar(
         self, k: DegreeReduce
     ) -> Callable[[OperatorContext], None]:
@@ -455,19 +359,6 @@ class Executor:
             local_degree = ctx.part.degree(ctx.local)
             if local_degree:
                 k.target.reduce(ctx.host, ctx.thread, ctx.node, local_degree, SUM)
-
-        return body
-
-    def _degree_reduce_bulk(
-        self, k: DegreeReduce
-    ) -> Callable[[BulkOperatorContext], None]:
-        def body(ctx: BulkOperatorContext) -> None:
-            degs = ctx.degrees()
-            sel = np.flatnonzero(degs > 0)
-            if sel.size:
-                k.target.reduce_bulk(
-                    ctx.host, ctx.threads[sel], ctx.node_ids[sel], degs[sel], SUM
-                )
 
         return body
 

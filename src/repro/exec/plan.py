@@ -4,15 +4,15 @@ A plan describes one BSP round of an algorithm as data - a sequence of
 steps (operators, sync collectives, map resets, host-side scalar code)
 plus the loop/convergence driver - so a single
 :class:`repro.exec.executor.Executor` can run it on either the scalar
-reference backend (``par_for``) or the vectorized bulk backend
-(``par_for_bulk`` + ``reduce_bulk``) with byte-identical metrics.
+reference backend (``par_for``) or the compiled bulk backend
+(``repro.exec.codegen`` + ``reduce_bulk``) with byte-identical metrics.
 
 Operator bodies come in four *kernel forms*:
 
 * :class:`EdgePush` - the adjacent-vertex push: each active source sends
   a value along its out-edges into a target map under a reducer. This is
-  the fully declarative form (the executor owns both the scalar loop and
-  the vectorized interpretation).
+  the fully declarative form (the executor owns the scalar loop, the
+  code generator the vectorized kernel).
 * :class:`NodeUpdate` - a per-node recompute reduced onto the node itself
   (e.g. PageRank's rebuild).
 * :class:`DegreeReduce` - the shared warm-up that SUM-reduces each host's
@@ -46,14 +46,13 @@ PLAN_SCHEMA = "repro-exec-plan/v1.2"
 #
 # Declarative predicates for EdgePush. A plain callable remains a legal
 # value/edge filter, but it is opaque: the plan cannot serialize it
-# (``repro plan --json`` reports a refusal) and the code generator cannot
-# specialize the kernel around it (the push runs interpreted). The spec
-# forms below are data - an operator name plus operands - so they
-# serialize under schema v1.2 and compile to numpy masks
-# (repro.exec.codegen.PreparedFrontierPush). Each spec is itself callable
-# with the legacy filter signature, so the scalar oracle, the interpreted
-# bulk backend, and the async engine run the exact same predicate without
-# knowing it is declarative.
+# (``repro plan --json`` reports a refusal) and the push cannot join a
+# fused group. The spec forms below are data - an operator name plus
+# operands - so they serialize under schema v1.2. Each spec is itself
+# callable with the legacy filter signature, so the scalar oracle, the
+# compiled kernel (repro.exec.codegen.PreparedFrontierPush), and the
+# async engine run the exact same predicate without knowing it is
+# declarative.
 
 _CMP_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "eq": _operator.eq,
@@ -86,7 +85,7 @@ class ActiveFilter:
     """Declarative activity filter: keep sources whose ``map`` copy
     changed last round (the data-driven frontier). ``EdgePush``
     normalizes this to its ``require_active`` map, so downstream layers
-    (reads metadata, pool carriers, both interpreters) see the map they
+    (reads metadata, pool carriers, both backends) see the map they
     always did; declaring the spec documents intent and keeps algorithm
     code fully declarative."""
 
@@ -103,7 +102,7 @@ class CmpFilter:
 
     Callable with the legacy ``value_filter(values)`` signature (numpy
     semantics, scalars included); the ``other`` form needs the node ids,
-    which both interpreters provide via :func:`apply_value_filter`.
+    which both backends provide via :func:`apply_value_filter`.
     """
 
     op: str
@@ -177,7 +176,7 @@ class DstCmpFilter:
 def filter_summary(fn: Any) -> dict:
     """Machine-readable form of one filter: the spec's own summary, or
     the schema v1.2 refusal record for an opaque callable (still a legal
-    filter - the kernel just runs interpreted and the plan says why)."""
+    filter - the plan just cannot serialize it or fuse around it)."""
     if isinstance(fn, (CmpFilter, DstCmpFilter)):
         return fn.summary()
     name = getattr(fn, "__qualname__", None) or type(fn).__name__
@@ -186,7 +185,7 @@ def filter_summary(fn: Any) -> dict:
         "callable": name,
         "message": (
             "opaque callable filters are not serializable and keep the "
-            "kernel interpreted; declare CmpFilter/DstCmpFilter for codegen"
+            "kernel out of fused groups; declare CmpFilter/DstCmpFilter"
         ),
     }
 
@@ -278,11 +277,11 @@ class EdgePush:
     Filters come in two strengths. Declarative specs -
     :class:`ActiveFilter` (normalized into ``require_active``),
     :class:`CmpFilter` for ``value_filter``, :class:`DstCmpFilter` for
-    ``edge_filter`` - serialize in the plan schema and let the code
-    generator compile the push into a frontier-aware kernel
-    (``repro.exec.codegen.PreparedFrontierPush``). Plain callables stay
-    legal but opaque: the kernel runs interpreted and ``repro plan``
-    reports why.
+    ``edge_filter`` - serialize in the plan schema and keep the push
+    eligible for fusion. Plain callables stay legal but opaque: they run
+    as mask calls inside the same compiled kernel
+    (``repro.exec.codegen.PreparedFrontierPush``), unfused, and
+    ``repro plan`` reports why.
     """
 
     target: NodePropMap
@@ -305,7 +304,7 @@ class EdgePush:
     def __post_init__(self) -> None:
         # ActiveFilter is declarative sugar over the require_active map:
         # normalize here so every downstream layer (reads metadata, pool
-        # carriers, both interpreters, codegen) handles one form.
+        # carriers, both backends) handles one form.
         if isinstance(self.require_active, ActiveFilter):
             self.require_active = self.require_active.map
 

