@@ -637,7 +637,11 @@ class NodePropMap:
             locals_ = self.stores[owner_host]._locals_of(leg_keys) if gar else None
             return _Leg(owner_host, idx, leg_keys, locals_)
 
-        owner_hosts = np.unique(owners).tolist()
+        # Owners are host ids, so a counting pass names the hosts present
+        # (ascending) where a sort of the owner column would.
+        owner_hosts = np.flatnonzero(
+            np.bincount(owners, minlength=self.cluster.num_hosts)
+        ).tolist()
         route: _Route = (
             leg(host) if host in owner_hosts else None,
             [leg(owner_host) for owner_host in owner_hosts if owner_host != host],

@@ -25,6 +25,7 @@ ufunc falls back to the scalar per-item path.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -89,8 +90,11 @@ class _FoldPlan:
         inverse = inverse.reshape(-1)
         self.uniq = _frozen(uniq)
         self.first_idx = _frozen(first_idx)
-        rest = np.ones(keys.size, dtype=bool)
-        rest[first_idx] = False
+        # Positions of the non-first occurrences, ascending: an index take
+        # gathers them per round without re-scanning a boolean mask.
+        is_rest = np.ones(keys.size, dtype=bool)
+        is_rest[first_idx] = False
+        rest = np.flatnonzero(is_rest)
         self.rest = _frozen(rest)
         self.inverse_rest = _frozen(inverse[rest])
         # Last occurrence per key, for the overwrite fold.
@@ -108,7 +112,7 @@ class _FoldPlan:
             return values[self.last]
         acc = values[self.first_idx]
         if self.inverse_rest.size:
-            op.ufunc.at(acc, self.inverse_rest, values[self.rest])
+            op.ufunc.at(acc, self.inverse_rest, values.take(self.rest))
         return acc
 
 
@@ -160,18 +164,61 @@ class PreparedFold(_FoldPlan):
         return plan.uniq, plan.replay(folded, op)
 
 
+def _fold_groups(
+    group: np.ndarray, num_groups: int, values: np.ndarray, op: ReduceOp
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold ``values`` by dense group id: ``(present ids ascending, folded)``.
+
+    :func:`_fold_batch` for keys that are already ids below ``num_groups``:
+    a presence mask replaces the sort (its ``flatnonzero`` is the ascending
+    order a sort would produce), ``minimum.at`` over positions finds each
+    group's first occurrence (``maximum.at`` the last, for overwrite), and
+    the remaining positions apply in ascending order through the same
+    sequential ``ufunc.at`` - per group the exact left-to-right sequence,
+    so the folded bits match. First/last never come from fancy-assignment
+    write order, which numpy leaves unspecified for repeated indices. All
+    scratch is per call: nothing writable outlives it.
+    """
+    seen = np.zeros(num_groups, dtype=bool)
+    seen[group] = True
+    present = np.flatnonzero(seen)
+    dense = np.empty(num_groups, dtype=np.int64)
+    dense[present] = np.arange(present.size, dtype=np.int64)
+    local = dense[group]
+    count = group.size
+    positions = np.arange(count, dtype=np.int64)
+    if op.name == "overwrite":
+        last = np.zeros(present.size, dtype=np.int64)
+        np.maximum.at(last, local, positions)
+        return present, values[last]
+    first = np.full(present.size, count, dtype=np.int64)
+    np.minimum.at(first, local, positions)
+    acc = values[first]
+    if present.size != count:
+        is_rest = np.ones(count, dtype=bool)
+        is_rest[first] = False
+        rest = np.flatnonzero(is_rest)
+        op.ufunc.at(acc, local[rest], values[rest])
+    return present, acc
+
+
 class PreparedSubsetFold:
     """Composite-key fold plans for *subsets* of a static reduce batch.
 
     Frontier-aware kernels (``repro.exec.codegen.PreparedFrontierPush``)
     reduce with a per-round subset of a frozen ``(threads, keys)`` edge
     expansion - the active sources change, the expansion does not. The
-    composite stable sort is a pure function of the full batch, so it is
-    computed once here as a per-position *rank*; :meth:`fold` then
-    replays :func:`_fold_batch`'s exact first-occurrence + ``ufunc.at``
-    decomposition for any ascending index subset by sorting just the
-    subset's O(k) precomputed ranks - no per-round composite-key build,
-    no O(total) passes.
+    composite sort is a pure function of the full batch, so it is done
+    once here and kept in its *dense* form: per batch position the id of
+    its ``(thread, key)`` composite among the batch's sorted unique
+    composites (``slot``, into ``ucomp``), and per slot the id of its
+    plain key among the sorted unique keys (``kslot``, into ``ukeys``). A
+    round then folds by group id (:func:`_fold_groups`) - no per-round
+    sort at either stage: :meth:`fold` groups the subset's values by
+    ``slot`` (the thread-level fold), :meth:`collect` groups the folded
+    slots by ``kslot`` (the reduce-sync merge). Per round and host that is
+    O(k) gathers for a subset of k positions plus an O(U) byte scan of the
+    presence mask, U the number of unique composites of the full batch.
 
     The composite span is the *full* batch's ``max(keys) + 1`` rather than
     the subset's: composite ordering and the ``% span`` / ``// span``
@@ -180,56 +227,47 @@ class PreparedSubsetFold:
     :meth:`ThreadLocalReduction.reduce_bulk` stores.
     """
 
-    __slots__ = ("threads", "keys", "count", "span", "rank", "composite")
+    __slots__ = ("threads", "keys", "count", "span", "slot", "ucomp", "kslot", "ukeys")
 
     def __init__(self, threads: np.ndarray, keys: np.ndarray) -> None:
         self.threads = threads
         self.keys = keys
         self.count = int(keys.size)
         self.span = int(keys.max()) + 1
-        composite = threads * self.span + keys
-        # Stable order matches np.unique's mergesort-with-index exactly:
-        # equal composites keep ascending batch position. The inverse
-        # permutation (each position's rank in that order) is what rounds
-        # sort by - ranks are distinct, so any sort reproduces the one
-        # stable order.
-        order = np.argsort(composite, kind="stable")
-        rank = np.empty(order.size, dtype=np.int64)
-        rank[order] = np.arange(order.size, dtype=np.int64)
-        self.rank = _frozen(rank)
-        self.composite = _frozen(composite)
+        ucomp, slot = np.unique(threads * self.span + keys, return_inverse=True)
+        ukeys, kslot = np.unique(ucomp % self.span, return_inverse=True)
+        self.slot = _frozen(slot.reshape(-1))
+        self.ucomp = _frozen(ucomp)
+        self.kslot = _frozen(kslot.reshape(-1))
+        self.ukeys = _frozen(ukeys)
 
     def fold(
         self, idx: np.ndarray, values: np.ndarray, op: ReduceOp
-    ) -> tuple[int, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fold the subset at ascending batch positions ``idx`` (``values``
-        aligned with ``idx``) into ``(span, uniq, folded)`` batch state.
+        aligned with ``idx``) into ``(uniq, folded, present)``: with
+        :attr:`span`, the first two are the reduction's batch state;
+        ``present`` is the slot ids behind them, which :meth:`collect` takes.
 
         Per folded slot, duplicates apply in ascending batch position -
-        the same sequence :func:`_fold_batch` feeds ``ufunc.at`` - so the
-        folded values are bit-identical to the generic bulk path:
-        subset positions with equal composites carry ranks in ascending
-        batch order, and ``idx`` itself is ascending, so sorting the
-        subset's ranks yields exactly the stable composite order of the
-        subset with batch positions as the sort permutation.
+        the same sequence :func:`_fold_batch` feeds ``ufunc.at`` - and the
+        present slots ascend as their composites do, so ``uniq`` and the
+        folded values are bit-identical to the generic bulk path.
         """
-        pos_in_batch = np.argsort(self.rank[idx])
-        comp = self.composite[idx[pos_in_batch]]
-        starts = np.empty(comp.size, dtype=bool)
-        starts[0] = True
-        np.not_equal(comp[1:], comp[:-1], out=starts[1:])
-        uniq = comp[starts]
-        if op.name == "overwrite":
-            ends = np.empty(comp.size, dtype=bool)
-            ends[-1] = True
-            ends[:-1] = starts[1:]
-            return self.span, uniq, values[pos_in_batch[ends]]
-        acc = values[pos_in_batch[starts]]
-        rest = ~starts
-        if rest.any():
-            seg = np.cumsum(starts) - 1
-            op.ufunc.at(acc, seg[rest], values[pos_in_batch[rest]])
-        return self.span, uniq, acc
+        present, folded = _fold_groups(self.slot[idx], self.ucomp.size, values, op)
+        return self.ucomp[present], folded, present
+
+    def collect(
+        self, present: np.ndarray, folded: np.ndarray, op: ReduceOp
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``_fold_batch(uniq % span, folded, op)`` - the thread-order
+        merge of one :meth:`fold` result - without its per-round sort:
+        the present slots are thread-major, so folding them by key id
+        applies each key's threads in ascending order."""
+        kpresent, merged = _fold_groups(
+            self.kslot[present], self.ukeys.size, folded, op
+        )
+        return self.ukeys[kpresent], merged
 
 
 class ThreadLocalReduction:
@@ -253,11 +291,26 @@ class ThreadLocalReduction:
         # reduces (or back-to-back bulk batches) spills the batch into the
         # per-thread dicts with values unchanged.
         self._batch: tuple[int, np.ndarray, np.ndarray] | None = None
-        # The PreparedFold that produced ``_batch``, if one did. Only ever
-        # trusted after an identity check of its ``uniq`` against the
-        # pending batch's, so a batch from any other source (generic
-        # reduce, subset fold, another process's export) never meets it.
-        self._batch_plan: PreparedFold | None = None
+        # How the prepared fold that produced ``_batch`` collects it, if
+        # one did: ``(uniq, collect)``, the batch's own ``uniq`` object
+        # and the plan's sort-free thread merge. Only ever trusted after
+        # an identity check of that ``uniq`` against the pending batch's,
+        # so a batch from any other source (generic reduce, another
+        # process's export) never meets it. Set and cleared together with
+        # ``_batch``, in :meth:`_swap_batch` only.
+        self._batch_plan: tuple[np.ndarray, Callable[..., Any]] | None = None
+
+    def _swap_batch(
+        self,
+        batch: tuple[int, np.ndarray, np.ndarray] | None = None,
+        plan: tuple[np.ndarray, Callable[..., Any]] | None = None,
+    ) -> tuple[Any, Any]:
+        """The one place the pending batch changes hands: install
+        ``batch`` with its collect token (by default nothing) and return
+        the previous pair, so a token never outlives its batch."""
+        previous = self._batch, self._batch_plan
+        self._batch, self._batch_plan = batch, plan
+        return previous
 
     def reduce(self, thread: int, key: int, value: Any, op: ReduceOp) -> None:
         counters = self.cluster.counters(self.host_id)
@@ -300,7 +353,7 @@ class ThreadLocalReduction:
             # the segment-local left-to-right fold exactly.
             span = int(keys.max()) + 1
             uniq, folded = _fold_batch(threads * span + keys, values, op)
-            self._batch = (span, uniq, folded)
+            self._swap_batch((span, uniq, folded))
             return
         # Prior pending state or a non-vectorizable op: apply the exact
         # sequential scalar rule into the thread dicts.
@@ -339,8 +392,10 @@ class ThreadLocalReduction:
             return
         counters = self.cluster.counters(self.host_id)
         counters.reduce_calls += prepared.count
-        self._batch = (prepared.span, prepared.uniq, prepared.fold(values, op))
-        self._batch_plan = prepared
+        self._swap_batch(
+            (prepared.span, prepared.uniq, prepared.fold(values, op)),
+            (prepared.uniq, prepared.collect),
+        )
 
     def prepare_bulk_subsets(
         self, threads: np.ndarray, keys: np.ndarray
@@ -380,12 +435,15 @@ class ThreadLocalReduction:
             return
         counters = self.cluster.counters(self.host_id)
         counters.reduce_calls += count
-        self._batch = prepared.fold(idx, values, op)
+        uniq, folded, present = prepared.fold(idx, values, op)
+        self._swap_batch(
+            (prepared.span, uniq, folded),
+            (uniq, partial(prepared.collect, present)),
+        )
 
     def _spill_batch(self) -> None:
         """Move the folded batch into the thread dicts (values unchanged)."""
-        span, uniq, folded = self._batch
-        self._batch = None
+        (span, uniq, folded), _ = self._swap_batch()
         maps = self.maps
         for composite, value in zip(uniq.tolist(), folded.tolist()):
             maps[composite // span][composite % span] = value
@@ -409,7 +467,7 @@ class ThreadLocalReduction:
         if tag != "tl":  # pragma: no cover - strategies never change mid-run
             raise ValueError(f"cannot install {tag!r} state into a CF reduction")
         self.maps = list(maps)
-        self._batch = batch
+        self._swap_batch(batch)
 
     @property
     def bulk_state_only(self) -> bool:
@@ -426,7 +484,7 @@ class ThreadLocalReduction:
         everywhere else."""
         for local_map in self.maps:
             local_map.clear()
-        self._batch = None
+        self._swap_batch()
 
     def _charge_combine(self) -> None:
         counters = self.cluster.counters(self.host_id)
@@ -455,10 +513,10 @@ class ThreadLocalReduction:
                     else:
                         combined[key] = value
                 local_map.clear()
-        if self._batch is not None:
+        batch, _ = self._swap_batch()
+        if batch is not None:
             # Thread-major order = thread order, like the dict merge above.
-            span, uniq, folded = self._batch
-            self._batch = None
+            span, uniq, folded = batch
             for composite, value in zip(uniq.tolist(), folded.tolist()):
                 key = composite % span
                 if key in combined:
@@ -472,17 +530,17 @@ class ThreadLocalReduction:
         :meth:`collect`, returning (sorted unique keys, values) arrays.
         Requires :attr:`bulk_state_only`."""
         self._charge_combine()
-        if self._batch is None:
+        batch, plan = self._swap_batch()
+        if batch is None:
             return np.empty(0, dtype=np.int64), np.empty(0)
-        span, uniq, folded = self._batch
-        self._batch = None
+        span, uniq, folded = batch
         # Strip the thread component; the result is the per-thread sorted
         # key runs concatenated in thread order, so one more fold matches
         # the thread-order dict merge of :meth:`collect` (first occurrence
         # assigns, later threads fold left-to-right, overwrite keeps last).
-        plan = self._batch_plan
-        if plan is not None and plan.uniq is uniq:
-            return plan.collect(folded, op)
+        # A prepared fold's own batch takes its plan's sort-free merge.
+        if plan is not None and plan[0] is uniq:
+            return plan[1](folded, op)
         merged = _fold_batch(uniq % span, folded, op)
         if merged is None:  # pragma: no cover - batches are ufunc-foldable
             raise TypeError(f"cannot fold bulk batch with op {op.name!r}")

@@ -91,7 +91,7 @@ from repro.runtime.engine import _iteration_set, par_for
 FRONTIER_DENSE_SWITCH = 4
 
 # Rounds a reduce-fold plan's path must qualify before the plan is built.
-# Building a plan costs one stable sort (or unique) over the host's full
+# Building a plan costs an ``np.unique`` sort over the host's full
 # frozen expansion - profitable only when many later rounds replay it.
 # Short runs (power-law SSSP converges in a handful of rounds) never
 # reach the threshold and keep the generic per-round fold; long frontier
@@ -236,8 +236,8 @@ class PreparedFrontierPush(_SpecializedKernel):
         )
         # Reduce-fold plans over the frozen expansion: the full-batch plan
         # serves full-frontier rounds outright; the subset plan folds any
-        # ascending subset without the per-round composite sort. Both are
-        # None for strategies with no prepared path (generic reduce_bulk
+        # ascending subset by dense slot id, without a per-round sort. Both
+        # are None for strategies with no prepared path (generic reduce_bulk
         # then runs, still byte-identical). Under a filter they are built
         # lazily, only after ``FOLD_PLAN_WARMUP`` qualifying rounds, so
         # sparse-frontier and short runs never pay the one-time sort of
@@ -347,10 +347,11 @@ class PreparedFrontierPush(_SpecializedKernel):
             # Reduce-path switch (same contract as the gather's): every
             # route folds byte-identically, so the cheapest one runs.
             # Full rounds replay the fully-static fold plan; every other
-            # round folds through the subset plan's precomputed ranks -
-            # O(frontier log frontier), no composite rebuild. Warmup
-            # rounds (and strategies with no prepared path) take the
-            # generic fold below.
+            # round folds through the subset plan's precomputed dense
+            # slot ids - O(frontier) gathers plus a byte scan of the
+            # plan's presence mask, no sort and no composite rebuild.
+            # Warmup rounds (and strategies with no prepared path) take
+            # the generic fold below.
             full = idx.size == edge_total
             plan = fold_plan("full" if full else "subset")
             if plan is None:

@@ -584,3 +584,59 @@ class TestPreparedFold:
             array = getattr(plan, name)
             with pytest.raises(ValueError):
                 array[...] = 0
+
+
+class TestWarmPartialRoundNeverSorts:
+    """Once every host's subset plan is built, a partial round runs no
+    sort anywhere between the compiled kernel and the owner apply: the
+    thread-level fold, the reduce-sync merge and the route all go by
+    dense ids. Call counts repeat exactly, so this cannot flake; it is
+    what keeps a later edit from quietly putting a sort back."""
+
+    def test_sssp_road_rounds_after_warmup(self, monkeypatch):
+        from repro.algorithms.sssp import sssp
+        from repro.core.reduction import PreparedSubsetFold
+
+        hosts = 2
+        graph = generators.road_like(64, 4, seed=3, weighted=True)
+        cluster = Cluster(hosts, threads_per_host=2)
+        pgraph = partition(graph, hosts, "cvc")
+        executor = Executor(cluster, bulk=True)
+        counts = {"sorts": 0, "builds": 0, "folds": 0}
+        rounds: list[dict[str, int]] = []
+
+        def counting(name, function):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("argsort", "sort", "unique"):
+            monkeypatch.setattr(np, name, counting("sorts", getattr(np, name)))
+        monkeypatch.setattr(
+            PreparedSubsetFold, "__init__",
+            counting("builds", PreparedSubsetFold.__init__),
+        )
+        monkeypatch.setattr(
+            PreparedSubsetFold, "fold", counting("folds", PreparedSubsetFold.fold)
+        )
+        run_round = Executor.run_round
+
+        def counted_round(self, plan):
+            before = dict(counts)
+            run_round(self, plan)
+            rounds.append({key: counts[key] - before[key] for key in counts})
+
+        monkeypatch.setattr(Executor, "run_round", counted_round)
+        sssp(cluster, pgraph, source=0, executor=executor)
+
+        # Every host crossed FOLD_PLAN_WARMUP and built its subset plan.
+        assert sum(r["builds"] for r in rounds) == hosts
+        last_build = max(i for i, r in enumerate(rounds) if r["builds"])
+        cold, warm = rounds[: last_build + 1], rounds[last_build + 1 :]
+        # The counters have teeth: warm-up rounds fold generically (sorts).
+        assert sum(r["sorts"] for r in cold) > 0
+        assert len(warm) >= 20
+        assert all(r["folds"] >= 1 for r in warm)
+        assert [r["sorts"] for r in warm] == [0] * len(warm)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
-from repro.core.reducers import MIN, OVERWRITE, SUM
+from repro.core.reducers import MAX, MIN, OVERWRITE, SUM
+from repro.core import reduction as reduction_module
 from repro.core.reduction import (
     KvCasReduction,
     SharedMapReduction,
@@ -165,6 +166,173 @@ class TestPreparedCollect:
         assert got_keys is not want_keys
         assert got_keys.tolist() == want_keys.tolist()
         assert got.tobytes() == want.tobytes()
+
+
+class TestPreparedSubsetFold:
+    """The dense-slot subset fold and its prepared collect replay the
+    generic pair - ``_fold_batch`` on the subset's composites, then on the
+    thread-stripped keys - bit for bit and charge for charge, for any
+    ascending subset of the frozen batch."""
+
+    THREADS = 4
+    COUNT = 600
+    KEYS = 17  # ~9 positions per (thread, key) slot: heavy duplicates
+
+    def _static_batch(self, seed=9):
+        rng = np.random.default_rng(seed)
+        threads = np.sort(rng.integers(0, self.THREADS, size=self.COUNT))
+        keys = rng.integers(0, self.KEYS, size=self.COUNT).astype(np.int64)
+        return threads, keys, rng
+
+    def _subsets(self, threads, keys, rng):
+        composite = threads * (int(keys.max()) + 1) + keys
+        _, distinct = np.unique(composite, return_index=True)
+        yield "single", np.array([int(rng.integers(self.COUNT))])
+        yield "all-distinct", np.sort(distinct)
+        yield "full", np.arange(self.COUNT)
+        yield "one-thread", np.flatnonzero(threads == 2)[::2]
+        for size in (2, 40, 300):
+            yield f"random-{size}", np.sort(
+                rng.choice(self.COUNT, size=size, replace=False)
+            )
+
+    @staticmethod
+    def _values(rng, size):
+        # Magnitudes far apart: float addition order shows in the bits.
+        return rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+
+    @pytest.mark.parametrize(
+        "op", [SUM, MIN, MAX, OVERWRITE], ids=lambda op: op.name
+    )
+    def test_fold_and_collect_match_fold_batch(self, op):
+        threads, keys, rng = self._static_batch()
+        prepared_red, generic_red = [
+            ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
+            for _ in range(2)
+        ]
+        plan = prepared_red.prepare_bulk_subsets(threads, keys)
+        composite = threads * plan.span + keys
+        for name, idx in self._subsets(threads, keys, rng):
+            values = self._values(rng, idx.size)
+            want_uniq, want_folded = _fold_batch(composite[idx], values, op)
+            want_keys, want = _fold_batch(want_uniq % plan.span, want_folded, op)
+            uniq, folded, present = plan.fold(idx, values, op)
+            got_keys, got = plan.collect(present, folded, op)
+            assert np.array_equal(uniq, want_uniq), name
+            assert folded.tobytes() == want_folded.tobytes(), name
+            assert np.array_equal(got_keys, want_keys), name
+            assert got.tobytes() == want.tobytes(), name
+            # The same through the reductions, charges included.
+            with prepared_red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                prepared_red.reduce_bulk_subset(plan, idx, values, op)
+            with generic_red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                generic_red.reduce_bulk(threads[idx], keys[idx], values, op)
+            collected = []
+            for red in (prepared_red, generic_red):
+                with red.cluster.phase(PhaseKind.REDUCE_SYNC):
+                    collected.append(red.collect_arrays(op))
+            for red_keys, red_values in collected:
+                assert np.array_equal(red_keys, want_keys), name
+                assert red_values.tobytes() == want.tobytes(), name
+        got_total, want_total = (
+            red.cluster.log.total_counters() for red in (prepared_red, generic_red)
+        )
+        assert got_total.reduce_calls == want_total.reduce_calls > 0
+        assert got_total.combine_ops == want_total.combine_ops > 0
+        assert got_total == want_total
+
+    def test_sum_fold_order_shows_in_the_bits(self):
+        # The SUM case above only has teeth if reordering moves bits.
+        threads, keys, rng = self._static_batch()
+        values = self._values(rng, self.COUNT)
+        composite = threads * (int(keys.max()) + 1) + keys
+        _, forward = _fold_batch(composite, values, SUM)
+        _, backward = _fold_batch(composite[::-1], values[::-1], SUM)
+        assert forward.tobytes() != backward.tobytes()
+
+    def test_plan_arrays_are_frozen_and_a_failed_fold_leaves_no_trace(self):
+        threads, keys, rng = self._static_batch()
+        reduction = ThreadLocalReduction(
+            Cluster(1, threads_per_host=self.THREADS), 0
+        )
+        plan = reduction.prepare_bulk_subsets(threads, keys)
+        for name in ("slot", "ucomp", "kslot", "ukeys"):
+            with pytest.raises(ValueError):
+                getattr(plan, name)[...] = 0
+        idx = np.arange(0, self.COUNT, 3)
+        values = self._values(rng, idx.size)
+        before = plan.fold(idx, values, MIN)
+        with pytest.raises(IndexError):
+            # Misaligned values blow up inside the fold; all scratch is
+            # per call, so the next round folds as if nothing happened.
+            plan.fold(idx, values[: idx.size // 2], MIN)
+        after = plan.fold(idx, values, MIN)
+        for got, want in zip(after, before):
+            assert got.tobytes() == want.tobytes()
+
+    def test_installed_subset_batch_collects_through_the_generic_path(self):
+        # A batch that crossed export_state/install_state carries no plan
+        # token: it must take _fold_batch and land on the same arrays.
+        threads, keys, rng = self._static_batch()
+        reduction, reference = [
+            ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
+            for _ in range(2)
+        ]
+        plan = reduction.prepare_bulk_subsets(threads, keys)
+        idx = np.sort(rng.choice(self.COUNT, size=200, replace=False))
+        values = self._values(rng, idx.size)
+        for red in (reduction, reference):
+            with red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                red.reduce_bulk_subset(plan, idx, values, SUM)
+        assert reduction._batch_plan is not None
+        reduction.install_state(reduction.export_state())
+        assert reduction._batch_plan is None
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                reduction_module,
+                "_fold_batch",
+                lambda *args: calls.append(1) or _fold_batch(*args),
+            )
+            with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+                got_keys, got = reduction.collect_arrays(SUM)
+            with reference.cluster.phase(PhaseKind.REDUCE_SYNC):
+                want_keys, want = reference.collect_arrays(SUM)
+        assert calls == [1]  # the installed batch, not the prepared one
+        assert np.array_equal(got_keys, want_keys)
+        assert got.tobytes() == want.tobytes()
+        assert (
+            reduction.cluster.log.total_counters()
+            == reference.cluster.log.total_counters()
+        )
+
+    @pytest.mark.parametrize("consume", ["collect", "spill", "discard"])
+    def test_no_plan_token_outlives_its_batch(self, consume):
+        threads, keys, rng = self._static_batch()
+        reduction = ThreadLocalReduction(
+            Cluster(1, threads_per_host=self.THREADS), 0
+        )
+        plans = (
+            (reduction.prepare_bulk(threads, keys), np.arange(self.COUNT)),
+            (reduction.prepare_bulk_subsets(threads, keys), np.arange(5, 90)),
+        )
+        for plan, idx in plans:
+            values = rng.random(idx.size)
+            with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                if idx.size == self.COUNT:
+                    reduction.reduce_bulk_prepared(plan, values, SUM)
+                else:
+                    reduction.reduce_bulk_subset(plan, idx, values, SUM)
+                assert reduction._batch_plan is not None
+                if consume == "spill":
+                    reduction.reduce(0, 1, 1.0, SUM)
+                elif consume == "discard":
+                    reduction.discard()
+            if consume == "collect":
+                with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+                    reduction.collect_arrays(SUM)
+            assert reduction._batch is None and reduction._batch_plan is None
+            reduction.discard()
 
 
 class TestSharedMap:
