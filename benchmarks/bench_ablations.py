@@ -15,11 +15,12 @@
 from __future__ import annotations
 
 from benchmarks.conftest import record
-from repro.algorithms.common import shortcut_until_flat
+from repro.algorithms.common import shortcut_plan
 from repro.cluster import Cluster
 from repro.core import NodePropMap
 from repro.eval.harness import run_vite
 from repro.eval.workloads import load_graph
+from repro.exec import Executor
 from repro.graph import generators
 from repro.partition import partition
 
@@ -31,7 +32,7 @@ def pointer_jump_workload(cluster, pgraph, **map_kwargs):
     """A shortcut-heavy workload: flatten a long parent chain."""
     parent = NodePropMap(cluster, pgraph, "parent", **map_kwargs)
     parent.set_initial(lambda node: max(node - 1, 0))
-    rounds = shortcut_until_flat(cluster, pgraph, parent)
+    rounds = Executor(cluster).run(shortcut_plan(pgraph, parent))
     assert all(v == 0 for v in parent.snapshot().values())
     return rounds
 

@@ -18,11 +18,7 @@ from __future__ import annotations
 
 import math
 
-from repro.algorithms.common import (
-    AlgorithmResult,
-    resolve_executor,
-    shortcut_until_flat,
-)
+from repro.algorithms.common import AlgorithmResult, resolve_executor, shortcut_plan
 from repro.cluster.cluster import Cluster
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, PAIR_MIN
@@ -126,10 +122,11 @@ def boruvka_msf(
         once=True,
     )
 
+    flatten_plan = shortcut_plan(pgraph, parent)
     total_rounds = 0
     boruvka_round = 0
     while True:
-        total_rounds += shortcut_until_flat(cluster, pgraph, parent, executor=executor)
+        total_rounds += executor.run(flatten_plan)
         parent.pin_mirrors(invariant="none")
         best_edge.reset_values(lambda node: SENTINEL)
         work_done.set_all(False)
@@ -144,7 +141,7 @@ def boruvka_msf(
         boruvka_round += 1
         if boruvka_round > pgraph.num_nodes:
             raise RuntimeError("Boruvka failed to converge")
-    total_rounds += shortcut_until_flat(cluster, pgraph, parent, executor=executor)
+    total_rounds += executor.run(flatten_plan)
     total_weight = sum(weight for _, _, weight in forest)
     return AlgorithmResult(
         name="MSF",

@@ -19,10 +19,11 @@ from repro.exec import (
     ActiveFilter,
     EdgePush,
     Executor,
+    KeyRequest,
+    NodeGather,
     Operator,
     OperatorStep,
     Plan,
-    ScalarKernel,
     SyncStep,
 )
 from repro.partition.base import PartitionedGraph
@@ -30,17 +31,6 @@ from repro.partition.base import PartitionedGraph
 
 def cc_sclp_plan(pgraph: PartitionedGraph, label: NodePropMap) -> Plan:
     """One propagate + shortcut round as an operator plan."""
-
-    def request(ctx) -> None:
-        node_label = label.read_local(ctx.host, ctx.local)
-        label.request(ctx.host, node_label)
-
-    def shortcut(ctx) -> None:
-        node_label = label.read_local(ctx.host, ctx.local)
-        label_of_label = label.read(ctx.host, node_label)
-        if node_label != label_of_label:
-            label.reduce(ctx.host, ctx.thread, ctx.node, label_of_label, MIN)
-
     return Plan(
         name="cc_sclp",
         pgraph=pgraph,
@@ -70,7 +60,7 @@ def cc_sclp_plan(pgraph: PartitionedGraph, label: NodePropMap) -> Plan:
                 Operator(
                     "sclp:req",
                     "masters",
-                    ScalarKernel(request, read_names=(label.name,)),
+                    KeyRequest(keys=label, of=label),
                     kind=PhaseKind.REQUEST_COMPUTE,
                 )
             ),
@@ -79,11 +69,7 @@ def cc_sclp_plan(pgraph: PartitionedGraph, label: NodePropMap) -> Plan:
                 Operator(
                     "sclp:short",
                     "masters",
-                    ScalarKernel(
-                        shortcut,
-                        read_names=(label.name,),
-                        write_names=((label.name, MIN.name),),
-                    ),
+                    NodeGather(keys=label, of=label, target=label, op=MIN),
                 )
             ),
             SyncStep(label, "reduce"),

@@ -14,12 +14,19 @@ CC-LP on high-diameter graphs.
 
 from __future__ import annotations
 
-from repro.algorithms.common import AlgorithmResult, resolve_executor, shortcut_until_flat
+from repro.algorithms.common import AlgorithmResult, resolve_executor, shortcut_plan
 from repro.cluster.cluster import Cluster
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN
 from repro.core.variants import RuntimeVariant
-from repro.exec import Executor, Operator, OperatorStep, Plan, ScalarKernel, SyncStep
+from repro.exec import (
+    Executor,
+    NeighborReduceToKey,
+    Operator,
+    OperatorStep,
+    Plan,
+    SyncStep,
+)
 from repro.partition.base import PartitionedGraph
 from repro.runtime.bool_reducer import BoolReducer
 
@@ -28,15 +35,6 @@ def cc_sv_hook_plan(
     pgraph: PartitionedGraph, parent: NodePropMap, work_done: BoolReducer
 ) -> Plan:
     """The hook loop (run until quiescent between shortcut phases)."""
-
-    def operator(ctx) -> None:
-        src_parent = parent.read_local(ctx.host, ctx.local)
-        for edge in ctx.edges():
-            dst_parent = parent.read_local(ctx.host, ctx.edge_dst_local(edge))
-            if src_parent > dst_parent:
-                work_done.reduce(ctx.host, True)
-                parent.reduce(ctx.host, ctx.thread, src_parent, dst_parent, MIN)
-
     return Plan(
         name="cc_sv:hook",
         pgraph=pgraph,
@@ -45,13 +43,14 @@ def cc_sv_hook_plan(
                 Operator(
                     "hook",
                     "all",
-                    ScalarKernel(
-                        operator,
-                        read_names=(parent.name,),
-                        write_names=((parent.name, MIN.name),),
-                        # the work-done vote's host flags are compute-phase
-                        # effects too (host-shard execution ships them)
-                        extra_effects=(work_done,),
+                    # parent(n) > parent(m): vote work_done and min-reduce
+                    # parent(m) onto parent(parent(n)).
+                    NeighborReduceToKey(
+                        source=parent,
+                        target=parent,
+                        op=MIN,
+                        cmp="gt",
+                        flag=work_done,
                     ),
                 )
             ),
@@ -74,6 +73,7 @@ def cc_sv(
     executor.init_map(parent, lambda nodes: nodes.copy())
     work_done = BoolReducer(cluster, "sv_work")
     hook_plan = cc_sv_hook_plan(pgraph, parent, work_done)
+    flatten_plan = shortcut_plan(pgraph, parent)
 
     total_rounds = 0
     outer_rounds = 0
@@ -85,7 +85,7 @@ def cc_sv(
         total_rounds += executor.run(hook_plan)
         work_done.sync()
         parent.unpin_mirrors()
-        total_rounds += shortcut_until_flat(cluster, pgraph, parent, executor=executor)
+        total_rounds += executor.run(flatten_plan)
         outer_rounds += 1
         if not work_done.read():
             break

@@ -7,7 +7,6 @@ coarsening step shared by Louvain and Leiden.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -19,10 +18,11 @@ from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, OVERWRITE  # noqa: F401  (OVERWRITE re-exported)
 from repro.exec import (
     Executor,
+    KeyRequest,
+    NodeGather,
     Operator,
     OperatorStep,
     Plan,
-    ScalarKernel,
     SyncStep,
 )
 from repro.graph.csr import Graph
@@ -88,25 +88,22 @@ def shortcut_plan(
     parent: NodePropMap,
     max_rounds: int = 100000,
 ) -> Plan:
-    """Pointer jumping (Figure 8's compiled shortcut) as an operator plan.
+    """Pointer jumping (Figure 8's compiled shortcut) as an operator plan,
+    run until the forest is flat.
 
     Each round: a request operator over master nodes reads each node's
     parent and requests the grandparent; after request-sync, the shortcut
     operator min-reduces the grandparent onto the node. The first request
     ParFor of the naive compilation (requesting the node's own parent) is
     elided - master properties are always local.
+
+    Rounds advance the cluster's global round counter, so crash injection
+    targeting any round of a multi-loop algorithm (CC-SV, MSF) lands
+    exactly once and recovery covers the shortcut loops too. Callers that
+    flatten repeatedly build the plan once and ``executor.run`` it each
+    time: the parallel backend (``repro.exec.pool``) reuses its warm
+    forked workers only for plan objects it has seen.
     """
-
-    def request_body(ctx):
-        node_parent = parent.read_local(ctx.host, ctx.local)
-        parent.request(ctx.host, node_parent)
-
-    def shortcut_body(ctx):
-        node_parent = parent.read_local(ctx.host, ctx.local)
-        grand_parent = parent.read(ctx.host, node_parent)
-        if node_parent != grand_parent:
-            parent.reduce(ctx.host, ctx.thread, ctx.node, grand_parent, MIN)
-
     return Plan(
         name="shortcut",
         pgraph=pgraph,
@@ -115,7 +112,7 @@ def shortcut_plan(
                 Operator(
                     "shortcut:req",
                     "masters",
-                    ScalarKernel(request_body, read_names=(parent.name,)),
+                    KeyRequest(keys=parent, of=parent),
                     kind=PhaseKind.REQUEST_COMPUTE,
                 )
             ),
@@ -124,11 +121,7 @@ def shortcut_plan(
                 Operator(
                     "shortcut",
                     "masters",
-                    ScalarKernel(
-                        shortcut_body,
-                        read_names=(parent.name,),
-                        write_names=((parent.name, MIN.name),),
-                    ),
+                    NodeGather(keys=parent, of=parent, target=parent, op=MIN),
                 )
             ),
             SyncStep(parent, "reduce"),
@@ -138,46 +131,6 @@ def shortcut_plan(
         max_rounds=max_rounds,
         loop_label="shortcut",
     )
-
-
-# Plan cache for the shortcut loops: CC-SV / CC-SCLP / MSF call
-# shortcut_until_flat once per outer round, and the parallel backend
-# (repro.exec.pool) reuses its warm forked workers only for plan objects
-# it has seen - a fresh Plan per call would force a refork every round.
-# Keyed weakly on the parent map so graphs/maps stay collectable.
-_shortcut_plans: "weakref.WeakKeyDictionary[NodePropMap, dict]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _cached_shortcut_plan(
-    pgraph: PartitionedGraph, parent: NodePropMap, max_rounds: int
-) -> Plan:
-    plans = _shortcut_plans.setdefault(parent, {})
-    key = (id(pgraph), max_rounds)
-    plan = plans.get(key)
-    if plan is None:
-        plan = shortcut_plan(pgraph, parent, max_rounds=max_rounds)
-        plans[key] = plan
-    return plan
-
-
-def shortcut_until_flat(
-    cluster: Cluster,
-    pgraph: PartitionedGraph,
-    parent: NodePropMap,
-    max_rounds: int = 100000,
-    executor: Executor | None = None,
-) -> int:
-    """Run :func:`shortcut_plan` until the forest is flat; returns rounds.
-
-    Shortcut rounds now advance the cluster's global round counter, so
-    crash injection targeting any round of a multi-loop algorithm (CC-SV,
-    MSF) lands exactly once and recovery covers the shortcut loops too.
-    """
-    if executor is None:
-        executor = Executor(cluster)
-    return executor.run(_cached_shortcut_plan(pgraph, parent, max_rounds))
 
 
 def weighted_degrees(graph: Graph) -> np.ndarray:

@@ -321,11 +321,7 @@ class GarHostStore:
                 index = int(np.searchsorted(self._remote_keys, key))
                 if index < size and self._remote_keys[index] == key:
                     return self._remote_values[index]
-        raise KeyError(
-            f"node {key} not readable on host {self.host_id}: "
-            "not a master, not a broadcast pinned mirror, and not requested "
-            "this round"
-        )
+        raise self._unreadable(key)
 
     def read_local(self, local_id: int) -> Any:
         """Fast path for reads addressed by local id (the common case in
@@ -369,6 +365,91 @@ class GarHostStore:
                 return arr
         global_id = int(self.part.local_to_global[absent])
         raise KeyError(f"local node {absent} (global {global_id}) has no value")
+
+    def _slots_set(self, locals_: np.ndarray) -> np.ndarray:
+        """Which of the dense slots ``locals_`` hold a value (uncharged;
+        never changes the mode)."""
+        if self._valid is not None:
+            return self._valid[locals_]
+        store = self.values
+        return np.fromiter(
+            (store[i] is not None for i in locals_.tolist()),
+            dtype=bool,
+            count=locals_.size,
+        )
+
+    def read_bulk(self, keys: np.ndarray) -> np.ndarray:
+        """Batched :meth:`read` by global id: the aggregate charges equal
+        the per-key loop's on every path (own master, broadcast pinned
+        mirror, pinned-but-empty mirror falling through, requested-remote
+        cache in either layout) and an unreadable key raises the same
+        ``KeyError``. Values come back as one array (numeric when
+        possible), whatever the column mode."""
+        count = int(keys.size)
+        if count == 0:
+            return np.empty(0)
+        counters = self.cluster.counters(self.host_id)
+        locals_ = self._translate_arr()[keys]
+        # dense: keys the column serves; the rest go to the remote cache.
+        dense = np.zeros(count, dtype=bool)
+        own = np.flatnonzero(self.owner[keys] == self.host_id)
+        self._charge_master_probes(int(own.size))
+        counters.vector_reads += int(own.size)
+        counters.reads_master += int(own.size)
+        counters.reads_remote += count - int(own.size)
+        initialized = self._slots_set(locals_[own])
+        dense[own] = initialized
+        if not initialized.all():
+            key = int(keys[own][~initialized][0])
+            raise KeyError(f"master {key} read before initialization")
+        if self.pinned:
+            # Own keys translate below num_masters, absent ones to -1.
+            mirror = np.flatnonzero(locals_ >= self.part.num_masters)
+            counters.hash_probes += int(mirror.size)
+            counters.vector_reads += int(mirror.size)
+            # A pinned mirror not yet broadcast falls through to the cache.
+            dense[mirror] = self._slots_set(locals_[mirror])
+        cached_at = np.flatnonzero(~dense)
+        if cached_at.size == 0:
+            return np.asarray(self._gather(locals_))
+        cached = np.asarray(self._read_cached(keys[cached_at]))
+        if cached_at.size == count:
+            return cached
+        dense_at = np.flatnonzero(dense)
+        values = np.asarray(self._gather(locals_[dense_at]))
+        out = np.empty(count, dtype=np.result_type(values, cached))
+        out[dense_at] = values
+        out[cached_at] = cached
+        return out
+
+    def _read_cached(self, keys: np.ndarray) -> list[Any]:
+        """The requested-remote-cache leg of :meth:`read_bulk`: one lookup
+        charge per key, then the values or the unreadable-key error."""
+        counters = self.cluster.counters(self.host_id)
+        if self.remote_layout == "hash":
+            counters.hash_probes += int(keys.size)
+            cache = self._remote_hash
+            try:
+                return [cache[key] for key in keys.tolist()]
+            except KeyError as err:
+                raise self._unreadable(err.args[0]) from None
+        size = self._remote_keys.size
+        if not size:
+            raise self._unreadable(int(keys[0]))
+        counters.binsearch_steps += int(keys.size) * (int(math.log2(size)) + 1)
+        index = np.minimum(np.searchsorted(self._remote_keys, keys), size - 1)
+        found = self._remote_keys[index] == keys
+        if not found.all():
+            raise self._unreadable(int(keys[~found][0]))
+        remote_values = self._remote_values
+        return [remote_values[i] for i in index.tolist()]
+
+    def _unreadable(self, key: int) -> KeyError:
+        return KeyError(
+            f"node {key} not readable on host {self.host_id}: "
+            "not a master, not a broadcast pinned mirror, and not requested "
+            "this round"
+        )
 
     # -- writes (owner side) -------------------------------------------------
 
@@ -734,10 +815,25 @@ class HashHostStore:
         masters = int(np.count_nonzero(local_ids < self.part.num_masters))
         counters.reads_master += masters
         counters.reads_remote += count - masters
+        return self._lookup(self.part.local_to_global[local_ids])
+
+    def read_bulk(self, keys: np.ndarray) -> np.ndarray:
+        """Batched :meth:`read`: aggregate charges, same probe counts."""
+        count = int(keys.size)
+        counters = self.cluster.counters(self.host_id)
+        counters.hash_probes += count
+        masters = int(np.count_nonzero(np.isin(keys, self.part.masters_global)))
+        counters.reads_master += masters
+        counters.reads_remote += count - masters
+        return self._lookup(keys)
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The values behind the bulk reads (the per-key rule of
+        :meth:`read`, uncharged)."""
         cache = self.cache
         owned = self.owned
         out = []
-        for key in self.part.local_to_global[local_ids].tolist():
+        for key in keys.tolist():
             if key in cache:
                 out.append(cache[key])
             elif key % self.num_hosts == self.host_id and key in owned:

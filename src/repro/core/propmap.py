@@ -216,6 +216,12 @@ class NodePropMap:
             np.asarray(local_ids, dtype=np.int64)
         )
 
+    def read_bulk(self, host: int, keys: np.ndarray) -> np.ndarray:
+        """Batched :meth:`read` by global node id: identical accounting on
+        every path a key can take (master, pinned mirror, requested remote)
+        and the same ``KeyError`` for an unreadable key, one array out."""
+        return self.stores[host].read_bulk(np.asarray(keys, dtype=np.int64))
+
     def reduce(self, host: int, thread: int, key: int, value: Any, op: ReduceOp) -> None:
         """Reduce ``value`` onto ``key``'s property (visible next round)."""
         if not 0 <= key < self.pgraph.num_nodes:

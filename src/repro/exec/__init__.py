@@ -36,6 +36,9 @@ from repro.exec.plan import (
     DstCmpFilter,
     EdgePush,
     HostStep,
+    KeyRequest,
+    NeighborReduceToKey,
+    NodeGather,
     NodeUpdate,
     Operator,
     OperatorStep,
@@ -74,6 +77,9 @@ __all__ = [
     "DegreeReduce",
     "EdgePush",
     "HostStep",
+    "KeyRequest",
+    "NeighborReduceToKey",
+    "NodeGather",
     "NodeUpdate",
     "Operator",
     "OperatorStep",

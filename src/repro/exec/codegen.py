@@ -14,7 +14,9 @@ kernels below.
   compile time, once per ``(plan, executor)`` binding.
 * **Compiled kernels** - each declarative kernel form
   (:class:`~repro.exec.plan.EdgePush`, :class:`~repro.exec.plan.NodeUpdate`,
-  :class:`~repro.exec.plan.DegreeReduce`) is built per host into a
+  :class:`~repro.exec.plan.DegreeReduce`, and the trans-vertex
+  :class:`~repro.exec.plan.KeyRequest`, :class:`~repro.exec.plan.NodeGather`,
+  :class:`~repro.exec.plan.NeighborReduceToKey`) is built per host into a
   straight-line numpy runner over *preassembled* CSR slices: the degree
   filter, edge expansion (``source_pos``/``edge_ids``), thread dealing,
   destination gather, weights, and constant pushes are computed once and
@@ -69,6 +71,9 @@ from repro.exec.plan import (
     DstCmpFilter,
     EdgePush,
     HostStep,
+    KeyRequest,
+    NeighborReduceToKey,
+    NodeGather,
     NodeUpdate,
     Operator,
     OperatorStep,
@@ -422,6 +427,82 @@ class SpecializedDegreeReduce(_SpecializedKernel):
         return run
 
 
+class SpecializedKeyRequest(_SpecializedKernel):
+    """A KeyRequest with the local ids frozen: per round one bulk own
+    read and one bulk request."""
+
+    def _build(self, cluster: Cluster, part: Any, host: int):
+        total = len(_iteration_set(part, self.space))
+        if total == 0:
+            return _noop
+        local_ids = _freeze(np.arange(total, dtype=np.int64))
+        keys, of = self.kernel.keys, self.kernel.of
+
+        def run() -> None:
+            of.request_bulk(host, keys.read_local_bulk(host, local_ids))
+
+        return run
+
+
+class SpecializedNodeGather(_SpecializedKernel):
+    """A NodeGather with local ids, node ids and thread dealing frozen:
+    per round one bulk own read, one keyed bulk read, a compare and one
+    reduce over the nodes whose gathered value differs."""
+
+    def _build(self, cluster: Cluster, part: Any, host: int):
+        k = self.kernel
+        total = len(_iteration_set(part, self.space))
+        if total == 0:
+            return _noop
+        local_ids = _freeze(np.arange(total, dtype=np.int64))
+        node_ids = _freeze(part.local_to_global[:total])
+        threads = cluster.threads_of(total)
+        keys, of, target, op = k.keys, k.of, k.target, k.op
+
+        def run() -> None:
+            own = keys.read_local_bulk(host, local_ids)
+            gathered = of.read_bulk(host, own)
+            hits = np.flatnonzero(own != gathered)
+            target.reduce_bulk(
+                host, threads[hits], node_ids[hits], gathered[hits], op
+            )
+
+        return run
+
+
+class SpecializedNeighborReduceToKey(_SpecializedKernel):
+    """A NeighborReduceToKey with the CSR expansion frozen (per-edge
+    destination local ids, per-edge source threads, per-node degrees):
+    per round two bulk reads, one ``np.repeat`` compare, one counted vote
+    and one generic reduce - the reduce keys are property values, so
+    there is no static batch to prepare a fold for."""
+
+    def _build(self, cluster: Cluster, part: Any, host: int):
+        k = self.kernel
+        total = len(_iteration_set(part, self.space))
+        if total == 0:
+            return _noop
+        local_ids = _freeze(np.arange(total, dtype=np.int64))
+        degrees = _freeze(np.diff(part.indptr[: total + 1]))
+        num_edges = int(part.indptr[total])
+        dst_locals = _freeze(np.asarray(part.indices[:num_edges], dtype=np.int64))
+        edge_threads = _freeze(np.repeat(cluster.threads_of(total), degrees))
+        source, target, op, flag, compare = k.source, k.target, k.op, k.flag, k.compare
+
+        def run() -> None:
+            own = source.read_local_bulk(host, local_ids)
+            cluster.counters(host).edge_iters += num_edges
+            other = source.read_local_bulk(host, dst_locals)
+            own_per_edge = np.repeat(own, degrees)
+            hits = np.flatnonzero(compare(own_per_edge, other))
+            flag.reduce_count(host, int(hits.size))
+            target.reduce_bulk(
+                host, edge_threads[hits], own_per_edge[hits], other[hits], op
+            )
+
+        return run
+
+
 def run_hosted(
     cluster: Cluster,
     pgraph: Any,
@@ -547,13 +628,17 @@ def _kernel_carriers(kernel: Any) -> list[Any]:
 
 
 def _fusable(operator: Operator) -> bool:
-    """Fusion eligibility: the compiled forms only, a push only with
-    declarative filters, and never a map backed by the key-value store -
-    KvCas reductions apply immediately against shared server shards whose
-    contention draws depend on the cross-host execution order fusion
-    changes."""
+    """Fusion eligibility: the adjacent-vertex compiled forms only, a
+    push only with declarative filters, and never a map backed by the
+    key-value store - KvCas reductions apply immediately against shared
+    server shards whose contention draws depend on the cross-host
+    execution order fusion changes. The trans-vertex forms stay out: no
+    plan has two of them adjacent (a sync collective always separates a
+    request from its gather), and a ``KeyRequest`` mutates request bitsets
+    that ``writes()`` - what the fusion rule reasons from - does not
+    describe."""
     kernel = operator.kernel
-    if isinstance(kernel, ScalarKernel):
+    if not isinstance(kernel, (EdgePush, NodeUpdate, DegreeReduce)):
         return False
     if isinstance(kernel, EdgePush) and not _declarative_filters(kernel):
         return False
@@ -585,10 +670,18 @@ def fusion_enabled(executor) -> bool:
     )
 
 
+# Per declarative form: the compiled kernel class and the name of the
+# executor method that derives the scalar oracle body.
 _SPECIALIZED_FORMS = {
-    EdgePush: PreparedFrontierPush,
-    NodeUpdate: SpecializedNodeUpdate,
-    DegreeReduce: SpecializedDegreeReduce,
+    EdgePush: (PreparedFrontierPush, "_edge_push_scalar"),
+    NodeUpdate: (SpecializedNodeUpdate, "_node_update_scalar"),
+    DegreeReduce: (SpecializedDegreeReduce, "_degree_reduce_scalar"),
+    KeyRequest: (SpecializedKeyRequest, "_key_request_scalar"),
+    NodeGather: (SpecializedNodeGather, "_node_gather_scalar"),
+    NeighborReduceToKey: (
+        SpecializedNeighborReduceToKey,
+        "_neighbor_reduce_to_key_scalar",
+    ),
 }
 
 
@@ -597,18 +690,13 @@ def _compile_operator(executor, operator: Operator) -> CompiledOperator:
     if isinstance(kernel, ScalarKernel):
         # Reference-loop semantics on both backends (executor module doc).
         return CompiledOperator(operator, par_for, kernel.body, False)
+    specialized, scalar_body = _SPECIALIZED_FORMS[type(kernel)]
     if executor.bulk:
-        body = _SPECIALIZED_FORMS[type(kernel)](kernel, operator.space)
+        body = specialized(kernel, operator.space)
         return CompiledOperator(operator, run_hosted, body, True)
-    if isinstance(kernel, EdgePush):
-        body = executor._edge_push_scalar(kernel)
-    elif isinstance(kernel, NodeUpdate):
-        body = executor._node_update_scalar(kernel)
-    elif isinstance(kernel, DegreeReduce):
-        body = executor._degree_reduce_scalar(kernel)
-    else:  # pragma: no cover - the kernel union is closed
-        raise TypeError(f"unknown kernel form {kernel!r}")
-    return CompiledOperator(operator, par_for, body, False)
+    return CompiledOperator(
+        operator, par_for, getattr(executor, scalar_body)(kernel), False
+    )
 
 
 def _compile_reset(executor, step: ResetStep) -> Callable[[], None]:
@@ -673,6 +761,9 @@ __all__ = [
     "FusedGroup",
     "PreparedFrontierPush",
     "SpecializedDegreeReduce",
+    "SpecializedKeyRequest",
+    "SpecializedNeighborReduceToKey",
+    "SpecializedNodeGather",
     "SpecializedNodeUpdate",
     "compile_plan",
     "fusion_enabled",

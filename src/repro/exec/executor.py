@@ -20,7 +20,8 @@ stays byte-identical to ``jobs=1`` - the contract
 :class:`~repro.exec.plan.ScalarKernel` bodies run as the same scalar
 loop on both backends (the way the MC runtime variant degrades to the
 scalar path by design): byte-identity is structural, and such kernels
-opt into vectorization by being rewritten as one of the array forms.
+opt into vectorization by being rewritten as one of the declarative
+forms (adjacent-vertex or trans-vertex).
 
 The drive loop itself lives in the engine layer (:mod:`repro.exec.engine`):
 ``engine="bsp"`` (the default and the byte-identity oracle) runs the
@@ -64,6 +65,9 @@ from repro.exec.engine import BSPEngine, Engine, make_engine
 from repro.exec.plan import (
     DegreeReduce,
     EdgePush,
+    KeyRequest,
+    NeighborReduceToKey,
+    NodeGather,
     NodeUpdate,
     Plan,
     apply_value_filter,
@@ -359,6 +363,34 @@ class Executor:
             local_degree = ctx.part.degree(ctx.local)
             if local_degree:
                 k.target.reduce(ctx.host, ctx.thread, ctx.node, local_degree, SUM)
+
+        return body
+
+    def _key_request_scalar(self, k: KeyRequest) -> Callable[[OperatorContext], None]:
+        def body(ctx: OperatorContext) -> None:
+            k.of.request(ctx.host, k.keys.read_local(ctx.host, ctx.local))
+
+        return body
+
+    def _node_gather_scalar(self, k: NodeGather) -> Callable[[OperatorContext], None]:
+        def body(ctx: OperatorContext) -> None:
+            key = k.keys.read_local(ctx.host, ctx.local)
+            gathered = k.of.read(ctx.host, key)
+            if key != gathered:
+                k.target.reduce(ctx.host, ctx.thread, ctx.node, gathered, k.op)
+
+        return body
+
+    def _neighbor_reduce_to_key_scalar(
+        self, k: NeighborReduceToKey
+    ) -> Callable[[OperatorContext], None]:
+        def body(ctx: OperatorContext) -> None:
+            own = k.source.read_local(ctx.host, ctx.local)
+            for edge in ctx.edges():
+                other = k.source.read_local(ctx.host, ctx.edge_dst_local(edge))
+                if k.compare(own, other):
+                    k.flag.reduce(ctx.host, True)
+                    k.target.reduce(ctx.host, ctx.thread, own, other, k.op)
 
         return body
 

@@ -7,7 +7,9 @@ plus the loop/convergence driver - so a single
 reference backend (``par_for``) or the compiled bulk backend
 (``repro.exec.codegen`` + ``reduce_bulk``) with byte-identical metrics.
 
-Operator bodies come in four *kernel forms*:
+Operator bodies come in seven *kernel forms* - six declarative ones, each
+with one scalar oracle body (``repro.exec.executor``) and one compiled
+per-host kernel (``repro.exec.codegen``), and the opaque fallback:
 
 * :class:`EdgePush` - the adjacent-vertex push: each active source sends
   a value along its out-edges into a target map under a reducer. This is
@@ -17,11 +19,16 @@ Operator bodies come in four *kernel forms*:
   (e.g. PageRank's rebuild).
 * :class:`DegreeReduce` - the shared warm-up that SUM-reduces each host's
   local out-degree share onto the node (PR / MIS global degrees).
+* :class:`KeyRequest`, :class:`NodeGather`, :class:`NeighborReduceToKey` -
+  the *trans-vertex* forms (the paper's Section 3.1): request, read, or
+  reduce into the property of a node whose id is itself a property
+  value. Pointer jumping is ``KeyRequest`` + ``NodeGather``; CC-SV's hook
+  is ``NeighborReduceToKey``.
 * :class:`ScalarKernel` - an opaque per-node body with declared
-  reads/writes metadata. Both backends execute it as the same scalar
-  reference loop (like the MC runtime variant, which degrades to the
-  scalar path by design), so byte-identity is structural; only kernels
-  worth vectorizing need one of the array forms above.
+  reads/writes metadata, for bodies no declarative form expresses yet.
+  Both backends execute it as the same scalar reference loop (like the MC
+  runtime variant, which degrades to the scalar path by design), so
+  byte-identity is structural.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from repro.cluster.metrics import PhaseKind
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import SUM, ReduceOp
 from repro.partition.base import PartitionedGraph
+from repro.runtime.bool_reducer import BoolReducer
 from repro.runtime.engine import OperatorContext
 
 PLAN_SCHEMA = "repro-exec-plan/v1.2"
@@ -363,6 +371,102 @@ class DegreeReduce:
 
 
 @dataclass
+class KeyRequest:
+    """Request ``of[keys[n]]`` for every iterated node ``n`` (a
+    ``REQUEST_COMPUTE`` step; the request-sync that follows serves it).
+
+    The canonical pipeline: node visit -> own read of ``keys`` (by local
+    id) -> one ``of.request`` per node (``local_ops``; the owned-key probe
+    when masters are not id-contiguous; deduplicated through the host's
+    request bitset, skipping keys that are already readable - own masters
+    and pinned mirrors). The request bits are the kernel's only effect and
+    are not a reduction, so ``writes()`` is empty.
+    """
+
+    keys: NodePropMap
+    of: NodePropMap
+
+    @property
+    def form(self) -> str:
+        return "key-request"
+
+    def reads(self) -> tuple[str, ...]:
+        return (self.keys.name,)
+
+    def writes(self) -> tuple[tuple[str, str], ...]:
+        return ()
+
+
+@dataclass
+class NodeGather:
+    """After request-sync: ``k = keys[n]; g = of.read(k)``, and when
+    ``k != g`` reduce ``g`` onto ``n`` itself in ``target`` under ``op``.
+
+    The canonical pipeline: node visit -> own read of ``keys`` (by local
+    id) -> keyed read of ``of`` (by global id: own master, broadcast
+    pinned mirror, or the requested-remote cache - whichever
+    ``NodePropMap.read`` would charge) -> compare -> reduce, thread = the
+    node's thread. Pointer jumping is ``keys is of is target`` with MIN.
+    """
+
+    keys: NodePropMap
+    of: NodePropMap
+    target: NodePropMap
+    op: ReduceOp
+
+    @property
+    def form(self) -> str:
+        return "node-gather"
+
+    def reads(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys((self.keys.name, self.of.name)))
+
+    def writes(self) -> tuple[tuple[str, str], ...]:
+        return ((self.target.name, self.op.name),)
+
+
+@dataclass
+class NeighborReduceToKey:
+    """Per local edge ``n -> m``: when ``source[n] CMP source[m]``, vote
+    ``flag`` and reduce ``source[m]`` into ``target[source[n]]`` - a
+    reduction whose destination is a dynamically computed node id
+    (CC-SV's hook: ``cmp="gt"``, MIN).
+
+    The canonical pipeline: node visit -> own read of ``source`` (by
+    local id, edgeless nodes included) -> ``edge_iters`` -> destination
+    read (by local id) -> compare -> vote (one ``flag.reduce`` per hit)
+    -> reduce, thread = the source node's thread. ``cmp`` names a
+    comparison as :class:`CmpFilter` does.
+    """
+
+    source: NodePropMap
+    target: NodePropMap
+    op: ReduceOp
+    cmp: str
+    flag: BoolReducer
+
+    def __post_init__(self) -> None:
+        if self.cmp not in _CMP_OPS:
+            raise ValueError(
+                f"unknown comparison {self.cmp!r}; use one of {sorted(_CMP_OPS)}"
+            )
+
+    @property
+    def form(self) -> str:
+        return "neighbor-reduce-to-key"
+
+    def compare(self, own: Any, other: Any) -> Any:
+        """``own CMP other`` (numpy semantics, scalars included)."""
+        return _CMP_OPS[self.cmp](own, other)
+
+    def reads(self) -> tuple[str, ...]:
+        return (self.source.name,)
+
+    def writes(self) -> tuple[tuple[str, str], ...]:
+        return ((self.target.name, self.op.name),)
+
+
+@dataclass
 class ScalarKernel:
     """An opaque per-node body run as the scalar reference loop on both
     backends. ``read_names``/``write_names`` declare the maps touched so
@@ -406,7 +510,15 @@ class ScalarKernel:
         return self.write_names
 
 
-Kernel = Union[EdgePush, NodeUpdate, DegreeReduce, ScalarKernel]
+Kernel = Union[
+    EdgePush,
+    NodeUpdate,
+    DegreeReduce,
+    KeyRequest,
+    NodeGather,
+    NeighborReduceToKey,
+    ScalarKernel,
+]
 
 
 # ------------------------------------------------------------------- steps
@@ -602,6 +714,9 @@ __all__ = [
     "EdgePush",
     "NodeUpdate",
     "DegreeReduce",
+    "KeyRequest",
+    "NodeGather",
+    "NeighborReduceToKey",
     "ScalarKernel",
     "Kernel",
     "Operator",

@@ -124,6 +124,9 @@ from repro.core.reducers import NAMED_REDUCE_OPS, ReduceOp
 from repro.exec.plan import (
     DegreeReduce,
     EdgePush,
+    KeyRequest,
+    NeighborReduceToKey,
+    NodeGather,
     NodeUpdate,
     Operator,
     OperatorStep,
@@ -292,7 +295,9 @@ def _map_table(plan: Plan) -> dict[str, Any]:
     for step in plan.steps:
         if isinstance(step, OperatorStep):
             kernel = step.operator.kernel
-            for attr in ("target", "source", "require_active"):
+            for attr in (
+                "target", "source", "require_active", "keys", "of", "flag"
+            ):
                 put(getattr(kernel, attr, None))
             for extra in getattr(kernel, "extra_effects", ()):
                 put(extra)
@@ -328,8 +333,10 @@ def _phase_carriers(
     """The effect carriers of one compute phase, or None when the phase
     must run replicated instead of sharded.
 
-    The declarative kernel forms are shardable by construction (their
-    only mutations are host-local reductions into the target). A
+    The declarative kernel forms are shardable by construction: their
+    only mutations are host-local - reductions into the target, a
+    ``KeyRequest``'s request bits in the map it requests from, a
+    ``NeighborReduceToKey``'s vote in its flag. A
     ``ScalarKernel`` is shardable when it declares itself host-local,
     every map it names resolves, and every reducer it writes with is
     resolvable by name across processes. Key-value-store maps are never
@@ -337,8 +344,12 @@ def _phase_carriers(
     immediately.
     """
     kernel = operator.kernel
-    if isinstance(kernel, (EdgePush, NodeUpdate, DegreeReduce)):
+    if isinstance(kernel, (EdgePush, NodeUpdate, DegreeReduce, NodeGather)):
         carriers = [kernel.target]
+    elif isinstance(kernel, KeyRequest):
+        carriers = [kernel.of]
+    elif isinstance(kernel, NeighborReduceToKey):
+        carriers = [kernel.target, kernel.flag]
     elif isinstance(kernel, ScalarKernel):
         if not kernel.host_local:
             return None

@@ -30,6 +30,12 @@ class BoolReducer:
         self.cluster.counters(host).local_ops += 1
         self._flags[host] = self._flags[host] or bool(value)
 
+    def reduce_count(self, host: int, hits: int) -> None:
+        """``hits`` calls of ``reduce(host, True)`` at once."""
+        if hits:
+            self.cluster.counters(host).local_ops += hits
+            self._flags[host] = True
+
     def sync(self) -> None:
         """Combine host flags into the global value (one-byte allreduce)."""
         with self.cluster.phase(PhaseKind.REDUCE_SYNC, label=self.name):
@@ -41,8 +47,8 @@ class BoolReducer:
 
     # Effect-carrier protocol (repro.exec.pool): the host flag is the only
     # state a compute phase mutates, and it is per-host addressable, so a
-    # kernel that reduces into this object stays shardable by declaring it
-    # in ``ScalarKernel.extra_effects``.
+    # kernel that reduces into this object stays shardable by naming it
+    # (``NeighborReduceToKey.flag``, ``ScalarKernel.extra_effects``).
 
     def export_compute_effects(self, host: int) -> bool:
         return self._flags[host]

@@ -32,8 +32,10 @@ from repro.graph import generators
 # Backend selection lives on the executor, so every application is
 # bulk-capable; the whole registry is under the byte-identity contract.
 APPS = tuple(sorted(KIMBAP_APPS))
-# The original bulk-path kernels keep the expensive full-variant matrix.
-CORE_APPS = ("PR", "SSSP", "CC-LP")
+# The expensive full-variant matrix: the original bulk-path kernels, and
+# the apps on the trans-vertex forms (whose keyed bulk read has a leg per
+# storage layout, so every variant is a different path).
+CORE_APPS = ("PR", "SSSP", "CC-LP", "CC-SV", "CC-SCLP", "MSF")
 VARIANTS = tuple(RuntimeVariant)
 
 

@@ -39,8 +39,12 @@ from repro.exec.plan import CmpFilter, EdgePush, NodeUpdate
 from repro.faults import FaultPlan, HostCrash, install_faults
 from repro.graph import generators
 from repro.partition import partition
+from repro.runtime.bool_reducer import BoolReducer
 
 APPS = tuple(sorted(KIMBAP_APPS))
+# The apps ported onto the trans-vertex forms (KeyRequest / NodeGather /
+# NeighborReduceToKey); MSF runs them next to its remaining scalar bodies.
+TRANS_VERTEX_APPS = ("CC-SV", "CC-SCLP", "MSF")
 
 
 def app_weighted(app: str) -> bool:
@@ -98,7 +102,7 @@ class TestCodegenByteIdentity:
 class TestCodegenComposes:
     """Codegen x host-parallel sharding x fault plans x runtime variants."""
 
-    @pytest.mark.parametrize("app", ("PR", "CC-LP", "SSSP"))
+    @pytest.mark.parametrize("app", ("PR", "CC-LP", "SSSP") + TRANS_VERTEX_APPS)
     def test_jobs_sharding(self, app):
         graph = generators.powerlaw_like(scale=6, seed=3, weighted=app_weighted(app))
         assert_codegen_identical(app, graph, hosts=4, jobs=2)
@@ -126,6 +130,47 @@ class TestCodegenComposes:
         assert faulted.outcome == "ok"
         assert faulted.faults["recoveries"] == 1
         assert_codegen_identical(app, graph, hosts=3, fault_plan=plan)
+
+
+    @pytest.mark.parametrize("app", TRANS_VERTEX_APPS)
+    def test_trans_vertex_apps_under_faults_and_a_memory_limit(self, app):
+        graph = generators.road_like(6, 5, seed=11, weighted=app_weighted(app))
+        plan = FaultPlan(
+            name="crash@2",
+            checkpoint_interval=2,
+            crashes=(HostCrash(host=1, round=2),),
+        )
+        faulted = run_kimbap(
+            app, "equiv", 3, graph=graph, threads=4, bulk=True, fault_plan=plan,
+        )
+        assert faulted.outcome == "ok"
+        assert faulted.faults["recoveries"] == 1
+        assert_codegen_identical(app, graph, hosts=3, fault_plan=plan)
+        assert_codegen_identical(app, graph, hosts=4, jobs=2, fault_plan=plan)
+        assert_codegen_identical(app, graph, hosts=3, memory_limit_slots=100_000)
+
+    @pytest.mark.parametrize(
+        "app,label,counter",
+        [
+            # NodeGather through broadcast pinned mirrors (a hash probe per
+            # mirror read) and through the requested-remote cache (binary
+            # search steps): both remote legs of read_bulk, whole runs.
+            ("CC-SCLP", "sclp:short", "hash_probes"),
+            ("CC-SV", "shortcut", "binsearch_steps"),
+        ],
+    )
+    def test_node_gather_remote_paths_on_three_host_hvc(self, app, label, counter):
+        graph = generators.powerlaw_like(scale=6, seed=3)
+        pgraph = partition(graph, 3, "hvc")
+        assert_codegen_identical(app, graph, hosts=3, pgraph=pgraph)
+        bulk = run_kimbap(app, "equiv", 3, graph=graph, pgraph=pgraph, bulk=True)
+        crossed = sum(
+            getattr(counters, counter)
+            for record in bulk.cluster.log.phases
+            if record.label == label
+            for counters in record.counters
+        )
+        assert crossed > 0
 
 
 # ------------------------------------------------------ fusion boundaries
@@ -640,3 +685,64 @@ class TestWarmPartialRoundNeverSorts:
         assert len(warm) >= 20
         assert all(r["folds"] >= 1 for r in warm)
         assert [r["sorts"] for r in warm] == [0] * len(warm)
+
+
+class TestCompiledTransVertexRoundHasNoPerNodePython:
+    """CC-SV's hook and pointer jumping, and CC-SCLP's shortcut pair, run
+    as compiled kernels end to end: between ``init_map`` and ``snapshot``
+    the per-element property-map API is never entered. Call counts repeat
+    exactly, so this cannot flake; it is what keeps a later edit from
+    quietly routing a trans-vertex operator back through ``par_for``."""
+
+    PER_ELEMENT = (
+        (NodePropMap, "read"),
+        (NodePropMap, "read_local"),
+        (NodePropMap, "reduce"),
+        (NodePropMap, "request"),
+        (BoolReducer, "reduce"),
+    )
+
+    def _run(self, monkeypatch, app, bulk):
+        calls = dict.fromkeys((f"{cls.__name__}.{name}" for cls, name in self.PER_ELEMENT), 0)
+        for cls, name in self.PER_ELEMENT:
+            original = getattr(cls, name)
+
+            def counted(*args, _key=f"{cls.__name__}.{name}", _original=original):
+                calls[_key] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cls, name, counted)
+        graph = generators.powerlaw_like(scale=6, seed=3)
+        cluster = Cluster(3, threads_per_host=4)
+        plans = []
+        executor = Executor(cluster, bulk=bulk, observer=plans.append)
+        result = app(cluster, partition(graph, 3, "cvc"), executor=executor)
+        operators = [
+            compiled
+            for plan in {id(plan): plan for plan in plans}.values()
+            for tag, payload in executor.compiled(plan).entries
+            if tag in (ENTRY_OPERATOR, ENTRY_FUSED)
+            for compiled in getattr(payload, "ops", None) or (payload,)
+        ]
+        return result, calls, operators
+
+    @pytest.mark.parametrize("name", ("CC-SV", "CC-SCLP"))
+    def test_zero_per_element_calls_and_every_operator_specialized(
+        self, monkeypatch, name
+    ):
+        app = KIMBAP_APPS[name]
+        result, calls, operators = self._run(monkeypatch, app, bulk=True)
+        assert calls == dict.fromkeys(calls, 0)
+        assert len(operators) >= 3
+        assert all(compiled.specialized for compiled in operators)
+        forms = {compiled.operator.kernel.form for compiled in operators}
+        assert {"key-request", "node-gather"} <= forms
+        assert ("neighbor-reduce-to-key" in forms) == (name == "CC-SV")
+        # The counters have teeth: the scalar oracle makes every one of
+        # these calls (the vote only where the app has one).
+        oracle, scalar_calls, scalar_ops = self._run(monkeypatch, app, bulk=False)
+        assert oracle.values == result.values
+        assert not any(compiled.specialized for compiled in scalar_ops)
+        voted = scalar_calls.pop("BoolReducer.reduce")
+        assert all(scalar_calls.values())
+        assert bool(voted) == (name == "CC-SV")

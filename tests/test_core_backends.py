@@ -183,6 +183,74 @@ class TestHashHostStore:
         assert store.remote_cache_size == 0
 
 
+class TestReadBulkStores:
+    """Store-level corners of ``read_bulk`` (the map-level contract is in
+    ``tests/test_core_propmap.py``): an untyped column, and the hash store."""
+
+    @pytest.mark.parametrize("layout", ["sorted", "hash"])
+    def test_untyped_column_serves_the_remote_cache_only(self, setup, layout):
+        _, pgraph, cluster = setup
+        remote = pgraph.parts[1].masters_global[:4]
+        master = int(pgraph.parts[0].masters_global[0])
+        batch = np.concatenate([remote, remote[::2]])
+        outcomes = []
+        for bulk in (False, True):
+            cluster.reset()
+            store = GarHostStore(cluster, pgraph, 0, remote_layout=layout)
+            with cluster.phase(PhaseKind.REQUEST_SYNC):
+                store.materialize_remote(remote[::-1].copy(), [40, 30, 20, 10])
+            with cluster.phase(PhaseKind.REDUCE_COMPUTE) as record:
+                if bulk:
+                    values = store.read_bulk(batch).tolist()
+                else:
+                    values = [store.read(key) for key in batch.tolist()]
+                # Nothing was ever written: the column stays untyped, so
+                # an own master is unreadable either way.
+                assert store._col is None
+                with pytest.raises(KeyError, match="before initialization"):
+                    if bulk:
+                        store.read_bulk(np.asarray([master]))
+                    else:
+                        store.read(master)
+            outcomes.append((values, record.counters[0].as_dict()))
+            assert store._col is None and _is_array_mode(store) == bulk
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == [10, 20, 30, 40, 10, 30]
+
+    def test_hash_store_matches_the_per_key_loop(self, setup):
+        _, pgraph, cluster = setup
+        part = _mirror_part(pgraph)
+        host = part.host_id
+        owned = [key for key in range(pgraph.num_nodes) if key % 3 == host]
+        fetched = part.local_to_global[::2]
+        batch = np.asarray(owned + fetched.tolist() + owned[:3])
+        outcomes = []
+        for bulk in (False, True):
+            cluster.reset()
+            store = HashHostStore(cluster, pgraph, host, 3)
+            with cluster.phase(PhaseKind.INIT):
+                store.write_master_bulk(np.asarray(owned), [k * 2 for k in owned])
+                store.materialize_remote(fetched, (fetched * 5).tolist())
+            with cluster.phase(PhaseKind.REDUCE_COMPUTE) as record:
+                if bulk:
+                    values = store.read_bulk(batch).tolist()
+                else:
+                    values = [store.read(key) for key in batch.tolist()]
+                unfetched = next(
+                    key for key in range(pgraph.num_nodes)
+                    if key % 3 != host and key not in store.cache
+                )
+                with pytest.raises(KeyError, match="was it requested"):
+                    if bulk:
+                        store.read_bulk(np.asarray([unfetched]))
+                    else:
+                        store.read(unfetched)
+            outcomes.append((values, record.counters[host].as_dict()))
+        assert outcomes[0] == outcomes[1]
+        counters = outcomes[0][1]
+        assert counters["reads_master"] and counters["reads_remote"]
+
+
 # --------------------------------------------------------------------------
 # Typed property column: array mode vs list mode.
 # --------------------------------------------------------------------------

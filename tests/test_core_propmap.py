@@ -531,3 +531,134 @@ class TestMessageAccounting:
         cluster = Cluster(3)
         with pytest.raises(ValueError):
             NodePropMap(cluster, pgraph, "p")
+
+
+def _round_robin(graph, hosts):
+    """No built-in policy interleaves owners; this one does, so master
+    ids are not contiguous and own-key translation pays its hash probe."""
+    owner = np.arange(graph.num_nodes, dtype=np.int64) % hosts
+    return build_partitioned(
+        graph, "round-robin", owner, owner[graph.edge_sources()], num_hosts=hosts
+    )
+
+
+class TestReadBulk:
+    """``read_bulk`` is the per-key ``read`` loop with aggregate charges:
+    same values, same ``Counters`` in every field, same ``KeyError``."""
+
+    HOSTS = 4
+
+    def build(self, policy, variant, layout, list_mode):
+        """One map in the state a pointer-jumping round reads it in:
+        requested remotes materialized, then mirrors pinned under the
+        ``push`` invariant - so some pinned mirrors are broadcast, some
+        are empty and were requested (served from the cache), and some
+        are empty and unreadable."""
+        graph = generators.powerlaw_like(6, seed=2)
+        if policy == "round-robin":
+            pgraph = _round_robin(graph, self.HOSTS)
+        else:
+            pgraph = partition(graph, self.HOSTS, policy)
+        cluster = Cluster(self.HOSTS, threads_per_host=4)
+        prop = NodePropMap(
+            cluster, pgraph, "p", variant=variant, remote_layout=layout
+        )
+        prop.set_initial_bulk(lambda nodes: nodes * 3)
+        if list_mode:
+            # What MSF's hook does to msf_parent: a scalar reduce and its
+            # sync flip every owner's column to list mode.
+            with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                for part in pgraph.parts:
+                    key = int(part.masters_global[0])
+                    prop.reduce(part.host_id, 0, key, key * 3 - 1, MIN)
+            prop.reduce_sync()
+        rng = np.random.default_rng(5)
+        with cluster.phase(PhaseKind.REQUEST_COMPUTE):
+            for host in range(self.HOSTS):
+                wanted = rng.choice(graph.num_nodes, size=graph.num_nodes // 2)
+                prop.request_bulk(host, wanted)
+        prop.request_sync()
+        prop.pin_mirrors(invariant="push")
+        cluster.reset()
+        return cluster, pgraph, prop
+
+    def readable(self, policy, variant, layout, list_mode):
+        """Per host: the keys a per-key ``read`` serves, and those it
+        refuses (probed on a map of its own: a scalar read flips modes)."""
+        cluster, pgraph, prop = self.build(policy, variant, layout, list_mode)
+        served, refused = [], []
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            for host in range(self.HOSTS):
+                ok, bad = [], []
+                for key in range(pgraph.num_nodes):
+                    try:
+                        prop.read(host, key)
+                        ok.append(key)
+                    except KeyError:
+                        bad.append(key)
+                served.append(ok)
+                refused.append(bad)
+        return served, refused
+
+    def read_all(self, prop, cluster, batches, bulk):
+        values = []
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE) as record:
+            for host, keys in enumerate(batches):
+                if bulk:
+                    values.append(prop.read_bulk(host, keys).tolist())
+                else:
+                    values.append([prop.read(host, key) for key in keys.tolist()])
+        return values, [counters.as_dict() for counters in record.counters]
+
+    @pytest.mark.parametrize("list_mode", [False, True], ids=["array", "list"])
+    @pytest.mark.parametrize(
+        "variant,layout",
+        [(RuntimeVariant.KIMBAP, "sorted"), (RuntimeVariant.KIMBAP, "hash")]
+        + [(v, "sorted") for v in ALL_VARIANTS if v is not RuntimeVariant.KIMBAP],
+        ids=lambda value: getattr(value, "name", value),
+    )
+    @pytest.mark.parametrize("policy", ["oec", "cvc", "round-robin"])
+    def test_matches_the_per_key_read_loop(self, policy, variant, layout, list_mode):
+        args = (policy, variant, layout, list_mode)
+        served, refused = self.readable(*args)
+        rng = np.random.default_rng(9)
+        # Every readable key, then as many again drawn with repeats.
+        batches = [
+            np.concatenate([keys, rng.choice(keys, size=len(keys))])
+            for keys in map(np.asarray, served)
+        ]
+        cluster, pgraph, prop = self.build(*args)
+        twin_cluster, _, twin = self.build(*args)
+        if variant.uses_gar:
+            assert all((store._valid is None) == list_mode for store in prop.stores)
+        got, got_counters = self.read_all(prop, cluster, batches, bulk=True)
+        want, want_counters = self.read_all(twin, twin_cluster, batches, bulk=False)
+        assert got == want
+        assert got_counters == want_counters
+        total = cluster.log.total_counters()
+        assert total.reads_master and total.reads_remote
+        if variant.uses_gar:
+            # Every path was crossed: own masters (probed when ids are not
+            # contiguous), pinned mirrors, and the requested-remote cache.
+            cache_lookups = total.hash_probes if layout == "hash" else total.binsearch_steps
+            assert cache_lookups and total.vector_reads > total.reads_master
+            assert (policy == "round-robin") == any(
+                not store._masters_contiguous for store in prop.stores
+            )
+        for host, keys in enumerate(refused):
+            if keys:
+                batch = np.append(batches[host][:5], keys[0])
+                with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                    with pytest.raises(KeyError):
+                        prop.read_bulk(host, batch)
+                with twin_cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                    with pytest.raises(KeyError):
+                        [twin.read(host, key) for key in batch.tolist()]
+        if variant.uses_gar:
+            assert any(refused)
+
+    def test_empty_batch_reads_nothing_and_charges_nothing(self):
+        cluster, _, prop = self.build("oec", RuntimeVariant.KIMBAP, "sorted", False)
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            assert prop.read_bulk(0, np.empty(0, dtype=np.int64)).size == 0
+        assert cluster.log.total_counters() == type(cluster.log.total_counters())()

@@ -153,6 +153,13 @@ class TestUnsupportedPlans:
         with pytest.raises(UnsupportedPlanError, match="residual"):
             run_kimbap("CC-SV", "road", 2, graph=graph, engine="async")
 
+    def test_trans_vertex_forms_do_not_make_a_plan_async_eligible(self):
+        """CC-SCLP's round holds an EdgePush next to KeyRequest/NodeGather:
+        still no residual declared, still refused."""
+        graph = generators.road_like(4, 3, seed=1)
+        with pytest.raises(UnsupportedPlanError, match="residual"):
+            run_kimbap("CC-SCLP", "road", 2, graph=graph, engine="async")
+
     def test_fault_injection_is_refused(self):
         graph = generators.road_like(4, 3, seed=1, weighted=True)
         plan = named_plan("crash", seed=0, hosts=2, crash_round=1, checkpoint_interval=2)

@@ -99,6 +99,34 @@ class TestRunDrivers:
         assert row[0] == "Kimbap"
 
 
+class TestRunsAreCollectable:
+    """A finished run leaves nothing behind in module state: once its
+    result is dropped, the maps (and through them the cluster, stores and
+    phase log) are garbage. A module-level shortcut-plan cache once pinned
+    one ``NodePropMap`` per CC-SV / MSF call for the life of the process."""
+
+    @pytest.mark.parametrize("bulk", [False, True], ids=["scalar", "bulk"])
+    def test_no_map_survives_its_run(self, bulk):
+        import gc
+
+        from repro.core.propmap import NodePropMap
+        from repro.graph import generators
+
+        def live_maps():
+            gc.collect()
+            return [obj for obj in gc.get_objects() if isinstance(obj, NodePropMap)]
+
+        # Held, so nothing another test left alive can lend its id to a map
+        # of this one.
+        before = live_maps()
+        graph = generators.erdos_renyi(40, 3.0, seed=7, weighted=True)
+        for app in ("CC-SV", "MSF"):
+            for _ in range(5):
+                run_kimbap(app, "leak", 3, graph=graph, threads=4, bulk=bulk)
+        leaked = [m for m in live_maps() if not any(m is old for old in before)]
+        assert leaked == []
+
+
 class TestReporting:
     def test_format_table_aligns(self):
         text = format_table(("a", "bb"), [(1, 22), (333, 4)])

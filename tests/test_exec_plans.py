@@ -21,11 +21,15 @@ from repro.compiler.compile import compile_program
 from repro.compiler.interp import run_compiled
 from repro.compiler.programs import cc_lp_program
 from repro.core.propmap import NodePropMap
+from repro.core.reducers import MIN
 from repro.exec import (
     PLAN_SCHEMA,
     CmpFilter,
     DstCmpFilter,
     Executor,
+    KeyRequest,
+    NeighborReduceToKey,
+    NodeGather,
     Operator,
     OperatorStep,
     Plan,
@@ -37,6 +41,7 @@ from repro.exec import (
 )
 from repro.graph import generators
 from repro.partition import partition
+from repro.runtime.bool_reducer import BoolReducer
 from repro.trace import build_timeline
 
 
@@ -85,6 +90,74 @@ class TestPlanSummaries:
         assert summary["loop"] == "once"
         assert "quiesce" not in summary
         assert Executor(cluster).run(plan) == 0
+
+
+class TestTransVertexForms:
+    """The three trans-vertex forms are plain data under the existing
+    schema string: a new ``form`` value each, reads/writes from the maps
+    they name, no refusal record anywhere."""
+
+    @pytest.fixture
+    def maps(self, graph):
+        cluster = Cluster(2, threads_per_host=2)
+        pgraph = partition(graph, 2, "cvc")
+        keys = NodePropMap(cluster, pgraph, "keys")
+        of = NodePropMap(cluster, pgraph, "of")
+        out = NodePropMap(cluster, pgraph, "out")
+        return cluster, pgraph, keys, of, out
+
+    def test_reads_and_writes(self, maps):
+        cluster, _, keys, of, out = maps
+        request = KeyRequest(keys=keys, of=of)
+        assert (request.form, request.reads(), request.writes()) == (
+            "key-request", ("keys",), ()
+        )
+        gather = NodeGather(keys=keys, of=of, target=out, op=MIN)
+        assert (gather.form, gather.reads(), gather.writes()) == (
+            "node-gather", ("keys", "of"), (("out", "min"),)
+        )
+        jump = NodeGather(keys=keys, of=keys, target=keys, op=MIN)
+        assert jump.reads() == ("keys",)
+        hook = NeighborReduceToKey(
+            source=keys, target=out, op=MIN, cmp="gt", flag=BoolReducer(cluster, "f")
+        )
+        assert (hook.form, hook.reads(), hook.writes()) == (
+            "neighbor-reduce-to-key", ("keys",), (("out", "min"),)
+        )
+        with pytest.raises(ValueError, match="unknown comparison"):
+            NeighborReduceToKey(
+                source=keys, target=out, op=MIN, cmp="spaceship",
+                flag=BoolReducer(cluster, "f"),
+            )
+
+    def test_cc_sv_and_cc_sclp_plans_summarize_without_opaque_records(self, capsys):
+        assert PLAN_SCHEMA == "repro-exec-plan/v1.2"
+        forms = {}
+        for app in ("CC-SV", "CC-SCLP"):
+            assert main(["plan", app, "--json"]) == 0
+            out = capsys.readouterr().out
+            payload = json.loads(out)
+            assert payload["schema"] == PLAN_SCHEMA
+            assert "opaque" not in out and "scalar" not in out
+            forms[app] = [
+                (step["label"], step["form"], step["kind"], step["reads"], step["writes"])
+                for plan in payload["plans"]
+                for step in plan["steps"]
+                if step["step"] == "operator"
+            ]
+        parent = [{"map": "sv_parent", "reducer": "min"}]
+        assert forms["CC-SV"] == [
+            ("hook", "neighbor-reduce-to-key", "reduce-compute", ["sv_parent"], parent),
+            ("shortcut:req", "key-request", "request-compute", ["sv_parent"], []),
+            ("shortcut", "node-gather", "reduce-compute", ["sv_parent"], parent),
+        ]
+        assert [form for _, form, *_ in forms["CC-SCLP"]] == [
+            "edge-push", "key-request", "node-gather",
+        ]
+        assert main(["plan", "CC-SV"]) == 0
+        text = capsys.readouterr().out
+        assert "operator hook (neighbor-reduce-to-key, all, reduce-compute)" in text
+        assert "operator shortcut:req (key-request, masters, request-compute)" in text
 
 
 class TestFilterSpecs:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.cc_sv import cc_sv_hook_plan
+from repro.algorithms.common import shortcut_plan
 from repro.cluster import Cluster
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, ReduceOp
@@ -100,7 +101,7 @@ def _first_operator(plan):
 
 
 class TestShardability:
-    def test_declared_scalar_kernel_is_shardable(self, setup):
+    def test_neighbor_reduce_to_key_is_shardable_with_its_flag(self, setup):
         cluster, pgraph = setup
         parent = NodePropMap(cluster, pgraph, "parent")
         work = BoolReducer(cluster, "work")
@@ -108,6 +109,49 @@ class TestShardability:
         pool = _pool(cluster, plan)
         assert pool.has_shardable_phase()
         assert pool.shardable(_first_operator(plan))
+        # The vote is a compute-phase effect too: the flag is a carrier of
+        # the hook phase and resolvable by name on every process.
+        carriers = pool._tables[id(plan)][id(_first_operator(plan))]
+        assert carriers == [parent, work]
+        assert pool._names[id(plan)] == {"parent": parent, "work": work}
+
+    def test_shortcut_forms_carry_the_map_they_mutate(self, setup):
+        cluster, pgraph = setup
+        parent = NodePropMap(cluster, pgraph, "parent")
+        plan = shortcut_plan(pgraph, parent)
+        pool = _pool(cluster, plan)
+        request, gather = (
+            step.operator for step in plan.steps if isinstance(step, OperatorStep)
+        )
+        assert pool._tables[id(plan)][id(request)] == [parent]  # request bits
+        assert pool._tables[id(plan)][id(gather)] == [parent]  # reductions
+
+    @pytest.mark.skipif(
+        not fork_available(), reason="host-shard parallelism needs POSIX fork"
+    )
+    @pytest.mark.parametrize("bulk", (False, True), ids=("scalar", "bulk"))
+    def test_hook_votes_cross_the_shard_exchange(self, setup, bulk):
+        _, pgraph = setup
+        flags = []
+        for jobs in (1, 2):
+            cluster = Cluster(4, threads_per_host=2)
+            executor = Executor(cluster, bulk=bulk, jobs=jobs)
+            parent = NodePropMap(cluster, pgraph, "parent")
+            executor.init_map(parent, lambda nodes: nodes.copy())
+            work = BoolReducer(cluster, "work")
+            work.set_all(False)
+            parent.pin_mirrors(invariant="none")
+            try:
+                executor.run(cc_sv_hook_plan(pgraph, parent, work))
+                stats = executor.parallel_stats()
+            finally:
+                executor.close()
+            assert (stats is not None and stats["forks"] >= 1) == (jobs == 2)
+            flags.append((list(work._flags), parent.snapshot()))
+        assert flags[0] == flags[1]
+        # Hosts 2 and 3 are the worker's shard: their votes reached the
+        # coordinator only through the exchanged flag carrier.
+        assert any(flags[1][0][2:])
 
     def test_edge_push_is_shardable(self, setup):
         cluster, pgraph = setup

@@ -198,3 +198,30 @@ class TestBoolReducer:
         reducer.set_all(True)
         reducer.sync()
         assert reducer.read()
+
+    @pytest.mark.parametrize("hits", [0, 1, 5])
+    def test_reduce_count_is_that_many_true_reduces(self, setting, hits):
+        _, _, cluster = setting
+        outcomes = []
+        for counted in (False, True):
+            cluster.reset()
+            reducer = BoolReducer(cluster)
+            reducer.set_all(False)
+            with cluster.phase(PhaseKind.REDUCE_COMPUTE) as record:
+                if counted:
+                    reducer.reduce_count(1, hits)
+                else:
+                    for _ in range(hits):
+                        reducer.reduce(1, True)
+            reducer.sync()
+            outcomes.append(
+                (
+                    reducer.read(),
+                    reducer.export_epoch_state(),
+                    [counters.as_dict() for counters in record.counters],
+                )
+            )
+        assert outcomes[0] == outcomes[1]
+        # Zero hits charge nothing and leave the flag; any hit sets it.
+        assert outcomes[0][0] == bool(hits)
+        assert outcomes[0][2][1]["local_ops"] == hits
