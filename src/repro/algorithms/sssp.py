@@ -54,8 +54,7 @@ def sssp_plan(
                         source=dist,
                         # Declarative filters: the frontier (distances
                         # that improved last round) and the reachability
-                        # predicate serialize in the plan and keep the
-                        # push fusable.
+                        # predicate serialize in the plan.
                         require_active=ActiveFilter(dist),
                         charge_per_source=1,
                         value_filter=CmpFilter("ne", UNREACHED),

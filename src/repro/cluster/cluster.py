@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -142,55 +142,6 @@ class Cluster:
         finally:
             self._current = None
             self.network.bind_phase(None)
-
-    @contextlib.contextmanager
-    def fused_phases(
-        self, specs: Sequence[tuple[PhaseKind, str]], fused: Sequence[str] = ()
-    ) -> Iterator[list[PhaseRecord]]:
-        """Open one record per spec for a fused compute group (codegen).
-
-        A generated fused kernel executes several adjacent compute phases
-        per host in one pass. Each constituent keeps its own
-        :class:`PhaseRecord` - appended here in step order, so the log is
-        indistinguishable from the unfused walk - and the runner switches
-        attribution between the open records with :meth:`activate_phase`.
-        ``fused`` stamps every record with the group's operator labels for
-        trace attribution.
-
-        Only valid without a fault injector: ``faults.on_phase_start`` is
-        a per-phase serial-cadence hook, so codegen disables fusion under
-        fault plans (the executor enforces this before compiling).
-        """
-        if self._current is not None:
-            raise RuntimeError(
-                f"phase {self._current.kind} is still open; phases do not nest"
-            )
-        if self.faults is not None:
-            raise RuntimeError(
-                "fused phase groups cannot run under fault injection"
-            )
-        records = []
-        for kind, label in specs:
-            record = self.log.start_phase(
-                kind,
-                parallel=True,
-                label=label,
-                round=self.current_round,
-                operator=label,
-            )
-            record.fused = tuple(fused)
-            records.append(record)
-        try:
-            yield records
-        finally:
-            self._current = None
-            self.network.bind_phase(None)
-
-    def activate_phase(self, record: PhaseRecord) -> None:
-        """Point counter/traffic attribution at one of a fused group's open
-        records (only meaningful inside :meth:`fused_phases`)."""
-        self._current = record
-        self.network.bind_phase(record)
 
     def counters(self, host_id: int) -> Counters:
         """The current phase's counters for ``host_id``."""

@@ -144,23 +144,16 @@ class PhaseRecord:
     # injector (straggler modeling); None - the overwhelmingly common
     # case - prices identically to all-ones.
     slowdown: list[float] | None = None
-    # Constituent operator labels of the fused kernel group this phase ran
-    # in (repro.exec.codegen): the phase keeps its own record - counters,
-    # traffic, label - so profiles stay per-step, and the tuple marks the
-    # generated kernel it executed inside for trace attribution. Never
-    # serialized (like ``slowdown``), so fusion cannot perturb the
-    # byte-identity contract.
-    fused: tuple[str, ...] | None = None
     # Chunk ordinal within an asynchronous run (repro.exec.engine): the
     # async engine has no rounds, so traces key attribution on the chunk
-    # instead. None for every BSP phase - never serialized, like ``fused``,
-    # so the BSP byte-identity contract is untouched.
+    # instead. None for every BSP phase - never serialized, like
+    # ``slowdown``, so the BSP byte-identity contract is untouched.
     chunk: int | None = None
     # Per-host frontier-gather path chosen by a compiled EdgePush
     # (repro.exec.codegen.PreparedFrontierPush): "dense" (mask over the
     # full precomputed expansion), "sparse" (per-source gather), or
     # "empty" (nothing survived the filters). None for every other phase
-    # - never serialized, like ``fused``, so the byte-identity contract
+    # - never serialized, like ``slowdown``, so the byte-identity contract
     # is untouched.
     frontier: dict[int, str] | None = None
 

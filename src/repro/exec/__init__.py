@@ -6,17 +6,14 @@ dispatches each plan to the scalar reference backend or the compiled
 bulk backend with byte-identical metrics, and hosts the shared
 checkpoint/recovery and trace/profile wiring. The code generation stage
 (:mod:`repro.exec.codegen`) lowers each plan to a flat list of prebound
-(and on the bulk backend compiled and, where legal, fused) kernels the
-per-round loop replays.
+(and on the bulk backend compiled) kernels the per-round loop replays.
 """
 
 from repro.exec.codegen import (
     CompiledOperator,
     CompiledPlan,
-    FusedGroup,
     PreparedFrontierPush,
     compile_plan,
-    fusion_enabled,
 )
 from repro.exec.engine import (
     ENGINES,
@@ -57,10 +54,8 @@ __all__ = [
     "CompiledOperator",
     "CompiledPlan",
     "Executor",
-    "FusedGroup",
     "PreparedFrontierPush",
     "compile_plan",
-    "fusion_enabled",
     "ENGINES",
     "AsyncEngine",
     "BSPEngine",

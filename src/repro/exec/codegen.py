@@ -34,27 +34,17 @@ kernels below.
   :class:`~repro.exec.plan.DstCmpFilter`) and opaque array-style
   callables share the spec call signature - and a filter-free push is the
   full-frontier case of the same kernel.
-* **Fusion** - maximal runs of *adjacent* compiled operator steps with
-  compatible reads/writes metadata (no later step reads a map an earlier
-  step writes; no key-value-store carriers; declarative filters only)
-  fuse into one :class:`FusedGroup` that executes all constituents per
-  host in a single pass. Every constituent keeps its own
-  :class:`PhaseRecord` (opened up-front in step order via
-  :meth:`Cluster.fused_phases`), so counters, traffic, modeled seconds,
-  and trace rows stay byte-identical to the unfused walk; the records
-  carry the group's labels in ``PhaseRecord.fused`` so profiles remain
-  interpretable.
+
+One compute phase is one entry, one :class:`PhaseRecord` and one driver
+call; adjacent operator steps are legal and simply run as consecutive
+phases (DESIGN.md, "Why there is no fusion or deferral").
 
 The byte-identity contract is the one the bulk backend honors against the
 scalar oracle: a compiled run's ``RunResult.to_dict()`` - counters,
 conflicts, modeled seconds, trace rows - matches the scalar run exactly
 (``tests/test_bulk_equivalence.py``, ``tests/test_codegen_equivalence.py``).
-Composition rules mirror the ``jobs=N`` pool gating (PR 6): fusion is
-disabled when a fault injector is installed (its ``on_phase_start`` hook
-needs the serial per-phase cadence) or when a memory limit is set (an OOM
-can surface on a different host under the fused per-host interleave); the
-compiled kernels themselves run everywhere because they preserve the exact
-per-host event sequence.
+The compiled kernels run everywhere - under fault injection and memory
+limits too - because they preserve the exact per-host event sequence.
 """
 
 from __future__ import annotations
@@ -66,9 +56,7 @@ import numpy as np
 from repro.cluster.cluster import Cluster
 from repro.core.reducers import SUM
 from repro.exec.plan import (
-    CmpFilter,
     DegreeReduce,
-    DstCmpFilter,
     EdgePush,
     HostStep,
     KeyRequest,
@@ -95,23 +83,12 @@ from repro.runtime.engine import _iteration_set, par_for
 # phase trace (``PhaseRecord.frontier``).
 FRONTIER_DENSE_SWITCH = 4
 
-# Rounds a reduce-fold plan's path must qualify before the plan is built.
-# Building a plan costs an ``np.unique`` sort over the host's full
-# frozen expansion - profitable only when many later rounds replay it.
-# Short runs (power-law SSSP converges in a handful of rounds) never
-# reach the threshold and keep the generic per-round fold; long frontier
-# runs (road SSSP/BFS, hundreds of rounds) cross it early and amortize
-# the build many times over. Purely a scheduling choice: every route
-# folds byte-identically, so the switch is unobservable in results.
-FOLD_PLAN_WARMUP = 4
-
 # Compiled-entry tags (repro.exec.executor.run_round's closed dispatch set):
-# a compute phase, a fused compute group, a sync collective, and a prebound
-# zero-argument callable (reset / host steps).
+# a compute phase, a sync collective, and a prebound zero-argument callable
+# (reset / host steps).
 ENTRY_OPERATOR = 0
-ENTRY_FUSED = 1
-ENTRY_SYNC = 2
-ENTRY_EXEC = 3
+ENTRY_SYNC = 1
+ENTRY_EXEC = 2
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -130,8 +107,7 @@ class _SpecializedKernel:
 
     Subclasses build one zero-argument runner closure per host over the
     host's static arrays; ``run_host`` is called inside an open phase with
-    ``node_iters`` already charged (by :func:`run_hosted` or a
-    :class:`FusedGroup`).
+    ``node_iters`` already charged (by :func:`run_hosted`).
     """
 
     def __init__(self, kernel: Any, space: str) -> None:
@@ -234,36 +210,23 @@ class PreparedFrontierPush(_SpecializedKernel):
             k.transform,
             k.edge_filter,
         )
-        filtered = (
-            require_active is not None
-            or value_filter is not None
-            or edge_filter is not None
-        )
         # Reduce-fold plans over the frozen expansion: the full-batch plan
         # serves full-frontier rounds outright; the subset plan folds any
-        # ascending subset by dense slot id, without a per-round sort. Both
-        # are None for strategies with no prepared path (generic reduce_bulk
-        # then runs, still byte-identical). Under a filter they are built
-        # lazily, only after ``FOLD_PLAN_WARMUP`` qualifying rounds, so
-        # sparse-frontier and short runs never pay the one-time sort of
-        # the full expansion; a filter-free push is provably full every
-        # round, so its full-batch plan is built at first use.
+        # ascending subset by dense slot id, without a per-round sort. Each
+        # is built the first time a round of its kind runs (a push that is
+        # never partial never pays the subset plan's sort), and is None for
+        # strategies with no prepared path (generic reduce_bulk then runs,
+        # still byte-identical).
         fold_plans: dict[str, Any] = {}
-        fold_qualified: dict[str, int] = {"full": 0, "subset": 0}
 
         def fold_plan(kind: str) -> Any:
-            if kind in fold_plans:
-                return fold_plans[kind]
-            if filtered:
-                fold_qualified[kind] += 1
-                if fold_qualified[kind] <= FOLD_PLAN_WARMUP:
-                    return None
-            prepare = (
-                k.target.prepare_reduce_bulk
-                if kind == "full"
-                else k.target.prepare_reduce_bulk_subsets
-            )
-            fold_plans[kind] = prepare(host, threads_full, dst_full)
+            if kind not in fold_plans:
+                prepare = (
+                    target.prepare_reduce_bulk
+                    if kind == "full"
+                    else target.prepare_reduce_bulk_subsets
+                )
+                fold_plans[kind] = prepare(host, threads_full, dst_full)
             return fold_plans[kind]
 
         charge_per_edge = k.charge_per_edge
@@ -355,8 +318,7 @@ class PreparedFrontierPush(_SpecializedKernel):
             # round folds through the subset plan's precomputed dense
             # slot ids - O(frontier) gathers plus a byte scan of the
             # plan's presence mask, no sort and no composite rebuild.
-            # Warmup rounds (and strategies with no prepared path) take
-            # the generic fold below.
+            # Strategies with no prepared path take the generic fold.
             full = idx.size == edge_total
             plan = fold_plan("full" if full else "subset")
             if plan is None:
@@ -543,131 +505,17 @@ class CompiledOperator:
         self.specialized = specialized
 
 
-class FusedGroup:
-    """Adjacent specialized compute phases generated into one kernel.
-
-    Executes all constituents per host in a single pass. Each constituent
-    keeps its own phase record (opened up-front in step order), so the
-    metrics log is byte-identical to the unfused walk: per-host work is
-    independent inside a BSP phase, reductions are per-host state, and no
-    constituent reads a map another constituent writes (the fusion
-    compatibility rule), so the per-host interleave is unobservable.
-
-    Under ``jobs=N`` the group runs over the local host shard when *every*
-    constituent is shardable (the records then queue into the pool's
-    pending exchange in step order, see ``HostShardPool.defer_fused``);
-    otherwise the whole group runs replicated after a flush, mirroring the
-    single-operator fallback.
-    """
-
-    __slots__ = ("ops", "labels", "specs")
-
-    def __init__(self, ops: list[CompiledOperator]) -> None:
-        self.ops = ops
-        self.labels = tuple(c.operator.label for c in ops)
-        self.specs = tuple(
-            (c.operator.kind, c.operator.label) for c in ops
-        )
-
-    def run(self, executor, pgraph) -> None:
-        cluster = executor.cluster
-        pool = executor._pool
-        sharded = False
-        hosts = range(cluster.num_hosts)
-        if pool is not None and pool.active:
-            if all(pool.shardable(c.operator) for c in self.ops):
-                sharded = True
-                hosts = pool.shard
-            else:
-                pool.flush()
-        with cluster.fused_phases(self.specs, fused=self.labels) as records:
-            for host in hosts:
-                part = pgraph.parts[host]
-                for compiled, record in zip(self.ops, records):
-                    cluster.activate_phase(record)
-                    total = len(_iteration_set(part, compiled.operator.space))
-                    record.counters[host].node_iters += total
-                    compiled.body.run_host(cluster, part, host)
-        if sharded:
-            pool.defer_fused([c.operator for c in self.ops], records)
-
-
 class CompiledPlan:
     """A plan lowered to a flat entry list the executor replays per round."""
 
-    __slots__ = ("plan", "entries", "fused_groups")
+    __slots__ = ("plan", "entries")
 
     def __init__(self, plan: Plan, entries: list[tuple]) -> None:
         self.plan = plan
         self.entries = entries
-        self.fused_groups = [
-            entry[1] for entry in entries if entry[0] == ENTRY_FUSED
-        ]
 
 
 # ----------------------------------------------------------------- compiler
-
-
-def _declarative_filters(kernel: EdgePush) -> bool:
-    """Every filter the push carries is a declarative spec (activity maps
-    always qualify; opaque callables never do - what they read is not in
-    the plan metadata the fusion rule reasons from)."""
-    vf, ef = kernel.value_filter, kernel.edge_filter
-    return (vf is None or isinstance(vf, CmpFilter)) and (
-        ef is None or isinstance(ef, DstCmpFilter)
-    )
-
-
-def _kernel_carriers(kernel: Any) -> list[Any]:
-    carriers = [kernel.target]
-    for name in ("source", "require_active"):
-        extra = getattr(kernel, name, None)
-        if extra is not None:
-            carriers.append(extra)
-    return carriers
-
-
-def _fusable(operator: Operator) -> bool:
-    """Fusion eligibility: the adjacent-vertex compiled forms only, a
-    push only with declarative filters, and never a map backed by the
-    key-value store - KvCas reductions apply immediately against shared
-    server shards whose contention draws depend on the cross-host
-    execution order fusion changes. The trans-vertex forms stay out: no
-    plan has two of them adjacent (a sync collective always separates a
-    request from its gather), and a ``KeyRequest`` mutates request bitsets
-    that ``writes()`` - what the fusion rule reasons from - does not
-    describe."""
-    kernel = operator.kernel
-    if not isinstance(kernel, (EdgePush, NodeUpdate, DegreeReduce)):
-        return False
-    if isinstance(kernel, EdgePush) and not _declarative_filters(kernel):
-        return False
-    return not any(
-        getattr(c, "variant", None) is not None and c.variant.uses_kvstore
-        for c in _kernel_carriers(kernel)
-    )
-
-
-def _rw_compatible(group: list[Operator], nxt: Operator) -> bool:
-    """``nxt`` may join ``group`` iff it reads nothing any member writes:
-    pending reductions are invisible until sync anyway, but the metadata
-    check keeps fusion decisions explainable from the plan alone."""
-    reads = set(nxt.kernel.reads())
-    for member in group:
-        if any(name in reads for name, _ in member.kernel.writes()):
-            return False
-    return True
-
-
-def fusion_enabled(executor) -> bool:
-    """Fusion gating, mirroring the PR 6 pool pattern: the fault injector
-    needs its per-phase serial cadence, and a memory limit could surface
-    an OOM on a different host under the fused interleave."""
-    return (
-        executor.bulk
-        and executor.cluster.faults is None
-        and executor.cluster.memory_limit_slots is None
-    )
 
 
 # Per declarative form: the compiled kernel class and the name of the
@@ -713,32 +561,13 @@ def _compile_reset(executor, step: ResetStep) -> Callable[[], None]:
 
 def compile_plan(executor, plan: Plan) -> CompiledPlan:
     """Lower one plan for one executor binding into a :class:`CompiledPlan`."""
-    fuse = fusion_enabled(executor)
     entries: list[tuple] = []
-    steps = list(plan.steps)
-    index = 0
-    while index < len(steps):
-        step = steps[index]
+    for step in plan.steps:
         if isinstance(step, OperatorStep):
-            group = [step.operator]
-            end = index + 1
-            if fuse and _fusable(step.operator):
-                while (
-                    end < len(steps)
-                    and isinstance(steps[end], OperatorStep)
-                    and _fusable(steps[end].operator)
-                    and _rw_compatible(group, steps[end].operator)
-                ):
-                    group.append(steps[end].operator)
-                    end += 1
-            compiled = [_compile_operator(executor, op) for op in group]
-            if len(compiled) > 1:
-                entries.append((ENTRY_FUSED, FusedGroup(compiled)))
-            else:
-                entries.append((ENTRY_OPERATOR, compiled[0]))
-            index = end
-            continue
-        if isinstance(step, SyncStep):
+            entries.append(
+                (ENTRY_OPERATOR, _compile_operator(executor, step.operator))
+            )
+        elif isinstance(step, SyncStep):
             entries.append((ENTRY_SYNC, step))
         elif isinstance(step, ResetStep):
             entries.append((ENTRY_EXEC, _compile_reset(executor, step)))
@@ -746,19 +575,16 @@ def compile_plan(executor, plan: Plan) -> CompiledPlan:
             entries.append((ENTRY_EXEC, step.fn))
         else:  # pragma: no cover - the step union is closed
             raise TypeError(f"unknown plan step {step!r}")
-        index += 1
     return CompiledPlan(plan, entries)
 
 
 __all__ = [
     "ENTRY_OPERATOR",
-    "ENTRY_FUSED",
     "ENTRY_SYNC",
     "ENTRY_EXEC",
     "FRONTIER_DENSE_SWITCH",
     "CompiledOperator",
     "CompiledPlan",
-    "FusedGroup",
     "PreparedFrontierPush",
     "SpecializedDegreeReduce",
     "SpecializedKeyRequest",
@@ -766,6 +592,5 @@ __all__ = [
     "SpecializedNodeGather",
     "SpecializedNodeUpdate",
     "compile_plan",
-    "fusion_enabled",
     "run_hosted",
 ]

@@ -17,9 +17,9 @@ checkpoint hooks. Two engines ship:
   priority/delta scheduling: a per-node residual priority queue, the
   highest-residual nodes processed first in configurable chunk sizes, no
   global barrier, eager cross-host update messages, and owner-serialized
-  apply order inside each chunk so runs are deterministic for a fixed
-  seed. Plans opt in by declaring :class:`~repro.exec.plan.ResidualDecl`
-  on their :class:`~repro.exec.plan.EdgePush` kernel; async results are
+  apply order inside each chunk so runs are deterministic. Plans opt in
+  by declaring :class:`~repro.exec.plan.ResidualDecl` on their
+  :class:`~repro.exec.plan.EdgePush` kernel; async results are
   verified by value-equivalence (``verify.check_equivalent_values``)
   against the BSP oracle, not byte-identity - chunk scheduling visits a
   different update order than rounds do.
@@ -212,8 +212,8 @@ class AsyncEngine(Engine):
     Cross-host updates send one eager message each, priced by the cost
     model with communication overlapped behind compute (no sync phases
     exist at all). Inside a chunk, applies are serialized by owner host
-    (then node id), so a run is a pure function of the plan: deterministic
-    for a fixed seed.
+    (then node id) and ties break by node id, so a run is a pure function
+    of the plan.
 
     ``once`` plans (warm-ups, host-driven phase groups) delegate to the
     BSP engine unchanged; loop plans must carry a
@@ -222,17 +222,11 @@ class AsyncEngine(Engine):
 
     name = "async"
 
-    def __init__(
-        self, executor: "Executor", chunk_size: int = 64, seed: int = 0
-    ) -> None:
+    def __init__(self, executor: "Executor", chunk_size: int = 64) -> None:
         super().__init__(executor)
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.chunk_size = int(chunk_size)
-        # Scheduling is fully deterministic (ties break by node id), so the
-        # seed only names the run; it is accepted for API symmetry with
-        # samplers that could randomize chunk composition.
-        self.seed = int(seed)
         self._bsp = BSPEngine(executor)
         # Updates-to-convergence instrumentation for the engine-comparison
         # bench: node applies (processed pops) and chunks of the last run.

@@ -39,8 +39,7 @@ Each ``run`` executes through a compiled form of the plan
 bulk driver, kernel-closure construction, reset binding - is decided
 once per ``(plan, executor)`` binding and cached, and the per-round loop
 replays a flat list of prebound entries instead of re-walking the step
-list with ``isinstance`` checks. On the bulk backend adjacent compatible
-compute phases additionally fuse into one per-host pass.
+list with ``isinstance`` checks.
 """
 
 from __future__ import annotations
@@ -53,15 +52,13 @@ from repro.cluster.cluster import Cluster
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import SUM
 from repro.exec.codegen import (
-    ENTRY_FUSED,
     ENTRY_OPERATOR,
     ENTRY_SYNC,
     CompiledOperator,
     CompiledPlan,
     compile_plan,
-    fusion_enabled,
 )
-from repro.exec.engine import BSPEngine, Engine, make_engine
+from repro.exec.engine import BSPEngine, Engine, UnsupportedPlanError, make_engine
 from repro.exec.plan import (
     DegreeReduce,
     EdgePush,
@@ -111,10 +108,9 @@ class Executor:
     ) -> None:
         self.cluster = cluster
         self.bulk = bool(bulk)
-        # Compiled plans, keyed by plan id and revalidated against the
-        # plan object and the fusion gate (a fault injector installed
-        # between runs must recompile fusion away).
-        self._compiled_plans: dict[int, tuple[Plan, bool, CompiledPlan]] = {}
+        # Compiled plans, keyed by plan id; each holds its plan, so a
+        # slot whose id was reused after GC is detected and recompiled.
+        self._compiled_plans: dict[int, CompiledPlan] = {}
         self.observer = observer
         # jobs > 1 fans shardable compute phases out to jobs processes
         # (coordinator included); merge order keeps results byte-identical.
@@ -143,7 +139,7 @@ class Executor:
         else:
             self.engine = make_engine(self, engine, **(engine_options or {}))
         if self.engine.name != "bsp" and self.jobs > 1:
-            raise ValueError(
+            raise UnsupportedPlanError(
                 f"engine {self.engine.name!r} does not compose with jobs="
                 f"{self.jobs}; host-shard parallelism replays the BSP loop"
             )
@@ -222,51 +218,30 @@ class Executor:
         return self._bsp_engine.drive(plan, resume_rounds=resume_rounds)
 
     def compiled(self, plan: Plan) -> CompiledPlan:
-        """The cached compiled form of ``plan`` for this binding.
-
-        Recompiles when the cache slot holds a different plan object
-        (id reuse after GC) or when the fusion gate flipped since the
-        plan was compiled (e.g. ``install_faults`` between runs).
-        """
-        fuse = fusion_enabled(self)
-        key = id(plan)
-        cached = self._compiled_plans.get(key)
-        if cached is not None and cached[0] is plan and cached[1] == fuse:
-            return cached[2]
-        compiled = compile_plan(self, plan)
-        self._compiled_plans[key] = (plan, fuse, compiled)
-        return compiled
+        """The cached compiled form of ``plan`` for this binding."""
+        cached = self._compiled_plans.get(id(plan))
+        if cached is None or cached.plan is not plan:
+            cached = self._compiled_plans[id(plan)] = compile_plan(self, plan)
+        return cached
 
     def run_round(self, plan: Plan) -> None:
-        """One pass over the plan's compiled entries (one BSP round).
-
-        Any non-compute entry is a sync boundary for the parallel pool:
-        deferred sharded-phase effects must be exchanged before a sync
-        collective, reset, or host step reads them, and again at the end
-        of the round (quiescence flags, checkpoints, and between-round
-        callbacks read the merged state).
-        """
+        """One pass over the plan's compiled entries (one BSP round)."""
         pool = self._pool
+        # The sync collectives themselves shard across the pool (owner-host
+        # dealing; see NodePropMap._sgr_reduce_sharded and
+        # _broadcast_sharded) - without this the replicated
+        # reduce/broadcast dominates the bulk run's wall clock and caps
+        # jobs=N speedup well below 2x. Off under fault injection so
+        # per-send fault draws replay in the exact serial order.
+        sync_pool = (
+            pool
+            if pool is not None and pool.active and self.cluster.faults is None
+            else None
+        )
         for tag, payload in self.compiled(plan).entries:
             if tag == ENTRY_OPERATOR:
                 self._run_compiled_operator(plan.pgraph, payload)
-                continue
-            if tag == ENTRY_FUSED:
-                payload.run(self, plan.pgraph)
-                continue
-            if pool is not None and pool.active:
-                pool.flush()
-            if tag == ENTRY_SYNC:
-                # The sync collectives themselves shard across the pool
-                # (owner-host dealing; see NodePropMap._sgr_reduce_sharded
-                # and _broadcast_sharded) - without this the replicated
-                # reduce/broadcast dominates the bulk run's wall clock and
-                # caps jobs=N speedup well below 2x. Gated off under fault
-                # injection (defer=False) so per-send fault draws replay in
-                # the exact serial order.
-                sync_pool = (
-                    pool if pool is not None and pool.active and pool.defer else None
-                )
+            elif tag == ENTRY_SYNC:
                 if payload.action == "request":
                     payload.map.request_sync()
                 elif payload.action == "reduce":
@@ -275,24 +250,17 @@ class Executor:
                     payload.map.broadcast_sync(pool=sync_pool)
             else:  # ENTRY_EXEC: a prebound reset or host callable
                 payload()
-        if pool is not None and pool.active:
-            pool.flush()
 
     # --------------------------------------------------- kernel dispatch
 
     def _run_compiled_operator(self, pgraph, compiled: CompiledOperator) -> None:
         operator = compiled.operator
         pool = self._pool
-        if pool is not None and pool.active:
-            if pool.shardable(operator):
-                pool.run_sharded(
-                    self.cluster, compiled.driver, pgraph, operator, compiled.body
-                )
-                return
-            # A replicated phase reads whatever state the sharded phases
-            # before it produced (request dedup against foreign bitsets,
-            # pending reductions): exchange the deferred effects first.
-            pool.flush()
+        if pool is not None and pool.active and pool.shardable(operator):
+            pool.run_sharded(
+                self.cluster, compiled.driver, pgraph, operator, compiled.body
+            )
+            return
         # Serial run, or a phase the plan metadata cannot prove shardable:
         # every process executes every host (replicated - state stays
         # identical across the group with no exchange).

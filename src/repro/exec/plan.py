@@ -54,13 +54,12 @@ PLAN_SCHEMA = "repro-exec-plan/v1.2"
 #
 # Declarative predicates for EdgePush. A plain callable remains a legal
 # value/edge filter, but it is opaque: the plan cannot serialize it
-# (``repro plan --json`` reports a refusal) and the push cannot join a
-# fused group. The spec forms below are data - an operator name plus
-# operands - so they serialize under schema v1.2. Each spec is itself
-# callable with the legacy filter signature, so the scalar oracle, the
-# compiled kernel (repro.exec.codegen.PreparedFrontierPush), and the
-# async engine run the exact same predicate without knowing it is
-# declarative.
+# (``repro plan --json`` reports a refusal). The spec forms below are
+# data - an operator name plus operands - so they serialize under schema
+# v1.2. Each spec is itself callable with the legacy filter signature, so
+# the scalar oracle, the compiled kernel
+# (repro.exec.codegen.PreparedFrontierPush), and the async engine run the
+# exact same predicate without knowing it is declarative.
 
 _CMP_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "eq": _operator.eq,
@@ -184,7 +183,7 @@ class DstCmpFilter:
 def filter_summary(fn: Any) -> dict:
     """Machine-readable form of one filter: the spec's own summary, or
     the schema v1.2 refusal record for an opaque callable (still a legal
-    filter - the plan just cannot serialize it or fuse around it)."""
+    filter - the plan just cannot serialize it)."""
     if isinstance(fn, (CmpFilter, DstCmpFilter)):
         return fn.summary()
     name = getattr(fn, "__qualname__", None) or type(fn).__name__
@@ -192,8 +191,8 @@ def filter_summary(fn: Any) -> dict:
         "kind": "opaque",
         "callable": name,
         "message": (
-            "opaque callable filters are not serializable and keep the "
-            "kernel out of fused groups; declare CmpFilter/DstCmpFilter"
+            "opaque callable filters are not serializable; declare "
+            "CmpFilter/DstCmpFilter"
         ),
     }
 
@@ -285,11 +284,10 @@ class EdgePush:
     Filters come in two strengths. Declarative specs -
     :class:`ActiveFilter` (normalized into ``require_active``),
     :class:`CmpFilter` for ``value_filter``, :class:`DstCmpFilter` for
-    ``edge_filter`` - serialize in the plan schema and keep the push
-    eligible for fusion. Plain callables stay legal but opaque: they run
-    as mask calls inside the same compiled kernel
-    (``repro.exec.codegen.PreparedFrontierPush``), unfused, and
-    ``repro plan`` reports why.
+    ``edge_filter`` - serialize in the plan schema. Plain callables stay
+    legal but opaque: they run as mask calls inside the same compiled
+    kernel (``repro.exec.codegen.PreparedFrontierPush``) and
+    ``repro plan`` reports a refusal record in their place.
     """
 
     target: NodePropMap

@@ -7,7 +7,7 @@ the *simulator's* wall clock scale with real cores while preserving the
 byte-identity contract of the serial backends.
 
 Design: **persistent forked replicated state machines with a
-shared-memory, per-sync-boundary effect exchange.**
+shared-memory, per-phase effect exchange.**
 
 * The first ``Executor.run(plan)`` with ``jobs > 1`` forks ``jobs - 1``
   worker processes (POSIX ``fork``, copy-on-write) that live for the
@@ -30,14 +30,13 @@ shared-memory, per-sync-boundary effect exchange.**
   tolerance-loop drivers that re-run the same plans reuse the warm pool
   with zero forks.
 * Only *shardable compute phases* divide work: each process drives
-  ``par_for``/``run_hosted`` over its own contiguous host shard.
-  Effects are **not** exchanged per phase: exports are cumulative since
-  the last reduce-sync, so consecutive sharded phases defer into one
-  aggregated exchange per sync boundary (any sync collective, host
-  step, reset, replicated phase, or round end). One flush ships, per
-  worker, a single bundle: the latest per-host effect state of every
-  touched carrier, plus the per-phase :class:`Counters` totals and
-  message rows as one ``int64`` matrix each.
+  ``par_for``/``run_hosted`` over its own contiguous host shard, then
+  exchanges the phase's effects before anything else runs (a sync
+  collective always follows a compute phase, so there is nothing to
+  batch - DESIGN.md, "Why there is no fusion or deferral"). One flush
+  ships, per worker, a single bundle: the per-host effect state of
+  every carrier the phase touches, plus the phase's :class:`Counters`
+  rows and message rows as one ``int64`` matrix each.
 * The exchange itself is zero-install shared memory: the coordinator
   preallocates one ``multiprocessing.shared_memory`` arena per worker
   (double-buffered) plus a broadcast arena, all created before the fork
@@ -59,9 +58,9 @@ seconds, and trace rows therefore evolve exactly as a serial run's
 would: the serial backend stays the oracle, and
 ``tests/test_parallel_equivalence.py`` enforces ``RunResult.to_dict()``
 byte-identity across ``jobs`` for all twelve algorithms. With a fault
-injector installed the pool disables deferral and run reuse (refork per
-run) so injected draws and crash points replay exactly as they did
-serially.
+injector installed the pool disables run reuse (refork per run) and the
+executor keeps the sync collectives replicated, so injected draws and
+crash points replay exactly as they did serially.
 
 Segment lifecycle: arenas are created and unlinked only by the
 coordinator (``shutdown``), so ``/dev/shm`` holds ``jobs`` segments per
@@ -585,11 +584,9 @@ class HostShardPool:
         self._plan_key = id(plan)
         self.register_plan(plan)
         # Exchange state.
-        self._pending: list[tuple[list[Any], PhaseRecord]] = []
         self._eor_seen: set[int] = set()
         self._seq = 0
         self._run_seq = 0
-        self.defer = True
         # Shared segments + instrumentation.
         self._arenas: list[_Arena] = []
         self._bcast: _Arena | None = None
@@ -804,15 +801,9 @@ class HostShardPool:
             self.warm_runs += 1
         self._run_seq += 1
         self._seq = 0
-        self._pending = []
         self._eor_seen = set()
         self._heal_attempts = 0
         self.active = True
-        # Deterministic fault injection draws per phase and per send; the
-        # deferred exchange would reorder neither, but keeping the exact
-        # per-phase flush cadence of the serial replay makes crash points
-        # trivially identical, so deferral is disabled under injection.
-        self.defer = reusable
         try:
             self._start_workers(warm, plan, key)
         except HEALABLE_ERRORS as err:
@@ -862,7 +853,6 @@ class HostShardPool:
         """Coordinator run exit: collect one ``eor`` per worker (aborting
         the run first if the coordinator failed), leaving the pool warm."""
         self.active = False
-        self._pending = []
         if not self.workers:
             return
         if failed and not self.dead:
@@ -923,9 +913,8 @@ class HostShardPool:
     # -- operator-phase execution ------------------------------------------
 
     def run_sharded(self, cluster, driver, pgraph, operator: Operator, body) -> None:
-        """Drive one shardable phase over the local shard and defer its
-        effects into the pending aggregate (flushed at the next sync
-        boundary, or immediately under fault injection)."""
+        """Drive one shardable phase over the local shard, then exchange
+        its effects."""
         driver(
             cluster,
             pgraph,
@@ -935,53 +924,25 @@ class HostShardPool:
             label=operator.label,
             hosts=self.shard,
         )
-        carriers = self._tables[self._plan_key][id(operator)]
-        self._pending.append((carriers, cluster.log.phases[-1]))
-        if not self.defer:
-            self.flush()
+        self.flush(
+            self._tables[self._plan_key][id(operator)], cluster.log.phases[-1]
+        )
 
-    def defer_fused(self, operators: Sequence[Operator], records) -> None:
-        """Queue a fused compute group's effects (repro.exec.codegen):
-        one ``(carriers, record)`` pair per constituent, in step order -
-        exactly the pending entries the same phases would have appended
-        through :meth:`run_sharded` individually, so the exchange bundle
-        layout (and therefore the merged run) is unchanged by fusion.
-
-        Fusion is compiled out under fault injection (where ``defer`` is
-        False), so the deferred path is the only one a fused group takes;
-        the flush fallback keeps the invariant anyway.
+    def flush(self, carriers: list[Any], record: PhaseRecord) -> None:
+        """The compute-effect exchange: one bundle per process for the
+        sharded phase that just closed. Replay determinism makes every
+        process reach the same flush in the same order, so the collective
+        stays aligned without a barrier.
         """
-        table = self._tables[self._plan_key]
-        for operator, record in zip(operators, records):
-            self._pending.append((table[id(operator)], record))
-        if not self.defer:  # pragma: no cover - fusion implies defer
-            self.flush()
-
-    def flush(self) -> None:
-        """The aggregated exchange: one bundle per process for everything
-        deferred since the last sync boundary. Replay determinism makes
-        every process compute the same pending set, so the no-op case is
-        symmetric and the collective stays aligned without a barrier.
-        """
-        if not self._pending:
-            return
         self._chaos_tick()
-        pending, self._pending = self._pending, []
-        carriers: list[Any] = []
-        seen: set[int] = set()
-        for phase_carriers, _ in pending:
-            for carrier in phase_carriers:
-                if id(carrier) not in seen:
-                    seen.add(id(carrier))
-                    carriers.append(carrier)
         slot = self._seq % 2
         self._seq += 1
         if self.is_worker:
-            self._flush_worker(carriers, pending, slot)
+            self._flush_worker(carriers, record, slot)
         else:
-            self._flush_coordinator(carriers, pending, slot)
+            self._flush_coordinator(carriers, record, slot)
 
-    def _export_bundle(self, carriers: list[Any], pending) -> dict[str, Any]:
+    def _export_bundle(self, carriers: list[Any], record: PhaseRecord) -> dict[str, Any]:
         bundle: dict[str, Any] = {
             "effects": [
                 [carrier.export_compute_effects(host) for host in self.shard]
@@ -989,21 +950,15 @@ class HostShardPool:
             ],
         }
         if self.is_worker:
-            bundle["counters"] = np.stack(
-                [
-                    counters_to_rows([record.counters[h] for h in self.shard])
-                    for _, record in pending
-                ]
+            bundle["counters"] = counters_to_rows(
+                [record.counters[h] for h in self.shard]
             )
             bundle["net"] = np.array(
                 [
-                    [
-                        record.msgs_sent,
-                        record.bytes_sent,
-                        record.msgs_recv,
-                        record.bytes_recv,
-                    ]
-                    for _, record in pending
+                    record.msgs_sent,
+                    record.bytes_sent,
+                    record.msgs_recv,
+                    record.bytes_recv,
                 ],
                 dtype=np.int64,
             )
@@ -1056,11 +1011,11 @@ class HostShardPool:
         except OSError:
             raise self._death_error(f"worker {index}", process, index) from None
 
-    def _flush_worker(self, carriers, pending, slot: int) -> None:
+    def _flush_worker(self, carriers, record: PhaseRecord, slot: int) -> None:
         arena = self._arenas[self.index - 1]
         via = arena.write(
             slot,
-            self._export_bundle(carriers, pending),
+            self._export_bundle(carriers, record),
             seq=self._seq,
             check=self.integrity,
         )
@@ -1086,7 +1041,7 @@ class HostShardPool:
                 )
             self._install_effects(carriers, self.shards[index], bundle)
 
-    def _flush_coordinator(self, carriers, pending, slot: int) -> None:
+    def _flush_coordinator(self, carriers, record: PhaseRecord, slot: int) -> None:
         vias: list[Any] = [None] * len(self.shards)
         for index, (process, conn) in enumerate(self.workers, start=1):
             token = self._recv_token(conn, index, process)
@@ -1111,9 +1066,9 @@ class HostShardPool:
             bundle = self._read_peer(
                 self._arenas[index - 1], slot, token[2], index, self._seq
             )
-            self._merge_worker_bundle(index, carriers, pending, bundle)
+            self._merge_worker_bundle(index, carriers, record, bundle)
         assert self._bcast is not None
-        own = self._export_bundle(carriers, pending)
+        own = self._export_bundle(carriers, record)
         vias[0] = self._bcast.write(0, own, seq=self._seq, check=self.integrity)
         self.bytes_exchanged += _via_size(vias[0])
         if vias[0][0] == "pipe":
@@ -1222,33 +1177,20 @@ class HostShardPool:
         return out
 
     def _merge_worker_bundle(
-        self, index: int, carriers, pending, bundle: dict
+        self, index: int, carriers, record: PhaseRecord, bundle: dict
     ) -> None:
-        """Fold one worker's aggregate into the coordinator's records, in
+        """Fold one worker's bundle into the coordinator's record, in
         worker order = host order, keeping the log byte-identical to the
         serial visit."""
         shard = self.shards[index]
-        counters = bundle["counters"]
-        net = bundle["net"]
-        if len(counters) != len(pending):  # pragma: no cover - divergence
-            self.dead = True
-            raise ProtocolDivergence(
-                f"parallel worker {index} aggregated {len(counters)} phases "
-                f"against the coordinator's {len(pending)}; the processes "
-                "diverged",
-                worker=index,
-                shard=self._shard_of(index),
-                phase=self._phase_label(),
-            )
-        for p, (_, record) in enumerate(pending):
-            for j, host in enumerate(shard):
-                add_counter_row(record.counters[host], counters[p, j])
-            rows = net[p]
-            for host in range(self.num_hosts):
-                record.msgs_sent[host] += int(rows[0, host])
-                record.bytes_sent[host] += int(rows[1, host])
-                record.msgs_recv[host] += int(rows[2, host])
-                record.bytes_recv[host] += int(rows[3, host])
+        for host, row in zip(shard, bundle["counters"]):
+            add_counter_row(record.counters[host], row)
+        rows = bundle["net"]
+        for host in range(self.num_hosts):
+            record.msgs_sent[host] += int(rows[0, host])
+            record.bytes_sent[host] += int(rows[1, host])
+            record.msgs_recv[host] += int(rows[2, host])
+            record.bytes_recv[host] += int(rows[3, host])
         self._install_effects(carriers, shard, bundle)
 
     # -- epoch state -------------------------------------------------------
@@ -1290,9 +1232,7 @@ class HostShardPool:
         self._plan_key = plan_key
         self._run_seq = run_seq
         self._seq = 0
-        self._pending = []
         self.active = True
-        self.defer = self.executor.cluster.faults is None
         if epoch_via is not None:
             assert self._bcast is not None
             blob = self._read_peer(self._bcast, 0, epoch_via, 0, run_seq)
@@ -1410,7 +1350,6 @@ class HostShardPool:
         snapshot.restore(
             self.executor.cluster, self._plan_carriers(plan), plan, self.resolve_op
         )
-        self._pending = []
         self._seq = snapshot.seq
 
     def heal(self, err: BaseException, plan: Plan, snapshot: RoundSnapshot) -> None:
@@ -1558,7 +1497,6 @@ def _worker_drive(
             traceback.format_exc()[-8000:],
         )
     finally:
-        pool._pending = []
         pool.active = False
     return err
 

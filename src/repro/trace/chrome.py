@@ -40,10 +40,6 @@ def _slice_event(s: TimelineSlice) -> dict[str, Any]:
         "wait_s": s.duration - s.busy,
         "counters": counters,
     }
-    if s.fused is not None:
-        # The phase ran inside a generated fused kernel: name the
-        # constituent steps so profiles stay interpretable after fusion.
-        args["fused"] = list(s.fused)
     if s.chunk is not None:
         # Async-engine phases carry their chunk ordinal so the trace shows
         # scheduling order; absent under BSP (keeps those traces identical).

@@ -34,9 +34,6 @@ class TimelineSlice:
     duration: float  # barrier-to-barrier: identical across hosts of a phase
     busy: float  # this host's own modeled work inside the phase
     counters: Counters
-    # Constituent step labels when the phase ran as part of a generated
-    # fused kernel (repro.exec.codegen); None for unfused phases.
-    fused: tuple[str, ...] | None = None
     # Async-engine chunk ordinal for ASYNC_COMPUTE phases; None under BSP,
     # so BSP traces are unchanged by the engine layer.
     chunk: int | None = None
@@ -91,7 +88,6 @@ def build_timeline(
                     duration=duration,
                     busy=min(busy, duration),
                     counters=phase.counters[host],
-                    fused=getattr(phase, "fused", None),
                     chunk=getattr(phase, "chunk", None),
                 )
             )
@@ -111,8 +107,6 @@ class PhaseCost:
     round: int
     time: ModeledTime
     breakdown: dict[str, float]  # weighted units per counter kind
-    # Constituent step labels when fused into one generated kernel.
-    fused: tuple[str, ...] | None = None
 
 
 def phase_costs(
@@ -133,7 +127,6 @@ def phase_costs(
                 round=phase.round,
                 time=cost_model.phase_time(phase, threads),
                 breakdown=cost_model.units_breakdown(total),
-                fused=getattr(phase, "fused", None),
             )
         )
     return costs

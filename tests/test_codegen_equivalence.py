@@ -1,16 +1,16 @@
 """The plan-to-kernel codegen stage's equivalence contract.
 
-``repro.exec.codegen`` lowers a plan into prebound compiled kernels and
-fuses adjacent compatible compute phases into single generated kernels.
-The contract is the byte-identity the bulk backend promises against the
-one oracle, the scalar backend: ``RunResult.to_dict()`` (counters,
-conflicts, modeled seconds, trace rows) and final values must match
-exactly - including under ``jobs=N`` sharding and fault plans (where
-fusion is disabled). These tests enforce the contract across all
-registered apps and random graphs, pin down the fusion boundary rules
-and the single EdgePush kernel (frontier extremes, opaque callable
-filters, the eager full-batch fold) on synthetic plans, and check the
-prepared-fold fast path against the generic reduction.
+``repro.exec.codegen`` lowers a plan into prebound compiled kernels, one
+per compute phase. The contract is the byte-identity the bulk backend
+promises against the one oracle, the scalar backend:
+``RunResult.to_dict()`` (counters, conflicts, modeled seconds, trace
+rows) and final values must match exactly - including under ``jobs=N``
+sharding and fault plans. These tests enforce the contract across all
+registered apps and random graphs, pin down abutting compute phases and
+the single EdgePush kernel (frontier extremes, opaque callable filters,
+the eager full-batch fold) on synthetic plans, check the prepared-fold
+fast path against the generic reduction, and take the census of plan
+shapes the apps actually run.
 """
 
 from __future__ import annotations
@@ -27,16 +27,15 @@ from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, SUM
 from repro.core.reduction import ThreadLocalReduction
 from repro.core.variants import RuntimeVariant
-from repro.eval.harness import APP_WEIGHTED, KIMBAP_APPS, run_kimbap
+from repro.eval.harness import APP_POLICY, APP_WEIGHTED, KIMBAP_APPS, run_kimbap
 from repro.exec import Executor, Operator, OperatorStep, Plan, SyncStep
 from repro.exec.codegen import (
-    ENTRY_FUSED,
+    _SPECIALIZED_FORMS,
     ENTRY_OPERATOR,
     PreparedFrontierPush,
-    fusion_enabled,
 )
 from repro.exec.plan import CmpFilter, EdgePush, NodeUpdate
-from repro.faults import FaultPlan, HostCrash, install_faults
+from repro.faults import FaultPlan, HostCrash
 from repro.graph import generators
 from repro.partition import partition
 from repro.runtime.bool_reducer import BoolReducer
@@ -173,12 +172,20 @@ class TestCodegenComposes:
         assert crossed > 0
 
 
-# ------------------------------------------------------ fusion boundaries
+# ------------------------------------------------- abutting compute phases
+#
+# No registered app runs two compute phases back to back (the census at
+# the bottom of this file), so these synthetic plans are the only place
+# two abutting phases - and, under jobs=2, two back-to-back sharded
+# exchanges with no sync collective between them - are exercised.
 
 
-def _two_updates(cluster, pgraph, second_reads=()):
+def _two_updates(executor, pgraph):
+    cluster = executor.cluster
     a = NodePropMap(cluster, pgraph, "a")
     b = NodePropMap(cluster, pgraph, "b")
+    executor.init_map(a, lambda nodes: np.zeros(nodes.size))
+    executor.init_map(b, lambda nodes: np.zeros(nodes.size))
     steps = [
         OperatorStep(
             Operator(
@@ -189,18 +196,42 @@ def _two_updates(cluster, pgraph, second_reads=()):
         OperatorStep(
             Operator(
                 "fill_b", "masters",
-                NodeUpdate(
-                    b, MIN,
-                    value=lambda nodes: nodes + 1.0,
-                    read_names=second_reads,
-                ),
+                NodeUpdate(b, MIN, value=lambda nodes: nodes + 1.0),
             )
         ),
         SyncStep(a, "reduce"),
         SyncStep(b, "reduce"),
     ]
-    plan = Plan(name="fusiontest", pgraph=pgraph, steps=steps, once=True)
-    return plan, a, b
+    return Plan(name="two-updates", pgraph=pgraph, steps=steps, once=True), (a, b)
+
+
+def _push_then_fill(executor, pgraph, **push_kwargs):
+    """A frontier push and a node update reducing into the same map, so
+    the second phase's effects stack on the first's pending ones."""
+    cluster = executor.cluster
+    label = NodePropMap(cluster, pgraph, "label")
+    out = NodePropMap(cluster, pgraph, "out")
+    executor.init_map(label, lambda nodes: nodes + 0.0)
+    executor.init_map(out, lambda nodes: np.full(nodes.size, np.inf))
+    steps = [
+        OperatorStep(
+            Operator(
+                "push", "masters",
+                EdgePush(
+                    target=out, op=MIN, source=label, require_active=label,
+                    **push_kwargs,
+                ),
+            )
+        ),
+        OperatorStep(
+            Operator(
+                "fill", "masters",
+                NodeUpdate(out, MIN, value=lambda nodes: nodes + 7.0),
+            )
+        ),
+        SyncStep(out, "reduce"),
+    ]
+    return Plan(name="push-then-fill", pgraph=pgraph, steps=steps, once=True), (out,)
 
 
 def _phase_log(cluster):
@@ -216,129 +247,81 @@ def _phase_log(cluster):
     ]
 
 
-def _run_once(graph, bulk, second_reads=()):
-    cluster = Cluster(2, threads_per_host=2)
-    pgraph = partition(graph, 2, "cvc")
-    executor = Executor(cluster, bulk=bulk)
-    plan, a, b = _two_updates(cluster, pgraph, second_reads=second_reads)
-    executor.init_map(a, lambda nodes: np.zeros(nodes.size))
-    executor.init_map(b, lambda nodes: np.zeros(nodes.size))
-    executor.run(plan)
-    return cluster, a.snapshot(), b.snapshot(), _phase_log(cluster)
+def _run_abutting(build, bulk, jobs=1):
+    graph = generators.powerlaw_like(scale=5, seed=3)
+    cluster = Cluster(4, threads_per_host=2)
+    pgraph = partition(graph, 4, "cvc")
+    executor = Executor(cluster, bulk=bulk, jobs=jobs)
+    try:
+        plan, maps = build(executor, pgraph)
+        executor.run(plan)
+    finally:
+        executor.close()
+    operators = [
+        payload
+        for tag, payload in executor.compiled(plan).entries
+        if tag == ENTRY_OPERATOR
+    ]
+    return operators, ([m.snapshot() for m in maps], _phase_log(cluster))
 
 
 class TestFusionBoundaries:
-    @pytest.fixture(scope="class")
-    def graph(self):
-        return generators.powerlaw_like(scale=5, seed=3)
+    """Adjacent operator steps are legal and run as consecutive phases:
+    one ``PhaseRecord`` per step in step order, values and phase logs
+    identical across scalar / bulk / ``jobs=2``. (The class and test
+    names date from kernel fusion, which these plans were the boundary
+    cases of; the plans outlived it.)"""
 
-    def _compiled_tags(self, graph, bulk=True, faults=None, second_reads=()):
-        cluster = Cluster(2, threads_per_host=2)
-        if faults is not None:
-            install_faults(cluster, faults)
-        pgraph = partition(graph, 2, "cvc")
-        executor = Executor(cluster, bulk=bulk)
-        plan, _, _ = _two_updates(cluster, pgraph, second_reads=second_reads)
-        compiled = executor.compiled(plan)
-        return compiled, [entry[0] for entry in compiled.entries]
+    @pytest.fixture
+    def backends_agree(self, monkeypatch):
+        from repro.exec.pool import HostShardPool
 
-    def test_adjacent_specializable_steps_fuse(self, graph):
-        compiled, tags = self._compiled_tags(graph)
-        assert tags.count(ENTRY_FUSED) == 1
-        (group,) = compiled.fused_groups
-        assert group.labels == ("fill_a", "fill_b")
+        flushed = []
+        flush = HostShardPool.flush
 
-    def test_read_after_write_hazard_blocks_fusion(self, graph):
-        # fill_b declaring a read of map "a" (written by fill_a) must keep
-        # the steps as two separate phases.
-        _, tags = self._compiled_tags(graph, second_reads=("a",))
-        assert ENTRY_FUSED not in tags
-        assert tags.count(ENTRY_OPERATOR) == 2
+        def counted_flush(self, carriers, record):
+            flushed.append(record.label)
+            flush(self, carriers, record)
 
-    def test_fault_injector_disables_fusion(self, graph):
-        _, tags = self._compiled_tags(
-            graph, faults=FaultPlan(name="noop", checkpoint_interval=0)
-        )
-        assert ENTRY_FUSED not in tags
-        assert tags.count(ENTRY_OPERATOR) == 2
+        monkeypatch.setattr(HostShardPool, "flush", counted_flush)
 
-    def test_scalar_backend_never_fuses(self, graph):
-        cluster = Cluster(2, threads_per_host=2)
-        executor = Executor(cluster, bulk=False)
-        assert not fusion_enabled(executor)
-        _, tags = self._compiled_tags(graph, bulk=False)
-        assert ENTRY_FUSED not in tags
+        def check(build):
+            _, (values, log) = _run_abutting(build, bulk=False)
+            steps = [row[1] for row in log if row[0].endswith("compute")]
+            assert len(steps) == 2
+            assert any(value != 0 for value in values[0].values())
+            operators, bulk = _run_abutting(build, bulk=True)
+            assert [c.operator.label for c in operators] == steps
+            assert bulk == (values, log)
+            assert flushed == []
+            assert _run_abutting(build, bulk=True, jobs=2)[1] == (values, log)
+            # Both phases sharded: two effect exchanges, nothing between.
+            assert flushed == steps
+            return operators
 
-    def _push_then_fill(self, graph, with_active=False, **push_kwargs):
-        cluster = Cluster(2, threads_per_host=2)
-        pgraph = partition(graph, 2, "cvc")
-        executor = Executor(cluster, bulk=True)
-        label = NodePropMap(cluster, pgraph, "label")
-        out = NodePropMap(cluster, pgraph, "out")
-        if with_active:
-            push_kwargs["require_active"] = NodePropMap(
-                cluster, pgraph, "active"
+        return check
+
+    def test_fused_run_matches_interpreted_and_stamps_records(self, backends_agree):
+        backends_agree(_two_updates)
+
+    def test_frontier_push_specializes_and_fuses(self, backends_agree):
+        push, fill = backends_agree(
+            lambda executor, pgraph: _push_then_fill(
+                executor, pgraph, value_filter=CmpFilter("lt", 20.0)
             )
-        steps = [
-            OperatorStep(
-                Operator(
-                    "push", "all",
-                    EdgePush(target=out, op=MIN, source=label, **push_kwargs),
-                )
-            ),
-            OperatorStep(
-                Operator(
-                    "fill", "masters",
-                    NodeUpdate(out, MIN, value=lambda nodes: nodes + 0.0),
-                )
-            ),
-        ]
-        plan = Plan(name="mixed", pgraph=pgraph, steps=steps, once=True)
-        compiled = executor.compiled(plan)
-        return compiled, [entry[0] for entry in compiled.entries]
-
-    def test_opaque_filter_push_breaks_the_group(self, graph):
-        # An EdgePush with an opaque callable filter compiles to the same
-        # kernel as every other push but must not join a fused group (the
-        # plan metadata cannot say what the callable reads).
-        compiled, tags = self._push_then_fill(
-            graph, value_filter=lambda values: values > 0
         )
-        assert ENTRY_FUSED not in tags
-        assert tags.count(ENTRY_OPERATOR) == 2
-        push = compiled.entries[0][1]
+        assert push.specialized and fill.specialized
+
+    def test_opaque_filter_push_breaks_the_group(self, backends_agree):
+        # An EdgePush with an opaque callable filter compiles to the same
+        # kernel as every other push.
+        push, _ = backends_agree(
+            lambda executor, pgraph: _push_then_fill(
+                executor, pgraph, value_filter=lambda values: values > 3
+            )
+        )
         assert push.specialized
         assert isinstance(push.body, PreparedFrontierPush)
-
-    def test_frontier_push_specializes_and_fuses(self, graph):
-        # Declarative filters are compiled, so a frontier push is now a
-        # legal fusion constituent.
-        compiled, tags = self._push_then_fill(graph, with_active=True)
-        assert tags.count(ENTRY_FUSED) == 1
-        (group,) = compiled.fused_groups
-        assert group.labels == ("push", "fill")
-
-    def test_fused_run_matches_interpreted_and_stamps_records(self, graph):
-        # The interpreter here is the scalar oracle's per-node loop.
-        cg_cluster, a_cg, b_cg, log_cg = _run_once(graph, bulk=True)
-        cluster, a_in, b_in, log_in = _run_once(graph, bulk=False)
-        assert a_cg == a_in
-        assert b_cg == b_in
-        assert log_cg == log_in
-        # Attribution: the fused constituents carry the group's labels on
-        # their records under codegen, and None on the scalar backend.
-        fused = [
-            record.fused
-            for record in cg_cluster.log.phases
-            if record.label in ("fill_a", "fill_b")
-        ]
-        assert fused == [("fill_a", "fill_b"), ("fill_a", "fill_b")]
-        scalar = [
-            record.fused
-            for record in cluster.log.phases
-            if record.label in ("fill_a", "fill_b")
-        ]
-        assert scalar == [None, None]
 
 
 # ------------------------------------------------------ frontier extremes
@@ -509,10 +492,9 @@ class TestOneEdgePushKernel:
         assert bulk == scalar
 
     def test_filter_free_push_folds_prepared_from_round_one(self, monkeypatch):
-        # Every round of a filter-free push is a full frontier, so its
-        # full-batch fold plan must not wait out FOLD_PLAN_WARMUP rounds
-        # on the generic fold (the PageRank regression a naive merge of
-        # the static and frontier kernels would introduce).
+        # Every round of a filter-free push is a full frontier: it folds
+        # through its full-batch plan from the first round on, never the
+        # generic fold.
         calls = []
         for name in ("reduce_bulk", "reduce_bulk_prepared", "reduce_bulk_subset"):
             original = getattr(NodePropMap, name)
@@ -632,8 +614,9 @@ class TestPreparedFold:
 
 
 class TestWarmPartialRoundNeverSorts:
-    """Once every host's subset plan is built, a partial round runs no
-    sort anywhere between the compiled kernel and the owner apply: the
+    """Once every host's subset plan is built (at the host's first
+    partial round), a partial round runs no sort anywhere between the
+    compiled kernel and the owner apply: the
     thread-level fold, the reduce-sync merge and the route all go by
     dense ids. Call counts repeat exactly, so this cannot flake; it is
     what keeps a later edit from quietly putting a sort back."""
@@ -676,12 +659,15 @@ class TestWarmPartialRoundNeverSorts:
         monkeypatch.setattr(Executor, "run_round", counted_round)
         sssp(cluster, pgraph, source=0, executor=executor)
 
-        # Every host crossed FOLD_PLAN_WARMUP and built its subset plan.
+        # Each host builds its subset plan in its first partial round -
+        # the first round it folds at all - and never again.
         assert sum(r["builds"] for r in rounds) == hosts
+        first_fold = next(i for i, r in enumerate(rounds) if r["folds"])
+        assert rounds[first_fold]["builds"] >= 1
         last_build = max(i for i, r in enumerate(rounds) if r["builds"])
         cold, warm = rounds[: last_build + 1], rounds[last_build + 1 :]
-        # The counters have teeth: warm-up rounds fold generically (sorts).
-        assert sum(r["sorts"] for r in cold) > 0
+        # The counters have teeth: a build is one composite sort.
+        assert sum(r["sorts"] for r in cold) >= hosts
         assert len(warm) >= 20
         assert all(r["folds"] >= 1 for r in warm)
         assert [r["sorts"] for r in warm] == [0] * len(warm)
@@ -720,9 +706,8 @@ class TestCompiledTransVertexRoundHasNoPerNodePython:
         operators = [
             compiled
             for plan in {id(plan): plan for plan in plans}.values()
-            for tag, payload in executor.compiled(plan).entries
-            if tag in (ENTRY_OPERATOR, ENTRY_FUSED)
-            for compiled in getattr(payload, "ops", None) or (payload,)
+            for tag, compiled in executor.compiled(plan).entries
+            if tag == ENTRY_OPERATOR
         ]
         return result, calls, operators
 
@@ -746,3 +731,51 @@ class TestCompiledTransVertexRoundHasNoPerNodePython:
         voted = scalar_calls.pop("BoolReducer.reduce")
         assert all(scalar_calls.values())
         assert bool(voted) == (name == "CC-SV")
+
+
+# ------------------------------------------------------- the traffic census
+
+
+class TestTrafficCensus:
+    """The plan shapes the registered apps actually run - the verified
+    traffic DESIGN.md's "Why there is no fusion or deferral" rests on. A
+    failure here is not a bug in the app: it is the day that note stops
+    being true and fusing abutting phases (or batching their pool
+    exchanges) is worth re-asking."""
+
+    @pytest.fixture(scope="class")
+    def plans_by_app(self):
+        census = {}
+        for app in APPS:
+            graph = generators.powerlaw_like(scale=5, seed=3, weighted=app_weighted(app))
+            cluster = Cluster(2, threads_per_host=2)
+            plans: dict[int, Plan] = {}
+            executor = Executor(
+                cluster, bulk=True,
+                observer=lambda plan, seen=plans: seen.setdefault(id(plan), plan),
+            )
+            pgraph = partition(graph, 2, APP_POLICY[app])
+            KIMBAP_APPS[app](cluster, pgraph, executor=executor)
+            census[app] = list(plans.values())
+        return census
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_no_abutting_compute_phases(self, plans_by_app, app):
+        assert plans_by_app[app]
+        for plan in plans_by_app[app]:
+            compute = [isinstance(step, OperatorStep) for step in plan.steps]
+            if not plan.once:
+                compute.append(compute[0])  # the loop wraps around
+            assert not any(a and b for a, b in zip(compute, compute[1:])), (
+                f"{app} plan {plan.name!r} runs abutting compute phases"
+            )
+
+    def test_every_compiled_form_is_reached(self, plans_by_app):
+        reached = {
+            type(step.operator.kernel)
+            for plans in plans_by_app.values()
+            for plan in plans
+            for step in plan.steps
+            if isinstance(step, OperatorStep)
+        }
+        assert set(_SPECIALIZED_FORMS) <= reached

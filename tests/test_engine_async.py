@@ -53,6 +53,15 @@ def _run(app: str, graph, hosts: int, policy: str, engine: str):
     return result, executor
 
 
+def assert_async_refuses(app: str, fragment: str, **arguments):
+    """Every refusal fails the same way: ``UnsupportedPlanError`` itself,
+    whether the executor or the engine is the one refusing."""
+    graph = generators.road_like(4, 3, seed=1, weighted=True)
+    with pytest.raises(UnsupportedPlanError, match=fragment) as refusal:
+        run_kimbap(app, "road", 2, graph=graph, engine="async", **arguments)
+    assert type(refusal.value) is UnsupportedPlanError
+
+
 class TestAsyncValueEquivalence:
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("app", ASYNC_APPS)
@@ -135,9 +144,7 @@ class TestEngineSelection:
     def test_async_refuses_parallel_jobs(self):
         """The async chunk schedule is inherently sequential across hosts
         (owner-serialized apply order); the pool replays BSP rounds."""
-        cluster = Cluster(2, threads_per_host=2)
-        with pytest.raises(ValueError, match="jobs"):
-            Executor(cluster, jobs=2, engine="async")
+        assert_async_refuses("CC-LP", "jobs", jobs=2)
 
     def test_chunk_size_option_threads_through(self):
         cluster = Cluster(2, threads_per_host=2)
@@ -149,29 +156,18 @@ class TestEngineSelection:
 class TestUnsupportedPlans:
     def test_plan_without_residual_declaration(self):
         """Apps whose kernels declare no residual cannot run async."""
-        graph = generators.road_like(4, 3, seed=1)
-        with pytest.raises(UnsupportedPlanError, match="residual"):
-            run_kimbap("CC-SV", "road", 2, graph=graph, engine="async")
+        assert_async_refuses("CC-SV", "residual")
 
     def test_trans_vertex_forms_do_not_make_a_plan_async_eligible(self):
         """CC-SCLP's round holds an EdgePush next to KeyRequest/NodeGather:
         still no residual declared, still refused."""
-        graph = generators.road_like(4, 3, seed=1)
-        with pytest.raises(UnsupportedPlanError, match="residual"):
-            run_kimbap("CC-SCLP", "road", 2, graph=graph, engine="async")
+        assert_async_refuses("CC-SCLP", "residual")
 
     def test_fault_injection_is_refused(self):
-        graph = generators.road_like(4, 3, seed=1, weighted=True)
         plan = named_plan("crash", seed=0, hosts=2, crash_round=1, checkpoint_interval=2)
-        with pytest.raises(UnsupportedPlanError, match="fault"):
-            run_kimbap("CC-LP", "road", 2, graph=graph, engine="async", fault_plan=plan)
+        assert_async_refuses("CC-LP", "fault", fault_plan=plan)
 
     def test_non_gar_variants_are_refused(self):
         """The async engine writes owner values straight through the GAR
         bulk path; the kvstore (MC) variant has no such surface."""
-        graph = generators.road_like(4, 3, seed=1, weighted=True)
-        with pytest.raises(UnsupportedPlanError, match="GAR"):
-            run_kimbap(
-                "CC-LP", "road", 2, graph=graph,
-                variant=RuntimeVariant.MC, engine="async",
-            )
+        assert_async_refuses("CC-LP", "GAR", variant=RuntimeVariant.MC)
