@@ -37,6 +37,7 @@ from repro.core.bitset import ConcurrentBitset
 from repro.core.reducers import ReduceOp
 from repro.core.reduction import (
     KvCasReduction,
+    PreparedFold,
     SharedMapReduction,
     ThreadLocalReduction,
     _frozen,
@@ -60,6 +61,13 @@ class _Leg(NamedTuple):
 
 # (the self-owned leg or None, the cross-host legs in ascending owner order)
 _Route = tuple[_Leg | None, list[_Leg]]
+
+
+class _StaticBatch(NamedTuple):
+    """A validated static reduce batch of a strategy with no fold tables."""
+
+    threads: np.ndarray
+    keys: np.ndarray
 
 
 class NodePropMap:
@@ -138,8 +146,8 @@ class NodePropMap:
         self._pin_invariant = "none"
         self._mirror_filter_cache: dict[str, list[dict[int, np.ndarray]]] = {}
         # Per source host: the last collected key array and its route
-        # (see _route). A prepared fold collects the *same frozen key
-        # object* every round, so the entry is then built once per run.
+        # (see _route). A prepared fold's full round collects the *same
+        # frozen key object* each time, so the entry is then built once.
         self._routes: list[tuple[np.ndarray, _Route] | None] = [None] * num_hosts
 
     # ------------------------------------------------------------------ util
@@ -222,13 +230,44 @@ class NodePropMap:
         and the same ``KeyError`` for an unreadable key, one array out."""
         return self.stores[host].read_bulk(np.asarray(keys, dtype=np.int64))
 
-    def reduce(self, host: int, thread: int, key: int, value: Any, op: ReduceOp) -> None:
-        """Reduce ``value`` onto ``key``'s property (visible next round)."""
-        if not 0 <= key < self.pgraph.num_nodes:
-            raise KeyError(
-                f"reduce target {key} is not a node id (graph has "
-                f"{self.pgraph.num_nodes} nodes)"
+    def _check_reduce(
+        self,
+        count: int,
+        keys: Any = None,
+        op: ReduceOp | None = None,
+        values: np.ndarray | None = None,
+    ) -> None:
+        """The rules of a reduce call, written once for every entry point.
+
+        A batch's ``values`` hold one value per reduced position: they
+        come from user-written plan callables, and a whole-graph array or
+        a scalar meant to broadcast would otherwise fold silently wrong or
+        die inside the fold. ``keys`` (one key or an array; None for a
+        prepared batch, checked when it was prepared) are node ids. ``op``
+        (None while preparing, which binds nothing) is the map's single
+        operator for the loop; an empty batch binds none, as zero scalar
+        calls would not.
+        """
+        if values is not None and values.shape != (count,):
+            raise ValueError(
+                f"map {self.name!r} reduced ({op.name}) with values of shape "
+                f"{values.shape}; its {count} reduced position(s) need "
+                f"shape {(count,)}"
             )
+        if count == 0:
+            return
+        if keys is not None:
+            if isinstance(keys, np.ndarray):
+                low, high = int(keys.min()), int(keys.max())
+            else:
+                low = high = keys
+            if low < 0 or high >= self.pgraph.num_nodes:
+                raise KeyError(
+                    f"reduce target {low if low < 0 else high} is not a node id "
+                    f"(graph has {self.pgraph.num_nodes} nodes)"
+                )
+        if op is None:
+            return
         if self._op is None:
             self._op = op
         elif self._op.name != op.name:
@@ -236,6 +275,10 @@ class NodePropMap:
                 f"map {self.name!r} reduced with {op.name!r} after {self._op.name!r}; "
                 "a map uses a single reduction operator per loop"
             )
+
+    def reduce(self, host: int, thread: int, key: int, value: Any, op: ReduceOp) -> None:
+        """Reduce ``value`` onto ``key``'s property (visible next round)."""
+        self._check_reduce(1, key, op)
         self.reductions[host].reduce(thread, int(key), value, op)
 
     def reduce_bulk(
@@ -253,116 +296,54 @@ class NodePropMap:
         counters, conflicts, and folded values vs the per-item calls.
         """
         keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return
-        bad = (keys < 0) | (keys >= self.pgraph.num_nodes)
-        if bad.any():
-            key = int(keys[bad][0])
-            raise KeyError(
-                f"reduce target {key} is not a node id (graph has "
-                f"{self.pgraph.num_nodes} nodes)"
-            )
-        if self._op is None:
-            self._op = op
-        elif self._op.name != op.name:
-            raise ValueError(
-                f"map {self.name!r} reduced with {op.name!r} after {self._op.name!r}; "
-                "a map uses a single reduction operator per loop"
-            )
-        self.reductions[host].reduce_bulk(
-            np.asarray(threads), keys, np.asarray(values), op
-        )
+        values = np.asarray(values)
+        self._check_reduce(int(keys.size), keys, op, values)
+        if keys.size:
+            self.reductions[host].reduce_bulk(np.asarray(threads), keys, values, op)
 
     def prepare_reduce_bulk(
         self, host: int, threads: np.ndarray, keys: np.ndarray
-    ) -> Any | None:
-        """Precompute the fold plan for a *static* reduce batch (codegen).
+    ) -> PreparedFold | _StaticBatch:
+        """Validate a *static* reduce batch once and precompute its fold.
 
-        Generated kernels (``repro.exec.codegen``) push with the same
-        ``(threads, keys)`` arrays every round, so the key validation and
-        the composite-key sort of :meth:`reduce_bulk` are hoisted to
-        generation time. Returns None when this host's reduction strategy
-        has no prepared path (shared-map and key-value-store strategies
-        draw conflicts from runtime state) - callers then use the plain
-        :meth:`reduce_bulk`.
+        Compiled kernels (``repro.exec.codegen``) reduce with the same
+        ``(threads, keys)`` arrays every round - all of them or an
+        ascending subset - so the key validation and the sorts of
+        :meth:`reduce_bulk` are hoisted to build time. The handle goes to
+        :meth:`reduce_bulk_prepared`: a :class:`PreparedFold` for the
+        conflict-free strategy; the bare validated arrays for the
+        shared-map and key-value-store strategies, which have no fold
+        tables (they draw conflicts from runtime state).
         """
+        threads = np.asarray(threads)
         keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return None
-        prepare = getattr(self.reductions[host], "prepare_bulk", None)
-        if prepare is None:
-            return None
-        bad = (keys < 0) | (keys >= self.pgraph.num_nodes)
-        if bad.any():
-            key = int(keys[bad][0])
-            raise KeyError(
-                f"reduce target {key} is not a node id (graph has "
-                f"{self.pgraph.num_nodes} nodes)"
-            )
-        return prepare(np.asarray(threads), keys)
+        self._check_reduce(int(keys.size), keys)
+        reduction = self.reductions[host]
+        if isinstance(reduction, ThreadLocalReduction):
+            return reduction.prepare_bulk(threads, keys)
+        return _StaticBatch(threads, keys)
 
     def reduce_bulk_prepared(
-        self, host: int, prepared: Any, values: np.ndarray, op: ReduceOp
-    ) -> None:
-        """:meth:`reduce_bulk` via a :meth:`prepare_reduce_bulk` plan:
-        byte-identical charges, conflicts, and folded state."""
-        if self._op is None:
-            self._op = op
-        elif self._op.name != op.name:
-            raise ValueError(
-                f"map {self.name!r} reduced with {op.name!r} after {self._op.name!r}; "
-                "a map uses a single reduction operator per loop"
-            )
-        self.reductions[host].reduce_bulk_prepared(
-            prepared, np.asarray(values), op
-        )
-
-    def prepare_reduce_bulk_subsets(
-        self, host: int, threads: np.ndarray, keys: np.ndarray
-    ) -> Any | None:
-        """Precompute the subset-fold plan for a static batch (codegen).
-
-        Frontier-aware kernels (``PreparedFrontierPush``) reduce with a
-        per-round *subset* of a frozen edge expansion, so the key
-        validation and the composite stable sort hoist to generation time
-        while the subset selection stays per round. Returns None when this
-        host's reduction strategy has no prepared path (see
-        :meth:`prepare_reduce_bulk`).
-        """
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
-            return None
-        prepare = getattr(self.reductions[host], "prepare_bulk_subsets", None)
-        if prepare is None:
-            return None
-        bad = (keys < 0) | (keys >= self.pgraph.num_nodes)
-        if bad.any():
-            key = int(keys[bad][0])
-            raise KeyError(
-                f"reduce target {key} is not a node id (graph has "
-                f"{self.pgraph.num_nodes} nodes)"
-            )
-        return prepare(np.asarray(threads), keys)
-
-    def reduce_bulk_subset(
-        self, host: int, prepared: Any, idx: np.ndarray, values: np.ndarray,
+        self,
+        host: int,
+        prepared: PreparedFold | _StaticBatch,
+        values: np.ndarray,
         op: ReduceOp,
+        idx: np.ndarray | None = None,
     ) -> None:
-        """:meth:`reduce_bulk` over the ascending-position subset ``idx``
-        of a :meth:`prepare_reduce_bulk_subsets` plan: byte-identical
-        charges, conflicts, and folded state."""
-        if idx.size == 0:
-            return
-        if self._op is None:
-            self._op = op
-        elif self._op.name != op.name:
-            raise ValueError(
-                f"map {self.name!r} reduced with {op.name!r} after {self._op.name!r}; "
-                "a map uses a single reduction operator per loop"
-            )
-        self.reductions[host].reduce_bulk_subset(
-            prepared, idx, np.asarray(values), op
-        )
+        """:meth:`reduce_bulk` over a :meth:`prepare_reduce_bulk` batch -
+        or its subset at ascending positions ``idx`` (``values`` aligned
+        with ``idx``): byte-identical charges, conflicts, and folded state."""
+        values = np.asarray(values)
+        count = int((prepared.keys if idx is None else idx).size)
+        self._check_reduce(count, None, op, values)
+        reduction = self.reductions[host]  # each strategy ignores an empty batch
+        if isinstance(prepared, PreparedFold):
+            reduction.reduce_bulk_prepared(prepared, values, op, idx)
+        elif idx is None:
+            reduction.reduce_bulk(prepared.threads, prepared.keys, values, op)
+        else:
+            reduction.reduce_bulk(prepared.threads[idx], prepared.keys[idx], values, op)
 
     # ----------------------------------------------------------- compiler API
 
@@ -626,8 +607,8 @@ class NodePropMap:
         Owners, the self-owned / per-owner index sets and each leg's
         master-local translation are pure functions of the key array and
         the partition, so they are cached against the key *object*: a
-        prepared fold hands back one frozen array every round and routes
-        once; subset/frontier and generic batches collect a fresh array
+        prepared fold's full round hands back one frozen array and routes
+        once; partial-round and generic batches collect a fresh array
         and are routed afresh. Legs are cut by owner, so ownership holds
         by construction and the owner stores skip re-validating it.
         """

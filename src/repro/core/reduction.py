@@ -71,97 +71,47 @@ def _fold_batch(
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a precomputed array immutable: plans and compiled kernels hand
+    the same array objects down every round, so an accidental in-place
+    mutation must fail loudly, not corrupt a run."""
     array.flags.writeable = False
     return array
 
 
-class _FoldPlan:
-    """The static half of :func:`_fold_batch` for one key array: sorted
-    unique keys plus the first-occurrence / ``ufunc.at`` / last-occurrence
-    decomposition, frozen. :meth:`replay` is the value half - the same
-    first-assign + sequential ``ufunc.at`` order, hence bit-identical."""
-
-    __slots__ = ("uniq", "first_idx", "rest", "inverse_rest", "last")
-
-    def __init__(self, keys: np.ndarray) -> None:
-        uniq, first_idx, inverse = np.unique(
-            keys, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)
-        self.uniq = _frozen(uniq)
-        self.first_idx = _frozen(first_idx)
-        # Positions of the non-first occurrences, ascending: an index take
-        # gathers them per round without re-scanning a boolean mask.
-        is_rest = np.ones(keys.size, dtype=bool)
-        is_rest[first_idx] = False
-        rest = np.flatnonzero(is_rest)
-        self.rest = _frozen(rest)
-        self.inverse_rest = _frozen(inverse[rest])
-        # Last occurrence per key, for the overwrite fold.
-        last = np.zeros(uniq.size, dtype=np.int64)
-        np.maximum.at(last, inverse, np.arange(keys.size, dtype=np.int64))
-        self.last = _frozen(last)
-
-    def replay(self, values: np.ndarray, op: ReduceOp) -> np.ndarray:
-        """Deliberately replays ``_fold_batch``'s first-occurrence +
-        ``ufunc.at`` decomposition rather than e.g. ``reduceat`` over a
-        sorted copy: ``add.reduceat`` folds segments pairwise, which is
-        not bit-identical to the sequential left-to-right application
-        the scalar oracle produces."""
-        if op.name == "overwrite":
-            return values[self.last]
-        acc = values[self.first_idx]
-        if self.inverse_rest.size:
-            op.ufunc.at(acc, self.inverse_rest, values.take(self.rest))
-        return acc
+def _group(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The static half of :func:`_fold_batch` for one label array, frozen:
+    the sorted unique labels, each position's dense id among them, and the
+    ``(first_idx, rest, inverse_rest, last)`` tables :func:`_replay` applies."""
+    uniq, first_idx, dense = np.unique(
+        labels, return_index=True, return_inverse=True
+    )
+    dense = dense.reshape(-1)
+    # Positions of the non-first occurrences, ascending: an index take
+    # gathers them per round without re-scanning a boolean mask.
+    is_rest = np.ones(labels.size, dtype=bool)
+    is_rest[first_idx] = False
+    rest = np.flatnonzero(is_rest)
+    # Last occurrence per label, for the overwrite fold.
+    last = np.zeros(uniq.size, dtype=np.int64)
+    np.maximum.at(last, dense, np.arange(labels.size, dtype=np.int64))
+    tables = (first_idx, rest, dense[rest], last)
+    return _frozen(uniq), _frozen(dense), tuple(map(_frozen, tables))
 
 
-class PreparedFold(_FoldPlan):
-    """A precomputed composite-key fold plan for a *static* reduce batch.
+def _replay(tables: tuple, values: np.ndarray, op: ReduceOp) -> np.ndarray:
+    """The value half of :func:`_fold_batch` over :func:`_group` tables.
 
-    Plan-to-kernel codegen (``repro.exec.codegen``) reduces with the same
-    ``(threads, keys)`` arrays every round - only the values change - so
-    the expensive part of :func:`_fold_batch` (the ``np.unique`` sort and
-    the first/duplicate decomposition of the composite keys) is a pure
-    function of the batch shape and can be assembled once. Applying the
-    plan replays exactly the fold ``_fold_batch`` would compute: same
-    first-occurrence assignment, same ``ufunc.at`` duplicate application
-    order, same sorted unique keys - bit-identical folded state.
-
-    The batch's reduce-sync collect (:meth:`collect`) folds the per-thread
-    runs of ``uniq`` by plain key; that key array is static too, so its
-    plan is built on the first collect and replayed afterwards, and the
-    collected keys are one frozen array for the life of the plan.
-
-    Holds the original ``threads``/``keys`` so a consumer can fall back to
-    the generic :meth:`ThreadLocalReduction.reduce_bulk` whenever the fast
-    path's preconditions (clean thread maps, ufunc-foldable op) fail at
-    run time.
-    """
-
-    __slots__ = ("threads", "keys", "count", "span", "_collect_plan")
-
-    def __init__(self, threads: np.ndarray, keys: np.ndarray) -> None:
-        self.threads = threads
-        self.keys = keys
-        self.count = int(keys.size)
-        self.span = int(keys.max()) + 1
-        super().__init__(threads * self.span + keys)
-        self._collect_plan: _FoldPlan | None = None
-
-    def fold(self, values: np.ndarray, op: ReduceOp) -> np.ndarray:
-        """The value-side of :func:`_fold_batch` under this plan."""
-        return self.replay(values, op)
-
-    def collect(
-        self, folded: np.ndarray, op: ReduceOp
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``_fold_batch(uniq % span, folded, op)`` - the thread-order
-        merge of this plan's folded batch - without its per-round sort."""
-        plan = self._collect_plan
-        if plan is None:
-            plan = self._collect_plan = _FoldPlan(self.uniq % self.span)
-        return plan.uniq, plan.replay(folded, op)
+    Deliberately the same first-occurrence + ``ufunc.at`` decomposition
+    rather than e.g. ``reduceat`` over a sorted copy: ``add.reduceat``
+    folds segments pairwise, which is not bit-identical to the sequential
+    left-to-right application the scalar oracle produces."""
+    first_idx, rest, inverse_rest, last = tables
+    if op.name == "overwrite":
+        return values[last]
+    acc = values[first_idx]
+    if inverse_rest.size:
+        op.ufunc.at(acc, inverse_rest, values.take(rest))
+    return acc
 
 
 def _fold_groups(
@@ -202,68 +152,77 @@ def _fold_groups(
     return present, acc
 
 
-class PreparedSubsetFold:
-    """Composite-key fold plans for *subsets* of a static reduce batch.
+class PreparedFold:
+    """The fold plan of a *static* reduce batch: the only one there is.
 
-    Frontier-aware kernels (``repro.exec.codegen.PreparedFrontierPush``)
-    reduce with a per-round subset of a frozen ``(threads, keys)`` edge
-    expansion - the active sources change, the expansion does not. The
-    composite sort is a pure function of the full batch, so it is done
-    once here and kept in its *dense* form: per batch position the id of
-    its ``(thread, key)`` composite among the batch's sorted unique
-    composites (``slot``, into ``ucomp``), and per slot the id of its
-    plain key among the sorted unique keys (``kslot``, into ``ukeys``). A
-    round then folds by group id (:func:`_fold_groups`) - no per-round
-    sort at either stage: :meth:`fold` groups the subset's values by
-    ``slot`` (the thread-level fold), :meth:`collect` groups the folded
-    slots by ``kslot`` (the reduce-sync merge). Per round and host that is
-    O(k) gathers for a subset of k positions plus an O(U) byte scan of the
-    presence mask, U the number of unique composites of the full batch.
+    Compiled kernels (``repro.exec.codegen``) reduce with the same
+    ``(threads, keys)`` arrays every round - all of them, or the ascending
+    subset a frontier selects - so the sorts of :func:`_fold_batch` are a
+    pure function of the batch and are done once, here: one of the
+    ``(thread, key)`` composites (the thread-level fold) and one of their
+    plain keys (the reduce-sync merge). Each is kept both ways a round
+    can use it:
 
-    The composite span is the *full* batch's ``max(keys) + 1`` rather than
-    the subset's: composite ordering and the ``% span`` / ``// span``
-    decompositions are identical for any span exceeding every subset key,
-    so the folded batch state is observably interchangeable with what
-    :meth:`ThreadLocalReduction.reduce_bulk` stores.
+    * *dense ids* - per batch position the id of its composite among the
+      sorted unique composites (``slot``, into ``uniq``), per slot the id
+      of its key among the sorted unique keys (``kslot``, into ``ukeys``).
+      A subset round folds by group id (:func:`_fold_groups`): O(k)
+      gathers for k positions plus a byte scan of a presence mask.
+    * *frozen replay tables* - over the whole batch the first-occurrence /
+      rest / last decomposition is static too, so a full round
+      (``idx=None``) skips even the presence scan and the ``minimum.at``
+      (:func:`_replay`). It stays a special case because a dense
+      every-edge-every-round push (PageRank) spends its reduce time there.
+
+    Either way a slot's values apply in ascending batch position, so the
+    folded state is bit-identical to :func:`_fold_batch` on the same
+    positions; ``span`` is the full batch's ``max(keys) + 1`` (any span
+    above every key orders composites and splits them by ``% span`` the
+    same way), so the state is interchangeable with what
+    :meth:`ThreadLocalReduction.reduce_bulk` stores. ``threads``/``keys``
+    are kept for the fallback to that generic path when the fast path's
+    preconditions (clean thread maps, ufunc-foldable op) fail at run time.
     """
 
-    __slots__ = ("threads", "keys", "count", "span", "slot", "ucomp", "kslot", "ukeys")
+    __slots__ = (
+        "threads", "keys", "span",
+        "slot", "uniq", "kslot", "ukeys", "_thread_tables", "_key_tables",
+    )
 
     def __init__(self, threads: np.ndarray, keys: np.ndarray) -> None:
         self.threads = threads
         self.keys = keys
-        self.count = int(keys.size)
-        self.span = int(keys.max()) + 1
-        ucomp, slot = np.unique(threads * self.span + keys, return_inverse=True)
-        ukeys, kslot = np.unique(ucomp % self.span, return_inverse=True)
-        self.slot = _frozen(slot.reshape(-1))
-        self.ucomp = _frozen(ucomp)
-        self.kslot = _frozen(kslot.reshape(-1))
-        self.ukeys = _frozen(ukeys)
+        # An empty batch (a push over 0-degree nodes only) has no largest key.
+        self.span = int(keys.max()) + 1 if keys.size else 1
+        self.uniq, self.slot, self._thread_tables = _group(
+            threads * self.span + keys
+        )
+        self.ukeys, self.kslot, self._key_tables = _group(self.uniq % self.span)
 
     def fold(
-        self, idx: np.ndarray, values: np.ndarray, op: ReduceOp
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fold the subset at ascending batch positions ``idx`` (``values``
-        aligned with ``idx``) into ``(uniq, folded, present)``: with
-        :attr:`span`, the first two are the reduction's batch state;
-        ``present`` is the slot ids behind them, which :meth:`collect` takes.
-
-        Per folded slot, duplicates apply in ascending batch position -
-        the same sequence :func:`_fold_batch` feeds ``ufunc.at`` - and the
-        present slots ascend as their composites do, so ``uniq`` and the
-        folded values are bit-identical to the generic bulk path.
-        """
-        present, folded = _fold_groups(self.slot[idx], self.ucomp.size, values, op)
-        return self.ucomp[present], folded, present
+        self, values: np.ndarray, op: ReduceOp, idx: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Fold the batch's ``values`` - or, given ascending batch
+        positions ``idx``, that subset's (``values`` aligned with ``idx``)
+        - into ``(uniq, folded, present)``: with :attr:`span`, the first
+        two are the reduction's batch state; ``present`` is the slot ids
+        behind them (None: every slot), which :meth:`collect` takes."""
+        if idx is None:
+            return self.uniq, _replay(self._thread_tables, values, op), None
+        present, folded = _fold_groups(self.slot[idx], self.uniq.size, values, op)
+        return self.uniq[present], folded, present
 
     def collect(
-        self, present: np.ndarray, folded: np.ndarray, op: ReduceOp
+        self, present: np.ndarray | None, folded: np.ndarray, op: ReduceOp
     ) -> tuple[np.ndarray, np.ndarray]:
         """``_fold_batch(uniq % span, folded, op)`` - the thread-order
-        merge of one :meth:`fold` result - without its per-round sort:
-        the present slots are thread-major, so folding them by key id
-        applies each key's threads in ascending order."""
+        merge of one :meth:`fold` result - without its per-round sort: the
+        slots are thread-major, so folding them by key id applies each
+        key's threads in ascending order. A full fold collects the same
+        frozen ``ukeys`` object every round (the reduce-sync route cache
+        is keyed on it)."""
+        if present is None:
+            return self.ukeys, _replay(self._key_tables, folded, op)
         kpresent, merged = _fold_groups(
             self.kslot[present], self.ukeys.size, folded, op
         )
@@ -367,59 +326,22 @@ class ThreadLocalReduction:
             else:
                 local_map[key] = value
 
-    def prepare_bulk(
-        self, threads: np.ndarray, keys: np.ndarray
-    ) -> PreparedFold | None:
-        """Assemble a :class:`PreparedFold` for a static batch (codegen)."""
-        if keys.size == 0:
-            return None
+    def prepare_bulk(self, threads: np.ndarray, keys: np.ndarray) -> PreparedFold:
+        """Assemble the :class:`PreparedFold` of a static batch (codegen)."""
         return PreparedFold(np.asarray(threads), np.asarray(keys, dtype=np.int64))
 
     def reduce_bulk_prepared(
-        self, prepared: PreparedFold, values: np.ndarray, op: ReduceOp
-    ) -> None:
-        """:meth:`reduce_bulk` over a precomputed fold plan: identical
-        charges and folded state, minus the per-round key sort. Falls back
-        to the generic path whenever its preconditions do not hold."""
-        values = np.asarray(values)
-        if (
-            self._batch is not None
-            or any(self.maps)
-            or values.dtype == object
-            or (op.ufunc is None and op.name != "overwrite")
-        ):
-            self.reduce_bulk(prepared.threads, prepared.keys, values, op)
-            return
-        counters = self.cluster.counters(self.host_id)
-        counters.reduce_calls += prepared.count
-        self._swap_batch(
-            (prepared.span, prepared.uniq, prepared.fold(values, op)),
-            (prepared.uniq, prepared.collect),
-        )
-
-    def prepare_bulk_subsets(
-        self, threads: np.ndarray, keys: np.ndarray
-    ) -> PreparedSubsetFold | None:
-        """Assemble a :class:`PreparedSubsetFold` for a static batch whose
-        per-round reduces cover varying ascending subsets (codegen)."""
-        if keys.size == 0:
-            return None
-        return PreparedSubsetFold(
-            np.asarray(threads), np.asarray(keys, dtype=np.int64)
-        )
-
-    def reduce_bulk_subset(
         self,
-        prepared: PreparedSubsetFold,
-        idx: np.ndarray,
+        prepared: PreparedFold,
         values: np.ndarray,
         op: ReduceOp,
+        idx: np.ndarray | None = None,
     ) -> None:
-        """:meth:`reduce_bulk` over the subset of ``prepared``'s batch at
-        ascending positions ``idx``: identical charges and folded state,
-        minus the per-round composite sort. Falls back to the generic path
+        """:meth:`reduce_bulk` over ``prepared``'s batch - or its subset at
+        ascending positions ``idx`` - with identical charges and folded
+        state, minus the per-round sorts. Falls back to the generic path
         whenever its preconditions do not hold."""
-        count = int(idx.size)
+        count = int((prepared.keys if idx is None else idx).size)
         if count == 0:
             return
         values = np.asarray(values)
@@ -429,13 +351,14 @@ class ThreadLocalReduction:
             or values.dtype == object
             or (op.ufunc is None and op.name != "overwrite")
         ):
-            self.reduce_bulk(
-                prepared.threads[idx], prepared.keys[idx], values, op
-            )
+            threads, keys = prepared.threads, prepared.keys
+            if idx is not None:
+                threads, keys = threads[idx], keys[idx]
+            self.reduce_bulk(threads, keys, values, op)
             return
         counters = self.cluster.counters(self.host_id)
         counters.reduce_calls += count
-        uniq, folded, present = prepared.fold(idx, values, op)
+        uniq, folded, present = prepared.fold(values, op, idx)
         self._swap_batch(
             (prepared.span, uniq, folded),
             (uniq, partial(prepared.collect, present)),

@@ -55,6 +55,7 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.core.reducers import SUM
+from repro.core.reduction import _frozen
 from repro.exec.plan import (
     DegreeReduce,
     EdgePush,
@@ -91,14 +92,6 @@ ENTRY_SYNC = 1
 ENTRY_EXEC = 2
 
 
-def _freeze(array: np.ndarray) -> np.ndarray:
-    """Mark a precomputed array immutable: specialized kernels hand the
-    same array objects to ``reduce_bulk`` every round, so accidental
-    in-place mutation downstream must fail loudly, not corrupt a run."""
-    array.flags.writeable = False
-    return array
-
-
 # ------------------------------------------------------- specialized kernels
 
 
@@ -130,6 +123,22 @@ def _noop() -> None:
     return None
 
 
+def _per_node(values: Any, nodes: np.ndarray, what: str, target: Any) -> np.ndarray:
+    """A plan callable's result as it enters a compiled kernel: one value
+    per node it was handed. Returning a whole per-node array instead of
+    ``array[nodes]``, or a scalar meant to broadcast, is the plausible
+    mistake - and the push indexes the result before the reduce could
+    notice, so it is caught here."""
+    values = np.asarray(values)
+    if values.shape != nodes.shape:
+        raise ValueError(
+            f"{what} into map {target.name!r} returned shape {values.shape} "
+            f"for {nodes.size} node(s); it must return one value per node, "
+            f"shape {nodes.shape}"
+        )
+    return values
+
+
 class PreparedFrontierPush(_SpecializedKernel):
     """The compiled EdgePush: the static decomposition frozen at build,
     the per-round selection applied as numpy masks.
@@ -155,7 +164,9 @@ class PreparedFrontierPush(_SpecializedKernel):
     stay byte-identical to the scalar oracle whichever path runs; the
     choice is recorded per host in ``PhaseRecord.frontier`` for trace
     inspection. A push with no filter at all is the degenerate case:
-    every round is a full frontier, replayed through the full-batch fold.
+    every round is a full frontier. The reduce is one call either way:
+    the target's prepared batch over the frozen expansion, whole
+    (``idx=None``) or at the round's ascending positions.
     """
 
     def _build(self, cluster: Cluster, part: Any, host: int):
@@ -168,7 +179,7 @@ class PreparedFrontierPush(_SpecializedKernel):
         if sel.size == 0:
             return _noop
         charge_src = int(k.charge_per_source * sel.size)
-        node_sel = _freeze(part.local_to_global[sel])
+        node_sel = _frozen(part.local_to_global[sel])
         starts = indptr[sel]
         counts = indptr[sel + 1] - starts
         edge_total = int(counts.sum())
@@ -176,16 +187,16 @@ class PreparedFrontierPush(_SpecializedKernel):
         # index into it instead of re-deriving it. (All arrays may be
         # empty when skip_zero_degree=False leaves only 0-degree nodes.)
         source_pos_full = np.repeat(np.arange(sel.size, dtype=np.int64), counts)
-        offsets = _freeze(np.cumsum(counts) - counts)
+        offsets = _frozen(np.cumsum(counts) - counts)
         edge_ids_full = (
             np.arange(edge_total, dtype=np.int64)
             - np.repeat(offsets, counts)
             + np.repeat(starts, counts)
         )
-        threads_full = _freeze(cluster.threads_of(total)[sel][source_pos_full])
-        dst_full = _freeze(part.local_to_global[part.indices[edge_ids_full]])
+        threads_full = _frozen(cluster.threads_of(total)[sel][source_pos_full])
+        dst_full = _frozen(part.local_to_global[part.indices[edge_ids_full]])
         src_full = (
-            _freeze(node_sel[source_pos_full]) if k.edge_filter is not None else None
+            _frozen(node_sel[source_pos_full]) if k.edge_filter is not None else None
         )
         weights_full = None
         if k.with_weight == "add":
@@ -193,15 +204,15 @@ class PreparedFrontierPush(_SpecializedKernel):
                 weights_full = np.ones(edge_total, dtype=np.float64)
             else:
                 weights_full = np.asarray(part.weights[edge_ids_full])
-            weights_full = _freeze(weights_full)
+            weights_full = _frozen(weights_full)
         const_full = None
         if k.const_value is not None:
-            const_full = _freeze(np.full(edge_total, k.const_value))
-        counts = _freeze(counts)
-        all_pos = _freeze(np.arange(sel.size, dtype=np.int64))
-        all_edges = _freeze(np.arange(edge_total, dtype=np.int64))
-        source_pos_full = _freeze(source_pos_full)
-        sel = _freeze(sel)
+            const_full = _frozen(np.full(edge_total, k.const_value))
+        counts = _frozen(counts)
+        all_pos = _frozen(np.arange(sel.size, dtype=np.int64))
+        all_edges = _frozen(np.arange(edge_total, dtype=np.int64))
+        source_pos_full = _frozen(source_pos_full)
+        sel = _frozen(sel)
         num_candidates = sel.size
         require_active = k.require_active
         source, target, op = k.source, k.target, k.op
@@ -210,25 +221,7 @@ class PreparedFrontierPush(_SpecializedKernel):
             k.transform,
             k.edge_filter,
         )
-        # Reduce-fold plans over the frozen expansion: the full-batch plan
-        # serves full-frontier rounds outright; the subset plan folds any
-        # ascending subset by dense slot id, without a per-round sort. Each
-        # is built the first time a round of its kind runs (a push that is
-        # never partial never pays the subset plan's sort), and is None for
-        # strategies with no prepared path (generic reduce_bulk then runs,
-        # still byte-identical).
-        fold_plans: dict[str, Any] = {}
-
-        def fold_plan(kind: str) -> Any:
-            if kind not in fold_plans:
-                prepare = (
-                    target.prepare_reduce_bulk
-                    if kind == "full"
-                    else target.prepare_reduce_bulk_subsets
-                )
-                fold_plans[kind] = prepare(host, threads_full, dst_full)
-            return fold_plans[kind]
-
+        prepared = target.prepare_reduce_bulk(host, threads_full, dst_full)
         charge_per_edge = k.charge_per_edge
 
         def mark(path: str) -> None:
@@ -264,7 +257,10 @@ class PreparedFrontierPush(_SpecializedKernel):
                         mark("empty")
                         return
                 if transform is not None:
-                    values = np.asarray(transform(values, node_sel[sel_pos]))
+                    nodes = node_sel[sel_pos]
+                    values = _per_node(
+                        transform(values, nodes), nodes, "EdgePush.transform", target
+                    )
             counts_k = counts[sel_pos]
             n_edges = int(counts_k.sum())
             counters.edge_iters += n_edges
@@ -312,23 +308,9 @@ class PreparedFrontierPush(_SpecializedKernel):
                         return
             if weights_full is not None:
                 pushes = pushes + weights_full[idx]
-            # Reduce-path switch (same contract as the gather's): every
-            # route folds byte-identically, so the cheapest one runs.
-            # Full rounds replay the fully-static fold plan; every other
-            # round folds through the subset plan's precomputed dense
-            # slot ids - O(frontier) gathers plus a byte scan of the
-            # plan's presence mask, no sort and no composite rebuild.
-            # Strategies with no prepared path take the generic fold.
-            full = idx.size == edge_total
-            plan = fold_plan("full" if full else "subset")
-            if plan is None:
-                target.reduce_bulk(
-                    host, threads_full[idx], dst_full[idx], pushes, op
-                )
-            elif full:
-                target.reduce_bulk_prepared(host, plan, pushes, op)
-            else:
-                target.reduce_bulk_subset(host, plan, idx, pushes, op)
+            target.reduce_bulk_prepared(
+                host, prepared, pushes, op, None if idx.size == edge_total else idx
+            )
             mark(path)
 
         return run
@@ -345,18 +327,14 @@ class SpecializedNodeUpdate(_SpecializedKernel):
         if total == 0:
             return _noop
         node_ids = part.local_to_global[:total]
-        threads = cluster.threads_of(total)
         value, target, op = k.value, k.target, k.op
-        prepared = target.prepare_reduce_bulk(host, threads, node_ids)
+        prepared = target.prepare_reduce_bulk(host, cluster.threads_of(total), node_ids)
 
         def run() -> None:
             if charge_node:
                 cluster.counters(host).local_ops += charge_node
-            values = np.asarray(value(node_ids))
-            if prepared is not None:
-                target.reduce_bulk_prepared(host, prepared, values, op)
-            else:
-                target.reduce_bulk(host, threads, node_ids, values, op)
+            values = _per_node(value(node_ids), node_ids, "NodeUpdate.value", target)
+            target.reduce_bulk_prepared(host, prepared, values, op)
 
         return run
 
@@ -374,17 +352,14 @@ class SpecializedDegreeReduce(_SpecializedKernel):
         sel = np.flatnonzero(degs > 0)
         if sel.size == 0:
             return _noop
-        threads_sel = _freeze(cluster.threads_of(total)[sel])
-        node_sel = _freeze(part.local_to_global[sel])
-        degs_sel = _freeze(degs[sel])
+        threads_sel = _frozen(cluster.threads_of(total)[sel])
+        node_sel = _frozen(part.local_to_global[sel])
+        degs_sel = _frozen(degs[sel])
         target = k.target
         prepared = target.prepare_reduce_bulk(host, threads_sel, node_sel)
 
         def run() -> None:
-            if prepared is not None:
-                target.reduce_bulk_prepared(host, prepared, degs_sel, SUM)
-            else:
-                target.reduce_bulk(host, threads_sel, node_sel, degs_sel, SUM)
+            target.reduce_bulk_prepared(host, prepared, degs_sel, SUM)
 
         return run
 
@@ -397,7 +372,7 @@ class SpecializedKeyRequest(_SpecializedKernel):
         total = len(_iteration_set(part, self.space))
         if total == 0:
             return _noop
-        local_ids = _freeze(np.arange(total, dtype=np.int64))
+        local_ids = _frozen(np.arange(total, dtype=np.int64))
         keys, of = self.kernel.keys, self.kernel.of
 
         def run() -> None:
@@ -416,8 +391,8 @@ class SpecializedNodeGather(_SpecializedKernel):
         total = len(_iteration_set(part, self.space))
         if total == 0:
             return _noop
-        local_ids = _freeze(np.arange(total, dtype=np.int64))
-        node_ids = _freeze(part.local_to_global[:total])
+        local_ids = _frozen(np.arange(total, dtype=np.int64))
+        node_ids = _frozen(part.local_to_global[:total])
         threads = cluster.threads_of(total)
         keys, of, target, op = k.keys, k.of, k.target, k.op
 
@@ -444,11 +419,11 @@ class SpecializedNeighborReduceToKey(_SpecializedKernel):
         total = len(_iteration_set(part, self.space))
         if total == 0:
             return _noop
-        local_ids = _freeze(np.arange(total, dtype=np.int64))
-        degrees = _freeze(np.diff(part.indptr[: total + 1]))
+        local_ids = _frozen(np.arange(total, dtype=np.int64))
+        degrees = _frozen(np.diff(part.indptr[: total + 1]))
         num_edges = int(part.indptr[total])
-        dst_locals = _freeze(np.asarray(part.indices[:num_edges], dtype=np.int64))
-        edge_threads = _freeze(np.repeat(cluster.threads_of(total), degrees))
+        dst_locals = _frozen(np.asarray(part.indices[:num_edges], dtype=np.int64))
+        edge_threads = _frozen(np.repeat(cluster.threads_of(total), degrees))
         source, target, op, flag, compare = k.source, k.target, k.op, k.flag, k.compare
 
         def run() -> None:

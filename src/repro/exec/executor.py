@@ -104,7 +104,6 @@ class Executor:
         recovery: str = "fail-fast",
         chaos: Any | None = None,
         engine: str | Engine = "bsp",
-        engine_options: dict[str, Any] | None = None,
     ) -> None:
         self.cluster = cluster
         self.bulk = bool(bulk)
@@ -137,7 +136,7 @@ class Executor:
         if isinstance(engine, Engine):
             self.engine = engine
         else:
-            self.engine = make_engine(self, engine, **(engine_options or {}))
+            self.engine = make_engine(self, engine)
         if self.engine.name != "bsp" and self.jobs > 1:
             raise UnsupportedPlanError(
                 f"engine {self.engine.name!r} does not compose with jobs="

@@ -329,6 +329,11 @@ class EdgePush:
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ((self.target.name, self.op.name),)
 
+    def effects(self) -> list[Any]:
+        """The effect carriers this kernel mutates, all host-locally - what
+        a host shard must export after running it (``repro.exec.pool``)."""
+        return [self.target]
+
 
 @dataclass
 class NodeUpdate:
@@ -350,6 +355,9 @@ class NodeUpdate:
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ((self.target.name, self.op.name),)
 
+    def effects(self) -> list[Any]:
+        return [self.target]
+
 
 @dataclass
 class DegreeReduce:
@@ -366,6 +374,9 @@ class DegreeReduce:
 
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ((self.target.name, SUM.name),)
+
+    def effects(self) -> list[Any]:
+        return [self.target]
 
 
 @dataclass
@@ -394,6 +405,9 @@ class KeyRequest:
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ()
 
+    def effects(self) -> list[Any]:
+        return [self.of]
+
 
 @dataclass
 class NodeGather:
@@ -421,6 +435,9 @@ class NodeGather:
 
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ((self.target.name, self.op.name),)
+
+    def effects(self) -> list[Any]:
+        return [self.target]
 
 
 @dataclass
@@ -462,6 +479,9 @@ class NeighborReduceToKey:
 
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ((self.target.name, self.op.name),)
+
+    def effects(self) -> list[Any]:
+        return [self.target, self.flag]
 
 
 @dataclass

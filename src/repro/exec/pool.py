@@ -99,6 +99,7 @@ fast path.
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -120,18 +121,7 @@ from repro.cluster.metrics import (
     counters_to_rows,
 )
 from repro.core.reducers import NAMED_REDUCE_OPS, ReduceOp
-from repro.exec.plan import (
-    DegreeReduce,
-    EdgePush,
-    KeyRequest,
-    NeighborReduceToKey,
-    NodeGather,
-    NodeUpdate,
-    Operator,
-    OperatorStep,
-    Plan,
-    ScalarKernel,
-)
+from repro.exec.plan import Operator, OperatorStep, Plan, ScalarKernel
 from repro.faults.chaos import deliver as deliver_chaos
 from repro.faults.checkpoint import RoundSnapshot
 
@@ -294,10 +284,8 @@ def _map_table(plan: Plan) -> dict[str, Any]:
     for step in plan.steps:
         if isinstance(step, OperatorStep):
             kernel = step.operator.kernel
-            for attr in (
-                "target", "source", "require_active", "keys", "of", "flag"
-            ):
-                put(getattr(kernel, attr, None))
+            for field in dataclasses.fields(kernel):
+                put(getattr(kernel, field.name))
             for extra in getattr(kernel, "extra_effects", ()):
                 put(extra)
         else:
@@ -333,9 +321,10 @@ def _phase_carriers(
     must run replicated instead of sharded.
 
     The declarative kernel forms are shardable by construction: their
-    only mutations are host-local - reductions into the target, a
+    only mutations are host-local and each form declares the carriers
+    that take them (``effects()``: reductions into the target, a
     ``KeyRequest``'s request bits in the map it requests from, a
-    ``NeighborReduceToKey``'s vote in its flag. A
+    ``NeighborReduceToKey``'s vote in its flag). A
     ``ScalarKernel`` is shardable when it declares itself host-local,
     every map it names resolves, and every reducer it writes with is
     resolvable by name across processes. Key-value-store maps are never
@@ -343,13 +332,7 @@ def _phase_carriers(
     immediately.
     """
     kernel = operator.kernel
-    if isinstance(kernel, (EdgePush, NodeUpdate, DegreeReduce, NodeGather)):
-        carriers = [kernel.target]
-    elif isinstance(kernel, KeyRequest):
-        carriers = [kernel.of]
-    elif isinstance(kernel, NeighborReduceToKey):
-        carriers = [kernel.target, kernel.flag]
-    elif isinstance(kernel, ScalarKernel):
+    if isinstance(kernel, ScalarKernel):
         if not kernel.host_local:
             return None
         names: list[str] = []
@@ -368,8 +351,8 @@ def _phase_carriers(
                 return None
             carriers.append(carrier)
         carriers.extend(kernel.extra_effects)
-    else:  # pragma: no cover - the kernel union is closed
-        return None
+    else:
+        carriers = kernel.effects()
     for carrier in carriers:
         variant = getattr(carrier, "variant", None)
         if variant is not None and variant.uses_kvstore:

@@ -8,14 +8,15 @@ rows) and final values must match exactly - including under ``jobs=N``
 sharding and fault plans. These tests enforce the contract across all
 registered apps and random graphs, pin down abutting compute phases and
 the single EdgePush kernel (frontier extremes, opaque callable filters,
-the eager full-batch fold) on synthetic plans, check the prepared-fold
-fast path against the generic reduction, and take the census of plan
-shapes the apps actually run.
+the one prepared reduce call) on synthetic plans, check the prepared-fold
+fast path against the generic reduction and the shape rule for plan
+callables, and take the census of plan shapes the apps actually run.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -493,14 +494,14 @@ class TestOneEdgePushKernel:
 
     def test_filter_free_push_folds_prepared_from_round_one(self, monkeypatch):
         # Every round of a filter-free push is a full frontier: it folds
-        # through its full-batch plan from the first round on, never the
-        # generic fold.
+        # through its prepared batch, whole, from the first round on, never
+        # the generic fold.
         calls = []
-        for name in ("reduce_bulk", "reduce_bulk_prepared", "reduce_bulk_subset"):
+        for name in ("reduce_bulk", "reduce_bulk_prepared"):
             original = getattr(NodePropMap, name)
 
             def spy(self, *args, _name=name, _original=original):
-                calls.append(_name)
+                calls.append(_name if len(args) < 5 or args[4] is None else "subset")
                 return _original(self, *args)
 
             monkeypatch.setattr(NodePropMap, name, spy)
@@ -531,6 +532,205 @@ class TestOneEdgePushKernel:
         assert calls == ["reduce_bulk_prepared"] * 4
 
 
+class TestOneStaticBatchReducePath:
+    """One ``PreparedFold`` per ``(host, static batch)`` serves full and
+    partial rounds alike, and every static-batch kernel reaches the map
+    through ``reduce_bulk_prepared`` alone - whatever reduction strategy
+    sits behind it."""
+
+    def test_cc_lp_builds_one_fold_per_host_and_push(self, monkeypatch):
+        # CC-LP's first round is a full frontier and its later ones are
+        # partial: both kinds fold through the one plan, one sort pair.
+        from repro.core.reduction import PreparedFold
+
+        builds, kinds = [], set()
+        init, fold = PreparedFold.__init__, PreparedFold.fold
+
+        def counted_init(self, threads, keys):
+            builds.append(keys.size)
+            init(self, threads, keys)
+
+        def counted_fold(self, values, op, idx=None):
+            kinds.add("full" if idx is None else "partial")
+            return fold(self, values, op, idx)
+
+        monkeypatch.setattr(PreparedFold, "__init__", counted_init)
+        monkeypatch.setattr(PreparedFold, "fold", counted_fold)
+        graph = generators.powerlaw_like(scale=6, seed=3)
+        bulk = run_kimbap("CC-LP", "equiv", 4, graph=graph, threads=4, bulk=True)
+        assert len(builds) == 4 and all(builds)
+        assert kinds == {"full", "partial"}
+        scalar = run_kimbap("CC-LP", "equiv", 4, graph=graph, threads=4, bulk=False)
+        assert len(builds) == 4  # the oracle prepares nothing
+        assert canonical(bulk) == canonical(scalar)
+        assert bulk.values == scalar.values
+
+    @pytest.mark.parametrize(
+        "variant",
+        (RuntimeVariant.KIMBAP, RuntimeVariant.SGR_ONLY, RuntimeVariant.MC),
+        ids=lambda variant: variant.name,
+    )
+    def test_static_kernels_only_call_reduce_bulk_prepared(self, monkeypatch, variant):
+        # PR runs all three static-batch forms (DegreeReduce, EdgePush,
+        # NodeUpdate) and no dynamic-key one, so the map's generic
+        # reduce_bulk must never be entered - also where the strategy has
+        # no fold tables and the handle is just the validated batch.
+        calls = {"reduce_bulk": 0, "reduce_bulk_prepared": 0}
+        for name in calls:
+            original = getattr(NodePropMap, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(NodePropMap, name, spy)
+        graph = generators.powerlaw_like(scale=5, seed=3)
+        bulk = run_kimbap(
+            "PR", "equiv", 3, graph=graph, threads=4, bulk=True, variant=variant
+        )
+        forms = {
+            record.operator for record in bulk.cluster.log.phases if record.operator
+        }
+        assert {"pr:deg", "pr:push", "pr:rebuild"} <= forms
+        assert calls["reduce_bulk"] == 0
+        assert calls["reduce_bulk_prepared"] >= 3 * 3
+        scalar = run_kimbap(
+            "PR", "equiv", 3, graph=graph, threads=4, bulk=False, variant=variant
+        )
+        assert canonical(bulk) == canonical(scalar)
+        assert bulk.values == scalar.values
+
+    def test_push_over_zero_degree_nodes_only_prepares_an_empty_batch(self):
+        # skip_zero_degree=False keeps edgeless candidates: the frozen
+        # expansion is empty on every host, the prepared batch with it -
+        # there is no largest key to take - and every round is "empty".
+        from repro.graph import Graph
+
+        graph = Graph.from_edge_list(6, [])
+        outcomes = []
+        for bulk in (False, True):
+            cluster = Cluster(2, threads_per_host=2)
+            pgraph = partition(graph, 2, "oec")
+            executor = Executor(cluster, bulk=bulk)
+            src = NodePropMap(cluster, pgraph, "src")
+            out = NodePropMap(cluster, pgraph, "out")
+            executor.init_map(src, lambda nodes: nodes + 0.0)
+            executor.init_map(out, lambda nodes: nodes + 0.0)
+            plan = Plan(
+                name="edgeless",
+                pgraph=pgraph,
+                once=True,
+                steps=[
+                    OperatorStep(
+                        Operator(
+                            "push", "masters",
+                            EdgePush(
+                                target=out, op=MIN, source=src,
+                                skip_zero_degree=False, charge_per_source=2,
+                            ),
+                        )
+                    ),
+                    SyncStep(out, "reduce"),
+                ],
+            )
+            executor.run(plan)
+            executor.run(plan)
+            outcomes.append((out.snapshot(), _phase_log(cluster)))
+            if bulk:
+                frontier = [r.frontier for r in cluster.log.phases if r.frontier]
+                assert frontier
+                assert all(set(f.values()) == {"empty"} for f in frontier)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == {node: float(node) for node in range(6)}
+
+
+class TestCallableResultShapes:
+    """A plan callable returns one value per node it was handed. The
+    compiled kernels check that where the result enters them - a long
+    array would otherwise push wrong values of the right length - and the
+    map checks the values of every batched reduce once more."""
+
+    WRONG = {
+        "whole-array": lambda nodes: np.zeros(10_000),
+        "short": lambda nodes: np.zeros(nodes.size)[: nodes.size - 1],
+        "scalar": lambda nodes: 1.0,
+    }
+
+    def _setup(self):
+        graph = generators.powerlaw_like(scale=5, seed=3)
+        cluster = Cluster(2, threads_per_host=2)
+        pgraph = partition(graph, 2, "cvc")
+        executor = Executor(cluster, bulk=True)
+        src = NodePropMap(cluster, pgraph, "src")
+        out = NodePropMap(cluster, pgraph, "out")
+        executor.init_map(src, lambda nodes: nodes + 0.0)
+        executor.init_map(out, lambda nodes: np.zeros(nodes.size))
+        return executor, pgraph, src, out
+
+    def _run_once(self, executor, pgraph, out, kernel):
+        plan = Plan(
+            name="shapes",
+            pgraph=pgraph,
+            once=True,
+            steps=[
+                OperatorStep(Operator("op", "masters", kernel)),
+                SyncStep(out, "reduce"),
+            ],
+        )
+        executor.run(plan)
+
+    @pytest.mark.parametrize("shape", sorted(WRONG))
+    def test_edge_push_transform(self, shape):
+        executor, pgraph, src, out = self._setup()
+        wrong = self.WRONG[shape]
+        kernel = EdgePush(
+            target=out, op=SUM, source=src,
+            transform=lambda values, nodes: wrong(nodes),
+        )
+        with pytest.raises(ValueError, match=r"EdgePush\.transform into map 'out'"):
+            self._run_once(executor, pgraph, out, kernel)
+
+    @pytest.mark.parametrize("shape", sorted(WRONG))
+    def test_node_update_value(self, shape):
+        executor, pgraph, src, out = self._setup()
+        kernel = NodeUpdate(out, SUM, value=self.WRONG[shape])
+        with pytest.raises(ValueError, match=r"NodeUpdate\.value into map 'out'"):
+            self._run_once(executor, pgraph, out, kernel)
+
+    @pytest.mark.parametrize(
+        "values", (np.arange(7.0), np.arange(3.0), np.float64(1.0)),
+        ids=("long", "short", "scalar"),
+    )
+    @pytest.mark.parametrize(
+        "variant", (RuntimeVariant.KIMBAP, RuntimeVariant.SGR_ONLY),
+        ids=lambda variant: variant.name,
+    )
+    def test_every_batched_reduce_entry_point(self, values, variant):
+        from repro.cluster.metrics import PhaseKind
+
+        graph = generators.path(8)
+        cluster = Cluster(2, threads_per_host=2)
+        prop = NodePropMap(cluster, partition(graph, 2, "oec"), "m", variant=variant)
+        threads = np.array([0, 0, 0, 1, 1])
+        keys = np.array([1, 2, 2, 5, 7], dtype=np.int64)
+        plan = prop.prepare_reduce_bulk(0, threads, keys)
+        message = re.escape(
+            f"map 'm' reduced (sum) with values of shape {values.shape}"
+        )
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            with pytest.raises(ValueError, match=message):
+                prop.reduce_bulk(0, threads, keys, values, SUM)
+            with pytest.raises(ValueError, match=message):
+                prop.reduce_bulk_prepared(0, plan, values, SUM)
+            with pytest.raises(ValueError, match=message):
+                prop.reduce_bulk_prepared(0, plan, values, SUM, np.array([0, 1, 3, 4]))
+            # A refused call charged and bound nothing: any operator and
+            # correctly shaped values are still welcome.
+            assert cluster.counters(0).reduce_calls == 0
+            prop.reduce_bulk_prepared(0, plan, np.arange(4.0), MIN, np.array([0, 1, 3, 4]))
+        assert prop.reductions[0].pending() > 0
+
+
 class TestKnobIsGone:
     """The interpreted-bulk selector no longer exists at any surface.
     (Spelled in pieces so a repo-wide grep for the removed knob stays
@@ -541,6 +741,13 @@ class TestKnobIsGone:
         with pytest.raises(TypeError):
             Executor(cluster, bulk=True, **{"codegen": False})
         assert not hasattr(Executor(cluster, bulk=True), "codegen")
+
+    def test_executor_rejects_the_removed_engine_options(self):
+        # A configured engine is an Engine instance (make_engine); the
+        # pass-through dict had no caller.
+        cluster = Cluster(2, threads_per_host=2)
+        with pytest.raises(TypeError):
+            Executor(cluster, engine="async", **{"engine_" + "options": {}})
 
     def test_cli_rejects_the_removed_flag(self, capsys):
         from repro.cli import main
@@ -597,25 +804,33 @@ class TestPreparedFold:
         with cluster.phase(PhaseKind.REDUCE_SYNC):
             assert generic.collect(SUM) == prepared_red.collect(SUM)
 
-    def test_empty_batch_prepares_to_none(self):
+    def test_empty_batch_prepares_and_reduces_nothing(self):
         cluster = Cluster(1, threads_per_host=2)
         reduction = ThreadLocalReduction(cluster, 0)
         empty = np.array([], dtype=np.int64)
-        assert reduction.prepare_bulk(empty, empty) is None
+        plan = reduction.prepare_bulk(empty, empty)
+        assert plan.keys.size == 0 and plan.uniq.size == 0 and plan.ukeys.size == 0
+        from repro.cluster.metrics import PhaseKind
+
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            reduction.reduce_bulk_prepared(plan, np.empty(0), SUM)
+            reduction.reduce_bulk_prepared(plan, np.empty(0), SUM, empty)
+        assert reduction.pending() == 0
+        assert cluster.log.total_counters().reduce_calls == 0
 
     def test_prepared_arrays_are_frozen(self):
         threads, keys, _ = self._batch(3)
         cluster = Cluster(1, threads_per_host=4)
         plan = ThreadLocalReduction(cluster, 0).prepare_bulk(threads, keys)
-        for name in ("uniq", "first_idx", "rest", "inverse_rest", "last"):
-            array = getattr(plan, name)
+        tables = (plan.uniq, plan.slot, plan.ukeys, plan.kslot)
+        for array in tables + plan._thread_tables + plan._key_tables:
             with pytest.raises(ValueError):
                 array[...] = 0
 
 
 class TestWarmPartialRoundNeverSorts:
-    """Once every host's subset plan is built (at the host's first
-    partial round), a partial round runs no sort anywhere between the
+    """Once every host's fold plan is built (when the host's kernel is, at
+    its first visit), a partial round runs no sort anywhere between the
     compiled kernel and the owner apply: the
     thread-level fold, the reduce-sync merge and the route all go by
     dense ids. Call counts repeat exactly, so this cannot flake; it is
@@ -623,7 +838,7 @@ class TestWarmPartialRoundNeverSorts:
 
     def test_sssp_road_rounds_after_warmup(self, monkeypatch):
         from repro.algorithms.sssp import sssp
-        from repro.core.reduction import PreparedSubsetFold
+        from repro.core.reduction import PreparedFold
 
         hosts = 2
         graph = generators.road_like(64, 4, seed=3, weighted=True)
@@ -643,11 +858,10 @@ class TestWarmPartialRoundNeverSorts:
         for name in ("argsort", "sort", "unique"):
             monkeypatch.setattr(np, name, counting("sorts", getattr(np, name)))
         monkeypatch.setattr(
-            PreparedSubsetFold, "__init__",
-            counting("builds", PreparedSubsetFold.__init__),
+            PreparedFold, "__init__", counting("builds", PreparedFold.__init__)
         )
         monkeypatch.setattr(
-            PreparedSubsetFold, "fold", counting("folds", PreparedSubsetFold.fold)
+            PreparedFold, "fold", counting("folds", PreparedFold.fold)
         )
         run_round = Executor.run_round
 
@@ -659,8 +873,8 @@ class TestWarmPartialRoundNeverSorts:
         monkeypatch.setattr(Executor, "run_round", counted_round)
         sssp(cluster, pgraph, source=0, executor=executor)
 
-        # Each host builds its subset plan in its first partial round -
-        # the first round it folds at all - and never again.
+        # Each host builds its one plan no later than the first round it
+        # folds at all, and never again.
         assert sum(r["builds"] for r in rounds) == hosts
         first_fold = next(i for i, r in enumerate(rounds) if r["folds"])
         assert rounds[first_fold]["builds"] >= 1

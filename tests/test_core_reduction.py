@@ -13,6 +13,7 @@ from repro.core.reducers import MAX, MIN, OVERWRITE, SUM
 from repro.core import reduction as reduction_module
 from repro.core.reduction import (
     KvCasReduction,
+    PreparedFold,
     SharedMapReduction,
     ThreadLocalReduction,
     _fold_batch,
@@ -67,9 +68,9 @@ class TestThreadLocal:
 
 
 class TestPreparedCollect:
-    """The collect plan cached on a PreparedFold replays ``_fold_batch``
-    over the thread-stripped keys: same bits, no per-round sort, and never
-    applied to a batch it was not built for."""
+    """A PreparedFold's full-round collect replays ``_fold_batch`` over the
+    thread-stripped keys: same bits, no per-round sort, and never applied
+    to a batch it was not built for."""
 
     THREADS = 4
 
@@ -147,7 +148,7 @@ class TestPreparedCollect:
         want_keys, want = self._collect(reference, SUM)
         assert got_keys.tolist() == want_keys.tolist()
         assert got.tobytes() == want.tobytes()
-        assert got_keys is not plan.collect(plan.fold(values, SUM), SUM)[0]
+        assert got_keys is not plan.collect(None, plan.fold(values, SUM)[1], SUM)[0]
 
     def test_installed_copy_of_a_prepared_batch_ignores_the_plan(self):
         # Another process's export carries equal but distinct arrays; the
@@ -169,10 +170,10 @@ class TestPreparedCollect:
 
 
 class TestPreparedSubsetFold:
-    """The dense-slot subset fold and its prepared collect replay the
-    generic pair - ``_fold_batch`` on the subset's composites, then on the
-    thread-stripped keys - bit for bit and charge for charge, for any
-    ascending subset of the frozen batch."""
+    """``PreparedFold.fold(..., idx)`` - the dense-slot subset fold - and
+    its collect replay the generic pair - ``_fold_batch`` on the subset's
+    composites, then on the thread-stripped keys - bit for bit and charge
+    for charge, for any ascending subset of the frozen batch."""
 
     THREADS = 4
     COUNT = 600
@@ -210,13 +211,13 @@ class TestPreparedSubsetFold:
             ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
             for _ in range(2)
         ]
-        plan = prepared_red.prepare_bulk_subsets(threads, keys)
+        plan = prepared_red.prepare_bulk(threads, keys)
         composite = threads * plan.span + keys
         for name, idx in self._subsets(threads, keys, rng):
             values = self._values(rng, idx.size)
             want_uniq, want_folded = _fold_batch(composite[idx], values, op)
             want_keys, want = _fold_batch(want_uniq % plan.span, want_folded, op)
-            uniq, folded, present = plan.fold(idx, values, op)
+            uniq, folded, present = plan.fold(values, op, idx)
             got_keys, got = plan.collect(present, folded, op)
             assert np.array_equal(uniq, want_uniq), name
             assert folded.tobytes() == want_folded.tobytes(), name
@@ -224,7 +225,7 @@ class TestPreparedSubsetFold:
             assert got.tobytes() == want.tobytes(), name
             # The same through the reductions, charges included.
             with prepared_red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
-                prepared_red.reduce_bulk_subset(plan, idx, values, op)
+                prepared_red.reduce_bulk_prepared(plan, values, op, idx)
             with generic_red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
                 generic_red.reduce_bulk(threads[idx], keys[idx], values, op)
             collected = []
@@ -241,6 +242,40 @@ class TestPreparedSubsetFold:
         assert got_total.combine_ops == want_total.combine_ops > 0
         assert got_total == want_total
 
+    @pytest.mark.parametrize(
+        "op", [SUM, MIN, MAX, OVERWRITE], ids=lambda op: op.name
+    )
+    def test_full_round_and_every_position_subset_agree(self, op):
+        # The frozen replay (idx=None) and the dense-slot fold over every
+        # position are two routes to one state: raw bytes and charges.
+        threads, keys, rng = self._static_batch()
+        values = self._values(rng, self.COUNT)
+        everything = np.arange(self.COUNT)
+        plan = PreparedFold(threads, keys)
+        uniq, folded, present = plan.fold(values, op)
+        sub_uniq, sub_folded, sub_present = plan.fold(values, op, everything)
+        assert present is None
+        assert np.array_equal(sub_present, np.arange(plan.uniq.size))
+        assert uniq.tobytes() == sub_uniq.tobytes()
+        assert folded.tobytes() == sub_folded.tobytes()
+        states = []
+        for idx in (None, everything):
+            reduction = ThreadLocalReduction(
+                Cluster(1, threads_per_host=self.THREADS), 0
+            )
+            with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                reduction.reduce_bulk_prepared(plan, values, op, idx)
+            span, batch_uniq, batch_folded = reduction._batch
+            with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+                collected_keys, collected = reduction.collect_arrays(op)
+            states.append((
+                span, batch_uniq.tobytes(), batch_folded.tobytes(),
+                collected_keys.tobytes(), collected.tobytes(),
+                reduction.cluster.log.total_counters(),
+            ))
+        assert states[0] == states[1]
+        assert states[0][-1].reduce_calls == self.COUNT
+
     def test_sum_fold_order_shows_in_the_bits(self):
         # The SUM case above only has teeth if reordering moves bits.
         threads, keys, rng = self._static_batch()
@@ -255,18 +290,20 @@ class TestPreparedSubsetFold:
         reduction = ThreadLocalReduction(
             Cluster(1, threads_per_host=self.THREADS), 0
         )
-        plan = reduction.prepare_bulk_subsets(threads, keys)
-        for name in ("slot", "ucomp", "kslot", "ukeys"):
+        plan = reduction.prepare_bulk(threads, keys)
+        tables = (plan.slot, plan.uniq, plan.kslot, plan.ukeys)
+        for array in tables + plan._thread_tables + plan._key_tables:
             with pytest.raises(ValueError):
-                getattr(plan, name)[...] = 0
+                array[...] = 0
         idx = np.arange(0, self.COUNT, 3)
         values = self._values(rng, idx.size)
-        before = plan.fold(idx, values, MIN)
+        before = plan.fold(values, MIN, idx)
         with pytest.raises(IndexError):
-            # Misaligned values blow up inside the fold; all scratch is
-            # per call, so the next round folds as if nothing happened.
-            plan.fold(idx, values[: idx.size // 2], MIN)
-        after = plan.fold(idx, values, MIN)
+            # Misaligned values blow up inside the fold (the shape rule
+            # lives one layer up, in NodePropMap); all scratch is per
+            # call, so the next round folds as if nothing happened.
+            plan.fold(values[: idx.size // 2], MIN, idx)
+        after = plan.fold(values, MIN, idx)
         for got, want in zip(after, before):
             assert got.tobytes() == want.tobytes()
 
@@ -278,12 +315,12 @@ class TestPreparedSubsetFold:
             ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
             for _ in range(2)
         ]
-        plan = reduction.prepare_bulk_subsets(threads, keys)
+        plan = reduction.prepare_bulk(threads, keys)
         idx = np.sort(rng.choice(self.COUNT, size=200, replace=False))
         values = self._values(rng, idx.size)
         for red in (reduction, reference):
             with red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
-                red.reduce_bulk_subset(plan, idx, values, SUM)
+                red.reduce_bulk_prepared(plan, values, SUM, idx)
         assert reduction._batch_plan is not None
         reduction.install_state(reduction.export_state())
         assert reduction._batch_plan is None
@@ -312,17 +349,11 @@ class TestPreparedSubsetFold:
         reduction = ThreadLocalReduction(
             Cluster(1, threads_per_host=self.THREADS), 0
         )
-        plans = (
-            (reduction.prepare_bulk(threads, keys), np.arange(self.COUNT)),
-            (reduction.prepare_bulk_subsets(threads, keys), np.arange(5, 90)),
-        )
-        for plan, idx in plans:
-            values = rng.random(idx.size)
+        plan = reduction.prepare_bulk(threads, keys)
+        for idx in (None, np.arange(5, 90)):
+            values = rng.random(self.COUNT if idx is None else idx.size)
             with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
-                if idx.size == self.COUNT:
-                    reduction.reduce_bulk_prepared(plan, values, SUM)
-                else:
-                    reduction.reduce_bulk_subset(plan, idx, values, SUM)
+                reduction.reduce_bulk_prepared(plan, values, SUM, idx)
                 assert reduction._batch_plan is not None
                 if consume == "spill":
                     reduction.reduce(0, 1, 1.0, SUM)

@@ -25,11 +25,14 @@ from repro.core.reducers import MIN
 from repro.exec import (
     PLAN_SCHEMA,
     CmpFilter,
+    DegreeReduce,
     DstCmpFilter,
+    EdgePush,
     Executor,
     KeyRequest,
     NeighborReduceToKey,
     NodeGather,
+    NodeUpdate,
     Operator,
     OperatorStep,
     Plan,
@@ -129,6 +132,17 @@ class TestTransVertexForms:
                 source=keys, target=out, op=MIN, cmp="spaceship",
                 flag=BoolReducer(cluster, "f"),
             )
+
+    def test_every_form_declares_the_carriers_it_mutates(self, maps):
+        cluster, _, keys, of, out = maps
+        flag = BoolReducer(cluster, "f")
+        assert KeyRequest(keys=keys, of=of).effects() == [of]  # request bits
+        assert NodeGather(keys=keys, of=of, target=out, op=MIN).effects() == [out]
+        hook = NeighborReduceToKey(source=keys, target=out, op=MIN, cmp="gt", flag=flag)
+        assert hook.effects() == [out, flag]
+        assert EdgePush(target=out, op=MIN, source=keys).effects() == [out]
+        assert NodeUpdate(out, MIN, value=lambda nodes: nodes).effects() == [out]
+        assert DegreeReduce(out).effects() == [out]
 
     def test_cc_sv_and_cc_sclp_plans_summarize_without_opaque_records(self, capsys):
         assert PLAN_SCHEMA == "repro-exec-plan/v1.2"

@@ -9,6 +9,7 @@ decisions derived from plan metadata, and operator resolution by name.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import signal
@@ -125,6 +126,36 @@ class TestShardability:
         )
         assert pool._tables[id(plan)][id(request)] == [parent]  # request bits
         assert pool._tables[id(plan)][id(gather)] == [parent]  # reductions
+
+    def test_a_form_the_pool_never_heard_of_registers_like_the_built_in_ones(
+        self, setup
+    ):
+        # The pool knows a declarative form only by its dataclass fields
+        # (the name table) and its effects() (the phase's carriers), so a
+        # new form - carriers under new field names - needs no pool edit.
+        @dataclasses.dataclass
+        class Tally:
+            tallied: NodePropMap
+            votes: BoolReducer
+            watched: NodePropMap
+
+            def effects(self):
+                return [self.tallied, self.votes]
+
+        cluster, pgraph = setup
+        tallied, watched = (NodePropMap(cluster, pgraph, name) for name in "tw")
+        votes = BoolReducer(cluster, "v")
+        plan = Plan(
+            name="tally",
+            pgraph=pgraph,
+            steps=[
+                OperatorStep(Operator("tally", "all", Tally(tallied, votes, watched)))
+            ],
+            once=True,
+        )
+        pool = _pool(cluster, plan)
+        assert pool._tables[id(plan)][id(_first_operator(plan))] == [tallied, votes]
+        assert pool._names[id(plan)] == {"t": tallied, "v": votes, "w": watched}
 
     @pytest.mark.skipif(
         not fork_available(), reason="host-shard parallelism needs POSIX fork"
