@@ -308,7 +308,7 @@ class NodePropMap:
 
         Compiled kernels (``repro.exec.codegen``) reduce with the same
         ``(threads, keys)`` arrays every round - all of them or an
-        ascending subset - so the key validation and the sorts of
+        ascending subset - so the key validation and the slot ranking of
         :meth:`reduce_bulk` are hoisted to build time. The handle goes to
         :meth:`reduce_bulk_prepared`: a :class:`PreparedFold` for the
         conflict-free strategy; the bare validated arrays for the
@@ -724,7 +724,11 @@ class NodePropMap:
                     self._mark_changed(dst, changed)
                     changed_legs.append(changed)
             if changed_legs:
-                keys = np.unique(np.concatenate(changed_legs))
+                # Ascending distinct node ids off a presence mask, no sort.
+                seen = self._empty_mask()
+                for changed in changed_legs:
+                    seen[changed] = True
+                keys = np.flatnonzero(seen)
                 deltas[dst] = (keys, self.stores[dst].peek_masters(keys))
         blob = {"deltas": deltas, "updated": self._any_updated}
         for index, peer in enumerate(pool.exchange_shards(blob, record=record)):

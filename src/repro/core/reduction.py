@@ -19,8 +19,11 @@ values, the same conflict counts, and the same counter totals as the
 equivalent sequence of scalar ``reduce`` calls (``threads`` non-decreasing,
 as the static dealing produces). Numeric batches stay folded as sorted
 key/value arrays (thread-major composite keys for CF) until
-``collect``/``collect_arrays``; anything that cannot be folded with a
-ufunc falls back to the scalar per-item path.
+``collect``/``collect_arrays``, and every one of them is folded the same
+way: give each group a dense id off a presence mask (:func:`_present`,
+:func:`_rank`), then one identity-seeded ``ufunc.at`` scatter
+(:func:`_fold`). Anything without an exact identity (:func:`_foldable`)
+falls back to the scalar per-item path.
 """
 
 from __future__ import annotations
@@ -37,39 +40,6 @@ from repro.kvstore.client import KvClient
 KV_RETRY_CAP = 8
 
 
-def _fold_batch(
-    keys: np.ndarray, values: np.ndarray, op: ReduceOp
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Fold one batch into (sorted unique keys, per-key folded values).
-
-    Bit-identical to applying ``op`` left-to-right per key: the first
-    occurrence assigns, later occurrences fold via the op's unbuffered
-    ``.at`` ufunc form (which applies duplicate indices sequentially).
-    Returns None when the batch is not vectorizable (object values or an
-    operator with no ufunc).
-    """
-    if values.dtype == object:
-        return None
-    if op.ufunc is None and op.name != "overwrite":
-        return None
-    uniq, first_idx, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)
-    if op.name == "overwrite":
-        if uniq.size == keys.size:
-            return uniq, values[first_idx]
-        last = np.zeros(uniq.size, dtype=np.int64)
-        np.maximum.at(last, inverse, np.arange(keys.size, dtype=np.int64))
-        return uniq, values[last]
-    acc = values[first_idx]
-    if uniq.size != keys.size:
-        rest = np.ones(keys.size, dtype=bool)
-        rest[first_idx] = False
-        op.ufunc.at(acc, inverse[rest], values[rest])
-    return uniq, acc
-
-
 def _frozen(array: np.ndarray) -> np.ndarray:
     """Mark a precomputed array immutable: plans and compiled kernels hand
     the same array objects down every round, so an accidental in-place
@@ -78,78 +48,103 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _group(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """The static half of :func:`_fold_batch` for one label array, frozen:
-    the sorted unique labels, each position's dense id among them, and the
-    ``(first_idx, rest, inverse_rest, last)`` tables :func:`_replay` applies."""
-    uniq, first_idx, dense = np.unique(
-        labels, return_index=True, return_inverse=True
+def _foldable(values: np.ndarray, op: ReduceOp) -> bool:
+    """Whether a batch takes :func:`_fold`: anything else - object values,
+    an operator or dtype with no exact identity - applies ``op`` per item."""
+    return values.dtype != object and (
+        op.name == "overwrite" or op.identity(values.dtype) is not None
     )
-    dense = dense.reshape(-1)
-    # Positions of the non-first occurrences, ascending: an index take
-    # gathers them per round without re-scanning a boolean mask.
-    is_rest = np.ones(labels.size, dtype=bool)
-    is_rest[first_idx] = False
-    rest = np.flatnonzero(is_rest)
-    # Last occurrence per label, for the overwrite fold.
-    last = np.zeros(uniq.size, dtype=np.int64)
-    np.maximum.at(last, dense, np.arange(labels.size, dtype=np.int64))
-    tables = (first_idx, rest, dense[rest], last)
-    return _frozen(uniq), _frozen(dense), tuple(map(_frozen, tables))
 
 
-def _replay(tables: tuple, values: np.ndarray, op: ReduceOp) -> np.ndarray:
-    """The value half of :func:`_fold_batch` over :func:`_group` tables.
+def _present(ids: np.ndarray, num_ids: int) -> np.ndarray:
+    """``np.unique(ids)`` for ids that are already non-negative integers
+    below ``num_ids``, without the sort: the ``flatnonzero`` of a presence
+    mask is the ascending order a sort would produce. One O(``num_ids``)
+    byte scan; all scratch is per call."""
+    seen = np.zeros(num_ids, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
 
-    Deliberately the same first-occurrence + ``ufunc.at`` decomposition
-    rather than e.g. ``reduceat`` over a sorted copy: ``add.reduceat``
-    folds segments pairwise, which is not bit-identical to the sequential
-    left-to-right application the scalar oracle produces."""
-    first_idx, rest, inverse_rest, last = tables
+
+def _rank(ids: np.ndarray, num_ids: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(ids, return_inverse=True)`` the same way: an ``arange``
+    scattered over the present ids ranks every position."""
+    present = _present(ids, num_ids)
+    rank = np.empty(num_ids, dtype=np.int64)
+    rank[present] = np.arange(present.size, dtype=np.int64)
+    return present, rank[ids]
+
+
+def _slots(
+    threads: np.ndarray, keys: np.ndarray, num_threads: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(thread, key)`` slots of one batch:
+    ``(span, uniq, slot, ukeys, kslot)``.
+
+    ``uniq`` are the batch's distinct ``thread * span + key`` composites,
+    ascending (thread-major), and ``slot`` each position's id among them;
+    ``ukeys`` the distinct keys, ascending, and ``kslot`` each slot's id
+    among those. Keys are node ids (non-negative; ``NodePropMap`` checks)
+    and threads are below ``num_threads``, so both rank through
+    :func:`_rank`: the keys first, over a ``span``-wide mask, then the
+    ``(thread, key rank)`` pairs - a scan of ``span`` + ``num_threads`` x
+    distinct keys bytes, never ``num_threads * span``.
+    """
+    # An empty batch (a push over 0-degree nodes only) has no largest key
+    # and no distinct keys: both widths stay 1.
+    span = int(keys.max()) + 1 if keys.size else 1
+    ukeys, key_rank = _rank(keys, span)
+    width = max(int(ukeys.size), 1)
+    present, slot = _rank(np.int64(width) * threads + key_rank, num_threads * width)
+    thread, kslot = np.divmod(present, width)
+    return span, thread * span + ukeys[kslot], slot, ukeys, kslot
+
+
+def _last(ids: np.ndarray, num_ids: int) -> np.ndarray:
+    """Per id its last position - never from fancy-assignment write order,
+    which numpy leaves unspecified for repeated indices."""
+    last = np.zeros(num_ids, dtype=np.int64)
+    np.maximum.at(last, ids, np.arange(ids.size, dtype=np.int64))
+    return last
+
+
+def _fold(
+    ids: np.ndarray,
+    num_ids: int,
+    values: np.ndarray,
+    op: ReduceOp,
+    last: np.ndarray | None = None,
+) -> np.ndarray:
+    """The one fold kernel: ``values`` folded by id, one accumulator for
+    each of the ``num_ids`` ids (an id that does not occur keeps a filler).
+
+    ``ufunc.at`` applies repeated indices one by one in position order, so
+    accumulators seeded with the operator's exact identity
+    (:meth:`ReduceOp.identity`) take each id's values in the exact
+    left-to-right sequence of the scalar rule - no first-occurrence pass,
+    no sort - and the folded bits match. (Not ``reduceat`` over a sorted
+    copy: that folds segments pairwise, and float sums drift.) Overwrite
+    keeps each id's last position (``last``, when a static batch has it
+    precomputed).
+    """
     if op.name == "overwrite":
-        return values[last]
-    acc = values[first_idx]
-    if inverse_rest.size:
-        op.ufunc.at(acc, inverse_rest, values.take(rest))
+        return values[_last(ids, num_ids) if last is None else last]
+    acc = np.full(num_ids, op.identity(values.dtype), dtype=values.dtype)
+    op.ufunc.at(acc, ids, values)
     return acc
 
 
-def _fold_groups(
-    group: np.ndarray, num_groups: int, values: np.ndarray, op: ReduceOp
+def _fold_present(
+    ids: np.ndarray, num_ids: int, values: np.ndarray, op: ReduceOp
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fold ``values`` by dense group id: ``(present ids ascending, folded)``.
-
-    :func:`_fold_batch` for keys that are already ids below ``num_groups``:
-    a presence mask replaces the sort (its ``flatnonzero`` is the ascending
-    order a sort would produce), ``minimum.at`` over positions finds each
-    group's first occurrence (``maximum.at`` the last, for overwrite), and
-    the remaining positions apply in ascending order through the same
-    sequential ``ufunc.at`` - per group the exact left-to-right sequence,
-    so the folded bits match. First/last never come from fancy-assignment
-    write order, which numpy leaves unspecified for repeated indices. All
-    scratch is per call: nothing writable outlives it.
-    """
-    seen = np.zeros(num_groups, dtype=bool)
-    seen[group] = True
-    present = np.flatnonzero(seen)
-    dense = np.empty(num_groups, dtype=np.int64)
-    dense[present] = np.arange(present.size, dtype=np.int64)
-    local = dense[group]
-    count = group.size
-    positions = np.arange(count, dtype=np.int64)
-    if op.name == "overwrite":
-        last = np.zeros(present.size, dtype=np.int64)
-        np.maximum.at(last, local, positions)
-        return present, values[last]
-    first = np.full(present.size, count, dtype=np.int64)
-    np.minimum.at(first, local, positions)
-    acc = values[first]
-    if present.size != count:
-        is_rest = np.ones(count, dtype=bool)
-        is_rest[first] = False
-        rest = np.flatnonzero(is_rest)
-        op.ufunc.at(acc, local[rest], values[rest])
-    return present, acc
+    """:func:`_fold` where only some ids occur: ``(the ids present,
+    ascending, their folded values)``. For an id space no wider than the
+    batch behind it (a plan's slots, a batch's key span) the accumulators
+    stay ``num_ids`` wide and the present ones are taken out afterwards -
+    cheaper than ranking the ids first (:func:`_rank`), which is for id
+    spaces that are not (:func:`_slots`)."""
+    present = _present(ids, num_ids)
+    return present, _fold(ids, num_ids, values, op)[present]
 
 
 class PreparedFold:
@@ -157,47 +152,38 @@ class PreparedFold:
 
     Compiled kernels (``repro.exec.codegen``) reduce with the same
     ``(threads, keys)`` arrays every round - all of them, or the ascending
-    subset a frontier selects - so the sorts of :func:`_fold_batch` are a
-    pure function of the batch and are done once, here: one of the
-    ``(thread, key)`` composites (the thread-level fold) and one of their
-    plain keys (the reduce-sync merge). Each is kept both ways a round
-    can use it:
+    subset a frontier selects - so the batch's :func:`_slots` are a pure
+    function of it and are ranked once, here, and frozen: per batch
+    position the id of its ``(thread, key)`` composite among the sorted
+    unique composites (``slot``, into ``uniq``), per slot the id of its key
+    among the sorted unique keys (``kslot``, into ``ukeys``), and the last
+    position of each (the overwrite fold of a full round).
 
-    * *dense ids* - per batch position the id of its composite among the
-      sorted unique composites (``slot``, into ``uniq``), per slot the id
-      of its key among the sorted unique keys (``kslot``, into ``ukeys``).
-      A subset round folds by group id (:func:`_fold_groups`): O(k)
-      gathers for k positions plus a byte scan of a presence mask.
-    * *frozen replay tables* - over the whole batch the first-occurrence /
-      rest / last decomposition is static too, so a full round
-      (``idx=None``) skips even the presence scan and the ``minimum.at``
-      (:func:`_replay`). It stays a special case because a dense
-      every-edge-every-round push (PageRank) spends its reduce time there.
-
-    Either way a slot's values apply in ascending batch position, so the
-    folded state is bit-identical to :func:`_fold_batch` on the same
-    positions; ``span`` is the full batch's ``max(keys) + 1`` (any span
-    above every key orders composites and splits them by ``% span`` the
-    same way), so the state is interchangeable with what
+    A full round (``idx=None``) scatters straight over the frozen ids; a
+    partial round scatters its k positions the same way and then takes the
+    slots they touched off a presence mask (:func:`_fold_present`: O(k)
+    gathers plus an O(slots) mask scan and accumulator fill). Either way a
+    slot's values apply in ascending batch position (:func:`_fold`), and
+    ``span`` is the full batch's ``max(keys) + 1`` (any span above every
+    key orders composites and splits them by ``% span`` the same way), so
+    the state is interchangeable with what
     :meth:`ThreadLocalReduction.reduce_bulk` stores. ``threads``/``keys``
     are kept for the fallback to that generic path when the fast path's
-    preconditions (clean thread maps, ufunc-foldable op) fail at run time.
+    preconditions (clean thread maps, a foldable batch) fail at run time.
     """
 
     __slots__ = (
-        "threads", "keys", "span",
-        "slot", "uniq", "kslot", "ukeys", "_thread_tables", "_key_tables",
+        "threads", "keys", "span", "slot", "uniq", "kslot", "ukeys", "last", "klast",
     )
 
     def __init__(self, threads: np.ndarray, keys: np.ndarray) -> None:
         self.threads = threads
         self.keys = keys
-        # An empty batch (a push over 0-degree nodes only) has no largest key.
-        self.span = int(keys.max()) + 1 if keys.size else 1
-        self.uniq, self.slot, self._thread_tables = _group(
-            threads * self.span + keys
-        )
-        self.ukeys, self.kslot, self._key_tables = _group(self.uniq % self.span)
+        num_threads = int(threads.max()) + 1 if threads.size else 0
+        self.span, *tables = _slots(threads, keys, num_threads)
+        self.uniq, self.slot, self.ukeys, self.kslot = map(_frozen, tables)
+        self.last = _frozen(_last(self.slot, self.uniq.size))
+        self.klast = _frozen(_last(self.kslot, self.ukeys.size))
 
     def fold(
         self, values: np.ndarray, op: ReduceOp, idx: np.ndarray | None = None
@@ -208,22 +194,22 @@ class PreparedFold:
         two are the reduction's batch state; ``present`` is the slot ids
         behind them (None: every slot), which :meth:`collect` takes."""
         if idx is None:
-            return self.uniq, _replay(self._thread_tables, values, op), None
-        present, folded = _fold_groups(self.slot[idx], self.uniq.size, values, op)
+            folded = _fold(self.slot, self.uniq.size, values, op, self.last)
+            return self.uniq, folded, None
+        present, folded = _fold_present(self.slot[idx], self.uniq.size, values, op)
         return self.uniq[present], folded, present
 
     def collect(
         self, present: np.ndarray | None, folded: np.ndarray, op: ReduceOp
     ) -> tuple[np.ndarray, np.ndarray]:
-        """``_fold_batch(uniq % span, folded, op)`` - the thread-order
-        merge of one :meth:`fold` result - without its per-round sort: the
-        slots are thread-major, so folding them by key id applies each
-        key's threads in ascending order. A full fold collects the same
-        frozen ``ukeys`` object every round (the reduce-sync route cache
-        is keyed on it)."""
+        """The thread-order merge of one :meth:`fold` result: the slots are
+        thread-major, so folding them by key id applies each key's threads
+        in ascending order. A full fold collects the same frozen ``ukeys``
+        object every round (the reduce-sync route cache is keyed on it)."""
         if present is None:
-            return self.ukeys, _replay(self._key_tables, folded, op)
-        kpresent, merged = _fold_groups(
+            merged = _fold(self.kslot, self.ukeys.size, folded, op, self.klast)
+            return self.ukeys, merged
+        kpresent, merged = _fold_present(
             self.kslot[present], self.ukeys.size, folded, op
         )
         return self.ukeys[kpresent], merged
@@ -299,23 +285,16 @@ class ThreadLocalReduction:
         values = np.asarray(values)
         if self._batch is not None:
             self._spill_batch()
-        if (
-            not any(self.maps)
-            and values.dtype != object
-            and (op.ufunc is not None or op.name == "overwrite")
-        ):
-            # All threads clean and the op folds with a ufunc: fold the
-            # whole batch at once on (thread, key) composite keys - one
-            # np.unique for the host. Bit-identical to per-thread folds:
-            # composites sort as (thread, key), and first occurrences plus
-            # the ``.at`` application order within a thread's segment match
-            # the segment-local left-to-right fold exactly.
-            span = int(keys.max()) + 1
-            uniq, folded = _fold_batch(threads * span + keys, values, op)
-            self._swap_batch((span, uniq, folded))
+        if not any(self.maps) and _foldable(values, op):
+            # All threads clean: fold the whole batch at once by (thread,
+            # key) slot. Bit-identical to per-thread folds: slots order as
+            # (thread, key), and the ``.at`` application order within a
+            # slot is the thread's own left-to-right fold of that key.
+            span, uniq, slot, _, _ = _slots(threads, keys, len(self.maps))
+            self._swap_batch((span, uniq, _fold(slot, uniq.size, values, op)))
             return
-        # Prior pending state or a non-vectorizable op: apply the exact
-        # sequential scalar rule into the thread dicts.
+        # Prior pending state or a batch with no exact identity: apply the
+        # exact sequential scalar rule into the thread dicts.
         maps = self.maps
         for thread, key, value in zip(
             threads.tolist(), keys.tolist(), values.tolist()
@@ -345,12 +324,7 @@ class ThreadLocalReduction:
         if count == 0:
             return
         values = np.asarray(values)
-        if (
-            self._batch is not None
-            or any(self.maps)
-            or values.dtype == object
-            or (op.ufunc is None and op.name != "overwrite")
-        ):
+        if self._batch is not None or any(self.maps) or not _foldable(values, op):
             threads, keys = prepared.threads, prepared.keys
             if idx is not None:
                 threads, keys = threads[idx], keys[idx]
@@ -457,17 +431,14 @@ class ThreadLocalReduction:
         if batch is None:
             return np.empty(0, dtype=np.int64), np.empty(0)
         span, uniq, folded = batch
-        # Strip the thread component; the result is the per-thread sorted
-        # key runs concatenated in thread order, so one more fold matches
-        # the thread-order dict merge of :meth:`collect` (first occurrence
-        # assigns, later threads fold left-to-right, overwrite keeps last).
-        # A prepared fold's own batch takes its plan's sort-free merge.
+        # A prepared fold's own batch takes its plan's merge over frozen ids.
         if plan is not None and plan[0] is uniq:
             return plan[1](folded, op)
-        merged = _fold_batch(uniq % span, folded, op)
-        if merged is None:  # pragma: no cover - batches are ufunc-foldable
-            raise TypeError(f"cannot fold bulk batch with op {op.name!r}")
-        return merged
+        # Strip the thread component; the result is the per-thread sorted
+        # key runs concatenated in thread order, so one more fold by key
+        # matches the thread-order dict merge of :meth:`collect` (threads
+        # fold left-to-right, overwrite keeps the last).
+        return _fold_present(uniq % span, span, folded, op)
 
 
 class SharedMapReduction:
@@ -530,10 +501,7 @@ class SharedMapReduction:
         if count == 0:
             return
         values = np.asarray(values)
-        vectorizable = values.dtype != object and (
-            op.ufunc is not None or op.name == "overwrite"
-        )
-        if self.map or self._bulk_keys is not None or not vectorizable:
+        if self.map or self._bulk_keys is not None or not _foldable(values, op):
             if self._bulk_keys is not None:
                 self._spill_bulk()
             for thread, key, value in zip(
@@ -578,20 +546,12 @@ class SharedMapReduction:
         ) // 2
         self._write_count = write_count + count
         self._map_writers.update(np.unique(threads).tolist())
-        uniq_keys = sorted_keys[seg_starts]
-        if op.name == "overwrite":
-            folded = sorted_values[seg_starts + seg_lens - 1]
-        else:
-            folded = sorted_values[seg_starts]
-            if uniq_keys.size != count:
-                rest = np.ones(count, dtype=bool)
-                rest[seg_starts] = False
-                inverse = np.repeat(
-                    np.arange(uniq_keys.size, dtype=np.int64), seg_lens
-                )
-                op.ufunc.at(folded, inverse[rest], sorted_values[rest])
-        self._bulk_keys = uniq_keys
-        self._bulk_vals = folded
+        # The stable sort keeps each key's calls in their original order.
+        segment = np.repeat(np.arange(seg_starts.size, dtype=np.int64), seg_lens)
+        self._bulk_keys = sorted_keys[seg_starts]
+        self._bulk_vals = _fold(
+            segment, seg_starts.size, sorted_values, op, seg_starts + seg_lens - 1
+        )
         self._bulk_first_writer = first_writers
         self._bulk_multi = seg_lens != uncontended
 

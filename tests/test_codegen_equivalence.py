@@ -822,19 +822,19 @@ class TestPreparedFold:
         threads, keys, _ = self._batch(3)
         cluster = Cluster(1, threads_per_host=4)
         plan = ThreadLocalReduction(cluster, 0).prepare_bulk(threads, keys)
-        tables = (plan.uniq, plan.slot, plan.ukeys, plan.kslot)
-        for array in tables + plan._thread_tables + plan._key_tables:
+        tables = (plan.uniq, plan.slot, plan.ukeys, plan.kslot, plan.last, plan.klast)
+        for array in tables:
             with pytest.raises(ValueError):
                 array[...] = 0
 
 
 class TestWarmPartialRoundNeverSorts:
-    """Once every host's fold plan is built (when the host's kernel is, at
-    its first visit), a partial round runs no sort anywhere between the
-    compiled kernel and the owner apply: the
-    thread-level fold, the reduce-sync merge and the route all go by
-    dense ids. Call counts repeat exactly, so this cannot flake; it is
-    what keeps a later edit from quietly putting a sort back."""
+    """No round sorts anywhere between the compiled kernel and the owner
+    apply - partial, full or dynamic-key: the thread-level fold, the
+    reduce-sync merge and the route all go by dense ids ranked off a
+    presence mask, and so does the one-time build of a fold plan. Call
+    counts repeat exactly, so this cannot flake; it is what keeps a later
+    edit from quietly putting a sort back."""
 
     def test_sssp_road_rounds_after_warmup(self, monkeypatch):
         from repro.algorithms.sssp import sssp
@@ -879,12 +879,68 @@ class TestWarmPartialRoundNeverSorts:
         first_fold = next(i for i, r in enumerate(rounds) if r["folds"])
         assert rounds[first_fold]["builds"] >= 1
         last_build = max(i for i, r in enumerate(rounds) if r["builds"])
-        cold, warm = rounds[: last_build + 1], rounds[last_build + 1 :]
-        # The counters have teeth: a build is one composite sort.
-        assert sum(r["sorts"] for r in cold) >= hosts
+        warm = rounds[last_build + 1 :]
         assert len(warm) >= 20
         assert all(r["folds"] >= 1 for r in warm)
-        assert [r["sorts"] for r in warm] == [0] * len(warm)
+        # Neither the warm rounds nor the builds before them sort.
+        assert [r["sorts"] for r in rounds] == [0] * len(rounds)
+        # The counter has teeth: it sees a sort when there is one.
+        seen = counts["sorts"]
+        np.unique(np.array([2, 1, 2]))
+        assert counts["sorts"] > seen
+
+    @pytest.mark.parametrize("app", ("CC-SV", "PR"))
+    def test_dynamic_key_and_full_rounds_never_sort(self, monkeypatch, app):
+        # CC-SV's hook (NeighborReduceToKey) and pointer jumping
+        # (NodeGather) reduce onto keys computed that round, so there is
+        # no static batch to prepare; PageRank folds its whole prepared
+        # batch every round. Neither the reduces nor the reduce-sync
+        # behind them may sort, from the first round on.
+        hosts = 2
+        graph = generators.powerlaw_like(scale=7, seed=3)
+        oracle = run_kimbap(app, "equiv", hosts, graph=graph, threads=4, bulk=False)
+        counts = dict.fromkeys(("reduce_bulk", "reduce_bulk_prepared", "reduce_sync"), 0)
+        watching = [0]
+        sorted_in: list[str] = []
+
+        def watched(name):
+            original = getattr(NodePropMap, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                watching[0] += 1
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    watching[0] -= 1
+
+            monkeypatch.setattr(NodePropMap, name, wrapper)
+
+        def sort_spy(name):
+            original = getattr(np, name)
+
+            def wrapper(*args, **kwargs):
+                if watching[0]:
+                    sorted_in.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, wrapper)
+
+        for name in counts:
+            watched(name)
+        for name in ("argsort", "sort", "unique"):
+            sort_spy(name)
+        result = run_kimbap(app, "equiv", hosts, graph=graph, threads=4, bulk=True)
+        assert canonical(result) == canonical(oracle)
+        assert result.values == oracle.values
+        reduces = "reduce_bulk" if app == "CC-SV" else "reduce_bulk_prepared"
+        assert counts[reduces] >= 3 * hosts and counts["reduce_sync"] >= 3
+        assert sorted_in == []
+        # The spy has teeth: it is installed and sees a sort inside a
+        # watched call (partitioning and kernel builds, outside, may sort).
+        watching[0] += 1
+        np.unique(np.array([2, 1, 2]))
+        assert "unique" in sorted_in
 
 
 class TestCompiledTransVertexRoundHasNoPerNodePython:

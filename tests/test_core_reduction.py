@@ -9,16 +9,37 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
-from repro.core.reducers import MAX, MIN, OVERWRITE, SUM
-from repro.core import reduction as reduction_module
+from repro.core.reducers import LOGICAL_OR, MAX, MIN, OVERWRITE, SUM, ReduceOp
 from repro.core.reduction import (
     KvCasReduction,
     PreparedFold,
     SharedMapReduction,
     ThreadLocalReduction,
-    _fold_batch,
+    _fold,
 )
 from repro.kvstore import KvClient
+
+
+def _sorted_fold(keys, values, op):
+    """Reference fold, kept here on purpose: sort the keys, let each key's
+    first occurrence assign and fold the rest through ``ufunc.at`` in
+    position order (overwrite: the last occurrence). It is the rule
+    ``core/reduction.py`` used before the identity-seeded scatter, so the
+    production fold is compared with an implementation it shares no code
+    with: ``(sorted unique keys, per-key folded values)``."""
+    uniq, first_idx, inverse = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    inverse = inverse.reshape(-1)
+    if op.name == "overwrite":
+        last = np.zeros(uniq.size, dtype=np.int64)
+        np.maximum.at(last, inverse, np.arange(keys.size, dtype=np.int64))
+        return uniq, values[last]
+    acc = values[first_idx]
+    rest = np.ones(keys.size, dtype=bool)
+    rest[first_idx] = False
+    op.ufunc.at(acc, inverse[rest], values[rest])
+    return uniq, acc
 
 
 class TestThreadLocal:
@@ -68,9 +89,9 @@ class TestThreadLocal:
 
 
 class TestPreparedCollect:
-    """A PreparedFold's full-round collect replays ``_fold_batch`` over the
-    thread-stripped keys: same bits, no per-round sort, and never applied
-    to a batch it was not built for."""
+    """A PreparedFold's full-round collect folds the thread-stripped keys
+    as the sort-based reference does: same bits, no per-round sort, and
+    never applied to a batch it was not built for."""
 
     THREADS = 4
 
@@ -103,7 +124,7 @@ class TestPreparedCollect:
             with generic_red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
                 generic_red.reduce_bulk(threads, keys, values, op)
             span, uniq, folded = generic_red._batch
-            want_keys, want = _fold_batch(uniq % span, folded, op)
+            want_keys, want = _sorted_fold(uniq % span, folded, op)
             got_keys, got = self._collect(prepared_red, op)
             ref_keys, ref = self._collect(generic_red, op)
             assert got_keys.tolist() == want_keys.tolist() == ref_keys.tolist()
@@ -171,9 +192,9 @@ class TestPreparedCollect:
 
 class TestPreparedSubsetFold:
     """``PreparedFold.fold(..., idx)`` - the dense-slot subset fold - and
-    its collect replay the generic pair - ``_fold_batch`` on the subset's
-    composites, then on the thread-stripped keys - bit for bit and charge
-    for charge, for any ascending subset of the frozen batch."""
+    its collect match the generic pair - the sort-based reference on the
+    subset's composites, then on the thread-stripped keys - bit for bit
+    and charge for charge, for any ascending subset of the frozen batch."""
 
     THREADS = 4
     COUNT = 600
@@ -215,8 +236,8 @@ class TestPreparedSubsetFold:
         composite = threads * plan.span + keys
         for name, idx in self._subsets(threads, keys, rng):
             values = self._values(rng, idx.size)
-            want_uniq, want_folded = _fold_batch(composite[idx], values, op)
-            want_keys, want = _fold_batch(want_uniq % plan.span, want_folded, op)
+            want_uniq, want_folded = _sorted_fold(composite[idx], values, op)
+            want_keys, want = _sorted_fold(want_uniq % plan.span, want_folded, op)
             uniq, folded, present = plan.fold(values, op, idx)
             got_keys, got = plan.collect(present, folded, op)
             assert np.array_equal(uniq, want_uniq), name
@@ -246,8 +267,9 @@ class TestPreparedSubsetFold:
         "op", [SUM, MIN, MAX, OVERWRITE], ids=lambda op: op.name
     )
     def test_full_round_and_every_position_subset_agree(self, op):
-        # The frozen replay (idx=None) and the dense-slot fold over every
-        # position are two routes to one state: raw bytes and charges.
+        # The scatter over the frozen ids (idx=None), the ranked fold over
+        # every position and the generic dynamic-key reduce are three
+        # routes to one state: raw bytes and charges.
         threads, keys, rng = self._static_batch()
         values = self._values(rng, self.COUNT)
         everything = np.arange(self.COUNT)
@@ -259,12 +281,15 @@ class TestPreparedSubsetFold:
         assert uniq.tobytes() == sub_uniq.tobytes()
         assert folded.tobytes() == sub_folded.tobytes()
         states = []
-        for idx in (None, everything):
+        for idx in (None, everything, "generic"):
             reduction = ThreadLocalReduction(
                 Cluster(1, threads_per_host=self.THREADS), 0
             )
             with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
-                reduction.reduce_bulk_prepared(plan, values, op, idx)
+                if isinstance(idx, str):
+                    reduction.reduce_bulk(threads, keys, values, op)
+                else:
+                    reduction.reduce_bulk_prepared(plan, values, op, idx)
             span, batch_uniq, batch_folded = reduction._batch
             with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
                 collected_keys, collected = reduction.collect_arrays(op)
@@ -273,16 +298,16 @@ class TestPreparedSubsetFold:
                 collected_keys.tobytes(), collected.tobytes(),
                 reduction.cluster.log.total_counters(),
             ))
-        assert states[0] == states[1]
+        assert states[0] == states[1] == states[2]
         assert states[0][-1].reduce_calls == self.COUNT
 
     def test_sum_fold_order_shows_in_the_bits(self):
         # The SUM case above only has teeth if reordering moves bits.
         threads, keys, rng = self._static_batch()
         values = self._values(rng, self.COUNT)
-        composite = threads * (int(keys.max()) + 1) + keys
-        _, forward = _fold_batch(composite, values, SUM)
-        _, backward = _fold_batch(composite[::-1], values[::-1], SUM)
+        plan = PreparedFold(threads, keys)
+        forward = _fold(plan.slot, plan.uniq.size, values, SUM)
+        backward = _fold(plan.slot[::-1], plan.uniq.size, values[::-1], SUM)
         assert forward.tobytes() != backward.tobytes()
 
     def test_plan_arrays_are_frozen_and_a_failed_fold_leaves_no_trace(self):
@@ -291,25 +316,27 @@ class TestPreparedSubsetFold:
             Cluster(1, threads_per_host=self.THREADS), 0
         )
         plan = reduction.prepare_bulk(threads, keys)
-        tables = (plan.slot, plan.uniq, plan.kslot, plan.ukeys)
-        for array in tables + plan._thread_tables + plan._key_tables:
+        tables = (plan.slot, plan.uniq, plan.kslot, plan.ukeys, plan.last, plan.klast)
+        for array in tables:
             with pytest.raises(ValueError):
                 array[...] = 0
         idx = np.arange(0, self.COUNT, 3)
         values = self._values(rng, idx.size)
         before = plan.fold(values, MIN, idx)
-        with pytest.raises(IndexError):
-            # Misaligned values blow up inside the fold (the shape rule
-            # lives one layer up, in NodePropMap); all scratch is per
-            # call, so the next round folds as if nothing happened.
-            plan.fold(values[: idx.size // 2], MIN, idx)
+        for short, positions in ((values[: idx.size // 2], idx), (values, None)):
+            with pytest.raises(ValueError):
+                # Misaligned values blow up inside the fold (the shape
+                # rule lives one layer up, in NodePropMap); all scratch is
+                # per call, so the next round folds as if nothing happened.
+                plan.fold(short, MIN, positions)
         after = plan.fold(values, MIN, idx)
         for got, want in zip(after, before):
             assert got.tobytes() == want.tobytes()
+        assert reduction._batch is None and reduction.pending() == 0
 
     def test_installed_subset_batch_collects_through_the_generic_path(self):
         # A batch that crossed export_state/install_state carries no plan
-        # token: it must take _fold_batch and land on the same arrays.
+        # token: it must rank its keys afresh and land on the same arrays.
         threads, keys, rng = self._static_batch()
         reduction, reference = [
             ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
@@ -323,21 +350,15 @@ class TestPreparedSubsetFold:
                 red.reduce_bulk_prepared(plan, values, SUM, idx)
         assert reduction._batch_plan is not None
         reduction.install_state(reduction.export_state())
-        assert reduction._batch_plan is None
-        calls = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(
-                reduction_module,
-                "_fold_batch",
-                lambda *args: calls.append(1) or _fold_batch(*args),
-            )
-            with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
-                got_keys, got = reduction.collect_arrays(SUM)
-            with reference.cluster.phase(PhaseKind.REDUCE_SYNC):
-                want_keys, want = reference.collect_arrays(SUM)
-        assert calls == [1]  # the installed batch, not the prepared one
-        assert np.array_equal(got_keys, want_keys)
-        assert got.tobytes() == want.tobytes()
+        assert reduction._batch_plan is None and reference._batch_plan is not None
+        span, uniq, folded = reduction._batch
+        ref_keys, ref = _sorted_fold(uniq % span, folded, SUM)
+        with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+            got_keys, got = reduction.collect_arrays(SUM)
+        with reference.cluster.phase(PhaseKind.REDUCE_SYNC):
+            want_keys, want = reference.collect_arrays(SUM)
+        assert np.array_equal(got_keys, want_keys) and np.array_equal(got_keys, ref_keys)
+        assert got.tobytes() == want.tobytes() == ref.tobytes()
         assert (
             reduction.cluster.log.total_counters()
             == reference.cluster.log.total_counters()
@@ -364,6 +385,311 @@ class TestPreparedSubsetFold:
                     reduction.collect_arrays(SUM)
             assert reduction._batch is None and reduction._batch_plan is None
             reduction.discard()
+
+
+def _edge_values(dtype):
+    """Every value of ``dtype`` an identity could get wrong."""
+    dtype = np.dtype(dtype)
+    if dtype.kind == "f":
+        tiny = np.finfo(dtype).smallest_subnormal
+        return np.array(
+            [0.0, -0.0, 1.5, -1.5, tiny, -tiny, np.inf, -np.inf, np.nan,
+             np.finfo(dtype).max, np.finfo(dtype).min],
+            dtype=dtype,
+        )
+    if dtype.kind == "b":
+        return np.array([False, True])
+    info = np.iinfo(dtype)
+    return np.array([info.min, info.min + 1, 0, 1, info.max - 1, info.max], dtype=dtype)
+
+
+class TestIdentity:
+    """``ReduceOp.identity``: exact - ``ufunc(e, x)`` is ``x`` bit for bit -
+    or None, which sends the batch down the per-item rule."""
+
+    @pytest.mark.parametrize("op", [SUM, MIN, MAX], ids=lambda op: op.name)
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_]
+    )
+    def test_identity_returns_every_value_unchanged(self, op, dtype):
+        identity = op.identity(dtype)
+        if op is SUM and dtype is np.bool_:
+            assert identity is None  # True + True is 2 per item, True by ufunc
+            return
+        values = _edge_values(dtype)
+        assert identity.dtype == values.dtype
+        with np.errstate(invalid="ignore"):  # minimum/maximum flag a nan operand
+            seeded = op.ufunc(np.full(values.size, identity), values)
+        assert seeded.dtype == values.dtype
+        assert seeded.tobytes() == values.tobytes()
+
+    def test_plus_zero_is_not_the_identity_of_float_add(self):
+        assert np.signbit(SUM.identity(np.float64))
+        assert not np.signbit(np.add(0.0, np.float64(-0.0)))
+
+    @pytest.mark.parametrize(
+        "op, dtype",
+        [
+            (SUM, object), (MIN, object), (SUM, np.complex128),
+            (MIN, "datetime64[s]"), (MAX, "timedelta64[s]"), (SUM, "U3"),
+            (ReduceOp("prod", lambda a, b: a * b, ufunc=np.multiply), np.float64),
+            (LOGICAL_OR, np.bool_), (OVERWRITE, np.float64),
+        ],
+        ids=lambda arg: getattr(arg, "name", None) or np.dtype(arg).name,
+    )
+    def test_no_known_exact_identity_is_none(self, op, dtype):
+        assert op.identity(dtype) is None
+
+
+class TestFoldAgainstTheScalarOracle:
+    """The identity-seeded scatter against the per-item rule it replaces:
+    ``ThreadLocalReduction.reduce`` call by call, then ``collect``. Raw
+    bytes of the batch state and of the collected arrays, counters equal -
+    on the static plan's full round, its every-position subset round and
+    the generic dynamic-key reduce alike."""
+
+    THREADS = 3
+
+    def _oracle(self, threads, keys, values, op):
+        """(per-thread maps, collected dict, counters) of the scalar calls."""
+        reduction = ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
+        with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            for thread, key, value in zip(
+                threads.tolist(), keys.tolist(), values.tolist()
+            ):
+                reduction.reduce(thread, key, value, op)
+        maps = [dict(local_map) for local_map in reduction.maps]
+        with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+            combined = reduction.collect(op)
+        return maps, combined, reduction.cluster.log.total_counters()
+
+    def _check(self, threads, keys, values, op):
+        threads = np.asarray(threads)
+        keys = np.asarray(keys, dtype=np.int64)
+        assert np.all(np.diff(threads) >= 0)
+        maps, combined, want_counters = self._oracle(threads, keys, values, op)
+        span = int(keys.max()) + 1
+        want_uniq = np.array(
+            [t * span + key for t, local in enumerate(maps) for key in sorted(local)],
+            dtype=np.int64,
+        )
+        want_folded = np.array(
+            [local[key] for local in maps for key in sorted(local)], dtype=values.dtype
+        )
+        want_keys = np.array(sorted(combined), dtype=np.int64)
+        want = np.array([combined[key] for key in sorted(combined)], dtype=values.dtype)
+        plan = PreparedFold(threads, keys)
+        for route in ("full", "every-position", "generic"):
+            reduction = ThreadLocalReduction(
+                Cluster(1, threads_per_host=self.THREADS), 0
+            )
+            with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                if route == "generic":
+                    reduction.reduce_bulk(threads, keys, values, op)
+                else:
+                    idx = None if route == "full" else np.arange(keys.size)
+                    reduction.reduce_bulk_prepared(plan, values, op, idx)
+            got_span, uniq, folded = reduction._batch  # vectorized, not spilled
+            assert got_span == span, route
+            assert np.array_equal(uniq, want_uniq), route
+            assert folded.dtype == values.dtype, route
+            assert folded.tobytes() == want_folded.tobytes(), route
+            with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+                got_keys, got = reduction.collect_arrays(op)
+            assert np.array_equal(got_keys, want_keys), route
+            assert got.dtype == values.dtype, route
+            assert got.tobytes() == want.tobytes(), route
+            assert reduction.cluster.log.total_counters() == want_counters, route
+        return want_folded, want
+
+    def test_sum_on_bit_sensitive_floats(self):
+        tiny = 5e-324  # smallest subnormal
+        groups = {
+            0: [-0.0, -0.0, -0.0],           # stays -0.0: +0.0 would not seed this
+            1: [0.0, 0.0],
+            2: [-0.0, 0.0, -0.0],            # +0.0 from the second term on
+            3: [-0.0],
+            4: [np.inf, 1.0, np.inf],
+            5: [-np.inf, -np.inf],
+            6: [np.nan, 1.0],
+            7: [1.0, np.nan, 2.0],
+            8: [tiny, tiny, -tiny, 3 * tiny],
+            9: [1e-310, 2e-310, 1.0, -1.0],  # subnormals lost to the 1.0, in order
+            10: [1e16, 1.0, -1e16, 1.0],     # 1.0 then 2.0 if reordered
+            11: [0.1, 0.2, 0.3, 1e-17, 1e17, -1e17],
+        }
+        keys, values = [], []
+        for position in range(6):  # interleave, so groups are not contiguous
+            for key, group in groups.items():
+                if position < len(group):
+                    keys.append(key)
+                    values.append(group[position])
+        count = len(keys)
+        threads = np.sort(np.arange(count) % self.THREADS)
+        folded, merged = self._check(threads, keys, np.array(values), SUM)
+        assert np.signbit(folded[folded == 0.0]).any()  # a -0.0 group survived
+        assert np.isnan(merged).any() and np.isinf(merged).any()
+
+    def test_sum_on_random_magnitudes(self):
+        # Order shows in these bits: test_sum_fold_order_shows_in_the_bits.
+        rng = np.random.default_rng(17)
+        count = 500
+        threads = np.sort(rng.integers(0, self.THREADS, size=count))
+        keys = rng.integers(0, 13, size=count)
+        values = rng.standard_normal(count) * 10.0 ** rng.integers(-8, 8, count)
+        self._check(threads, keys, values, SUM)
+
+    @pytest.mark.parametrize("op", [MIN, MAX], ids=lambda op: op.name)
+    def test_min_max_on_int64_extremes(self, op):
+        info = np.iinfo(np.int64)
+        groups = {
+            0: [info.max, info.max],  # the MIN seed itself, as a value
+            1: [info.min, info.min],  # the MAX seed itself
+            2: [info.max, 0, info.min],
+            3: [info.min, info.max],
+            4: [info.max - 1, info.max],
+            5: [info.min + 1, info.min],
+            6: [7],
+        }
+        keys = [key for key, group in groups.items() for _ in group]
+        values = np.array([v for group in groups.values() for v in group], dtype=np.int64)
+        order = np.random.default_rng(3).permutation(len(keys))
+        threads = np.sort(np.arange(len(keys)) % self.THREADS)
+        self._check(threads, np.array(keys)[order], values[order], op)
+
+    @pytest.mark.parametrize("op", [MIN, MAX], ids=lambda op: op.name)
+    def test_min_max_on_floats_with_signed_zeros(self, op):
+        groups = {
+            0: [-0.0, 1.0, -0.0],
+            1: [0.0, 2.0, 0.0],
+            2: [-0.0],
+            3: [0.0],
+            4: [-1.0, -0.0],
+            5: [1.0, 0.0],
+            6: [np.inf, -np.inf],
+            7: [np.inf],
+            8: [-np.inf],
+            9: [5e-324, -5e-324],
+        }
+        keys = [key for key, group in groups.items() for _ in group]
+        values = np.array([v for group in groups.values() for v in group])
+        threads = np.sort(np.arange(len(keys)) % self.THREADS)
+        folded, _ = self._check(threads, keys, values, op)
+        assert np.signbit(folded[folded == 0.0]).any()
+
+    @pytest.mark.parametrize("op", [MIN, MAX], ids=lambda op: op.name)
+    def test_a_tie_between_the_two_zeros_follows_numpy(self, op):
+        # Not this fold's doing and older than it: on a +0.0 / -0.0 tie
+        # numpy's minimum/maximum keep the later operand, Python's min/max
+        # the earlier. The two zeros are equal, so values agree with the
+        # scalar oracle and only the sign bit can differ; the bits are
+        # those of the sort-based reference fold, as they always were.
+        threads = np.zeros(4, dtype=np.int64)
+        keys = np.array([0, 0, 1, 1], dtype=np.int64)
+        values = np.array([0.0, -0.0, -0.0, 0.0])
+        reduction = ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
+        with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            reduction.reduce_bulk(threads, keys, values, op)
+        _, uniq, folded = reduction._batch
+        want_uniq, want_folded = _sorted_fold(keys, values, op)
+        assert np.array_equal(uniq, want_uniq)
+        assert folded.tobytes() == want_folded.tobytes()
+        maps, _, _ = self._oracle(threads, keys, values, op)
+        assert folded.tolist() == [maps[0][0], maps[0][1]] == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "op, dtype",
+        [
+            (op, dtype)
+            for op in (SUM, MIN, MAX, OVERWRITE)
+            for dtype in (np.int32, np.uint8, np.bool_, np.float32)
+            # SUM per item computes in another type there: True + True is
+            # 2 (so bool has no exact identity, and takes the per-item
+            # rule - TestNoExactIdentityTakesTheScalarRule), and a float32
+            # column's Python floats add as doubles.
+            if not (op is SUM and dtype in (np.bool_, np.float32))
+        ],
+        ids=lambda arg: getattr(arg, "name", None) or arg.__name__,
+    )
+    def test_narrow_dtypes(self, op, dtype):
+        rng = np.random.default_rng(23)
+        count = 240
+        threads = np.sort(rng.integers(0, self.THREADS, size=count))
+        keys = rng.integers(0, 11, size=count)
+        if dtype is np.bool_:
+            values = rng.integers(0, 2, size=count).astype(dtype)
+        elif dtype is np.float32:
+            values = (rng.standard_normal(count) * 1e3).astype(dtype)
+        else:
+            # Small enough that no (thread, key) sum leaves the dtype:
+            # Python ints grow where numpy's wrap, and the oracle is Python.
+            values = rng.integers(0, 3, size=count).astype(dtype)
+            values[:4] = np.iinfo(dtype).max if op is not SUM else 1
+            values[4:8] = np.iinfo(dtype).min if op is not SUM else 0
+        self._check(threads, keys, values, op)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_overwrite_keeps_the_last_write_per_thread_then_the_last_thread(self, dtype):
+        rng = np.random.default_rng(29)
+        count = 300
+        threads = np.sort(rng.integers(0, self.THREADS, size=count))
+        keys = rng.integers(0, 9, size=count)
+        values = (rng.standard_normal(count) * 100).astype(dtype)
+        self._check(threads, keys, values, OVERWRITE)
+
+
+class TestNoExactIdentityTakesTheScalarRule:
+    """One predicate on every batched entry point: a batch whose operator
+    or dtype has no exact identity is applied per item - same state as the
+    scalar calls - rather than dying inside ``np.full`` / ``np.iinfo``."""
+
+    PROD = ReduceOp("prod", lambda a, b: a * b, ufunc=np.multiply)
+    CASES = [
+        (PROD, np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0])),
+        (SUM, np.array([1 + 2j, 3 - 1j, 0.5j, 2, -1j, 4 + 4j])),
+        (MIN, np.array([5, 3, 9, 1, 7, 2], dtype="datetime64[s]")),
+        (SUM, np.array([True, True, False, True, True, True])),
+        (SUM, np.array([1, 2, 3, 4, 5, 6], dtype=object)),
+    ]
+    THREADS = np.array([0, 0, 0, 1, 1, 1])
+    KEYS = np.array([4, 4, 2, 4, 2, 2], dtype=np.int64)
+
+    @pytest.mark.parametrize(
+        "op, values", CASES, ids=[f"{op.name}-{values.dtype}" for op, values in CASES]
+    )
+    @pytest.mark.parametrize(
+        "strategy, route",
+        [
+            (ThreadLocalReduction, "generic"),
+            (ThreadLocalReduction, "prepared"),
+            (ThreadLocalReduction, "prepared-subset"),
+            (SharedMapReduction, "generic"),  # it has no prepared fold
+        ],
+        ids=lambda arg: getattr(arg, "__name__", arg),
+    )
+    def test_same_state_as_the_scalar_calls(self, op, values, strategy, route):
+        idx = np.array([0, 2, 3, 5]) if route == "prepared-subset" else np.arange(6)
+        bulk, scalar = (strategy(Cluster(1, threads_per_host=2), 0) for _ in range(2))
+        with bulk.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            if route == "generic":
+                bulk.reduce_bulk(self.THREADS, self.KEYS, values, op)
+            else:
+                plan = bulk.prepare_bulk(self.THREADS, self.KEYS)
+                bulk.reduce_bulk_prepared(
+                    plan, values[idx], op, None if route == "prepared" else idx
+                )
+        with scalar.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            for thread, key, value in zip(
+                self.THREADS[idx].tolist(), self.KEYS[idx].tolist(), values[idx].tolist()
+            ):
+                scalar.reduce(thread, key, value, op)
+        assert not bulk.bulk_state_only  # it went to the dicts, per item
+        assert bulk.export_state() == scalar.export_state()
+        with bulk.cluster.phase(PhaseKind.REDUCE_SYNC):
+            got = bulk.collect(op)
+        with scalar.cluster.phase(PhaseKind.REDUCE_SYNC):
+            assert got == scalar.collect(op)
+        assert bulk.cluster.log.total_counters() == scalar.cluster.log.total_counters()
 
 
 class TestSharedMap:
