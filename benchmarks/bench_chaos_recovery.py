@@ -5,7 +5,7 @@ Standalone script (no pytest dependency, not CI-gated on speed): for each
 cell it runs the ``jobs=1`` oracle, a fault-free ``jobs=4`` run with the
 supervisor armed (measuring what watching costs), and a ``jobs=4`` run
 that loses a real worker - SIGKILLed by a :class:`repro.faults.chaos.ChaosPlan`
-at a mid-run sync boundary - under each recovery policy (``refork``
+at a mid-run effect exchange - under each recovery policy (``refork``
 re-forks a replacement worker, ``reshard`` re-deals the dead worker's
 hosts onto the survivors). Every variant **must** stay byte-identical to
 the oracle (``RunResult.to_dict()``); any divergence exits non-zero, so

@@ -297,7 +297,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     Runs the fault-free ``jobs=1`` oracle, then the same workload at
     ``--jobs N`` with a :class:`ChaosPlan` SIGKILLing (or SIGTERMing /
-    OOM-killing) worker ``--worker`` at sync boundary ``--at-boundary``
+    OOM-killing) worker ``--worker`` at effect exchange ``--at-boundary``
     under the chosen recovery policy, and byte-compares the two
     ``RunResult.to_dict()`` payloads. Exits 1 if the kill never fired,
     recovery failed, or any byte diverged.
@@ -602,7 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--at-boundary",
         type=int,
         default=2,
-        help="sync-boundary ordinal (counted from 1) at which the kill fires",
+        help="ordinal (counted from 1) of the compute-effect exchange - one "
+        "per sharded compute phase - at which the kill fires",
     )
     chaos.add_argument(
         "--worker", type=int, default=1, help="victim worker index (>= 1)"

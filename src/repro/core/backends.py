@@ -549,25 +549,6 @@ class GarHostStore:
                 changed_keys.append(key)
         return np.asarray(changed_keys, dtype=np.int64)
 
-    # -- uncharged replica installs (host-sharded sync collectives) ------------
-    # The peer that produced a sharded-sync delta already paid the modeled
-    # cost of the work; installing the delta on a replica is free.
-
-    def peek_masters(self, keys: np.ndarray) -> np.ndarray | list[Any]:
-        """Uncharged :meth:`serve_master_bulk`, for exporting the values a
-        sharded reduce-sync changed (the applies were already charged)."""
-        return self._gather(self._locals_of(keys))
-
-    def poke_masters(self, keys: np.ndarray, values: Any) -> None:
-        """Uncharged :meth:`write_master_bulk`: install a peer's owner-side
-        apply results into this replica."""
-        self._scatter(self._locals_of(keys), values)
-
-    def poke_mirrors(self, keys: np.ndarray, values: Any) -> None:
-        """Uncharged :meth:`write_mirror_bulk`: install a peer's broadcast
-        fan-out writes into this replica."""
-        self._scatter(self._translate_arr()[keys], values)
-
     def write_mirror_bulk(self, keys: np.ndarray, values: Any) -> None:
         """Batched :meth:`write_mirror` with aggregate accounting."""
         count = int(keys.size)

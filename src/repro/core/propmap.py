@@ -516,44 +516,27 @@ class NodePropMap:
             )
         self._report_memory()
 
-    def reduce_sync(self, pool: Any = None) -> None:
+    def reduce_sync(self) -> None:
         """Scatter-gather-reduce: route partials to owners, apply, vote.
 
-        ``pool`` (a ``repro.exec.pool.HostShardPool`` endpoint mid-run)
-        opts into the host-sharded collective: when the pending state is
-        bulk-foldable GAR state, each process folds and applies only its
-        own shard's hosts and the group converges through two shared-arena
-        all-gathers (:meth:`_sgr_reduce_sharded`). Anything else - scalar
-        dict state, object-valued batches, non-GAR variants - falls back
-        to the replicated serial path; the decision inputs are replicated
-        state, so every process picks the same branch.
+        Bulk-foldable pending state takes the array path
+        (:meth:`_sgr_reduce_bulk`), anything else - scalar dict state,
+        object-valued batches - the per-key path. Every process of a
+        ``jobs=N`` run replays the whole collective on its own replica.
         """
         # Peak-footprint moment: thread-local maps full, remote cache
         # still materialized.
         self._report_memory()
-        with self.cluster.phase(PhaseKind.REDUCE_SYNC, label=self.name) as record:
+        with self.cluster.phase(PhaseKind.REDUCE_SYNC, label=self.name):
             if self.variant.uses_kvstore:
                 # Reductions already applied via CAS; ReduceSync is a no-op
                 # apart from dropping stale caches and the round vote.
                 for store in self.stores:
                     store.drop_remote()
                 self.reductions[0].collect(self._op or ReduceOp("noop", lambda a, b: a))
-                self.cluster.network.allreduce(1)
             else:
-                op = self._op
-                if (
-                    pool is not None
-                    and self.variant.uses_gar
-                    and op is not None
-                    and all(
-                        getattr(reduction, "bulk_state_only", False)
-                        for reduction in self.reductions
-                    )
-                ):
-                    self._sgr_reduce_sharded(op, pool, record)
-                else:
-                    self._sgr_reduce()
-                self.cluster.network.allreduce(1)
+                self._sgr_reduce()
+            self.cluster.network.allreduce(1)
         if not self.variant.uses_gar:
             # Without GAR there is no locally-materialized master copy, so
             # every host refetches the keys it reads unconditionally (its
@@ -659,90 +642,6 @@ class NodePropMap:
         for store in self.stores:
             store.drop_remote()
 
-    def _sgr_reduce_sharded(self, op: ReduceOp, pool: Any, record: Any) -> None:
-        """Host-sharded :meth:`_sgr_reduce_bulk` (the ``jobs=N`` backend).
-
-        Stage 1 - sharded collect: each process folds the pending
-        reductions of its own shard's source hosts (the combine charges
-        land there) and discards the identical replicas of the rest; one
-        all-gather distributes the folded arrays, after which every
-        process holds the full routing input.
-
-        Stage 2 - sharded apply: each process routes all payloads but
-        applies only those bound for owners in its shard, in the exact
-        serial per-owner order (the self-owned partial first - the serial
-        host scan applies it inline at ``src == owner`` - then cross-host
-        payloads by ascending source), charging the sends and owner-side
-        counters for exactly that work. A second all-gather ships each
-        owner's changed ``(key, value)`` deltas - column slices when the
-        owner's column is in array mode - plus the phase's counter and
-        traffic rows; replicas install the deltas uncharged and the
-        coordinator folds the rows into ``record``. Every payload is
-        handled by exactly one process and per-host charges are additive,
-        so the merged record and final state are byte-identical to the
-        serial visit.
-        """
-        num_hosts = self.cluster.num_hosts
-        folded: list[tuple[np.ndarray, np.ndarray] | None] = [None] * num_hosts
-        for host in range(num_hosts):
-            if host in pool.shard:
-                folded[host] = self.reductions[host].collect_arrays(op)
-            else:
-                self.reductions[host].discard()
-        gathered = pool.exchange_shards([folded[host] for host in pool.shard])
-        # This shard's own entry comes back as the very objects passed in,
-        # so its collected keys still hit the route cache.
-        for index, shard in enumerate(pool.shards):
-            for host, arrays in zip(shard, gathered[index]):
-                folded[host] = arrays
-        # Per owner in this shard: (source, leg, values), self-owned first.
-        incoming: dict[int, list[tuple[int, _Leg, np.ndarray]]] = {}
-        for src in range(num_hosts):
-            keys, values = folded[src]
-            if keys.size == 0:
-                continue
-            own, remote = self._route(src, keys)
-            if own is not None and src in pool.shard:
-                incoming.setdefault(src, []).insert(0, (src, own, values[own.idx]))
-            for leg in remote:
-                if leg.owner in pool.shard:
-                    incoming.setdefault(leg.owner, []).append(
-                        (src, leg, values[leg.idx])
-                    )
-        deltas: dict[int, tuple[np.ndarray, Any]] = {}
-        for dst in pool.shard:
-            changed_legs: list[np.ndarray] = []
-            for src, leg, values in incoming.get(dst, ()):
-                if src != dst:
-                    self.cluster.network.send(
-                        src, dst, (KEY_BYTES + self.value_nbytes) * int(leg.keys.size)
-                    )
-                changed = self.stores[dst].apply_master_bulk(
-                    leg.keys, values, op, leg.locals_
-                )
-                if changed.size:
-                    self._mark_changed(dst, changed)
-                    changed_legs.append(changed)
-            if changed_legs:
-                # Ascending distinct node ids off a presence mask, no sort.
-                seen = self._empty_mask()
-                for changed in changed_legs:
-                    seen[changed] = True
-                keys = np.flatnonzero(seen)
-                deltas[dst] = (keys, self.stores[dst].peek_masters(keys))
-        blob = {"deltas": deltas, "updated": self._any_updated}
-        for index, peer in enumerate(pool.exchange_shards(blob, record=record)):
-            if index == pool.index:
-                continue
-            if peer["updated"]:
-                self._any_updated = True
-            for dst, (keys, values) in peer["deltas"].items():
-                self.stores[dst].poke_masters(keys, values)
-                self._updated_masters[dst][keys] = True
-                self._next_active[dst][keys] = True
-        for store in self.stores:
-            store.drop_remote()
-
     def _apply_at_owner(self, owner: int, key: int, value: Any, op: ReduceOp) -> None:
         if self.stores[owner].apply_master(key, value, op):
             self._mark_changed(owner, key)
@@ -797,19 +696,12 @@ class NodePropMap:
         for store in self.stores:
             store.unpin()
 
-    def broadcast_sync(self, pool: Any = None) -> None:
-        """Push updated master values to pinned mirrors (one-way traffic).
-
-        With ``pool`` (host-shard backend mid-run) the fan-out shards by
-        owner host: see :meth:`_broadcast_sharded`.
-        """
+    def broadcast_sync(self) -> None:
+        """Push updated master values to pinned mirrors (one-way traffic)."""
         if not self._pinned or not self.variant.uses_gar:
             return
-        with self.cluster.phase(PhaseKind.BROADCAST_SYNC, label=self.name) as record:
-            if pool is not None:
-                self._broadcast_sharded(pool, record)
-            else:
-                self._broadcast(full=False)
+        with self.cluster.phase(PhaseKind.BROADCAST_SYNC, label=self.name):
+            self._broadcast(full=False)
 
     def _mirror_targets(self, invariant: str) -> list[dict[int, np.ndarray]]:
         """fan-out[owner][mirror_host] -> global ids to feed, after elision."""
@@ -863,46 +755,6 @@ class NodePropMap:
         on several hosts, so this only runs after a whole fan-out.)"""
         for pending in self._updated_masters:
             pending.fill(False)
-
-    def _broadcast_sharded(self, pool: Any, record: Any) -> None:
-        """Owner-sharded :meth:`_broadcast` (the ``jobs=N`` backend).
-
-        Each process runs the fan-out only for owner hosts in its shard,
-        charging the sends, the owner-side serves, and the mirror-side
-        writes of exactly that work (mirror hosts may lie outside the
-        shard - the all-gather's full counter-row merge accounts them on
-        the coordinator). One all-gather then ships the written mirror
-        values (column slices when the owner's column is in array mode) so
-        every replica converges. A key has one owner, so fan-out
-        writes are disjoint across processes and the merged charges are
-        additive-identical to the serial owner scan.
-        """
-        fan_out = self._mirror_targets(self._pin_invariant)
-        outgoing: list[tuple[int, np.ndarray, Any]] = []
-        for owner_host in pool.shard:
-            pending = self._updated_masters[owner_host]
-            if not pending.any():
-                continue
-            for mirror_host, ids in fan_out[owner_host].items():
-                selected = ids[pending[ids]]
-                if selected.size == 0:
-                    continue
-                self.cluster.network.send(
-                    owner_host,
-                    mirror_host,
-                    (KEY_BYTES + self.value_nbytes) * selected.size,
-                )
-                values = self.stores[owner_host].serve_master_bulk(selected)
-                self.stores[mirror_host].write_mirror_bulk(selected, values)
-                self._next_active[mirror_host][selected] = True
-                outgoing.append((mirror_host, selected, values))
-        for index, peer in enumerate(pool.exchange_shards(outgoing, record=record)):
-            if index == pool.index:
-                continue
-            for mirror_host, keys, values in peer:
-                self.stores[mirror_host].poke_mirrors(keys, values)
-                self._next_active[mirror_host][keys] = True
-        self._clear_pending()
 
     # --------------------------------------------------------------- helpers
 

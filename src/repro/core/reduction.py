@@ -355,7 +355,10 @@ class ThreadLocalReduction:
         """Complete pending-reduction state, for the host-shard exchange
         (``repro.exec.pool``). The returned structure crosses a process
         boundary via pickle, so sharing references with the live maps is
-        fine - the pipe serializes a snapshot."""
+        fine - the pipe serializes a snapshot. The collect token stays
+        behind (it belongs to this process's plan): every process collects
+        every host at the next reduce-sync, and a batch it installed from
+        a peer takes the token-less presence-mask merge there."""
         return ("tl", self.maps, self._batch)
 
     def install_state(self, state: tuple) -> None:
@@ -371,17 +374,6 @@ class ThreadLocalReduction:
         """True when no thread holds dict state, so collect_arrays() can
         fold without materializing Python dicts."""
         return not any(self.maps)
-
-    def discard(self) -> None:
-        """Drop all pending state without folding or charging.
-
-        The host-sharded reduce-sync (``repro.exec.pool``) folds each
-        source host's state on exactly one process - the shard owner, who
-        pays the combine charge - and discards the identical replica
-        everywhere else."""
-        for local_map in self.maps:
-            local_map.clear()
-        self._swap_batch()
 
     def _charge_combine(self) -> None:
         counters = self.cluster.counters(self.host_id)
@@ -616,15 +608,6 @@ class SharedMapReduction:
     @property
     def bulk_state_only(self) -> bool:
         return not self.map
-
-    def discard(self) -> None:
-        """Drop pending state without charging (see ``ThreadLocalReduction``)."""
-        self.map.clear()
-        self._writers.clear()
-        self._map_writers.clear()
-        self._write_count = 0
-        self._bulk_keys = self._bulk_vals = None
-        self._bulk_first_writer = self._bulk_multi = None
 
     def collect(self, op: ReduceOp) -> dict[int, Any]:
         del op  # combining happened eagerly, amortized into compute

@@ -303,7 +303,7 @@ def run_kimbap(
 
     ``recovery`` arms the self-healing pool (``"refork"``/``"reshard"``)
     and ``chaos_plan`` (a :class:`repro.faults.chaos.ChaosPlan`) delivers
-    real SIGKILL/SIGTERM/OOM kills to workers at chosen sync boundaries -
+    real SIGKILL/SIGTERM/OOM kills to workers at chosen effect exchanges -
     a healed run stays byte-identical to an undisturbed ``jobs=1`` run.
 
     ``engine`` picks the drive loop (``repro.exec.engine``): ``"bsp"``

@@ -119,7 +119,7 @@ class Executor:
         # "reshard" re-deals the dead worker's hosts onto survivors, and
         # "fail-fast" (the default) keeps the legacy raise-through path.
         # ``chaos`` is a repro.faults.chaos.ChaosPlan delivering real
-        # kills to workers at chosen sync boundaries.
+        # kills to workers at chosen effect exchanges.
         if recovery not in ("fail-fast", "refork", "reshard"):
             raise ValueError(
                 f"unknown recovery policy {recovery!r}; "
@@ -225,28 +225,18 @@ class Executor:
 
     def run_round(self, plan: Plan) -> None:
         """One pass over the plan's compiled entries (one BSP round)."""
-        pool = self._pool
-        # The sync collectives themselves shard across the pool (owner-host
-        # dealing; see NodePropMap._sgr_reduce_sharded and
-        # _broadcast_sharded) - without this the replicated
-        # reduce/broadcast dominates the bulk run's wall clock and caps
-        # jobs=N speedup well below 2x. Off under fault injection so
-        # per-send fault draws replay in the exact serial order.
-        sync_pool = (
-            pool
-            if pool is not None and pool.active and self.cluster.faults is None
-            else None
-        )
         for tag, payload in self.compiled(plan).entries:
             if tag == ENTRY_OPERATOR:
                 self._run_compiled_operator(plan.pgraph, payload)
             elif tag == ENTRY_SYNC:
+                # Every process of a jobs=N run replays every collective
+                # whole; the pool only ever exchanges compute effects.
                 if payload.action == "request":
                     payload.map.request_sync()
                 elif payload.action == "reduce":
-                    payload.map.reduce_sync(pool=sync_pool)
+                    payload.map.reduce_sync()
                 else:
-                    payload.map.broadcast_sync(pool=sync_pool)
+                    payload.map.broadcast_sync()
             else:  # ENTRY_EXEC: a prebound reset or host callable
                 payload()
 

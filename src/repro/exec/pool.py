@@ -29,25 +29,29 @@ shared-memory, per-phase effect exchange.**
   kernels (closures), so the pool reforks once with the grown registry;
   tolerance-loop drivers that re-run the same plans reuse the warm pool
   with zero forks.
-* Only *shardable compute phases* divide work: each process drives
-  ``par_for``/``run_hosted`` over its own contiguous host shard, then
-  exchanges the phase's effects before anything else runs (a sync
-  collective always follows a compute phase, so there is nothing to
+* **One mechanism:** only *shardable compute phases* divide work. Each
+  process drives ``par_for``/``run_hosted`` over its own contiguous host
+  shard, then exchanges the phase's effects before anything else runs (a
+  sync collective always follows a compute phase, so there is nothing to
   batch - DESIGN.md, "Why there is no fusion or deferral"). One flush
   ships, per worker, a single bundle: the per-host effect state of
   every carrier the phase touches, plus the phase's :class:`Counters`
-  rows and message rows as one ``int64`` matrix each.
+  rows and message rows as one ``int64`` matrix each. That exchange
+  (:meth:`HostShardPool.flush`) is the only one, and its coordinator and
+  worker halves are the only place the fx/go token protocol is written:
+  every sync collective is replayed whole by every process on its own
+  replica (DESIGN.md, "Why the sync collectives are not sharded").
 * The exchange itself is zero-install shared memory: the coordinator
   preallocates one ``multiprocessing.shared_memory`` arena per worker
   (double-buffered) plus a broadcast arena, all created before the fork
   so every process inherits the same mapping. Bundles are encoded with
   pickle protocol 5; numpy payloads (reduction batch arrays, counter
-  matrices, the typed GAR property columns in epoch blobs and their
-  slices in sharded-sync deltas) travel as raw out-of-band buffers
-  written directly into the arena. Pipes carry only fixed-size
-  tokens; every process reads every peer's arena directly, so the
-  coordinator never re-serializes the fan-out. Oversized bundles fall
-  back to the pipe and the next refork grows the arenas.
+  matrices, the typed GAR property columns in epoch blobs) travel as
+  raw out-of-band buffers written directly into the arena. Pipes carry
+  only fixed-size tokens; every process reads every peer's arena
+  directly, so the coordinator never re-serializes the fan-out.
+  Oversized bundles fall back to the pipe and the next refork grows the
+  arenas.
 * The coordinator merges worker bundles **in worker order** - shards
   are contiguous ascending, so worker order IS host order and the
   merged phase records are byte-identical to the serial visit. Phases
@@ -58,9 +62,9 @@ seconds, and trace rows therefore evolve exactly as a serial run's
 would: the serial backend stays the oracle, and
 ``tests/test_parallel_equivalence.py`` enforces ``RunResult.to_dict()``
 byte-identity across ``jobs`` for all twelve algorithms. With a fault
-injector installed the pool disables run reuse (refork per run) and the
-executor keeps the sync collectives replicated, so injected draws and
-crash points replay exactly as they did serially.
+injector installed the pool disables run reuse (refork per run); the
+collectives are replicated either way, so injected draws and crash
+points replay exactly as they did serially.
 
 Segment lifecycle: arenas are created and unlinked only by the
 coordinator (``shutdown``), so ``/dev/shm`` holds ``jobs`` segments per
@@ -582,13 +586,13 @@ class HostShardPool:
         # executor; _watch gates the non-blocking token waits and
         # integrity the arena CRCs, so the fail-fast default keeps the
         # exact pre-healing fast path (zero overhead, zero report diffs).
-        self.policy = getattr(executor, "recovery", "fail-fast")
-        self.chaos = getattr(executor, "chaos", None)
+        self.policy = executor.recovery
+        self.chaos = executor.chaos
         self.healing = self.policy != "fail-fast"
         self._watch = self.healing or self.chaos is not None
         self.integrity = self._watch
         self.exchange_timeout = 120.0
-        # Sync-boundary ordinal, counted identically on every process and
+        # Effect-exchange ordinal, counted identically on every process and
         # never rolled back by recovery (replacement workers inherit the
         # coordinator's value), which is what makes a ChaosPlan event
         # fire exactly once with no fired-set to synchronize.
@@ -626,17 +630,13 @@ class HostShardPool:
                     step.operator, by_name, ops
                 )
         # The key-value-store (RuntimeVariant.MC) invariant: kv-backed
-        # phases and their sync collectives run REPLICATED on every
-        # process, never sharded. KvCas reductions apply immediately
-        # against shared server shards - conflict draws and the kv
-        # network accounting depend on the global operation order, which
-        # host-sharding would change - and MC's reduce_sync refetches
-        # every property through the kv servers (mutating shared server
-        # state), while its broadcast_sync is a structural no-op (no GAR
-        # mirrors to push). So there is no broadcast side to shard, and
-        # the reduce side must stay serial for byte-identity: replicated
-        # replay IS the correctness strategy, enforced here so a future
-        # carrier-table change cannot silently shard a kv phase.
+        # phases run REPLICATED on every process, never sharded. KvCas
+        # reductions apply immediately against shared server shards -
+        # conflict draws and the kv network accounting depend on the
+        # global operation order, which host-sharding would change.
+        # Replicated replay IS the correctness strategy, enforced here
+        # so a future carrier-table change cannot silently shard a kv
+        # phase.
         for carriers in table.values():
             if carriers is None:
                 continue
@@ -645,7 +645,7 @@ class HostShardPool:
                 if variant is not None and variant.uses_kvstore:
                     raise AssertionError(
                         f"kvstore-backed map {carrier.name!r} in a "
-                        "shardable phase: MC collectives must stay serial"
+                        "shardable phase: MC phases must stay replicated"
                     )
         self._tables[key] = table
 
@@ -733,18 +733,11 @@ class HostShardPool:
     def _make_process(self, ctx, index: int, pipes):
         """One worker process (overridable seam: the fork-failure tests
         inject a factory that fails partway through the group). A heal
-        in flight (``_resume`` set) forks resume-mode workers that rejoin
-        the interrupted run instead of parking for a ``run`` token."""
-        if self._resume is not None:
-            return ctx.Process(
-                target=_worker_resume_main,
-                args=(self.executor, self, index, pipes, self._resume),
-                daemon=True,
-                name=f"repro-host-shard-{index}",
-            )
+        in flight (``_resume`` set) forks workers that rejoin the
+        interrupted run before parking for a ``run`` token."""
         return ctx.Process(
             target=_worker_main,
-            args=(self.executor, self, index, pipes),
+            args=(self.executor, self, index, pipes, self._resume),
             daemon=True,
             name=f"repro-host-shard-{index}",
         )
@@ -955,7 +948,7 @@ class HostShardPool:
                 carrier.install_compute_effects(host, effects, self.resolve_op)
 
     def _chaos_tick(self) -> None:
-        """Count this sync boundary; deliver any chaos event aimed here.
+        """Count this effect exchange; deliver any chaos event aimed here.
 
         Only ticks when the supervisor is watching (healing or chaos), so
         the fail-fast default never touches the counter. The doomed
@@ -1058,106 +1051,6 @@ class HostShardPool:
             self.note_arena_shortfall(len(vias[0][1]))
         for index, (process, conn) in enumerate(self.workers, start=1):
             self._send_to_worker(index, process, conn, "go", self._seq, vias)
-
-    def exchange_shards(
-        self, payload: Any, record: PhaseRecord | None = None
-    ) -> list[Any]:
-        """Synchronous all-gather inside an active run: every process
-        contributes ``payload`` and receives the list indexed by shard.
-
-        This is what the sharded sync collectives
-        (``NodePropMap._sgr_reduce_sharded`` / ``_broadcast_sharded``)
-        build on: the call rides the same arena slots, sequence counter,
-        and fx/go tokens as :meth:`flush`, so replay determinism keeps the
-        group aligned with no extra barrier. With ``record`` (a still-open
-        phase), each worker also exports the record's full counter matrix
-        and traffic rows and the coordinator folds them in - valid because
-        each unit of the phase's work is charged by exactly one process
-        and the record is exchanged exactly once per phase.
-        """
-        self._chaos_tick()
-        slot = self._seq % 2
-        self._seq += 1
-        bundle: dict[str, Any] = {"payload": payload}
-        out: list[Any] = [None] * len(self.shards)
-        out[self.index] = payload
-        assert self._bcast is not None
-        if self.is_worker:
-            if record is not None:
-                bundle["counters"] = counters_to_rows(record.counters)
-                bundle["net"] = np.array(
-                    [
-                        record.msgs_sent,
-                        record.bytes_sent,
-                        record.msgs_recv,
-                        record.bytes_recv,
-                    ],
-                    dtype=np.int64,
-                )
-            arena = self._arenas[self.index - 1]
-            via = arena.write(slot, bundle, seq=self._seq, check=self.integrity)
-            self.bytes_exchanged += _via_size(via)
-            _send_token(self.conn, "fx", self._seq, via)
-            token = self._recv_token(self.conn, 0, None)
-            if token[0] == "abort":
-                raise _RunAborted()
-            if token[0] != "go":  # pragma: no cover - protocol violation
-                raise ProtocolDivergence(
-                    f"expected go token, got {token[0]!r}", worker=self.index
-                )
-            vias = token[2]
-            for index in range(len(self.shards)):
-                if index == self.index:
-                    continue
-                if index == 0:
-                    peer = self._read_peer(self._bcast, 0, vias[0], 0, self._seq)
-                else:
-                    peer = self._read_peer(
-                        self._arenas[index - 1], slot, vias[index], index, self._seq
-                    )
-                out[index] = peer["payload"]
-            return out
-        vias = [None] * len(self.shards)
-        for index, (process, conn) in enumerate(self.workers, start=1):
-            token = self._recv_token(conn, index, process)
-            if token[0] == "eor":
-                self._eor_seen.add(index)
-                raise self._worker_run_error(index, process, token[2])
-            if token[0] != "fx" or token[1] != self._seq:
-                self.dead = True
-                raise ProtocolDivergence(
-                    f"parallel worker {index} sent {token[0]!r} out of "
-                    "phase; the processes diverged",
-                    worker=index,
-                    shard=self._shard_of(index),
-                    phase=self._phase_label(),
-                )
-            vias[index] = token[2]
-            self.bytes_exchanged += _via_size(token[2])
-            if token[2][0] == "pipe":
-                self.note_arena_shortfall(len(token[2][1]))
-            peer = self._read_peer(
-                self._arenas[index - 1], slot, token[2], index, self._seq
-            )
-            out[index] = peer["payload"]
-            if record is not None:
-                for host in range(self.num_hosts):
-                    add_counter_row(record.counters[host], peer["counters"][host])
-                rows = peer["net"]
-                for host in range(self.num_hosts):
-                    record.msgs_sent[host] += int(rows[0, host])
-                    record.bytes_sent[host] += int(rows[1, host])
-                    record.msgs_recv[host] += int(rows[2, host])
-                    record.bytes_recv[host] += int(rows[3, host])
-        vias[0] = self._bcast.write(
-            0, {"payload": payload}, seq=self._seq, check=self.integrity
-        )
-        self.bytes_exchanged += _via_size(vias[0])
-        if vias[0][0] == "pipe":
-            self.note_arena_shortfall(len(vias[0][1]))
-        for index, (process, conn) in enumerate(self.workers, start=1):
-            self._send_to_worker(index, process, conn, "go", self._seq, vias)
-        return out
 
     def _merge_worker_bundle(
         self, index: int, carriers, record: PhaseRecord, bundle: dict
@@ -1511,7 +1404,11 @@ def _worker_loop(executor: "Executor", pool: HostShardPool, conn) -> int:
 
 
 def _worker_main(
-    executor: "Executor", pool: HostShardPool, index: int, pipes
+    executor: "Executor",
+    pool: HostShardPool,
+    index: int,
+    pipes,
+    resume: tuple[int, int] | None,
 ) -> None:
     """Worker entry, running in the forked child only.
 
@@ -1521,6 +1418,10 @@ def _worker_main(
     Deterministic exceptions (non-quiescence, simulated OOM) replay here
     too; they are reported in the ``eor`` token and the worker stays
     warm - the next run's epoch blob resynchronizes its state.
+    A heal-time re-fork passes ``resume = (plan key, completed rounds)``:
+    the child inherited the coordinator's *rolled-back* round-start
+    state, so before parking it rejoins the interrupted run at that
+    round count and sends its ``eor``.
     ``os._exit`` skips the inherited atexit/teardown machinery - this
     process must not flush the parent's buffers, unlink the parent's
     shared segments, or touch its resources on the way out.
@@ -1530,40 +1431,11 @@ def _worker_main(
     try:
         conn = _worker_setup(pool, index, pipes)
         executor._pool = pool
-        status = _worker_loop(executor, pool, conn)
-    except BaseException:
-        try:
-            _send_token(conn, "err", traceback.format_exc()[-8000:])
-        except (OSError, ValueError):
-            pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-        os._exit(status)
-
-
-def _worker_resume_main(
-    executor: "Executor",
-    pool: HostShardPool,
-    index: int,
-    pipes,
-    resume: tuple[int, int],
-) -> None:
-    """Worker entry for a heal-time re-fork: the child inherited the
-    coordinator's *rolled-back* round-start state, so instead of parking
-    it immediately rejoins the interrupted run at the same completed-round
-    count, sends its ``eor``, then parks like any warm worker."""
-    status = 1
-    conn = pipes[index - 1][1]
-    try:
-        conn = _worker_setup(pool, index, pipes)
-        executor._pool = pool
-        plan_key, resume_rounds = resume
-        pool.active = True
-        err = _worker_drive(executor, pool, plan_key, resume_rounds=resume_rounds)
-        _send_token(conn, "eor", pool._run_seq, err)
+        if resume is not None:
+            plan_key, resume_rounds = resume
+            pool.active = True
+            err = _worker_drive(executor, pool, plan_key, resume_rounds=resume_rounds)
+            _send_token(conn, "eor", pool._run_seq, err)
         status = _worker_loop(executor, pool, conn)
     except BaseException:
         try:

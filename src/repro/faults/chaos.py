@@ -4,13 +4,15 @@ Where a :class:`~repro.faults.plan.FaultPlan` *models* failures (a
 "crash" is a priced restore-and-replay, the process never dies), a
 :class:`ChaosPlan` delivers the real thing to the host-parallel pool:
 ``SIGKILL``/``SIGTERM`` to a specific worker process, or a simulated
-OOM-kill (``os._exit(137)``), at a specific sync boundary of the
-exchange protocol. The doomed worker kills *itself* just before writing
-its effect bundle, so the coordinator's supervisor must detect a real
-dead process mid-exchange - exactly the failure the self-healing pool
-(:mod:`repro.exec.pool`) recovers from.
+OOM-kill (``os._exit(137)``), at a specific boundary of the exchange
+protocol - the compute-effect exchange that closes a sharded compute
+phase, the only point where the processes of a run meet. The doomed
+worker kills *itself* just before writing its effect bundle, so the
+coordinator's supervisor must detect a real dead process mid-exchange -
+exactly the failure the self-healing pool (:mod:`repro.exec.pool`)
+recovers from.
 
-Determinism: every process counts sync boundaries identically
+Determinism: every process counts those exchanges identically
 (``HostShardPool.boundaries_seen``, never rolled back by recovery), so
 ``ChaosEvent(boundary=B, worker=W)`` names one exact point in the
 replicated protocol and fires exactly once - replacement workers
@@ -39,12 +41,13 @@ OOM_EXIT_CODE = 137
 
 @dataclass(frozen=True)
 class ChaosEvent:
-    """Kill worker ``worker`` at sync boundary ``boundary``.
+    """Kill worker ``worker`` at exchange boundary ``boundary``.
 
-    ``boundary`` counts the pool's real exchanges (flushes and
-    all-gathers) from 1 across the executor's lifetime; ``worker`` is a
-    pool worker index (>= 1 - index 0 is the coordinator, which is the
-    supervisor and not a valid victim). ``kind`` picks the weapon:
+    ``boundary`` counts the pool's compute-effect exchanges (one per
+    sharded compute phase; the sync collectives exchange nothing) from 1
+    across the executor's lifetime; ``worker`` is a pool worker index
+    (>= 1 - index 0 is the coordinator, which is the supervisor and not
+    a valid victim). ``kind`` picks the weapon:
     ``sigkill`` and ``sigterm`` are delivered with ``os.kill``; ``oom``
     simulates the kernel OOM killer via ``os._exit(137)``.
     """

@@ -3,14 +3,14 @@
 ``tests/test_parallel_equivalence.py`` pins the fault-free ``jobs=N``
 byte-identity contract; this module pins the *recovery* contract from
 ISSUE 7: a ``jobs=N`` run that loses a worker to a real ``SIGKILL``
-(or ``SIGTERM``, or a simulated OOM kill) at **any** sync boundary
+(or ``SIGTERM``, or a simulated OOM kill) at **any** effect exchange
 completes with ``RunResult.to_dict()`` byte-identical to an undisturbed
 ``jobs=1`` run, under both recovery policies (``refork`` re-forks a
 replacement; ``reshard`` re-deals the dead worker's hosts onto the
 survivors, degrading to the serial path when the last worker is gone).
 
 The kill-sweep drives a seeded :class:`~repro.faults.chaos.ChaosPlan`
-through every sync boundary (sampled with a spread when an app has many)
+through every exchange (sampled with a spread when an app has many)
 for two applications on both kernel backends. The rest covers the
 supervisor's failure taxonomy (typed, picklable, context-carrying
 errors), arena-corruption recovery, the silent-worker timeout, chaos
@@ -97,7 +97,7 @@ def baseline(app, bulk=False) -> str:
 
 
 def probe_boundaries(app, bulk=False) -> int:
-    """Sync-boundary count of a fault-free ``jobs=2`` run with the
+    """Effect-exchange count of a fault-free ``jobs=2`` run with the
     supervisor armed - which doubles as the heals-nothing zero-diff check."""
     key = (app, bulk)
     if key not in _BOUNDARIES:

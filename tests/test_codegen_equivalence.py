@@ -108,8 +108,8 @@ class TestCodegenComposes:
         assert_codegen_identical(app, graph, hosts=4, jobs=2)
 
     def test_mc_variant_stays_identical_under_jobs(self):
-        # The kvstore-backed MC variant keeps its sync collectives serial
-        # (the pool.register_plan invariant); codegen must not disturb it.
+        # The kvstore-backed MC variant keeps its phases replicated (the
+        # pool.register_plan invariant); codegen must not disturb it.
         graph = generators.powerlaw_like(scale=6, seed=3)
         assert_codegen_identical(
             "CC-LP", graph, hosts=3, jobs=2, variant=RuntimeVariant.MC
@@ -756,6 +756,16 @@ class TestKnobIsGone:
             main(["run", "PR", "--bulk", "--no-" + "codegen"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("collective", ("reduce_sync", "broadcast_sync"))
+    def test_sync_collectives_take_no_process_group(self, collective):
+        # The collectives are replayed whole by every process of a jobs=N
+        # run; the host-sharded twins and their selector are deleted.
+        cluster = Cluster(2, threads_per_host=2)
+        pgraph = partition(generators.erdos_renyi(8, 2.0, seed=1), 2, "cvc")
+        prop = NodePropMap(cluster, pgraph, "p")
+        with pytest.raises(TypeError):
+            getattr(prop, collective)(pool=None)
 
 
 # -------------------------------------------------------- prepared folds

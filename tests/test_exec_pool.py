@@ -23,10 +23,11 @@ import pytest
 from repro.algorithms.cc_sv import cc_sv_hook_plan
 from repro.algorithms.common import shortcut_plan
 from repro.cluster import Cluster
+from repro.cluster.metrics import PhaseKind, PhaseRecord
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, ReduceOp
 from repro.core.variants import RuntimeVariant
-from repro.eval.harness import run_kimbap
+from repro.eval.harness import APP_WEIGHTED, run_kimbap
 from repro.exec import (
     EdgePush,
     Executor,
@@ -52,6 +53,7 @@ from repro.exec.pool import (
     fork_available,
     shard_hosts,
 )
+from repro.faults import FaultPlan, HostCrash, MessageFlake
 from repro.graph import generators
 from repro.partition.policies import partition
 from repro.runtime.bool_reducer import BoolReducer
@@ -334,6 +336,92 @@ def _shardable_plan(cluster, pgraph, name="life"):
     )
 
 
+# ------------- one mechanism: the pool exchanges compute effects only
+
+
+@needs_fork
+class TestNoExchangeInsideACollective:
+    """One ``flush`` per sharded compute ``PhaseRecord`` and no arena
+    traffic outside it: every process replays the sync collectives whole,
+    fault-free and under a fault plan alike."""
+
+    COMPUTE = (PhaseKind.REQUEST_COMPUTE, PhaseKind.REDUCE_COMPUTE)
+    SYNC = (PhaseKind.REQUEST_SYNC, PhaseKind.REDUCE_SYNC, PhaseKind.BROADCAST_SYNC)
+
+    @pytest.mark.parametrize("faulted", (False, True), ids=("fault-free", "fault-plan"))
+    @pytest.mark.parametrize(
+        "app,bulk", (("PR", True), ("SSSP", True), ("CC-SV", False))
+    )
+    def test_arena_traffic_only_inside_a_compute_flush(
+        self, monkeypatch, app, bulk, faulted
+    ):
+        graph = generators.erdos_renyi(
+            40, 3.0, seed=7, weighted=APP_WEIGHTED.get(app, False)
+        )
+        kwargs = {}
+        if faulted:
+            kwargs["fault_plan"] = FaultPlan(
+                name="crash@2+flake",
+                checkpoint_interval=2,
+                crashes=(HostCrash(host=1, round=2),),
+                flake=MessageFlake(drop_rate=0.05),
+            )
+        serial = run_kimbap(app, "spy", 4, graph=graph, bulk=bulk, **kwargs)
+
+        # Coordinator-side spies (forked workers inherit them; their
+        # copies of these lists die with them).
+        state = {"pool": None, "exchanging": False}
+        flushed: list[PhaseRecord] = []
+        traffic: list[tuple[bool, PhaseKind | None]] = []
+
+        def framed(method, note):
+            def call(pool, *args):
+                note(pool, *args)
+                state["exchanging"] = True
+                try:
+                    return method(pool, *args)
+                finally:
+                    state["exchanging"] = False
+
+            return call
+
+        def spied(method):
+            def call(arena, *args, **kw):
+                record = state["pool"].executor.cluster._current
+                traffic.append(
+                    (state["exchanging"], None if record is None else record.kind)
+                )
+                return method(arena, *args, **kw)
+
+            return call
+
+        flush = framed(
+            HostShardPool.flush, lambda pool, carriers, record: flushed.append(record)
+        )
+        # begin_run's warm-run epoch blob is the one write outside a flush.
+        begin_run = framed(
+            HostShardPool.begin_run, lambda pool, plan: state.update(pool=pool)
+        )
+        monkeypatch.setattr(HostShardPool, "flush", flush)
+        monkeypatch.setattr(HostShardPool, "begin_run", begin_run)
+        monkeypatch.setattr(_Arena, "write", spied(_Arena.write))
+        monkeypatch.setattr(_Arena, "read", spied(_Arena.read))
+        parallel = run_kimbap(app, "spy", 4, graph=graph, bulk=bulk, jobs=2, **kwargs)
+
+        assert json.dumps(parallel.to_dict(), sort_keys=True) == json.dumps(
+            serial.to_dict(), sort_keys=True
+        )
+        assert flushed and traffic, "the run never sharded a phase"
+        assert all(exchanging for exchanging, _ in traffic)
+        assert not [kind for _, kind in traffic if kind in self.SYNC]
+        # Every compute phase of these apps is a declarative form, hence
+        # shardable: the flushed records are the log's compute records.
+        log = state["pool"].executor.cluster.log
+        sharded = [record for record in log.phases if record.kind in self.COMPUTE]
+        assert len(flushed) == len(sharded)
+        assert all(a is b for a, b in zip(flushed, sharded))
+
+
 class TestCreatePoolClamp:
     def test_jobs_clamp_to_host_count_with_nonempty_shards(self, setup):
         cluster, pgraph = setup
@@ -404,8 +492,12 @@ class TestWorkerDeathSurfacing:
             process, _ = pool.workers[0]
             os.kill(process.pid, signum)
             process.join(timeout=10)
+            operator = _first_operator(plan)
+            record = PhaseRecord.empty(
+                PhaseKind.REDUCE_COMPUTE, cluster.num_hosts, parallel=True
+            )
             with pytest.raises(RuntimeError, match=expect) as exc:
-                pool.exchange_shards("ping")
+                pool.flush(pool._tables[id(plan)][id(operator)], record)
             # The typed taxonomy carries the failing worker's identity.
             assert isinstance(exc.value, WorkerDied)
             assert exc.value.worker == 1
