@@ -24,11 +24,20 @@ Weight rationale (relative units):
 * ``kv_string_ops`` = 25     - string key formatting + parsing per KV op
   (Section 6.4 blames string keys explicitly).
 * ``edge_iters`` = 1, ``node_iters`` = 1, ``local_ops`` = 1 - operator body.
+
+``phase_time`` / ``host_phase_time`` price one record (``repro.trace``,
+the profile tables, the pricing property test's oracle); ``time_totals``
+prices a whole log as array passes over its packed rows - the only loop
+over a log here. Both add floats as strict left folds (never builtin
+``sum``, compensated from Python 3.12 on, never a pairwise ``np.sum``),
+so they agree bit for bit on every interpreter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.cluster.metrics import (
     COUNTER_FIELDS,
@@ -93,17 +102,16 @@ class CostModel:
     weights: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_WEIGHTS))
 
     def units(self, counters: Counters) -> float:
-        # Summation stays in COUNTER_FIELDS order; dropping zero-weight
-        # terms is exact (every partial sum is non-negative, so +0.0 is
-        # the identity) and instance-dict reads skip the attribute
-        # protocol - this is the log-pricing hot loop.
+        # An explicit left fold in COUNTER_FIELDS order - the per-element
+        # sequence ``time_totals`` runs column by column. Dropping
+        # zero-weight terms is exact (every partial sum is non-negative,
+        # so +0.0 is the identity).
         weights = self.weights
-        values = counters.__dict__
-        return sum(
-            weights[name] * values[name]
-            for name in COUNTER_FIELDS
-            if weights[name]
-        )
+        units = 0.0
+        for name in COUNTER_FIELDS:
+            if weights[name]:
+                units += weights[name] * getattr(counters, name)
+        return units
 
     def units_breakdown(self, counters: Counters) -> dict[str, float]:
         """Weighted units contributed by each counter kind (zero entries
@@ -121,6 +129,25 @@ class CostModel:
             units *= phase.slowdown[host]
         return units
 
+    @staticmethod
+    def _split(kind: PhaseKind, compute: float, comm: float) -> ModeledTime:
+        """How a phase's compute and alpha-beta seconds are reported."""
+        if kind.is_sync:
+            # Local work inside a sync phase (serving requests, applying
+            # reductions) is part of what the paper reports as communication
+            # time (its ReduceSync / RequestSync breakdown).
+            return ModeledTime(0.0, compute + comm)
+        if kind is PhaseKind.ASYNC_COMPUTE:
+            # Barrier-free execution hides eager messaging behind compute:
+            # only the communication exceeding the chunk's compute time is
+            # exposed (the "may hide communication overheads" half of the
+            # paper's Section 4.1 asynchrony trade-off).
+            return ModeledTime(compute, max(comm - compute, 0.0))
+        # Compute phases normally carry no traffic; the MC variant's CAS
+        # loops do (computation and communication overlap in MC, which the
+        # paper reports as a single "compcomm" bar).
+        return ModeledTime(compute, comm)
+
     def host_phase_time(
         self, phase: PhaseRecord, host: int, threads: int
     ) -> ModeledTime:
@@ -134,15 +161,7 @@ class CostModel:
         comm = self.alpha * max(
             phase.msgs_sent[host], phase.msgs_recv[host]
         ) + self.beta * max(phase.bytes_sent[host], phase.bytes_recv[host])
-        if phase.kind.is_sync:
-            return ModeledTime(0.0, compute + comm)
-        if phase.kind is PhaseKind.ASYNC_COMPUTE:
-            # Barrier-free execution hides eager messaging behind compute:
-            # only the communication exceeding the chunk's compute time is
-            # exposed (the "may hide communication overheads" half of the
-            # paper's Section 4.1 asynchrony trade-off).
-            return ModeledTime(compute, max(comm - compute, 0.0))
-        return ModeledTime(compute, comm)
+        return self._split(phase.kind, compute, comm)
 
     def phase_time(self, phase: PhaseRecord, threads: int) -> ModeledTime:
         divisor = threads if phase.parallel else 1
@@ -160,48 +179,52 @@ class CostModel:
             max(phase.bytes_sent, default=0), max(phase.bytes_recv, default=0)
         )
         comm = self.alpha * max_msgs + self.beta * max_bytes
-        if phase.kind.is_sync:
-            # Local work inside a sync phase (serving requests, applying
-            # reductions) is part of what the paper reports as communication
-            # time (its ReduceSync / RequestSync breakdown).
-            return ModeledTime(0.0, compute + comm)
-        if phase.kind is PhaseKind.ASYNC_COMPUTE:
-            # No barrier: per-update messages stream while the chunk
-            # computes, so only the excess shows up as communication.
-            return ModeledTime(compute, max(comm - compute, 0.0))
-        # Compute phases normally carry no traffic; the MC variant's CAS
-        # loops do (computation and communication overlap in MC, which the
-        # paper reports as a single "compcomm" bar).
-        return ModeledTime(compute, comm)
+        return self._split(phase.kind, compute, comm)
 
     def time(self, log: MetricsLog, threads: int) -> ModeledTime:
-        total = ModeledTime(0.0, 0.0)
-        for phase in log.phases:
-            total = total + self.phase_time(phase, threads)
-        return total
+        return self.time_totals(log, threads)[0]
 
     def time_by_kind(self, log: MetricsLog, threads: int) -> dict[PhaseKind, ModeledTime]:
-        by_kind: dict[PhaseKind, ModeledTime] = {}
-        for phase in log.phases:
-            current = by_kind.get(phase.kind, ModeledTime(0.0, 0.0))
-            by_kind[phase.kind] = current + self.phase_time(phase, threads)
-        return by_kind
+        return self.time_totals(log, threads)[1]
 
     def time_totals(
         self, log: MetricsLog, threads: int
     ) -> tuple[ModeledTime, dict[PhaseKind, ModeledTime]]:
-        """``time`` and ``time_by_kind`` in one pricing pass.
+        """The run total and each kind's total (kinds in first-appearance
+        order), priced in one array pass over the packed log.
 
-        Long runs log thousands of phases and result assembly prices each
-        one twice; the fused pass prices once. Both accumulations run in
-        log order with the exact additions of the two originals, so the
-        returned values are bit-identical to calling them separately.
+        Every step is elementwise over phases and keeps the per-element
+        IEEE sequence of :meth:`phase_time`; the totals accumulate with
+        ``np.cumsum`` from an explicit 0.0, a strict left fold in log
+        order - so the result is bit-identical to folding ``phase_time``
+        record by record.
         """
-        total = ModeledTime(0.0, 0.0)
-        by_kind: dict[PhaseKind, ModeledTime] = {}
-        for phase in log.phases:
-            priced = self.phase_time(phase, threads)
-            total = total + priced
-            current = by_kind.get(phase.kind, ModeledTime(0.0, 0.0))
-            by_kind[phase.kind] = current + priced
-        return total, by_kind
+        tags = log.columns()
+        units = np.zeros((len(log.phases), log.num_hosts))
+        for host, rows in enumerate(log.host_rows()):
+            for column, name in enumerate(COUNTER_FIELDS):
+                if self.weights[name]:
+                    units[:, host] += self.weights[name] * rows[:, column]
+        if tags.slowdown is not None:
+            units *= tags.slowdown
+        units /= np.where(tags.parallel, threads, 1)[:, None]
+        compute = units.max(axis=1, initial=0.0) * self.seconds_per_unit
+        comm = self.alpha * tags.max_msgs + self.beta * tags.max_bytes
+        kinds = tuple(PhaseKind)
+        is_sync = np.array([kind.is_sync for kind in kinds])[tags.kinds]
+        is_async = tags.kinds == kinds.index(PhaseKind.ASYNC_COMPUTE)
+        exposed = np.where(is_async, np.maximum(comm - compute, 0.0), comm)
+        priced = np.stack(
+            (np.where(is_sync, 0.0, compute), np.where(is_sync, compute + comm, exposed)),
+            axis=1,
+        )
+
+        def fold(rows: np.ndarray | slice) -> ModeledTime:
+            terms = np.vstack((np.zeros((1, 2)), priced[rows]))
+            return ModeledTime(*np.cumsum(terms, axis=0)[-1].tolist())
+
+        codes, first = np.unique(tags.kinds, return_index=True)
+        return fold(slice(None)), {
+            kinds[code]: fold(tags.kinds == code)
+            for code in codes[np.argsort(first)].tolist()
+        }

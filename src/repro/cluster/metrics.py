@@ -3,13 +3,21 @@
 Every phase of every BSP round produces one :class:`PhaseRecord` holding a
 :class:`Counters` per host plus per-host message/byte totals. The cost model
 (:mod:`repro.cluster.costmodel`) prices these records into modeled seconds.
+
+Records stay plain objects while a run writes them; a report reads the
+log packed into arrays - :meth:`MetricsLog.host_rows` (``int64``
+``(phases, counters)`` per host) and :meth:`MetricsLog.columns` (per-phase
+tags) - so totals and pricing are array passes, not one Python call per
+phase per question.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field, fields
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -103,14 +111,22 @@ class Counters:
 COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(Counters))
 
 
-def counters_to_rows(rows: Sequence[Counters]) -> np.ndarray:
-    """Pack counters into one ``int64`` matrix, one row per host: the
-    shared-memory accumulation layout of the parallel exchange
-    (:mod:`repro.exec.pool`), column order = ``COUNTER_FIELDS``."""
-    return np.array(
-        [[getattr(c, name) for name in COUNTER_FIELDS] for c in rows],
+_counter_values = operator.attrgetter(*COUNTER_FIELDS)
+
+
+def counters_to_rows(rows: Iterable[Counters]) -> np.ndarray:
+    """Pack counters into one ``int64`` matrix, one row each, column order
+    = ``COUNTER_FIELDS``: the shared-memory accumulation layout of the
+    parallel exchange (:mod:`repro.exec.pool`) and of a host's rows of
+    the phase log (:meth:`MetricsLog.host_rows`). Streamed through
+    ``np.fromiter`` - no nested list of boxed ints is ever built."""
+    rows = list(rows)
+    flat = np.fromiter(
+        chain.from_iterable(map(_counter_values, rows)),
         dtype=np.int64,
+        count=len(rows) * len(COUNTER_FIELDS),
     )
+    return flat.reshape(-1, len(COUNTER_FIELDS))
 
 
 def add_counter_row(counters: Counters, row: np.ndarray) -> None:
@@ -181,12 +197,29 @@ class PhaseRecord:
         )
 
 
+class PhaseColumns(NamedTuple):
+    """Per-phase tags of a log as arrays, one row per record in log order."""
+
+    parallel: np.ndarray  # bool
+    kinds: np.ndarray  # indices into tuple(PhaseKind)
+    # Largest per-host sent-or-received total of each record: the
+    # alpha-beta term's operands.
+    max_msgs: np.ndarray
+    max_bytes: np.ndarray
+    # float64 (phases, hosts), exact ones where a record carries no
+    # straggler multipliers; None when no record does.
+    slowdown: np.ndarray | None
+
+
 @dataclass
 class MetricsLog:
     """Append-only log of phase records for one measured region."""
 
     num_hosts: int
     phases: list[PhaseRecord] = field(default_factory=list)
+    # What the last full ``host_rows()`` pass read: (records, the last
+    # one's counters by value, counter column sums).
+    _totalled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def start_phase(
         self,
@@ -202,19 +235,64 @@ class MetricsLog:
         self.phases.append(record)
         return record
 
+    def host_rows(self) -> Iterator[np.ndarray]:
+        """Each host's counters over the whole log in turn: ``int64``
+        ``(phases, len(COUNTER_FIELDS))``. One host at a time because all
+        hosts at once is the size of the log again; a pass that reaches
+        the last host also leaves the counter column sums behind, so the
+        ``total_counters()`` that follows pricing in a report is free."""
+        phases = self.phases
+        sums = np.zeros(len(COUNTER_FIELDS), dtype=np.int64)
+        for host in range(self.num_hosts):
+            rows = counters_to_rows([phase.counters[host] for phase in phases])
+            sums += rows.sum(axis=0)
+            yield rows
+        self._totalled = (list(phases), self._open_counters(), sums.tolist())
+
+    def _open_counters(self) -> list:
+        """The last record's counters by value: phases do not nest, so it
+        is the only record that can still be written after a report."""
+        return [*map(_counter_values, self.phases[-1].counters)] if self.phases else []
+
+    def columns(self) -> PhaseColumns:
+        """The log's per-phase tags, packed."""
+        phases, count = self.phases, len(self.phases)
+        codes = {kind: code for code, kind in enumerate(PhaseKind)}
+
+        def largest(sent: str, received: str) -> np.ndarray:
+            width = 2 * self.num_hosts
+            per_host = chain.from_iterable(map(operator.attrgetter(sent, received), phases))
+            flat = np.fromiter(chain.from_iterable(per_host), np.int64, count * width)
+            return flat.reshape(count, width).max(axis=1, initial=0)
+
+        slowdown = None
+        if any(phase.slowdown is not None for phase in phases):
+            ones = [1.0] * self.num_hosts
+            slowdown = np.array([phase.slowdown or ones for phase in phases])
+        return PhaseColumns(
+            parallel=np.fromiter((phase.parallel for phase in phases), bool, count),
+            kinds=np.fromiter((codes[phase.kind] for phase in phases), np.int64, count),
+            max_msgs=largest("msgs_sent", "msgs_recv"),
+            max_bytes=largest("bytes_sent", "bytes_recv"),
+            slowdown=slowdown,
+        )
+
     def total_counters(self) -> Counters:
-        # Integer addition is exact, so folding through the instance
-        # dicts (and skipping zero entries) matches ``Counters.add``
-        # field for field at a fraction of the attribute-protocol cost -
-        # result assembly sums every phase of a many-thousand-phase log.
-        total = Counters()
-        sums = total.__dict__
-        for phase in self.phases:
-            for counters in phase.counters:
-                for name, value in counters.__dict__.items():
-                    if value:
-                        sums[name] += value
-        return total
+        """The packed rows' column sums - integer addition is exact, so
+        they match a ``Counters.add`` fold field for field, as plain
+        Python ints (``as_dict`` is serialized). Read again when the log
+        was appended to, truncated (a fault rollback) or written into
+        since the last pass."""
+        phases, seen = self.phases, self._totalled
+        if (
+            seen is None
+            or len(seen[0]) != len(phases)
+            or not all(map(operator.is_, seen[0], phases))
+            or seen[1] != self._open_counters()
+        ):
+            for _ in self.host_rows():
+                pass
+        return Counters(*self._totalled[2])
 
     def total_messages(self) -> int:
         return sum(sum(phase.msgs_sent) for phase in self.phases)

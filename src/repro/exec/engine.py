@@ -32,6 +32,7 @@ reports updates-to-convergence and modeled seconds side by side.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 from typing import TYPE_CHECKING, Any
 
@@ -42,6 +43,7 @@ from repro.core.propmap import KEY_BYTES
 from repro.exec.plan import (
     CmpFilter,
     EdgePush,
+    Operator,
     OperatorStep,
     Plan,
     ResidualDecl,
@@ -213,7 +215,10 @@ class AsyncEngine(Engine):
     model with communication overlapped behind compute (no sync phases
     exist at all). Inside a chunk, applies are serialized by owner host
     (then node id) and ties break by node id, so a run is a pure function
-    of the plan.
+    of the plan - and its report a byte contract of its own
+    (``tests/test_engine_async.py`` pins the digests), which is why the
+    chunk loop stays a scalar loop and meters per chunk, not per edge
+    (:class:`_ChunkSchedule`).
 
     ``once`` plans (warm-ups, host-driven phase groups) delegate to the
     BSP engine unchanged; loop plans must carry a
@@ -245,319 +250,314 @@ class AsyncEngine(Engine):
                 "the async engine does not run under fault injection; "
                 "checkpoint/recovery is round-structured (use engine='bsp')"
             )
-        kernel = self._residual_kernel(plan)
-        decl = kernel.residual
-        value_map = decl.value if decl.value is not None else kernel.target
+        operator = self._residual_operator(plan)
+        decl = operator.kernel.residual
+        value_map = decl.value if decl.value is not None else operator.kernel.target
         if not value_map.variant.uses_gar:
             raise UnsupportedPlanError(
                 f"async execution needs the GAR master layout; map "
                 f"{value_map.name!r} uses variant {value_map.variant.label!r}"
             )
+        chunk = _ChunkSchedule(self, plan, operator.label, value_map)
         if decl.mode == "monotone":
-            return self._run_monotone(plan, kernel, decl)
-        return self._run_accumulate(plan, kernel, decl)
+            values = self._run_monotone(chunk, operator.kernel)
+        else:
+            values = self._run_accumulate(chunk, operator.kernel, decl)
+        return self._finish(chunk, value_map, values)
 
     def drive(self, plan: Plan, resume_rounds: int | None = None) -> int:
         # Worker replay is a BSP-pool concern; the async engine never forks.
         return self._bsp.drive(plan, resume_rounds)
 
-    def _residual_kernel(self, plan: Plan) -> EdgePush:
+    def _residual_operator(self, plan: Plan) -> Operator:
         for step in plan.steps:
             if isinstance(step, OperatorStep) and isinstance(
                 step.operator.kernel, EdgePush
             ):
                 if step.operator.kernel.residual is not None:
-                    return step.operator.kernel
+                    return step.operator
         raise UnsupportedPlanError(
             f"plan {plan.name!r} declares no residual on any EdgePush "
             "kernel; only residual-declared plans can run asynchronously "
             "(see ResidualDecl / 'repro plan --json')"
         )
 
-    # ----------------------------------------------------------- machinery
-
-    def _operator_label(self, plan: Plan, kernel: EdgePush) -> str:
-        for step in plan.steps:
-            if isinstance(step, OperatorStep) and step.operator.kernel is kernel:
-                return step.operator.label
-        return plan.name
-
-    def _chunk_phase(self, plan: Plan, operator: str):
-        return self.executor.cluster.phase(
-            PhaseKind.ASYNC_COMPUTE,
-            label=f"{plan.name}:chunk",
-            operator=operator,
-        )
-
-    def _pop_chunk(
-        self,
-        heap: list[tuple[float, int]],
-        priority: np.ndarray,
-        owner: np.ndarray,
-    ) -> list[int]:
-        """Up to ``chunk_size`` live (non-stale) nodes, highest residual
-        first, re-serialized by (owner host, node id) for the apply order."""
-        nodes: list[int] = []
-        while heap and len(nodes) < self.chunk_size:
-            neg, node = heapq.heappop(heap)
-            # Lazy deletion: an entry is live only while it matches the
-            # node's current priority; superseded entries are skipped.
-            if -neg == priority[node] and priority[node] > 0.0:
-                priority[node] = 0.0
-                nodes.append(node)
-        nodes.sort(key=lambda n: (int(owner[n]), n))
-        return nodes
-
-    def _finish(
-        self,
-        plan: Plan,
-        operator: str,
-        value_map,
-        values: np.ndarray,
-        chunks: int,
-    ) -> int:
+    def _finish(self, chunk: "_ChunkSchedule", value_map, values: np.ndarray) -> int:
         """Materialize the final values into the map's masters (one last
         barrier-free phase) so ``snapshot()`` sees the async fixed point."""
-        executor = self.executor
-        cluster = executor.cluster
-        pgraph = plan.pgraph
+        cluster, plan = chunk.cluster, chunk.plan
         with cluster.phase(
             PhaseKind.ASYNC_COMPUTE,
             label=f"{plan.name}:materialize",
-            operator=operator,
+            operator=chunk.operator,
         ) as record:
-            record.chunk = chunks
+            record.chunk = chunk.opened
             for host in range(cluster.num_hosts):
-                keys = pgraph.parts[host].masters_global
+                keys = plan.pgraph.parts[host].masters_global
                 if keys.size == 0:
                     continue
                 cluster.counters(host).materialize_ops += int(keys.size)
                 value_map._set_bulk(host, keys, values[keys])
-        self.last_chunks = chunks + 1
+        self.last_updates = chunk.updates
         # Rounds in the result schema mean "scheduler steps": chunks here.
-        return chunks + 1
+        self.last_chunks = chunk.opened + 1
+        return self.last_chunks
 
     # ------------------------------------------------- monotone (SSSP, CC)
 
-    def _run_monotone(self, plan: Plan, kernel: EdgePush, decl: ResidualDecl) -> int:
+    def _run_monotone(self, chunk: "_ChunkSchedule", kernel: EdgePush) -> np.ndarray:
         """Label-correcting relaxation: values improve monotonically under
         the kernel's reducer, residual = size of the last improvement."""
-        executor = self.executor
-        cluster = executor.cluster
-        pgraph = plan.pgraph
-        graph = pgraph.graph
-        owner = pgraph.owner
-        indptr, indices = graph.indptr, graph.indices
-        weights = graph.weights
-        op = kernel.op
-        target = kernel.target
-        values = np.array(target.snapshot_array(), copy=True)
-        num_nodes = int(values.size)
+        typed = np.array(kernel.target.snapshot_array(), copy=True)
+        num_nodes = int(typed.size)
         # Initial frontier: every node whose value is pushable. Residuals
         # start at +inf (nothing has been processed yet); ties and equal
         # priorities break by node id via the heap tuple. A declarative
         # value filter (CmpFilter) seeds the frontier as one compiled
         # mask over the whole value array; an opaque callable keeps the
         # per-node probe (its scalar contract is all we may assume).
-        priority = np.zeros(num_nodes, dtype=np.float64)
-        vf = kernel.value_filter
-        if vf is None or isinstance(vf, CmpFilter):
-            if vf is None:
-                seed = np.arange(num_nodes, dtype=np.int64)
-            else:
-                all_nodes = np.arange(num_nodes, dtype=np.int64)
-                keep = np.asarray(apply_value_filter(vf, values, all_nodes))
-                seed = np.flatnonzero(keep)
-            priority[seed] = np.inf
-            heap: list[tuple[float, int]] = [
-                (-np.inf, int(node)) for node in seed
-            ]
+        value_filter = kernel.value_filter
+        if value_filter is None:
+            seed = list(range(num_nodes))
+        elif isinstance(value_filter, CmpFilter):
+            all_nodes = np.arange(num_nodes, dtype=np.int64)
+            keep = np.asarray(apply_value_filter(value_filter, typed, all_nodes))
+            seed = np.flatnonzero(keep).tolist()
         else:
-            heap = []
-            for node in range(num_nodes):
-                if not bool(vf(values[node])):
-                    continue
-                priority[node] = np.inf
-                heap.append((-np.inf, node))
-        heapq.heapify(heap)
-        self.last_updates = 0
-        chunks = 0
+            seed = [node for node in range(num_nodes) if bool(value_filter(typed[node]))]
+        # The mutated per-node columns run as Python lists from here on
+        # (typed again only on return); Python's float/int arithmetic is
+        # the IEEE/exact arithmetic the numpy scalars did.
+        values = typed.tolist()
+        heap, priority = chunk.schedule(num_nodes, [(np.inf, node) for node in seed])
+        node_iters, edge_iters, local_ops, applies = chunk.tallies
+        owner, indptr, indices = chunk.columns
+        hosts = len(node_iters)
+        fn, edge_filter = kernel.op.fn, kernel.edge_filter
+        per_source, per_edge = kernel.charge_per_source, kernel.charge_per_edge
+        weighted = kernel.with_weight == "add"
+        weights = None if kernel.unit_weights else chunk.plan.pgraph.graph.weights
+        if weights is not None:
+            weights = memoryview(weights)
+        inf, push = np.inf, heapq.heappush
         while heap:
-            nodes = self._pop_chunk(heap, priority, owner)
+            nodes = chunk.pop()
             if not nodes:
                 break
-            with self._chunk_phase(
-                plan, self._operator_label(plan, kernel)
-            ) as record:
-                record.chunk = chunks
+            with chunk.phase():
+                chunk.updates += len(nodes)
                 for u in nodes:
-                    host = int(owner[u])
-                    counters = cluster.counters(host)
-                    counters.node_iters += 1
-                    if kernel.charge_per_source:
-                        counters.local_ops += kernel.charge_per_source
-                    self.last_updates += 1
+                    host = owner[u]
+                    node_iters[host] += 1
+                    local_ops[host] += per_source
                     value = values[u]
                     # Per-pop, not chunk-prefiltered: values improve
                     # mid-chunk (vertex consistency), so a node failing
                     # the filter at chunk start can pass by its pop.
-                    if kernel.value_filter is not None and not bool(
-                        apply_value_filter(kernel.value_filter, value, u)
+                    if value_filter is not None and not bool(
+                        apply_value_filter(value_filter, value, u)
                     ):
                         continue
-                    for edge in range(int(indptr[u]), int(indptr[u + 1])):
-                        counters.edge_iters += 1
-                        if kernel.charge_per_edge:
-                            counters.local_ops += kernel.charge_per_edge
-                        dst = int(indices[edge])
-                        if kernel.edge_filter is not None and not bool(
-                            kernel.edge_filter(u, dst)
+                    first, last = indptr[u], indptr[u + 1]
+                    edge_iters[host] += last - first
+                    local_ops[host] += per_edge * (last - first)
+                    row = host * hosts
+                    for edge in range(first, last):
+                        dst = indices[edge]
+                        if edge_filter is not None and not bool(
+                            edge_filter(u, dst)
                         ):
                             continue
                         candidate = value
-                        if kernel.with_weight == "add":
-                            weight = (
-                                1.0
-                                if kernel.unit_weights or weights is None
-                                else float(weights[edge])
+                        if weighted:
+                            candidate = value + (
+                                1.0 if weights is None else weights[edge]
                             )
-                            candidate = value + weight
                         old = values[dst]
-                        new = op(old, candidate)
+                        new = fn(old, candidate)
                         if new == old:
                             continue
                         # The apply happens at the destination's owner;
                         # a foreign improvement is one eager message.
-                        dst_owner = int(owner[dst])
-                        counters.reduce_calls += 1
-                        if dst_owner != host:
-                            cluster.network.send(
-                                host,
-                                dst_owner,
-                                KEY_BYTES + target.value_nbytes,
-                            )
-                        cluster.counters(dst_owner).local_ops += 1
+                        applies[row + owner[dst]] += 1
                         values[dst] = new
-                        gain = float(abs(old - new)) if old != np.inf else np.inf
+                        gain = abs(old - new) if old != inf else inf
                         if gain > priority[dst]:
                             priority[dst] = gain
-                            heapq.heappush(heap, (-gain, dst))
-            chunks += 1
-        return self._finish(
-            plan, self._operator_label(plan, kernel), target, values, chunks
-        )
+                            push(heap, (-gain, dst))
+        return np.array(values, dtype=typed.dtype)
 
     # ------------------------------------------------ accumulate (PageRank)
 
     def _run_accumulate(
-        self, plan: Plan, kernel: EdgePush, decl: ResidualDecl
-    ) -> int:
+        self, chunk: "_ChunkSchedule", kernel: EdgePush, decl: ResidualDecl
+    ) -> np.ndarray:
         """Delta-style mass propagation: processing a node folds its
         residual into its value and pushes ``transform(residual, node)``
         along each out-edge; zero-out-degree mass pools and is flushed
         uniformly. Stops when the remaining residual mass (queue + pool)
         falls below ``decl.tolerance``."""
-        executor = self.executor
-        cluster = executor.cluster
-        pgraph = plan.pgraph
-        graph = pgraph.graph
-        owner = pgraph.owner
-        indptr, indices = graph.indptr, graph.indices
-        value_map = decl.value
+        pgraph = chunk.plan.pgraph
         num_nodes = pgraph.num_nodes
         all_nodes = np.arange(num_nodes, dtype=np.int64)
-        values = np.asarray(decl.init_value(all_nodes), dtype=np.float64).copy()
+        # Python lists for the mutated columns, as in _run_monotone.
+        values = np.asarray(decl.init_value(all_nodes), dtype=np.float64).tolist()
         residual = np.asarray(
             decl.init_residual(all_nodes), dtype=np.float64
-        ).copy()
-        degrees = np.diff(indptr)
+        ).tolist()
         # Below this per-node residual a node is not worth scheduling: the
         # unscheduled leftover across all nodes stays under the tolerance.
         threshold = decl.tolerance / max(num_nodes, 1)
-        priority = np.zeros(num_nodes, dtype=np.float64)
-        heap: list[tuple[float, int]] = []
-        for node in range(num_nodes):
-            if residual[node] > threshold:
-                priority[node] = residual[node]
-                heap.append((-residual[node], node))
-        heapq.heapify(heap)
+        heap, priority = chunk.schedule(
+            num_nodes,
+            [(mass, node) for node, mass in enumerate(residual) if mass > threshold],
+        )
+        node_iters, edge_iters, local_ops, applies = chunk.tallies
+        owner, indptr, indices = chunk.columns
+        hosts = len(node_iters)
+        transform = kernel.transform
+        per_source, per_edge = kernel.charge_per_source, kernel.charge_per_edge
+        uniform, dangling_scale = decl.dangling == "uniform", decl.dangling_scale
+        push = heapq.heappush
         pool_mass = 0.0
-        label = self._operator_label(plan, kernel)
-        self.last_updates = 0
-        chunks = 0
         while True:
-            nodes = self._pop_chunk(heap, priority, owner)
+            nodes = chunk.pop()
             if not nodes:
                 # Queue drained: flush the dangling pool uniformly if it
                 # still carries meaningful mass, else converge.
-                if decl.dangling != "uniform" or pool_mass < decl.tolerance:
+                if not uniform or pool_mass < decl.tolerance:
                     break
-                with self._chunk_phase(plan, label) as record:
-                    record.chunk = chunks
+                with chunk.phase():
                     share = pool_mass / max(num_nodes, 1)
                     pool_mass = 0.0
-                    residual += share
-                    for host in range(cluster.num_hosts):
+                    residual[:] = [mass + share for mass in residual]
+                    for host in range(hosts):
                         masters = pgraph.parts[host].masters_global
-                        cluster.counters(host).local_ops += int(masters.size)
-                    for node in np.flatnonzero(residual > threshold).tolist():
-                        if residual[node] > priority[node]:
-                            priority[node] = residual[node]
-                            heapq.heappush(heap, (-residual[node], node))
-                chunks += 1
+                        local_ops[host] += int(masters.size)
+                    for node, mass in enumerate(residual):
+                        if mass > threshold and mass > priority[node]:
+                            priority[node] = mass
+                            push(heap, (-mass, node))
                 continue
-            with self._chunk_phase(plan, label) as record:
-                record.chunk = chunks
+            with chunk.phase():
                 for u in nodes:
                     mass = residual[u]
                     residual[u] = 0.0
                     if mass <= 0.0:
                         continue
-                    host = int(owner[u])
-                    counters = cluster.counters(host)
-                    counters.node_iters += 1
-                    if kernel.charge_per_source:
-                        counters.local_ops += kernel.charge_per_source
-                    self.last_updates += 1
+                    host = owner[u]
+                    node_iters[host] += 1
+                    local_ops[host] += per_source
+                    chunk.updates += 1
                     values[u] += mass
-                    if degrees[u] == 0:
-                        if decl.dangling == "uniform":
-                            pool_mass += decl.dangling_scale * mass
+                    first, last = indptr[u], indptr[u + 1]
+                    if first == last:
+                        if uniform:
+                            pool_mass += dangling_scale * mass
                         continue
-                    if kernel.transform is not None:
-                        push = float(
+                    if transform is not None:
+                        mass = float(
                             np.asarray(
-                                kernel.transform(
+                                transform(
                                     np.asarray([mass]),
                                     np.asarray([u], dtype=np.int64),
                                 )
                             )[0]
                         )
-                    else:
-                        push = mass
-                    for edge in range(int(indptr[u]), int(indptr[u + 1])):
-                        counters.edge_iters += 1
-                        if kernel.charge_per_edge:
-                            counters.local_ops += kernel.charge_per_edge
-                        dst = int(indices[edge])
-                        dst_owner = int(owner[dst])
-                        counters.reduce_calls += 1
-                        if dst_owner != host:
-                            cluster.network.send(
-                                host,
-                                dst_owner,
-                                KEY_BYTES + value_map.value_nbytes,
-                            )
-                        cluster.counters(dst_owner).local_ops += 1
-                        residual[dst] += push
-                        if (
-                            residual[dst] > threshold
-                            and residual[dst] > priority[dst]
-                        ):
-                            priority[dst] = residual[dst]
-                            heapq.heappush(heap, (-residual[dst], dst))
-            chunks += 1
-        return self._finish(plan, label, value_map, values, chunks)
+                    edge_iters[host] += last - first
+                    local_ops[host] += per_edge * (last - first)
+                    row = host * hosts
+                    for dst in indices[first:last]:
+                        applies[row + owner[dst]] += 1
+                        grown = residual[dst] + mass
+                        residual[dst] = grown
+                        if grown > threshold and grown > priority[dst]:
+                            priority[dst] = grown
+                            push(heap, (-grown, dst))
+        return np.array(values, dtype=np.float64)
+
+
+class _ChunkSchedule:
+    """What the two async modes share: the residual heap over the per-node
+    ``priority`` column, and per-chunk tallied metering.
+
+    Inside a chunk the modes count in plain integers - ``node_iters`` /
+    ``edge_iters`` / ``local_ops`` per host, and one ``applies`` count per
+    (source owner, destination owner) pair, because every apply is one
+    ``reduce_calls`` at the source, one owner-side ``local_ops`` at the
+    destination and, between two hosts, one eager message. :meth:`phase`
+    writes the tallies into the chunk's ``PhaseRecord`` once as it closes
+    (one ``send_many`` per non-empty foreign pair); integer sums are
+    exact, so the record equals what per-edge bumps produced. The
+    read-only ``columns`` (owner, indptr, indices) are memoryviews: plain
+    ints out, no per-element objects kept.
+    """
+
+    def __init__(self, engine: AsyncEngine, plan: Plan, operator: str, value_map) -> None:
+        self.cluster = cluster = engine.executor.cluster
+        self.plan = plan
+        self.operator = operator
+        self.chunk_size = engine.chunk_size
+        self.message_bytes = KEY_BYTES + value_map.value_nbytes
+        graph = plan.pgraph.graph
+        self.columns = tuple(
+            map(memoryview, (plan.pgraph.owner, graph.indptr, graph.indices))
+        )
+        hosts = cluster.num_hosts
+        self.tallies = ([0] * hosts, [0] * hosts, [0] * hosts, [0] * hosts**2)
+        # Chunk phases opened and node applies (processed pops) so far.
+        self.opened = self.updates = 0
+
+    def schedule(self, num_nodes: int, seeds: list[tuple[float, int]]):
+        """The heap and priority column holding ``(residual, node)`` seeds;
+        ties and equal priorities break by node id via the heap tuple."""
+        self.priority = [0.0] * num_nodes
+        for mass, node in seeds:
+            self.priority[node] = mass
+        self.heap = [(-mass, node) for mass, node in seeds]
+        heapq.heapify(self.heap)
+        return self.heap, self.priority
+
+    def pop(self) -> list[int]:
+        """Up to ``chunk_size`` live (non-stale) nodes, highest residual
+        first, re-serialized by (owner host, node id) for the apply order."""
+        heap, priority, owner = self.heap, self.priority, self.columns[0]
+        chunk_size, pop = self.chunk_size, heapq.heappop
+        nodes: list[int] = []
+        while heap and len(nodes) < chunk_size:
+            neg, node = pop(heap)
+            # Lazy deletion: an entry is live only while it matches the
+            # node's current priority; superseded entries are skipped.
+            if -neg == priority[node] and priority[node] > 0.0:
+                priority[node] = 0.0
+                nodes.append(node)
+        nodes.sort(key=lambda n: (owner[n], n))
+        return nodes
+
+    @contextlib.contextmanager
+    def phase(self):
+        """One chunk's barrier-free phase; closing it flushes the tallies."""
+        with self.cluster.phase(
+            PhaseKind.ASYNC_COMPUTE,
+            label=f"{self.plan.name}:chunk",
+            operator=self.operator,
+        ) as record:
+            record.chunk = self.opened
+            yield
+            node_iters, edge_iters, local_ops, applies = self.tallies
+            hosts, send_many = len(node_iters), self.cluster.network.send_many
+            for host, counters in enumerate(record.counters):
+                sent = applies[host * hosts : (host + 1) * hosts]
+                counters.node_iters += node_iters[host]
+                counters.edge_iters += edge_iters[host]
+                counters.reduce_calls += sum(sent)
+                counters.local_ops += local_ops[host] + sum(applies[host::hosts])
+                for dst, count in enumerate(sent):
+                    if count and dst != host:
+                        send_many(host, dst, self.message_bytes, count)
+            for tally in self.tallies:
+                tally[:] = [0] * len(tally)
+        self.opened += 1
 
 
 ENGINES = ("bsp", "async")

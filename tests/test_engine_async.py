@@ -10,21 +10,30 @@ Two contracts, two verification modes (mirroring the refactor's design):
   BSP oracle: exact for the monotone label-correcting apps (CC-LP,
   SSSP, BFS), within the declared residual tolerance for delta-PR -
   across all four partitioning policies, plus a hypothesis sweep over
-  random graphs.
+  random graphs. Its *own* bytes are pinned too: ``async_report_pins.json``
+  holds the report digest, ``last_updates`` and ``last_chunks`` of every
+  {app} x {road, powerlaw} x {chunk size} x {policy} cell as recorded
+  before the chunk loop moved to per-chunk tallied accounting
+  (``python tests/test_engine_async.py`` re-records it), and a counting
+  test keeps the metering calls O(chunks), never O(updates).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
+from repro.cluster.metrics import PhaseKind
+from repro.cluster.network import Network
 from repro.core.variants import RuntimeVariant
-from repro.eval.harness import KIMBAP_APPS, run_kimbap
+from repro.eval.harness import KIMBAP_APPS, _finish, run_kimbap
 from repro.exec import AsyncEngine, BSPEngine, Executor, UnsupportedPlanError, make_engine
 from repro.faults import named_plan
 from repro.graph import generators
@@ -171,3 +180,118 @@ class TestUnsupportedPlans:
         """The async engine writes owner values straight through the GAR
         bulk path; the kvstore (MC) variant has no such surface."""
         assert_async_refuses("CC-LP", "GAR", variant=RuntimeVariant.MC)
+
+
+# ------------------------------------------------------- the byte contract
+
+PINS_PATH = os.path.join(os.path.dirname(__file__), "async_report_pins.json")
+PIN_HOSTS = 4
+PIN_GRAPHS = {
+    "road": lambda weighted: generators.road_like(12, 6, seed=5, weighted=weighted),
+    "powerlaw": lambda weighted: generators.powerlaw_like(6, seed=3, weighted=weighted),
+}
+PIN_CELLS = [
+    (app, family, chunk_size, policy)
+    for app in ASYNC_APPS
+    for family in sorted(PIN_GRAPHS)
+    for chunk_size in (1, 7, 64)
+    for policy in ("oec", "cvc")
+]
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def _async_run(app: str, family: str, chunk_size: int, policy: str):
+    """One async run the way ``run_kimbap`` assembles it, at a chosen
+    chunk size; returns the ``RunResult`` and the engine."""
+    graph = PIN_GRAPHS[family](app == "SSSP")
+    pgraph = partition(graph, PIN_HOSTS, policy)
+    cluster = Cluster(PIN_HOSTS, threads_per_host=8)
+    executor = Executor(cluster)
+    executor.engine = AsyncEngine(executor, chunk_size=chunk_size)
+    try:
+        result = KIMBAP_APPS[app](cluster, pgraph, executor=executor)
+    finally:
+        executor.close()
+    run = _finish("Kimbap", app, family, PIN_HOSTS, cluster, result)
+    run.engine = executor.engine.name
+    return run, executor.engine
+
+
+def _pin(app: str, family: str, chunk_size: int, policy: str) -> dict:
+    run, engine = _async_run(app, family, chunk_size, policy)
+    return {
+        "report_sha256": _digest(run.to_dict()),
+        "values_sha256": _digest(sorted(run.values.items())),
+        "last_updates": engine.last_updates,
+        "last_chunks": engine.last_chunks,
+    }
+
+
+def _pin_key(app: str, family: str, chunk_size: int, policy: str) -> str:
+    return f"{app}/{family}/chunk{chunk_size}/{policy}"
+
+
+class TestAsyncReportsArePinned:
+    """``RunResult.to_dict()`` of an async run is a byte contract: the
+    schedule (pop order, owner-serialized applies, lazy deletion, the
+    mid-chunk re-push) and every counter and message it meters."""
+
+    @pytest.mark.parametrize("app,family,chunk_size,policy", PIN_CELLS)
+    def test_report_matches_the_recorded_digest(self, app, family, chunk_size, policy):
+        with open(PINS_PATH, encoding="utf-8") as src:
+            pins = json.load(src)
+        assert _pin(app, family, chunk_size, policy) == pins[
+            _pin_key(app, family, chunk_size, policy)
+        ]
+
+    def test_the_table_covers_exactly_the_cells(self):
+        with open(PINS_PATH, encoding="utf-8") as src:
+            assert sorted(json.load(src)) == sorted(_pin_key(*cell) for cell in PIN_CELLS)
+
+
+class TestAsyncMeteringIsPerChunk:
+    """Structural twin of the codegen counting tests: the chunk loop
+    tallies in local integers and flushes once per chunk, so the calls
+    that reach the metering objects inside ``ASYNC_COMPUTE`` phases grow
+    with chunks x hosts^2, never with updates or edge visits."""
+
+    @pytest.mark.parametrize("app", ["CC-LP", "PR"])
+    def test_metering_calls_are_bounded_by_chunks_not_updates(self, monkeypatch, app):
+        calls = {"send": 0, "send_many": 0, "counters": 0}
+
+        def counting(cls, name, open_phase):
+            original = getattr(cls, name)
+
+            def spy(self, *args, **kwargs):
+                if getattr(self, open_phase).kind is PhaseKind.ASYNC_COMPUTE:
+                    calls[name] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spy)
+
+        counting(Network, "send", "_phase")
+        counting(Network, "send_many", "_phase")
+        counting(Cluster, "counters", "_current")
+        run, engine = _async_run(app, "road", 7, "cvc")
+        chunks, hosts = engine.last_chunks, PIN_HOSTS
+        # The bounds below have teeth: per-update calls would break them.
+        assert engine.last_updates > 4 * chunks
+        assert run.messages > chunks
+        assert calls["send"] == 0
+        assert 0 < calls["send_many"] <= chunks * hosts * (hosts - 1)
+        assert calls["counters"] <= chunks * hosts
+        assert calls["send_many"] + calls["counters"] < engine.last_updates
+
+
+if __name__ == "__main__":  # re-record the table: python tests/test_engine_async.py
+    with open(PINS_PATH, "w", encoding="utf-8") as out:
+        json.dump(
+            {_pin_key(*cell): _pin(*cell) for cell in PIN_CELLS},
+            out,
+            indent=1,
+            sort_keys=True,
+        )
+        out.write("\n")
