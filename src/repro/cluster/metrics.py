@@ -165,13 +165,6 @@ class PhaseRecord:
     # instead. None for every BSP phase - never serialized, like
     # ``slowdown``, so the BSP byte-identity contract is untouched.
     chunk: int | None = None
-    # Per-host frontier-gather path chosen by a compiled EdgePush
-    # (repro.exec.codegen.PreparedFrontierPush): "dense" (mask over the
-    # full precomputed expansion), "sparse" (per-source gather), or
-    # "empty" (nothing survived the filters). None for every other phase
-    # - never serialized, like ``slowdown``, so the byte-identity contract
-    # is untouched.
-    frontier: dict[int, str] | None = None
 
     @classmethod
     def empty(

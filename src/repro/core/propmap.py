@@ -54,7 +54,7 @@ class _Leg(NamedTuple):
     collected batch that one owner host applies."""
 
     owner: int
-    idx: np.ndarray  # positions of the leg's keys in the collected batch
+    idx: np.ndarray | slice  # positions of the leg's keys in the collected batch
     keys: np.ndarray
     locals_: np.ndarray | None  # master-local ids on the owner (GAR only)
 
@@ -138,9 +138,9 @@ class NodePropMap:
         # quiescent nodes.
         # Both buffers start full so the first round after initialization
         # sees every node active (reset_updated swaps buffers per round).
-        # _active is only ever replaced wholesale and active_mask hands it
-        # out, so its masks are read-only.
-        self._active = [_frozen(self._local_mask(h)) for h in range(num_hosts)]
+        # _active is only ever replaced wholesale (_install_active) and
+        # active_mask hands it out, so its masks are read-only.
+        self._install_active([self._local_mask(h) for h in range(num_hosts)])
         self._next_active = [self._local_mask(h) for h in range(num_hosts)]
         self._pinned = False
         self._pin_invariant = "none"
@@ -149,6 +149,15 @@ class NodePropMap:
         # (see _route). A prepared fold's full round collects the *same
         # frozen key object* each time, so the entry is then built once.
         self._routes: list[tuple[np.ndarray, _Route] | None] = [None] * num_hosts
+        # Where each owner's block of node ids starts (one more entry
+        # closes the last), when ownership is blocked - GAR owners
+        # non-decreasing in node id, which every partition policy here
+        # produces; None otherwise. Observed from the partition, once.
+        self._owner_starts: np.ndarray | None = None
+        if variant.uses_gar and bool(np.all(pgraph.owner[1:] >= pgraph.owner[:-1])):
+            self._owner_starts = np.searchsorted(
+                pgraph.owner, np.arange(num_hosts + 1)
+            )
 
     # ------------------------------------------------------------------ util
 
@@ -347,9 +356,17 @@ class NodePropMap:
 
     # ----------------------------------------------------------- compiler API
 
+    def _install_active(self, masks: list[np.ndarray]) -> None:
+        """The one place the activity state is replaced (construction,
+        buffer swap, checkpoint restore, epoch install): the masks go in
+        read-only, and with them one bool per host - does any copy on it
+        count as active - so an idle host is known without a scan."""
+        self._active = [_frozen(mask) for mask in masks]
+        self._host_active = [bool(mask.any()) for mask in masks]
+
     def reset_updated(self) -> None:
         self._any_updated = False
-        self._active = [_frozen(mask) for mask in self._next_active]
+        self._install_active(self._next_active)
         self._next_active = [self._empty_mask() for _ in self._active]
 
     def active_mask(self, host: int) -> np.ndarray | None:
@@ -357,12 +374,16 @@ class NodePropMap:
         active nodes, or None when there are none.
 
         This *is* the live activity state, handed out read-only:
-        ``_active`` is only ever replaced wholesale (buffer swap,
-        checkpoint restore, epoch install), never written in place, so a
-        kernel can neither disturb the frontier nor see it move mid-round.
+        ``_active`` is only ever replaced wholesale (:meth:`_install_active`),
+        never written in place, so a kernel can neither disturb the
+        frontier nor see it move mid-round.
         """
-        mask = self._active[host]
-        return mask if mask.any() else None
+        return self._active[host] if self._host_active[host] else None
+
+    def any_active(self, host: int) -> bool:
+        """Would :meth:`is_active` hold for any node on ``host``? O(1):
+        a compiled push leaves an idle host before gathering its mask."""
+        return not self.variant.uses_gar or self._host_active[host]
 
     def is_active(self, host: int, key: int) -> bool:
         """Did ``key``'s locally-readable copy change last round?
@@ -599,22 +620,36 @@ class NodePropMap:
         if cached is not None and cached[0] is keys:
             return cached[1]
         gar = self.variant.uses_gar
-        owners = self.pgraph.owner[keys] if gar else keys % self.cluster.num_hosts
+        # Per owner present (ascending): where its keys sit in the batch.
+        positions: dict[int, slice | np.ndarray]
+        if self._owner_starts is not None:
+            # Collected keys ascend, so blocked ownership cuts them into
+            # one slice per owner: every leg is a view.
+            cuts = np.searchsorted(keys, self._owner_starts).tolist()
+            positions = {
+                owner_host: slice(lo, hi)
+                for owner_host, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+                if lo < hi
+            }
+        else:
+            owners = self.pgraph.owner[keys] if gar else keys % self.cluster.num_hosts
+            # Owners are host ids, so a counting pass names the hosts
+            # present where a sort of the owner column would.
+            present = np.bincount(owners, minlength=self.cluster.num_hosts)
+            positions = {
+                owner_host: np.flatnonzero(owners == owner_host)
+                for owner_host in np.flatnonzero(present).tolist()
+            }
 
         def leg(owner_host: int) -> _Leg:
-            idx = np.flatnonzero(owners == owner_host)
+            idx = positions[owner_host]
             leg_keys = keys[idx]
             locals_ = self.stores[owner_host]._locals_of(leg_keys) if gar else None
             return _Leg(owner_host, idx, leg_keys, locals_)
 
-        # Owners are host ids, so a counting pass names the hosts present
-        # (ascending) where a sort of the owner column would.
-        owner_hosts = np.flatnonzero(
-            np.bincount(owners, minlength=self.cluster.num_hosts)
-        ).tolist()
         route: _Route = (
-            leg(host) if host in owner_hosts else None,
-            [leg(owner_host) for owner_host in owner_hosts if owner_host != host],
+            leg(host) if host in positions else None,
+            [leg(owner_host) for owner_host in positions if owner_host != host],
         )
         self._routes[host] = (keys, route)
         return route
@@ -975,7 +1010,7 @@ class NodePropMap:
         arrays stay untouched (a checkpoint restores any number of times;
         an epoch blob's buffers belong to the exchange arena)."""
         self._updated_masters = [mask.copy() for mask in state["updated_masters"]]
-        self._active = [_frozen(mask.copy()) for mask in state["active"]]
+        self._install_active([mask.copy() for mask in state["active"]])
         self._next_active = [mask.copy() for mask in state["next_active"]]
 
     def export_epoch_state(self) -> dict:

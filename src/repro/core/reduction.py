@@ -48,6 +48,9 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
+_NO_KEYS = _frozen(np.empty(0, dtype=np.int64))
+
+
 def _foldable(values: np.ndarray, op: ReduceOp) -> bool:
     """Whether a batch takes :func:`_fold`: anything else - object values,
     an operator or dtype with no exact identity - applies ``op`` per item."""
@@ -244,6 +247,11 @@ class ThreadLocalReduction:
         # process's export) never meets it. Set and cleared together with
         # ``_batch``, in :meth:`_swap_batch` only.
         self._batch_plan: tuple[np.ndarray, Callable[..., Any]] | None = None
+        # Whether any thread dict holds an entry: raised where entries can
+        # appear (scalar reduce, the per-item fallback, a spill, an
+        # installed export), lowered where the dicts are emptied (collect) -
+        # so the bulk round never walks ``threads_per_host`` empty dicts.
+        self._dict_state = False
 
     def _swap_batch(
         self,
@@ -262,6 +270,7 @@ class ThreadLocalReduction:
         counters.reduce_calls += 1
         if self._batch is not None:
             self._spill_batch()
+        self._dict_state = True
         local_map = self.maps[thread]
         if key in local_map:
             local_map[key] = op(local_map[key], value)
@@ -285,7 +294,7 @@ class ThreadLocalReduction:
         values = np.asarray(values)
         if self._batch is not None:
             self._spill_batch()
-        if not any(self.maps) and _foldable(values, op):
+        if not self._dict_state and _foldable(values, op):
             # All threads clean: fold the whole batch at once by (thread,
             # key) slot. Bit-identical to per-thread folds: slots order as
             # (thread, key), and the ``.at`` application order within a
@@ -295,6 +304,7 @@ class ThreadLocalReduction:
             return
         # Prior pending state or a batch with no exact identity: apply the
         # exact sequential scalar rule into the thread dicts.
+        self._dict_state = True
         maps = self.maps
         for thread, key, value in zip(
             threads.tolist(), keys.tolist(), values.tolist()
@@ -324,7 +334,7 @@ class ThreadLocalReduction:
         if count == 0:
             return
         values = np.asarray(values)
-        if self._batch is not None or any(self.maps) or not _foldable(values, op):
+        if self._batch is not None or self._dict_state or not _foldable(values, op):
             threads, keys = prepared.threads, prepared.keys
             if idx is not None:
                 threads, keys = threads[idx], keys[idx]
@@ -341,12 +351,13 @@ class ThreadLocalReduction:
     def _spill_batch(self) -> None:
         """Move the folded batch into the thread dicts (values unchanged)."""
         (span, uniq, folded), _ = self._swap_batch()
+        self._dict_state = True
         maps = self.maps
         for composite, value in zip(uniq.tolist(), folded.tolist()):
             maps[composite // span][composite % span] = value
 
     def pending(self) -> int:
-        total = sum(map(len, self.maps))
+        total = sum(map(len, self.maps)) if self._dict_state else 0
         if self._batch is not None:
             total += int(self._batch[1].size)
         return total
@@ -367,13 +378,14 @@ class ThreadLocalReduction:
         if tag != "tl":  # pragma: no cover - strategies never change mid-run
             raise ValueError(f"cannot install {tag!r} state into a CF reduction")
         self.maps = list(maps)
+        self._dict_state = any(maps)
         self._swap_batch(batch)
 
     @property
     def bulk_state_only(self) -> bool:
         """True when no thread holds dict state, so collect_arrays() can
         fold without materializing Python dicts."""
-        return not any(self.maps)
+        return not self._dict_state
 
     def _charge_combine(self) -> None:
         counters = self.cluster.counters(self.host_id)
@@ -402,6 +414,7 @@ class ThreadLocalReduction:
                     else:
                         combined[key] = value
                 local_map.clear()
+        self._dict_state = False
         batch, _ = self._swap_batch()
         if batch is not None:
             # Thread-major order = thread order, like the dict merge above.
@@ -417,12 +430,14 @@ class ThreadLocalReduction:
     def collect_arrays(self, op: ReduceOp) -> tuple[np.ndarray, np.ndarray]:
         """Bulk collect: the same combining semantics and charge as
         :meth:`collect`, returning (sorted unique keys, values) arrays.
-        Requires :attr:`bulk_state_only`."""
+        Requires :attr:`bulk_state_only`. An idle host - nothing reduced
+        since the last collect - returns before any scan: its combine
+        charge is ``2 * 0``, and with no values there is no value dtype
+        to report, so the empty key array stands in for both."""
+        if self._batch is None:
+            return _NO_KEYS, _NO_KEYS
         self._charge_combine()
-        batch, plan = self._swap_batch()
-        if batch is None:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        span, uniq, folded = batch
+        (span, uniq, folded), plan = self._swap_batch()
         # A prepared fold's own batch takes its plan's merge over frozen ids.
         if plan is not None and plan[0] is uniq:
             return plan[1](folded, op)

@@ -26,11 +26,12 @@ kernels below.
   drops from the full O(E) expansion pipeline to a gather + a reduce.
 * **One EdgePush kernel** - :class:`PreparedFrontierPush` serves every
   push. What cannot be frozen is the *selection*: each round it gathers
-  the frontier (the ``require_active`` map's dense activity mask), shrinks
-  it with the value filter, and intersects the survivors with the frozen
-  expansion through a density-switched dense-mask / sparse-gather path
-  (``FRONTIER_DENSE_SWITCH``). Filters are mask calls - declarative
-  specs (:class:`~repro.exec.plan.CmpFilter`,
+  the frontier (the ``require_active`` map's dense activity mask; a host
+  with no active copy leaves before the gather), shrinks it with the
+  value filter, and expands each surviving source's run of edges into
+  positions in the frozen expansion - one formulation at every density
+  (DESIGN.md, "Why there is one frontier gather"). Filters are mask
+  calls - declarative specs (:class:`~repro.exec.plan.CmpFilter`,
   :class:`~repro.exec.plan.DstCmpFilter`) and opaque array-style
   callables share the spec call signature - and a filter-free push is the
   full-frontier case of the same kernel.
@@ -73,16 +74,6 @@ from repro.exec.plan import (
     apply_value_filter,
 )
 from repro.runtime.engine import _iteration_set, par_for
-
-# Direction-optimization-style density switch for compiled frontier
-# pushes: with fewer than 1/FRONTIER_DENSE_SWITCH of a host's candidate
-# sources surviving the filters, the per-source sparse gather beats
-# masking the full precomputed expansion; at or above it, the dense mask
-# (one boolean repeat over the frozen CSR expansion) wins. Both paths
-# produce identical index arrays, so the switch is unobservable in the
-# byte-identity contract - the chosen path is recorded per host in the
-# phase trace (``PhaseRecord.frontier``).
-FRONTIER_DENSE_SWITCH = 4
 
 # Compiled-entry tags (repro.exec.executor.run_round's closed dispatch set):
 # a compute phase, a sync collective, and a prebound zero-argument callable
@@ -149,24 +140,20 @@ class PreparedFrontierPush(_SpecializedKernel):
     active set changes every round, and value/edge filters depend on live
     values. Each round the kernel gathers the frontier once
     (``np.flatnonzero`` over a gather from the map's dense activity
-    mask), shrinks it with the value-filter mask, and intersects the
-    surviving sources with the frozen expansion through one of two paths
-    chosen by frontier density (``FRONTIER_DENSE_SWITCH``):
-
-    * **dense** - scatter the surviving sources into a boolean mask over
-      the candidate list, ``np.repeat`` it across the frozen expansion,
-      and ``np.flatnonzero``: O(candidate edges), no per-source work.
-    * **sparse** - rebuild edge indices for just the surviving sources
-      from the frozen per-source offsets: O(frontier edges).
-
-    Both produce the same ascending index array into the frozen
-    expansion, so counters, read/reduce accounting, and folded values
-    stay byte-identical to the scalar oracle whichever path runs; the
-    choice is recorded per host in ``PhaseRecord.frontier`` for trace
-    inspection. A push with no filter at all is the degenerate case:
-    every round is a full frontier. The reduce is one call either way:
-    the target's prepared batch over the frozen expansion, whole
-    (``idx=None``) or at the round's ascending positions.
+    mask - skipped, after the static per-source charge, on a host the
+    map reports idle), shrinks it with the value-filter mask, and takes
+    the survivors' edges out of the frozen expansion. The index array
+    has two sources and no density test: every candidate survived - the
+    frozen full arrays; otherwise the *run expansion* - an ``arange``
+    over the frontier's edges plus one ``np.repeat`` of each run's
+    offset into the frozen expansion, O(frontier edges), with the pushes
+    one ``np.repeat`` of the values. Both are the ascending positions
+    the scalar oracle's source-by-source walk visits, so counters,
+    read/reduce accounting and folded values stay byte-identical to it.
+    A push with no filter at all is the degenerate case: every round is
+    a full frontier. The reduce is one call either way: the target's
+    prepared batch over the frozen expansion, whole (``idx=None``) or at
+    the round's ascending positions.
     """
 
     def _build(self, cluster: Cluster, part: Any, host: int):
@@ -221,40 +208,33 @@ class PreparedFrontierPush(_SpecializedKernel):
             k.transform,
             k.edge_filter,
         )
+        filter_nodes = getattr(value_filter, "needs_nodes", False)
         prepared = target.prepare_reduce_bulk(host, threads_full, dst_full)
         charge_per_edge = k.charge_per_edge
-
-        def mark(path: str) -> None:
-            record = cluster._current
-            if record is not None:
-                if record.frontier is None:
-                    record.frontier = {}
-                record.frontier[host] = path
 
         def run() -> None:
             counters = cluster.counters(host)
             if charge_src:
                 counters.local_ops += charge_src
             # Frontier gather: one uncharged activity probe over the
-            # frozen candidate list (a gather from the map's activity mask).
+            # frozen candidate list (a gather from the map's activity
+            # mask), skipped outright on a host no copy changed on.
             sel_pos = all_pos
             if require_active is not None:
-                keep = require_active.is_active_bulk(host, node_sel)
-                sel_pos = np.flatnonzero(keep)
+                if not require_active.any_active(host):
+                    return
+                sel_pos = np.flatnonzero(require_active.is_active_bulk(host, node_sel))
                 if sel_pos.size == 0:
-                    mark("empty")
                     return
             values = None
             if source is not None:
                 values = source.read_local_bulk(host, sel[sel_pos])
                 if value_filter is not None:
-                    keep_v = np.asarray(
-                        apply_value_filter(value_filter, values, node_sel[sel_pos])
-                    )
+                    nodes = node_sel[sel_pos] if filter_nodes else None
+                    keep_v = np.asarray(apply_value_filter(value_filter, values, nodes))
                     sel_pos = sel_pos[keep_v]
                     values = values[keep_v]
                     if sel_pos.size == 0:
-                        mark("empty")
                         return
                 if transform is not None:
                     nodes = node_sel[sel_pos]
@@ -267,51 +247,35 @@ class PreparedFrontierPush(_SpecializedKernel):
             if charge_per_edge:
                 counters.local_ops += charge_per_edge * n_edges
             if n_edges == 0:
-                mark("empty")
                 return
-            # Intersect the frontier with the frozen expansion; all
-            # paths yield the same ascending index array into it.
+            # The frontier's ascending positions in the frozen expansion:
+            # all of it, or each surviving source's run of edges - an
+            # arange shifted, run by run, from where the run sits among
+            # the frontier's edges to where it sits among all of them.
             if sel_pos.size == num_candidates:
-                path = "dense"
                 idx = all_edges
-                source_pos = source_pos_full
-            elif sel_pos.size * FRONTIER_DENSE_SWITCH >= num_candidates:
-                path = "dense"
-                keep_sources = np.zeros(num_candidates, dtype=bool)
-                keep_sources[sel_pos] = True
-                idx = np.flatnonzero(np.repeat(keep_sources, counts))
-                source_pos = None
+                pushes = values[source_pos_full] if const_full is None else const_full
             else:
-                path = "sparse"
-                starts_k = offsets[sel_pos]
-                idx = (
-                    np.arange(n_edges, dtype=np.int64)
-                    - np.repeat(np.cumsum(counts_k) - counts_k, counts_k)
-                    + np.repeat(starts_k, counts_k)
+                idx = np.arange(n_edges, dtype=np.int64)
+                idx += np.repeat(
+                    offsets[sel_pos] - (np.cumsum(counts_k) - counts_k), counts_k
                 )
-                source_pos = None
-            if const_full is not None:
-                pushes = const_full[idx]
-            else:
-                if source_pos is None:
-                    source_pos = np.repeat(
-                        np.arange(sel_pos.size, dtype=np.int64), counts_k
-                    )
-                pushes = values[source_pos]
+                if const_full is None:
+                    pushes = np.repeat(values, counts_k)
+                else:
+                    pushes = const_full[:n_edges]
             if edge_filter is not None:
                 keep_e = np.asarray(edge_filter(src_full[idx], dst_full[idx]))
                 if not np.all(keep_e):
                     pushes = pushes[keep_e]
                     idx = idx[keep_e]
                     if idx.size == 0:
-                        mark(path)
                         return
             if weights_full is not None:
                 pushes = pushes + weights_full[idx]
             target.reduce_bulk_prepared(
                 host, prepared, pushes, op, None if idx.size == edge_total else idx
             )
-            mark(path)
 
         return run
 
@@ -454,11 +418,12 @@ def run_hosted(
     Signature-compatible with ``par_for`` and the pool's ``run_sharded``
     driver slot (``hosts`` restricts the visit to a shard)."""
     operator = label or type(body).__name__
-    with cluster.phase(kind, label=label, operator=operator):
+    masters = mode == "masters"  # a kernel's build rejects any mode but the two
+    with cluster.phase(kind, label=label, operator=operator) as record:
+        counters = record.counters
         for host in range(cluster.num_hosts) if hosts is None else hosts:
             part = pgraph.parts[host]
-            total = len(_iteration_set(part, mode))
-            cluster.counters(host).node_iters += total
+            counters[host].node_iters += part.num_masters if masters else part.num_local
             body.run_host(cluster, part, host)
 
 
@@ -557,7 +522,6 @@ __all__ = [
     "ENTRY_OPERATOR",
     "ENTRY_SYNC",
     "ENTRY_EXEC",
-    "FRONTIER_DENSE_SWITCH",
     "CompiledOperator",
     "CompiledPlan",
     "PreparedFrontierPush",

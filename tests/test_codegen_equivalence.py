@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
+from repro.cluster.metrics import PhaseKind
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, SUM
 from repro.core.reduction import ThreadLocalReduction
@@ -35,9 +36,9 @@ from repro.exec.codegen import (
     ENTRY_OPERATOR,
     PreparedFrontierPush,
 )
-from repro.exec.plan import CmpFilter, EdgePush, NodeUpdate
+from repro.exec.plan import CmpFilter, EdgePush, NodeUpdate, apply_value_filter
 from repro.faults import FaultPlan, HostCrash
-from repro.graph import generators
+from repro.graph import Graph, generators
 from repro.partition import partition
 from repro.runtime.bool_reducer import BoolReducer
 
@@ -328,105 +329,233 @@ class TestFusionBoundaries:
 # ------------------------------------------------------ frontier extremes
 
 
-def _sssp_with_trace(graph, hosts=2, source=0):
-    from repro.algorithms.sssp import sssp
+class _ReduceSpy:
+    """Records every ``reduce_bulk_prepared`` call - what a compiled
+    EdgePush hands the map: ``(host, prepared, values, idx)``."""
 
-    cluster = Cluster(hosts, threads_per_host=2)
-    pgraph = partition(graph, hosts, "cvc")
-    executor = Executor(cluster, bulk=True)
-    result = sssp(cluster, pgraph, source=source, executor=executor)
-    paths = [
-        record.frontier
-        for record in cluster.log.phases
-        if record.frontier is not None
-    ]
-    return result, paths
+    def __enter__(self):
+        self.calls = calls = []
+        original = self._original = NodePropMap.reduce_bulk_prepared
+
+        def spy(prop, host, prepared, values, op, idx=None):
+            calls.append((host, prepared, np.array(values), idx))
+            return original(prop, host, prepared, values, op, idx)
+
+        NodePropMap.reduce_bulk_prepared = spy
+        return self
+
+    def __exit__(self, *exc_info):
+        NodePropMap.reduce_bulk_prepared = self._original
+
+    def shares(self):
+        """Per call, the share of the prepared batch's edges it pushed."""
+        return [
+            1.0 if idx is None else idx.size / prepared.keys.size
+            for _, prepared, _, idx in self.calls
+        ]
+
+
+def _expansion_source(nodes):
+    return (nodes % 7) + 0.5
+
+
+def _expansion_reference(kernel, part, host, act):
+    """``(idx, pushes)`` of one host visit, the way the scalar oracle
+    walks it: candidate sources in local-id order, each one's edge range
+    appended in turn. ``idx`` are positions among the candidates' edges."""
+    idx, pushes, offset = [], [], 0
+    for local in range(part.num_local):
+        lo, hi = int(part.indptr[local]), int(part.indptr[local + 1])
+        if kernel.skip_zero_degree and hi == lo:
+            continue
+        first, offset = offset, offset + hi - lo
+        node = int(part.local_to_global[local])
+        if not act.is_active(host, node):
+            continue
+        value = _expansion_source(node)
+        if kernel.value_filter is not None and not bool(
+            apply_value_filter(kernel.value_filter, value, node)
+        ):
+            continue
+        if kernel.transform is not None:
+            value = kernel.transform(value, node)
+        if kernel.const_value is not None:
+            value = kernel.const_value
+        for edge in range(lo, hi):
+            dst = int(part.local_to_global[part.indices[edge]])
+            if kernel.edge_filter is not None and not kernel.edge_filter(node, dst):
+                continue
+            idx.append(first + edge - lo)
+            weight = part.weights[edge] if kernel.with_weight == "add" else 0.0
+            pushes.append(value + weight)
+    return idx, pushes
 
 
 class TestFrontierExtremes:
-    """Frontier-aware kernels at the extremes - empty, full, and
-    threshold-crossing active sets - stay byte-identical to the scalar
-    oracle, and every executed round tapes the chosen gather path (dense /
-    sparse / empty) into the phase trace."""
+    """Frontier-aware kernels at the extremes - empty, full, one source,
+    and everything between - stay byte-identical to the scalar oracle,
+    and the run expansion itself equals the oracle's source-by-source
+    walk of the CSR."""
 
     @given(
         seed=st.integers(min_value=0, max_value=40),
         hosts=st.sampled_from([1, 2, 3]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_sweep_byte_identity_and_path_taping(self, seed, hosts):
+    def test_sweep_byte_identity(self, seed, hosts):
         graph = random_graph(seed, weighted=True)
         assert_codegen_identical("SSSP", graph, hosts=hosts, threads=2)
-        _, paths = _sssp_with_trace(graph, hosts=hosts)
-        assert paths, "compiled frontier kernels recorded no gather path"
-        seen = {path for frontier in paths for path in frontier.values()}
-        assert seen <= {"dense", "sparse", "empty"}
 
-    def test_full_frontier_runs_dense(self):
+    def test_full_frontier_folds_the_whole_prepared_batch(self):
         # Activity buffers start full, so CC-LP's first round pushes from
-        # every candidate source: the dense mask path on every host.
+        # every candidate source: the frozen full arrays (idx=None), on
+        # every host.
         from repro.algorithms.cc_lp import cc_lp
 
         graph = generators.powerlaw_like(scale=6, seed=3)
         cluster = Cluster(2, threads_per_host=2)
         pgraph = partition(graph, 2, "cvc")
         executor = Executor(cluster, bulk=True)
-        cc_lp(cluster, pgraph, executor=executor)
-        first = next(
-            record.frontier
-            for record in cluster.log.phases
-            if record.frontier is not None
-        )
-        assert set(first.values()) == {"dense"}
-
-    def test_empty_frontier_marks_empty(self):
-        # A value filter nothing passes: the compiled kernel must charge
-        # the static per-source work, then record an empty frontier.
-        graph = generators.powerlaw_like(scale=5, seed=7)
-        cluster = Cluster(2, threads_per_host=2)
-        pgraph = partition(graph, 2, "cvc")
-        executor = Executor(cluster, bulk=True)
-        src = NodePropMap(cluster, pgraph, "src")
-        out = NodePropMap(cluster, pgraph, "out")
-        executor.init_map(src, lambda nodes: nodes + 0.0)
-        executor.init_map(out, lambda nodes: nodes + 0.0)
-        plan = Plan(
-            name="nobody",
-            pgraph=pgraph,
-            once=True,
-            steps=[
-                OperatorStep(
-                    Operator(
-                        "push", "masters",
-                        EdgePush(
-                            target=out, op=MIN, source=src,
-                            value_filter=CmpFilter("lt", -1.0),
-                        ),
-                    )
-                ),
-                SyncStep(out, "reduce"),
-            ],
-        )
-        executor.run(plan)
-        frontier = [
-            record.frontier
-            for record in cluster.log.phases
-            if record.frontier is not None
+        with _ReduceSpy() as spy:
+            cc_lp(cluster, pgraph, executor=executor)
+        assert [(host, idx) for host, _, _, idx in spy.calls[:2]] == [
+            (0, None), (1, None),
         ]
-        assert frontier
-        assert all(set(f.values()) == {"empty"} for f in frontier)
 
-    def test_density_crosses_switch_mid_run(self):
+    def test_empty_frontier_charges_sources_and_reduces_nothing(self):
+        # A value filter nothing passes: the compiled kernel must charge
+        # the static per-source work, read the sources, and stop there.
+        graph = generators.powerlaw_like(scale=5, seed=7)
+        outcomes = []
+        for bulk in (False, True):
+            cluster = Cluster(2, threads_per_host=2)
+            pgraph = partition(graph, 2, "cvc")
+            executor = Executor(cluster, bulk=bulk)
+            src = NodePropMap(cluster, pgraph, "src")
+            out = NodePropMap(cluster, pgraph, "out")
+            executor.init_map(src, lambda nodes: nodes + 0.0)
+            executor.init_map(out, lambda nodes: nodes + 0.0)
+            plan = Plan(
+                name="nobody",
+                pgraph=pgraph,
+                once=True,
+                steps=[
+                    OperatorStep(
+                        Operator(
+                            "push", "masters",
+                            EdgePush(
+                                target=out, op=MIN, source=src,
+                                charge_per_source=3,
+                                value_filter=CmpFilter("lt", -1.0),
+                            ),
+                        )
+                    ),
+                    SyncStep(out, "reduce"),
+                ],
+            )
+            with _ReduceSpy() as spy:
+                executor.run(plan)
+            assert spy.calls == []
+            outcomes.append((out.snapshot(), _phase_log(cluster)))
+        assert outcomes[0] == outcomes[1]
+        push = next(r for r in cluster.log.phases if r.operator == "push")
+        assert all(c.local_ops > 0 and c.edge_iters == 0 for c in push.counters)
+
+    def test_frontier_narrow_to_wide_mid_run(self):
         # Single-source expansion on a power-law graph: round 1's
-        # frontier is the lone source (sparse gather); within a few
-        # rounds the wave covers most candidates (dense mask). Both
-        # paths must appear in one run, still byte-identical.
+        # frontier is the lone source; within a few rounds the wave covers
+        # most candidates. One run crosses every density, still
+        # byte-identical.
         graph = generators.powerlaw_like(scale=7, seed=5, weighted=True)
         assert_codegen_identical("SSSP", graph, hosts=2)
-        _, paths = _sssp_with_trace(graph, hosts=2)
-        seen = {path for frontier in paths for path in frontier.values()}
-        assert "sparse" in seen
-        assert "dense" in seen
+        cluster = Cluster(2, threads_per_host=2)
+        with _ReduceSpy() as spy:
+            from repro.algorithms.sssp import sssp
+
+            sssp(
+                cluster, partition(graph, 2, "cvc"), source=0,
+                executor=Executor(cluster, bulk=True),
+            )
+        shares = spy.shares()
+        assert min(shares) < 0.05 and max(shares) > 0.5
+
+    @given(
+        degrees=st.lists(
+            st.one_of(st.integers(0, 4), st.integers(0, 4), st.integers(30, 120)),
+            min_size=1, max_size=24,
+        ),
+        active=st.sampled_from(("0", "1", "n/4-1", "n/4", "n-1", "n")),
+        hosts=st.sampled_from([1, 2]),
+        skip_zero_degree=st.booleans(),
+        edge_filter=st.booleans(),
+        const_value=st.booleans(),
+        needs_nodes=st.booleans(),
+        transform=st.booleans(),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_run_expansion_matches_the_per_source_walk(
+        self, degrees, active, hosts, skip_zero_degree, edge_filter,
+        const_value, needs_nodes, transform, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        n = len(degrees)
+        edges = [
+            (node, int(dst))
+            for node, degree in enumerate(degrees)
+            for dst in rng.integers(0, n, size=degree)
+        ]
+        graph = Graph.from_edge_list(n, edges, rng.integers(1, 9, size=len(edges)))
+        cluster = Cluster(hosts, threads_per_host=2)
+        pgraph = partition(graph, hosts, "oec")
+        executor = Executor(cluster, bulk=True)
+        src = NodePropMap(cluster, pgraph, "src")
+        act = NodePropMap(cluster, pgraph, "act")
+        out = NodePropMap(cluster, pgraph, "out")
+        executor.init_map(src, _expansion_source)
+        executor.init_map(act, lambda nodes: np.zeros(nodes.size))
+        executor.init_map(out, lambda nodes: np.full(nodes.size, np.inf))
+        # The active set, through a real round: the initially full
+        # activity buffers lapse, the chosen nodes' masters change.
+        size = {"0": 0, "1": 1, "n/4-1": n // 4 - 1, "n/4": n // 4,
+                "n-1": n - 1, "n": n}[active]
+        chosen = np.sort(rng.permutation(n)[: min(max(size, 0), n)])
+        act.reset_updated()
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            act.reduce_bulk(0, np.zeros(chosen.size, dtype=np.int64), chosen,
+                            np.ones(chosen.size), SUM)
+        act.reduce_sync()
+        act.reset_updated()
+        threshold = rng.integers(0, 8, size=n) + 0.0
+        kernel = EdgePush(
+            target=out, op=MIN, source=src, require_active=act,
+            skip_zero_degree=skip_zero_degree, with_weight="add",
+            value_filter=(
+                CmpFilter("lt", other=threshold) if needs_nodes
+                else CmpFilter("lt", 5.0)
+            ),
+            transform=(lambda values, nodes: values * 2 + nodes) if transform else None,
+            const_value=3.0 if const_value else None,
+            edge_filter=(lambda s, d: (s + d) % 3 != 0) if edge_filter else None,
+        )
+        plan = Plan(
+            name="expansion", pgraph=pgraph, once=True,
+            steps=[OperatorStep(Operator("push", "all", kernel)), SyncStep(out, "reduce")],
+        )
+        with _ReduceSpy() as spy:
+            executor.run(plan)
+        got = {host: (prepared, values, idx) for host, prepared, values, idx in spy.calls}
+        assert len(got) == len(spy.calls)
+        for host, part in enumerate(pgraph.parts):
+            idx, pushes = _expansion_reference(kernel, part, host, act)
+            if not idx:
+                assert host not in got
+                continue
+            prepared, values, got_idx = got[host]
+            if got_idx is None:
+                got_idx = np.arange(prepared.keys.size)
+            assert got_idx.tolist() == idx
+            assert values.tolist() == pushes
 
 
 # ------------------------------------------------- the one EdgePush kernel
@@ -603,9 +732,7 @@ class TestOneStaticBatchReducePath:
     def test_push_over_zero_degree_nodes_only_prepares_an_empty_batch(self):
         # skip_zero_degree=False keeps edgeless candidates: the frozen
         # expansion is empty on every host, the prepared batch with it -
-        # there is no largest key to take - and every round is "empty".
-        from repro.graph import Graph
-
+        # there is no largest key to take - and no round reduces anything.
         graph = Graph.from_edge_list(6, [])
         outcomes = []
         for bulk in (False, True):
@@ -633,13 +760,11 @@ class TestOneStaticBatchReducePath:
                     SyncStep(out, "reduce"),
                 ],
             )
-            executor.run(plan)
-            executor.run(plan)
+            with _ReduceSpy() as spy:
+                executor.run(plan)
+                executor.run(plan)
+            assert spy.calls == []
             outcomes.append((out.snapshot(), _phase_log(cluster)))
-            if bulk:
-                frontier = [r.frontier for r in cluster.log.phases if r.frontier]
-                assert frontier
-                assert all(set(f.values()) == {"empty"} for f in frontier)
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == {node: float(node) for node in range(6)}
 
@@ -706,8 +831,6 @@ class TestCallableResultShapes:
         ids=lambda variant: variant.name,
     )
     def test_every_batched_reduce_entry_point(self, values, variant):
-        from repro.cluster.metrics import PhaseKind
-
         graph = generators.path(8)
         cluster = Cluster(2, threads_per_host=2)
         prop = NodePropMap(cluster, partition(graph, 2, "oec"), "m", variant=variant)
@@ -757,6 +880,22 @@ class TestKnobIsGone:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_frontier_switch_and_path_tag_are_gone(self):
+        # One frontier gather: no density constant to tune, no per-host
+        # record of which path ran.
+        import dataclasses
+
+        import repro.exec
+        from repro.cluster.metrics import PhaseRecord
+        from repro.exec import codegen
+
+        switch = "FRONTIER_" + "DENSE_SWITCH"
+        assert not hasattr(codegen, switch) and not hasattr(repro.exec, switch)
+        with pytest.raises(ImportError):
+            exec(f"from repro.exec.codegen import {switch}")
+        fields = {field.name for field in dataclasses.fields(PhaseRecord)}
+        assert "fron" + "tier" not in fields
+
     @pytest.mark.parametrize("collective", ("reduce_sync", "broadcast_sync"))
     def test_sync_collectives_take_no_process_group(self, collective):
         # The collectives are replayed whole by every process of a jobs=N
@@ -788,8 +927,6 @@ class TestPreparedFold:
         generic = ThreadLocalReduction(cluster, 0)
         prepared_red = ThreadLocalReduction(cluster, 0)
         plan = prepared_red.prepare_bulk(threads, keys)
-        from repro.cluster.metrics import PhaseKind
-
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             generic.reduce_bulk(threads, keys, values, op)
             prepared_red.reduce_bulk_prepared(plan, values, op)
@@ -802,8 +939,6 @@ class TestPreparedFold:
         generic = ThreadLocalReduction(cluster, 0)
         prepared_red = ThreadLocalReduction(cluster, 0)
         plan = prepared_red.prepare_bulk(threads, keys)
-        from repro.cluster.metrics import PhaseKind
-
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             # A scalar reduce before the batch: the prepared path must
             # take the generic fallback to fold in the right order.
@@ -820,8 +955,6 @@ class TestPreparedFold:
         empty = np.array([], dtype=np.int64)
         plan = reduction.prepare_bulk(empty, empty)
         assert plan.keys.size == 0 and plan.uniq.size == 0 and plan.ukeys.size == 0
-        from repro.cluster.metrics import PhaseKind
-
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             reduction.reduce_bulk_prepared(plan, np.empty(0), SUM)
             reduction.reduce_bulk_prepared(plan, np.empty(0), SUM, empty)

@@ -428,6 +428,8 @@ class TestSyncRoute:
         own, remote = route
         assert own.owner == 1 and [leg.owner for leg in remote] == [0, 2]
         for leg in (own, *remote):
+            # Blocked ownership (every policy's): legs are range cuts.
+            assert isinstance(leg.idx, slice) and leg.keys.base is keys
             store = prop.stores[leg.owner]
             assert keys[leg.idx].tolist() == leg.keys.tolist()
             assert set(pgraph.owner[leg.keys].tolist()) == {leg.owner}
@@ -435,6 +437,31 @@ class TestSyncRoute:
                 assert leg.locals_.tolist() == [
                     store.master_local(k) for k in leg.keys.tolist()
                 ]
+
+    @given(
+        picked=st.lists(st.booleans(), min_size=24, max_size=24),
+        policy=st.sampled_from(["oec", "iec", "cvc", "hvc"]),
+        host=st.integers(0, 2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_range_cut_route_equals_the_per_owner_route(self, picked, policy, host):
+        # The same ascending keys routed both ways: by cutting them at
+        # the owners' block starts, and - blockedness forgotten - by the
+        # general per-owner selection.
+        _, pgraph, prop = make_map(hosts=3, policy=policy)
+        keys = np.flatnonzero(picked[: pgraph.num_nodes]).astype(np.int64)
+        assert prop._owner_starts is not None
+        cut_own, cut_remote = prop._route(host, keys)
+        prop._owner_starts, prop._routes[host] = None, None
+        own, remote = prop._route(host, keys)
+        assert (cut_own is None) == (own is None)
+        assert len(cut_remote) == len(remote)
+        pairs = zip([cut_own, *cut_remote], [own, *remote])
+        for cut, general in (pair for pair in pairs if pair[0] is not None):
+            assert cut.owner == general.owner
+            assert keys[cut.idx].tolist() == keys[general.idx].tolist()
+            assert cut.keys.tolist() == general.keys.tolist()
+            assert cut.locals_.tolist() == general.locals_.tolist()
 
 
     def test_routed_sync_charges_like_the_scalar_path_without_contiguity(self):
@@ -453,6 +480,7 @@ class TestSyncRoute:
         for bulk in (False, True):
             cluster = Cluster(4, threads_per_host=4)
             prop = NodePropMap(cluster, pgraph, "p")
+            assert prop._owner_starts is None  # the general per-owner route
             prop.set_initial_bulk(lambda nodes: np.full(nodes.size, 50.0))
             plans = [prop.prepare_reduce_bulk(host, threads, keys) for host in range(4)]
             routes = []

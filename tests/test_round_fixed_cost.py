@@ -1,0 +1,383 @@
+"""What a BSP round pays that is not proportional to its frontier.
+
+Two O(1) flags stand in for scans the compiled round used to repeat: one
+bool per host on a :class:`NodePropMap` ("any copy active"), one on a
+:class:`ThreadLocalReduction` ("some thread dict holds an entry"). A flag
+that went stale would skip a host that has work, or fold a batch over
+pending dict state - so they are checked here against the scans they
+replaced, at every site that installs or mutates the state behind them,
+and end to end on the runs where they matter: road grids on which most
+hosts idle most rounds, under checkpoint restore, epoch install and a
+worker kill; and paths / ladders whose frontier is one or two sources
+wide for thousands of rounds.
+"""
+
+from __future__ import annotations
+
+import json
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.algorithms.cc_lp import cc_lp_plan
+from repro.algorithms.sssp import UNREACHED, sssp_plan
+from repro.cluster import Cluster
+from repro.cluster.metrics import PhaseKind
+from repro.core.propmap import NodePropMap
+from repro.core.reducers import MIN
+from repro.core.reduction import ThreadLocalReduction
+from repro.eval.harness import run_kimbap
+from repro.exec import Executor
+from repro.exec.pool import fork_available
+from repro.faults import ChaosEvent, ChaosPlan, FaultPlan, HostCrash
+from repro.graph import generators
+from repro.partition import partition
+
+needs_fork = pytest.mark.skipif(
+    not fork_available(), reason="host-parallel execution needs POSIX fork"
+)
+
+
+def canonical(result) -> str:
+    return json.dumps(result.to_dict(), sort_keys=True)
+
+
+# ------------------------------------------------------- the activity flag
+
+# Four hosts own four bands of a tall grid: the SSSP wave (and, after its
+# first rounds, the CC-LP minimum label) crosses one band at a time.
+IDLE_GRID = {
+    "SSSP": generators.road_like(rows=40, cols=3, seed=5, weighted=True),
+    "CC-LP": generators.road_like(rows=40, cols=3, seed=5),
+}
+CRASH = FaultPlan(
+    name="crash@6", checkpoint_interval=4, crashes=(HostCrash(host=2, round=6),)
+)
+
+
+def _flags_match_masks(prop: NodePropMap) -> None:
+    for host in range(prop.cluster.num_hosts):
+        live = bool(prop._active[host].any())
+        assert prop._host_active[host] == live
+        assert prop.any_active(host) == live
+        assert (prop.active_mask(host) is not None) == live
+
+
+@pytest.fixture(scope="module")
+def idle_oracle():
+    """The scalar ``jobs=1`` report per (app, fault plan), computed once."""
+    reports: dict[tuple[str, bool], str] = {}
+
+    def oracle(app: str, faults: FaultPlan | None = None) -> str:
+        key = (app, faults is not None)
+        if key not in reports:
+            reports[key] = canonical(
+                run_kimbap(
+                    app, "idle", 4, graph=IDLE_GRID[app], threads=2, fault_plan=faults
+                )
+            )
+        return reports[key]
+
+    return oracle
+
+
+@pytest.mark.parametrize("app", sorted(IDLE_GRID))
+class TestActivityFlagEndToEnd:
+    def run(self, app, **kwargs):
+        return run_kimbap(
+            app, "idle", 4, graph=IDLE_GRID[app], threads=2, bulk=True, **kwargs
+        )
+
+    def test_most_host_visits_are_idle(self, app, idle_oracle):
+        result = self.run(app)
+        assert canonical(result) == idle_oracle(app)
+        pushes = [r for r in result.cluster.log.phases if r.operator]
+        idle = sum(c.edge_iters == 0 for r in pushes for c in r.counters)
+        assert idle > 2 * len(pushes)  # of four visits a round
+
+    def test_checkpoint_restore(self, app, idle_oracle):
+        result = self.run(app, fault_plan=CRASH)
+        assert result.faults["recoveries"] == 1
+        assert canonical(result) == idle_oracle(app, CRASH)
+
+    @needs_fork
+    def test_worker_kill_refork(self, app, idle_oracle):
+        chaos = ChaosPlan(events=(ChaosEvent(boundary=5, worker=1),))
+        result = self.run(app, jobs=2, recovery="refork", chaos_plan=chaos)
+        assert result.parallel["deaths_detected"] == 1
+        assert canonical(result) == idle_oracle(app)
+
+    @needs_fork
+    def test_epoch_install_on_a_warm_second_run(self, app):
+        # The same plan twice on one executor: the second run starts from
+        # the coordinator's exported state (activity masks included),
+        # installed over what the workers' replicas were left with.
+        graph = IDLE_GRID[app]
+        pgraph = partition(graph, 4, "cvc")
+        far = graph.num_nodes - 1
+
+        def first_values(nodes):
+            if app == "SSSP":
+                return np.where(nodes == 0, 0.0, UNREACHED)
+            return nodes.copy()
+
+        def second_values(nodes):
+            if app == "SSSP":
+                return np.where(nodes == far, 0.0, UNREACHED)
+            return far - nodes
+
+        outcomes = []
+        for bulk, jobs in ((False, 1), (True, 2)):
+            cluster = Cluster(4, threads_per_host=2)
+            executor = Executor(cluster, bulk=bulk, jobs=jobs)
+            try:
+                prop = NodePropMap(cluster, pgraph, "prop")
+                executor.init_map(prop, first_values)
+                prop.pin_mirrors(invariant="none")
+                plan = (sssp_plan if app == "SSSP" else cc_lp_plan)(pgraph, prop)
+                rounds = [executor.run(plan)]
+                middle = prop.snapshot()
+                if bulk:
+                    prop.reset_values_bulk(second_values)
+                else:
+                    prop.reset_values(lambda node: second_values(np.int64(node)).item())
+                prop.pin_mirrors(invariant="none")
+                rounds.append(executor.run(plan))
+                stats = executor.parallel_stats()
+            finally:
+                executor.close()
+            _flags_match_masks(prop)
+            outcomes.append(
+                (rounds, middle, prop.snapshot(), cluster.log.total_counters(),
+                 cluster.log.total_bytes(), cluster.elapsed().total)
+            )
+        assert stats["warm_runs"] == 1
+        assert outcomes[0] == outcomes[1]
+
+
+class TestActivityFlagInstallSites:
+    def _map(self):
+        cluster = Cluster(3, threads_per_host=2)
+        pgraph = partition(generators.road_like(9, 3, seed=2), 3, "cvc")
+        prop = NodePropMap(cluster, pgraph, "p")
+        prop.set_initial_bulk(lambda nodes: np.full(nodes.size, 100.0))
+        prop.pin_mirrors(invariant="none")
+        return cluster, pgraph, prop
+
+    def _touch(self, cluster, prop, host, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            prop.reduce_bulk(
+                host, np.zeros(keys.size, dtype=np.int64), keys, np.zeros(keys.size), MIN
+            )
+        prop.reduce_sync()
+        prop.broadcast_sync()
+
+    def test_flag_equals_mask_any_after_every_install(self):
+        cluster, pgraph, prop = self._map()
+        _flags_match_masks(prop)  # construction: every host full
+        prop.reset_updated()  # the other initially full buffer
+        _flags_match_masks(prop)
+        prop.reset_updated()  # nothing changed: every host idle
+        assert prop._host_active == [False] * 3
+        _flags_match_masks(prop)
+        # One master of host 0 with no mirror anywhere: exactly one host wakes.
+        mirrored = {
+            int(k) for pairs in pgraph.mirror_hosts_by_owner for _, ids in pairs for k in ids
+        }
+        lonely = next(
+            int(k) for k in pgraph.parts[0].masters_global if int(k) not in mirrored
+        )
+        self._touch(cluster, prop, 1, [lonely])
+        prop.reset_updated()
+        assert prop._host_active == [True, False, False]
+        _flags_match_masks(prop)
+        busy = prop.checkpoint_state()
+        exported = prop.export_epoch_state()
+        prop.reset_updated()
+        assert prop._host_active == [False] * 3
+        prop.restore_state(busy)  # checkpoint restore
+        assert prop._host_active == [True, False, False]
+        _flags_match_masks(prop)
+        prop.reset_updated()
+        replica = NodePropMap(Cluster(3, threads_per_host=2), pgraph, "p")
+        replica.install_epoch_state(exported, lambda name, op: MIN)  # epoch install
+        assert replica._host_active == [True, False, False]
+        _flags_match_masks(replica)
+
+    def test_non_gar_variants_never_report_idle(self):
+        from repro.core.variants import RuntimeVariant
+
+        cluster = Cluster(2, threads_per_host=2)
+        pgraph = partition(generators.road_like(4, 3, seed=2), 2, "oec")
+        prop = NodePropMap(cluster, pgraph, "p", variant=RuntimeVariant.SGR_ONLY)
+        prop.reset_updated()
+        prop.reset_updated()
+        assert all(prop.any_active(host) for host in range(2))
+        assert prop.is_active_bulk(0, np.arange(3)).all()
+
+
+# ----------------------------------------------------- the dict-state flag
+
+
+class PendingStateMachine(RuleBasedStateMachine):
+    """Every way pending reduction state comes and goes, against the
+    brute-force walk of ``maps`` + ``_batch`` the flag replaced."""
+
+    THREADS = 3
+    KEYS = 12
+
+    def __init__(self):
+        super().__init__()
+        self.cluster = Cluster(1, threads_per_host=self.THREADS)
+        self.reduction = ThreadLocalReduction(self.cluster, 0)
+        self.peer = ThreadLocalReduction(self.cluster, 0)
+        self.static_threads = np.repeat(np.arange(self.THREADS), 4)
+        self.static_keys = np.arange(self.THREADS * 4, dtype=np.int64) % self.KEYS
+        self.prepared = self.reduction.prepare_bulk(
+            self.static_threads, self.static_keys
+        )
+
+    def _in_phase(self, fn, *args):
+        with self.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            return fn(*args)
+
+    batches = st.lists(
+        st.tuples(st.integers(0, THREADS - 1), st.integers(0, KEYS - 1)),
+        min_size=1, max_size=8,
+    ).map(sorted)
+
+    @rule(thread=st.integers(0, THREADS - 1), key=st.integers(0, KEYS - 1))
+    def scalar_reduce(self, thread, key):
+        self._in_phase(self.reduction.reduce, thread, key, 1.0, MIN)
+
+    @rule(batch=batches, foldable=st.booleans())
+    def bulk_reduce(self, batch, foldable):
+        threads, keys = map(np.array, zip(*batch))
+        values = np.arange(keys.size, dtype=np.float64)
+        if not foldable:  # object values: the per-item fallback into the dicts
+            values = values.astype(object)
+        self._in_phase(self.reduction.reduce_bulk, threads, keys, values, MIN)
+
+    @rule()
+    def prepared_full(self):
+        values = np.arange(self.static_keys.size, dtype=np.float64)
+        self._in_phase(self.reduction.reduce_bulk_prepared, self.prepared, values, MIN)
+
+    @rule(mask=st.lists(st.booleans(), min_size=12, max_size=12))
+    def prepared_partial(self, mask):
+        idx = np.flatnonzero(mask)
+        values = np.arange(idx.size, dtype=np.float64)
+        self._in_phase(
+            self.reduction.reduce_bulk_prepared, self.prepared, values, MIN, idx
+        )
+
+    @rule()
+    def install_a_peer_export(self):
+        # What the pool does: a peer reduced, exported, and this replica
+        # takes its state wholesale (dicts and batch alike).
+        self.peer.install_state(self.reduction.export_state())
+        self.reduction, self.peer = self.peer, self.reduction
+
+    @rule(batch=batches)
+    def install_a_peer_batch(self, batch):
+        fresh = ThreadLocalReduction(self.cluster, 0)
+        threads, keys = map(np.array, zip(*batch))
+        self._in_phase(fresh.reduce_bulk, threads, keys, np.ones(keys.size), MIN)
+        self.reduction.install_state(fresh.export_state())
+
+    @rule()
+    def collect(self):
+        with self.cluster.phase(PhaseKind.REDUCE_SYNC):
+            self.reduction.collect(MIN)
+        assert self.reduction.pending() == 0
+
+    @rule()
+    def collect_arrays(self):
+        if not self.reduction.bulk_state_only:
+            return  # its precondition
+        with self.cluster.phase(PhaseKind.REDUCE_SYNC) as record:
+            idle = self.reduction._batch is None
+            keys, values = self.reduction.collect_arrays(MIN)
+            if idle:  # nothing to combine: no keys, no charge
+                assert keys.size == 0 and values.size == 0
+                assert record.counters[0].combine_ops == 0
+        assert self.reduction.pending() == 0
+
+    @invariant()
+    def flags_equal_the_walk(self):
+        reduction = self.reduction
+        entries = sum(len(local_map) for local_map in reduction.maps)
+        batch = 0 if reduction._batch is None else int(reduction._batch[1].size)
+        assert reduction.pending() == entries + batch
+        assert reduction.bulk_state_only == (entries == 0)
+        assert reduction._dict_state == (entries > 0)
+
+
+TestPendingState = PendingStateMachine.TestCase
+TestPendingState.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
+
+
+# ------------------------------------------------------ a narrow frontier
+
+# A path (cols=1) and a ladder (cols=2), plus the generator's few
+# shortcuts: one or two active sources a round, one active host, hundreds
+# to thousands of rounds - where an off-by-one in the idle skip or in the
+# run expansion of a single source would show. The scalar oracle costs
+# rows^2 node visits, so it joins at the smaller size only.
+
+
+def _narrow(app, rows, cols):
+    return generators.road_like(rows=rows, cols=cols, seed=3, weighted=app == "SSSP")
+
+
+def _check_against_networkx(app, graph, values):
+    undirected = graph.to_networkx().to_undirected()
+    if app == "BFS":
+        want = nx.single_source_shortest_path_length(undirected, 0)
+    else:
+        want = nx.single_source_dijkstra_path_length(undirected, 0)
+    assert set(want) == set(range(graph.num_nodes))  # a road grid is connected
+    for node, distance in want.items():
+        assert values[node] == pytest.approx(distance)
+
+
+@pytest.mark.parametrize("policy", ("cvc", "oec"))
+@pytest.mark.parametrize("cols", (1, 2))
+@pytest.mark.parametrize("app", ("BFS", "SSSP"))
+class TestNarrowFrontier:
+    def runs(self, app, rows, cols, policy, cells):
+        graph = _narrow(app, rows, cols)
+        pgraph = partition(graph, 4, policy)
+        results = [
+            run_kimbap(
+                app, "narrow", 4, graph=graph, pgraph=pgraph, threads=2,
+                bulk=bulk, jobs=jobs,
+            )
+            for bulk, jobs in cells
+        ]
+        assert len({canonical(result) for result in results}) == 1
+        assert results[0].rounds > rows * 0.9
+        pushes = [r for r in results[-1].cluster.log.phases if r.operator]
+        # Four host visits a round, and on average under one and a half
+        # of them (the wave's band, its neighbour at a seam) has an edge
+        # to relax.
+        busy = sum(c.edge_iters > 0 for r in pushes for c in r.counters)
+        assert busy < 1.5 * len(pushes)
+        _check_against_networkx(app, graph, results[0].values)
+
+    @needs_fork
+    def test_scalar_and_bulk_and_jobs_agree(self, app, cols, policy):
+        self.runs(
+            app, 384, cols, policy, [(False, 1), (False, 2), (True, 2), (True, 1)]
+        )
+
+    @needs_fork
+    def test_thousands_of_rounds(self, app, cols, policy):
+        self.runs(app, 2048, cols, policy, [(True, 2), (True, 1)])
