@@ -5,14 +5,14 @@ Standalone script (no pytest dependency, not CI-gated on speed): for each
 cell it runs the ``jobs=1`` oracle, a fault-free ``jobs=4`` run with the
 supervisor armed (measuring what watching costs), and a ``jobs=4`` run
 that loses a real worker - SIGKILLed by a :class:`repro.faults.chaos.ChaosPlan`
-at a mid-run effect exchange - under each recovery policy (``refork``
-re-forks a replacement worker, ``reshard`` re-deals the dead worker's
-hosts onto the survivors). Every variant **must** stay byte-identical to
+at a mid-run effect exchange - under ``recovery="refork"`` (roll back
+to the round start, fork the group again). Every variant **must** stay
+byte-identical to
 the oracle (``RunResult.to_dict()``); any divergence exits non-zero, so
 the benchmark doubles as a recovery-equivalence gate wherever it is run.
 
 The interesting numbers are the wall-clock columns: how much a kill plus
-reshard-and-resume recovery costs over the fault-free parallel run
+refork-and-resume recovery costs over the fault-free parallel run
 (snapshot restore + refork + round replay), and how much the armed
 supervisor costs when nothing fails (it should be noise: the watch path
 only polls exit codes while already waiting on tokens).
@@ -41,7 +41,6 @@ TITLE = "Self-healing pool: worker-kill recovery overhead (byte-identical result
 HEADERS = (
     "app",
     "graph",
-    "policy",
     "kind",
     "boundary",
     "j1(s)",
@@ -58,14 +57,10 @@ def fast_mode() -> bool:
     return os.environ.get("REPRO_BENCH_FAST", "") not in ("", "0")
 
 
-def cells() -> list[tuple[str, str, str, str]]:
-    sweep = [("PR", "powerlaw", "refork", "sigkill")]
+def cells() -> list[tuple[str, str, str]]:
+    sweep = [("PR", "powerlaw", "sigkill")]
     if not fast_mode():
-        sweep += [
-            ("PR", "powerlaw", "reshard", "sigkill"),
-            ("CC-SV", "powerlaw", "refork", "sigterm"),
-            ("CC-SV", "powerlaw", "reshard", "oom"),
-        ]
+        sweep += [("CC-SV", "powerlaw", "sigterm")]
     return sweep
 
 
@@ -73,7 +68,7 @@ def canonical(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
-def run_cell(app: str, graph_name: str, policy: str, kind: str) -> dict:
+def run_cell(app: str, graph_name: str, kind: str) -> dict:
     graph = load_graph(graph_name)
     hosts = 4
 
@@ -86,7 +81,7 @@ def run_cell(app: str, graph_name: str, policy: str, kind: str) -> dict:
     # and prices the watching itself.
     start = time.perf_counter()
     clean = run_kimbap(
-        app, graph_name, hosts, graph=graph, jobs=JOBS, recovery=policy
+        app, graph_name, hosts, graph=graph, jobs=JOBS, recovery="refork"
     )
     clean_s = time.perf_counter() - start
     boundaries = clean.parallel["boundaries"]
@@ -103,7 +98,7 @@ def run_cell(app: str, graph_name: str, policy: str, kind: str) -> dict:
         hosts,
         graph=graph,
         jobs=JOBS,
-        recovery=policy,
+        recovery="refork",
         chaos_plan=chaos,
     )
     killed_s = time.perf_counter() - start
@@ -118,7 +113,6 @@ def run_cell(app: str, graph_name: str, policy: str, kind: str) -> dict:
         "app": app,
         "graph": graph_name,
         "hosts": hosts,
-        "policy": policy,
         "kind": kind,
         "boundary": boundary,
         "boundaries": boundaries,
@@ -128,7 +122,6 @@ def run_cell(app: str, graph_name: str, policy: str, kind: str) -> dict:
         "deaths_detected": int(stats["deaths_detected"]),
         "heals": int(stats["heals"]),
         "reforks": int(stats["reforks"]),
-        "reshards": int(stats["reshards"]),
         "identical": not diverged,
         "diverged": diverged,
     }
@@ -143,7 +136,6 @@ def main() -> int:
         (
             r["app"],
             r["graph"],
-            r["policy"],
             r["kind"],
             f"{r['boundary']}/{r['boundaries']}",
             f"{r['wallclock_s']['j1']:.3f}",
@@ -183,15 +175,15 @@ def main() -> int:
             failed = True
             print(
                 f"EQUIVALENCE FAILURE: {r['app']} on {r['graph']} "
-                f"({r['policy']}, {r['kind']}@{r['boundary']}) - {key} "
+                f"({r['kind']}@{r['boundary']}) - {key} "
                 "RunResult.to_dict() diverged from jobs=1",
                 file=sys.stderr,
             )
         if r["deaths_detected"] < 1 or r["heals"] < 1:
             failed = True
             print(
-                f"CHAOS FAILURE: {r['app']} ({r['policy']}, "
-                f"{r['kind']}@{r['boundary']}) never killed a worker "
+                f"CHAOS FAILURE: {r['app']} ({r['kind']}@{r['boundary']}) "
+                "never killed a worker "
                 f"(deaths={r['deaths_detected']}, heals={r['heals']})",
                 file=sys.stderr,
             )

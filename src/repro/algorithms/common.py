@@ -101,8 +101,8 @@ def shortcut_plan(
     targeting any round of a multi-loop algorithm (CC-SV, MSF) lands
     exactly once and recovery covers the shortcut loops too. Callers that
     flatten repeatedly build the plan once and ``executor.run`` it each
-    time: the parallel backend (``repro.exec.pool``) reuses its warm
-    forked workers only for plan objects it has seen.
+    time: the executor compiles a plan object once, and the parallel
+    backend (``repro.exec.pool``) builds its decision tables once.
     """
     return Plan(
         name="shortcut",

@@ -14,7 +14,7 @@ Examples::
     python -m repro profile LV --graph powerlaw --hosts 4 --top 10
     python -m repro faults BFS --graph road --hosts 4 --plan crash
     python -m repro faults PR --graph powerlaw --plan chaos --report f.json
-    python -m repro chaos PR --graph road --jobs 4 --policy refork --at-boundary 2
+    python -m repro chaos PR --graph road --jobs 4 --at-boundary 2
 """
 
 from __future__ import annotations
@@ -298,7 +298,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     Runs the fault-free ``jobs=1`` oracle, then the same workload at
     ``--jobs N`` with a :class:`ChaosPlan` SIGKILLing (or SIGTERMing /
     OOM-killing) worker ``--worker`` at effect exchange ``--at-boundary``
-    under the chosen recovery policy, and byte-compares the two
+    under ``recovery="refork"``, and byte-compares the two
     ``RunResult.to_dict()`` payloads. Exits 1 if the kill never fired,
     recovery failed, or any byte diverged.
     """
@@ -336,7 +336,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         bulk=args.bulk,
         jobs=args.jobs,
         chaos_plan=chaos,
-        recovery=args.policy,
+        recovery="refork",
     )
     print(_result_rows([baseline, chaotic]))
     stats = chaotic.parallel or {}
@@ -354,14 +354,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         chaotic.to_dict(), sort_keys=True
     )
     print(
-        f"chaos: {args.kind} worker {args.worker} at boundary "
-        f"{args.at_boundary} (policy {args.policy!r})"
+        f"chaos: {args.kind} worker {args.worker} at boundary {args.at_boundary}"
     )
     print(
         f"  deaths detected: {stats.get('deaths_detected', 0)}"
         f"  heals: {stats.get('heals', 0)}"
         f"  reforks: {stats.get('reforks', 0)}"
-        f"  reshards: {stats.get('reshards', 0)}"
         f"  diagnostics: {stats.get('diagnostics', 0)}"
     )
     print(
@@ -590,13 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(chaos)
     chaos.add_argument(
         "--variant", choices=sorted(VARIANTS_BY_LABEL), default=RuntimeVariant.KIMBAP.label
-    )
-    chaos.add_argument(
-        "--policy",
-        choices=("refork", "reshard"),
-        default="refork",
-        help="recovery policy: refork a replacement worker, or reshard "
-        "the dead worker's hosts onto survivors",
     )
     chaos.add_argument(
         "--at-boundary",

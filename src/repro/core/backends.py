@@ -630,83 +630,16 @@ class GarHostStore:
             self.values = copy.deepcopy(column[1])
             self._col = self._valid = None
         else:
-            self.attach_values_slab(column[1], column[2])
+            # Array mode again; untyped when no slot is set, so the next
+            # typed write still picks the dtype.
+            _, col, valid = column
+            self._valid = valid.copy()
+            self._col = col.copy() if col is not None and valid.any() else None
+            self.values = _ColumnTrap(self)
         self._remote_keys = state["remote_keys"].copy()
         self._remote_values = copy.deepcopy(state["remote_values"])
         self._remote_hash = copy.deepcopy(state["remote_hash"])
         self.pinned = state["pinned"]
-
-    # -- shared-slab export (repro.exec.pool epoch protocol) -----------------
-
-    def export_values_slab(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The dense value vector as ``(values, valid)`` numpy arrays, or
-        None when it cannot round-trip exactly.
-
-        The slab is the zero-copy transport of the parallel backend's
-        epoch blobs: protocol-5 pickling ships both arrays as raw buffers
-        straight into a shared-memory arena. An array-mode column *is* the
-        slab and is handed over as it stands. A list-mode column qualifies
-        only when it holds exact native ``int`` / ``float`` homogeneous
-        values (``bool`` stays out - it is an ``int`` subclass but must
-        not come back as one; huge ints overflow ``int64``); anything else
-        falls back to the generic checkpoint encoding.
-        """
-        if self._valid is not None:
-            col = self._col
-            if col is None:
-                col = np.zeros(self.part.num_local, dtype=np.int64)
-            return col, self._valid
-        values = self.values
-        mask = np.fromiter(
-            (v is not None for v in values), dtype=bool, count=len(values)
-        )
-        present = [v for v in values if v is not None]
-        if all(type(v) is int for v in present):
-            dtype: Any = np.int64
-        elif all(type(v) is float for v in present):
-            dtype = np.float64
-        else:
-            return None
-        slab = np.zeros(len(values), dtype=dtype)
-        try:
-            slab[mask] = present
-        except (OverflowError, ValueError):
-            return None
-        return slab, mask
-
-    def attach_values_slab(self, slab: np.ndarray | None, mask: np.ndarray) -> None:
-        """Replace the value vector with a copy of an exported slab: the
-        store is in array mode afterwards (untyped when no slot is set, so
-        the next typed write still picks the dtype)."""
-        self._valid = np.array(mask, dtype=bool)
-        self._col = np.array(slab) if slab is not None and self._valid.any() else None
-        self.values = _ColumnTrap(self)
-
-    def export_epoch(self) -> tuple:
-        slab = self.export_values_slab()
-        if slab is None:
-            return ("raw", self.checkpoint())
-        values, mask = slab
-        return (
-            "slab",
-            values,
-            mask,
-            self._remote_keys.copy(),
-            list(self._remote_values),
-            dict(self._remote_hash),
-            self.pinned,
-        )
-
-    def install_epoch(self, state: tuple) -> None:
-        if state[0] == "raw":
-            self.restore(state[1])
-            return
-        _, values, mask, remote_keys, remote_values, remote_hash, pinned = state
-        self.attach_values_slab(values, mask)
-        self._remote_keys = np.asarray(remote_keys, dtype=np.int64)
-        self._remote_values = list(remote_values)
-        self._remote_hash = dict(remote_hash)
-        self.pinned = bool(pinned)
 
     # -- pinned mirrors ----------------------------------------------------------
 
@@ -898,14 +831,6 @@ class HashHostStore:
         self.owned = copy.deepcopy(state["owned"])
         self.cache = copy.deepcopy(state["cache"])
         self.pinned = state["pinned"]
-
-    def export_epoch(self) -> tuple:
-        # Hash layouts have no dense slab; the generic checkpoint encoding
-        # is the honest transport (these variants are the slow baselines).
-        return ("raw", self.checkpoint())
-
-    def install_epoch(self, state: tuple) -> None:
-        self.restore(state[1])
 
     def pin(self) -> None:
         self.pinned = True

@@ -358,7 +358,7 @@ class NodePropMap:
 
     def _install_active(self, masks: list[np.ndarray]) -> None:
         """The one place the activity state is replaced (construction,
-        buffer swap, checkpoint restore, epoch install): the masks go in
+        buffer swap, checkpoint restore): the masks go in
         read-only, and with them one bool per host - does any copy on it
         count as active - so an idle host is known without a scan."""
         self._active = [_frozen(mask) for mask in masks]
@@ -997,74 +997,6 @@ class NodePropMap:
         self.bitsets[host].install_state(request_bits)
         self._dup_requests[host] = list(dup_requests)
 
-    def _copy_masks(self) -> dict[str, list[np.ndarray]]:
-        """Private copies of the pending/activity masks, for a snapshot."""
-        return {
-            "updated_masters": [mask.copy() for mask in self._updated_masters],
-            "active": [mask.copy() for mask in self._active],
-            "next_active": [mask.copy() for mask in self._next_active],
-        }
-
-    def _install_masks(self, state: dict) -> None:
-        """Reinstate :meth:`_copy_masks` output, copying again: the saved
-        arrays stay untouched (a checkpoint restores any number of times;
-        an epoch blob's buffers belong to the exchange arena)."""
-        self._updated_masters = [mask.copy() for mask in state["updated_masters"]]
-        self._install_active([mask.copy() for mask in state["active"]])
-        self._next_active = [mask.copy() for mask in state["next_active"]]
-
-    def export_epoch_state(self) -> dict:
-        """All mutable state, in a picklable form, for the parallel pool's
-        warm-run epoch protocol (``repro.exec.pool``).
-
-        Between plan runs only the coordinator executes driver code
-        (mirror pinning, value resets, reducer syncs), so a warm run
-        starts by replacing the workers' replica wholesale. Unlike
-        :meth:`checkpoint_state` this form crosses process boundaries:
-        the reduction operator ships by name (``ReduceOp`` closes over
-        lambdas), GAR stores export numeric value slabs when they can
-        (zero-copy through the shared-memory arena), and the compute-phase
-        effect state rides along explicitly (a restore clears it).
-        """
-        state = {
-            "stores": [store.export_epoch() for store in self.stores],
-            "any_updated": self._any_updated,
-            **self._copy_masks(),
-            "op": self._op.name if self._op is not None else None,
-            "pinned": self._pinned,
-            "pin_invariant": self._pin_invariant,
-            "fx": [
-                self.export_compute_effects(host)
-                for host in range(self.cluster.num_hosts)
-            ],
-        }
-        if self.variant.uses_kvstore:
-            assert self.kv_client is not None
-            state["kv"] = [
-                server.snapshot_prefix(self._kv_prefix())
-                for server in self.kv_client.servers
-            ]
-        return state
-
-    def install_epoch_state(
-        self, state: dict, resolve_op: Callable[[str, str], ReduceOp]
-    ) -> None:
-        """Replace this replica's state with another process's export."""
-        for store, store_state in zip(self.stores, state["stores"]):
-            store.install_epoch(store_state)
-        self._any_updated = state["any_updated"]
-        self._install_masks(state)
-        op_name = state["op"]
-        self._op = None if op_name is None else resolve_op(self.name, op_name)
-        self._pinned = state["pinned"]
-        self._pin_invariant = state["pin_invariant"]
-        if self.variant.uses_kvstore:
-            assert self.kv_client is not None
-            for server, snapshot in zip(self.kv_client.servers, state["kv"]):
-                server.restore_prefix(self._kv_prefix(), snapshot)
-        for host, effects in enumerate(state["fx"]):
-            self.install_compute_effects(host, effects, resolve_op)
-
     def checkpoint_state(self) -> dict:
         """Copy all mutable distributed state, for restore-and-replay.
 
@@ -1077,7 +1009,10 @@ class NodePropMap:
         state = {
             "stores": [store.checkpoint() for store in self.stores],
             "any_updated": self._any_updated,
-            **self._copy_masks(),
+            # Private copies: the live masks are scattered into in place.
+            "updated_masters": [mask.copy() for mask in self._updated_masters],
+            "active": [mask.copy() for mask in self._active],
+            "next_active": [mask.copy() for mask in self._next_active],
             "op": self._op,
             "pinned": self._pinned,
             "pin_invariant": self._pin_invariant,
@@ -1095,7 +1030,10 @@ class NodePropMap:
         for store, store_state in zip(self.stores, state["stores"]):
             store.restore(store_state)
         self._any_updated = state["any_updated"]
-        self._install_masks(state)
+        # Copying again: the saved arrays stay untouched.
+        self._updated_masters = [mask.copy() for mask in state["updated_masters"]]
+        self._install_active([mask.copy() for mask in state["active"]])
+        self._next_active = [mask.copy() for mask in state["next_active"]]
         self._op = state["op"]
         self._pinned = state["pinned"]
         self._pin_invariant = state["pin_invariant"]

@@ -301,9 +301,9 @@ def run_kimbap(
     simulated OOM and non-quiescence - come back as a ``RunResult`` with
     ``outcome`` set instead of raising.
 
-    ``recovery`` arms the self-healing pool (``"refork"``/``"reshard"``)
-    and ``chaos_plan`` (a :class:`repro.faults.chaos.ChaosPlan`) delivers
-    real SIGKILL/SIGTERM/OOM kills to workers at chosen effect exchanges -
+    ``recovery="refork"`` arms the self-healing pool and ``chaos_plan``
+    (a :class:`repro.faults.chaos.ChaosPlan`) delivers real
+    SIGKILL/SIGTERM/OOM kills to workers at chosen effect exchanges -
     a healed run stays byte-identical to an undisturbed ``jobs=1`` run.
 
     ``engine`` picks the drive loop (``repro.exec.engine``): ``"bsp"``

@@ -100,13 +100,12 @@ class BSPEngine(Engine):
         # pool.active means this is a nested run launched from a HostStep
         # of an in-flight parallel run: it replays replicated on every
         # process (the outer run's replay reaches this same call), so it
-        # must not re-frame the epoch protocol.
+        # must not fork a group of its own.
         if pool is not None and not pool.active and pool.begin_run(plan):
-            # The worker group is persistent and warm: begin_run reuses the
-            # forked workers when they already know this plan (epoch blob
-            # resynchronizes their state), reforks when they cannot (new
-            # plan: kernels close over lambdas and only fork inheritance
-            # ships them), and end_run parks them for the next run.
+            # A sharded run is one fork: begin_run forks the worker group
+            # from the coordinator's current state (kernels close over
+            # lambdas and only fork inheritance ships them - and the state
+            # with them), end_run reaps it.
             failed = True
             try:
                 rounds = self.drive(plan)
@@ -169,11 +168,9 @@ class BSPEngine(Engine):
         The coordinator snapshots the round-start state, runs the round,
         and on a healable failure (:data:`~repro.exec.pool.HEALABLE_ERRORS`)
         asks the pool to heal - reap the group, roll back to the snapshot,
-        re-fork or reshard - then retries the round. When resharding
-        degrades the pool to a single shard the retry runs serially, which
-        is the ``jobs=1`` oracle. Workers never guard (the coordinator
-        replaces the whole group); with healing off this is exactly
-        ``run_round``.
+        fork again - then retries the round. Workers never guard (the
+        coordinator replaces the whole group); with healing off this is
+        exactly ``run_round``.
         """
         executor = self.executor
         pool = executor._pool
@@ -195,11 +192,6 @@ class BSPEngine(Engine):
                     return
                 except HEALABLE_ERRORS as err:
                     pool.heal(err, plan, snapshot)
-                    if not pool.active:
-                        # Degraded to the serial path mid-run: finish this
-                        # round (and the rest of the loop) as jobs=1.
-                        executor.run_round(plan)
-                        return
         finally:
             pool._guard_depth = 0
 

@@ -114,16 +114,15 @@ class Executor:
         # jobs > 1 fans shardable compute phases out to jobs processes
         # (coordinator included); merge order keeps results byte-identical.
         self.jobs = max(1, int(jobs))
-        # Self-healing knobs (see repro.exec.pool): "refork" replaces a
-        # dead worker with a fresh fork of the rolled-back coordinator,
-        # "reshard" re-deals the dead worker's hosts onto survivors, and
-        # "fail-fast" (the default) keeps the legacy raise-through path.
-        # ``chaos`` is a repro.faults.chaos.ChaosPlan delivering real
-        # kills to workers at chosen effect exchanges.
-        if recovery not in ("fail-fast", "refork", "reshard"):
+        # Self-healing knobs (see repro.exec.pool): "refork" answers a
+        # dead worker by forking the whole group again from the rolled-back
+        # coordinator, and "fail-fast" (the default) keeps the
+        # raise-through path. ``chaos`` is a repro.faults.chaos.ChaosPlan
+        # delivering real kills to workers at chosen effect exchanges.
+        if recovery not in ("fail-fast", "refork"):
             raise ValueError(
                 f"unknown recovery policy {recovery!r}; "
-                "use 'fail-fast', 'refork', or 'reshard'"
+                "use 'fail-fast' or 'refork'"
             )
         self.recovery = recovery
         self.chaos = chaos
@@ -175,9 +174,10 @@ class Executor:
         return self.engine.run(plan)
 
     def _ensure_pool(self, plan: Plan):
-        """The executor-lifetime pool (or None while parallelism cannot
-        apply: ``jobs=1``, no fork, or no plan so far with a shardable
-        phase - a later plan may still create it)."""
+        """The executor-lifetime pool endpoint (or None while parallelism
+        cannot apply: ``jobs=1``, no fork, or no plan so far with a
+        shardable phase - a later plan may still create it). It holds
+        the decision tables and counters; workers live for one run."""
         if self.jobs <= 1 or self._pool is not None:
             return self._pool
         self._pool = create_pool(self, plan)
@@ -203,8 +203,9 @@ class Executor:
 
     def parallel_stats(self) -> dict[str, int] | None:
         """Exchange instrumentation of the parallel backend (None when no
-        pool ever forked): bytes exchanged, peak live shared segments,
-        forks, and warm (fork-free) run reuses."""
+        pool was ever built): bytes exchanged, peak live shared segments,
+        forks (one per sharded run plus one per heal), and the
+        supervisor's death/heal counts."""
         return None if self._pool is None else self._pool.stats()
 
     def _drive(self, plan: Plan, resume_rounds: int | None = None) -> int:

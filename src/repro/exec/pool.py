@@ -6,29 +6,24 @@ the sync barriers. This module exploits exactly that structure to make
 the *simulator's* wall clock scale with real cores while preserving the
 byte-identity contract of the serial backends.
 
-Design: **persistent forked replicated state machines with a
-shared-memory, per-phase effect exchange.**
+Design: **forked replicated state machines with a shared-memory,
+per-phase effect exchange - one fork per sharded run.**
 
-* The first ``Executor.run(plan)`` with ``jobs > 1`` forks ``jobs - 1``
-  worker processes (POSIX ``fork``, copy-on-write) that live for the
-  whole executor, not one plan run. Every process - coordinator
-  included - replays the *identical* plan loop: host steps, resets,
-  sync collectives, checkpoint/recovery, and fault-injection draws all
-  run everywhere, so each process's replica of the cluster state
-  evolves deterministically in lockstep. Fork-time inheritance is what
-  makes this possible without pickling kernels: workers share every
-  closure, graph array, and map with the coordinator at the fork point.
-* Runs are framed by an explicit **epoch protocol**: ``begin_run``
-  sends a ``run`` token naming a plan from the fork-time registry plus
-  an epoch blob that resynchronizes every map the plan declares
-  (coordinator-side driver code may have pinned mirrors, reset values,
-  or synced reducers between runs); workers install it and ``ack``.
-  ``end_run`` collects an ``eor`` token per worker - including after
-  exceptions, which abort cleanly and leave the pool warm for the next
-  run. A plan the forked workers have never seen cannot ship its
-  kernels (closures), so the pool reforks once with the grown registry;
-  tolerance-loop drivers that re-run the same plans reuse the warm pool
-  with zero forks.
+* **A parallel run is a fork.** ``begin_run`` forks ``jobs - 1`` worker
+  processes (POSIX ``fork``, copy-on-write) from the coordinator's
+  current state and ``end_run`` reaps them: one fork per sharded run; a
+  heal is the same fork at round *k*. Every process - coordinator
+  included - replays the *identical* plan loop: host steps, resets, sync
+  collectives, checkpoint/recovery, and fault-injection draws all run
+  everywhere, so each process's replica of the cluster state evolves
+  deterministically in lockstep. Fork-time inheritance is what makes
+  this possible without pickling kernels or state: workers share every
+  closure, graph array, and map with the coordinator at the fork point,
+  so whatever driver code did between two runs (mirror pinning, value
+  resets, reducer syncs) is simply there. Nothing is kept alive between
+  runs and nothing is resynchronized (DESIGN.md, "Why a run is a fork").
+  A run ends with one ``eor`` token per worker - including after
+  exceptions, which abort cleanly.
 * **One mechanism:** only *shardable compute phases* divide work. Each
   process drives ``par_for``/``run_hosted`` over its own contiguous host
   shard, then exchanges the phase's effects before anything else runs (a
@@ -46,12 +41,11 @@ shared-memory, per-phase effect exchange.**
   (double-buffered) plus a broadcast arena, all created before the fork
   so every process inherits the same mapping. Bundles are encoded with
   pickle protocol 5; numpy payloads (reduction batch arrays, counter
-  matrices, the typed GAR property columns in epoch blobs) travel as
-  raw out-of-band buffers written directly into the arena. Pipes carry
-  only fixed-size tokens; every process reads every peer's arena
-  directly, so the coordinator never re-serializes the fan-out.
-  Oversized bundles fall back to the pipe and the next refork grows the
-  arenas.
+  matrices) travel as raw out-of-band buffers written directly into the
+  arena. Pipes carry only fixed-size tokens; every process reads every
+  peer's arena directly, so the coordinator never re-serializes the
+  fan-out. Oversized bundles fall back to the pipe and the next fork
+  grows the arenas.
 * The coordinator merges worker bundles **in worker order** - shards
   are contiguous ascending, so worker order IS host order and the
   merged phase records are byte-identical to the serial visit. Phases
@@ -61,37 +55,33 @@ The coordinator's metrics log, counters, conflict counts, modeled
 seconds, and trace rows therefore evolve exactly as a serial run's
 would: the serial backend stays the oracle, and
 ``tests/test_parallel_equivalence.py`` enforces ``RunResult.to_dict()``
-byte-identity across ``jobs`` for all twelve algorithms. With a fault
-injector installed the pool disables run reuse (refork per run); the
-collectives are replicated either way, so injected draws and crash
-points replay exactly as they did serially.
+byte-identity across ``jobs`` for all twelve algorithms. The collectives
+are replicated, so a fault injector's draws and crash points replay
+exactly as they did serially.
 
 Segment lifecycle: arenas are created and unlinked only by the
-coordinator (``shutdown``), so ``/dev/shm`` holds ``jobs`` segments per
-pool generation and zero after ``Executor.close()``; workers exit via
-``os._exit`` without touching the resource tracker. An ``atexit`` guard
-covers the remaining path: a ``KeyboardInterrupt`` (or any unwound
-exception) that reaches interpreter exit before ``Executor.close()``
-still reaps the workers and unlinks every segment.
+coordinator (``shutdown``), so ``/dev/shm`` holds ``jobs`` segments
+while a sharded run is in flight and zero after it (``end_run``), let
+alone after ``Executor.close()``; workers exit via ``os._exit`` without
+touching the resource tracker. An ``atexit`` guard covers the remaining
+path: a ``KeyboardInterrupt`` (or any unwound exception) that reaches
+interpreter exit mid-run still reaps the workers and unlinks every
+segment.
 
-**Self-healing (``Executor(recovery=...)``).** With a recovery policy
-other than ``fail-fast`` the coordinator becomes a supervisor: every
-token wait polls worker exit codes instead of blocking on the pipe, and
-a typed :class:`PoolError` (:class:`WorkerDied`,
-:class:`ExchangeTimeout`, :class:`ArenaCorruption`) triggers recovery
-*within the run*. Because every process holds the full replicated state
-at each round boundary, recovery is refork-all: the coordinator reaps
-the whole group, rolls its own state back to the round-start
+**Self-healing (``Executor(recovery="refork")``).** The coordinator
+becomes a supervisor: every token wait polls worker exit codes instead
+of blocking on the pipe, and a typed :class:`PoolError`
+(:class:`WorkerDied`, :class:`ExchangeTimeout`,
+:class:`ArenaCorruption`) triggers recovery *within the run*. Because
+every process holds the full replicated state at each round boundary,
+recovery is the run-start fork again: the coordinator reaps the whole
+group, rolls its own state back to the round-start
 :class:`~repro.faults.checkpoint.RoundSnapshot` (built on the same
 ``checkpoint_state``/``restore_state`` machinery as the modeled fault
-layer), reconfigures (``refork`` keeps the shard count, ``reshard``
-drops one shard and re-deals the dead worker's hosts onto survivors),
-and forks replacements that inherit the rolled-back state copy-on-write
-and resume the in-flight run at the same completed-round count. When
-resharding consumes the last worker the pool degrades to the serial
-path, which is the ``jobs=1`` oracle by contract - so a recovered run's
-``RunResult.to_dict()`` stays byte-identical to an undisturbed
-``jobs=1`` run either way. Arena frames carry a magic/sequence/length
+layer), and forks replacements that inherit the rolled-back state
+copy-on-write and drive the plan from the same completed-round count -
+so a recovered run's ``RunResult.to_dict()`` stays byte-identical to an
+undisturbed ``jobs=1`` run. Arena frames carry a magic/sequence/length
 header (plus a CRC32 when the supervisor is on) so a corrupt bundle
 raises :class:`ArenaCorruption` into the same recovery path instead of
 deserializing garbage. All of it is gated: with ``fail-fast`` (the
@@ -254,9 +244,9 @@ _ATEXIT_INSTALLED = False
 
 
 def _atexit_cleanup() -> None:
-    """Reap pools that never saw ``Executor.close()``: a KeyboardInterrupt
-    mid-exchange unwinds straight to interpreter exit, and without this
-    the ``/dev/shm`` segments (and parked workers) outlive the process.
+    """Reap pools whose run never ended: a KeyboardInterrupt mid-exchange
+    unwinds straight to interpreter exit, and without this the
+    ``/dev/shm`` segments (and the workers) outlive the process.
     Workers never run it - they leave via ``os._exit``."""
     for pool in list(_POOLS):
         if pool.is_worker or pool._owner_pid != os.getpid():
@@ -541,10 +531,10 @@ def _send_token(conn, *token: Any) -> None:
 
 
 class HostShardPool:
-    """The executor's persistent process group: coordinator endpoint in
-    the parent, worker endpoint (same object, mutated post-fork) in each
-    child. Construction only builds the decision tables; ``begin_run``
-    forks (or reuses) the workers."""
+    """The executor's process-group endpoint: coordinator in the parent,
+    worker (same object, mutated post-fork) in each child. Construction
+    only builds the decision tables; ``begin_run`` forks the workers of
+    one run and ``end_run`` reaps them."""
 
     def __init__(self, executor: "Executor", plan: Plan, jobs: int) -> None:
         cluster = executor.cluster
@@ -555,25 +545,21 @@ class HostShardPool:
         self.index = 0
         self.shard: Sequence[int] = self.shards[0]
         self.is_worker = False
-        self.active = False
         self.dead = False
         self.conn = None
         self.workers: list[tuple[Any, Any]] = []
-        # Plan registry: every plan this pool has seen, by object id.
-        # Workers inherit the registry at fork time, so a registered plan
-        # can be named by key in a ``run`` token; an unregistered plan
-        # forces one refork (closures cannot cross a pipe).
+        # Plan registry: every plan this pool has seen, by object id, with
+        # its decision tables. Workers inherit it at fork time, so the
+        # worker entry names its plan by key.
         self.registry: dict[int, Plan] = {}
         self._tables: dict[int, dict[int, list[Any] | None]] = {}
         self._names: dict[int, dict[str, Any]] = {}
         self._plan_ops: dict[int, dict[str, ReduceOp]] = {}
-        self._forked_keys: set[int] = set()
         self._plan_key = id(plan)
         self.register_plan(plan)
         # Exchange state.
         self._eor_seen: set[int] = set()
         self._seq = 0
-        self._run_seq = 0
         # Shared segments + instrumentation.
         self._arenas: list[_Arena] = []
         self._bcast: _Arena | None = None
@@ -581,14 +567,12 @@ class HostShardPool:
         self.bytes_exchanged = 0
         self.segments_peak = 0
         self.forks = 0
-        self.warm_runs = 0
-        # Self-healing supervisor (ISSUE 7). policy/chaos come from the
+        # Self-healing supervisor (ISSUE 7). recovery/chaos come from the
         # executor; _watch gates the non-blocking token waits and
         # integrity the arena CRCs, so the fail-fast default keeps the
         # exact pre-healing fast path (zero overhead, zero report diffs).
-        self.policy = executor.recovery
         self.chaos = executor.chaos
-        self.healing = self.policy != "fail-fast"
+        self.healing = executor.recovery == "refork"
         self._watch = self.healing or self.chaos is not None
         self.integrity = self._watch
         self.exchange_timeout = 120.0
@@ -600,10 +584,7 @@ class HostShardPool:
         self.diagnostics: list[str] = []
         self.deaths_detected = 0
         self.heals = 0
-        self.reforks = 0
-        self.reshards = 0
         self._heal_attempts = 0
-        self._resume: tuple[int, int] | None = None
         self._guard_depth = 0
         self._owner_pid = os.getpid()
         _POOLS.add(self)
@@ -611,6 +592,12 @@ class HostShardPool:
         if not _ATEXIT_INSTALLED:
             atexit.register(_atexit_cleanup)
             _ATEXIT_INSTALLED = True
+
+    @property
+    def active(self) -> bool:
+        """Is a sharded run in flight in this process? Workers exist only
+        for the length of one, and a worker is always inside one."""
+        return self.is_worker or bool(self.workers)
 
     # -- plan registry -----------------------------------------------------
 
@@ -676,22 +663,24 @@ class HostShardPool:
     # -- lifecycle: fork ---------------------------------------------------
 
     def _arena_size(self, plan: Plan) -> int:
-        # Generous default: the biggest bundles are epoch blobs and bulk
-        # reduction batches, both O(local nodes) numeric arrays. Grow past
-        # any pipe-fallback size a previous generation observed.
+        # Generous default: the biggest bundles are bulk reduction
+        # batches, O(local nodes) numeric arrays. Grow past any
+        # pipe-fallback size a previous generation observed.
         total_local = sum(part.num_local for part in plan.pgraph.parts)
         estimate = max(1 << 20, 48 * total_local + (1 << 16))
         return _pad(max(estimate, 2 * self._arena_bytes_needed))
 
-    def fork_workers(self, plan: Plan | None = None) -> None:
-        """Create the shared arenas and fork one worker per extra shard.
+    def fork_workers(self, plan: Plan, resume_rounds: int | None = None) -> None:
+        """Create the shared arenas and fork one worker per extra shard;
+        each inherits the coordinator's current state and drives ``plan``
+        from its start, or - at a heal - from ``resume_rounds`` completed
+        rounds. The only way a worker ever comes to exist.
 
         If forking worker ``k`` fails midway, the already-started workers
         are reaped and the segments unlinked before the error propagates -
         a partial pool must not leak children or ``/dev/shm`` segments.
         """
-        if plan is None:
-            plan = self.registry[self._plan_key]
+        self._eor_seen = set()
         ctx = multiprocessing.get_context("fork")
         size = self._arena_size(plan)
         uid = f"{os.getpid()}-{_next_uid()}"
@@ -704,7 +693,7 @@ class HostShardPool:
         pipes = [ctx.Pipe() for _ in self.shards[1:]]
         try:
             for index in range(1, len(self.shards)):
-                process = self._make_process(ctx, index, pipes)
+                process = self._make_process(ctx, index, pipes, id(plan), resume_rounds)
                 process.start()
                 self.workers.append((process, pipes[index - 1][0]))
         except BaseException:
@@ -727,17 +716,14 @@ class HostShardPool:
         for _, child_end in pipes:
             child_end.close()
         self.forks += 1
-        self._forked_keys = set(self.registry)
         self.dead = False
 
-    def _make_process(self, ctx, index: int, pipes):
+    def _make_process(self, ctx, index: int, pipes, plan_key: int, resume_rounds):
         """One worker process (overridable seam: the fork-failure tests
-        inject a factory that fails partway through the group). A heal
-        in flight (``_resume`` set) forks workers that rejoin the
-        interrupted run before parking for a ``run`` token."""
+        inject a factory that fails partway through the group)."""
         return ctx.Process(
             target=_worker_main,
-            args=(self.executor, self, index, pipes, self._resume),
+            args=(self.executor, self, index, pipes, plan_key, resume_rounds),
             daemon=True,
             name=f"repro-host-shard-{index}",
         )
@@ -753,111 +739,51 @@ class HostShardPool:
     # -- lifecycle: runs ---------------------------------------------------
 
     def begin_run(self, plan: Plan) -> bool:
-        """Coordinator run entry. Returns False when this plan has no
-        shardable phase (the caller runs it serially; idle workers keep
-        waiting for the next ``run`` token)."""
-        key = id(plan)
-        if key not in self.registry:
-            self.register_plan(plan)
-        self._plan_key = key
+        """Coordinator run entry: fork this run's worker group. Returns
+        False when the plan has no shardable phase (the caller runs it
+        serially; nothing is forked)."""
+        self.register_plan(plan)
+        self._plan_key = id(plan)
         if not self.has_shardable_phase(plan):
             return False
-        if len(self.shards) < 2:
-            # Reshard recovery consumed every worker in an earlier run:
-            # the pool stays degraded to the serial (jobs=1) path.
-            return False
-        reusable = self.executor.cluster.faults is None
-        warm = bool(self.workers) and not self.dead and reusable
-        warm = warm and key in self._forked_keys
-        if not warm:
-            if self.workers or self.dead:
-                self.shutdown()
-            self.fork_workers(plan)
-        else:
-            self.warm_runs += 1
-        self._run_seq += 1
         self._seq = 0
-        self._eor_seen = set()
         self._heal_attempts = 0
-        self.active = True
-        try:
-            self._start_workers(warm, plan, key)
-        except HEALABLE_ERRORS as err:
-            if not self.healing:
-                raise
-            # A worker died parked between runs (or mid-ack): replace the
-            # whole group cold - the fresh fork inherits the coordinator's
-            # current state, so no epoch blob is needed - and retry once.
-            self.deaths_detected += 1
-            self.note_diagnostic("begin_run", err)
-            self.shutdown()
-            self.fork_workers(plan)
-            self.active = True
-            self._start_workers(False, plan, key)
+        self.fork_workers(plan)
         return True
-
-    def _start_workers(self, warm: bool, plan: Plan, key: int) -> None:
-        epoch_via = None
-        if warm:
-            assert self._bcast is not None
-            blob = self._export_epoch(plan)
-            epoch_via = self._bcast.write(
-                0, blob, seq=self._run_seq, check=self.integrity
-            )
-            self.bytes_exchanged += _via_size(epoch_via)
-            if epoch_via[0] == "pipe":
-                self.note_arena_shortfall(len(epoch_via[1]))
-        for index, (process, conn) in enumerate(self.workers, start=1):
-            self._send_to_worker(
-                index, process, conn, "run", key, self._run_seq, epoch_via
-            )
-        # Wait for every ack before touching any state: a worker still
-        # installing the epoch blob must not race the first flush's
-        # broadcast-arena write (or the run's first phase).
-        for index, (process, conn) in enumerate(self.workers, start=1):
-            token = self._recv_token(conn, index, process)
-            if token[0] != "ack" or token[1] != self._run_seq:
-                self.dead = True
-                raise ProtocolDivergence(
-                    f"parallel worker {index} answered {token[0]!r} instead "
-                    "of acknowledging the run epoch; the processes diverged",
-                    worker=index,
-                    shard=self._shard_of(index),
-                )
 
     def end_run(self, failed: bool) -> None:
         """Coordinator run exit: collect one ``eor`` per worker (aborting
-        the run first if the coordinator failed), leaving the pool warm."""
-        self.active = False
-        if not self.workers:
-            return
+        the run first if the coordinator failed), then reap the group."""
         if failed and not self.dead:
-            for index, (_, conn) in enumerate(self.workers, start=1):
+            for _, conn in self.workers:
                 try:
                     _send_token(conn, "abort")
-                except OSError as err:  # pragma: no cover - worker gone
-                    self.dead = True
-                    self.note_diagnostic(f"end_run abort to worker {index}", err)
-        for index, (process, conn) in enumerate(self.workers, start=1):
-            if index in self._eor_seen:
-                continue
-            try:
-                self._await_eor(conn, index, process, timeout=60)
-            except (WorkerDied, ExchangeTimeout, ProtocolDivergence) as err:
-                # Only the typed peer-failure family is tolerated here (the
-                # old bare ``except RuntimeError`` swallowed real shutdown
-                # bugs), and every instance leaves a diagnostic.
-                self.dead = True
-                self.note_diagnostic(f"end_run eor from worker {index}", err)
-                if isinstance(err, WorkerDied):
-                    self.deaths_detected += 1
-                if not failed and not self.healing:
-                    raise
-                # After a failed run the coordinator's error wins; with
-                # healing the run's data is already complete (the death is
-                # past the final boundary) and the next begin_run reforks.
-        if self.dead:
+                except OSError:
+                    # The worker already left: its replay failed the same
+                    # way and sent its eor, or it died - read below.
+                    pass
+        try:
+            for index, (process, conn) in enumerate(self.workers, start=1):
+                if index not in self._eor_seen:
+                    self._collect_eor(index, process, conn, failed)
+        finally:
             self.shutdown()
+
+    def _collect_eor(self, index: int, process, conn, failed: bool) -> None:
+        try:
+            self._await_eor(conn, index, process, timeout=60)
+        except (WorkerDied, ExchangeTimeout, ProtocolDivergence) as err:
+            # Only the typed peer-failure family is tolerated here, and
+            # every instance leaves a diagnostic.
+            self.dead = True
+            self.note_diagnostic(f"end_run eor from worker {index}", err)
+            if isinstance(err, WorkerDied):
+                self.deaths_detected += 1
+            if not failed and not self.healing:
+                raise
+            # After a failed run the coordinator's error wins; with
+            # healing the run's data is already complete (the death is
+            # past the final boundary).
 
     def _await_eor(self, conn, index: int, process, timeout: float) -> None:
         while True:
@@ -874,13 +800,13 @@ class HostShardPool:
             if token[0] == "eor":
                 self._eor_seen.add(index)
                 return
-            # Stray fx/ack tokens from an aborted exchange: drain them.
+            # Stray fx tokens from an aborted exchange: drain them.
 
     def note_diagnostic(self, context: str, err: BaseException) -> None:
         self.diagnostics.append(f"{context}: {type(err).__name__}: {err}")
 
-    def _shard_of(self, index: int) -> tuple[int, ...] | None:
-        return tuple(self.shards[index]) if index < len(self.shards) else None
+    def _shard_of(self, index: int) -> tuple[int, ...]:
+        return tuple(self.shards[index])
 
     def _phase_label(self) -> str | None:
         record = getattr(self.executor.cluster, "_current", None)
@@ -1025,7 +951,7 @@ class HostShardPool:
                 # The worker's replay of this run raised before reaching
                 # this exchange; surface its (deterministic) error here.
                 self._eor_seen.add(index)
-                raise self._worker_run_error(index, process, token[2])
+                raise self._worker_run_error(index, process, token[1])
             if token[0] != "fx" or token[1] != self._seq:
                 self.dead = True
                 raise ProtocolDivergence(
@@ -1068,51 +994,6 @@ class HostShardPool:
             record.msgs_recv[host] += int(rows[2, host])
             record.bytes_recv[host] += int(rows[3, host])
         self._install_effects(carriers, shard, bundle)
-
-    # -- epoch state -------------------------------------------------------
-
-    def _export_epoch(self, plan: Plan) -> dict[str, Any]:
-        """Everything the plan's carriers hold, snapshotted for workers:
-        between runs only the coordinator executes driver code (mirror
-        pinning, value resets, reducer syncs), so a warm run starts by
-        replacing worker state wholesale."""
-        table = self._names[id(plan)]
-        blob: dict[str, Any] = {}
-        for name in sorted(table):
-            carrier = table[name]
-            if hasattr(carrier, "export_epoch_state"):
-                blob[name] = ("epoch", carrier.export_epoch_state())
-            else:
-                blob[name] = (
-                    "fx",
-                    [
-                        carrier.export_compute_effects(host)
-                        for host in range(self.num_hosts)
-                    ],
-                )
-        return blob
-
-    def _install_epoch(self, plan: Plan, blob: dict[str, Any]) -> None:
-        table = self._names[id(plan)]
-        for name, (kind, state) in blob.items():
-            carrier = table[name]
-            if kind == "epoch":
-                carrier.install_epoch_state(state, self.resolve_op)
-            else:
-                for host, effects in enumerate(state):
-                    carrier.install_compute_effects(host, effects, self.resolve_op)
-
-    # -- worker-side run framing -------------------------------------------
-
-    def start_run_worker(self, plan_key: int, run_seq: int, epoch_via) -> None:
-        self._plan_key = plan_key
-        self._run_seq = run_seq
-        self._seq = 0
-        self.active = True
-        if epoch_via is not None:
-            assert self._bcast is not None
-            blob = self._read_peer(self._bcast, 0, epoch_via, 0, run_seq)
-            self._install_epoch(self.registry[plan_key], blob)
 
     # -- tokens and failure surfacing --------------------------------------
 
@@ -1230,50 +1111,29 @@ class HostShardPool:
 
     def heal(self, err: BaseException, plan: Plan, snapshot: RoundSnapshot) -> None:
         """Recover from a healable failure mid-run: reap the whole group,
-        roll the coordinator back to the round-start snapshot, reconfigure
-        per policy, and re-fork - the replacements inherit the rolled-back
-        state copy-on-write and resume the run at the same completed-round
-        count. ``reshard`` drops one shard (the dead worker's hosts re-deal
-        onto survivors); losing the last worker degrades the pool to the
-        serial path, which IS the ``jobs=1`` oracle.
+        roll the coordinator back to the round-start snapshot, and fork
+        again - the replacements inherit the rolled-back state
+        copy-on-write and drive the plan from the same completed-round
+        count.
         """
         self.deaths_detected += 1
-        self.note_diagnostic(f"heal ({self.policy})", err)
+        self.note_diagnostic("heal", err)
         self._heal_attempts += 1
         if self._heal_attempts > max(4, 2 * self.jobs):
             raise err
         self.dead = True
         self.shutdown()
         self._restore_round(plan, snapshot)
-        if self.policy == "reshard":
-            self.jobs = max(1, self.jobs - 1)
-            self.reshards += 1
-        else:
-            self.reforks += 1
-        self.shards = shard_hosts(self.num_hosts, self.jobs)
-        self.index = 0
-        self.shard = self.shards[0]
-        self._eor_seen = set()
-        if len(self.shards) < 2:
-            # Degraded to one shard: finish this run (and all later ones)
-            # on the serial path. active stays False.
-            self.heals += 1
-            return
-        self._resume = (id(plan), self.executor.cluster.loop_rounds)
-        try:
-            self.fork_workers(plan)
-        finally:
-            self._resume = None
-        self.active = True
+        self.fork_workers(plan, resume_rounds=self.executor.cluster.loop_rounds)
         self.heals += 1
 
     # -- lifecycle: teardown -----------------------------------------------
 
     def shutdown(self) -> None:
-        """Coordinator teardown: closing the pipes unblocks any worker
-        still waiting in recv (it sees EOF and exits). After a failure the
-        graceful window is ~2s before escalating to terminate; the old
-        30-second join stall is gone.
+        """Coordinator teardown: reap the group and unlink its segments.
+        Closing the pipes unblocks any worker still waiting in recv (it
+        sees EOF and exits). After a failure the graceful window is ~2s
+        before escalating to terminate.
         """
         workers, self.workers = self.workers, []
         for _, conn in workers:
@@ -1291,19 +1151,16 @@ class HostShardPool:
                     process.kill()
                     process.join(timeout=2)
         self._destroy_segments()
-        self.active = False
 
     def stats(self) -> dict[str, int]:
         return {
             "bytes_exchanged": int(self.bytes_exchanged),
             "segments_peak": int(self.segments_peak),
             "forks": int(self.forks),
-            "warm_runs": int(self.warm_runs),
             "boundaries": int(self.boundaries_seen),
             "deaths_detected": int(self.deaths_detected),
             "heals": int(self.heals),
-            "reforks": int(self.reforks),
-            "reshards": int(self.reshards),
+            "reforks": int(self.heals),  # the one way to heal
             "diagnostics": len(self.diagnostics),
         }
 
@@ -1353,54 +1210,22 @@ def _worker_setup(pool: HostShardPool, index: int, pipes):
 
 
 def _worker_drive(
-    executor: "Executor",
-    pool: HostShardPool,
-    plan_key: int,
-    resume_rounds: int | None = None,
+    executor: "Executor", pool: HostShardPool, plan_key: int, resume_rounds: int | None
 ):
     """Replay one run (or, on heal, the tail of one from round
     ``resume_rounds``); deterministic exceptions become the eor error
     triple instead of killing the worker."""
-    err = None
     try:
         executor._drive(pool.registry[plan_key], resume_rounds=resume_rounds)
     except _RunAborted:
-        err = ("aborted", None, "")
+        return ("aborted", None, "")
     except Exception as exc:
-        err = (
+        return (
             type(exc).__name__,
             _pickle_or_none(exc),
             traceback.format_exc()[-8000:],
         )
-    finally:
-        pool.active = False
-    return err
-
-
-def _worker_loop(executor: "Executor", pool: HostShardPool, conn) -> int:
-    """Park for ``run`` tokens, replay each named plan, repeat. Returns
-    the worker's exit status (0 = clean EOF/shutdown)."""
-    while True:
-        try:
-            token = pickle.loads(conn.recv_bytes())
-        except EOFError:
-            return 0
-        kind = token[0]
-        if kind == "shutdown":
-            return 0
-        if kind == "abort":
-            # Stale abort from a run that already ended here.
-            continue
-        if kind != "run":  # pragma: no cover - protocol violation
-            raise RuntimeError(f"unexpected token {kind!r} between runs")
-        _, plan_key, run_seq, epoch_via = token
-        pool.start_run_worker(plan_key, run_seq, epoch_via)
-        _send_token(conn, "ack", run_seq)
-        err = _worker_drive(executor, pool, plan_key)
-        try:
-            _send_token(conn, "eor", run_seq, err)
-        except OSError:  # pragma: no cover - coordinator gone
-            return 1
+    return None
 
 
 def _worker_main(
@@ -1408,20 +1233,18 @@ def _worker_main(
     pool: HostShardPool,
     index: int,
     pipes,
-    resume: tuple[int, int] | None,
+    plan_key: int,
+    resume_rounds: int | None,
 ) -> None:
     """Worker entry, running in the forked child only.
 
     The child inherited the coordinator's entire state copy-on-write, so
-    it waits for ``run`` tokens and replays the named plan with its pool
-    endpoint switched to worker mode, then parks for the next run.
-    Deterministic exceptions (non-quiescence, simulated OOM) replay here
-    too; they are reported in the ``eor`` token and the worker stays
-    warm - the next run's epoch blob resynchronizes its state.
-    A heal-time re-fork passes ``resume = (plan key, completed rounds)``:
-    the child inherited the coordinator's *rolled-back* round-start
-    state, so before parking it rejoins the interrupted run at that
-    round count and sends its ``eor``.
+    it switches its pool endpoint to worker mode, replays the named plan
+    - from the start, or at a heal from ``resume_rounds`` completed
+    rounds over the coordinator's *rolled-back* round-start state -
+    reports the outcome in one ``eor`` token and exits. Deterministic
+    exceptions (non-quiescence, simulated OOM) replay here too and ride
+    in that token.
     ``os._exit`` skips the inherited atexit/teardown machinery - this
     process must not flush the parent's buffers, unlink the parent's
     shared segments, or touch its resources on the way out.
@@ -1431,12 +1254,8 @@ def _worker_main(
     try:
         conn = _worker_setup(pool, index, pipes)
         executor._pool = pool
-        if resume is not None:
-            plan_key, resume_rounds = resume
-            pool.active = True
-            err = _worker_drive(executor, pool, plan_key, resume_rounds=resume_rounds)
-            _send_token(conn, "eor", pool._run_seq, err)
-        status = _worker_loop(executor, pool, conn)
+        _send_token(conn, "eor", _worker_drive(executor, pool, plan_key, resume_rounds))
+        status = 0
     except BaseException:
         try:
             _send_token(conn, "err", traceback.format_exc()[-8000:])

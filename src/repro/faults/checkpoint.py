@@ -63,7 +63,7 @@ class RoundSnapshot:
     undisturbed one.
     """
 
-    carrier_states: list[tuple[str, Any]]
+    carrier_states: list[Any]
     carrier_effects: list[list[Any]]
     extra: Any
     phase_count: int
@@ -74,23 +74,14 @@ class RoundSnapshot:
 
     @classmethod
     def capture(cls, cluster: "Cluster", carriers: Sequence[Any], plan) -> "RoundSnapshot":
-        states: list[tuple[str, Any]] = []
-        effects: list[list[Any]] = []
-        for carrier in carriers:
-            if hasattr(carrier, "checkpoint_state"):
-                states.append(("checkpoint", carrier.checkpoint_state()))
-            elif hasattr(carrier, "export_epoch_state"):
-                states.append(
-                    ("epoch", copy.deepcopy(carrier.export_epoch_state()))
-                )
-            else:  # pragma: no cover - every carrier exports one of the two
-                states.append(("none", None))
-            effects.append(
-                [
-                    copy.deepcopy(carrier.export_compute_effects(host))
-                    for host in range(cluster.num_hosts)
-                ]
-            )
+        states = [carrier.checkpoint_state() for carrier in carriers]
+        effects = [
+            [
+                copy.deepcopy(carrier.export_compute_effects(host))
+                for host in range(cluster.num_hosts)
+            ]
+            for carrier in carriers
+        ]
         extra_snapshot = getattr(plan, "extra_snapshot", None)
         return cls(
             carrier_states=states,
@@ -118,13 +109,10 @@ class RoundSnapshot:
         plan,
         resolve_op: Callable[[str, str], Any],
     ) -> None:
-        for carrier, (kind, state), per_host in zip(
+        for carrier, state, per_host in zip(
             carriers, self.carrier_states, self.carrier_effects
         ):
-            if kind == "checkpoint":
-                carrier.restore_state(state)
-            elif kind == "epoch":
-                carrier.install_epoch_state(copy.deepcopy(state), resolve_op)
+            carrier.restore_state(state)
             for host, effect in enumerate(per_host):
                 carrier.install_compute_effects(
                     host, copy.deepcopy(effect), resolve_op

@@ -57,15 +57,13 @@ class BoolReducer:
         del resolve_op  # uniform carrier signature; no operators to resolve
         self._flags[host] = bool(effects)
 
-    # Epoch protocol (warm worker reuse): between plan runs only the
-    # coordinator executes driver code (``set_all``, ``sync``), so a new
-    # run starts by replacing the workers' copy of the full state.
+    # Whole-state form (``RoundSnapshot``): the host flags plus the synced
+    # value, restorable any number of times.
 
-    def export_epoch_state(self) -> tuple[list[bool], bool]:
+    def checkpoint_state(self) -> tuple[list[bool], bool]:
         return list(self._flags), self._value
 
-    def install_epoch_state(self, state, resolve_op) -> None:
-        del resolve_op
+    def restore_state(self, state: tuple[list[bool], bool]) -> None:
         flags, value = state
         self._flags = list(flags)
-        self._value = bool(value)
+        self._value = value

@@ -133,40 +133,26 @@ def kimbap_while(
     ``round_body`` is one full BSP round: compute phases plus the sync
     collectives (which is where the maps' updated flags get set).
 
-    With a fault injector installed on the cluster (``repro.faults``), the
-    loop runs under the recoverable driver: it checkpoints the maps every
-    ``checkpoint_interval`` rounds and, on an injected host crash, restores
-    the last checkpoint and replays to an identical fixed point.
+    The loop is the recoverable driver (``repro.faults.recovery``), which
+    stamps every phase of an iteration with its BSP round id. Without a
+    fault injector on the cluster that is all it adds; with one it
+    checkpoints the maps every ``checkpoint_interval`` rounds and, on an
+    injected host crash, restores the last checkpoint and replays to an
+    identical fixed point.
     """
+    from repro.faults.recovery import run_recoverable_loop
+
     if isinstance(maps, NodePropMap):
         maps = [maps]
-    cluster = maps[0].cluster if maps else None
-    if cluster is not None and cluster.faults is not None:
-        from repro.faults.recovery import run_recoverable_loop
-
-        return run_recoverable_loop(
-            cluster,
-            maps,
-            round_body,
-            before_round=lambda: [m.reset_updated() for m in maps],
-            converged=lambda: not any(m.is_updated() for m in maps),
-            max_rounds=max_rounds,
-            advance_rounds=True,
-            on_max_rounds=lambda rounds: NonQuiescenceError(
-                rounds, [m.name for m in maps]
-            ),
-        )
-    rounds = 0
-    while True:
-        for prop_map in maps:
-            prop_map.reset_updated()
-        if cluster is not None:
-            # Stamp every phase of this iteration with its BSP round id so
-            # traces and profiles can attribute modeled time per round.
-            cluster.advance_round()
-        round_body()
-        rounds += 1
-        if not any(prop_map.is_updated() for prop_map in maps):
-            return rounds
-        if rounds >= max_rounds:
-            raise NonQuiescenceError(max_rounds, [m.name for m in maps])
+    return run_recoverable_loop(
+        maps[0].cluster,
+        maps,
+        round_body,
+        before_round=lambda: [m.reset_updated() for m in maps],
+        converged=lambda: not any(m.is_updated() for m in maps),
+        max_rounds=max_rounds,
+        advance_rounds=True,
+        on_max_rounds=lambda rounds: NonQuiescenceError(
+            rounds, [m.name for m in maps]
+        ),
+    )

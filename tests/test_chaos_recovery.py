@@ -5,9 +5,8 @@ byte-identity contract; this module pins the *recovery* contract from
 ISSUE 7: a ``jobs=N`` run that loses a worker to a real ``SIGKILL``
 (or ``SIGTERM``, or a simulated OOM kill) at **any** effect exchange
 completes with ``RunResult.to_dict()`` byte-identical to an undisturbed
-``jobs=1`` run, under both recovery policies (``refork`` re-forks a
-replacement; ``reshard`` re-deals the dead worker's hosts onto the
-survivors, degrading to the serial path when the last worker is gone).
+``jobs=1`` run under ``recovery="refork"``: the coordinator rolls back
+to the round start and forks the whole group again.
 
 The kill-sweep drives a seeded :class:`~repro.faults.chaos.ChaosPlan`
 through every exchange (sampled with a spread when an app has many)
@@ -61,7 +60,7 @@ needs_fork = pytest.mark.skipif(
 
 GRAPH = generators.erdos_renyi(24, 2.0, seed=5)
 HOSTS = 4
-POLICIES = ("refork", "reshard")
+POLICIES = ("refork",)
 
 
 def canonical(result) -> str:
@@ -144,11 +143,7 @@ class TestKillSweep:
             stats = result.parallel
             assert stats["deaths_detected"] == 1, (app, bulk, policy, boundary)
             assert stats["heals"] == 1
-            if policy == "reshard":
-                # jobs=2 minus one shard degrades to the serial path.
-                assert stats["reshards"] == 1
-            else:
-                assert stats["reforks"] == 1
+            assert stats["reforks"] == 1
 
 
 # --------------------------------------------- acceptance + kill-kind matrix
@@ -156,10 +151,10 @@ class TestKillSweep:
 
 @needs_fork
 class TestChaosRecovery:
-    @pytest.mark.parametrize("policy,worker", (("refork", 2), ("reshard", 3)))
+    @pytest.mark.parametrize("policy,worker", (("refork", 2), ("refork", 3)))
     def test_pagerank_jobs4_loses_a_worker(self, policy, worker):
         """The ISSUE acceptance case: PageRank at jobs=4, one worker
-        SIGKILLed mid-run, byte-identical under either policy."""
+        SIGKILLed mid-run, byte-identical whichever worker it is."""
         chaos = ChaosPlan(events=(ChaosEvent(boundary=3, worker=worker),))
         result = run("PR", jobs=4, recovery=policy, chaos=chaos)
         assert canonical(result) == baseline("PR")
@@ -187,18 +182,27 @@ class TestChaosRecovery:
         assert stats["deaths_detected"] == 2
         assert stats["reforks"] == 2
 
-    def test_two_kills_reshard_shrinks_twice(self):
-        chaos = ChaosPlan(
-            events=(
-                ChaosEvent(boundary=2, worker=1),
-                ChaosEvent(boundary=9, worker=1),
-            )
-        )
-        result = run("CC-SV", jobs=4, recovery="reshard", chaos=chaos)
+    def test_kill_at_the_first_boundary_of_a_second_run_of_a_plan(self, monkeypatch):
+        """The worker a second run of the same plan loses is one that run
+        forked: nothing outlives a run to be found dead at the next."""
+        first_boundaries: dict[int, list[int]] = {}  # by plan, per sharded run
+        begin_run = HostShardPool.begin_run
+
+        def noting_begin_run(pool, plan):
+            sharded = begin_run(pool, plan)
+            if sharded:
+                first = pool.boundaries_seen + 1
+                first_boundaries.setdefault(id(plan), []).append(first)
+            return sharded
+
+        monkeypatch.setattr(HostShardPool, "begin_run", noting_begin_run)
+        run("CC-SV", jobs=2, recovery="refork")
+        second = min(runs[1] for runs in first_boundaries.values() if len(runs) > 1)
+        chaos = ChaosPlan(events=(ChaosEvent(boundary=second, worker=1),))
+        result = run("CC-SV", jobs=2, recovery="refork", chaos=chaos)
         assert canonical(result) == baseline("CC-SV")
         stats = result.parallel
-        assert stats["deaths_detected"] == 2
-        assert stats["reshards"] == 2
+        assert stats["deaths_detected"] == stats["heals"] == stats["reforks"] == 1
 
     def test_chaos_composes_with_modeled_faults(self):
         """A modeled HostCrash (restore-and-replay, priced in the faults

@@ -358,7 +358,6 @@ class TestTypedColumn:
             store.write_master_bulk(masters, np.array([True, False]))
         assert not _is_array_mode(store)
         assert _typed(store.values[:2]) == _typed([True, False])
-        assert store.export_values_slab() is None
 
     def test_narrow_dtype_batch_round_trips_through_tolist(self, setup):
         store, part, cluster = self._store(setup)
@@ -404,8 +403,6 @@ class TestTypedColumn:
         with cluster.phase(PhaseKind.INIT):
             store.write_master_bulk(masters, [huge, 1])
             assert not _is_array_mode(store)
-            assert store.export_values_slab() is None
-            assert store.export_epoch()[0] == "raw"
             changed = store.apply_master_bulk(
                 masters, np.array([1, 1], dtype=np.int64), SUM
             )
@@ -474,7 +471,8 @@ class TestTypedColumn:
             assert _typed(store.values[:2]) == _typed([0, 1])
 
     @pytest.mark.parametrize("scalar_touch", [False, True])
-    def test_epoch_round_trip(self, setup, scalar_touch):
+    def test_checkpoint_round_trip(self, setup, scalar_touch):
+        # Onto a second store, in the mode it was taken in (list: any values).
         store, part, cluster = self._store(setup)
         _, pgraph, _ = setup
         masters, mirrors = part.masters_global, part.mirrors_global
@@ -483,30 +481,26 @@ class TestTypedColumn:
             store.pin()
             store.write_mirror_bulk(mirrors[:1], np.array([0.25]))
             if scalar_touch:
-                store.read_local(0)
-            state = store.export_epoch()
-            assert state[0] == "slab"
-            if not scalar_touch:
-                # Array mode hands the column buffers over as they stand.
-                assert state[1] is store._col and state[2] is store._valid
+                store.write_master(int(masters[1]), ("pair", 2))
             twin = GarHostStore(cluster, pgraph, part.host_id)
-            twin.install_epoch(state)
-            assert _is_array_mode(twin) and twin.pinned
+            twin.restore(store.checkpoint())
+            assert _is_array_mode(twin) != scalar_touch and twin.pinned
             # The twin owns its buffers: writes do not reach the exporter.
             twin.write_master_bulk(masters[:1], np.array([-5.0]))
             assert store.serve_master_bulk(masters[:1])[0] == 0.0
-            every = np.arange(part.num_masters + 1)
-            assert _typed(_natives(twin.read_local_bulk(every))[1:]) == _typed(
-                _natives(store.read_local_bulk(every))[1:]
-            )
             with pytest.raises(KeyError):
                 twin.read_local_bulk(np.array([part.num_masters + 1]))
+            rest = range(1, part.num_masters + 1)
+            assert _typed(map(twin.read_local, rest)) == _typed(
+                map(store.read_local, rest)
+            )
+            assert (twin.read_local(1) == ("pair", 2)) == scalar_touch
 
-    def test_epoch_of_untouched_store_stays_untyped(self, setup):
+    def test_checkpoint_of_untouched_store_stays_untyped(self, setup):
         store, part, cluster = self._store(setup)
         _, pgraph, _ = setup
         twin = GarHostStore(cluster, pgraph, part.host_id)
-        twin.install_epoch(store.export_epoch())
+        twin.restore(store.checkpoint())
         with cluster.phase(PhaseKind.INIT):
             twin.write_master_bulk(part.masters_global[:1], np.array([0.5]))
         assert _is_array_mode(twin) and twin._col.dtype == np.float64
@@ -562,7 +556,7 @@ def _column_sequences(draw):
         kind = draw(
             st.sampled_from(
                 ["write_bulk", "apply_bulk", "apply_bulk", "mirror_bulk", "serve_bulk"]
-                + ["read_bulk", "unpin", "checkpoint", "epoch", "write", "apply", "read"]
+                + ["read_bulk", "unpin", "checkpoint", "write", "apply", "read"]
             )
         )
         if kind in ("write_bulk", "serve_bulk"):
@@ -674,9 +668,6 @@ def test_column_matches_list_only_reference(drawn):
                     model.pop(local, None)
             elif kind == "checkpoint":
                 both(lambda s: s.restore(s.checkpoint()))
-            elif kind == "epoch":
-                both(lambda s: s.install_epoch(s.export_epoch()))
-                reference._to_list_mode()  # an installed slab is array mode
             elif kind == "write":
                 both(lambda s: s.write_master(int(l2g[step[1]]), step[2]))
                 model[step[1]] = step[2]

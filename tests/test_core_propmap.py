@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,7 +244,7 @@ class TestPinnedMirrors:
 
 
 class TestActivitySnapshots:
-    """Checkpoints and epoch blobs carry *copies* of the pending/activity
+    """Checkpoints carry *copies* of the pending/activity
     masks: the live ones are scattered into and cleared in place, which a
     snapshot sharing their memory would silently follow."""
 
@@ -313,17 +311,12 @@ class TestActivitySnapshots:
             self.finish_round(prop)
             assert self.activity(pgraph, prop) == after
 
-    def test_epoch_state_installs_activity_on_a_second_map(self):
+    def test_checkpoint_state_installs_activity_on_a_second_map(self):
         _, pgraph, prop = self.make()
-        state = prop.export_epoch_state()
-        self.assert_disjoint(state, prop)
-        buffers: list[pickle.PickleBuffer] = []
-        blob = pickle.dumps(state, protocol=5, buffer_callback=buffers.append)
-        assert len(buffers) >= 3 * len(self.MASKS)  # masks ship out of band
-        shipped = pickle.loads(blob, buffers=buffers)
+        state = prop.checkpoint_state()
         replica = NodePropMap(Cluster(4, threads_per_host=4), pgraph, "p")
-        replica.install_epoch_state(shipped, lambda map_name, op_name: MIN)
-        self.assert_disjoint(shipped, replica)
+        replica.restore_state(state)
+        self.assert_disjoint(state, replica)
         assert self.activity(pgraph, replica) == self.activity(pgraph, prop)
         self.finish_round(prop)
         self.finish_round(replica)

@@ -374,16 +374,16 @@ class TestNoExchangeInsideACollective:
         flushed: list[PhaseRecord] = []
         traffic: list[tuple[bool, PhaseKind | None]] = []
 
-        def framed(method, note):
-            def call(pool, *args):
-                note(pool, *args)
-                state["exchanging"] = True
-                try:
-                    return method(pool, *args)
-                finally:
-                    state["exchanging"] = False
+        real_flush = HostShardPool.flush
 
-            return call
+        def flush(pool, carriers, record):
+            state["pool"] = pool
+            flushed.append(record)
+            state["exchanging"] = True
+            try:
+                return real_flush(pool, carriers, record)
+            finally:
+                state["exchanging"] = False
 
         def spied(method):
             def call(arena, *args, **kw):
@@ -395,15 +395,7 @@ class TestNoExchangeInsideACollective:
 
             return call
 
-        flush = framed(
-            HostShardPool.flush, lambda pool, carriers, record: flushed.append(record)
-        )
-        # begin_run's warm-run epoch blob is the one write outside a flush.
-        begin_run = framed(
-            HostShardPool.begin_run, lambda pool, plan: state.update(pool=pool)
-        )
         monkeypatch.setattr(HostShardPool, "flush", flush)
-        monkeypatch.setattr(HostShardPool, "begin_run", begin_run)
         monkeypatch.setattr(_Arena, "write", spied(_Arena.write))
         monkeypatch.setattr(_Arena, "read", spied(_Arena.read))
         parallel = run_kimbap(app, "spy", 4, graph=graph, bulk=bulk, jobs=2, **kwargs)
@@ -454,10 +446,10 @@ class TestForkFailureReaping:
         before = _segments()
         real_factory = pool._make_process
 
-        def failing_factory(ctx, index, pipes):
+        def failing_factory(ctx, index, *rest):
             if index == 2:
                 raise OSError("simulated fork failure")
-            return real_factory(ctx, index, pipes)
+            return real_factory(ctx, index, *rest)
 
         pool._make_process = failing_factory
         with pytest.raises(OSError, match="simulated fork failure"):

@@ -14,13 +14,14 @@ equivalence under ``jobs=2``.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.harness import APP_WEIGHTED, KIMBAP_APPS, run_kimbap
-from repro.exec.pool import fork_available
+from repro.exec.pool import POOL_SEGMENT_PREFIX, HostShardPool, fork_available
 from repro.faults import FaultPlan, HostCrash
 from repro.graph import generators
 
@@ -121,32 +122,39 @@ def test_crash_mid_round_recovery_equivalence(app):
     assert serial.faults["recoveries"] >= 1
 
 
-# ----------------------------------------------- warm pool reuse (jobs=N)
+# ------------------------------------------ one fork per sharded run (jobs=N)
 
 
 @needs_fork
-@pytest.mark.parametrize("bulk", (False, True))
-def test_warm_pool_reuse_is_byte_identical(bulk):
-    """MSF issues a fresh plan per shortcut round; the plan registry lets
-    the pool serve every round from one fork.  Warm replays must stay byte
-    identical, and the run's parallel stats must show the reuse actually
-    happened (one fork, >= 1 warm run) - otherwise the warm path silently
-    regressed to fork-per-plan."""
-    graph = random_graph(11, weighted=True)
-    serial, parallel = assert_jobs_equivalent(
-        "MSF", graph, hosts=4, jobs=2, bulk=bulk
-    )
+@pytest.mark.parametrize("bulk", (False, True), ids=("scalar", "bulk"))
+@pytest.mark.parametrize("app", ("CC-SV", "MSF"))
+def test_repeated_runs_fork_once_each_and_leave_no_segments(monkeypatch, app, bulk):
+    """CC-SV and MSF run the same plans again and again through one
+    executor. Every sharded run is one fork from the coordinator's current
+    state, and its ``end_run`` leaves no ``/dev/shm`` segment behind."""
+    def segments():
+        return {n for n in os.listdir("/dev/shm") if n.startswith(POOL_SEGMENT_PREFIX)}
+
+    before = segments()
+    left_behind = []  # one entry per sharded run: only those reach end_run
+    end_run = HostShardPool.end_run
+
+    def checking_end_run(pool, failed):
+        end_run(pool, failed)
+        left_behind.append(segments() - before)
+
+    monkeypatch.setattr(HostShardPool, "end_run", checking_end_run)
+    graph = random_graph(11, weighted=app_weighted(app))
+    serial, parallel = assert_jobs_equivalent(app, graph, hosts=4, jobs=2, bulk=bulk)
     stats = parallel.parallel
-    assert stats is not None
-    assert stats["forks"] == 1
-    assert stats["warm_runs"] >= 1
+    assert stats["forks"] == len(left_behind) > 2 and not any(left_behind)
     assert stats["bytes_exchanged"] > 0
     assert serial.parallel is None or serial.parallel["forks"] == 0
 
 
 @needs_fork
 def test_back_to_back_runs_are_deterministic():
-    """Two cold pools over the same inputs produce the same bytes - the
+    """Two pools over the same inputs produce the same bytes - the
     exchange protocol has no run-to-run nondeterminism (no leaked state
     in /dev/shm segment naming or slot reuse)."""
     graph = random_graph(12)

@@ -7,8 +7,8 @@ that went stale would skip a host that has work, or fold a batch over
 pending dict state - so they are checked here against the scans they
 replaced, at every site that installs or mutates the state behind them,
 and end to end on the runs where they matter: road grids on which most
-hosts idle most rounds, under checkpoint restore, epoch install and a
-worker kill; and paths / ladders whose frontier is one or two sources
+hosts idle most rounds, under checkpoint restore, a second-run fork and
+a worker kill; and paths / ladders whose frontier is one or two sources
 wide for thousands of rounds.
 """
 
@@ -112,10 +112,10 @@ class TestActivityFlagEndToEnd:
         assert canonical(result) == idle_oracle(app)
 
     @needs_fork
-    def test_epoch_install_on_a_warm_second_run(self, app):
-        # The same plan twice on one executor: the second run starts from
-        # the coordinator's exported state (activity masks included),
-        # installed over what the workers' replicas were left with.
+    def test_second_run_forks_from_the_reset_state(self, app):
+        # The same plan twice on one executor: the second run's workers
+        # are forked from the coordinator's state as the driver left it -
+        # values reset, mirrors re-pinned, activity masks and their flags.
         graph = IDLE_GRID[app]
         pgraph = partition(graph, 4, "cvc")
         far = graph.num_nodes - 1
@@ -155,7 +155,7 @@ class TestActivityFlagEndToEnd:
                 (rounds, middle, prop.snapshot(), cluster.log.total_counters(),
                  cluster.log.total_bytes(), cluster.elapsed().total)
             )
-        assert stats["warm_runs"] == 1
+        assert stats["forks"] == 2
         assert outcomes[0] == outcomes[1]
 
 
@@ -197,7 +197,6 @@ class TestActivityFlagInstallSites:
         assert prop._host_active == [True, False, False]
         _flags_match_masks(prop)
         busy = prop.checkpoint_state()
-        exported = prop.export_epoch_state()
         prop.reset_updated()
         assert prop._host_active == [False] * 3
         prop.restore_state(busy)  # checkpoint restore
@@ -205,7 +204,7 @@ class TestActivityFlagInstallSites:
         _flags_match_masks(prop)
         prop.reset_updated()
         replica = NodePropMap(Cluster(3, threads_per_host=2), pgraph, "p")
-        replica.install_epoch_state(exported, lambda name, op: MIN)  # epoch install
+        replica.restore_state(busy)  # ... onto a second map
         assert replica._host_active == [True, False, False]
         _flags_match_masks(replica)
 
