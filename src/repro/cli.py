@@ -309,6 +309,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if args.jobs < 2:
         print("chaos needs --jobs >= 2 (there is no worker to kill at jobs=1)")
         return 1
+    # The victim is checked before anything runs: workers are 1..shards-1
+    # (index 0 is the coordinator), and the pool clamps shards to hosts.
+    shards = min(args.jobs, args.hosts)
+    if not 1 <= args.worker < shards:
+        args.error(
+            f"argument --worker: {args.worker} is not a worker of --jobs "
+            f"{args.jobs} on --hosts {args.hosts} (workers are 1..{shards - 1})"
+        )
+    if args.at_boundary < 1:
+        args.error(
+            f"argument --at-boundary: {args.at_boundary} is not an effect "
+            "exchange; they count from 1"
+        )
     chaos = ChaosPlan(
         name=f"cli@{args.at_boundary}",
         seed=args.seed,
@@ -609,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the fault-free jobs=1 RunResult JSON here",
     )
-    chaos.set_defaults(fn=cmd_chaos)
+    chaos.set_defaults(fn=cmd_chaos, error=chaos.error)
 
     engines = sub.add_parser(
         "engines",

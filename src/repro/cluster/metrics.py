@@ -116,8 +116,8 @@ _counter_values = operator.attrgetter(*COUNTER_FIELDS)
 
 def counters_to_rows(rows: Iterable[Counters]) -> np.ndarray:
     """Pack counters into one ``int64`` matrix, one row each, column order
-    = ``COUNTER_FIELDS``: the shared-memory accumulation layout of the
-    parallel exchange (:mod:`repro.exec.pool`) and of a host's rows of
+    = ``COUNTER_FIELDS``: the accumulation layout of the parallel
+    exchange's bundles (:mod:`repro.exec.pool`) and of a host's rows of
     the phase log (:meth:`MetricsLog.host_rows`). Streamed through
     ``np.fromiter`` - no nested list of boxed ints is ever built."""
     rows = list(rows)

@@ -336,9 +336,8 @@ def run_kimbap(
                 cluster, pgraph, variant=variant, executor=executor, **kwargs
             )
         finally:
-            # Reap the worker pool (and its /dev/shm segments) no matter
-            # how the run ends; grab the exchange stats first - close()
-            # drops the pool.
+            # Reap the worker pool no matter how the run ends; grab the
+            # exchange stats first - close() drops the pool.
             parallel_stats = executor.parallel_stats()
             executor.close()
     except SimulatedOutOfMemory as oom:

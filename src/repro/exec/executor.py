@@ -184,11 +184,11 @@ class Executor:
         return self._pool
 
     def close(self) -> None:
-        """Reap the worker pool and release its shared-memory segments.
+        """Reap the worker pool.
 
         Idempotent; harness and tests call it (or rely on ``__del__``)
         once the run is over. Worker processes never call it - they exit
-        via ``os._exit`` without touching shared segments.
+        via ``os._exit``.
         """
         pool = self._pool
         if pool is not None and not pool.is_worker:
@@ -203,9 +203,9 @@ class Executor:
 
     def parallel_stats(self) -> dict[str, int] | None:
         """Exchange instrumentation of the parallel backend (None when no
-        pool was ever built): bytes exchanged, peak live shared segments,
-        forks (one per sharded run plus one per heal), and the
-        supervisor's death/heal counts."""
+        pool was ever built): bytes exchanged, forks (one per sharded run
+        plus one per heal), effect exchanges, and the supervisor's
+        death/heal counts."""
         return None if self._pool is None else self._pool.stats()
 
     def _drive(self, plan: Plan, resume_rounds: int | None = None) -> int:

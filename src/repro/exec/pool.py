@@ -6,8 +6,8 @@ the sync barriers. This module exploits exactly that structure to make
 the *simulator's* wall clock scale with real cores while preserving the
 byte-identity contract of the serial backends.
 
-Design: **forked replicated state machines with a shared-memory,
-per-phase effect exchange - one fork per sharded run.**
+Design: **forked replicated state machines with a per-phase effect
+exchange over the worker pipes - one fork per sharded run.**
 
 * **A parallel run is a fork.** ``begin_run`` forks ``jobs - 1`` worker
   processes (POSIX ``fork``, copy-on-write) from the coordinator's
@@ -33,19 +33,14 @@ per-phase effect exchange - one fork per sharded run.**
   every carrier the phase touches, plus the phase's :class:`Counters`
   rows and message rows as one ``int64`` matrix each. That exchange
   (:meth:`HostShardPool.flush`) is the only one, and its coordinator and
-  worker halves are the only place the fx/go token protocol is written:
+  worker halves are the only place the fx token protocol is written:
   every sync collective is replayed whole by every process on its own
   replica (DESIGN.md, "Why the sync collectives are not sharded").
-* The exchange itself is zero-install shared memory: the coordinator
-  preallocates one ``multiprocessing.shared_memory`` arena per worker
-  (double-buffered) plus a broadcast arena, all created before the fork
-  so every process inherits the same mapping. Bundles are encoded with
-  pickle protocol 5; numpy payloads (reduction batch arrays, counter
-  matrices) travel as raw out-of-band buffers written directly into the
-  arena. Pipes carry only fixed-size tokens; every process reads every
-  peer's arena directly, so the coordinator never re-serializes the
-  fan-out. Oversized bundles fall back to the pipe and the next fork
-  grows the arenas.
+* The exchange rides the pipes that carry the run's tokens: each worker
+  sends its bundle as one pickled ``fx`` message; the coordinator keeps
+  the raw bytes and, after the merge, sends every worker its own ``fx``
+  message followed by every other worker's bytes, forwarded verbatim,
+  in index order (DESIGN.md, "Why the exchange is the pipe").
 * The coordinator merges worker bundles **in worker order** - shards
   are contiguous ascending, so worker order IS host order and the
   merged phase records are byte-identical to the serial visit. Phases
@@ -59,51 +54,31 @@ byte-identity across ``jobs`` for all twelve algorithms. The collectives
 are replicated, so a fault injector's draws and crash points replay
 exactly as they did serially.
 
-Segment lifecycle: arenas are created and unlinked only by the
-coordinator (``shutdown``), so ``/dev/shm`` holds ``jobs`` segments
-while a sharded run is in flight and zero after it (``end_run``), let
-alone after ``Executor.close()``; workers exit via ``os._exit`` without
-touching the resource tracker. An ``atexit`` guard covers the remaining
-path: a ``KeyboardInterrupt`` (or any unwound exception) that reaches
-interpreter exit mid-run still reaps the workers and unlinks every
-segment.
-
-**Self-healing (``Executor(recovery="refork")``).** The coordinator
-becomes a supervisor: every token wait polls worker exit codes instead
-of blocking on the pipe, and a typed :class:`PoolError`
-(:class:`WorkerDied`, :class:`ExchangeTimeout`,
-:class:`ArenaCorruption`) triggers recovery *within the run*. Because
-every process holds the full replicated state at each round boundary,
-recovery is the run-start fork again: the coordinator reaps the whole
-group, rolls its own state back to the round-start
-:class:`~repro.faults.checkpoint.RoundSnapshot` (built on the same
-``checkpoint_state``/``restore_state`` machinery as the modeled fault
-layer), and forks replacements that inherit the rolled-back state
-copy-on-write and drive the plan from the same completed-round count -
-so a recovered run's ``RunResult.to_dict()`` stays byte-identical to an
-undisturbed ``jobs=1`` run. Arena frames carry a magic/sequence/length
-header (plus a CRC32 when the supervisor is on) so a corrupt bundle
-raises :class:`ArenaCorruption` into the same recovery path instead of
-deserializing garbage. All of it is gated: with ``fail-fast`` (the
-default) and no :class:`~repro.faults.chaos.ChaosPlan` the exchange
-protocol, token waits, and frame checks are exactly the pre-healing
-fast path.
+**Self-healing (``Executor(recovery="refork")``).** The coordinator is
+a supervisor: every token wait polls the pipe and the worker's exit
+code instead of blocking, so a dead worker surfaces as
+:class:`WorkerDied` and a silent one as :class:`ExchangeTimeout` under
+either policy. With ``refork`` those typed errors trigger recovery
+*within the run*. Because every process holds the full replicated
+state at each round boundary, recovery is the run-start fork again: the
+coordinator reaps the whole group, rolls its own state back to the
+round-start :class:`~repro.faults.checkpoint.RoundSnapshot` (built on
+the same ``checkpoint_state``/``restore_state`` machinery as the
+modeled fault layer), and forks replacements that inherit the
+rolled-back state copy-on-write and drive the plan from the same
+completed-round count - so a recovered run's ``RunResult.to_dict()``
+stays byte-identical to an undisturbed ``jobs=1`` run.
 """
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import multiprocessing
 import os
 import pickle
 import signal as _signal
-import struct
 import time
 import traceback
-import weakref
-import zlib
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -121,18 +96,6 @@ from repro.faults.checkpoint import RoundSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.executor import Executor
-
-#: Prefix of every shared-memory segment the pool creates; the lifecycle
-#: tests scan ``/dev/shm`` for leaks by this prefix.
-POOL_SEGMENT_PREFIX = "repro-pool-"
-
-_uid_counter = 0
-
-
-def _next_uid() -> int:
-    global _uid_counter
-    _uid_counter += 1
-    return _uid_counter
 
 
 def fork_available() -> bool:
@@ -217,11 +180,6 @@ class ExchangeTimeout(PoolError):
     """A live worker sent nothing within the exchange deadline."""
 
 
-class ArenaCorruption(PoolError):
-    """A shared-memory bundle failed frame validation (bad magic,
-    sequence mismatch, length overrun, or checksum failure)."""
-
-
 class ProtocolDivergence(PoolError):
     """The replicated state machines disagreed (wrong token, phase-count
     mismatch). Never healed: replay would diverge the same way."""
@@ -229,33 +187,7 @@ class ProtocolDivergence(PoolError):
 
 #: The errors the self-healing supervisor recovers from. Divergence is
 #: excluded on purpose - deterministic replay would reproduce it.
-HEALABLE_ERRORS = (WorkerDied, ExchangeTimeout, ArenaCorruption)
-
-
-class ArenaIntegrityError(RuntimeError):
-    """Low-level arena frame validation failure; the pool wraps it into
-    :class:`ArenaCorruption` with worker/shard/phase context."""
-
-
-# ------------------------------------------------- interpreter-exit guard
-
-_POOLS: "weakref.WeakSet[HostShardPool]" = weakref.WeakSet()
-_ATEXIT_INSTALLED = False
-
-
-def _atexit_cleanup() -> None:
-    """Reap pools whose run never ended: a KeyboardInterrupt mid-exchange
-    unwinds straight to interpreter exit, and without this the
-    ``/dev/shm`` segments (and the workers) outlive the process.
-    Workers never run it - they leave via ``os._exit``."""
-    for pool in list(_POOLS):
-        if pool.is_worker or pool._owner_pid != os.getpid():
-            continue
-        try:
-            pool.dead = True  # shorten the join grace; we are exiting
-            pool.shutdown()
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
+HEALABLE_ERRORS = (WorkerDied, ExchangeTimeout)
 
 
 # --------------------------------------------------------------- plan tables
@@ -354,175 +286,6 @@ def _phase_carriers(
     return carriers
 
 
-# --------------------------------------------------- shared-memory transport
-
-_ALIGN = 8
-
-
-def _pad(nbytes: int) -> int:
-    return (nbytes + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-def _encode_payload(obj: Any) -> tuple[bytes, list[memoryview]]:
-    """Pickle ``obj`` with protocol-5 out-of-band buffers: numpy arrays
-    and other buffer-protocol payloads come back raw, to be written into
-    a shared arena without a serialization copy."""
-    buffers: list[pickle.PickleBuffer] = []
-    meta = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    try:
-        raws = [buf.raw() for buf in buffers]
-    except BufferError:  # pragma: no cover - non-contiguous exotic buffer
-        return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL), []
-    return meta, raws
-
-
-# Frame header: magic, crc32, sequence, out-of-band buffer count, meta
-# length. Magic/sequence/length bounds are validated on every read; the
-# CRC is computed and verified only when the pool's supervisor is on
-# (``integrity``), keeping the fail-fast fast path free of the scan.
-_FRAME_HEADER = struct.Struct("<IIQQQ")
-_ARENA_MAGIC = 0x4B50_4F4C  # "KPOL"
-
-
-def _encoded_size(meta: bytes, raws: list[memoryview]) -> int:
-    return (
-        _FRAME_HEADER.size
-        + _pad(len(meta))
-        + sum(8 + _pad(raw.nbytes) for raw in raws)
-    )
-
-
-def _write_encoded(
-    buf: memoryview,
-    base: int,
-    meta: bytes,
-    raws: list[memoryview],
-    seq: int = 0,
-    check: bool = False,
-) -> int:
-    crc = 0
-    if check:
-        crc = zlib.crc32(meta)
-        for raw in raws:
-            crc = zlib.crc32(raw.cast("B"), crc)
-    _FRAME_HEADER.pack_into(buf, base, _ARENA_MAGIC, crc, seq, len(raws), len(meta))
-    offset = base + _FRAME_HEADER.size
-    buf[offset : offset + len(meta)] = meta
-    offset += _pad(len(meta))
-    for raw in raws:
-        struct.pack_into("<Q", buf, offset, raw.nbytes)
-        offset += 8
-        buf[offset : offset + raw.nbytes] = raw.cast("B")
-        offset += _pad(raw.nbytes)
-    return offset - base
-
-
-def _read_encoded(
-    buf: memoryview,
-    base: int,
-    limit: int,
-    expected_seq: int = 0,
-    check: bool = False,
-) -> Any:
-    end = base + limit
-    magic, crc, seq, nbuf, meta_len = _FRAME_HEADER.unpack_from(buf, base)
-    if magic != _ARENA_MAGIC:
-        raise ArenaIntegrityError(f"bad arena frame magic 0x{magic:08x}")
-    if seq != expected_seq:
-        raise ArenaIntegrityError(
-            f"arena frame carries sequence {seq}, expected {expected_seq}"
-        )
-    offset = base + _FRAME_HEADER.size
-    if meta_len > end - offset:
-        raise ArenaIntegrityError(
-            f"arena frame metadata ({meta_len} bytes) overruns the slot"
-        )
-    meta = bytes(buf[offset : offset + meta_len])
-    offset += _pad(meta_len)
-    # Copy the out-of-band buffers out of the arena: installed effect
-    # state is retained past this flush, and the slot is rewritten two
-    # flushes from now.
-    raws: list[bytes] = []
-    for _ in range(nbuf):
-        if offset + 8 > end:
-            raise ArenaIntegrityError("arena frame buffer table overruns the slot")
-        (raw_len,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        if raw_len > end - offset:
-            raise ArenaIntegrityError(
-                f"arena frame buffer ({raw_len} bytes) overruns the slot"
-            )
-        raws.append(bytes(buf[offset : offset + raw_len]))
-        offset += _pad(raw_len)
-    if check:
-        actual = zlib.crc32(meta)
-        for raw in raws:
-            actual = zlib.crc32(raw, actual)
-        if actual != crc:
-            raise ArenaIntegrityError(
-                f"arena frame checksum mismatch (stored 0x{crc:08x}, "
-                f"computed 0x{actual:08x})"
-            )
-    return pickle.loads(meta, buffers=raws)
-
-
-class _Arena:
-    """One coordinator-created shared segment, split into equal slots.
-
-    Created before the fork so every process inherits the same mapping;
-    only the coordinator ever unlinks it. Worker arenas use two slots
-    (the flush sequence alternates, so a slow reader of flush ``k`` can
-    never observe the owner writing flush ``k+1``); the broadcast arena
-    needs one (the coordinator only rewrites it after collecting every
-    worker's next ``fx`` token, which implies all reads finished).
-    """
-
-    def __init__(self, name: str, size: int, slots: int) -> None:
-        size = max(_pad(size), slots * 64)
-        self.shm = shared_memory.SharedMemory(name=name, create=True, size=size)
-        self.slots = slots
-        self.slot_size = (self.shm.size // slots) & ~(_ALIGN - 1)
-
-    def write(
-        self, slot: int, obj: Any, seq: int = 0, check: bool = False
-    ) -> tuple[str, Any]:
-        """Encode ``obj`` into ``slot``; fall back to in-band pickle bytes
-        when it does not fit. Returns the token describing the location.
-        ``seq`` stamps the frame header (readers validate it); ``check``
-        additionally stores a CRC32 of the payload."""
-        meta, raws = _encode_payload(obj)
-        size = _encoded_size(meta, raws)
-        if size > self.slot_size:
-            return ("pipe", pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-        _write_encoded(self.shm.buf, slot * self.slot_size, meta, raws, seq, check)
-        return ("shm", size)
-
-    def read(
-        self, slot: int, via: tuple[str, Any], seq: int = 0, check: bool = False
-    ) -> Any:
-        kind, payload = via
-        if kind == "pipe":
-            return pickle.loads(payload)
-        return _read_encoded(
-            self.shm.buf, slot * self.slot_size, self.slot_size, seq, check
-        )
-
-    def destroy(self) -> None:
-        try:
-            self.shm.close()
-        except BufferError:  # pragma: no cover - lingering view
-            pass
-        try:
-            self.shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-
-def _via_size(via: tuple[str, Any]) -> int:
-    kind, payload = via
-    return len(payload) if kind == "pipe" else int(payload)
-
-
 # ------------------------------------------------------------- the endpoint
 
 
@@ -560,21 +323,12 @@ class HostShardPool:
         # Exchange state.
         self._eor_seen: set[int] = set()
         self._seq = 0
-        # Shared segments + instrumentation.
-        self._arenas: list[_Arena] = []
-        self._bcast: _Arena | None = None
-        self._arena_bytes_needed = 0
+        # Instrumentation.
         self.bytes_exchanged = 0
-        self.segments_peak = 0
         self.forks = 0
-        # Self-healing supervisor (ISSUE 7). recovery/chaos come from the
-        # executor; _watch gates the non-blocking token waits and
-        # integrity the arena CRCs, so the fail-fast default keeps the
-        # exact pre-healing fast path (zero overhead, zero report diffs).
+        # Self-healing supervisor: recovery/chaos come from the executor.
         self.chaos = executor.chaos
         self.healing = executor.recovery == "refork"
-        self._watch = self.healing or self.chaos is not None
-        self.integrity = self._watch
         self.exchange_timeout = 120.0
         # Effect-exchange ordinal, counted identically on every process and
         # never rolled back by recovery (replacement workers inherit the
@@ -586,12 +340,6 @@ class HostShardPool:
         self.heals = 0
         self._heal_attempts = 0
         self._guard_depth = 0
-        self._owner_pid = os.getpid()
-        _POOLS.add(self)
-        global _ATEXIT_INSTALLED
-        if not _ATEXIT_INSTALLED:
-            atexit.register(_atexit_cleanup)
-            _ATEXIT_INSTALLED = True
 
     @property
     def active(self) -> bool:
@@ -662,34 +410,18 @@ class HostShardPool:
 
     # -- lifecycle: fork ---------------------------------------------------
 
-    def _arena_size(self, plan: Plan) -> int:
-        # Generous default: the biggest bundles are bulk reduction
-        # batches, O(local nodes) numeric arrays. Grow past any
-        # pipe-fallback size a previous generation observed.
-        total_local = sum(part.num_local for part in plan.pgraph.parts)
-        estimate = max(1 << 20, 48 * total_local + (1 << 16))
-        return _pad(max(estimate, 2 * self._arena_bytes_needed))
-
     def fork_workers(self, plan: Plan, resume_rounds: int | None = None) -> None:
-        """Create the shared arenas and fork one worker per extra shard;
-        each inherits the coordinator's current state and drives ``plan``
-        from its start, or - at a heal - from ``resume_rounds`` completed
-        rounds. The only way a worker ever comes to exist.
+        """Fork one worker per extra shard; each inherits the coordinator's
+        current state and drives ``plan`` from its start, or - at a heal -
+        from ``resume_rounds`` completed rounds. The only way a worker ever
+        comes to exist.
 
         If forking worker ``k`` fails midway, the already-started workers
-        are reaped and the segments unlinked before the error propagates -
-        a partial pool must not leak children or ``/dev/shm`` segments.
+        are reaped before the error propagates - a partial pool must not
+        leak children.
         """
         self._eor_seen = set()
         ctx = multiprocessing.get_context("fork")
-        size = self._arena_size(plan)
-        uid = f"{os.getpid()}-{_next_uid()}"
-        self._bcast = _Arena(f"{POOL_SEGMENT_PREFIX}{uid}-b", size, slots=1)
-        self._arenas = [
-            _Arena(f"{POOL_SEGMENT_PREFIX}{uid}-w{i}", size, slots=2)
-            for i in range(1, len(self.shards))
-        ]
-        self.segments_peak = max(self.segments_peak, 1 + len(self._arenas))
         pipes = [ctx.Pipe() for _ in self.shards[1:]]
         try:
             for index in range(1, len(self.shards)):
@@ -711,7 +443,6 @@ class HostShardPool:
                         end.close()
                     except OSError:  # pragma: no cover
                         pass
-            self._destroy_segments()
             raise
         for _, child_end in pipes:
             child_end.close()
@@ -727,14 +458,6 @@ class HostShardPool:
             daemon=True,
             name=f"repro-host-shard-{index}",
         )
-
-    def _destroy_segments(self) -> None:
-        for arena in self._arenas:
-            arena.destroy()
-        self._arenas = []
-        if self._bcast is not None:
-            self._bcast.destroy()
-            self._bcast = None
 
     # -- lifecycle: runs ---------------------------------------------------
 
@@ -771,7 +494,10 @@ class HostShardPool:
 
     def _collect_eor(self, index: int, process, conn, failed: bool) -> None:
         try:
-            self._await_eor(conn, index, process, timeout=60)
+            # Stray fx tokens from an aborted exchange: drain them.
+            while self._recv_token(conn, index, process)[0][0] != "eor":
+                pass
+            self._eor_seen.add(index)
         except (WorkerDied, ExchangeTimeout, ProtocolDivergence) as err:
             # Only the typed peer-failure family is tolerated here, and
             # every instance leaves a diagnostic.
@@ -785,23 +511,6 @@ class HostShardPool:
             # healing the run's data is already complete (the death is
             # past the final boundary).
 
-    def _await_eor(self, conn, index: int, process, timeout: float) -> None:
-        while True:
-            if not conn.poll(timeout):
-                raise ExchangeTimeout(
-                    f"parallel worker {index} (pid {process.pid}) did not "
-                    f"reach end-of-run within {timeout:.0f}s; the processes "
-                    "diverged",
-                    worker=index,
-                    shard=self._shard_of(index),
-                    phase=self._phase_label(),
-                )
-            token = self._recv_token(conn, index, process)
-            if token[0] == "eor":
-                self._eor_seen.add(index)
-                return
-            # Stray fx tokens from an aborted exchange: drain them.
-
     def note_diagnostic(self, context: str, err: BaseException) -> None:
         self.diagnostics.append(f"{context}: {type(err).__name__}: {err}")
 
@@ -809,7 +518,12 @@ class HostShardPool:
         return tuple(self.shards[index])
 
     def _phase_label(self) -> str | None:
-        record = getattr(self.executor.cluster, "_current", None)
+        """The phase in flight, else the last one logged: the sharded
+        phase whose effects a flush is exchanging."""
+        cluster = self.executor.cluster
+        record = cluster._current
+        if record is None and cluster.log.phases:
+            record = cluster.log.phases[-1]
         return (record.label or record.operator) if record is not None else None
 
     # -- operator-phase execution ------------------------------------------
@@ -837,12 +551,11 @@ class HostShardPool:
         stays aligned without a barrier.
         """
         self._chaos_tick()
-        slot = self._seq % 2
         self._seq += 1
         if self.is_worker:
-            self._flush_worker(carriers, record, slot)
+            self._flush_worker(carriers, record)
         else:
-            self._flush_coordinator(carriers, record, slot)
+            self._flush_coordinator(carriers, record)
 
     def _export_bundle(self, carriers: list[Any], record: PhaseRecord) -> dict[str, Any]:
         bundle: dict[str, Any] = {
@@ -876,12 +589,8 @@ class HostShardPool:
     def _chaos_tick(self) -> None:
         """Count this effect exchange; deliver any chaos event aimed here.
 
-        Only ticks when the supervisor is watching (healing or chaos), so
-        the fail-fast default never touches the counter. The doomed
-        worker kills *itself* before writing its bundle - a real death
-        the coordinator must detect, not a modeled one."""
-        if not self._watch:
-            return
+        The doomed worker kills *itself* before sending its bundle - a
+        real death the coordinator must detect, not a modeled one."""
         self.boundaries_seen += 1
         chaos = self.chaos
         if chaos is None or not self.is_worker:
@@ -890,63 +599,44 @@ class HostShardPool:
             if event.boundary == self.boundaries_seen and event.worker == self.index:
                 deliver_chaos(event)
 
-    def _read_peer(self, arena: _Arena, slot: int, via, writer: int, seq: int):
-        """Read a peer's bundle with frame validation; corruption becomes
-        a typed :class:`ArenaCorruption` (healable) instead of garbage."""
-        try:
-            return arena.read(slot, via, seq=seq, check=self.integrity)
-        except (ArenaIntegrityError, pickle.UnpicklingError) as err:
-            self.dead = True
-            who = "the coordinator" if writer == 0 else f"worker {writer}"
-            raise ArenaCorruption(
-                f"shared-memory bundle from {who} failed validation: {err}",
-                worker=writer,
-                shard=self._shard_of(writer),
-                phase=self._phase_label(),
-            ) from err
+    def _pack(self, carriers: list[Any], record: PhaseRecord) -> bytes:
+        """This process's ``fx`` message for the current exchange."""
+        return pickle.dumps(
+            ("fx", self._seq, self._export_bundle(carriers, record)),
+            pickle.HIGHEST_PROTOCOL,
+        )
 
-    def _send_to_worker(self, index: int, process, conn, *token: Any) -> None:
+    def _send_to_worker(self, index: int, process, conn, message: bytes) -> None:
         """Coordinator-side send; a broken pipe means the worker died
         (previously an uncaught OSError) and surfaces as WorkerDied."""
         try:
-            _send_token(conn, *token)
+            conn.send_bytes(message)
         except OSError:
             raise self._death_error(f"worker {index}", process, index) from None
 
-    def _flush_worker(self, carriers, record: PhaseRecord, slot: int) -> None:
-        arena = self._arenas[self.index - 1]
-        via = arena.write(
-            slot,
-            self._export_bundle(carriers, record),
-            seq=self._seq,
-            check=self.integrity,
-        )
-        self.bytes_exchanged += _via_size(via)
-        _send_token(self.conn, "fx", self._seq, via)
-        token = self._recv_token(self.conn, 0, None)
-        if token[0] == "abort":
-            raise _RunAborted()
-        if token[0] != "go":  # pragma: no cover - protocol violation
-            raise ProtocolDivergence(
-                f"expected go token, got {token[0]!r}", worker=self.index
-            )
-        vias = token[2]
-        assert self._bcast is not None
+    def _flush_worker(self, carriers, record: PhaseRecord) -> None:
+        message = self._pack(carriers, record)
+        self.bytes_exchanged += len(message)
+        self.conn.send_bytes(message)
+        # Every other process's message, in index order: the coordinator's
+        # own first, then the other workers' as they sent them.
         for index in range(len(self.shards)):
             if index == self.index:
                 continue
-            if index == 0:
-                bundle = self._read_peer(self._bcast, 0, vias[0], 0, self._seq)
-            else:
-                bundle = self._read_peer(
-                    self._arenas[index - 1], slot, vias[index], index, self._seq
+            token, _ = self._recv_token(self.conn, 0, None)
+            if token[0] == "abort":
+                raise _RunAborted()
+            if token[0] != "fx" or token[1] != self._seq:  # pragma: no cover
+                raise ProtocolDivergence(
+                    f"expected fx token {self._seq}, got {token[:2]!r}",
+                    worker=self.index,
                 )
-            self._install_effects(carriers, self.shards[index], bundle)
+            self._install_effects(carriers, self.shards[index], token[2])
 
-    def _flush_coordinator(self, carriers, record: PhaseRecord, slot: int) -> None:
-        vias: list[Any] = [None] * len(self.shards)
+    def _flush_coordinator(self, carriers, record: PhaseRecord) -> None:
+        relayed: list[bytes] = []
         for index, (process, conn) in enumerate(self.workers, start=1):
-            token = self._recv_token(conn, index, process)
+            token, message = self._recv_token(conn, index, process)
             if token[0] == "eor":
                 # The worker's replay of this run raised before reaching
                 # this exchange; surface its (deterministic) error here.
@@ -961,22 +651,16 @@ class HostShardPool:
                     shard=self._shard_of(index),
                     phase=self._phase_label(),
                 )
-            vias[index] = token[2]
-            self.bytes_exchanged += _via_size(token[2])
-            if token[2][0] == "pipe":
-                self.note_arena_shortfall(len(token[2][1]))
-            bundle = self._read_peer(
-                self._arenas[index - 1], slot, token[2], index, self._seq
-            )
-            self._merge_worker_bundle(index, carriers, record, bundle)
-        assert self._bcast is not None
-        own = self._export_bundle(carriers, record)
-        vias[0] = self._bcast.write(0, own, seq=self._seq, check=self.integrity)
-        self.bytes_exchanged += _via_size(vias[0])
-        if vias[0][0] == "pipe":
-            self.note_arena_shortfall(len(vias[0][1]))
+            self.bytes_exchanged += len(message)
+            self._merge_worker_bundle(index, carriers, record, token[2])
+            relayed.append(message)
+        own = self._pack(carriers, record)
+        self.bytes_exchanged += len(own)
+        messages = [own, *relayed]
         for index, (process, conn) in enumerate(self.workers, start=1):
-            self._send_to_worker(index, process, conn, "go", self._seq, vias)
+            for sender, message in enumerate(messages):
+                if sender != index:
+                    self._send_to_worker(index, process, conn, message)
 
     def _merge_worker_bundle(
         self, index: int, carriers, record: PhaseRecord, bundle: dict
@@ -997,29 +681,32 @@ class HostShardPool:
 
     # -- tokens and failure surfacing --------------------------------------
 
-    def _recv_token(self, conn, index: int, process) -> tuple:
-        who = "the coordinator" if self.is_worker else f"worker {index}"
-        if self._watch and not self.is_worker and process is not None:
-            self._watch_peer(conn, index, process)
+    def _recv_token(self, conn, index: int, process) -> tuple[tuple, bytes]:
+        """One message from ``conn``: the decoded token and its raw bytes
+        (the coordinator forwards a worker's ``fx`` bytes verbatim). A
+        coordinator waits through the supervisor's poll."""
+        if process is not None:
+            self._await_peer(conn, index, process)
         try:
-            token = pickle.loads(conn.recv_bytes())
+            message = conn.recv_bytes()
         except EOFError:
+            who = "the coordinator" if self.is_worker else f"worker {index}"
             raise self._death_error(who, process, index) from None
+        token = pickle.loads(message)
         if token[0] == "err":
             self.dead = True
             raise ProtocolDivergence(
                 f"parallel worker failed:\n{token[1]}",
                 worker=index if not self.is_worker else None,
             )
-        return token
+        return token, message
 
-    def _watch_peer(self, conn, index: int, process) -> None:
+    def _await_peer(self, conn, index: int, process) -> None:
         """The supervisor's token wait: poll the pipe AND the worker's
         exit code instead of blocking, so a SIGKILLed worker surfaces as
         :class:`WorkerDied` within ~50ms (and a hung-but-alive worker as
-        :class:`ExchangeTimeout`) rather than stalling the run. Only
-        reached when healing or chaos is on; the fail-fast default keeps
-        the plain blocking recv."""
+        :class:`ExchangeTimeout`) rather than stalling the run. A message
+        already waiting costs one ``select``."""
         deadline = time.monotonic() + self.exchange_timeout
         while not conn.poll(0.05):
             if not process.is_alive():
@@ -1075,8 +762,7 @@ class HostShardPool:
             if isinstance(exc, BaseException):
                 # Deterministic replay errors (simulated OOM on a worker's
                 # shard host, non-quiescence) re-raise as themselves so the
-                # harness records the same structured outcome as jobs=1;
-                # a worker-detected ArenaCorruption re-raises healable.
+                # harness records the same structured outcome as jobs=1.
                 return exc
         return ProtocolDivergence(
             f"parallel worker {index} (pid {process.pid}) failed "
@@ -1084,9 +770,6 @@ class HostShardPool:
             worker=index,
             shard=self._shard_of(index),
         )
-
-    def note_arena_shortfall(self, nbytes: int) -> None:
-        self._arena_bytes_needed = max(self._arena_bytes_needed, nbytes)
 
     # -- self-healing recovery ---------------------------------------------
 
@@ -1130,8 +813,7 @@ class HostShardPool:
     # -- lifecycle: teardown -----------------------------------------------
 
     def shutdown(self) -> None:
-        """Coordinator teardown: reap the group and unlink its segments.
-        Closing the pipes unblocks any worker still waiting in recv (it
+        """Coordinator teardown: reap the group. Closing the pipes unblocks any worker still waiting in recv (it
         sees EOF and exits). After a failure the graceful window is ~2s
         before escalating to terminate.
         """
@@ -1150,12 +832,10 @@ class HostShardPool:
                 if process.is_alive():  # pragma: no cover - stuck child
                     process.kill()
                     process.join(timeout=2)
-        self._destroy_segments()
 
     def stats(self) -> dict[str, int]:
         return {
             "bytes_exchanged": int(self.bytes_exchanged),
-            "segments_peak": int(self.segments_peak),
             "forks": int(self.forks),
             "boundaries": int(self.boundaries_seen),
             "deaths_detected": int(self.deaths_detected),
@@ -1245,9 +925,9 @@ def _worker_main(
     reports the outcome in one ``eor`` token and exits. Deterministic
     exceptions (non-quiescence, simulated OOM) replay here too and ride
     in that token.
-    ``os._exit`` skips the inherited atexit/teardown machinery - this
-    process must not flush the parent's buffers, unlink the parent's
-    shared segments, or touch its resources on the way out.
+    ``os._exit`` skips the inherited exit handlers and teardown - this
+    process must not flush the parent's buffers or touch its resources
+    on the way out.
     """
     status = 1
     conn = pipes[index - 1][1]
@@ -1270,12 +950,9 @@ def _worker_main(
 
 
 __all__ = [
-    "ArenaCorruption",
-    "ArenaIntegrityError",
     "ExchangeTimeout",
     "HEALABLE_ERRORS",
     "HostShardPool",
-    "POOL_SEGMENT_PREFIX",
     "PoolError",
     "ProtocolDivergence",
     "WorkerDied",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
 
 
@@ -29,6 +30,32 @@ class TestParser:
     def test_rejects_unknown_variant(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "MIS", "--variant", "turbo"])
+
+
+class TestChaosVictim:
+    """``repro chaos`` rejects a victim it could never kill as a usage
+    error (exit 2) before running either workload."""
+
+    @pytest.mark.parametrize(
+        "flags,expect",
+        (
+            (["--worker", "0"], "workers are 1..1"),
+            (["--worker", "2"], "workers are 1..1"),
+            (["--jobs", "8", "--worker", "4"], "--hosts 4 (workers are 1..3)"),
+            (["--at-boundary", "0"], "they count from 1"),
+        ),
+        ids=("coordinator", "past-the-shards", "clamped-to-hosts", "boundary-0"),
+    )
+    def test_rejected_before_running(self, capsys, monkeypatch, flags, expect):
+        def never(*args, **kwargs):
+            raise AssertionError("a workload ran before the victim was checked")
+
+        monkeypatch.setattr(repro.cli, "run_kimbap", never)
+        argv = ["chaos", "PR", "--hosts", "4", "--jobs", "2", *flags]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert expect in capsys.readouterr().err
 
 
 class TestCommands:

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import textwrap
+import time
+from multiprocessing.connection import Connection
 
-import numpy as np
 import pytest
 
 from repro.algorithms.cc_sv import cc_sv_hook_plan
@@ -37,18 +40,8 @@ from repro.exec import (
     ScalarKernel,
 )
 from repro.exec.pool import (
-    POOL_SEGMENT_PREFIX,
-    ArenaIntegrityError,
     HostShardPool,
     WorkerDied,
-    _ARENA_MAGIC,
-    _Arena,
-    _encode_payload,
-    _encoded_size,
-    _FRAME_HEADER,
-    _pad,
-    _read_encoded,
-    _write_encoded,
     create_pool,
     fork_available,
     shard_hosts,
@@ -303,7 +296,7 @@ class TestBoundaryCache:
         assert not cluster.threads_of(10).flags.writeable
 
 
-# --------------------- pool lifecycle: forks, deaths, shared segments
+# --------------------- pool lifecycle: forks, deaths, worker reaping
 
 
 needs_fork = pytest.mark.skipif(
@@ -311,15 +304,12 @@ needs_fork = pytest.mark.skipif(
 )
 
 
-def _segments() -> set[str]:
-    try:
-        return {
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith(POOL_SEGMENT_PREFIX)
-        }
-    except FileNotFoundError:  # pragma: no cover - platform without /dev/shm
-        return set()
+def _live_workers() -> list[str]:
+    return [
+        child.name
+        for child in multiprocessing.active_children()
+        if child.name.startswith("repro-host-shard-")
+    ]
 
 
 def _shardable_plan(cluster, pgraph, name="life"):
@@ -341,7 +331,7 @@ def _shardable_plan(cluster, pgraph, name="life"):
 
 @needs_fork
 class TestNoExchangeInsideACollective:
-    """One ``flush`` per sharded compute ``PhaseRecord`` and no arena
+    """One ``flush`` per sharded compute ``PhaseRecord`` and no effect
     traffic outside it: every process replays the sync collectives whole,
     fault-free and under a fault plan alike."""
 
@@ -385,19 +375,29 @@ class TestNoExchangeInsideACollective:
             finally:
                 state["exchanging"] = False
 
-        def spied(method):
-            def call(arena, *args, **kw):
+        def note(message):
+            # Only effect messages count; run tokens (eor, abort) are not
+            # exchange traffic.
+            if pickle.loads(message)[0] == "fx":
                 record = state["pool"].executor.cluster._current
                 traffic.append(
                     (state["exchanging"], None if record is None else record.kind)
                 )
-                return method(arena, *args, **kw)
 
-            return call
+        real_send, real_recv = Connection.send_bytes, Connection.recv_bytes
+
+        def send_bytes(conn, message, *args):
+            note(message)
+            return real_send(conn, message, *args)
+
+        def recv_bytes(conn, *args):
+            message = real_recv(conn, *args)
+            note(message)
+            return message
 
         monkeypatch.setattr(HostShardPool, "flush", flush)
-        monkeypatch.setattr(_Arena, "write", spied(_Arena.write))
-        monkeypatch.setattr(_Arena, "read", spied(_Arena.read))
+        monkeypatch.setattr(Connection, "send_bytes", send_bytes)
+        monkeypatch.setattr(Connection, "recv_bytes", recv_bytes)
         parallel = run_kimbap(app, "spy", 4, graph=graph, bulk=bulk, jobs=2, **kwargs)
 
         assert json.dumps(parallel.to_dict(), sort_keys=True) == json.dumps(
@@ -437,13 +437,12 @@ class TestCreatePoolClamp:
 class TestForkFailureReaping:
     def test_partial_fork_reaps_children_and_segments(self, setup):
         """Satellite fix: if forking worker k fails, the k-1 already
-        started workers and every /dev/shm segment are reaped before the
-        error propagates - a partial pool must not leak."""
+        started workers are reaped before the error propagates - a
+        partial pool must not leak."""
         cluster, pgraph = setup
         plan = _shardable_plan(cluster, pgraph)
         executor = Executor(cluster, jobs=3)
         pool = create_pool(executor, plan)
-        before = _segments()
         real_factory = pool._make_process
 
         def failing_factory(ctx, index, *rest):
@@ -455,11 +454,7 @@ class TestForkFailureReaping:
         with pytest.raises(OSError, match="simulated fork failure"):
             pool.fork_workers(plan)
         assert pool.workers == []
-        assert _segments() == before
-        import multiprocessing
-
-        for child in multiprocessing.active_children():
-            assert not child.name.startswith("repro-host-shard")
+        assert not _live_workers()
 
 
 @needs_fork
@@ -473,12 +468,11 @@ class TestWorkerDeathSurfacing:
     ):
         """Satellite fix: a dead worker surfaces its signal/exit code in
         the error (not just "pipe closed"), and teardown escalates within
-        seconds instead of the old 30s join stall - leaving no segments."""
+        seconds instead of the old 30s join stall - leaving no worker."""
         cluster, pgraph = setup
         plan = _shardable_plan(cluster, pgraph, name=f"death-{expect}")
         executor = Executor(cluster, jobs=2)
         pool = create_pool(executor, plan)
-        before = _segments()
         assert pool.begin_run(plan)
         try:
             process, _ = pool.workers[0]
@@ -496,37 +490,33 @@ class TestWorkerDeathSurfacing:
             assert exc.value.shard == tuple(pool.shards[1])
         finally:
             pool.shutdown()
-        assert _segments() == before
+        assert not _live_workers()
         assert pool.workers == []
 
     def test_normal_runs_leave_no_segments(self, setup):
-        cluster, pgraph = setup
-        before = _segments()
         graph = generators.erdos_renyi(40, 3.0, seed=7)
         result = run_kimbap("PR", "life", 4, graph=graph, bulk=True, jobs=2)
-        assert _segments() == before
+        assert not _live_workers()
         stats = result.parallel
         assert stats is not None and stats["forks"] >= 1
         assert stats["bytes_exchanged"] > 0
-        assert stats["segments_peak"] >= 2
 
     def test_close_is_idempotent(self, setup):
         """close() twice - then __del__ on top - must not raise or try to
-        release the pool's shared segments a second time (the harness
-        calls close() explicitly and GC may still run __del__ later)."""
+        reap the pool a second time (the harness calls close() explicitly
+        and GC may still run __del__ later)."""
         from repro.algorithms.cc_lp import cc_lp
 
         cluster, pgraph = setup
-        before = _segments()
         executor = Executor(cluster, jobs=2)
         cc_lp(cluster, pgraph, executor=executor)
         stats = executor.parallel_stats()
         assert stats is not None and stats["forks"] >= 1
         executor.close()
-        assert _segments() == before
+        assert not _live_workers()
         executor.close()  # second close: no pool left, must be a no-op
         executor.__del__()  # GC path after explicit close: also a no-op
-        assert _segments() == before
+        assert not _live_workers()
         assert executor.parallel_stats() is None  # close() dropped the pool
 
     def test_close_without_pool_is_safe(self, setup):
@@ -540,10 +530,8 @@ class TestWorkerDeathSurfacing:
 
     def test_failed_run_leaves_no_segments(self, setup):
         """An exception raised mid-parallel-run (on every replica - the
-        replay is deterministic) aborts cleanly: close() reaps workers and
-        unlinks every segment."""
+        replay is deterministic) aborts cleanly: close() reaps workers."""
         cluster, pgraph = setup
-        before = _segments()
         target = NodePropMap(cluster, pgraph, "boom")
 
         def body(ctx):
@@ -571,97 +559,10 @@ class TestWorkerDeathSurfacing:
                 executor.run(plan)
         finally:
             executor.close()
-        assert _segments() == before
+        assert not _live_workers()
 
 
-# --------------------- arena frame integrity (ISSUE 7 tentpole hardening)
-
-
-class TestArenaFrameIntegrity:
-    """The frame header (magic/sequence/length, CRC32 when the supervisor
-    is on) turns silent shared-memory corruption into a typed
-    ``ArenaIntegrityError`` the healing path can recover from."""
-
-    def _frame(self, obj, seq=0, check=True, slack=64):
-        meta, raws = _encode_payload(obj)
-        buf = memoryview(bytearray(_encoded_size(meta, raws) + slack))
-        _write_encoded(buf, 0, meta, raws, seq, check)
-        return buf, meta
-
-    def test_roundtrip_with_sequence_and_checksum(self):
-        obj = {"xs": np.arange(16, dtype=np.int64), "tag": "frame"}
-        buf, _ = self._frame(obj, seq=3)
-        out = _read_encoded(buf, 0, len(buf), expected_seq=3, check=True)
-        assert out["tag"] == "frame"
-        np.testing.assert_array_equal(out["xs"], obj["xs"])
-
-    def test_wrong_sequence_is_rejected(self):
-        buf, _ = self._frame([1, 2, 3], seq=3)
-        with pytest.raises(ArenaIntegrityError, match="sequence"):
-            _read_encoded(buf, 0, len(buf), expected_seq=4, check=True)
-
-    def test_bad_magic_is_rejected(self):
-        buf, _ = self._frame([1], seq=0)
-        buf[0] ^= 0xFF
-        with pytest.raises(ArenaIntegrityError, match="magic"):
-            _read_encoded(buf, 0, len(buf), expected_seq=0, check=False)
-
-    def test_flipped_payload_byte_fails_the_checksum(self):
-        obj = np.arange(64, dtype=np.int64)
-        buf, meta = self._frame(obj, seq=5, check=True)
-        # Flip one byte inside the out-of-band numpy buffer: pickle still
-        # decodes (the values are just wrong), so only the CRC catches it.
-        offset = _FRAME_HEADER.size + _pad(len(meta)) + 8 + 11
-        buf[offset] ^= 0xFF
-        with pytest.raises(ArenaIntegrityError, match="checksum"):
-            _read_encoded(buf, 0, len(buf), expected_seq=5, check=True)
-        silent = _read_encoded(buf, 0, len(buf), expected_seq=5, check=False)
-        assert not np.array_equal(silent, obj)
-
-    def test_metadata_overrun_is_rejected(self):
-        buf = memoryview(bytearray(128))
-        _FRAME_HEADER.pack_into(buf, 0, _ARENA_MAGIC, 0, 0, 0, 1 << 40)
-        with pytest.raises(ArenaIntegrityError, match="overruns"):
-            _read_encoded(buf, 0, len(buf), expected_seq=0, check=False)
-
-
-@needs_fork
-class TestArenaFallbackAndGrowth:
-    def test_oversize_bundle_falls_back_to_pipe(self):
-        arena = _Arena(f"{POOL_SEGMENT_PREFIX}test-{os.getpid()}", 1, slots=2)
-        try:
-            big = np.zeros(4 * arena.slot_size, dtype=np.uint8)
-            via = arena.write(0, big, seq=1, check=True)
-            assert via[0] == "pipe"
-            np.testing.assert_array_equal(arena.read(0, via, seq=1, check=True), big)
-            small = {"k": 1}
-            via = arena.write(1, small, seq=2, check=True)
-            assert via[0] == "shm"
-            assert arena.read(1, via, seq=2, check=True) == small
-        finally:
-            arena.destroy()
-
-    def test_shortfall_grows_the_next_generation(self, setup):
-        cluster, pgraph = setup
-        plan = _shardable_plan(cluster, pgraph, name="grow")
-        pool = _pool(cluster, plan)
-        base = pool._arena_size(plan)
-        pool.note_arena_shortfall(8 * base)
-        assert pool._arena_size(plan) >= 16 * base
-
-    def test_tiny_arena_run_is_byte_identical(self, monkeypatch):
-        """With the arenas squeezed to one page every bundle overflows to
-        the pipe fallback - and the result must not change by a byte."""
-        graph = generators.erdos_renyi(40, 3.0, seed=7)
-        serial = run_kimbap("PR", "tiny", 4, graph=graph, threads=4)
-        monkeypatch.setattr(HostShardPool, "_arena_size", lambda self, plan: 4096)
-        parallel = run_kimbap("PR", "tiny", 4, graph=graph, threads=4, jobs=2)
-        assert json.dumps(serial.to_dict(), sort_keys=True) == json.dumps(
-            parallel.to_dict(), sort_keys=True
-        )
-
-
-# ----------------------- shutdown diagnostics + interpreter-exit guard
+# ------------------------- shutdown diagnostics + interpreter exit
 
 
 @needs_fork
@@ -673,7 +574,6 @@ class TestEndRunDiagnostics:
         cluster, pgraph = setup
         plan = _shardable_plan(cluster, pgraph, name="diag")
         pool = create_pool(Executor(cluster, jobs=2), plan)
-        before = _segments()
         assert pool.begin_run(plan)
         process, _ = pool.workers[0]
         os.kill(process.pid, signal.SIGKILL)
@@ -682,15 +582,107 @@ class TestEndRunDiagnostics:
         assert pool.deaths_detected >= 1
         assert any("end_run" in line for line in pool.diagnostics)
         assert pool.workers == []
-        assert _segments() == before
+        assert not _live_workers()
+
+
+_CHILD_ENV_SRC = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
+
+
+@needs_fork
+class TestFailFastSupervisor:
+    def test_stopped_worker_times_out_under_fail_fast(self, tmp_path):
+        """Every coordinator wait is the supervisor's poll, with or without
+        healing: a SIGSTOPped worker surfaces as ``ExchangeTimeout`` naming
+        its worker, shard and phase instead of blocking the run forever.
+        The run happens in a child under a timeout so a blocking wait
+        fails this test rather than hanging the suite."""
+        script = tmp_path / "stalled_child.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                import json
+                import os
+                import signal
+
+                from repro.cluster import Cluster
+                from repro.core.propmap import NodePropMap
+                from repro.core.reducers import MIN
+                from repro.exec import (
+                    EdgePush,
+                    Executor,
+                    Operator,
+                    OperatorStep,
+                    Plan,
+                )
+                from repro.exec.pool import ExchangeTimeout, HostShardPool
+                from repro.graph import generators
+                from repro.partition.policies import partition
+
+
+                def stop_self(pool, *args):
+                    # Only workers run this half of the exchange: the worker
+                    # stops itself before it sends its bundle.
+                    os.kill(os.getpid(), signal.SIGSTOP)
+
+
+                HostShardPool._flush_worker = stop_self
+                graph = generators.erdos_renyi(24, 2.0, seed=5)
+                cluster = Cluster(4, threads_per_host=2)
+                pgraph = partition(graph, 4, "cvc")
+                target = NodePropMap(cluster, pgraph, "stall")
+                plan = Plan(
+                    name="stall",
+                    pgraph=pgraph,
+                    steps=[
+                        OperatorStep(
+                            Operator(
+                                "push",
+                                "all",
+                                EdgePush(target=target, op=MIN, const_value=1),
+                            )
+                        )
+                    ],
+                    once=True,
+                )
+                executor = Executor(cluster, jobs=2)
+                executor._ensure_pool(plan).exchange_timeout = 1
+                try:
+                    executor.run(plan)
+                except ExchangeTimeout as err:
+                    print(json.dumps([err.worker, list(err.shard), err.phase]))
+                finally:
+                    executor.close()
+                """
+            )
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _CHILD_ENV_SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, str(script)],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, _ = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the stopped worker too
+            proc.communicate()
+            pytest.fail("the coordinator blocked on a stopped worker")
+        assert proc.returncode == 0
+        assert json.loads(out) == [1, [2, 3], "push"]
 
 
 @needs_fork
 class TestAtexitCleanup:
     def test_interrupted_process_reaps_segments(self, tmp_path):
-        """Satellite fix: a KeyboardInterrupt that reaches interpreter
-        exit with a live pool (no ``Executor.close()``) still unlinks
-        every /dev/shm segment and reaps the workers via atexit."""
+        """A KeyboardInterrupt that reaches interpreter exit with a live
+        pool (no ``Executor.close()``) still takes the worker down: it is
+        a daemon process, which multiprocessing's own exit handler
+        terminates and reaps."""
         script = tmp_path / "pool_child.py"
         script.write_text(
             textwrap.dedent(
@@ -721,7 +713,9 @@ class TestAtexitCleanup:
                     steps=[
                         OperatorStep(
                             Operator(
-                                "push", "all", EdgePush(target=target, op=MIN)
+                                "push",
+                                "all",
+                                EdgePush(target=target, op=MIN, const_value=1),
                             )
                         )
                     ],
@@ -729,17 +723,13 @@ class TestAtexitCleanup:
                 )
                 pool = create_pool(Executor(cluster, jobs=2), plan)
                 assert pool.begin_run(plan)
-                print("READY", flush=True)
+                print(pool.workers[0][0].pid, flush=True)
                 signal.pause()
                 """
             )
         )
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-        )
         env = dict(os.environ)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        before = _segments()
+        env["PYTHONPATH"] = _CHILD_ENV_SRC + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
             [sys.executable, str(script)],
             stdout=subprocess.PIPE,
@@ -747,8 +737,8 @@ class TestAtexitCleanup:
             text=True,
         )
         try:
-            assert proc.stdout.readline().strip() == "READY"
-            assert len(_segments()) > len(before)
+            worker = int(proc.stdout.readline())
+            assert _pid_exists(worker)
             proc.send_signal(signal.SIGINT)
             assert proc.wait(timeout=20) != 0
         finally:
@@ -756,4 +746,20 @@ class TestAtexitCleanup:
                 proc.kill()
                 proc.wait(timeout=10)
             proc.stdout.close()
-        assert _segments() == before
+        deadline = time.monotonic() + 10
+        while _pid_exists(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _pid_exists(worker)
+
+
+def _pid_exists(pid: int) -> bool:
+    """Is ``pid`` a live process (a zombie awaiting its reaper is not)?"""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as src:
+            return src.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:  # no procfs: the signal probe is all there is
+        return True

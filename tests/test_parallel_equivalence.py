@@ -7,22 +7,22 @@ property values must match the ``jobs=1`` run exactly, for every
 algorithm, on either kernel backend, and under fault injection. These
 tests enforce that contract: all twelve applications at ``jobs=2``
 (scalar and bulk), a hypothesis sweep over random graphs x ``jobs in
-{1, 2, 4}`` x ``bulk in {False, True}``, and crash-mid-round recovery
-equivalence under ``jobs=2``.
+{1, 2, 4}`` x ``bulk in {False, True}``, crash-mid-round recovery
+equivalence under ``jobs=2``, and the coordinator's relay at ``jobs=3``.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.harness import APP_WEIGHTED, KIMBAP_APPS, run_kimbap
-from repro.exec.pool import POOL_SEGMENT_PREFIX, HostShardPool, fork_available
-from repro.faults import FaultPlan, HostCrash
+from repro.exec.pool import HostShardPool, fork_available
+from repro.faults import ChaosEvent, ChaosPlan, FaultPlan, HostCrash
 from repro.graph import generators
 
 APPS = tuple(sorted(KIMBAP_APPS))
@@ -131,17 +131,19 @@ def test_crash_mid_round_recovery_equivalence(app):
 def test_repeated_runs_fork_once_each_and_leave_no_segments(monkeypatch, app, bulk):
     """CC-SV and MSF run the same plans again and again through one
     executor. Every sharded run is one fork from the coordinator's current
-    state, and its ``end_run`` leaves no ``/dev/shm`` segment behind."""
-    def segments():
-        return {n for n in os.listdir("/dev/shm") if n.startswith(POOL_SEGMENT_PREFIX)}
-
-    before = segments()
+    state, and its ``end_run`` leaves no worker process behind."""
     left_behind = []  # one entry per sharded run: only those reach end_run
     end_run = HostShardPool.end_run
 
     def checking_end_run(pool, failed):
         end_run(pool, failed)
-        left_behind.append(segments() - before)
+        left_behind.append(
+            [
+                child.name
+                for child in multiprocessing.active_children()
+                if child.name.startswith("repro-host-shard-")
+            ]
+        )
 
     monkeypatch.setattr(HostShardPool, "end_run", checking_end_run)
     graph = random_graph(11, weighted=app_weighted(app))
@@ -155,9 +157,44 @@ def test_repeated_runs_fork_once_each_and_leave_no_segments(monkeypatch, app, bu
 @needs_fork
 def test_back_to_back_runs_are_deterministic():
     """Two pools over the same inputs produce the same bytes - the
-    exchange protocol has no run-to-run nondeterminism (no leaked state
-    in /dev/shm segment naming or slot reuse)."""
+    exchange protocol has no run-to-run nondeterminism."""
     graph = random_graph(12)
     first = run_kimbap("PR", "warm", 4, graph=graph, jobs=2, bulk=True)
     second = run_kimbap("PR", "warm", 4, graph=graph, jobs=2, bulk=True)
     assert canonical(first) == canonical(second)
+
+
+# --------------------------------------- the coordinator's relay (jobs=3)
+
+
+@needs_fork
+@pytest.mark.parametrize(
+    "fault", ("fault-free", "crash-plan", "sigkill-refork")
+)
+@pytest.mark.parametrize(
+    "app,bulk", (("PR", True), ("CC-SV", False)), ids=("PR-bulk", "CC-SV-scalar")
+)
+def test_coordinator_relays_worker_bundles_at_jobs3(app, bulk, fault):
+    """``jobs=3`` on 4 hosts: two workers, so each receives the other's
+    bundle only as bytes the coordinator forwards. The relayed effects
+    reach every replica: the report matches ``jobs=1`` byte for byte,
+    fault-free, under a modeled crash, and across a refork heal."""
+    graph = random_graph(3, weighted=app_weighted(app))
+    kwargs = {}
+    if fault == "crash-plan":
+        kwargs["fault_plan"] = FaultPlan(
+            name="crash@2",
+            checkpoint_interval=2,
+            crashes=(HostCrash(host=1, round=2),),
+        )
+    serial = run_kimbap(app, "relay", 4, graph=graph, threads=4, bulk=bulk, **kwargs)
+    if fault == "sigkill-refork":
+        kwargs["recovery"] = "refork"
+        kwargs["chaos_plan"] = ChaosPlan(events=(ChaosEvent(boundary=2, worker=2),))
+    parallel = run_kimbap(
+        app, "relay", 4, graph=graph, threads=4, bulk=bulk, jobs=3, **kwargs
+    )
+    assert canonical(parallel) == canonical(serial)
+    assert parallel.values == serial.values
+    assert parallel.faults == serial.faults
+    assert parallel.parallel["heals"] == (fault == "sigkill-refork")
