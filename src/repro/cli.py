@@ -14,7 +14,6 @@ Examples::
     python -m repro profile LV --graph powerlaw --hosts 4 --top 10
     python -m repro faults BFS --graph road --hosts 4 --plan crash
     python -m repro faults PR --graph powerlaw --plan chaos --report f.json
-    python -m repro chaos PR --graph road --jobs 4 --at-boundary 2
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from repro.exec import (
     format_plan_summary,
     plan_summary,
 )
-from repro.faults import CHAOS_KINDS, NAMED_PLANS, ChaosEvent, ChaosPlan, named_plan
+from repro.faults import NAMED_PLANS, named_plan
 from repro.graph import generators
 from repro.graph.stats import compute_stats
 from repro.partition import partition
@@ -45,6 +44,16 @@ from repro.trace import top_phases, write_chrome_trace
 from repro.verify import VerificationError, check_equivalent_values
 
 VARIANTS_BY_LABEL = {variant.label: variant for variant in RuntimeVariant}
+
+
+def positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1 (hosts, threads,
+    worker processes): anything else is a usage error, not a traceback
+    or a silent fallback."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _result_rows(results) -> str:
@@ -292,106 +301,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
-    """Kill a real worker mid-run and prove the healed result's bytes.
-
-    Runs the fault-free ``jobs=1`` oracle, then the same workload at
-    ``--jobs N`` with a :class:`ChaosPlan` SIGKILLing (or SIGTERMing /
-    OOM-killing) worker ``--worker`` at effect exchange ``--at-boundary``
-    under ``recovery="refork"``, and byte-compares the two
-    ``RunResult.to_dict()`` payloads. Exits 1 if the kill never fired,
-    recovery failed, or any byte diverged.
-    """
-    variant = VARIANTS_BY_LABEL[args.variant]
-    if args.engine != "bsp":
-        print("chaos requires --engine bsp (the async engine runs at jobs=1 only)")
-        return 1
-    if args.jobs < 2:
-        print("chaos needs --jobs >= 2 (there is no worker to kill at jobs=1)")
-        return 1
-    # The victim is checked before anything runs: workers are 1..shards-1
-    # (index 0 is the coordinator), and the pool clamps shards to hosts.
-    shards = min(args.jobs, args.hosts)
-    if not 1 <= args.worker < shards:
-        args.error(
-            f"argument --worker: {args.worker} is not a worker of --jobs "
-            f"{args.jobs} on --hosts {args.hosts} (workers are 1..{shards - 1})"
-        )
-    if args.at_boundary < 1:
-        args.error(
-            f"argument --at-boundary: {args.at_boundary} is not an effect "
-            "exchange; they count from 1"
-        )
-    chaos = ChaosPlan(
-        name=f"cli@{args.at_boundary}",
-        seed=args.seed,
-        events=(
-            ChaosEvent(
-                boundary=args.at_boundary, worker=args.worker, kind=args.kind
-            ),
-        ),
-    )
-    baseline = run_kimbap(
-        args.app,
-        args.graph,
-        args.hosts,
-        variant=variant,
-        threads=args.threads,
-        bulk=args.bulk,
-        jobs=1,
-    )
-    chaotic = run_kimbap(
-        args.app,
-        args.graph,
-        args.hosts,
-        variant=variant,
-        threads=args.threads,
-        bulk=args.bulk,
-        jobs=args.jobs,
-        chaos_plan=chaos,
-        recovery="refork",
-    )
-    print(_result_rows([baseline, chaotic]))
-    stats = chaotic.parallel or {}
-    if chaotic.outcome != "ok":
-        print(f"chaos run FAILED: {chaotic.outcome} ({chaotic.failure})")
-        return 1
-    if stats.get("deaths_detected", 0) < 1:
-        print(
-            f"chaos event never fired: worker {args.worker} survived to the "
-            f"end (run had {stats.get('boundaries', 0)} boundaries; asked "
-            f"for boundary {args.at_boundary})"
-        )
-        return 1
-    identical = json.dumps(baseline.to_dict(), sort_keys=True) == json.dumps(
-        chaotic.to_dict(), sort_keys=True
-    )
-    print(
-        f"chaos: {args.kind} worker {args.worker} at boundary {args.at_boundary}"
-    )
-    print(
-        f"  deaths detected: {stats.get('deaths_detected', 0)}"
-        f"  heals: {stats.get('heals', 0)}"
-        f"  reforks: {stats.get('reforks', 0)}"
-        f"  diagnostics: {stats.get('diagnostics', 0)}"
-    )
-    print(
-        f"  recovered bytes identical to fault-free jobs=1: {identical}"
-    )
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(chaotic.to_dict(), handle, indent=1, sort_keys=True)
-        print(f"wrote healed-run result JSON to {args.report}")
-    if args.baseline_report:
-        with open(args.baseline_report, "w") as handle:
-            json.dump(baseline.to_dict(), handle, indent=1, sort_keys=True)
-        print(f"wrote baseline result JSON to {args.baseline_report}")
-    if not identical:
-        print("BYTE-IDENTITY FAILED: healed run diverged from the oracle")
-        return 1
-    return 0
-
-
 # Value-equivalence tolerance for `repro engines` (absolute, per node).
 # CC-LP and SSSP converge to the exact same fixed point under any schedule;
 # delta-PageRank accumulates in a different order, so ranks agree only to
@@ -494,11 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sub_parser):
         sub_parser.add_argument("--graph", choices=sorted(GRAPHS), default="road")
-        sub_parser.add_argument("--hosts", type=int, default=4)
-        sub_parser.add_argument("--threads", type=int, default=48)
+        sub_parser.add_argument("--hosts", type=positive_int, default=4)
+        sub_parser.add_argument("--threads", type=positive_int, default=48)
         sub_parser.add_argument(
             "--jobs",
-            type=int,
+            type=positive_int,
             default=1,
             help="simulator worker processes (host-shard parallel execution; "
             "results are byte-identical to --jobs 1)",
@@ -592,38 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.set_defaults(fn=cmd_faults)
 
-    chaos = sub.add_parser(
-        "chaos",
-        help="SIGKILL a real worker process mid-run (self-healing pool) "
-        "and byte-compare the healed result against the jobs=1 oracle",
-    )
-    chaos.add_argument("app", choices=sorted(KIMBAP_APPS))
-    common(chaos)
-    chaos.add_argument(
-        "--variant", choices=sorted(VARIANTS_BY_LABEL), default=RuntimeVariant.KIMBAP.label
-    )
-    chaos.add_argument(
-        "--at-boundary",
-        type=int,
-        default=2,
-        help="ordinal (counted from 1) of the compute-effect exchange - one "
-        "per sharded compute phase - at which the kill fires",
-    )
-    chaos.add_argument(
-        "--worker", type=int, default=1, help="victim worker index (>= 1)"
-    )
-    chaos.add_argument("--kind", choices=CHAOS_KINDS, default="sigkill")
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument(
-        "--report", default=None, help="write the healed RunResult JSON here"
-    )
-    chaos.add_argument(
-        "--baseline-report",
-        default=None,
-        help="also write the fault-free jobs=1 RunResult JSON here",
-    )
-    chaos.set_defaults(fn=cmd_chaos, error=chaos.error)
-
     engines = sub.add_parser(
         "engines",
         help="run one application under both engines and verify the async "
@@ -631,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engines.add_argument("app", choices=sorted(KIMBAP_APPS))
     engines.add_argument("--graph", choices=sorted(GRAPHS), default="road")
-    engines.add_argument("--hosts", type=int, default=4)
-    engines.add_argument("--threads", type=int, default=48)
+    engines.add_argument("--hosts", type=positive_int, default=4)
+    engines.add_argument("--threads", type=positive_int, default=48)
     engines.add_argument(
         "--tolerance",
         type=float,

@@ -85,12 +85,6 @@ class Cluster:
         # before any loop round belong to round 0; kimbap_while (and the
         # baseline drivers) advance the round counter once per BSP round.
         self.current_round = 0
-        # Recoverable-loop bookkeeping, mirrored here so the self-healing
-        # pool (repro.exec.pool) can resume an interrupted loop on a
-        # freshly forked worker: completed-round count of the loop in
-        # flight, and its live CheckpointManager (if any).
-        self.loop_rounds = 0
-        self.active_manager = None
         # Memory accounting: property maps (and baselines) report their
         # per-host live value-slot footprint; the cluster tracks the peak
         # (the paper's max-RSS measure) and, with a limit configured,

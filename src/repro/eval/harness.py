@@ -276,8 +276,6 @@ def run_kimbap(
     memory_limit_slots: int | None = None,
     bulk: bool = False,
     jobs: int = 1,
-    chaos_plan: Any | None = None,
-    recovery: str = "fail-fast",
     engine: str = "bsp",
     **kwargs: Any,
 ) -> RunResult:
@@ -301,11 +299,6 @@ def run_kimbap(
     simulated OOM and non-quiescence - come back as a ``RunResult`` with
     ``outcome`` set instead of raising.
 
-    ``recovery="refork"`` arms the self-healing pool and ``chaos_plan``
-    (a :class:`repro.faults.chaos.ChaosPlan`) delivers real
-    SIGKILL/SIGTERM/OOM kills to workers at chosen effect exchanges -
-    a healed run stays byte-identical to an undisturbed ``jobs=1`` run.
-
     ``engine`` picks the drive loop (``repro.exec.engine``): ``"bsp"``
     (default) is the byte-identity oracle; ``"async"`` schedules
     residual-declared plans (PR, SSSP, CC-LP, BFS) barrier-free with
@@ -321,14 +314,7 @@ def run_kimbap(
     injector = None
     if fault_plan is not None:
         injector = install_faults(cluster, fault_plan)
-    executor = Executor(
-        cluster,
-        bulk=bulk,
-        jobs=jobs,
-        recovery=recovery,
-        chaos=chaos_plan,
-        engine=engine,
-    )
+    executor = Executor(cluster, bulk=bulk, jobs=jobs, engine=engine)
     label = "Kimbap" if variant is RuntimeVariant.KIMBAP else f"Kimbap[{variant.label}]"
     try:
         try:

@@ -8,10 +8,10 @@ checkpoint hooks. Two engines ship:
 * :class:`BSPEngine` - the bulk-synchronous loop, extracted verbatim from
   the pre-engine ``Executor``: one pass over the plan's steps per round,
   sync collectives as barriers, ``run_recoverable_loop`` for
-  checkpoint/recovery, the self-healing supervisor for ``jobs=N``. It is
-  the byte-identity oracle: running through it produces bit-for-bit the
-  same counters, traffic, modeled seconds and values as before the
-  extraction, for every app x backend x jobs x fault plan.
+  checkpoint/recovery. It is the byte-identity oracle: running through it
+  produces bit-for-bit the same counters, traffic, modeled seconds and
+  values as before the extraction, for every app x backend x jobs x fault
+  plan.
 
 * :class:`AsyncEngine` - GraphLab-style vertex-consistency execution with
   priority/delta scheduling: a per-node residual priority queue, the
@@ -49,7 +49,6 @@ from repro.exec.plan import (
     ResidualDecl,
     apply_value_filter,
 )
-from repro.exec.pool import HEALABLE_ERRORS
 from repro.faults.recovery import run_recoverable_loop
 from repro.runtime.engine import NonQuiescenceError
 
@@ -67,8 +66,8 @@ class Engine:
     Engines borrow everything stateful from their executor (cluster, pool,
     compiled plans); they own only control flow. ``run`` executes a whole
     plan and returns completed rounds (0 for ``once`` plans); ``drive`` is
-    the loop body re-entry point the host-shard pool uses to replay or
-    resume a plan on worker processes.
+    the loop body re-entry point the host-shard pool uses to replay a plan
+    on worker processes.
     """
 
     name = "?"
@@ -79,7 +78,7 @@ class Engine:
     def run(self, plan: Plan) -> int:
         raise NotImplementedError
 
-    def drive(self, plan: Plan, resume_rounds: int | None = None) -> int:
+    def drive(self, plan: Plan) -> int:
         raise NotImplementedError
 
 
@@ -87,7 +86,7 @@ class BSPEngine(Engine):
     """Today's bulk-synchronous loop, extracted unchanged from ``Executor``.
 
     Every method body here is a pure move: the byte-identity suites (bulk,
-    parallel, chaos, codegen equivalence) pass unmodified against it, and
+    parallel, codegen equivalence) pass unmodified against it, and
     ``--engine bsp`` reports are ``cmp``-equal to pre-refactor output.
     """
 
@@ -115,16 +114,13 @@ class BSPEngine(Engine):
                 pool.end_run(failed)
         return self.drive(plan)
 
-    def drive(self, plan: Plan, resume_rounds: int | None = None) -> int:
+    def drive(self, plan: Plan) -> int:
         """The plan loop proper, replayed identically by every process of
         a parallel run (the pool endpoint decides shard vs replicated work
-        per phase inside ``Executor._run_operator``). ``resume_rounds``
-        re-enters an in-flight loop on a heal-time replacement worker (see
-        :meth:`HostShardPool.heal`)."""
+        per phase inside ``Executor._run_operator``)."""
         executor = self.executor
         if plan.once:
-            executor.cluster.loop_rounds = 0
-            self._guarded_round(plan)
+            executor.run_round(plan)
             return 0
         quiesce = tuple(plan.quiesce)
         maps = tuple(plan.maps) if plan.maps else quiesce
@@ -151,7 +147,7 @@ class BSPEngine(Engine):
         return run_recoverable_loop(
             executor.cluster,
             list(maps),
-            lambda: self._guarded_round(plan),
+            lambda: executor.run_round(plan),
             converged=converged,
             before_round=before_round,
             max_rounds=plan.max_rounds,
@@ -159,41 +155,7 @@ class BSPEngine(Engine):
             extra_snapshot=plan.extra_snapshot,
             extra_restore=plan.extra_restore,
             on_max_rounds=on_max_rounds,
-            resume_rounds=resume_rounds,
         )
-
-    def _guarded_round(self, plan: Plan) -> None:
-        """One round, wrapped in the self-healing supervisor when it is on.
-
-        The coordinator snapshots the round-start state, runs the round,
-        and on a healable failure (:data:`~repro.exec.pool.HEALABLE_ERRORS`)
-        asks the pool to heal - reap the group, roll back to the snapshot,
-        fork again - then retries the round. Workers never guard (the
-        coordinator replaces the whole group); with healing off this is
-        exactly ``run_round``.
-        """
-        executor = self.executor
-        pool = executor._pool
-        if (
-            pool is None
-            or pool.is_worker
-            or not pool.healing
-            or not pool.active
-            or pool._guard_depth
-        ):
-            executor.run_round(plan)
-            return
-        pool._guard_depth += 1
-        try:
-            snapshot = pool.snapshot_round(plan)
-            while True:
-                try:
-                    executor.run_round(plan)
-                    return
-                except HEALABLE_ERRORS as err:
-                    pool.heal(err, plan, snapshot)
-        finally:
-            pool._guard_depth = 0
 
 
 class AsyncEngine(Engine):
@@ -257,9 +219,9 @@ class AsyncEngine(Engine):
             values = self._run_accumulate(chunk, operator.kernel, decl)
         return self._finish(chunk, value_map, values)
 
-    def drive(self, plan: Plan, resume_rounds: int | None = None) -> int:
+    def drive(self, plan: Plan) -> int:
         # Worker replay is a BSP-pool concern; the async engine never forks.
-        return self._bsp.drive(plan, resume_rounds)
+        return self._bsp.drive(plan)
 
     def _residual_operator(self, plan: Plan) -> Operator:
         for step in plan.steps:

@@ -101,8 +101,6 @@ class Executor:
         bulk: bool = False,
         observer: Callable[[Plan], None] | None = None,
         jobs: int = 1,
-        recovery: str = "fail-fast",
-        chaos: Any | None = None,
         engine: str | Engine = "bsp",
     ) -> None:
         self.cluster = cluster
@@ -114,18 +112,6 @@ class Executor:
         # jobs > 1 fans shardable compute phases out to jobs processes
         # (coordinator included); merge order keeps results byte-identical.
         self.jobs = max(1, int(jobs))
-        # Self-healing knobs (see repro.exec.pool): "refork" answers a
-        # dead worker by forking the whole group again from the rolled-back
-        # coordinator, and "fail-fast" (the default) keeps the
-        # raise-through path. ``chaos`` is a repro.faults.chaos.ChaosPlan
-        # delivering real kills to workers at chosen effect exchanges.
-        if recovery not in ("fail-fast", "refork"):
-            raise ValueError(
-                f"unknown recovery policy {recovery!r}; "
-                "use 'fail-fast' or 'refork'"
-            )
-        self.recovery = recovery
-        self.chaos = chaos
         self._pool: HostShardPool | None = None
         # The drive loop lives in the engine layer (repro.exec.engine);
         # "bsp" is the byte-identity oracle, "async" the barrier-free
@@ -203,19 +189,17 @@ class Executor:
 
     def parallel_stats(self) -> dict[str, int] | None:
         """Exchange instrumentation of the parallel backend (None when no
-        pool was ever built): bytes exchanged, forks (one per sharded run
-        plus one per heal), effect exchanges, and the supervisor's
-        death/heal counts."""
+        pool was ever built): bytes exchanged, forks (one per sharded run),
+        and the supervisor's death and diagnostic counts."""
         return None if self._pool is None else self._pool.stats()
 
-    def _drive(self, plan: Plan, resume_rounds: int | None = None) -> int:
+    def _drive(self, plan: Plan) -> int:
         """The BSP plan loop, replayed identically by every process of a
         parallel run (the pool endpoint decides shard vs replicated work
         per phase inside :meth:`_run_compiled_operator`). Pool workers call
-        this directly - worker replay and heal-time resume
-        (``resume_rounds``) are BSP-loop concepts, so this always drives
-        through the BSP engine regardless of the selected engine."""
-        return self._bsp_engine.drive(plan, resume_rounds=resume_rounds)
+        this directly - worker replay is a BSP-loop concept, so this always
+        drives through the BSP engine regardless of the selected engine."""
+        return self._bsp_engine.drive(plan)
 
     def compiled(self, plan: Plan) -> CompiledPlan:
         """The cached compiled form of ``plan`` for this binding."""

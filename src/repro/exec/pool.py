@@ -11,9 +11,9 @@ exchange over the worker pipes - one fork per sharded run.**
 
 * **A parallel run is a fork.** ``begin_run`` forks ``jobs - 1`` worker
   processes (POSIX ``fork``, copy-on-write) from the coordinator's
-  current state and ``end_run`` reaps them: one fork per sharded run; a
-  heal is the same fork at round *k*. Every process - coordinator
-  included - replays the *identical* plan loop: host steps, resets, sync
+  current state and ``end_run`` reaps them: one fork per sharded run.
+  Every process - coordinator included - replays the *identical* plan
+  loop: host steps, resets, sync
   collectives, checkpoint/recovery, and fault-injection draws all run
   everywhere, so each process's replica of the cluster state evolves
   deterministically in lockstep. Fork-time inheritance is what makes
@@ -54,20 +54,13 @@ byte-identity across ``jobs`` for all twelve algorithms. The collectives
 are replicated, so a fault injector's draws and crash points replay
 exactly as they did serially.
 
-**Self-healing (``Executor(recovery="refork")``).** The coordinator is
-a supervisor: every token wait polls the pipe and the worker's exit
-code instead of blocking, so a dead worker surfaces as
-:class:`WorkerDied` and a silent one as :class:`ExchangeTimeout` under
-either policy. With ``refork`` those typed errors trigger recovery
-*within the run*. Because every process holds the full replicated
-state at each round boundary, recovery is the run-start fork again: the
-coordinator reaps the whole group, rolls its own state back to the
-round-start :class:`~repro.faults.checkpoint.RoundSnapshot` (built on
-the same ``checkpoint_state``/``restore_state`` machinery as the
-modeled fault layer), and forks replacements that inherit the
-rolled-back state copy-on-write and drive the plan from the same
-completed-round count - so a recovered run's ``RunResult.to_dict()``
-stays byte-identical to an undisturbed ``jobs=1`` run.
+**A lost worker fails the run.** Every coordinator token wait polls the
+pipe and the worker's exit code instead of blocking, so a dead worker
+surfaces as :class:`WorkerDied`, a silent one as :class:`ExchangeTimeout`
+and a disagreeing replica as :class:`ProtocolDivergence`, each naming the
+worker, its host shard and the phase in flight. Nothing is rolled back or
+re-forked (DESIGN.md, "Why the pool does not heal"); modeled faults are
+the :mod:`repro.faults` layer's business.
 """
 
 from __future__ import annotations
@@ -91,8 +84,6 @@ from repro.cluster.metrics import (
 )
 from repro.core.reducers import NAMED_REDUCE_OPS, ReduceOp
 from repro.exec.plan import Operator, OperatorStep, Plan, ScalarKernel
-from repro.faults.chaos import deliver as deliver_chaos
-from repro.faults.checkpoint import RoundSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.executor import Executor
@@ -182,12 +173,7 @@ class ExchangeTimeout(PoolError):
 
 class ProtocolDivergence(PoolError):
     """The replicated state machines disagreed (wrong token, phase-count
-    mismatch). Never healed: replay would diverge the same way."""
-
-
-#: The errors the self-healing supervisor recovers from. Divergence is
-#: excluded on purpose - deterministic replay would reproduce it.
-HEALABLE_ERRORS = (WorkerDied, ExchangeTimeout)
+    mismatch)."""
 
 
 # --------------------------------------------------------------- plan tables
@@ -316,7 +302,6 @@ class HostShardPool:
         # worker entry names its plan by key.
         self.registry: dict[int, Plan] = {}
         self._tables: dict[int, dict[int, list[Any] | None]] = {}
-        self._names: dict[int, dict[str, Any]] = {}
         self._plan_ops: dict[int, dict[str, ReduceOp]] = {}
         self._plan_key = id(plan)
         self.register_plan(plan)
@@ -326,20 +311,10 @@ class HostShardPool:
         # Instrumentation.
         self.bytes_exchanged = 0
         self.forks = 0
-        # Self-healing supervisor: recovery/chaos come from the executor.
-        self.chaos = executor.chaos
-        self.healing = executor.recovery == "refork"
+        # Supervisor: the longest a coordinator waits on a live worker.
         self.exchange_timeout = 120.0
-        # Effect-exchange ordinal, counted identically on every process and
-        # never rolled back by recovery (replacement workers inherit the
-        # coordinator's value), which is what makes a ChaosPlan event
-        # fire exactly once with no fired-set to synchronize.
-        self.boundaries_seen = 0
         self.diagnostics: list[str] = []
         self.deaths_detected = 0
-        self.heals = 0
-        self._heal_attempts = 0
-        self._guard_depth = 0
 
     @property
     def active(self) -> bool:
@@ -356,7 +331,6 @@ class HostShardPool:
         self.registry[key] = plan
         by_name = _map_table(plan)
         ops = _op_table(plan)
-        self._names[key] = by_name
         self._plan_ops[key] = ops
         table: dict[int, list[Any] | None] = {}
         for step in plan.steps:
@@ -410,11 +384,10 @@ class HostShardPool:
 
     # -- lifecycle: fork ---------------------------------------------------
 
-    def fork_workers(self, plan: Plan, resume_rounds: int | None = None) -> None:
+    def fork_workers(self, plan: Plan) -> None:
         """Fork one worker per extra shard; each inherits the coordinator's
-        current state and drives ``plan`` from its start, or - at a heal -
-        from ``resume_rounds`` completed rounds. The only way a worker ever
-        comes to exist.
+        current state and drives ``plan`` from its start. The only way a
+        worker ever comes to exist.
 
         If forking worker ``k`` fails midway, the already-started workers
         are reaped before the error propagates - a partial pool must not
@@ -425,7 +398,7 @@ class HostShardPool:
         pipes = [ctx.Pipe() for _ in self.shards[1:]]
         try:
             for index in range(1, len(self.shards)):
-                process = self._make_process(ctx, index, pipes, id(plan), resume_rounds)
+                process = self._make_process(ctx, index, pipes, id(plan))
                 process.start()
                 self.workers.append((process, pipes[index - 1][0]))
         except BaseException:
@@ -449,12 +422,12 @@ class HostShardPool:
         self.forks += 1
         self.dead = False
 
-    def _make_process(self, ctx, index: int, pipes, plan_key: int, resume_rounds):
+    def _make_process(self, ctx, index: int, pipes, plan_key: int):
         """One worker process (overridable seam: the fork-failure tests
         inject a factory that fails partway through the group)."""
         return ctx.Process(
             target=_worker_main,
-            args=(self.executor, self, index, pipes, plan_key, resume_rounds),
+            args=(self.executor, self, index, pipes, plan_key),
             daemon=True,
             name=f"repro-host-shard-{index}",
         )
@@ -470,7 +443,6 @@ class HostShardPool:
         if not self.has_shardable_phase(plan):
             return False
         self._seq = 0
-        self._heal_attempts = 0
         self.fork_workers(plan)
         return True
 
@@ -505,11 +477,9 @@ class HostShardPool:
             self.note_diagnostic(f"end_run eor from worker {index}", err)
             if isinstance(err, WorkerDied):
                 self.deaths_detected += 1
-            if not failed and not self.healing:
+            if not failed:
                 raise
-            # After a failed run the coordinator's error wins; with
-            # healing the run's data is already complete (the death is
-            # past the final boundary).
+            # After a failed run the coordinator's error wins.
 
     def note_diagnostic(self, context: str, err: BaseException) -> None:
         self.diagnostics.append(f"{context}: {type(err).__name__}: {err}")
@@ -550,7 +520,6 @@ class HostShardPool:
         process reach the same flush in the same order, so the collective
         stays aligned without a barrier.
         """
-        self._chaos_tick()
         self._seq += 1
         if self.is_worker:
             self._flush_worker(carriers, record)
@@ -585,19 +554,6 @@ class HostShardPool:
         for carrier, per_host in zip(carriers, bundle["effects"]):
             for host, effects in zip(shard, per_host):
                 carrier.install_compute_effects(host, effects, self.resolve_op)
-
-    def _chaos_tick(self) -> None:
-        """Count this effect exchange; deliver any chaos event aimed here.
-
-        The doomed worker kills *itself* before sending its bundle - a
-        real death the coordinator must detect, not a modeled one."""
-        self.boundaries_seen += 1
-        chaos = self.chaos
-        if chaos is None or not self.is_worker:
-            return
-        for event in chaos.events:
-            if event.boundary == self.boundaries_seen and event.worker == self.index:
-                deliver_chaos(event)
 
     def _pack(self, carriers: list[Any], record: PhaseRecord) -> bytes:
         """This process's ``fx`` message for the current exchange."""
@@ -728,7 +684,7 @@ class HostShardPool:
 
     def _death_error(self, who: str, process, index: int | None = None):
         """A dead peer surfaces its exit code and signal, not just "pipe
-        closed", as a typed (healable) :class:`WorkerDied`."""
+        closed", as a typed :class:`WorkerDied`."""
         self.dead = True
         detail = ""
         if process is not None:
@@ -771,45 +727,6 @@ class HostShardPool:
             shard=self._shard_of(index),
         )
 
-    # -- self-healing recovery ---------------------------------------------
-
-    def _plan_carriers(self, plan: Plan) -> list[Any]:
-        table = self._names[id(plan)]
-        return [table[name] for name in sorted(table)]
-
-    def snapshot_round(self, plan: Plan) -> RoundSnapshot:
-        """Capture the coordinator's round-start state (taken once per
-        guarded run, refreshed by the executor at each round boundary)."""
-        snap = RoundSnapshot.capture(
-            self.executor.cluster, self._plan_carriers(plan), plan
-        )
-        snap.seq = self._seq
-        return snap
-
-    def _restore_round(self, plan: Plan, snapshot: RoundSnapshot) -> None:
-        snapshot.restore(
-            self.executor.cluster, self._plan_carriers(plan), plan, self.resolve_op
-        )
-        self._seq = snapshot.seq
-
-    def heal(self, err: BaseException, plan: Plan, snapshot: RoundSnapshot) -> None:
-        """Recover from a healable failure mid-run: reap the whole group,
-        roll the coordinator back to the round-start snapshot, and fork
-        again - the replacements inherit the rolled-back state
-        copy-on-write and drive the plan from the same completed-round
-        count.
-        """
-        self.deaths_detected += 1
-        self.note_diagnostic("heal", err)
-        self._heal_attempts += 1
-        if self._heal_attempts > max(4, 2 * self.jobs):
-            raise err
-        self.dead = True
-        self.shutdown()
-        self._restore_round(plan, snapshot)
-        self.fork_workers(plan, resume_rounds=self.executor.cluster.loop_rounds)
-        self.heals += 1
-
     # -- lifecycle: teardown -----------------------------------------------
 
     def shutdown(self) -> None:
@@ -837,10 +754,7 @@ class HostShardPool:
         return {
             "bytes_exchanged": int(self.bytes_exchanged),
             "forks": int(self.forks),
-            "boundaries": int(self.boundaries_seen),
             "deaths_detected": int(self.deaths_detected),
-            "heals": int(self.heals),
-            "reforks": int(self.heals),  # the one way to heal
             "diagnostics": len(self.diagnostics),
         }
 
@@ -889,14 +803,11 @@ def _worker_setup(pool: HostShardPool, index: int, pipes):
     return conn
 
 
-def _worker_drive(
-    executor: "Executor", pool: HostShardPool, plan_key: int, resume_rounds: int | None
-):
-    """Replay one run (or, on heal, the tail of one from round
-    ``resume_rounds``); deterministic exceptions become the eor error
+def _worker_drive(executor: "Executor", pool: HostShardPool, plan_key: int):
+    """Replay one run; deterministic exceptions become the eor error
     triple instead of killing the worker."""
     try:
-        executor._drive(pool.registry[plan_key], resume_rounds=resume_rounds)
+        executor._drive(pool.registry[plan_key])
     except _RunAborted:
         return ("aborted", None, "")
     except Exception as exc:
@@ -914,15 +825,12 @@ def _worker_main(
     index: int,
     pipes,
     plan_key: int,
-    resume_rounds: int | None,
 ) -> None:
     """Worker entry, running in the forked child only.
 
     The child inherited the coordinator's entire state copy-on-write, so
     it switches its pool endpoint to worker mode, replays the named plan
-    - from the start, or at a heal from ``resume_rounds`` completed
-    rounds over the coordinator's *rolled-back* round-start state -
-    reports the outcome in one ``eor`` token and exits. Deterministic
+    from the start, reports the outcome in one ``eor`` token and exits. Deterministic
     exceptions (non-quiescence, simulated OOM) replay here too and ride
     in that token.
     ``os._exit`` skips the inherited exit handlers and teardown - this
@@ -934,7 +842,7 @@ def _worker_main(
     try:
         conn = _worker_setup(pool, index, pipes)
         executor._pool = pool
-        _send_token(conn, "eor", _worker_drive(executor, pool, plan_key, resume_rounds))
+        _send_token(conn, "eor", _worker_drive(executor, pool, plan_key))
         status = 0
     except BaseException:
         try:
@@ -951,7 +859,6 @@ def _worker_main(
 
 __all__ = [
     "ExchangeTimeout",
-    "HEALABLE_ERRORS",
     "HostShardPool",
     "PoolError",
     "ProtocolDivergence",

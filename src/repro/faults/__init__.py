@@ -9,14 +9,7 @@ The subsystem has four parts: declarative :class:`FaultPlan` schedules
 fault and the resulting trace bytes.
 """
 
-from repro.faults.chaos import (
-    CHAOS_KINDS,
-    CHAOS_SCHEMA,
-    ChaosEvent,
-    ChaosPlan,
-    random_chaos,
-)
-from repro.faults.checkpoint import Checkpoint, CheckpointManager, RoundSnapshot
+from repro.faults.checkpoint import Checkpoint, CheckpointManager
 from repro.faults.injector import FaultInjector, HostCrashError, install_faults
 from repro.faults.plan import (
     NAMED_PLANS,
@@ -31,11 +24,7 @@ from repro.faults.recovery import run_recoverable_loop
 from repro.faults.rng import stream_rng, stream_seed, stream_uniform
 
 __all__ = [
-    "CHAOS_KINDS",
-    "CHAOS_SCHEMA",
     "NAMED_PLANS",
-    "ChaosEvent",
-    "ChaosPlan",
     "Checkpoint",
     "CheckpointManager",
     "FaultInjector",
@@ -44,11 +33,9 @@ __all__ = [
     "HostCrashError",
     "KvTimeouts",
     "MessageFlake",
-    "RoundSnapshot",
     "Straggler",
     "install_faults",
     "named_plan",
-    "random_chaos",
     "run_recoverable_loop",
     "stream_rng",
     "stream_seed",

@@ -46,87 +46,6 @@ class Checkpoint:
     host_slots: list[int]
 
 
-@dataclass
-class RoundSnapshot:
-    """The coordinator's round-start state, captured for self-healing.
-
-    Where :class:`Checkpoint` is a *modeled* snapshot (priced in the cost
-    model, taken at the recoverable loop's cadence), a ``RoundSnapshot``
-    is the real thing the host-parallel pool rolls back to when a worker
-    actually dies mid-round: every carrier's full state **plus** its
-    pending (exported-but-unreduced) per-host compute effects - which
-    ``restore_state`` alone does not clear - the plan's loop-private
-    extra state, the metrics-log length (the log is append-only, so
-    restore is truncation), the round counters, and the fault injector's
-    decision-stream cursors. Free of modeled cost on purpose: recovery
-    from a real fault must leave the run's report byte-identical to an
-    undisturbed one.
-    """
-
-    carrier_states: list[Any]
-    carrier_effects: list[list[Any]]
-    extra: Any
-    phase_count: int
-    current_round: int
-    loop_rounds: int
-    seq: int
-    injector_state: dict | None
-
-    @classmethod
-    def capture(cls, cluster: "Cluster", carriers: Sequence[Any], plan) -> "RoundSnapshot":
-        states = [carrier.checkpoint_state() for carrier in carriers]
-        effects = [
-            [
-                copy.deepcopy(carrier.export_compute_effects(host))
-                for host in range(cluster.num_hosts)
-            ]
-            for carrier in carriers
-        ]
-        extra_snapshot = getattr(plan, "extra_snapshot", None)
-        return cls(
-            carrier_states=states,
-            carrier_effects=effects,
-            extra=(
-                copy.deepcopy(extra_snapshot())
-                if extra_snapshot is not None
-                else None
-            ),
-            phase_count=len(cluster.log.phases),
-            current_round=cluster.current_round,
-            loop_rounds=cluster.loop_rounds,
-            seq=0,
-            injector_state=(
-                cluster.faults.snapshot_state()
-                if cluster.faults is not None
-                else None
-            ),
-        )
-
-    def restore(
-        self,
-        cluster: "Cluster",
-        carriers: Sequence[Any],
-        plan,
-        resolve_op: Callable[[str, str], Any],
-    ) -> None:
-        for carrier, state, per_host in zip(
-            carriers, self.carrier_states, self.carrier_effects
-        ):
-            carrier.restore_state(state)
-            for host, effect in enumerate(per_host):
-                carrier.install_compute_effects(
-                    host, copy.deepcopy(effect), resolve_op
-                )
-        extra_restore = getattr(plan, "extra_restore", None)
-        if extra_restore is not None:
-            extra_restore(copy.deepcopy(self.extra))
-        del cluster.log.phases[self.phase_count :]
-        cluster.current_round = self.current_round
-        cluster.loop_rounds = self.loop_rounds
-        if self.injector_state is not None and cluster.faults is not None:
-            cluster.faults.restore_state(self.injector_state)
-
-
 class CheckpointManager:
     """Takes checkpoints of a set of maps and restores them after a crash."""
 

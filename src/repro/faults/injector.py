@@ -186,50 +186,6 @@ class FaultInjector:
             }
         )
 
-    # ------------------------------------------- real-fault recovery snapshot
-
-    def snapshot_state(self) -> dict:
-        """All mutable injector state, for the self-healing pool's
-        :class:`~repro.faults.checkpoint.RoundSnapshot`: rolling a round
-        back must also roll back the decision-stream cursors and tallies,
-        or the replayed round would draw different faults (or double-count
-        the old ones) and the report bytes would diverge."""
-        return {
-            "phase_ordinal": self._phase_ordinal,
-            "msg_seq": dict(self._msg_seq),
-            "kv_seq": dict(self._kv_seq),
-            "fired_crashes": set(self._fired_crashes),
-            "messages_dropped": self.messages_dropped,
-            "retries": self.retries,
-            "resent_bytes": self.resent_bytes,
-            "messages_duplicated": self.messages_duplicated,
-            "duplicate_bytes": self.duplicate_bytes,
-            "kv_timeouts": self.kv_timeouts,
-            "checkpoints_taken": self.checkpoints_taken,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "recoveries": self.recoveries,
-            "rounds_replayed": self.rounds_replayed,
-            "events": [dict(event) for event in self.events],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._phase = None
-        self._phase_ordinal = state["phase_ordinal"]
-        self._msg_seq = dict(state["msg_seq"])
-        self._kv_seq = dict(state["kv_seq"])
-        self._fired_crashes = set(state["fired_crashes"])
-        self.messages_dropped = state["messages_dropped"]
-        self.retries = state["retries"]
-        self.resent_bytes = state["resent_bytes"]
-        self.messages_duplicated = state["messages_duplicated"]
-        self.duplicate_bytes = state["duplicate_bytes"]
-        self.kv_timeouts = state["kv_timeouts"]
-        self.checkpoints_taken = state["checkpoints_taken"]
-        self.checkpoint_bytes = state["checkpoint_bytes"]
-        self.recoveries = state["recoveries"]
-        self.rounds_replayed = state["rounds_replayed"]
-        self.events = [dict(event) for event in state["events"]]
-
     # ---------------------------------------------------------------- report
 
     def report(self) -> dict:

@@ -41,7 +41,6 @@ def run_recoverable_loop(
     extra_snapshot: Callable[[], object] | None = None,
     extra_restore: Callable[[object], None] | None = None,
     on_max_rounds: Callable[[int], Exception] | None = None,
-    resume_rounds: int | None = None,
 ) -> int:
     """Run ``round_body`` until ``converged()``; returns completed rounds.
 
@@ -50,23 +49,12 @@ def run_recoverable_loop(
     ``cluster.advance_round()`` (loops that historically attribute all
     phases to round 0, like PageRank's, pass False). At ``max_rounds``
     the loop raises ``on_max_rounds(rounds)`` if given, else returns.
-
-    ``resume_rounds`` re-enters a loop already in flight (the self-healing
-    pool forks replacement workers mid-run): the loop picks up at that
-    completed-round count with the cluster state already rolled back to
-    the round start - so the first resumed iteration skips
-    ``before_round``/``advance_round``/the crash poll (all already applied
-    before the snapshot was taken) and reuses the loop's live
-    ``CheckpointManager`` instead of taking a fresh entry checkpoint.
     """
     if max_rounds <= 0:
         return 0
-    resuming = resume_rounds is not None
     injector = cluster.faults
     manager: CheckpointManager | None = None
-    if resuming:
-        manager = cluster.active_manager
-    elif injector is not None and (
+    if injector is not None and (
         injector.plan.crashes or injector.plan.checkpoint_interval > 0
     ):
         manager = CheckpointManager(
@@ -79,25 +67,20 @@ def run_recoverable_loop(
         # Entry checkpoint: a crash before the first periodic checkpoint
         # must still be recoverable (GraphLab snapshots at start of run).
         manager.take(0)
-    cluster.active_manager = manager
-    rounds = resume_rounds if resuming else 0
+    rounds = 0
     while True:
-        if resuming:
-            resuming = False
-        else:
-            if before_round is not None:
-                before_round()
-            if advance_rounds:
-                cluster.advance_round()
-            if manager is not None:
-                round_id = cluster.current_round if advance_rounds else rounds + 1
-                crash = injector.crash_at(round_id)
-                if crash is not None:
-                    # The state mutated since the last boundary (before_round)
-                    # is discarded by the restore; replay re-runs it.
-                    rounds = manager.recover(crash)
-                    continue
-        cluster.loop_rounds = rounds
+        if before_round is not None:
+            before_round()
+        if advance_rounds:
+            cluster.advance_round()
+        if manager is not None:
+            round_id = cluster.current_round if advance_rounds else rounds + 1
+            crash = injector.crash_at(round_id)
+            if crash is not None:
+                # The state mutated since the last boundary (before_round)
+                # is discarded by the restore; replay re-runs it.
+                rounds = manager.recover(crash)
+                continue
         round_body()
         rounds += 1
         if converged():

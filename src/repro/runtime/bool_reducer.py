@@ -56,14 +56,3 @@ class BoolReducer:
     def install_compute_effects(self, host: int, effects: bool, resolve_op) -> None:
         del resolve_op  # uniform carrier signature; no operators to resolve
         self._flags[host] = bool(effects)
-
-    # Whole-state form (``RoundSnapshot``): the host flags plus the synced
-    # value, restorable any number of times.
-
-    def checkpoint_state(self) -> tuple[list[bool], bool]:
-        return list(self._flags), self._value
-
-    def restore_state(self, state: tuple[list[bool], bool]) -> None:
-        flags, value = state
-        self._flags = list(flags)
-        self._value = value

@@ -32,26 +32,47 @@ class TestParser:
             build_parser().parse_args(["run", "MIS", "--variant", "turbo"])
 
 
-class TestChaosVictim:
-    """``repro chaos`` rejects a victim it could never kill as a usage
-    error (exit 2) before running either workload."""
+class TestCountsBelowOne:
+    """``--hosts``, ``--threads`` and ``--jobs`` below 1 are usage errors
+    (exit 2) on every run-style subcommand, raised before anything runs;
+    so is the deleted ``chaos`` subcommand."""
 
     @pytest.mark.parametrize(
-        "flags,expect",
+        "argv,expect",
         (
-            (["--worker", "0"], "workers are 1..1"),
-            (["--worker", "2"], "workers are 1..1"),
-            (["--jobs", "8", "--worker", "4"], "--hosts 4 (workers are 1..3)"),
-            (["--at-boundary", "0"], "they count from 1"),
+            (["run", "BFS", "--hosts", "0"], "argument --hosts: must be at least 1"),
+            (["run", "BFS", "--threads", "0"], "argument --threads: must be at least 1"),
+            (["run", "BFS", "--jobs", "0"], "argument --jobs: must be at least 1"),
+            (["run", "BFS", "--jobs", "-2"], "argument --jobs: must be at least 1"),
+            (["variants", "MIS", "--hosts", "-1"], "argument --hosts"),
+            (["trace", "BFS", "--jobs", "0"], "argument --jobs"),
+            (["profile", "LV", "--threads", "0"], "argument --threads"),
+            (["faults", "BFS", "--hosts", "0"], "argument --hosts"),
+            (["compare-lv", "--jobs", "0"], "argument --jobs"),
+            (["engines", "PR", "--hosts", "0"], "argument --hosts"),
+            (["engines", "PR", "--threads", "0"], "argument --threads"),
+            (["chaos", "PR", "--jobs", "2"], "invalid choice: 'chaos'"),
         ),
-        ids=("coordinator", "past-the-shards", "clamped-to-hosts", "boundary-0"),
+        ids=(
+            "run-hosts-0",
+            "run-threads-0",
+            "run-jobs-0",
+            "run-jobs-negative",
+            "variants-hosts",
+            "trace-jobs",
+            "profile-threads",
+            "faults-hosts",
+            "compare-lv-jobs",
+            "engines-hosts",
+            "engines-threads",
+            "no-chaos-command",
+        ),
     )
-    def test_rejected_before_running(self, capsys, monkeypatch, flags, expect):
+    def test_rejected_before_running(self, capsys, monkeypatch, argv, expect):
         def never(*args, **kwargs):
-            raise AssertionError("a workload ran before the victim was checked")
+            raise AssertionError("a workload ran before its arguments were checked")
 
         monkeypatch.setattr(repro.cli, "run_kimbap", never)
-        argv = ["chaos", "PR", "--hosts", "4", "--jobs", "2", *flags]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -4,7 +4,9 @@ closed-form thread dealing.
 The end-to-end byte-identity contract lives in
 ``tests/test_parallel_equivalence.py``; these tests pin the deterministic
 pieces the pool relies on: shard geometry, the per-phase shardability
-decisions derived from plan metadata, and operator resolution by name.
+decisions derived from plan metadata, and operator resolution by name -
+plus its fail-fast contract: a dead, silent or diverged worker fails the
+run with a typed, picklable error naming the worker, shard and phase.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ from repro.exec import (
     ScalarKernel,
 )
 from repro.exec.pool import (
+    ExchangeTimeout,
     HostShardPool,
     WorkerDied,
+    _map_table,
     create_pool,
     fork_available,
     shard_hosts,
@@ -109,7 +113,7 @@ class TestShardability:
         # the hook phase and resolvable by name on every process.
         carriers = pool._tables[id(plan)][id(_first_operator(plan))]
         assert carriers == [parent, work]
-        assert pool._names[id(plan)] == {"parent": parent, "work": work}
+        assert _map_table(plan) == {"parent": parent, "work": work}
 
     def test_shortcut_forms_carry_the_map_they_mutate(self, setup):
         cluster, pgraph = setup
@@ -150,7 +154,7 @@ class TestShardability:
         )
         pool = _pool(cluster, plan)
         assert pool._tables[id(plan)][id(_first_operator(plan))] == [tallied, votes]
-        assert pool._names[id(plan)] == {"t": tallied, "v": votes, "w": watched}
+        assert _map_table(plan) == {"t": tallied, "v": votes, "w": watched}
 
     @pytest.mark.skipif(
         not fork_available(), reason="host-shard parallelism needs POSIX fork"
@@ -585,6 +589,48 @@ class TestEndRunDiagnostics:
         assert not _live_workers()
 
 
+class _AliveProcess:
+    pid = 4242
+
+    @staticmethod
+    def is_alive() -> bool:
+        return True
+
+
+class TestSupervisorUnits:
+    def test_silent_worker_times_out(self, setup):
+        cluster, pgraph = setup
+        pool = _pool(cluster, _shardable_plan(cluster, pgraph))
+        pool.exchange_timeout = 0.2
+        parent, child = multiprocessing.get_context("fork").Pipe()
+        try:
+            with pytest.raises(ExchangeTimeout) as exc:
+                pool._await_peer(parent, 1, _AliveProcess())
+        finally:
+            parent.close()
+            child.close()
+        assert exc.value.worker == 1
+        assert "sent nothing" in str(exc.value)
+        assert pool.dead
+
+
+class TestPoolErrorTaxonomy:
+    def test_context_in_message_and_attributes(self):
+        err = WorkerDied("worker gone", worker=2, shard=(3, 4, 5), phase="exchange")
+        assert (err.worker, err.shard, err.phase) == (2, (3, 4, 5), "exchange")
+        text = str(err)
+        assert "worker 2" in text
+        assert "hosts 3..5" in text
+        assert "phase 'exchange'" in text
+
+    def test_pickles_with_context(self):
+        err = ExchangeTimeout("slow", worker=1, shard=(0, 1), phase="flush")
+        clone = pickle.loads(pickle.dumps(err))
+        assert isinstance(clone, ExchangeTimeout)
+        assert (clone.worker, clone.shard, clone.phase) == (1, (0, 1), "flush")
+        assert str(clone) == str(err)
+
+
 _CHILD_ENV_SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
 )
@@ -593,8 +639,8 @@ _CHILD_ENV_SRC = os.path.join(
 @needs_fork
 class TestFailFastSupervisor:
     def test_stopped_worker_times_out_under_fail_fast(self, tmp_path):
-        """Every coordinator wait is the supervisor's poll, with or without
-        healing: a SIGSTOPped worker surfaces as ``ExchangeTimeout`` naming
+        """Every coordinator wait is the supervisor's poll: a SIGSTOPped
+        worker surfaces as ``ExchangeTimeout`` naming
         its worker, shard and phase instead of blocking the run forever.
         The run happens in a child under a timeout so a blocking wait
         fails this test rather than hanging the suite."""

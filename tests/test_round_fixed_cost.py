@@ -7,8 +7,8 @@ that went stale would skip a host that has work, or fold a batch over
 pending dict state - so they are checked here against the scans they
 replaced, at every site that installs or mutates the state behind them,
 and end to end on the runs where they matter: road grids on which most
-hosts idle most rounds, under checkpoint restore, a second-run fork and
-a worker kill; and paths / ladders whose frontier is one or two sources
+hosts idle most rounds, under checkpoint restore and a second-run fork;
+and paths / ladders whose frontier is one or two sources
 wide for thousands of rounds.
 """
 
@@ -33,7 +33,7 @@ from repro.core.reduction import ThreadLocalReduction
 from repro.eval.harness import run_kimbap
 from repro.exec import Executor
 from repro.exec.pool import fork_available
-from repro.faults import ChaosEvent, ChaosPlan, FaultPlan, HostCrash
+from repro.faults import FaultPlan, HostCrash
 from repro.graph import generators
 from repro.partition import partition
 
@@ -103,13 +103,6 @@ class TestActivityFlagEndToEnd:
         result = self.run(app, fault_plan=CRASH)
         assert result.faults["recoveries"] == 1
         assert canonical(result) == idle_oracle(app, CRASH)
-
-    @needs_fork
-    def test_worker_kill_refork(self, app, idle_oracle):
-        chaos = ChaosPlan(events=(ChaosEvent(boundary=5, worker=1),))
-        result = self.run(app, jobs=2, recovery="refork", chaos_plan=chaos)
-        assert result.parallel["deaths_detected"] == 1
-        assert canonical(result) == idle_oracle(app)
 
     @needs_fork
     def test_second_run_forks_from_the_reset_state(self, app):

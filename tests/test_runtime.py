@@ -199,19 +199,6 @@ class TestBoolReducer:
         reducer.sync()
         assert reducer.read()
 
-    def test_checkpoint_restores_flags_and_value(self, setting):
-        _, _, cluster = setting
-        reducer = BoolReducer(cluster)
-        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
-            reducer.reduce(1, True)
-        reducer.sync()
-        saved = reducer.checkpoint_state()
-        assert saved == ([False, True] + [False] * (cluster.num_hosts - 2), True)
-        for _ in range(2):  # restorable any number of times
-            reducer.set_all(False)
-            reducer.restore_state(saved)
-            assert reducer.read() and reducer.checkpoint_state() == saved
-
     @pytest.mark.parametrize("hits", [0, 1, 5])
     def test_reduce_count_is_that_many_true_reduces(self, setting, hits):
         _, _, cluster = setting
@@ -230,7 +217,7 @@ class TestBoolReducer:
             outcomes.append(
                 (
                     reducer.read(),
-                    reducer.checkpoint_state(),
+                    reducer.export_compute_effects(1),
                     [counters.as_dict() for counters in record.counters],
                 )
             )

@@ -1,7 +1,7 @@
 """Edge-case coverage for the run-equivalence checkers (``repro.verify``).
 
-These are the gates the fault harness, the chaos CLI, and the async
-engine's oracle comparison all ride on, so their corner semantics - NaN,
+These are the gates the fault harness and the async engine's oracle
+comparison ride on, so their corner semantics - NaN,
 tolerance boundaries, multi-node reporting, per-map overrides - get
 pinned explicitly here.
 """
