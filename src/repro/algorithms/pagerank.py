@@ -44,6 +44,13 @@ from repro.exec import (
 from repro.partition.base import PartitionedGraph
 
 
+def left_sum(values: np.ndarray) -> float:
+    """``values`` added strictly left to right (0.0 when empty): builtin
+    ``sum`` compensates from Python 3.12 on, so its bits (and the report's)
+    would depend on the interpreter."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
 def pagerank(
     cluster: Cluster,
     pgraph: PartitionedGraph,
@@ -89,13 +96,13 @@ def pagerank(
     def redistribute_dangling() -> None:
         # Dangling nodes' mass redistributes uniformly (host-side scalar,
         # one allreduce worth of traffic rides the contribution sync).
-        dangling = sum(state["previous"][degrees == 0].tolist())
+        dangling = left_sum(state["previous"][degrees == 0])
         state["uniform"] = base + damping * dangling / num_nodes
         state["contributions"] = contribution.snapshot_array()
 
     def update_delta() -> None:
         current = rank.snapshot_array()
-        state["delta"] = sum(np.abs(current - state["previous"]).tolist())
+        state["delta"] = left_sum(np.abs(current - state["previous"]))
         state["previous"] = current
 
     def restore_state(saved) -> None:
@@ -182,5 +189,5 @@ def pagerank(
         name="PR",
         values=values,
         rounds=rounds,
-        stats={"delta": state["delta"], "mass": sum(values.values())},
+        stats={"delta": state["delta"], "mass": left_sum(np.fromiter(values.values(), float))},
     )

@@ -11,9 +11,7 @@ shared-map variants.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -50,6 +48,24 @@ class SimulatedOutOfMemory(MemoryError):
         self.owner = owner
         self.total_slots = total_slots
         self.limit = limit
+
+
+class _OpenPhase:
+    """An open phase (:meth:`Cluster.phase`): ``with`` yields its record
+    and closes it - one small object, where a generator costs a frame."""
+
+    __slots__ = ("cluster", "record")
+
+    def __init__(self, cluster: "Cluster", record: PhaseRecord) -> None:
+        self.cluster = cluster
+        self.record = record
+
+    def __enter__(self) -> PhaseRecord:
+        return self.record
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.cluster._current = None
+        self.cluster.network.bind_phase(None)
 
 
 @dataclass(frozen=True)
@@ -102,15 +118,15 @@ class Cluster:
 
     # -- phase scoping -----------------------------------------------------
 
-    @contextlib.contextmanager
     def phase(
         self,
         kind: PhaseKind,
         parallel: bool = True,
         label: str = "",
         operator: str = "",
-    ) -> Iterator[PhaseRecord]:
-        """Open a phase; all events recorded inside belong to it.
+    ) -> "_OpenPhase":
+        """Open a phase; all events recorded inside its ``with`` block
+        belong to it.
 
         Phases do not nest: the BSP execution model is a flat sequence of
         phases inside each round. ``operator`` names the operator body or
@@ -131,11 +147,7 @@ class Cluster:
         self.network.bind_phase(record)
         if self.faults is not None:
             self.faults.on_phase_start(record)
-        try:
-            yield record
-        finally:
-            self._current = None
-            self.network.bind_phase(None)
+        return _OpenPhase(self, record)
 
     def counters(self, host_id: int) -> Counters:
         """The current phase's counters for ``host_id``."""
@@ -211,6 +223,8 @@ class Cluster:
         paper's out-of-memory cells do.
         """
         previous = self._live_slots.get((host_id, owner), 0)
+        if slots == previous:
+            return  # the total and its peak stand; the limit was checked when set
         if slots == 0:
             # A zero footprint is the same as no footprint: drop the entry
             # so released/empty owners do not linger in the live table.

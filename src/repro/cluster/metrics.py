@@ -61,7 +61,7 @@ class PhaseKind(enum.Enum):
 STATISTIC_FIELDS = frozenset({"reads_master", "reads_remote"})
 
 
-@dataclass
+@dataclass(slots=True)
 class Counters:
     """Additive per-host event counters for one phase.
 

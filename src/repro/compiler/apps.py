@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.algorithms.common import AlgorithmResult
 from repro.algorithms.mis import _hash_priority
+from repro.algorithms.pagerank import left_sum
 from repro.cluster.cluster import Cluster
 from repro.compiler.compile import compile_program
 from repro.compiler.interp import run_compiled, run_round
@@ -192,12 +193,12 @@ def compiled_pagerank(
     while rounds < max_rounds:
         contribution.reset_values(lambda node: 0.0)
         run_round(push_loop, cluster, pgraph, maps, extern={"damping": damping})
-        dangling = sum(previous[degrees == 0].tolist())
+        dangling = left_sum(previous[degrees == 0])
         uniform = base + damping * dangling / num_nodes
         run_round(rebuild_loop, cluster, pgraph, maps, extern={"uniform": uniform})
         rounds += 1
         current = rank.snapshot_array()
-        delta = sum(np.abs(current - previous).tolist())
+        delta = left_sum(np.abs(current - previous))
         previous = current
         if delta < tolerance:
             break
@@ -208,7 +209,7 @@ def compiled_pagerank(
         name="PR",
         values=values,
         rounds=rounds,
-        stats={"delta": delta, "mass": sum(values.values())},
+        stats={"delta": delta, "mass": left_sum(np.fromiter(values.values(), float))},
     )
 
 

@@ -593,9 +593,10 @@ class GarHostStore:
         self.cluster.counters(self.host_id).materialize_ops += installed
 
     def drop_remote(self) -> None:
-        self._remote_keys = np.empty(0, dtype=np.int64)
-        self._remote_values = []
-        self._remote_hash.clear()
+        if self.remote_cache_size:  # an empty cache stays as it is
+            self._remote_keys = np.empty(0, dtype=np.int64)
+            self._remote_values = []
+            self._remote_hash.clear()
 
     @property
     def remote_cache_size(self) -> int:

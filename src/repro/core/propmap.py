@@ -130,18 +130,23 @@ class NodePropMap:
         # global node ids (3*H*N bytes per map) - writers scatter, readers
         # gather, nothing boxes a node id.
         # _updated_masters: masters changed since the last broadcast.
-        self._updated_masters = [self._empty_mask() for _ in range(num_hosts)]
         # Activity tracking for data-driven operators (delta propagation):
         # the global ids whose locally-readable copy changed in the last
-        # completed round. Gluon exposes the same information through its
-        # updated-value metadata; push-style operators use it to skip
-        # quiescent nodes.
+        # completed round (_active) and in this one (_next_active). Gluon
+        # exposes the same information through its updated-value metadata;
+        # push-style operators use it to skip quiescent nodes.
         # Both buffers start full so the first round after initialization
         # sees every node active (reset_updated swaps buffers per round).
-        # _active is only ever replaced wholesale (_install_active) and
-        # active_mask hands it out, so its masks are read-only.
-        self._install_active([self._local_mask(h) for h in range(num_hosts)])
-        self._next_active = [self._local_mask(h) for h in range(num_hosts)]
+        # active_mask hands _active out, so its masks are read-only; a host
+        # with none active shares _no_active.
+        self._no_active = _frozen(self._empty_mask())
+        self._install_masks(
+            [self._empty_mask() for _ in range(num_hosts)],
+            [self._local_mask(h) for h in range(num_hosts)],
+            [self._local_mask(h) for h in range(num_hosts)],
+        )
+        # Per host: reduced since the last collect? (Else nothing to collect.)
+        self._host_reduced = [False] * num_hosts
         self._pinned = False
         self._pin_invariant = "none"
         self._mirror_filter_cache: dict[str, list[dict[int, np.ndarray]]] = {}
@@ -288,6 +293,7 @@ class NodePropMap:
     def reduce(self, host: int, thread: int, key: int, value: Any, op: ReduceOp) -> None:
         """Reduce ``value`` onto ``key``'s property (visible next round)."""
         self._check_reduce(1, key, op)
+        self._host_reduced[host] = True
         self.reductions[host].reduce(thread, int(key), value, op)
 
     def reduce_bulk(
@@ -308,6 +314,7 @@ class NodePropMap:
         values = np.asarray(values)
         self._check_reduce(int(keys.size), keys, op, values)
         if keys.size:
+            self._host_reduced[host] = True
             self.reductions[host].reduce_bulk(np.asarray(threads), keys, values, op)
 
     def prepare_reduce_bulk(
@@ -347,6 +354,8 @@ class NodePropMap:
         count = int((prepared.keys if idx is None else idx).size)
         self._check_reduce(count, None, op, values)
         reduction = self.reductions[host]  # each strategy ignores an empty batch
+        if count:
+            self._host_reduced[host] = True
         if isinstance(prepared, PreparedFold):
             reduction.reduce_bulk_prepared(prepared, values, op, idx)
         elif idx is None:
@@ -356,27 +365,39 @@ class NodePropMap:
 
     # ----------------------------------------------------------- compiler API
 
-    def _install_active(self, masks: list[np.ndarray]) -> None:
-        """The one place the activity state is replaced (construction,
-        buffer swap, checkpoint restore): the masks go in
-        read-only, and with them one bool per host - does any copy on it
-        count as active - so an idle host is known without a scan."""
-        self._active = [_frozen(mask) for mask in masks]
-        self._host_active = [bool(mask.any()) for mask in masks]
+    def _install_masks(self, *masks: list[np.ndarray]) -> None:
+        """Replace the pending, activity and next-round masks (construction,
+        checkpoint restore) and read each one's per-host flag - does it hold
+        any node - off it. After that a flag is raised where its mask is
+        written and lowered where it is swapped or cleared: no scans."""
+        self._updated_masters, active, self._next_active = masks
+        self._active = [_frozen(mask) for mask in active]
+        self._host_pending, self._host_active, self._host_next = (
+            [bool(mask.any()) for mask in host_masks] for host_masks in masks
+        )
 
     def reset_updated(self) -> None:
+        """Start a round: a host written last round swaps its mask in and
+        gets a fresh one; a clean host that was active takes the shared
+        empty mask; a host clean both rounds is not touched."""
         self._any_updated = False
-        self._install_active(self._next_active)
-        self._next_active = [self._empty_mask() for _ in self._active]
+        for host, written in enumerate(self._host_next):
+            if written:
+                self._active[host] = _frozen(self._next_active[host])
+                self._next_active[host] = self._empty_mask()
+            elif self._host_active[host]:
+                self._active[host] = self._no_active
+        self._host_active = self._host_next
+        self._host_next = [False] * len(self._host_active)
 
     def active_mask(self, host: int) -> np.ndarray | None:
         """Dense bool mask (by global node id) of ``host``'s last-round
         active nodes, or None when there are none.
 
-        This *is* the live activity state, handed out read-only:
-        ``_active`` is only ever replaced wholesale (:meth:`_install_active`),
-        never written in place, so a kernel can neither disturb the
-        frontier nor see it move mid-round.
+        This *is* the live activity state, handed out read-only: a mask
+        in ``_active`` is only ever replaced (:meth:`reset_updated`,
+        :meth:`_install_masks`), never written in place, so a kernel can
+        neither disturb the frontier nor see it move mid-round.
         """
         return self._active[host] if self._host_active[host] else None
 
@@ -580,14 +601,16 @@ class NodePropMap:
 
     def _sgr_reduce(self) -> None:
         op = self._op
+        # Hosts that did not reduce since the last collect hold nothing.
+        hosts = [host for host, reduced in enumerate(self._host_reduced) if reduced]
+        self._host_reduced = [False] * len(self._host_reduced)
         if op is not None and all(
-            getattr(reduction, "bulk_state_only", False)
-            for reduction in self.reductions
+            getattr(self.reductions[host], "bulk_state_only", False) for host in hosts
         ):
-            self._sgr_reduce_bulk(op)
+            self._sgr_reduce_bulk(op, hosts)
             return
         payloads: dict[tuple[int, int], list[tuple[int, Any]]] = {}
-        for host in range(self.cluster.num_hosts):
+        for host in hosts:
             combined = self.reductions[host].collect(op) if op else {}
             for key, value in combined.items():
                 owner = self.owner_of(key)
@@ -654,14 +677,14 @@ class NodePropMap:
         self._routes[host] = (keys, route)
         return route
 
-    def _sgr_reduce_bulk(self, op: ReduceOp) -> None:
+    def _sgr_reduce_bulk(self, op: ReduceOp, hosts: list[int]) -> None:
         """Array scatter-gather-reduce: collect per-host folded arrays,
         apply self-owned partials during the host scan (as the scalar path
         does), then ship and apply cross-host payloads in ascending source
         order - the same per-key application order, message count, and
         byte totals as the scalar path."""
         payloads: list[tuple[int, _Leg, np.ndarray]] = []
-        for host in range(self.cluster.num_hosts):
+        for host in hosts:
             keys, values = self.reductions[host].collect_arrays(op)
             if keys.size == 0:
                 continue
@@ -688,6 +711,7 @@ class NodePropMap:
         if self.variant.uses_gar:
             self._updated_masters[owner][changed] = True
             self._next_active[owner][changed] = True
+            self._host_pending[owner] = self._host_next[owner] = True
 
     def _apply_at_owner_bulk(self, leg: _Leg, values: np.ndarray, op: ReduceOp) -> None:
         owner = leg.owner
@@ -766,9 +790,9 @@ class NodePropMap:
     def _broadcast(self, full: bool) -> None:
         fan_out = self._mirror_targets(self._pin_invariant)
         for owner_host in range(self.cluster.num_hosts):
-            pending = self._updated_masters[owner_host]
-            if not full and not pending.any():
+            if not (full or self._host_pending[owner_host]):
                 continue
+            pending = self._updated_masters[owner_host]
             for mirror_host, ids in fan_out[owner_host].items():
                 # Every fan-out pair filters by one O(|ids|) gather.
                 selected = ids if full else ids[pending[ids]]
@@ -783,13 +807,16 @@ class NodePropMap:
                 self.stores[mirror_host].write_mirror_bulk(selected, values)
                 if not full:
                     self._next_active[mirror_host][selected] = True
+                    self._host_next[mirror_host] = True
         self._clear_pending()
 
     def _clear_pending(self) -> None:
         """Nothing is pending broadcast any more. (Keys may have mirrors
         on several hosts, so this only runs after a whole fan-out.)"""
-        for pending in self._updated_masters:
-            pending.fill(False)
+        for host, pending in enumerate(self._host_pending):
+            if pending:
+                self._updated_masters[host].fill(False)
+        self._host_pending = [False] * len(self._host_pending)
 
     # --------------------------------------------------------------- helpers
 
@@ -994,6 +1021,7 @@ class NodePropMap:
                     "single reduction operator per loop"
                 )
         self.reductions[host].install_state(reduction_state)
+        self._host_reduced[host] = True
         self.bitsets[host].install_state(request_bits)
         self._dup_requests[host] = list(dup_requests)
 
@@ -1031,9 +1059,10 @@ class NodePropMap:
             store.restore(store_state)
         self._any_updated = state["any_updated"]
         # Copying again: the saved arrays stay untouched.
-        self._updated_masters = [mask.copy() for mask in state["updated_masters"]]
-        self._install_active([mask.copy() for mask in state["active"]])
-        self._next_active = [mask.copy() for mask in state["next_active"]]
+        self._install_masks(*(
+            [mask.copy() for mask in state[name]]
+            for name in ("updated_masters", "active", "next_active")
+        ))
         self._op = state["op"]
         self._pinned = state["pinned"]
         self._pin_invariant = state["pin_invariant"]

@@ -18,7 +18,8 @@ path. The contract is strict: a bulk call must produce the same folded
 values, the same conflict counts, and the same counter totals as the
 equivalent sequence of scalar ``reduce`` calls (``threads`` non-decreasing,
 as the static dealing produces). Numeric batches stay folded as sorted
-key/value arrays (thread-major composite keys for CF) until
+key/value arrays (thread-major composite keys for CF; a prepared min, max
+or overwrite batch straight by key, see :meth:`PreparedFold.fold`) until
 ``collect``/``collect_arrays``, and every one of them is folded the same
 way: give each group a dense id off a presence mask (:func:`_present`,
 :func:`_rank`), then one identity-seeded ``ufunc.at`` scatter
@@ -29,7 +30,7 @@ falls back to the scalar per-item path.
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -150,6 +151,29 @@ def _fold_present(
     return present, _fold(ids, num_ids, values, op)[present]
 
 
+class _Batch(NamedTuple):
+    """A folded bulk batch awaiting reduce-sync: the ``(thread, key)``
+    slots it touched (``pending`` counts them), its per-slot state
+    ``(span, uniq, folded)`` for a spill, an export or the dict-path
+    collect, and the thread-order merge by key ``collect_arrays`` returns."""
+
+    slots: int
+    state: Callable[[], tuple[int, np.ndarray, np.ndarray]]
+    merge: Callable[[ReduceOp], tuple[np.ndarray, np.ndarray]]
+
+
+def _slot_batch(span: int, uniq: np.ndarray, folded: np.ndarray) -> _Batch:
+    """A batch held as per-slot state (a generic reduce, an installed
+    export). Stripping the thread component leaves each thread's sorted
+    keys in thread order, so one more fold by key is the thread-order
+    dict merge of :meth:`ThreadLocalReduction.collect`."""
+    return _Batch(
+        int(uniq.size),
+        lambda: (span, uniq, folded),
+        lambda op: _fold_present(uniq % span, span, folded, op),
+    )
+
+
 class PreparedFold:
     """The fold plan of a *static* reduce batch: the only one there is.
 
@@ -158,25 +182,22 @@ class PreparedFold:
     subset a frontier selects - so the batch's :func:`_slots` are a pure
     function of it and are ranked once, here, and frozen: per batch
     position the id of its ``(thread, key)`` composite among the sorted
-    unique composites (``slot``, into ``uniq``), per slot the id of its key
-    among the sorted unique keys (``kslot``, into ``ukeys``), and the last
-    position of each (the overwrite fold of a full round).
+    unique composites (``slot``, into ``uniq``), and per slot the id of its
+    key among the sorted unique keys (``kslot``, into ``ukeys``).
 
-    A full round (``idx=None``) scatters straight over the frozen ids; a
-    partial round scatters its k positions the same way and then takes the
-    slots they touched off a presence mask (:func:`_fold_present`: O(k)
-    gathers plus an O(slots) mask scan and accumulator fill). Either way a
-    slot's values apply in ascending batch position (:func:`_fold`), and
-    ``span`` is the full batch's ``max(keys) + 1`` (any span above every
-    key orders composites and splits them by ``% span`` the same way), so
-    the state is interchangeable with what
+    A sum folds by slot and then the slots by key (:meth:`fold_slots`,
+    :meth:`collect`); every other operator in one level (:meth:`fold`).
+    Either way values apply in ascending batch position (:func:`_fold`),
+    and ``span`` is the full batch's ``max(keys) + 1`` (any span above
+    every key orders composites and splits them by ``% span`` the same
+    way), so the per-slot state is interchangeable with what
     :meth:`ThreadLocalReduction.reduce_bulk` stores. ``threads``/``keys``
     are kept for the fallback to that generic path when the fast path's
     preconditions (clean thread maps, a foldable batch) fail at run time.
     """
 
     __slots__ = (
-        "threads", "keys", "span", "slot", "uniq", "kslot", "ukeys", "last", "klast",
+        "threads", "keys", "span", "slot", "uniq", "kslot", "ukeys", "_klast",
     )
 
     def __init__(self, threads: np.ndarray, keys: np.ndarray) -> None:
@@ -185,33 +206,76 @@ class PreparedFold:
         num_threads = int(threads.max()) + 1 if threads.size else 0
         self.span, *tables = _slots(threads, keys, num_threads)
         self.uniq, self.slot, self.ukeys, self.kslot = map(_frozen, tables)
-        self.last = _frozen(_last(self.slot, self.uniq.size))
-        self.klast = _frozen(_last(self.kslot, self.ukeys.size))
+        self._klast = None
+
+    @property
+    def klast(self) -> np.ndarray:
+        """Per key id its last batch position (overwrite), built on first use."""
+        if self._klast is None:
+            self._klast = _frozen(_last(self.kslot[self.slot], self.ukeys.size))
+        return self._klast
 
     def fold(
         self, values: np.ndarray, op: ReduceOp, idx: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    ) -> _Batch:
         """Fold the batch's ``values`` - or, given ascending batch
-        positions ``idx``, that subset's (``values`` aligned with ``idx``)
-        - into ``(uniq, folded, present)``: with :attr:`span`, the first
-        two are the reduction's batch state; ``present`` is the slot ids
-        behind them (None: every slot), which :meth:`collect` takes."""
+        positions ``idx``, that subset's (``values`` aligned with ``idx``).
+
+        A sum takes two levels: float addition does not associate. Min, max
+        and overwrite go straight to keys in one scatter: a key's positions
+        are thread-major, so its per-thread partials are runs of them, and
+        an operator that keeps one operand by a rule that groups freely
+        (numpy: the later of tied values, the first NaN) gives the same bits
+        either way. Their touched slots are only counted; the per-slot state
+        is rebuilt from ``values`` (held until reduce-sync) when asked for.
+        """
+        if op.ufunc is np.add:
+            uniq, folded, present = self.fold_slots(values, op, idx)
+            return _Batch(
+                int(uniq.size),
+                lambda: (self.span, uniq, folded),
+                partial(self.collect, present, folded),
+            )
         if idx is None:
-            folded = _fold(self.slot, self.uniq.size, values, op, self.last)
-            return self.uniq, folded, None
+            slots, keys = self.uniq.size, self.ukeys
+            merged = (
+                values[self.klast] if op.name == "overwrite"
+                else _fold(self.kslot[self.slot], keys.size, values, op)
+            )
+        else:
+            slot = self.slot[idx]
+            seen = np.zeros(self.uniq.size, dtype=bool)
+            seen[slot] = True
+            slots = np.count_nonzero(seen)
+            kpresent, merged = _fold_present(self.kslot[slot], self.ukeys.size, values, op)
+            keys = self.ukeys[kpresent]
+        return _Batch(
+            int(slots),
+            lambda: (self.span, *self.fold_slots(values, op, idx)[:2]),
+            lambda _op: (keys, merged),
+        )
+
+    def fold_slots(
+        self, values: np.ndarray, op: ReduceOp, idx: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The first level: ``(uniq, folded, present)``, the per-slot
+        state and the slot ids behind it (None: every slot) for
+        :meth:`collect`. A partial round takes the slots it touched off a
+        presence mask (:func:`_fold_present`)."""
+        if idx is None:
+            return self.uniq, _fold(self.slot, self.uniq.size, values, op), None
         present, folded = _fold_present(self.slot[idx], self.uniq.size, values, op)
         return self.uniq[present], folded, present
 
     def collect(
         self, present: np.ndarray | None, folded: np.ndarray, op: ReduceOp
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The thread-order merge of one :meth:`fold` result: the slots are
-        thread-major, so folding them by key id applies each key's threads
-        in ascending order. A full fold collects the same frozen ``ukeys``
-        object every round (the reduce-sync route cache is keyed on it)."""
+        """The second level: the slots are thread-major, so folding them
+        by key id applies each key's threads in ascending order. A full
+        fold collects the same frozen ``ukeys`` object every round (the
+        reduce-sync route cache is keyed on it)."""
         if present is None:
-            merged = _fold(self.kslot, self.ukeys.size, folded, op, self.klast)
-            return self.ukeys, merged
+            return self.ukeys, _fold(self.kslot, self.ukeys.size, folded, op)
         kpresent, merged = _fold_present(
             self.kslot[present], self.ukeys.size, folded, op
         )
@@ -232,38 +296,17 @@ class ThreadLocalReduction:
         self.maps: list[dict[int, Any]] = [
             {} for _ in range(cluster.threads_per_host)
         ]
-        # Bulk-path state: one whole batch folded on (thread, key)
-        # composite keys - ``uniq`` ascending in thread-major order, so a
-        # thread's segment is its sorted unique keys and its folded values.
-        # Dict state and batch state never coexist; mixing scalar and bulk
-        # reduces (or back-to-back bulk batches) spills the batch into the
-        # per-thread dicts with values unchanged.
-        self._batch: tuple[int, np.ndarray, np.ndarray] | None = None
-        # How the prepared fold that produced ``_batch`` collects it, if
-        # one did: ``(uniq, collect)``, the batch's own ``uniq`` object
-        # and the plan's sort-free thread merge. Only ever trusted after
-        # an identity check of that ``uniq`` against the pending batch's,
-        # so a batch from any other source (generic reduce, another
-        # process's export) never meets it. Set and cleared together with
-        # ``_batch``, in :meth:`_swap_batch` only.
-        self._batch_plan: tuple[np.ndarray, Callable[..., Any]] | None = None
+        # Bulk-path state: one whole batch folded (a _Batch), its per-slot
+        # state on (thread, key) composite keys - ``uniq`` ascending in
+        # thread-major order. Dict state and batch state never coexist;
+        # mixing scalar and bulk reduces (or back-to-back bulk batches)
+        # spills the batch into the per-thread dicts with values unchanged.
+        self._batch: _Batch | None = None
         # Whether any thread dict holds an entry: raised where entries can
         # appear (scalar reduce, the per-item fallback, a spill, an
         # installed export), lowered where the dicts are emptied (collect) -
         # so the bulk round never walks ``threads_per_host`` empty dicts.
         self._dict_state = False
-
-    def _swap_batch(
-        self,
-        batch: tuple[int, np.ndarray, np.ndarray] | None = None,
-        plan: tuple[np.ndarray, Callable[..., Any]] | None = None,
-    ) -> tuple[Any, Any]:
-        """The one place the pending batch changes hands: install
-        ``batch`` with its collect token (by default nothing) and return
-        the previous pair, so a token never outlives its batch."""
-        previous = self._batch, self._batch_plan
-        self._batch, self._batch_plan = batch, plan
-        return previous
 
     def reduce(self, thread: int, key: int, value: Any, op: ReduceOp) -> None:
         counters = self.cluster.counters(self.host_id)
@@ -300,7 +343,7 @@ class ThreadLocalReduction:
             # (thread, key), and the ``.at`` application order within a
             # slot is the thread's own left-to-right fold of that key.
             span, uniq, slot, _, _ = _slots(threads, keys, len(self.maps))
-            self._swap_batch((span, uniq, _fold(slot, uniq.size, values, op)))
+            self._batch = _slot_batch(span, uniq, _fold(slot, uniq.size, values, op))
             return
         # Prior pending state or a batch with no exact identity: apply the
         # exact sequential scalar rule into the thread dicts.
@@ -329,7 +372,8 @@ class ThreadLocalReduction:
         """:meth:`reduce_bulk` over ``prepared``'s batch - or its subset at
         ascending positions ``idx`` - with identical charges and folded
         state, minus the per-round sorts. Falls back to the generic path
-        whenever its preconditions do not hold."""
+        whenever its preconditions do not hold. ``values`` is handed over
+        (:meth:`PreparedFold.fold` may hold it until reduce-sync)."""
         count = int((prepared.keys if idx is None else idx).size)
         if count == 0:
             return
@@ -342,15 +386,12 @@ class ThreadLocalReduction:
             return
         counters = self.cluster.counters(self.host_id)
         counters.reduce_calls += count
-        uniq, folded, present = prepared.fold(values, op, idx)
-        self._swap_batch(
-            (prepared.span, uniq, folded),
-            (uniq, partial(prepared.collect, present)),
-        )
+        self._batch = prepared.fold(values, op, idx)
 
     def _spill_batch(self) -> None:
         """Move the folded batch into the thread dicts (values unchanged)."""
-        (span, uniq, folded), _ = self._swap_batch()
+        span, uniq, folded = self._batch.state()
+        self._batch = None
         self._dict_state = True
         maps = self.maps
         for composite, value in zip(uniq.tolist(), folded.tolist()):
@@ -359,18 +400,17 @@ class ThreadLocalReduction:
     def pending(self) -> int:
         total = sum(map(len, self.maps)) if self._dict_state else 0
         if self._batch is not None:
-            total += int(self._batch[1].size)
+            total += self._batch.slots
         return total
 
     def export_state(self) -> tuple:
         """Complete pending-reduction state, for the host-shard exchange
         (``repro.exec.pool``). The returned structure crosses a process
         boundary via pickle, so sharing references with the live maps is
-        fine - the pipe serializes a snapshot. The collect token stays
-        behind (it belongs to this process's plan): every process collects
-        every host at the next reduce-sync, and a batch it installed from
-        a peer takes the token-less presence-mask merge there."""
-        return ("tl", self.maps, self._batch)
+        fine - the pipe serializes a snapshot. A batch ships as per-slot
+        state (its plan stays in this process), and a peer that installs
+        it takes the presence-mask merge at the next reduce-sync."""
+        return ("tl", self.maps, self._batch and self._batch.state())
 
     def install_state(self, state: tuple) -> None:
         """Replace the pending state with an exported snapshot."""
@@ -379,7 +419,7 @@ class ThreadLocalReduction:
             raise ValueError(f"cannot install {tag!r} state into a CF reduction")
         self.maps = list(maps)
         self._dict_state = any(maps)
-        self._swap_batch(batch)
+        self._batch = None if batch is None else _slot_batch(*batch)
 
     @property
     def bulk_state_only(self) -> bool:
@@ -415,10 +455,10 @@ class ThreadLocalReduction:
                         combined[key] = value
                 local_map.clear()
         self._dict_state = False
-        batch, _ = self._swap_batch()
+        batch, self._batch = self._batch, None
         if batch is not None:
             # Thread-major order = thread order, like the dict merge above.
-            span, uniq, folded = batch
+            span, uniq, folded = batch.state()
             for composite, value in zip(uniq.tolist(), folded.tolist()):
                 key = composite % span
                 if key in combined:
@@ -437,15 +477,8 @@ class ThreadLocalReduction:
         if self._batch is None:
             return _NO_KEYS, _NO_KEYS
         self._charge_combine()
-        (span, uniq, folded), plan = self._swap_batch()
-        # A prepared fold's own batch takes its plan's merge over frozen ids.
-        if plan is not None and plan[0] is uniq:
-            return plan[1](folded, op)
-        # Strip the thread component; the result is the per-thread sorted
-        # key runs concatenated in thread order, so one more fold by key
-        # matches the thread-order dict merge of :meth:`collect` (threads
-        # fold left-to-right, overwrite keeps the last).
-        return _fold_present(uniq % span, span, folded, op)
+        batch, self._batch = self._batch, None
+        return batch.merge(op)
 
 
 class SharedMapReduction:

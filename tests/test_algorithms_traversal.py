@@ -5,11 +5,13 @@ from __future__ import annotations
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import bfs, pagerank, sssp
+from repro.algorithms.pagerank import left_sum
 from repro.cluster import Cluster
 from repro.core import RuntimeVariant
 from repro.graph import Graph, generators
@@ -127,3 +129,21 @@ class TestPagerankDetails:
         result = run(pagerank, GRAPHS["powerlaw"], max_rounds=100)
         assert result.rounds < 100
         assert result.stats["delta"] < 1e-9
+
+    @given(st.lists(
+        st.floats(0.0, 1e18) | st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e16]),
+        max_size=64,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_host_fold_is_the_plain_left_fold(self, values):
+        # The dangling mass, the delta and the reported mass fold strictly
+        # left to right, the bits of a plain loop on every interpreter -
+        # builtin sum rounds differently from Python 3.12 on (compensated).
+        acc = 0.0
+        for value in values:
+            acc += value
+        assert left_sum(np.array(values, dtype=np.float64)).hex() == acc.hex()
+
+    def test_host_fold_does_not_compensate(self):
+        # A compensated sum would carry the two lost units: 1e16 + 2.
+        assert left_sum(np.array([1e16, 1.0, 1.0])).hex() == (1e16).hex()

@@ -965,7 +965,7 @@ class TestPreparedFold:
         threads, keys, _ = self._batch(3)
         cluster = Cluster(1, threads_per_host=4)
         plan = ThreadLocalReduction(cluster, 0).prepare_bulk(threads, keys)
-        tables = (plan.uniq, plan.slot, plan.ukeys, plan.kslot, plan.last, plan.klast)
+        tables = (plan.uniq, plan.slot, plan.ukeys, plan.kslot, plan.klast)
         for array in tables:
             with pytest.raises(ValueError):
                 array[...] = 0

@@ -123,7 +123,7 @@ class TestPreparedCollect:
                 prepared_red.reduce_bulk_prepared(plan, values, op)
             with generic_red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
                 generic_red.reduce_bulk(threads, keys, values, op)
-            span, uniq, folded = generic_red._batch
+            span, uniq, folded = generic_red._batch.state()
             want_keys, want = _sorted_fold(uniq % span, folded, op)
             got_keys, got = self._collect(prepared_red, op)
             ref_keys, ref = self._collect(generic_red, op)
@@ -169,7 +169,7 @@ class TestPreparedCollect:
         want_keys, want = self._collect(reference, SUM)
         assert got_keys.tolist() == want_keys.tolist()
         assert got.tobytes() == want.tobytes()
-        assert got_keys is not plan.collect(None, plan.fold(values, SUM)[1], SUM)[0]
+        assert got_keys is not plan.collect(None, plan.fold_slots(values, SUM)[1], SUM)[0]
 
     def test_installed_copy_of_a_prepared_batch_ignores_the_plan(self):
         # Another process's export carries equal but distinct arrays; the
@@ -238,7 +238,7 @@ class TestPreparedSubsetFold:
             values = self._values(rng, idx.size)
             want_uniq, want_folded = _sorted_fold(composite[idx], values, op)
             want_keys, want = _sorted_fold(want_uniq % plan.span, want_folded, op)
-            uniq, folded, present = plan.fold(values, op, idx)
+            uniq, folded, present = plan.fold_slots(values, op, idx)
             got_keys, got = plan.collect(present, folded, op)
             assert np.array_equal(uniq, want_uniq), name
             assert folded.tobytes() == want_folded.tobytes(), name
@@ -274,8 +274,8 @@ class TestPreparedSubsetFold:
         values = self._values(rng, self.COUNT)
         everything = np.arange(self.COUNT)
         plan = PreparedFold(threads, keys)
-        uniq, folded, present = plan.fold(values, op)
-        sub_uniq, sub_folded, sub_present = plan.fold(values, op, everything)
+        uniq, folded, present = plan.fold_slots(values, op)
+        sub_uniq, sub_folded, sub_present = plan.fold_slots(values, op, everything)
         assert present is None
         assert np.array_equal(sub_present, np.arange(plan.uniq.size))
         assert uniq.tobytes() == sub_uniq.tobytes()
@@ -290,7 +290,7 @@ class TestPreparedSubsetFold:
                     reduction.reduce_bulk(threads, keys, values, op)
                 else:
                     reduction.reduce_bulk_prepared(plan, values, op, idx)
-            span, batch_uniq, batch_folded = reduction._batch
+            span, batch_uniq, batch_folded = reduction._batch.state()
             with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
                 collected_keys, collected = reduction.collect_arrays(op)
             states.append((
@@ -316,53 +316,62 @@ class TestPreparedSubsetFold:
             Cluster(1, threads_per_host=self.THREADS), 0
         )
         plan = reduction.prepare_bulk(threads, keys)
-        tables = (plan.slot, plan.uniq, plan.kslot, plan.ukeys, plan.last, plan.klast)
+        tables = (plan.slot, plan.uniq, plan.kslot, plan.ukeys, plan.klast)
         for array in tables:
             with pytest.raises(ValueError):
                 array[...] = 0
         idx = np.arange(0, self.COUNT, 3)
         values = self._values(rng, idx.size)
-        before = plan.fold(values, MIN, idx)
+
+        def outcome(batch):
+            return (batch.slots, *batch.merge(MIN), *batch.state()[1:])
+
+        before = outcome(plan.fold(values, MIN, idx))
         for short, positions in ((values[: idx.size // 2], idx), (values, None)):
             with pytest.raises(ValueError):
                 # Misaligned values blow up inside the fold (the shape
                 # rule lives one layer up, in NodePropMap); all scratch is
                 # per call, so the next round folds as if nothing happened.
                 plan.fold(short, MIN, positions)
-        after = plan.fold(values, MIN, idx)
-        for got, want in zip(after, before):
+        after = outcome(plan.fold(values, MIN, idx))
+        assert after[0] == before[0]
+        for got, want in zip(after[1:], before[1:]):
             assert got.tobytes() == want.tobytes()
         assert reduction._batch is None and reduction.pending() == 0
 
     def test_installed_subset_batch_collects_through_the_generic_path(self):
-        # A batch that crossed export_state/install_state carries no plan
-        # token: it must rank its keys afresh and land on the same arrays.
+        # A batch that crossed export_state/install_state is per-slot state
+        # with no plan behind it (a one-level fold rebuilds that state for
+        # the export): it must rank its keys afresh and land on the same
+        # arrays.
         threads, keys, rng = self._static_batch()
-        reduction, reference = [
-            ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
-            for _ in range(2)
-        ]
-        plan = reduction.prepare_bulk(threads, keys)
-        idx = np.sort(rng.choice(self.COUNT, size=200, replace=False))
-        values = self._values(rng, idx.size)
-        for red in (reduction, reference):
-            with red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
-                red.reduce_bulk_prepared(plan, values, SUM, idx)
-        assert reduction._batch_plan is not None
-        reduction.install_state(reduction.export_state())
-        assert reduction._batch_plan is None and reference._batch_plan is not None
-        span, uniq, folded = reduction._batch
-        ref_keys, ref = _sorted_fold(uniq % span, folded, SUM)
-        with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
-            got_keys, got = reduction.collect_arrays(SUM)
-        with reference.cluster.phase(PhaseKind.REDUCE_SYNC):
-            want_keys, want = reference.collect_arrays(SUM)
-        assert np.array_equal(got_keys, want_keys) and np.array_equal(got_keys, ref_keys)
-        assert got.tobytes() == want.tobytes() == ref.tobytes()
-        assert (
-            reduction.cluster.log.total_counters()
-            == reference.cluster.log.total_counters()
-        )
+        for op in (SUM, MIN):
+            reduction, reference = [
+                ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
+                for _ in range(2)
+            ]
+            plan = reduction.prepare_bulk(threads, keys)
+            idx = np.sort(rng.choice(self.COUNT, size=200, replace=False))
+            values = self._values(rng, idx.size)
+            for red in (reduction, reference):
+                with red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                    red.reduce_bulk_prepared(plan, values, op, idx)
+            slots = reduction.pending()
+            reduction.install_state(reduction.export_state())
+            assert reduction.pending() == slots == reference.pending()
+            span, uniq, folded = reduction._batch.state()
+            ref_keys, ref = _sorted_fold(uniq % span, folded, op)
+            with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+                got_keys, got = reduction.collect_arrays(op)
+            with reference.cluster.phase(PhaseKind.REDUCE_SYNC):
+                want_keys, want = reference.collect_arrays(op)
+            assert np.array_equal(got_keys, want_keys)
+            assert np.array_equal(got_keys, ref_keys)
+            assert got.tobytes() == want.tobytes() == ref.tobytes()
+            assert (
+                reduction.cluster.log.total_counters()
+                == reference.cluster.log.total_counters()
+            )
 
     @pytest.mark.parametrize("consume", ["collect", "spill"])
     def test_no_plan_token_outlives_its_batch(self, consume):
@@ -375,15 +384,154 @@ class TestPreparedSubsetFold:
             values = rng.random(self.COUNT if idx is None else idx.size)
             with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
                 reduction.reduce_bulk_prepared(plan, values, SUM, idx)
-                assert reduction._batch_plan is not None
+                assert reduction._batch is not None
                 if consume == "spill":
                     reduction.reduce(0, 1, 1.0, SUM)
             if consume == "collect":
                 with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
                     reduction.collect_arrays(SUM)
-            assert reduction._batch is None and reduction._batch_plan is None
+            assert reduction._batch is None
             with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
                 reduction.collect(SUM)  # drain the spilled dicts for the next pass
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -1.5]
+
+
+@st.composite
+def _static_rounds(draw):
+    """A static batch - non-decreasing threads over 1-48 of them, keys
+    repeating - with its values (int64, or float64 full of signed zeros,
+    NaNs, infinities and ties) and an ascending subset of its positions:
+    none, one, all (``None``: the full round) or any."""
+    count = draw(st.integers(1, 96))
+    num_threads = draw(st.integers(1, 48))
+    threads = np.sort(draw(st.lists(
+        st.integers(0, num_threads - 1), min_size=count, max_size=count
+    )))
+    num_keys = draw(st.integers(1, 24))
+    keys = draw(st.lists(st.integers(0, num_keys - 1), min_size=count, max_size=count))
+    if draw(st.booleans()):
+        values = np.array(draw(st.lists(
+            st.integers(-(2**63), 2**63 - 1) | st.integers(-3, 3),
+            min_size=count, max_size=count,
+        )), dtype=np.int64)
+    else:
+        values = np.array(draw(st.lists(
+            st.sampled_from(_SPECIAL_FLOATS) | st.floats(width=64),
+            min_size=count, max_size=count,
+        )), dtype=np.float64)
+    subset = draw(
+        st.sampled_from(["none", "one", "all"])
+        | st.lists(st.booleans(), min_size=count, max_size=count)
+    )
+    if subset == "none":
+        idx = np.empty(0, dtype=np.int64)
+    elif subset == "one":
+        idx = np.array([draw(st.integers(0, count - 1))])
+    elif subset == "all":
+        idx = None
+    else:
+        idx = np.flatnonzero(subset)
+    return np.asarray(threads), np.asarray(keys, dtype=np.int64), values, idx
+
+
+def _dict_bytes(mapping, dtype):
+    """A key -> value dict, comparable bit for bit (NaN is not == NaN)."""
+    return list(mapping), np.array(list(mapping.values()), dtype=dtype).tobytes()
+
+
+class TestOneLevelSelectionFold:
+    """Min, max and overwrite fold a prepared round straight from positions
+    to keys; the two-level fold - by ``(thread, key)`` slot, then the slots
+    by key - is the reference. Bit for bit: the collected keys and values,
+    the touched-slot count behind the combine charge, ``pending()``, and
+    the per-slot state a spill, an export and the dict-path collect rebuild
+    from the kept inputs. A sum keeps both levels."""
+
+    OPS = (MIN, MAX, OVERWRITE)
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=_static_rounds())
+    def test_one_level_is_the_two_level_fold(self, case):
+        threads, keys, values, idx = case
+        plan = PreparedFold(threads, keys)
+        round_values = values if idx is None else values[idx]
+        with np.errstate(invalid="ignore"):  # NaN operands of minimum / maximum
+            for op in self.OPS:
+                self._through_the_reductions(plan, threads, keys, round_values, op, idx)
+                if not round_values.size:
+                    continue  # an empty round never reaches the fold
+                batch = plan.fold(round_values, op, idx)
+                uniq, folded, present = plan.fold_slots(round_values, op, idx)
+                want_keys, want = plan.collect(present, folded, op)
+                got_keys, got = batch.merge(op)
+                assert got_keys.tobytes() == want_keys.tobytes(), op.name
+                assert got.dtype == want.dtype == values.dtype, op.name
+                assert got.tobytes() == want.tobytes(), op.name
+                assert batch.slots == uniq.size, op.name
+                span, state_uniq, state_folded = batch.state()
+                assert span == plan.span, op.name
+                assert state_uniq.tobytes() == uniq.tobytes(), op.name
+                assert state_folded.tobytes() == folded.tobytes(), op.name
+
+    def _through_the_reductions(self, plan, threads, keys, values, op, idx):
+        """The prepared reduction against the generic one on the round's
+        own positions - a fold by slot, then by key - in every way the
+        pending state is read."""
+        if idx is not None:
+            threads, keys = threads[idx], keys[idx]
+
+        def reduced(consume):
+            reduction = ThreadLocalReduction(Cluster(1, threads_per_host=48), 0)
+            with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                if consume.startswith("prepared"):
+                    reduction.reduce_bulk_prepared(plan, values, op, idx)
+                else:
+                    reduction.reduce_bulk(threads, keys, values, op)
+            pending = reduction.pending()
+            exported = reduction.export_state()[2]
+            with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+                if consume.endswith("arrays"):
+                    out = [array.tobytes() for array in reduction.collect_arrays(op)]
+                elif consume.endswith("spill"):
+                    if reduction._batch is not None:
+                        reduction._spill_batch()
+                    out = [_dict_bytes(m, values.dtype) for m in reduction.maps]
+                else:
+                    out = _dict_bytes(reduction.collect(op), values.dtype)
+            counters = reduction.cluster.log.total_counters()
+            if exported is not None:
+                # The prepared span is the whole batch's: compare slots as
+                # (thread, key) pairs, not as composites of either span.
+                span, uniq, folded = exported
+                exported = [a.tobytes() for a in (*np.divmod(uniq, span), folded)]
+            return pending, exported, out, counters
+
+        for consume in ("arrays", "spill", "dicts"):
+            got = reduced(f"prepared-{consume}")
+            want = reduced(f"generic-{consume}")
+            assert got == want, (op.name, consume)
+
+    @pytest.mark.parametrize("op", [SUM, MIN, MAX, OVERWRITE], ids=lambda op: op.name)
+    def test_only_a_sum_folds_by_slot(self, op, monkeypatch):
+        threads, keys, rng = TestPreparedSubsetFold()._static_batch()
+        plan = PreparedFold(threads, keys)
+        calls = []
+        fold_slots = PreparedFold.fold_slots
+
+        def counted(self, *args):
+            calls.append(args[1].name)
+            return fold_slots(self, *args)
+
+        monkeypatch.setattr(PreparedFold, "fold_slots", counted)
+        for idx in (None, np.arange(0, keys.size, 3)):
+            size = keys.size if idx is None else idx.size
+            batch = plan.fold(rng.standard_normal(size), op, idx)
+            assert calls == ([op.name] if op is SUM else [])
+            batch.state()  # a selection rebuilds its slots only when asked
+            assert calls == [op.name]
+            calls.clear()
 
 
 def _edge_values(dtype):
@@ -488,7 +636,7 @@ class TestFoldAgainstTheScalarOracle:
                 else:
                     idx = None if route == "full" else np.arange(keys.size)
                     reduction.reduce_bulk_prepared(plan, values, op, idx)
-            got_span, uniq, folded = reduction._batch  # vectorized, not spilled
+            got_span, uniq, folded = reduction._batch.state()  # vectorized, not spilled
             assert got_span == span, route
             assert np.array_equal(uniq, want_uniq), route
             assert folded.dtype == values.dtype, route
@@ -589,7 +737,7 @@ class TestFoldAgainstTheScalarOracle:
         reduction = ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
         with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
             reduction.reduce_bulk(threads, keys, values, op)
-        _, uniq, folded = reduction._batch
+        _, uniq, folded = reduction._batch.state()
         want_uniq, want_folded = _sorted_fold(keys, values, op)
         assert np.array_equal(uniq, want_uniq)
         assert folded.tobytes() == want_folded.tobytes()

@@ -1,15 +1,17 @@
 """What a BSP round pays that is not proportional to its frontier.
 
-Two O(1) flags stand in for scans the compiled round used to repeat: one
-bool per host on a :class:`NodePropMap` ("any copy active"), one on a
-:class:`ThreadLocalReduction` ("some thread dict holds an entry"). A flag
+O(1) flags stand in for scans the compiled round used to repeat. On a
+:class:`NodePropMap`, one bool per host and mask ("any copy active",
+"any master pending broadcast", "any copy written this round") and one
+per host "reduced since the last collect"; on a
+:class:`ThreadLocalReduction`, "some thread dict holds an entry". A flag
 that went stale would skip a host that has work, or fold a batch over
 pending dict state - so they are checked here against the scans they
 replaced, at every site that installs or mutates the state behind them,
 and end to end on the runs where they matter: road grids on which most
 hosts idle most rounds, under checkpoint restore and a second-run fork;
-and paths / ladders whose frontier is one or two sources
-wide for thousands of rounds.
+and paths / ladders whose frontier is one or two sources wide for
+thousands of rounds, where a round must touch its dirty hosts only.
 """
 
 from __future__ import annotations
@@ -65,6 +67,36 @@ def _flags_match_masks(prop: NodePropMap) -> None:
         assert prop._host_active[host] == live
         assert prop.any_active(host) == live
         assert (prop.active_mask(host) is not None) == live
+        assert prop._host_pending[host] == bool(prop._updated_masters[host].any())
+        assert prop._host_next[host] == bool(prop._next_active[host].any())
+        # The collect visits every host that holds pending reductions.
+        assert prop._host_reduced[host] or prop.reductions[host].pending() == 0
+
+
+# Every NodePropMap method that installs, swaps, writes or clears the
+# masks behind the flags - or collects behind the reduced flag.
+FLAG_SITES = (
+    "reset_updated", "reduce_sync", "broadcast_sync", "pin_mirrors",
+    "reset_values", "reset_values_bulk", "restore_state",
+)
+
+
+@pytest.fixture
+def checked_sites(monkeypatch):
+    """Check the flags after every call of a :data:`FLAG_SITES` method
+    (in a forked worker too); returns the calls per site."""
+    calls = dict.fromkeys(FLAG_SITES, 0)
+    for name in FLAG_SITES:
+        original = getattr(NodePropMap, name)
+
+        def checked(self, *args, _name=name, _original=original, **kwargs):
+            result = _original(self, *args, **kwargs)
+            calls[_name] += 1
+            _flags_match_masks(self)
+            return result
+
+        monkeypatch.setattr(NodePropMap, name, checked)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -99,13 +131,15 @@ class TestActivityFlagEndToEnd:
         idle = sum(c.edge_iters == 0 for r in pushes for c in r.counters)
         assert idle > 2 * len(pushes)  # of four visits a round
 
-    def test_checkpoint_restore(self, app, idle_oracle):
+    def test_checkpoint_restore(self, app, idle_oracle, checked_sites):
         result = self.run(app, fault_plan=CRASH)
         assert result.faults["recoveries"] == 1
         assert canonical(result) == idle_oracle(app, CRASH)
+        assert checked_sites["restore_state"] >= 1
+        assert checked_sites["reset_updated"] > 2 * checked_sites["restore_state"]
 
     @needs_fork
-    def test_second_run_forks_from_the_reset_state(self, app):
+    def test_second_run_forks_from_the_reset_state(self, app, checked_sites):
         # The same plan twice on one executor: the second run's workers
         # are forked from the coordinator's state as the driver left it -
         # values reset, mirrors re-pinned, activity masks and their flags.
@@ -150,6 +184,8 @@ class TestActivityFlagEndToEnd:
             )
         assert stats["forks"] == 2
         assert outcomes[0] == outcomes[1]
+        assert checked_sites["reset_values"] == checked_sites["reset_values_bulk"] == 1
+        assert checked_sites["pin_mirrors"] == 4
 
 
 class TestActivityFlagInstallSites:
@@ -162,17 +198,25 @@ class TestActivityFlagInstallSites:
         return cluster, pgraph, prop
 
     def _touch(self, cluster, prop, host, keys):
+        # Every touch lowers the value further, so every apply changes it.
+        self.lowest = getattr(self, "lowest", 0.0) - 1.0
         keys = np.asarray(keys, dtype=np.int64)
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             prop.reduce_bulk(
-                host, np.zeros(keys.size, dtype=np.int64), keys, np.zeros(keys.size), MIN
+                host, np.zeros(keys.size, dtype=np.int64), keys,
+                np.full(keys.size, self.lowest), MIN,
             )
+        assert prop._host_reduced[host]
+        _flags_match_masks(prop)
         prop.reduce_sync()
+        assert not any(prop._host_reduced)
+        _flags_match_masks(prop)
         prop.broadcast_sync()
+        _flags_match_masks(prop)
 
     def test_flag_equals_mask_any_after_every_install(self):
         cluster, pgraph, prop = self._map()
-        _flags_match_masks(prop)  # construction: every host full
+        _flags_match_masks(prop)  # construction, initial values, pinning
         prop.reset_updated()  # the other initially full buffer
         _flags_match_masks(prop)
         prop.reset_updated()  # nothing changed: every host idle
@@ -186,6 +230,7 @@ class TestActivityFlagInstallSites:
             int(k) for k in pgraph.parts[0].masters_global if int(k) not in mirrored
         )
         self._touch(cluster, prop, 1, [lonely])
+        assert prop._host_next == [True, False, False]
         prop.reset_updated()
         assert prop._host_active == [True, False, False]
         _flags_match_masks(prop)
@@ -200,6 +245,41 @@ class TestActivityFlagInstallSites:
         replica.restore_state(busy)  # ... onto a second map
         assert replica._host_active == [True, False, False]
         _flags_match_masks(replica)
+        # A mirrored master: the broadcast wakes its mirror hosts as well.
+        owner, pairs = next(
+            (owner, pairs) for owner, pairs in enumerate(pgraph.mirror_hosts_by_owner)
+            if pairs
+        )
+        mirror_host, ids = pairs[0]
+        self._touch(cluster, prop, owner, [int(ids[0])])
+        assert prop._host_next[owner] and prop._host_next[mirror_host]
+        assert prop._host_pending == [False] * 3
+        prop.reset_updated()
+        _flags_match_masks(prop)
+        # Unpinned, nothing broadcasts: a change stays pending across the
+        # round boundary while its host's next-round mask is swapped away -
+        # which is why pending and next-round writes are flagged apart.
+        prop.unpin_mirrors()
+        self._touch(cluster, prop, owner, [int(ids[1])])
+        prop.reset_updated()
+        assert prop._host_pending[owner] and not any(prop._host_next)
+        _flags_match_masks(prop)
+        prop.pin_mirrors(invariant="none")  # the full broadcast clears it
+        assert prop._host_pending == [False] * 3
+        _flags_match_masks(prop)
+        resets = (
+            lambda: prop.reset_values(lambda node: 100.0),
+            lambda: prop.reset_values_bulk(lambda nodes: np.full(nodes.size, 100.0)),
+        )
+        for reset in resets:
+            prop.unpin_mirrors()
+            self._touch(cluster, prop, owner, [int(ids[0])])
+            assert prop._host_pending[owner]
+            reset()
+            assert prop._host_pending == [False] * 3
+            _flags_match_masks(prop)
+            prop.pin_mirrors(invariant="none")
+            _flags_match_masks(prop)
 
     def test_non_gar_variants_never_report_idle(self):
         from repro.core.variants import RuntimeVariant
@@ -304,7 +384,8 @@ class PendingStateMachine(RuleBasedStateMachine):
     def flags_equal_the_walk(self):
         reduction = self.reduction
         entries = sum(len(local_map) for local_map in reduction.maps)
-        batch = 0 if reduction._batch is None else int(reduction._batch[1].size)
+        # A one-level fold only counts its slots: rebuild them to check.
+        batch = 0 if reduction._batch is None else int(reduction._batch.state()[1].size)
         assert reduction.pending() == entries + batch
         assert reduction.bulk_state_only == (entries == 0)
         assert reduction._dict_state == (entries > 0)
@@ -373,3 +454,110 @@ class TestNarrowFrontier:
     @needs_fork
     def test_thousands_of_rounds(self, app, cols, policy):
         self.runs(app, 2048, cols, policy, [(True, 2), (True, 1)])
+
+
+# ------------------------------------------------- only the dirty hosts
+
+
+class _SpyMask(np.ndarray):
+    """A pending / activity mask that logs each ``any`` and ``fill`` on it."""
+
+    calls: list[tuple[str, np.ndarray]] = []
+
+    def any(self, *args, **kwargs):
+        _SpyMask.calls.append(("any", self))
+        return super().any(*args, **kwargs)
+
+    def fill(self, value):
+        _SpyMask.calls.append(("fill", self))
+        return super().fill(value)
+
+
+class TestARoundTouchesOnlyItsDirtyHosts:
+    """Bulk BFS down a path: one source and one busy host a round, for
+    ~2,000 rounds. Counted per call: a round swap allocates one mask per
+    host written last round, no mask is scanned, a broadcast clears only
+    the hosts with masters pending, and a reduce-sync collects only the
+    hosts that reduced - nothing is paid per clean host."""
+
+    def test_bulk_bfs_on_a_path(self, monkeypatch):
+        graph = generators.road_like(rows=2048, cols=1, seed=3)
+        allocations = [0]
+        maps: list[NodePropMap] = []
+        reduced: set[int] = set()  # ids of reductions holding a batch
+        collected: list[int] = []  # id of the reduction, per collect_arrays
+        totals = {"swaps": 0, "dirty": 0, "broadcasts": 0, "pending": 0}
+
+        def spy_empty_mask(self):
+            allocations[0] += 1
+            return np.zeros(self.pgraph.num_nodes, dtype=bool).view(_SpyMask)
+
+        def wrap(cls, name, before, after):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args, **kwargs):
+                seen = before(self, *args)
+                result = original(self, *args, **kwargs)
+                after(self, seen)
+                return result
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        def swap_before(prop):
+            return list(prop._host_next), allocations[0], len(_SpyMask.calls)
+
+        def swap_after(prop, seen):
+            written, allocated, start = seen
+            totals["swaps"] += 1
+            totals["dirty"] += sum(written)
+            assert allocations[0] - allocated == sum(written)
+            assert _SpyMask.calls[start:] == []  # no scan, no fill
+
+        def broadcast_before(prop):
+            return list(prop._host_pending), list(prop._updated_masters), len(_SpyMask.calls)
+
+        def broadcast_after(prop, seen):
+            pending, masks, start = seen
+            totals["broadcasts"] += 1
+            totals["pending"] += sum(pending)
+            cleared = [mask for _, mask in _SpyMask.calls[start:]]
+            assert [method for method, _ in _SpyMask.calls[start:]] == ["fill"] * len(cleared)
+            assert [id(mask) for mask in cleared] == [
+                id(masks[host]) for host in range(len(pending)) if pending[host]
+            ]
+
+        def reduced_before(reduction, *args):
+            idx = args[3] if len(args) > 3 else None  # the prepared subset
+            count = (args[0].keys if idx is None else idx).size
+            if count:
+                reduced.add(id(reduction))
+
+        def sync_before(prop):
+            return len(collected)
+
+        def sync_after(prop, start):
+            mine = {id(reduction) for reduction in prop.reductions}
+            assert sorted(collected[start:]) == sorted(reduced & mine)
+            reduced.difference_update(mine)
+
+        monkeypatch.setattr(NodePropMap, "_empty_mask", spy_empty_mask)
+        monkeypatch.setattr(_SpyMask, "calls", [])
+        wrap(NodePropMap, "__init__", lambda prop, *a: None, lambda prop, _: maps.append(prop))
+        wrap(NodePropMap, "reset_updated", swap_before, swap_after)
+        wrap(NodePropMap, "broadcast_sync", broadcast_before, broadcast_after)
+        wrap(NodePropMap, "reduce_sync", sync_before, sync_after)
+        wrap(ThreadLocalReduction, "reduce_bulk_prepared", reduced_before, lambda *a: None)
+        wrap(
+            ThreadLocalReduction, "collect_arrays",
+            lambda reduction, op: collected.append(id(reduction)), lambda *a: None,
+        )
+
+        result = run_kimbap("BFS", "path", 4, graph=graph, threads=2, bulk=True)
+        assert result.rounds > 1800 and len(maps) == 1
+        _check_against_networkx("BFS", graph, result.values)
+        # Four hosts a round and about one of them dirty: the counts have
+        # teeth, a round that paid per host would fail every check above.
+        assert totals["swaps"] > 1800 and totals["broadcasts"] > 1800
+        assert totals["dirty"] < 1.5 * totals["swaps"]
+        assert totals["pending"] < 1.5 * totals["broadcasts"]
+        assert len(collected) < 1.5 * totals["broadcasts"] and not reduced
