@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 
-from repro.algorithms.common import AlgorithmResult, resolve_executor, shortcut_plan
+import numpy as np
+
+from repro.algorithms.common import AlgorithmResult, left_sum, resolve_executor, shortcut_plan
 from repro.cluster.cluster import Cluster
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, PAIR_MIN
@@ -142,7 +144,7 @@ def boruvka_msf(
         if boruvka_round > pgraph.num_nodes:
             raise RuntimeError("Boruvka failed to converge")
     total_rounds += executor.run(flatten_plan)
-    total_weight = sum(weight for _, _, weight in forest)
+    total_weight = left_sum(np.fromiter((weight for _, _, weight in forest), float))
     return AlgorithmResult(
         name="MSF",
         values=parent.snapshot(),

@@ -133,6 +133,13 @@ def shortcut_plan(
     )
 
 
+def left_sum(values: np.ndarray) -> float:
+    """``values`` added strictly left to right (0.0 when empty): builtin
+    ``sum`` compensates from Python 3.12 on, so its bits (and the report's)
+    would depend on the interpreter."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
 def weighted_degrees(graph: Graph) -> np.ndarray:
     """Node strengths: row sums of the weighted adjacency (self-loops count)."""
     if graph.weights is None:
@@ -159,7 +166,8 @@ def modularity(graph: Graph, labels: np.ndarray, gamma: float = 1.0) -> float:
     for node, strength in enumerate(strengths):
         label = int(labels[node])
         totals[label] = totals.get(label, 0.0) + float(strength)
-    expected = sum(total * total for total in totals.values()) / (two_m * two_m)
+    squares = np.fromiter((total * total for total in totals.values()), float)
+    expected = left_sum(squares) / (two_m * two_m)
     return float(internal / two_m - gamma * expected)
 
 

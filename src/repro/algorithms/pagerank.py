@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from repro.algorithms.common import OVERWRITE, AlgorithmResult, resolve_executor
+from repro.algorithms.common import OVERWRITE, AlgorithmResult, left_sum, resolve_executor
 from repro.cluster.cluster import Cluster
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import SUM
@@ -42,13 +42,6 @@ from repro.exec import (
     SyncStep,
 )
 from repro.partition.base import PartitionedGraph
-
-
-def left_sum(values: np.ndarray) -> float:
-    """``values`` added strictly left to right (0.0 when empty): builtin
-    ``sum`` compensates from Python 3.12 on, so its bits (and the report's)
-    would depend on the interpreter."""
-    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
 
 
 def pagerank(

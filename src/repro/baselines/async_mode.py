@@ -18,7 +18,9 @@ connected components, faithfully to the quote:
 
 Asynchrony converges in fewer sweeps (updates are visible immediately),
 but the per-update messaging dwarfs the savings - which is the paper's
-argument, and what `benchmarks/bench_ablations.py` measures.
+argument. `benchmarks/bench_engine_comparison.py` measures it as the
+third row next to BSP and the engine layer's async engine, and
+`benchmarks/bench_ablations.py` as its execution-model ablation.
 """
 
 from __future__ import annotations

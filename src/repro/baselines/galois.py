@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import AlgorithmResult, coarsen, modularity, weighted_degrees
+from repro.algorithms.common import AlgorithmResult, coarsen, left_sum, modularity, weighted_degrees
 from repro.cluster.cluster import Cluster, static_thread
 from repro.cluster.metrics import PhaseKind
 from repro.graph.csr import Graph
@@ -219,7 +219,7 @@ def galois_msf(cluster: Cluster, graph: Graph) -> AlgorithmResult:
         for node in range(graph.num_nodes):
             find(node, counters)
     values = {node: int(parent[node]) for node in range(graph.num_nodes)}
-    total_weight = sum(weight for _, _, weight in forest)
+    total_weight = left_sum(np.fromiter((weight for _, _, weight in forest), float))
     return AlgorithmResult(
         name="Galois-MSF",
         values=values,

@@ -314,8 +314,8 @@ def cmd_engines(args: argparse.Namespace) -> int:
     The BSP run is the oracle; the async run must land on the same per-node
     values (within the per-app tolerance). Prints both modeled times plus
     the async engine's chunk/update counts, and exits 1 on divergence or
-    when the app has no async-eligible kernel - this is the CI engine-smoke
-    entry point.
+    when the app has no async-eligible kernel - the CLI face of the
+    conformance table's async cells.
     """
     tolerance = (
         args.tolerance

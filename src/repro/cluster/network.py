@@ -72,11 +72,6 @@ class Network:
         self._phase.msgs_recv[dst] += count
         self._phase.bytes_recv[dst] += nbytes_each * count
 
-    def all_to_all(self, nbytes_by_pair: dict[tuple[int, int], int]) -> None:
-        """Record one message per (src, dst) pair present in the mapping."""
-        for (src, dst), nbytes in nbytes_by_pair.items():
-            self.send(src, dst, nbytes)
-
     def allreduce(self, nbytes: int) -> None:
         """Record a small collective (e.g. the BoolReducer / IsUpdated vote).
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.compiler.cfg import build_cfg
-from repro.compiler.dominators import immediate_dominators, immediate_post_dominators
+from repro.compiler.dominators import immediate_dominators
 from repro.compiler.ir import (
     ActiveNode,
     Assign,
@@ -179,14 +179,3 @@ def reads_in_dominance_order(par_for: ParFor) -> list[MapRead]:
         if isinstance(stmt, MapRead) and stmt not in ordered:
             ordered.append(stmt)
     return ordered
-
-
-def post_dominator_insertion_points(par_for: ParFor) -> dict[int, int]:
-    """ipdom of every CFG node: where syncs conceptually go (Section 5.1).
-
-    The structured executor inserts syncs at the end of each phase, which
-    for a single-ParFor loop *is* the immediate post-dominator of the
-    ParFor; this function exists so tests can verify that equivalence.
-    """
-    cfg = build_cfg(par_for.body)
-    return immediate_post_dominators(cfg)

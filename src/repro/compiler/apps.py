@@ -15,9 +15,8 @@ import math
 
 import numpy as np
 
-from repro.algorithms.common import AlgorithmResult
+from repro.algorithms.common import AlgorithmResult, left_sum
 from repro.algorithms.mis import _hash_priority
-from repro.algorithms.pagerank import left_sum
 from repro.cluster.cluster import Cluster
 from repro.compiler.compile import compile_program
 from repro.compiler.interp import run_compiled, run_round

@@ -83,8 +83,6 @@ class GarHostStore:
         host_id: int,
         remote_layout: str = "sorted",
     ) -> None:
-        if remote_layout not in ("sorted", "hash"):
-            raise ValueError(f"unknown remote layout {remote_layout!r}")
         self.cluster = cluster
         self.host_id = host_id
         self.part = pgraph.parts[host_id]
@@ -847,6 +845,9 @@ def make_store(
     host_id: int,
     remote_layout: str = "sorted",
 ) -> GarHostStore | HashHostStore:
+    # Checked for every variant, though only a GAR store reads the layout.
+    if remote_layout not in ("sorted", "hash"):
+        raise ValueError(f"unknown remote layout {remote_layout!r}")
     if variant_uses_gar:
         return GarHostStore(cluster, pgraph, host_id, remote_layout=remote_layout)
     return HashHostStore(cluster, pgraph, host_id, pgraph.num_hosts)

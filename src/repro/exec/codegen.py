@@ -43,7 +43,7 @@ phases (DESIGN.md, "Why there is no fusion or deferral").
 The byte-identity contract is the one the bulk backend honors against the
 scalar oracle: a compiled run's ``RunResult.to_dict()`` - counters,
 conflicts, modeled seconds, trace rows - matches the scalar run exactly
-(``tests/test_bulk_equivalence.py``, ``tests/test_codegen_equivalence.py``).
+(the conformance table, ``tests/test_conformance.py``).
 The compiled kernels run everywhere - under fault injection and memory
 limits too - because they preserve the exact per-host event sequence.
 """

@@ -85,9 +85,8 @@ class Engine:
 class BSPEngine(Engine):
     """Today's bulk-synchronous loop, extracted unchanged from ``Executor``.
 
-    Every method body here is a pure move: the byte-identity suites (bulk,
-    parallel, codegen equivalence) pass unmodified against it, and
-    ``--engine bsp`` reports are ``cmp``-equal to pre-refactor output.
+    Every method body here is a pure move, and every byte-identity cell of
+    the conformance table (``tests/test_conformance.py``) runs through it.
     """
 
     name = "bsp"

@@ -6,16 +6,16 @@ scalar reference ``par_for`` loops defined here (the readable oracle),
 ``bulk=True`` with the compiled array kernels of
 :mod:`repro.exec.codegen`. Both follow the same canonical metering
 pipeline, so an algorithm expressed once as a plan is byte-identical
-across backends (counters, conflicts, modeled seconds, values) - the
-contract ``tests/test_bulk_equivalence.py`` enforces for all twelve
-algorithms.
+across backends (counters, conflicts, modeled seconds, values) - a contract
+of the conformance table (``tests/test_conformance.py``) for every
+application.
 
 ``jobs=N`` composes with either kernel backend: each plan run forks
 ``N - 1`` worker processes that replay the same plan loop over disjoint
 host shards and exchange per-phase effect bundles with the coordinator
 (see :mod:`repro.exec.pool`), merged in fixed host order so the run
-stays byte-identical to ``jobs=1`` - the contract
-``tests/test_parallel_equivalence.py`` enforces.
+stays byte-identical to ``jobs=1`` - another column of the same
+table.
 
 :class:`~repro.exec.plan.ScalarKernel` bodies run as the same scalar
 loop on both backends (the way the MC runtime variant degrades to the

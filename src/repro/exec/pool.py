@@ -48,9 +48,9 @@ exchange over the worker pipes - one fork per sharded run.**
 
 The coordinator's metrics log, counters, conflict counts, modeled
 seconds, and trace rows therefore evolve exactly as a serial run's
-would: the serial backend stays the oracle, and
-``tests/test_parallel_equivalence.py`` enforces ``RunResult.to_dict()``
-byte-identity across ``jobs`` for all twelve algorithms. The collectives
+would: the serial backend stays the oracle, and the conformance table
+(``tests/test_conformance.py``) enforces ``RunResult.to_dict()``
+byte-identity across ``jobs`` for every application. The collectives
 are replicated, so a fault injector's draws and crash points replay
 exactly as they did serially.
 

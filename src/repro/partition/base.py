@@ -56,9 +56,6 @@ class LocalPartition:
     def is_master_local(self, local: int) -> bool:
         return local < self.num_masters
 
-    def has_node(self, global_id: int) -> bool:
-        return global_id in self.global_to_local
-
     def degree(self, local: int) -> int:
         return int(self.indptr[local + 1] - self.indptr[local])
 

@@ -48,22 +48,12 @@ class Timeline:
     slices: list[TimelineSlice] = field(default_factory=list)
     total: float = 0.0
 
-    def host_slices(self, host: int) -> list[TimelineSlice]:
-        return [s for s in self.slices if s.host == host]
-
     def per_host_totals(self) -> list[float]:
         """Sum of slice durations per host; every entry equals ``total``."""
         totals = [0.0] * self.num_hosts
         for s in self.slices:
             totals[s.host] += s.duration
         return totals
-
-    def phase_durations(self) -> list[float]:
-        """Barrier-to-barrier duration of each phase, in log order."""
-        seen: dict[int, float] = {}
-        for s in self.slices:
-            seen[s.phase_index] = s.duration
-        return [seen[i] for i in sorted(seen)]
 
 
 def build_timeline(

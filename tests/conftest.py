@@ -1,29 +1,22 @@
-"""Shared fixtures: small graphs and clusters used across the suite."""
+"""Shared helpers: the random-graph rotation and the canonical report form."""
 
 from __future__ import annotations
 
-import pytest
+import json
 
-from repro.cluster import Cluster
 from repro.graph import generators
-from repro.partition import partition
 
 
-@pytest.fixture
-def road_graph():
-    return generators.road_like(8, 4, seed=1)
+def random_graph(seed: int, weighted: bool = False):
+    """One of three small graph shapes (uniform, grid, skewed) by seed."""
+    kind = seed % 3
+    if kind == 0:
+        return generators.erdos_renyi(40, 3.0, seed=seed, weighted=weighted)
+    if kind == 1:
+        return generators.road_like(6, 5, seed=seed, weighted=weighted)
+    return generators.rmat(5, 4, seed=seed, weighted=weighted)
 
 
-@pytest.fixture
-def powerlaw_graph():
-    return generators.powerlaw_like(6, seed=3)
-
-
-@pytest.fixture
-def cluster4():
-    return Cluster(4, threads_per_host=8)
-
-
-@pytest.fixture
-def road_pgraph(road_graph):
-    return partition(road_graph, 4, "oec")
+def canonical(result) -> str:
+    """A run report as the bytes the byte-identity contracts compare."""
+    return json.dumps(result.to_dict(), sort_keys=True)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.algorithms import leiden, louvain
+from repro.algorithms import common, leiden, louvain
 from repro.algorithms.common import coarsen, modularity, weighted_degrees
 from repro.cluster import Cluster
 from repro.core import RuntimeVariant
@@ -61,6 +63,17 @@ class TestModularityHelper:
     def test_all_in_one_community(self):
         graph = generators.cycle(6)
         assert modularity(graph, np.zeros(6, dtype=int)) == pytest.approx(0.0)
+
+    def test_community_totals_fold_left_to_right(self, monkeypatch):
+        # Three self-loop communities of strengths 1e8, 1 and 1: their
+        # squares fold to 1e16 left to right, to 1e16 + 2 under the
+        # compensated builtin sum of Python 3.12 - which stands in for
+        # builtin sum here, on every interpreter.
+        monkeypatch.setattr(common, "sum", math.fsum, raising=False)
+        graph = Graph.from_arrays(3, np.arange(3), np.arange(3), np.array([1e8, 1.0, 1.0]))
+        two_m = 1e8 + 2
+        want = 1.0 - ((1e16 + 1.0) + 1.0) / (two_m * two_m)
+        assert modularity(graph, np.arange(3)).hex() == want.hex()
 
 
 class TestCoarsen:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import importlib
+import math
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import boruvka_msf
+from repro.baselines import galois_msf
 from repro.cluster import Cluster
 from repro.core import RuntimeVariant
 from repro.graph import Graph, generators
@@ -101,6 +106,21 @@ class TestEdgeCases:
         baseline = run_msf(graph, hosts=1, policy="oec").extra["forest"]
         for hosts, policy in [(2, "oec"), (4, "cvc")]:
             assert run_msf(graph, hosts=hosts, policy=policy).extra["forest"] == baseline
+
+    @pytest.mark.parametrize("module", ("repro.algorithms.boruvka", "repro.baselines.galois"))
+    def test_forest_weight_folds_left_to_right(self, monkeypatch, module):
+        # A path whose tree weighs 1e16 + 1 + 1: the left fold keeps 1e16,
+        # the compensated builtin sum of Python 3.12 makes it 1e16 + 2 - and
+        # stands in for builtin sum here, on every interpreter.
+        monkeypatch.setattr(importlib.import_module(module), "sum", math.fsum, raising=False)
+        graph = Graph.from_arrays(
+            4, np.arange(3), np.arange(1, 4), np.array([1.0, 1e16, 1.0])
+        ).symmetrized()
+        if module.endswith("galois"):
+            result = galois_msf(Cluster(1), graph)
+        else:
+            result = run_msf(graph, hosts=2, policy="oec")
+        assert result.stats["forest_weight"].hex() == (1e16).hex()
 
 
 class TestProperty:

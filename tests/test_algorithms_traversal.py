@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import bfs, pagerank, sssp
-from repro.algorithms.pagerank import left_sum
+from repro.algorithms.common import left_sum
 from repro.cluster import Cluster
 from repro.core import RuntimeVariant
 from repro.graph import Graph, generators

@@ -1,18 +1,11 @@
-"""The bulk execution path's equivalence contract, end to end.
-
-The vectorized fast path (the compiled kernels of ``repro.exec.codegen`` +
-``reduce_bulk`` + the bulk sync collectives) promises **byte-identical** ``RunResult.to_dict()``
-output - every counter, conflict count, modeled second, and trace row -
-plus identical final property values, against the scalar reference path.
-These tests enforce the contract across runtime variants, host counts,
-thread counts, and random graphs, and pin down the building blocks
-(closed-form thread dealing, bulk bitset sets, reduction folds) against
-their scalar definitions.
+"""The bulk execution path's building blocks against their scalar
+definitions: closed-form thread dealing, bulk bitset sets, reduction folds,
+the memory accounting's running totals and the kv snapshot scan. The
+whole-run byte-identity of bulk against scalar is a column of the
+conformance table (``tests/test_conformance.py``).
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
@@ -26,109 +19,8 @@ from repro.core.bitset import ConcurrentBitset
 from repro.core.reducers import MIN, SUM
 from repro.core.reduction import SharedMapReduction, ThreadLocalReduction
 from repro.core.variants import RuntimeVariant
-from repro.eval.harness import APP_WEIGHTED, KIMBAP_APPS, run_kimbap
+from repro.eval.harness import run_kimbap
 from repro.graph import generators
-
-# Backend selection lives on the executor, so every application is
-# bulk-capable; the whole registry is under the byte-identity contract.
-APPS = tuple(sorted(KIMBAP_APPS))
-# The expensive full-variant matrix: the original bulk-path kernels, and
-# the apps on the trans-vertex forms (whose keyed bulk read has a leg per
-# storage layout, so every variant is a different path).
-CORE_APPS = ("PR", "SSSP", "CC-LP", "CC-SV", "CC-SCLP", "MSF")
-VARIANTS = tuple(RuntimeVariant)
-
-
-def app_weighted(app: str) -> bool:
-    return APP_WEIGHTED.get(app, False)
-
-
-def random_graph(seed: int, weighted: bool = False):
-    kind = seed % 3
-    if kind == 0:
-        return generators.erdos_renyi(40, 3.0, seed=seed, weighted=weighted)
-    if kind == 1:
-        return generators.road_like(6, 5, seed=seed, weighted=weighted)
-    return generators.rmat(5, 4, seed=seed, weighted=weighted)
-
-
-def canonical(result) -> str:
-    return json.dumps(result.to_dict(), sort_keys=True)
-
-
-def assert_equivalent(app, graph, hosts, variant, threads):
-    scalar = run_kimbap(
-        app, "equiv", hosts, variant=variant, graph=graph, threads=threads,
-        bulk=False,
-    )
-    bulk = run_kimbap(
-        app, "equiv", hosts, variant=variant, graph=graph, threads=threads,
-        bulk=True,
-    )
-    assert canonical(scalar) == canonical(bulk), (
-        f"{app} {variant.name} hosts={hosts} threads={threads}: "
-        "bulk RunResult.to_dict() diverged from scalar"
-    )
-    assert scalar.values == bulk.values
-
-
-class TestRunResultEquivalence:
-    """Whole-run byte-identity, the tentpole invariant."""
-
-    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.name)
-    @pytest.mark.parametrize("app", CORE_APPS)
-    def test_all_variants(self, app, variant):
-        graph = generators.powerlaw_like(scale=7, seed=3, weighted=app_weighted(app))
-        assert_equivalent(app, graph, hosts=4, variant=variant, threads=4)
-
-    @pytest.mark.parametrize("app", APPS)
-    def test_all_apps(self, app):
-        """Every registered application is byte-identical across backends."""
-        graph = generators.erdos_renyi(50, 3.0, seed=7, weighted=app_weighted(app))
-        assert_equivalent(
-            app, graph, hosts=3, variant=RuntimeVariant.KIMBAP, threads=4
-        )
-
-    @pytest.mark.parametrize("app", APPS)
-    def test_single_host_single_thread(self, app):
-        graph = generators.erdos_renyi(60, 3.0, seed=5, weighted=app_weighted(app))
-        assert_equivalent(
-            app, graph, hosts=1, variant=RuntimeVariant.KIMBAP, threads=1
-        )
-
-    @pytest.mark.parametrize("app", APPS)
-    def test_many_threads(self, app):
-        # More threads than a host has nodes: empty thread segments.
-        graph = generators.erdos_renyi(30, 2.5, seed=11, weighted=app_weighted(app))
-        assert_equivalent(
-            app, graph, hosts=2, variant=RuntimeVariant.KIMBAP, threads=48
-        )
-
-    @given(
-        seed=st.integers(0, 10_000),
-        app=st.sampled_from(APPS),
-        variant=st.sampled_from(VARIANTS),
-        hosts=st.integers(1, 5),
-        threads=st.sampled_from((1, 2, 4, 16)),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_random(self, seed, app, variant, hosts, threads):
-        graph = random_graph(seed, weighted=app_weighted(app))
-        assert_equivalent(app, graph, hosts, variant, threads)
-
-    def test_weighted_sssp_uses_edge_weights(self):
-        graph = generators.road_like(6, 5, seed=9, weighted=True)
-        assert_equivalent(
-            "SSSP", graph, hosts=3, variant=RuntimeVariant.KIMBAP, threads=4
-        )
-        scalar = run_kimbap(
-            "SSSP", "w", 3, graph=graph, bulk=False
-        )
-        assert any(
-            v not in (0.0,) and v == v and v != int(v)
-            for v in scalar.values.values()
-            if v != float("inf")
-        ), "weighted graph should produce fractional distances"
 
 
 class TestThreadDealing:

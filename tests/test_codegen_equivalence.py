@@ -1,21 +1,19 @@
-"""The plan-to-kernel codegen stage's equivalence contract.
+"""The plan-to-kernel codegen stage, piece by piece.
 
 ``repro.exec.codegen`` lowers a plan into prebound compiled kernels, one
-per compute phase. The contract is the byte-identity the bulk backend
-promises against the one oracle, the scalar backend:
-``RunResult.to_dict()`` (counters, conflicts, modeled seconds, trace
-rows) and final values must match exactly - including under ``jobs=N``
-sharding and fault plans. These tests enforce the contract across all
-registered apps and random graphs, pin down abutting compute phases and
-the single EdgePush kernel (frontier extremes, opaque callable filters,
-the one prepared reduce call) on synthetic plans, check the prepared-fold
-fast path against the generic reduction and the shape rule for plan
-callables, and take the census of plan shapes the apps actually run.
+per compute phase, held byte-identical to the scalar oracle; the
+whole-run form of that contract is the conformance table
+(``tests/test_conformance.py``). These tests pin down abutting compute
+phases and the single EdgePush kernel (frontier extremes, opaque callable
+filters, the one prepared reduce call) on synthetic plans, check the
+prepared-fold fast path against the generic reduction and the shape rule
+for plan callables, count what a compiled round may not do (sort, call
+the per-element map API), and take the census of plan shapes the apps
+actually run.
 """
 
 from __future__ import annotations
 
-import json
 import re
 
 import numpy as np
@@ -37,32 +35,16 @@ from repro.exec.codegen import (
     PreparedFrontierPush,
 )
 from repro.exec.plan import CmpFilter, EdgePush, NodeUpdate, apply_value_filter
-from repro.faults import FaultPlan, HostCrash
 from repro.graph import Graph, generators
 from repro.partition import partition
 from repro.runtime.bool_reducer import BoolReducer
+from tests.conftest import canonical, random_graph
 
 APPS = tuple(sorted(KIMBAP_APPS))
-# The apps ported onto the trans-vertex forms (KeyRequest / NodeGather /
-# NeighborReduceToKey); MSF runs them next to its remaining scalar bodies.
-TRANS_VERTEX_APPS = ("CC-SV", "CC-SCLP", "MSF")
 
 
 def app_weighted(app: str) -> bool:
     return APP_WEIGHTED.get(app, False)
-
-
-def random_graph(seed: int, weighted: bool = False):
-    kind = seed % 3
-    if kind == 0:
-        return generators.erdos_renyi(40, 3.0, seed=seed, weighted=weighted)
-    if kind == 1:
-        return generators.road_like(6, 5, seed=seed, weighted=weighted)
-    return generators.rmat(5, 4, seed=seed, weighted=weighted)
-
-
-def canonical(result) -> str:
-    return json.dumps(result.to_dict(), sort_keys=True)
 
 
 def assert_codegen_identical(app, graph, hosts, threads=4, **kwargs):
@@ -79,99 +61,6 @@ def assert_codegen_identical(app, graph, hosts, threads=4, **kwargs):
         "the scalar oracle"
     )
     assert scalar.values == generated.values
-
-
-class TestCodegenByteIdentity:
-    """Generated kernels vs the scalar oracle, whole-run byte-identity."""
-
-    @pytest.mark.parametrize("app", APPS)
-    def test_all_apps(self, app):
-        graph = generators.powerlaw_like(scale=6, seed=3, weighted=app_weighted(app))
-        assert_codegen_identical(app, graph, hosts=3)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=60),
-        hosts=st.sampled_from([1, 2, 4]),
-        app=st.sampled_from(APPS),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_random_graphs(self, seed, hosts, app):
-        graph = random_graph(seed, weighted=app_weighted(app))
-        assert_codegen_identical(app, graph, hosts=hosts, threads=2)
-
-
-class TestCodegenComposes:
-    """Codegen x host-parallel sharding x fault plans x runtime variants."""
-
-    @pytest.mark.parametrize("app", ("PR", "CC-LP", "SSSP") + TRANS_VERTEX_APPS)
-    def test_jobs_sharding(self, app):
-        graph = generators.powerlaw_like(scale=6, seed=3, weighted=app_weighted(app))
-        assert_codegen_identical(app, graph, hosts=4, jobs=2)
-
-    def test_mc_variant_stays_identical_under_jobs(self):
-        # The kvstore-backed MC variant keeps its phases replicated (the
-        # pool.register_plan invariant); codegen must not disturb it.
-        graph = generators.powerlaw_like(scale=6, seed=3)
-        assert_codegen_identical(
-            "CC-LP", graph, hosts=3, jobs=2, variant=RuntimeVariant.MC
-        )
-
-    @pytest.mark.parametrize("app", ("BFS", "PR"))
-    def test_fault_plan_disables_fusion_still_identical(self, app):
-        graph = generators.road_like(6, 5, seed=11, weighted=app_weighted(app))
-        plan = FaultPlan(
-            name="crash@2",
-            checkpoint_interval=2,
-            crashes=(HostCrash(host=1, round=2),),
-        )
-        faulted = run_kimbap(
-            app, "equiv", 3, graph=graph, threads=4, bulk=True,
-            fault_plan=plan,
-        )
-        assert faulted.outcome == "ok"
-        assert faulted.faults["recoveries"] == 1
-        assert_codegen_identical(app, graph, hosts=3, fault_plan=plan)
-
-
-    @pytest.mark.parametrize("app", TRANS_VERTEX_APPS)
-    def test_trans_vertex_apps_under_faults_and_a_memory_limit(self, app):
-        graph = generators.road_like(6, 5, seed=11, weighted=app_weighted(app))
-        plan = FaultPlan(
-            name="crash@2",
-            checkpoint_interval=2,
-            crashes=(HostCrash(host=1, round=2),),
-        )
-        faulted = run_kimbap(
-            app, "equiv", 3, graph=graph, threads=4, bulk=True, fault_plan=plan,
-        )
-        assert faulted.outcome == "ok"
-        assert faulted.faults["recoveries"] == 1
-        assert_codegen_identical(app, graph, hosts=3, fault_plan=plan)
-        assert_codegen_identical(app, graph, hosts=4, jobs=2, fault_plan=plan)
-        assert_codegen_identical(app, graph, hosts=3, memory_limit_slots=100_000)
-
-    @pytest.mark.parametrize(
-        "app,label,counter",
-        [
-            # NodeGather through broadcast pinned mirrors (a hash probe per
-            # mirror read) and through the requested-remote cache (binary
-            # search steps): both remote legs of read_bulk, whole runs.
-            ("CC-SCLP", "sclp:short", "hash_probes"),
-            ("CC-SV", "shortcut", "binsearch_steps"),
-        ],
-    )
-    def test_node_gather_remote_paths_on_three_host_hvc(self, app, label, counter):
-        graph = generators.powerlaw_like(scale=6, seed=3)
-        pgraph = partition(graph, 3, "hvc")
-        assert_codegen_identical(app, graph, hosts=3, pgraph=pgraph)
-        bulk = run_kimbap(app, "equiv", 3, graph=graph, pgraph=pgraph, bulk=True)
-        crossed = sum(
-            getattr(counters, counter)
-            for record in bulk.cluster.log.phases
-            if record.label == label
-            for counters in record.counters
-        )
-        assert crossed > 0
 
 
 # ------------------------------------------------- abutting compute phases
@@ -852,59 +741,6 @@ class TestCallableResultShapes:
             assert cluster.counters(0).reduce_calls == 0
             prop.reduce_bulk_prepared(0, plan, np.arange(4.0), MIN, np.array([0, 1, 3, 4]))
         assert prop.reductions[0].pending() > 0
-
-
-class TestKnobIsGone:
-    """The interpreted-bulk selector no longer exists at any surface.
-    (Spelled in pieces so a repo-wide grep for the removed knob stays
-    empty.)"""
-
-    def test_executor_rejects_the_removed_argument(self):
-        cluster = Cluster(2, threads_per_host=2)
-        with pytest.raises(TypeError):
-            Executor(cluster, bulk=True, **{"codegen": False})
-        assert not hasattr(Executor(cluster, bulk=True), "codegen")
-
-    def test_executor_rejects_the_removed_engine_options(self):
-        # A configured engine is an Engine instance (make_engine); the
-        # pass-through dict had no caller.
-        cluster = Cluster(2, threads_per_host=2)
-        with pytest.raises(TypeError):
-            Executor(cluster, engine="async", **{"engine_" + "options": {}})
-
-    def test_cli_rejects_the_removed_flag(self, capsys):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit) as exit_info:
-            main(["run", "PR", "--bulk", "--no-" + "codegen"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_frontier_switch_and_path_tag_are_gone(self):
-        # One frontier gather: no density constant to tune, no per-host
-        # record of which path ran.
-        import dataclasses
-
-        import repro.exec
-        from repro.cluster.metrics import PhaseRecord
-        from repro.exec import codegen
-
-        switch = "FRONTIER_" + "DENSE_SWITCH"
-        assert not hasattr(codegen, switch) and not hasattr(repro.exec, switch)
-        with pytest.raises(ImportError):
-            exec(f"from repro.exec.codegen import {switch}")
-        fields = {field.name for field in dataclasses.fields(PhaseRecord)}
-        assert "fron" + "tier" not in fields
-
-    @pytest.mark.parametrize("collective", ("reduce_sync", "broadcast_sync"))
-    def test_sync_collectives_take_no_process_group(self, collective):
-        # The collectives are replayed whole by every process of a jobs=N
-        # run; the host-sharded twins and their selector are deleted.
-        cluster = Cluster(2, threads_per_host=2)
-        pgraph = partition(generators.erdos_renyi(8, 2.0, seed=1), 2, "cvc")
-        prop = NodePropMap(cluster, pgraph, "p")
-        with pytest.raises(TypeError):
-            getattr(prop, collective)(pool=None)
 
 
 # -------------------------------------------------------- prepared folds

@@ -22,7 +22,6 @@ from repro.compiler.ir import (
     If,
     MapRead,
     MapReduce,
-    Stmt,
     Var,
     walk,
 )
@@ -66,10 +65,6 @@ def bodies(depth: int = 2):
         min_size=1,
         max_size=4,
     ).map(tuple)
-
-
-def slice_statements(body) -> list[Stmt]:
-    return list(walk(body))
 
 
 @given(bodies())

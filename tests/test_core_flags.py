@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
-from repro.core import MIN, NodePropMap
+from repro.core import MIN, NodePropMap, RuntimeVariant
 from repro.graph import generators
 from repro.partition import partition
 
@@ -58,8 +58,10 @@ class TestRemoteLayout:
                 prop.read(0, remote)
 
     def test_unknown_layout_rejected(self):
-        with pytest.raises(ValueError):
-            setting(remote_layout="btree")
+        # Every variant refuses it, not only the GAR store that reads it.
+        for variant in RuntimeVariant:
+            with pytest.raises(ValueError, match="unknown remote layout 'btree'"):
+                setting(remote_layout="btree", variant=variant)
 
 
 class TestSerialCombine:
@@ -183,8 +185,6 @@ class TestActivityTracking:
         assert prop.is_active(mirror_host, node)
 
     def test_non_gar_variants_always_active(self):
-        from repro.core import RuntimeVariant
-
         _, pgraph, cluster, prop = setting(variant=RuntimeVariant.SGR_ONLY)
         prop.reset_updated()
         prop.reset_updated()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
+from repro.core import reduction as reduction_module
 from repro.core.reducers import LOGICAL_OR, MAX, MIN, OVERWRITE, SUM, ReduceOp
 from repro.core.reduction import (
     KvCasReduction,
@@ -40,6 +44,33 @@ def _sorted_fold(keys, values, op):
     rest[first_idx] = False
     op.ufunc.at(acc, inverse[rest], values[rest])
     return uniq, acc
+
+
+def test_the_conflict_free_fold_does_not_sort():
+    """The static half of the zero-sorts-per-round count
+    (``test_codegen_equivalence.py::TestWarmPartialRoundNeverSorts``): the
+    module ranks ids off presence masks and folds with one identity-seeded
+    ``ufunc.at``, so ``unique`` / ``argsort`` / ``sort`` appear in its code
+    only inside ``SharedMapReduction.reduce_bulk``, whose conflict counts
+    come from a stable sort."""
+    allowed = {"SharedMapReduction.reduce_bulk"}
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (
+                isinstance(child, ast.Attribute)
+                and child.attr in ("unique", "argsort", "sort")
+                and scope not in allowed
+            ):
+                found.append(f"line {child.lineno}: {child.attr} in {scope}")
+            walk(child, inner)
+
+    walk(ast.parse(inspect.getsource(reduction_module)), "")
+    assert found == []
 
 
 class TestThreadLocal:

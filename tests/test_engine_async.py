@@ -1,21 +1,20 @@
 """The execution-engine layer: BSP extraction and the async engine.
 
-Two contracts, two verification modes (mirroring the refactor's design):
-
 * ``BSPEngine`` is a pure extraction of the historical drive loop, so
-  runs through it must be **byte-identical** to the default path -
-  ``RunResult.to_dict()`` compared as serialized JSON.
+  runs through it must be **byte-identical** to the default path.
 * ``AsyncEngine`` replaces the schedule entirely (priority/delta, no
   global barrier), so it is held to **value equivalence** against the
-  BSP oracle: exact for the monotone label-correcting apps (CC-LP,
-  SSSP, BFS), within the declared residual tolerance for delta-PR -
-  across all four partitioning policies, plus a hypothesis sweep over
-  random graphs. Its *own* bytes are pinned too: ``async_report_pins.json``
-  holds the report digest, ``last_updates`` and ``last_chunks`` of every
-  {app} x {road, powerlaw} x {chunk size} x {policy} cell as recorded
-  before the chunk loop moved to per-chunk tallied accounting
-  (``python tests/test_engine_async.py`` re-records it), and a counting
-  test keeps the metering calls O(chunks), never O(updates).
+  BSP oracle: exact for the monotone label-correcting apps (CC-LP, BFS),
+  within the declared residual tolerance for SSSP and delta-PR, on all
+  four partitioning policies; the conformance table
+  (``tests/test_conformance.py``) carries the contract and the refusals
+  across the other axes. Its *own* bytes are pinned too:
+  ``async_report_pins.json`` holds the report digest, ``last_updates`` and
+  ``last_chunks`` of every {app} x {road, powerlaw} x {chunk size} x
+  {policy} cell as recorded before the chunk loop moved to per-chunk
+  tallied accounting (``python tests/test_engine_async.py`` re-records
+  it), and a counting test keeps the metering calls O(chunks), never
+  O(updates).
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ import math
 import os
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
@@ -39,35 +36,36 @@ from repro.faults import named_plan
 from repro.graph import generators
 from repro.partition import POLICIES, partition
 from repro.verify import check_equivalent_values
+from tests.conftest import canonical
 
 # Async value-equivalence tolerance vs the BSP oracle, per app.
 TOLERANCE = {"PR": 1e-6, "SSSP": 1e-9, "CC-LP": 0.0, "BFS": 0.0}
-ASYNC_APPS = sorted(TOLERANCE)
+ASYNC_APPS = sorted(TOLERANCE)  # the residual-declared plans
 
 
-def _graph(app: str, seed: int = 3):
+def _run(app: str, policy: str, engine: str):
     # Weighted for SSSP (its plan folds edge weights); road-like keeps the
     # diameter high enough that scheduling order actually matters.
-    return generators.road_like(5, 4, seed=seed, weighted=True)
-
-
-def _run(app: str, graph, hosts: int, policy: str, engine: str):
-    pgraph = partition(graph, hosts, policy)
-    cluster = Cluster(hosts, threads_per_host=4)
+    pgraph = partition(generators.road_like(5, 4, seed=3, weighted=True), 3, policy)
+    cluster = Cluster(3, threads_per_host=4)
     executor = Executor(cluster, engine=engine)
     try:
         result = KIMBAP_APPS[app](cluster, pgraph, executor=executor)
     finally:
         executor.close()
-    return result, executor
+    return result, executor.engine
+
+
+def _small(app: str = "CC-LP", **arguments):
+    graph = generators.road_like(4, 3, seed=1, weighted=True)
+    return run_kimbap(app, "road", 2, graph=graph, **arguments)
 
 
 def assert_async_refuses(app: str, fragment: str, **arguments):
     """Every refusal fails the same way: ``UnsupportedPlanError`` itself,
     whether the executor or the engine is the one refusing."""
-    graph = generators.road_like(4, 3, seed=1, weighted=True)
     with pytest.raises(UnsupportedPlanError, match=fragment) as refusal:
-        run_kimbap(app, "road", 2, graph=graph, engine="async", **arguments)
+        _small(app, engine="async", **arguments)
     assert type(refusal.value) is UnsupportedPlanError
 
 
@@ -75,61 +73,31 @@ class TestAsyncValueEquivalence:
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("app", ASYNC_APPS)
     def test_matches_bsp_oracle_on_every_policy(self, app, policy):
-        graph = _graph(app)
-        oracle, _ = _run(app, graph, 3, policy, "bsp")
-        result, executor = _run(app, graph, 3, policy, "async")
+        oracle, _ = _run(app, policy, "bsp")
+        result, engine = _run(app, policy, "async")
         check_equivalent_values(oracle.values, result.values, TOLERANCE[app])
-        assert executor.engine.name == "async"
-        assert executor.engine.last_updates > 0
+        assert engine.name == "async" and engine.last_updates > 0
 
     @pytest.mark.parametrize("app", ASYNC_APPS)
     def test_deterministic_for_fixed_seed(self, app):
-        graph = _graph(app)
-        first, first_exec = _run(app, graph, 3, "cvc", "async")
-        second, second_exec = _run(app, graph, 3, "cvc", "async")
+        (first, a), (second, b) = (_run(app, "cvc", "async") for _ in range(2))
         assert first.values == second.values
-        assert first_exec.engine.last_updates == second_exec.engine.last_updates
-        assert first_exec.engine.last_chunks == second_exec.engine.last_chunks
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        nodes=st.integers(min_value=6, max_value=40),
-        degree=st.floats(min_value=1.0, max_value=3.0),
-        seed=st.integers(min_value=0, max_value=2**16),
-        hosts=st.integers(min_value=2, max_value=4),
-    )
-    def test_random_graphs_converge_to_the_oracle(self, nodes, degree, seed, hosts):
-        graph = generators.erdos_renyi(nodes, degree, seed=seed, weighted=True)
-        for app in ("CC-LP", "SSSP"):
-            oracle, _ = _run(app, graph, hosts, "cvc", "bsp")
-            result, _ = _run(app, graph, hosts, "cvc", "async")
-            check_equivalent_values(oracle.values, result.values, TOLERANCE[app])
+        assert (a.last_updates, a.last_chunks) == (b.last_updates, b.last_chunks)
 
     def test_pagerank_error_bounded_by_declared_tolerance(self):
-        graph = _graph("PR")
-        oracle, _ = _run("PR", graph, 3, "hvc", "bsp")
-        result, _ = _run("PR", graph, 3, "hvc", "async")
-        worst = max(
-            abs(oracle.values[node] - result.values[node])
-            for node in oracle.values
-        )
+        oracle, _ = _run("PR", "hvc", "bsp")
+        result, _ = _run("PR", "hvc", "async")
+        worst = max(abs(oracle.values[node] - result.values[node]) for node in oracle.values)
         assert worst <= TOLERANCE["PR"]
         assert math.isclose(sum(result.values.values()), 1.0, abs_tol=1e-6)
 
 
 class TestBSPByteIdentity:
     def test_explicit_bsp_engine_is_byte_identical_to_default(self):
-        graph = generators.road_like(4, 3, seed=1, weighted=True)
-        default = run_kimbap("CC-LP", "road", 2, graph=graph)
-        explicit = run_kimbap("CC-LP", "road", 2, graph=graph, engine="bsp")
-        assert json.dumps(default.to_dict(), sort_keys=True) == json.dumps(
-            explicit.to_dict(), sort_keys=True
-        )
+        assert canonical(_small()) == canonical(_small(engine="bsp"))
 
     def test_engine_key_serialized_only_when_not_bsp(self):
-        graph = generators.road_like(4, 3, seed=1, weighted=True)
-        bsp = run_kimbap("CC-LP", "road", 2, graph=graph, engine="bsp")
-        asynchronous = run_kimbap("CC-LP", "road", 2, graph=graph, engine="async")
+        bsp, asynchronous = _small(engine="bsp"), _small(engine="async")
         assert "engine" not in bsp.to_dict()
         assert asynchronous.to_dict()["engine"] == "async"
         assert asynchronous.async_stats["updates"] > 0

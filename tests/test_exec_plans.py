@@ -17,9 +17,6 @@ from repro.compiler.apps import (
     compiled_cc_sv,
     compiled_pagerank,
 )
-from repro.compiler.compile import compile_program
-from repro.compiler.interp import run_compiled
-from repro.compiler.programs import cc_lp_program
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN
 from repro.exec import (
@@ -255,17 +252,6 @@ class TestFilterSpecs:
 
 
 class TestExecutorSemantics:
-    def test_bulk_flag_deprecation_shim(self, graph):
-        # The per-algorithm bulk= shim is gone: the backend is chosen on
-        # the executor, and the old keyword is an ordinary TypeError.
-        cluster = Cluster(2, threads_per_host=2)
-        pgraph = partition(graph, 2, "cvc")
-        with pytest.raises(TypeError):
-            cc_lp(cluster, pgraph, bulk=True)
-        result = cc_lp(cluster, pgraph, executor=Executor(cluster, bulk=True))
-        reference = run_handwritten(cc_lp, graph, bulk=True)
-        assert result.values == reference.values
-
     def test_executor_backend_overrides_nothing_per_algorithm(self, graph):
         # One executor drives different algorithms with one backend choice.
         cluster = Cluster(2, threads_per_host=2)
@@ -302,28 +288,6 @@ class TestCompiledParity:
         manual_result = run_handwritten(manual, graph, bulk)
         assert compiled_result.values == manual_result.values
 
-    def test_compiled_loop_byte_identical_across_backends(self, graph):
-        def run(bulk):
-            cluster = Cluster(3, threads_per_host=4)
-            pgraph = partition(graph, 3, "cvc")
-            label = NodePropMap(cluster, pgraph, "label")
-            label.set_initial(lambda node: node)
-            rounds = run_compiled(
-                compile_program(cc_lp_program()),
-                cluster,
-                pgraph,
-                {"label": label},
-                executor=Executor(cluster, bulk=bulk),
-            )
-            return (
-                rounds,
-                label.snapshot(),
-                cluster.log.total_counters().as_dict(),
-                cluster.elapsed().total,
-            )
-
-        assert run(False) == run(True)
-
     def test_compiled_trace_round_and_operator_attribution(self, graph):
         cluster = Cluster(2, threads_per_host=4)
         result = compiled_cc_lp(cluster, partition(graph, 2, "cvc"))
@@ -349,10 +313,14 @@ class TestPlanCli:
         assert payload["app"] == "PR"
         names = [plan["name"] for plan in payload["plans"]]
         assert names == ["pr:warmup", "pagerank"]
-        forms = [
-            step["form"]
+        operators = [
+            step
             for plan in payload["plans"]
             for step in plan["steps"]
             if step["step"] == "operator"
         ]
+        forms = [step["form"] for step in operators]
         assert "edge-push" in forms and "degree-reduce" in forms
+        # The residual the async engine schedules PageRank by.
+        residuals = [step["residual"] for step in operators if "residual" in step]
+        assert [residual["mode"] for residual in residuals] == ["accumulate"]

@@ -1,12 +1,13 @@
 """Unit coverage for the host-shard pool's building blocks and the
 closed-form thread dealing.
 
-The end-to-end byte-identity contract lives in
-``tests/test_parallel_equivalence.py``; these tests pin the deterministic
-pieces the pool relies on: shard geometry, the per-phase shardability
-decisions derived from plan metadata, and operator resolution by name -
-plus its fail-fast contract: a dead, silent or diverged worker fails the
-run with a typed, picklable error naming the worker, shard and phase.
+The end-to-end byte-identity of ``jobs=N`` against ``jobs=1`` is a column
+of the conformance table (``tests/test_conformance.py``); these tests pin
+the pieces the pool relies on: shard geometry, the per-phase shardability
+decisions derived from plan metadata, operator resolution by name, one
+fork per sharded run and the coordinator's relay of worker bundles - plus
+its fail-fast contract: a dead, silent or diverged worker fails the run
+with a typed, picklable error naming the worker, shard and phase.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from repro.faults import FaultPlan, HostCrash, MessageFlake
 from repro.graph import generators
 from repro.partition.policies import partition
 from repro.runtime.bool_reducer import BoolReducer
+from tests.conftest import canonical, random_graph
 
 
 # --------------------------------------------------------- shard geometry
@@ -404,9 +406,7 @@ class TestNoExchangeInsideACollective:
         monkeypatch.setattr(Connection, "recv_bytes", recv_bytes)
         parallel = run_kimbap(app, "spy", 4, graph=graph, bulk=bulk, jobs=2, **kwargs)
 
-        assert json.dumps(parallel.to_dict(), sort_keys=True) == json.dumps(
-            serial.to_dict(), sort_keys=True
-        )
+        assert canonical(parallel) == canonical(serial)
         assert flushed and traffic, "the run never sharded a phase"
         assert all(exchanging for exchanging, _ in traffic)
         assert not [kind for _, kind in traffic if kind in self.SYNC]
@@ -416,6 +416,56 @@ class TestNoExchangeInsideACollective:
         sharded = [record for record in log.phases if record.kind in self.COMPUTE]
         assert len(flushed) == len(sharded)
         assert all(a is b for a, b in zip(flushed, sharded))
+
+
+@needs_fork
+@pytest.mark.parametrize("bulk", (False, True), ids=("scalar", "bulk"))
+@pytest.mark.parametrize("app", ("CC-SV", "MSF"))
+def test_repeated_runs_fork_once_each_and_leave_no_segments(monkeypatch, app, bulk):
+    """CC-SV and MSF run the same plans again and again through one
+    executor. Every sharded run is one fork from the coordinator's current
+    state, and its ``end_run`` leaves no worker process behind."""
+    left_behind = []  # one entry per sharded run: only those reach end_run
+    end_run = HostShardPool.end_run
+
+    def checking_end_run(pool, failed):
+        end_run(pool, failed)
+        left_behind.append(_live_workers())
+
+    monkeypatch.setattr(HostShardPool, "end_run", checking_end_run)
+    graph = random_graph(11, weighted=APP_WEIGHTED.get(app, False))
+    serial = run_kimbap(app, "forks", 4, graph=graph, threads=4, bulk=bulk)
+    parallel = run_kimbap(app, "forks", 4, graph=graph, threads=4, bulk=bulk, jobs=2)
+    assert canonical(parallel) == canonical(serial)
+    stats = parallel.parallel
+    assert stats["forks"] == len(left_behind) > 2 and not any(left_behind)
+    assert stats["bytes_exchanged"] > 0
+    assert serial.parallel is None or serial.parallel["forks"] == 0
+
+
+@needs_fork
+def test_coordinator_relays_each_worker_bundle_to_the_other_worker(monkeypatch):
+    """``jobs=3`` on 4 hosts: two workers, so each receives the other's
+    bundle only as the bytes the coordinator read from it, forwarded."""
+    received, forwarded = [], []  # (worker index, message), coordinator side
+    recv_token, send_to_worker = HostShardPool._recv_token, HostShardPool._send_to_worker
+
+    def spy_recv(pool, conn, index, process):
+        token, message = recv_token(pool, conn, index, process)
+        if not pool.is_worker and token[0] == "fx":
+            received.append((index, message))
+        return token, message
+
+    def spy_send(pool, index, process, conn, message):
+        forwarded.append((index, message))
+        return send_to_worker(pool, index, process, conn, message)
+
+    monkeypatch.setattr(HostShardPool, "_recv_token", spy_recv)
+    monkeypatch.setattr(HostShardPool, "_send_to_worker", spy_send)
+    run_kimbap("PR", "relay", 4, graph=random_graph(3), threads=4, bulk=True, jobs=3)
+    assert received
+    for sender, message in received:
+        assert {index for index, sent in forwarded if sent is message} == {1, 2} - {sender}
 
 
 class TestCreatePoolClamp:

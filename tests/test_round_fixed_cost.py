@@ -16,8 +16,6 @@ thousands of rounds, where a round must touch its dirty hosts only.
 
 from __future__ import annotations
 
-import json
-
 import networkx as nx
 import numpy as np
 import pytest
@@ -38,14 +36,11 @@ from repro.exec.pool import fork_available
 from repro.faults import FaultPlan, HostCrash
 from repro.graph import generators
 from repro.partition import partition
+from tests.conftest import canonical
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="host-parallel execution needs POSIX fork"
 )
-
-
-def canonical(result) -> str:
-    return json.dumps(result.to_dict(), sort_keys=True)
 
 
 # ------------------------------------------------------- the activity flag
@@ -406,10 +401,6 @@ TestPendingState.settings = settings(
 # rows^2 node visits, so it joins at the smaller size only.
 
 
-def _narrow(app, rows, cols):
-    return generators.road_like(rows=rows, cols=cols, seed=3, weighted=app == "SSSP")
-
-
 def _check_against_networkx(app, graph, values):
     undirected = graph.to_networkx().to_undirected()
     if app == "BFS":
@@ -426,7 +417,7 @@ def _check_against_networkx(app, graph, values):
 @pytest.mark.parametrize("app", ("BFS", "SSSP"))
 class TestNarrowFrontier:
     def runs(self, app, rows, cols, policy, cells):
-        graph = _narrow(app, rows, cols)
+        graph = generators.road_like(rows=rows, cols=cols, seed=3, weighted=app == "SSSP")
         pgraph = partition(graph, 4, policy)
         results = [
             run_kimbap(
