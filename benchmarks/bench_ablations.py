@@ -117,7 +117,7 @@ class TestRequestDedup:
                 parent.set_initial(lambda node: 0)
                 # every leaf requests the hub's (node 0's) parent
                 from repro.cluster.metrics import PhaseKind
-                from repro.runtime import par_for
+                from repro.exec import par_for
 
                 def request(ctx):
                     parent.request(ctx.host, 0)

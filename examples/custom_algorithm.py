@@ -1,22 +1,30 @@
 """The tutorial's custom algorithm, end to end (docs/TUTORIAL.md).
 
-Degree-weighted label spreading built directly on the node-property-map
-API, then label propagation written as Figure 4-style *source text* and
-pushed through the compiler. Shows the full surface a downstream user
-touches when writing a new algorithm.
+Degree-weighted label spreading written as an operator plan (a warm-up
+phase group plus a KimbapWhile loop whose operator body is plain Python
+over the node-property-map API), then label propagation written as
+Figure 4-style *source text* and pushed through the compiler. Shows the
+full surface a downstream user touches when writing a new algorithm.
 
 Run:  python examples/custom_algorithm.py
 """
 
 from repro import verify
 from repro.cluster import Cluster
-from repro.cluster.metrics import PhaseKind
 from repro.compiler import compile_program, parse_program
 from repro.compiler.interp import run_compiled
-from repro.core import MIN, SUM, NodePropMap
+from repro.core import MIN, NodePropMap
+from repro.exec import (
+    DegreeReduce,
+    Executor,
+    Operator,
+    OperatorStep,
+    Plan,
+    ScalarKernel,
+    SyncStep,
+)
 from repro.graph import generators
 from repro.partition import partition
-from repro.runtime import kimbap_while, par_for
 
 
 def main() -> None:
@@ -25,41 +33,53 @@ def main() -> None:
     cluster = Cluster(num_hosts=4, threads_per_host=48)
     print(f"graph: {graph.num_nodes} nodes, {graph.num_edges} edges, 4 hosts\n")
 
+    executor = Executor(cluster)
+
     # -- global degrees via SUM reduction (vertex cut: no host knows them) --
     degree = NodePropMap(cluster, pgraph, "degree")
     label = NodePropMap(cluster, pgraph, "label")
     degree.set_initial(lambda node: 0)
     label.set_initial(lambda node: node)
-
-    def local_degree(ctx):
-        if ctx.part.degree(ctx.local):
-            degree.reduce(ctx.host, ctx.thread, ctx.node, ctx.part.degree(ctx.local), SUM)
-
-    par_for(cluster, pgraph, "all", local_degree, label="deg")
-    degree.reduce_sync()
+    executor.run(
+        Plan(
+            name="degrees",
+            pgraph=pgraph,
+            steps=[
+                OperatorStep(Operator("deg", "all", DegreeReduce(degree))),
+                SyncStep(degree, "reduce"),
+            ],
+            once=True,
+        )
+    )
 
     # -- custom operator: adopt the min label among higher-degree neighbors --
     label.pin_mirrors(invariant="none")
     degree.pin_mirrors(invariant="none")
 
-    def round_body():
-        def operator(ctx):
-            my_label = label.read_local(ctx.host, ctx.local)
-            my_degree = degree.read_local(ctx.host, ctx.local)
-            for edge in ctx.edges():
-                dst_local = ctx.edge_dst_local(edge)
-                if degree.read_local(ctx.host, dst_local) > my_degree:
-                    neighbor_label = label.read_local(ctx.host, dst_local)
-                    if neighbor_label < my_label:
-                        label.reduce(
-                            ctx.host, ctx.thread, ctx.node, neighbor_label, MIN
-                        )
+    def spread(ctx):
+        my_label = label.read_local(ctx.host, ctx.local)
+        my_degree = degree.read_local(ctx.host, ctx.local)
+        for edge in ctx.edges():
+            dst_local = ctx.edge_dst_local(edge)
+            if degree.read_local(ctx.host, dst_local) > my_degree:
+                neighbor_label = label.read_local(ctx.host, dst_local)
+                if neighbor_label < my_label:
+                    label.reduce(ctx.host, ctx.thread, ctx.node, neighbor_label, MIN)
 
-        par_for(cluster, pgraph, "all", operator, label="spread")
-        label.reduce_sync()
-        label.broadcast_sync()
-
-    rounds = kimbap_while(label, round_body)
+    # One round is the operator plus its reduce/broadcast syncs; the loop
+    # repeats it until no reduce-sync changed a label (KimbapWhile).
+    rounds = executor.run(
+        Plan(
+            name="spread",
+            pgraph=pgraph,
+            steps=[
+                OperatorStep(Operator("spread", "all", ScalarKernel(spread))),
+                SyncStep(label, "reduce"),
+                SyncStep(label, "broadcast"),
+            ],
+            quiesce=(label,),
+        )
+    )
     label.unpin_mirrors()
     degree.unpin_mirrors()
     remaining = len(set(label.snapshot().values()))
@@ -82,7 +102,7 @@ def main() -> None:
     loop = compile_program(program)
     print("\ncompiled continuation:")
     print(loop.describe())
-    run_compiled(loop, cluster, pgraph, {"label": label})
+    run_compiled(loop, cluster, pgraph, {"label": label}, executor=executor)
     verify.check_components(graph, label.snapshot())
     print("\nfinal labels are exactly the connected components (verified)")
     elapsed = cluster.elapsed()

@@ -15,9 +15,8 @@ MPI cluster. The public surface re-exports the pieces most users need:
 
 from repro.graph import Graph, generators
 from repro.cluster import Cluster, CostModel, ModeledTime
-from repro.core import NodePropMap, RuntimeVariant
+from repro.core import BoolReducer, NodePropMap, RuntimeVariant
 from repro.partition import partition
-from repro.runtime import BoolReducer
 
 __all__ = [
     "Graph",

@@ -22,12 +22,12 @@ import numpy as np
 
 from repro.algorithms.common import AlgorithmResult, left_sum, resolve_executor, shortcut_plan
 from repro.cluster.cluster import Cluster
+from repro.core.bool_reducer import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, PAIR_MIN
 from repro.core.variants import RuntimeVariant
 from repro.exec import Executor, Operator, OperatorStep, Plan, ScalarKernel, SyncStep
 from repro.partition.base import PartitionedGraph
-from repro.runtime.bool_reducer import BoolReducer
 
 SENTINEL = (math.inf, -1, -1, -1)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.algorithms.common import AlgorithmResult, resolve_executor, shortcut_plan
 from repro.cluster.cluster import Cluster
+from repro.core.bool_reducer import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN
 from repro.core.variants import RuntimeVariant
@@ -28,7 +29,6 @@ from repro.exec import (
     SyncStep,
 )
 from repro.partition.base import PartitionedGraph
-from repro.runtime.bool_reducer import BoolReducer
 
 
 def cc_sv_hook_plan(

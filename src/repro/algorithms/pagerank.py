@@ -164,9 +164,6 @@ def pagerank(
         converged=lambda: state["delta"] < tolerance,
         maps=(rank, contribution),
         max_rounds=max_rounds,
-        # PR historically attributes all loop phases to round 0 (no
-        # advance_round); keep that, while still being recoverable.
-        advance_rounds=False,
         raise_on_max_rounds=False,
         loop_label="pagerank",
         extra_snapshot=lambda: dict(state),

@@ -30,7 +30,7 @@ import numpy as np
 from repro.algorithms.common import AlgorithmResult
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
-from repro.faults.recovery import run_recoverable_loop
+from repro.exec import Executor, HostStep, Plan
 from repro.partition.base import PartitionedGraph
 
 UPDATE_BYTES = 16  # key + value, one per message
@@ -39,10 +39,9 @@ UPDATE_BYTES = 16  # key + value, one per message
 def async_cc_lp(cluster: Cluster, pgraph: PartitionedGraph) -> AlgorithmResult:
     """Asynchronous label propagation with eager per-update messaging.
 
-    The sweep loop rides on the shared :func:`run_recoverable_loop`
-    skeleton (the same driver the engine layer uses) rather than a private
-    ``while changed`` loop; ``advance_rounds=False`` keeps the emitted
-    phases byte-identical to the historical baseline.
+    One sweep is the single host step of a plan the BSP engine drives until
+    a sweep changes no label - the same loop driver every algorithm uses,
+    rather than a private ``while changed`` loop.
     """
     graph = pgraph.graph
     # canonical labels at owners; each host also has a local cache of every
@@ -97,12 +96,13 @@ def async_cc_lp(cluster: Cluster, pgraph: PartitionedGraph) -> AlgorithmResult:
                         cache[dst] = min(cache[dst], node_label)
         state["changed"] = changed
 
-    sweeps = run_recoverable_loop(
-        cluster,
-        [],
-        sweep,
-        converged=lambda: not state["changed"],
-        advance_rounds=False,
+    sweeps = Executor(cluster).run(
+        Plan(
+            name="async_lp",
+            pgraph=pgraph,
+            steps=[HostStep("async_lp", sweep)],
+            converged=lambda: not state["changed"],
+        )
     )
     values = {node: int(labels[node]) for node in range(graph.num_nodes)}
     return AlgorithmResult(name="Async-LP", values=values, rounds=sweeps)

@@ -17,15 +17,16 @@ gap that request/response would otherwise open.
 
 from __future__ import annotations
 
-from typing import Any
+import math
+from typing import Any, Callable
 
 from repro.algorithms.common import AlgorithmResult
 from repro.cluster.cluster import Cluster
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, ReduceOp
 from repro.core.variants import RuntimeVariant
+from repro.exec import Executor, Operator, OperatorStep, Plan, ScalarKernel, SyncStep
 from repro.partition.base import PartitionedGraph
-from repro.runtime.engine import kimbap_while, par_for
 
 
 class GluonAtomicReduction:
@@ -85,6 +86,33 @@ def make_gluon_map(
     return prop
 
 
+def _push_plan(
+    pgraph: PartitionedGraph, prop: NodePropMap, label: str, body: Callable
+) -> Plan:
+    """One Gluon round: a push operator reducing straight into the cached
+    proxies, then reduce + broadcast; run until ``prop`` is quiescent."""
+    return Plan(
+        name=label,
+        pgraph=pgraph,
+        steps=[
+            OperatorStep(
+                Operator(
+                    label,
+                    "all",
+                    ScalarKernel(
+                        body,
+                        read_names=(prop.name,),
+                        write_names=((prop.name, MIN.name),),
+                    ),
+                )
+            ),
+            SyncStep(prop, "reduce"),
+            SyncStep(prop, "broadcast"),
+        ],
+        quiesce=(prop,),
+    )
+
+
 def gluon_sssp(
     cluster: Cluster,
     pgraph: PartitionedGraph,
@@ -92,33 +120,26 @@ def gluon_sssp(
     unit_weights: bool = False,
 ) -> AlgorithmResult:
     """Gluon's data-driven SSSP (push-style Bellman-Ford on atomics)."""
-    import math
-
     dist = make_gluon_map(cluster, pgraph, "gluon_dist")
     dist.set_initial(lambda node: 0.0 if node == source else math.inf)
     dist.pin_mirrors(invariant="none")
 
-    def round_body() -> None:
-        def relax(ctx) -> None:
-            if ctx.part.degree(ctx.local) == 0:
-                return
-            ctx.charge(1)
-            if not dist.is_active(ctx.host, ctx.node):
-                return
-            my_dist = dist.read_local(ctx.host, ctx.local)
-            if my_dist == math.inf:
-                return
-            for edge in ctx.edges():
-                weight = 1.0 if unit_weights else ctx.edge_weight(edge)
-                dist.reduce(
-                    ctx.host, ctx.thread, ctx.edge_dst(edge), my_dist + weight, MIN
-                )
+    def relax(ctx) -> None:
+        if ctx.part.degree(ctx.local) == 0:
+            return
+        ctx.charge(1)
+        if not dist.is_active(ctx.host, ctx.node):
+            return
+        my_dist = dist.read_local(ctx.host, ctx.local)
+        if my_dist == math.inf:
+            return
+        for edge in ctx.edges():
+            weight = 1.0 if unit_weights else ctx.edge_weight(edge)
+            dist.reduce(
+                ctx.host, ctx.thread, ctx.edge_dst(edge), my_dist + weight, MIN
+            )
 
-        par_for(cluster, pgraph, "all", relax, label="gluon_sssp")
-        dist.reduce_sync()
-        dist.broadcast_sync()
-
-    rounds = kimbap_while(dist, round_body)
+    rounds = Executor(cluster).run(_push_plan(pgraph, dist, "gluon_sssp", relax))
     dist.unpin_mirrors()
     return AlgorithmResult(name="Gluon-SSSP", values=dist.snapshot(), rounds=rounds)
 
@@ -126,8 +147,6 @@ def gluon_sssp(
 def gluon_bfs(
     cluster: Cluster, pgraph: PartitionedGraph, source: int = 0
 ) -> AlgorithmResult:
-    import math
-
     result = gluon_sssp(cluster, pgraph, source=source, unit_weights=True)
     levels = {
         node: (int(v) if v != math.inf else math.inf)
@@ -142,22 +161,17 @@ def gluon_cc_lp(cluster: Cluster, pgraph: PartitionedGraph) -> AlgorithmResult:
     label.set_initial(lambda node: node)
     label.pin_mirrors(invariant="push")
 
-    def round_body() -> None:
-        def operator(ctx) -> None:
-            if ctx.part.degree(ctx.local) == 0:
-                return
-            ctx.charge(1)
-            if not label.is_active(ctx.host, ctx.node):
-                return  # Gluon's worklist: only changed labels push
-            node_label = label.read_local(ctx.host, ctx.local)
-            for edge in ctx.edges():
-                label.reduce(ctx.host, ctx.thread, ctx.edge_dst(edge), node_label, MIN)
+    def push(ctx) -> None:
+        if ctx.part.degree(ctx.local) == 0:
+            return
+        ctx.charge(1)
+        if not label.is_active(ctx.host, ctx.node):
+            return  # Gluon's worklist: only changed labels push
+        node_label = label.read_local(ctx.host, ctx.local)
+        for edge in ctx.edges():
+            label.reduce(ctx.host, ctx.thread, ctx.edge_dst(edge), node_label, MIN)
 
-        par_for(cluster, pgraph, "all", operator, label="gluon_lp")
-        label.reduce_sync()
-        label.broadcast_sync()
-
-    rounds = kimbap_while(label, round_body)
+    rounds = Executor(cluster).run(_push_plan(pgraph, label, "gluon_lp", push))
     label.unpin_mirrors()
     return AlgorithmResult(
         name="Gluon-LP", values=label.snapshot(), rounds=rounds

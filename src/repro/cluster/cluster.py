@@ -98,8 +98,9 @@ class Cluster:
         self.log = MetricsLog(num_hosts)
         self._current: PhaseRecord | None = None
         # Round/operator attribution for traces and profiles: phases opened
-        # before any loop round belong to round 0; kimbap_while (and the
-        # baseline drivers) advance the round counter once per BSP round.
+        # before any loop round belong to round 0; the plan loop
+        # (repro.exec.engine.BSPEngine.drive) advances the round counter
+        # once per BSP round.
         self.current_round = 0
         # Memory accounting: property maps (and baselines) report their
         # per-host live value-slot footprint; the cluster tracks the peak

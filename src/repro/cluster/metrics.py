@@ -141,7 +141,8 @@ class PhaseRecord:
     """One executed phase: counters and traffic for every host.
 
     ``round`` is the BSP round the phase ran in (0 for pre-loop phases such
-    as initialization; ``kimbap_while`` rounds count from 1) and
+    as initialization and one-shot warm-ups; plan-loop rounds count from
+    1) and
     ``operator`` names the operator or collective that opened the phase -
     together they let traces and profiles attribute modeled time.
     """

@@ -1,9 +1,12 @@
 """Compiled applications: Figure 4 programs run through the full pipeline.
 
-Each function compiles its DSL operators and drives them exactly like the
-paper's generated code (Figure 8): the outer do-while and multi-operator
-composition are ordinary host code, each KimbapWhile is a compiled BSP
-loop. ``optimize=False`` produces the NO-OPT arms of Figure 12.
+Each function compiles its DSL operators and drives them like the paper's
+generated code (Figure 8): each KimbapWhile is a compiled BSP loop, and
+operators the paper composes into one outer loop (CC-SCLP's propagate +
+shortcut, MIS's blocked/select/exclude, PageRank's push/rebuild) are one
+plan whose round runs them in sequence, with host steps for the scalar
+code between them. ``optimize=False`` produces the NO-OPT arms of
+Figure 12. Like the hand-written apps, they take ``executor=``.
 
 These return the same :class:`~repro.algorithms.common.AlgorithmResult` as
 the hand-written kernels, and tests assert both paths agree exactly.
@@ -15,11 +18,11 @@ import math
 
 import numpy as np
 
-from repro.algorithms.common import AlgorithmResult, left_sum
+from repro.algorithms.common import AlgorithmResult, left_sum, resolve_executor
 from repro.algorithms.mis import _hash_priority
 from repro.cluster.cluster import Cluster
 from repro.compiler.compile import compile_program
-from repro.compiler.interp import run_compiled, run_round
+from repro.compiler.interp import build_plan, run_compiled
 from repro.compiler.programs import (
     IN_SET,
     UNDECIDED,
@@ -35,10 +38,11 @@ from repro.compiler.programs import (
     pr_push,
     pr_rebuild,
 )
+from repro.core.bool_reducer import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.variants import RuntimeVariant
+from repro.exec import Executor, HostStep, ResetStep
 from repro.partition.base import PartitionedGraph
-from repro.runtime.bool_reducer import BoolReducer
 
 
 def compiled_cc_sv(
@@ -46,8 +50,10 @@ def compiled_cc_sv(
     pgraph: PartitionedGraph,
     variant: RuntimeVariant = RuntimeVariant.KIMBAP,
     optimize: bool = True,
+    executor: Executor | None = None,
 ) -> AlgorithmResult:
     """CC-SV exactly as Figure 4 writes it and Figure 8 runs it."""
+    executor = resolve_executor(cluster, executor)
     hook = compile_program(cc_sv_hook(), optimize=optimize)
     shortcut = compile_program(cc_sv_shortcut(), optimize=optimize)
     parent = NodePropMap(cluster, pgraph, "parent", variant=variant)
@@ -58,9 +64,13 @@ def compiled_cc_sv(
     total_rounds = 0
     while True:
         work_done.set_all(False)
-        total_rounds += run_compiled(hook, cluster, pgraph, maps, reducers)
+        total_rounds += run_compiled(
+            hook, cluster, pgraph, maps, reducers, executor=executor
+        )
         work_done.sync()
-        total_rounds += run_compiled(shortcut, cluster, pgraph, maps, reducers)
+        total_rounds += run_compiled(
+            shortcut, cluster, pgraph, maps, reducers, executor=executor
+        )
         if not work_done.read():
             break
     return AlgorithmResult(name="CC-SV", values=parent.snapshot(), rounds=total_rounds)
@@ -71,11 +81,13 @@ def compiled_cc_lp(
     pgraph: PartitionedGraph,
     variant: RuntimeVariant = RuntimeVariant.KIMBAP,
     optimize: bool = True,
+    executor: Executor | None = None,
 ) -> AlgorithmResult:
+    executor = resolve_executor(cluster, executor)
     loop = compile_program(cc_lp_program(), optimize=optimize)
     label = NodePropMap(cluster, pgraph, "label", variant=variant)
     label.set_initial(lambda node: node)
-    rounds = run_compiled(loop, cluster, pgraph, {"label": label})
+    rounds = run_compiled(loop, cluster, pgraph, {"label": label}, executor=executor)
     return AlgorithmResult(name="CC-LP", values=label.snapshot(), rounds=rounds)
 
 
@@ -84,7 +96,9 @@ def compiled_cc_sclp(
     pgraph: PartitionedGraph,
     variant: RuntimeVariant = RuntimeVariant.KIMBAP,
     optimize: bool = True,
+    executor: Executor | None = None,
 ) -> AlgorithmResult:
+    executor = resolve_executor(cluster, executor)
     propagate = compile_program(cc_sclp_propagate(), optimize=optimize)
     shortcut = compile_program(cc_sclp_shortcut(), optimize=optimize)
     label = NodePropMap(cluster, pgraph, "label", variant=variant)
@@ -94,14 +108,7 @@ def compiled_cc_sclp(
     # hand-written kernel: pin once around the whole loop.
     for map_name, invariant in propagate.pinned.items():
         maps[map_name].pin_mirrors(invariant=invariant)
-    rounds = 0
-    while True:
-        label.reset_updated()
-        run_round(propagate, cluster, pgraph, maps)
-        run_round(shortcut, cluster, pgraph, maps)
-        rounds += 1
-        if not label.is_updated():
-            break
+    rounds = executor.run(build_plan((propagate, shortcut), pgraph, maps))
     for map_name in propagate.pinned:
         maps[map_name].unpin_mirrors()
     return AlgorithmResult(name="CC-SCLP", values=label.snapshot(), rounds=rounds)
@@ -112,8 +119,10 @@ def compiled_mis(
     pgraph: PartitionedGraph,
     variant: RuntimeVariant = RuntimeVariant.KIMBAP,
     optimize: bool = True,
+    executor: Executor | None = None,
 ) -> AlgorithmResult:
     """Priority MIS from three compiled operators (blocked/select/exclude)."""
+    executor = resolve_executor(cluster, executor)
     blocked_loop = compile_program(mis_blocked(), optimize=optimize)
     select_loop = compile_program(mis_select(), optimize=optimize)
     exclude_loop = compile_program(mis_exclude(), optimize=optimize)
@@ -129,16 +138,22 @@ def compiled_mis(
         pins.update(loop.pinned)
     for map_name, invariant in pins.items():
         maps[map_name].pin_mirrors(invariant=invariant)
-    rounds = 0
-    while True:
-        state.reset_updated()
-        extern = {"round": rounds}
-        run_round(blocked_loop, cluster, pgraph, maps, extern=extern)
-        run_round(select_loop, cluster, pgraph, maps, extern=extern)
-        run_round(exclude_loop, cluster, pgraph, maps, extern=extern)
-        rounds += 1
-        if not state.is_updated():
-            break
+    # ``round`` stamps ``blocked``. Like the hand-written twin's counter it
+    # is not part of the recovery snapshot: stamps are monotone, so stale
+    # stamps from before a crash never equal a replayed round's fresh one.
+    extern = {"round": -1}
+
+    def next_round() -> None:
+        extern["round"] += 1
+
+    plan = build_plan(
+        (HostStep("mis:round", next_round), blocked_loop, select_loop, exclude_loop),
+        pgraph,
+        maps,
+        extern=extern,
+        quiesce=(state,),
+    )
+    rounds = executor.run(plan)
     for map_name in pins:
         maps[map_name].unpin_mirrors()
     values = state.snapshot()
@@ -158,13 +173,16 @@ def compiled_pagerank(
     damping: float = 0.85,
     tolerance: float = 1e-9,
     max_rounds: int = 100,
+    executor: Executor | None = None,
 ) -> AlgorithmResult:
     """PageRank from three compiled operators (degree/push/rebuild).
 
-    The power iteration itself - dangling-mass redistribution and the
-    L1-delta convergence test - stays host code, mirroring the hand-written
-    kernel's host steps, so both paths compute bitwise-identical ranks.
+    The power iteration's scalar code - dangling-mass redistribution and
+    the L1-delta convergence test - are host steps of the round, mirroring
+    the hand-written kernel's, so both paths compute bitwise-identical
+    ranks.
     """
+    executor = resolve_executor(cluster, executor)
     degree_loop = compile_program(pr_degree(), optimize=optimize)
     push_loop = compile_program(pr_push(), optimize=optimize)
     rebuild_loop = compile_program(pr_rebuild(), optimize=optimize)
@@ -178,7 +196,7 @@ def compiled_pagerank(
     rank.set_initial(lambda node: 1.0 / num_nodes)
     contribution.set_initial(lambda node: 0.0)
     maps = {"degree": degree, "rank": rank, "contribution": contribution}
-    run_round(degree_loop, cluster, pgraph, maps)
+    executor.run(build_plan(degree_loop, pgraph, maps, once=True))
     degrees = degree.snapshot_array()
 
     # Pin after the degree warm-up so the push loop's mirrors (rank and the
@@ -186,21 +204,43 @@ def compiled_pagerank(
     for map_name, invariant in push_loop.pinned.items():
         maps[map_name].pin_mirrors(invariant=invariant)
     base = (1.0 - damping) / num_nodes
-    previous = np.full(num_nodes, 1.0 / num_nodes)
-    delta = math.inf
-    rounds = 0
-    while rounds < max_rounds:
-        contribution.reset_values(lambda node: 0.0)
-        run_round(push_loop, cluster, pgraph, maps, extern={"damping": damping})
-        dangling = left_sum(previous[degrees == 0])
-        uniform = base + damping * dangling / num_nodes
-        run_round(rebuild_loop, cluster, pgraph, maps, extern={"uniform": uniform})
-        rounds += 1
+    # The operators' extern constants (damping, uniform) and the loop's
+    # host state share one dict, snapshotted for crash recovery.
+    state = {
+        "damping": damping,
+        "previous": np.full(num_nodes, 1.0 / num_nodes),
+        "delta": math.inf,
+    }
+
+    def redistribute_dangling() -> None:
+        dangling = left_sum(state["previous"][degrees == 0])
+        state["uniform"] = base + damping * dangling / num_nodes
+
+    def update_delta() -> None:
         current = rank.snapshot_array()
-        delta = left_sum(np.abs(current - previous))
-        previous = current
-        if delta < tolerance:
-            break
+        state["delta"] = left_sum(np.abs(current - state["previous"]))
+        state["previous"] = current
+
+    plan = build_plan(
+        (
+            ResetStep(contribution, lambda node: 0.0, elementwise=True),
+            push_loop,
+            HostStep("pr:dangling", redistribute_dangling),
+            rebuild_loop,
+            HostStep("pr:delta", update_delta),
+        ),
+        pgraph,
+        maps,
+        extern=state,
+        quiesce=(),
+        converged=lambda: state["delta"] < tolerance,
+        maps=(rank, contribution),
+        max_rounds=max_rounds,
+        raise_on_max_rounds=False,
+        extra_snapshot=lambda: dict(state),
+        extra_restore=state.update,
+    )
+    rounds = executor.run(plan)
     for map_name in push_loop.pinned:
         maps[map_name].unpin_mirrors()
     values = rank.snapshot()
@@ -208,7 +248,10 @@ def compiled_pagerank(
         name="PR",
         values=values,
         rounds=rounds,
-        stats={"delta": delta, "mass": left_sum(np.fromiter(values.values(), float))},
+        stats={
+            "delta": state["delta"],
+            "mass": left_sum(np.fromiter(values.values(), float)),
+        },
     )
 
 

@@ -5,12 +5,17 @@ metrics as the hand-written kernels: ALU work per evaluated expression,
 ``edge_iters`` per edge, map reads through the exact same NodePropMap
 paths (dense-vector for local masters and pinned mirrors, binary search /
 hash probes for requested remotes).
+
+:func:`build_plan` lowers a compiled program - one loop, or several run
+in sequence each round with host steps between them - onto one
+:class:`~repro.exec.plan.Plan`, which the executor's BSP engine drives
+like every other loop.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
@@ -35,11 +40,19 @@ from repro.compiler.ir import (
     Var,
 )
 from repro.compiler.ir import walk
+from repro.core.bool_reducer import BoolReducer
 from repro.core.propmap import NodePropMap
-from repro.exec import Executor, Operator, OperatorStep, Plan, ScalarKernel, SyncStep
+from repro.exec import (
+    Executor,
+    Operator,
+    OperatorContext,
+    OperatorStep,
+    Plan,
+    ScalarKernel,
+    SyncStep,
+)
+from repro.exec.plan import Step
 from repro.partition.base import PartitionedGraph
-from repro.runtime.bool_reducer import BoolReducer
-from repro.runtime.engine import OperatorContext
 
 _BINOPS = {
     "+": operator.add,
@@ -74,7 +87,8 @@ class _Executor:
         self.pgraph = pgraph
         self.maps = dict(maps)
         self.reducers = dict(reducers or {})
-        self.extern = dict(extern or {})
+        # Held, not copied: host steps of the plan rebind constants per round.
+        self.extern = extern if extern is not None else {}
 
     # -- expression evaluation ------------------------------------------------
 
@@ -178,25 +192,13 @@ def _body_reads_writes(
     return tuple(reads), tuple(writes)
 
 
-def build_plan(
-    loop: CompiledLoop,
-    pgraph: PartitionedGraph,
-    maps: Mapping[str, NodePropMap],
-    reducers: Mapping[str, BoolReducer] | None = None,
-    extern: Mapping[str, Any] | None = None,
-    once: bool = False,
-    max_rounds: int = 100000,
-) -> Plan:
-    """Lower a compiled loop onto the operator-plan layer.
-
-    Every statement body becomes a :class:`ScalarKernel` operator (the
-    interpreter walks the IR per node, so both executor backends run the
-    same reference loop); phase structure, sync collectives, and the
-    quiescence driver map 1:1 onto plan steps, which is what gives
-    compiled programs the same metering/trace/fault semantics as the
-    hand-written algorithm plans.
-    """
-    interp = _Executor(None, pgraph, maps, reducers, extern)
+def _loop_steps(
+    loop: CompiledLoop, interp: _Executor, maps: Mapping[str, NodePropMap]
+) -> list[Step]:
+    """One round of a compiled loop as plan steps: each statement body
+    becomes a :class:`ScalarKernel` operator (the interpreter walks the IR
+    per node, so both executor backends run the same reference loop), and
+    the phase structure and sync collectives map 1:1 onto steps."""
 
     def kernel_for(par_for_ir) -> ScalarKernel:
         reads, writes = _body_reads_writes(par_for_ir.body)
@@ -206,7 +208,7 @@ def build_plan(
             write_names=writes,
         )
 
-    steps: list = []
+    steps: list[Step] = []
     for phase in loop.request_phases:
         steps.append(
             OperatorStep(
@@ -236,30 +238,47 @@ def build_plan(
         # composed apps that pin around a multi-operator loop still get
         # their mirrors refreshed after every reduce.
         steps.append(SyncStep(maps[map_name], "broadcast"))
-    return Plan(
-        name=f"compiled:{loop.name}",
-        pgraph=pgraph,
-        steps=steps,
-        quiesce=tuple(maps[m] for m in loop.quiesce_maps),
-        max_rounds=max_rounds,
-        once=once,
-        loop_label=f"compiled:{loop.name}",
-    )
+    return steps
 
 
-def run_round(
-    loop: CompiledLoop,
-    cluster: Cluster,
+def build_plan(
+    program: CompiledLoop | Sequence[CompiledLoop | Step],
     pgraph: PartitionedGraph,
-    maps: Mapping[str, NodePropMap],
+    props: Mapping[str, NodePropMap],
     reducers: Mapping[str, BoolReducer] | None = None,
-    extern: Mapping[str, Any] | None = None,
-    executor: Executor | None = None,
-) -> None:
-    """Execute one BSP round of a compiled loop (no quiescence handling)."""
-    if executor is None:
-        executor = Executor(cluster)
-    executor.run(build_plan(loop, pgraph, maps, reducers, extern, once=True))
+    extern: dict[str, Any] | None = None,
+    **fields: Any,
+) -> Plan:
+    """Lower a compiled program onto the operator-plan layer; ``props``
+    binds the program's map names.
+
+    ``program`` is one compiled loop, or a round's sequence of compiled
+    loops with plan steps (host steps, resets) between them - the way the
+    paper's generated code composes several KimbapWhile operators into one
+    outer loop. All loops share one interpreter, so a host step that
+    rebinds an ``extern`` constant is seen by every later operator.
+    ``fields`` are further :class:`Plan` fields (``once``, ``max_rounds``,
+    ``quiesce``, ``converged``, ...); by default the plan quiesces on its
+    loops' quiesce maps. This is what gives compiled programs the same
+    metering/trace/fault semantics as the hand-written algorithm plans.
+    """
+    if isinstance(program, CompiledLoop):
+        program = (program,)
+    interp = _Executor(None, pgraph, props, reducers, extern)
+    loops = [item for item in program if isinstance(item, CompiledLoop)]
+    steps: list[Step] = []
+    for item in program:
+        if isinstance(item, CompiledLoop):
+            steps.extend(_loop_steps(item, interp, props))
+        else:
+            steps.append(item)
+    name = "compiled:" + "+".join(loop.name for loop in loops)
+    fields.setdefault(
+        "quiesce",
+        tuple(dict.fromkeys(props[m] for loop in loops for m in loop.quiesce_maps)),
+    )
+    fields.setdefault("loop_label", name)
+    return Plan(name=name, pgraph=pgraph, steps=steps, **fields)
 
 
 def run_compiled(
@@ -268,7 +287,7 @@ def run_compiled(
     pgraph: PartitionedGraph,
     maps: Mapping[str, NodePropMap],
     reducers: Mapping[str, BoolReducer] | None = None,
-    extern: Mapping[str, Any] | None = None,
+    extern: dict[str, Any] | None = None,
     manage_pins: bool = True,
     max_rounds: int = 100000,
     executor: Executor | None = None,

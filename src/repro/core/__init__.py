@@ -12,13 +12,15 @@ domain-specific optimizations (Section 4.2):
   carrying partial reductions to the owners.
 
 :class:`RuntimeVariant` selects between the full map and the ablation
-variants of Section 6.4 (MC / SGR-only / SGR+CF / SGR+CF+GAR).
+variants of Section 6.4 (MC / SGR-only / SGR+CF / SGR+CF+GAR), and
+:class:`BoolReducer` is Figure 4's distributed boolean (``work_done``).
 """
 
 from repro.core.bitset import ConcurrentBitset
 from repro.core.reducers import ReduceOp, MIN, MAX, SUM, LOGICAL_OR, PAIR_MIN, PAIR_MAX
 from repro.core.variants import RuntimeVariant
 from repro.core.propmap import NodePropMap
+from repro.core.bool_reducer import BoolReducer
 
 __all__ = [
     "ConcurrentBitset",
@@ -31,4 +33,5 @@ __all__ = [
     "PAIR_MAX",
     "RuntimeVariant",
     "NodePropMap",
+    "BoolReducer",
 ]

@@ -40,11 +40,10 @@ from repro.cluster.cluster import SimulatedOutOfMemory
 from repro.cluster.metrics import PhaseKind
 from repro.core.variants import RuntimeVariant
 from repro.eval.workloads import load_graph
-from repro.exec import Executor
+from repro.exec import Executor, NonQuiescenceError
 from repro.faults import FaultPlan, install_faults
 from repro.graph.csr import Graph
 from repro.partition import partition
-from repro.runtime.engine import NonQuiescenceError
 
 # The paper's partitioning choices (Section 6.1): Cartesian vertex-cut for
 # CC / MSF / MIS, edge-cut for LV / LD (Vite only supports edge-cuts).

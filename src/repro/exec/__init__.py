@@ -1,7 +1,7 @@
 """repro.exec: the unified operator-plan execution layer.
 
 Algorithms are written once as declarative :class:`Plan` objects
-(operator specs + a loop/convergence driver); a single :class:`Executor`
+(operator specs + a loop/convergence condition); a single :class:`Executor`
 dispatches each plan to the scalar reference backend or the compiled
 bulk backend with byte-identical metrics, and hosts the shared
 checkpoint/recovery and trace/profile wiring. The code generation stage
@@ -12,14 +12,17 @@ checkpoint/recovery and trace/profile wiring. The code generation stage
 from repro.exec.codegen import (
     CompiledOperator,
     CompiledPlan,
+    OperatorContext,
     PreparedFrontierPush,
     compile_plan,
+    par_for,
 )
 from repro.exec.engine import (
     ENGINES,
     AsyncEngine,
     BSPEngine,
     Engine,
+    NonQuiescenceError,
     UnsupportedPlanError,
     make_engine,
 )
@@ -54,12 +57,15 @@ __all__ = [
     "CompiledOperator",
     "CompiledPlan",
     "Executor",
+    "OperatorContext",
     "PreparedFrontierPush",
     "compile_plan",
+    "par_for",
     "ENGINES",
     "AsyncEngine",
     "BSPEngine",
     "Engine",
+    "NonQuiescenceError",
     "UnsupportedPlanError",
     "make_engine",
     "PLAN_SCHEMA",

@@ -50,11 +50,13 @@ limits too - because they preserve the exact per-host event sequence.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.cluster.cluster import Cluster
+from repro.cluster.metrics import PhaseKind
 from repro.core.reducers import SUM
 from repro.core.reduction import _frozen
 from repro.exec.plan import (
@@ -73,7 +75,7 @@ from repro.exec.plan import (
     SyncStep,
     apply_value_filter,
 )
-from repro.runtime.engine import _iteration_set, par_for
+from repro.partition.base import LocalPartition, PartitionedGraph
 
 # Compiled-entry tags (repro.exec.executor.run_round's closed dispatch set):
 # a compute phase, a sync collective, and a prebound zero-argument callable
@@ -404,6 +406,95 @@ class SpecializedNeighborReduceToKey(_SpecializedKernel):
         return run
 
 
+# ------------------------------------------------------------- the drivers
+
+
+@dataclass
+class OperatorContext:
+    """Everything a scalar operator body may touch for one active node."""
+
+    cluster: Cluster
+    part: LocalPartition
+    host: int
+    thread: int
+    local: int  # active node, local id
+    node: int  # active node, global id
+
+    def edges(self) -> Iterator[int]:
+        """Local edge indices of the active node; charges per edge."""
+        counters = self.cluster.counters(self.host)
+        for edge in self.part.edge_range(self.local):
+            counters.edge_iters += 1
+            yield edge
+
+    def edge_dst_local(self, edge: int) -> int:
+        return self.part.edge_dst(edge)
+
+    def edge_dst(self, edge: int) -> int:
+        """Global id of the edge's destination."""
+        return int(self.part.local_to_global[self.part.edge_dst(edge)])
+
+    def edge_weight(self, edge: int) -> float:
+        return self.part.edge_weight(edge)
+
+    def charge(self, ops: int = 1) -> None:
+        """Charge generic operator-body ALU work."""
+        self.cluster.counters(self.host).local_ops += ops
+
+
+ITERATION_MODES = ("masters", "all")
+
+
+def _iteration_set(part: LocalPartition, mode: str) -> range:
+    if mode == "masters":
+        return range(part.num_masters)
+    if mode == "all":
+        return range(part.num_local)
+    raise ValueError(f"unknown iteration mode {mode!r}; have {ITERATION_MODES}")
+
+
+def par_for(
+    cluster: Cluster,
+    pgraph: PartitionedGraph,
+    mode: str,
+    body: Callable[[OperatorContext], None],
+    kind: PhaseKind = PhaseKind.REDUCE_COMPUTE,
+    label: str = "",
+    hosts: Sequence[int] | None = None,
+) -> None:
+    """The scalar driver (the paper's ParFor): run ``body`` once per
+    active node on every host, inside one phase, dealing items to virtual
+    threads with OpenMP-static chunking and charging one ``node_iters``
+    per node.
+
+    ``hosts`` restricts the visit to a subset of hosts (ascending order
+    expected): the host-shard execution of ``repro.exec.pool``, where each
+    worker process drives only the hosts it owns. Per-host work is
+    independent inside a phase (the BSP contract), so the restricted visit
+    produces exactly the serial per-host effects for the visited hosts.
+    """
+    operator = label or getattr(body, "__qualname__", getattr(body, "__name__", ""))
+    with cluster.phase(kind, label=label, operator=operator):
+        for host in range(cluster.num_hosts) if hosts is None else hosts:
+            part = pgraph.parts[host]
+            items = _iteration_set(part, mode)
+            total = len(items)
+            counters = cluster.counters(host)
+            for index, local in enumerate(items):
+                counters.node_iters += 1
+                thread = cluster.thread_of(index, total)
+                body(
+                    OperatorContext(
+                        cluster=cluster,
+                        part=part,
+                        host=host,
+                        thread=thread,
+                        local=local,
+                        node=int(part.local_to_global[local]),
+                    )
+                )
+
+
 def run_hosted(
     cluster: Cluster,
     pgraph: Any,
@@ -524,6 +615,7 @@ __all__ = [
     "ENTRY_EXEC",
     "CompiledOperator",
     "CompiledPlan",
+    "OperatorContext",
     "PreparedFrontierPush",
     "SpecializedDegreeReduce",
     "SpecializedKeyRequest",
@@ -531,5 +623,6 @@ __all__ = [
     "SpecializedNodeGather",
     "SpecializedNodeUpdate",
     "compile_plan",
+    "par_for",
     "run_hosted",
 ]

@@ -5,13 +5,12 @@ bulk bodies, codegen, the host-shard pool endpoints); an :class:`Engine`
 owns *when* those kernels run - round scheduling, convergence, quiesce,
 checkpoint hooks. Two engines ship:
 
-* :class:`BSPEngine` - the bulk-synchronous loop, extracted verbatim from
-  the pre-engine ``Executor``: one pass over the plan's steps per round,
-  sync collectives as barriers, ``run_recoverable_loop`` for
-  checkpoint/recovery. It is the byte-identity oracle: running through it
-  produces bit-for-bit the same counters, traffic, modeled seconds and
-  values as before the extraction, for every app x backend x jobs x fault
-  plan.
+* :class:`BSPEngine` - the bulk-synchronous loop and the only loop driver
+  there is: every iteration loop in the package is a plan it drives. One
+  pass over the plan's steps per round, sync collectives as barriers,
+  and - with a fault injector installed - checkpoints at round boundaries
+  and restore-and-replay on an injected crash. It is the byte-identity
+  oracle of the conformance table.
 
 * :class:`AsyncEngine` - GraphLab-style vertex-consistency execution with
   priority/delta scheduling: a per-node residual priority queue, the
@@ -34,7 +33,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -49,8 +48,7 @@ from repro.exec.plan import (
     ResidualDecl,
     apply_value_filter,
 )
-from repro.faults.recovery import run_recoverable_loop
-from repro.runtime.engine import NonQuiescenceError
+from repro.faults.checkpoint import CheckpointManager
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.executor import Executor
@@ -58,6 +56,24 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 class UnsupportedPlanError(ValueError):
     """The selected engine cannot execute this plan."""
+
+
+class NonQuiescenceError(RuntimeError):
+    """A quiescence loop hit its round cap without converging.
+
+    Carries the rounds executed and the names of the maps that kept
+    updating, so ``eval.harness`` can record the failure as a structured
+    run outcome (like the paper's OOM cells) instead of crashing.
+    """
+
+    def __init__(self, rounds: int, map_names: Sequence[str], loop: str = "KimbapWhile") -> None:
+        names = ", ".join(map_names) or "<none>"
+        super().__init__(
+            f"{loop} did not quiesce in {rounds} rounds (maps: {names})"
+        )
+        self.rounds = rounds
+        self.map_names = list(map_names)
+        self.loop = loop
 
 
 class Engine:
@@ -83,10 +99,10 @@ class Engine:
 
 
 class BSPEngine(Engine):
-    """Today's bulk-synchronous loop, extracted unchanged from ``Executor``.
+    """The bulk-synchronous loop: the one driver of every plan loop.
 
-    Every method body here is a pure move, and every byte-identity cell of
-    the conformance table (``tests/test_conformance.py``) runs through it.
+    Every byte-identity cell of the conformance table
+    (``tests/test_conformance.py``) runs through it.
     """
 
     name = "bsp"
@@ -116,45 +132,68 @@ class BSPEngine(Engine):
     def drive(self, plan: Plan) -> int:
         """The plan loop proper, replayed identically by every process of
         a parallel run (the pool endpoint decides shard vs replicated work
-        per phase inside ``Executor._run_operator``)."""
+        per phase inside ``Executor._run_compiled_operator``).
+
+        Each round resets the ``quiesce`` maps' updated flags, advances the
+        cluster's round counter (so every phase carries its BSP round id),
+        runs the plan's steps, and stops on quiescence or ``converged()``.
+        Without a fault injector that is all. With one, the loop takes an
+        entry checkpoint before the first round (so any crash is
+        recoverable) and periodic ones every ``checkpoint_interval``
+        completed rounds; on an injected crash at a round boundary it
+        restores ``maps`` (and ``extra_restore``'s loop-private state),
+        rolls the round counter back and replays. Replay determinism is
+        the contract: a round is a pure function of the registered maps
+        plus the captured extra state, so recovered values equal the
+        fault-free ones.
+        """
         executor = self.executor
         if plan.once:
             executor.run_round(plan)
             return 0
+        if plan.max_rounds <= 0:
+            return 0
+        cluster = executor.cluster
         quiesce = tuple(plan.quiesce)
         maps = tuple(plan.maps) if plan.maps else quiesce
-
-        def before_round() -> None:
+        injector = cluster.faults
+        manager = None
+        if injector is not None and (
+            injector.plan.crashes or injector.plan.checkpoint_interval > 0
+        ):
+            manager = CheckpointManager(
+                cluster,
+                maps,
+                injector,
+                extra_snapshot=plan.extra_snapshot,
+                extra_restore=plan.extra_restore,
+            )
+            manager.take(0)
+        rounds = 0
+        while True:
             for prop in quiesce:
                 prop.reset_updated()
-
-        def converged() -> bool:
+            cluster.advance_round()
+            if manager is not None:
+                crash = injector.crash_at(cluster.current_round)
+                if crash is not None:
+                    # The state mutated since the last boundary is
+                    # discarded by the restore; replay re-runs it.
+                    rounds = manager.recover(crash)
+                    continue
+            executor.run_round(plan)
+            rounds += 1
             if quiesce and not any(prop.is_updated() for prop in quiesce):
-                return True
-            if plan.converged is not None:
-                return bool(plan.converged())
-            return False
-
-        on_max_rounds = None
-        if plan.raise_on_max_rounds:
-            names = [prop.name for prop in (quiesce or maps)]
-            loop_label = plan.loop_label
-
-            def on_max_rounds(rounds: int) -> Exception:
-                return NonQuiescenceError(rounds, names, loop=loop_label)
-
-        return run_recoverable_loop(
-            executor.cluster,
-            list(maps),
-            lambda: executor.run_round(plan),
-            converged=converged,
-            before_round=before_round,
-            max_rounds=plan.max_rounds,
-            advance_rounds=plan.advance_rounds,
-            extra_snapshot=plan.extra_snapshot,
-            extra_restore=plan.extra_restore,
-            on_max_rounds=on_max_rounds,
-        )
+                return rounds
+            if plan.converged is not None and plan.converged():
+                return rounds
+            if rounds >= plan.max_rounds:
+                if plan.raise_on_max_rounds:
+                    names = [prop.name for prop in quiesce or maps]
+                    raise NonQuiescenceError(rounds, names, loop=plan.loop_label)
+                return rounds
+            if manager is not None and manager.due(rounds):
+                manager.take(rounds)
 
 
 class AsyncEngine(Engine):
@@ -173,8 +212,8 @@ class AsyncEngine(Engine):
     chunk loop stays a scalar loop and meters per chunk, not per edge
     (:class:`_ChunkSchedule`).
 
-    ``once`` plans (warm-ups, host-driven phase groups) delegate to the
-    BSP engine unchanged; loop plans must carry a
+    ``once`` plans (warm-ups) delegate to the BSP engine unchanged; loop
+    plans must carry a
     :class:`~repro.exec.plan.ResidualDecl` on their ``EdgePush`` kernel.
     """
 
@@ -195,8 +234,8 @@ class AsyncEngine(Engine):
 
     def run(self, plan: Plan) -> int:
         if plan.once:
-            # Warm-ups and per-round phase groups are one-shot BSP phase
-            # sequences; there is no loop for the async scheduler to own.
+            # Warm-ups are one-shot BSP phase sequences; there is no loop
+            # for the async scheduler to own.
             return self._bsp.run(plan)
         if self.executor.cluster.faults is not None:
             raise UnsupportedPlanError(
@@ -516,12 +555,12 @@ class _ChunkSchedule:
 ENGINES = ("bsp", "async")
 
 
-def make_engine(executor: "Executor", name: str, **options: Any) -> Engine:
+def make_engine(executor: "Executor", name: str) -> Engine:
     """Resolve an engine by name for an executor."""
     if name == "bsp":
         return BSPEngine(executor)
     if name == "async":
-        return AsyncEngine(executor, **options)
+        return AsyncEngine(executor)
     raise ValueError(f"unknown engine {name!r}; have {ENGINES}")
 
 
@@ -530,6 +569,7 @@ __all__ = [
     "BSPEngine",
     "AsyncEngine",
     "UnsupportedPlanError",
+    "NonQuiescenceError",
     "ENGINES",
     "make_engine",
 ]

@@ -25,11 +25,9 @@ forms (adjacent-vertex or trans-vertex).
 
 The drive loop itself lives in the engine layer (:mod:`repro.exec.engine`):
 ``engine="bsp"`` (the default and the byte-identity oracle) runs the
-bulk-synchronous round loop through ``repro.faults.run_recoverable_loop``,
-so every plan - not just PageRank's tolerance loop - gets
-checkpoint/recovery when a fault injector is installed, and
-round/operator trace attribution for free. Without an injector the
-driver is exactly the legacy loop (zero overhead). ``engine="async"``
+bulk-synchronous round loop, so every plan gets checkpoint/recovery when a
+fault injector is installed, and round/operator trace attribution for
+free. Without an injector the loop adds nothing. ``engine="async"``
 schedules residual-declared plans with the barrier-free priority/delta
 scheduler instead; its results are value-equivalent (not byte-identical)
 to the BSP oracle.
@@ -56,9 +54,10 @@ from repro.exec.codegen import (
     ENTRY_SYNC,
     CompiledOperator,
     CompiledPlan,
+    OperatorContext,
     compile_plan,
 )
-from repro.exec.engine import BSPEngine, Engine, UnsupportedPlanError, make_engine
+from repro.exec.engine import BSPEngine, UnsupportedPlanError, make_engine
 from repro.exec.plan import (
     DegreeReduce,
     EdgePush,
@@ -70,7 +69,6 @@ from repro.exec.plan import (
     apply_value_filter,
 )
 from repro.exec.pool import HostShardPool, create_pool
-from repro.runtime.engine import OperatorContext
 
 
 def _scalar(value: Any) -> Any:
@@ -101,7 +99,7 @@ class Executor:
         bulk: bool = False,
         observer: Callable[[Plan], None] | None = None,
         jobs: int = 1,
-        engine: str | Engine = "bsp",
+        engine: str = "bsp",
     ) -> None:
         self.cluster = cluster
         self.bulk = bool(bulk)
@@ -118,10 +116,7 @@ class Executor:
         # priority/delta scheduler. Pool workers always replay the BSP
         # loop (see _drive), so the async engine excludes jobs>1.
         self._bsp_engine = BSPEngine(self)
-        if isinstance(engine, Engine):
-            self.engine = engine
-        else:
-            self.engine = make_engine(self, engine)
+        self.engine = make_engine(self, engine)
         if self.engine.name != "bsp" and self.jobs > 1:
             raise UnsupportedPlanError(
                 f"engine {self.engine.name!r} does not compose with jobs="

@@ -36,16 +36,18 @@ from __future__ import annotations
 import math
 import operator as _operator
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
 
 import numpy as np
 
 from repro.cluster.metrics import PhaseKind
+from repro.core.bool_reducer import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import SUM, ReduceOp
 from repro.partition.base import PartitionedGraph
-from repro.runtime.bool_reducer import BoolReducer
-from repro.runtime.engine import OperatorContext
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.codegen import OperatorContext
 
 PLAN_SCHEMA = "repro-exec-plan/v1.2"
 
@@ -603,12 +605,13 @@ Step = Union[OperatorStep, SyncStep, ResetStep, HostStep]
 class Plan:
     """An algorithm loop (or one-shot phase group) as data.
 
-    ``steps`` is one BSP round. The executor drives the loop through
-    ``run_recoverable_loop``: quiescence over ``quiesce`` maps and/or a
-    custom ``converged`` predicate, checkpoint/recovery over ``maps``
-    (defaults to ``quiesce``), optional ``extra_snapshot``/``extra_restore``
-    for loop-private host state. ``once`` plans execute their steps exactly
-    one time (warm-ups, per-round phase groups of host-driven loops).
+    ``steps`` is one BSP round, and every round advances the cluster's
+    round counter. The engine (:meth:`repro.exec.engine.BSPEngine.drive`)
+    runs rounds until quiescence over ``quiesce`` maps and/or a custom
+    ``converged`` predicate, with checkpoint/recovery over ``maps``
+    (defaults to ``quiesce``) plus optional ``extra_snapshot`` /
+    ``extra_restore`` for loop-private host state. ``once`` plans execute
+    their steps exactly one time, outside any round (warm-ups).
     """
 
     name: str
@@ -618,7 +621,6 @@ class Plan:
     converged: Callable[[], bool] | None = None
     maps: Sequence[NodePropMap] = ()
     max_rounds: int = 100000
-    advance_rounds: bool = True
     once: bool = False
     raise_on_max_rounds: bool = True
     loop_label: str = "KimbapWhile"
@@ -693,7 +695,6 @@ def plan_summary(plan: Plan) -> dict:
     if not plan.once:
         summary["quiesce"] = [prop.name for prop in plan.quiesce]
         summary["max_rounds"] = plan.max_rounds
-        summary["advance_rounds"] = plan.advance_rounds
     return summary
 
 

@@ -1,10 +1,11 @@
 """Deterministic fault injection, checkpointing, and recovery.
 
-The subsystem has four parts: declarative :class:`FaultPlan` schedules
+The subsystem has three parts: declarative :class:`FaultPlan` schedules
 (:mod:`repro.faults.plan`), the per-cluster :class:`FaultInjector` hooks
-(:mod:`repro.faults.injector`), round-granularity checkpoint/restore
-(:mod:`repro.faults.checkpoint`), and the recoverable loop driver
-(:mod:`repro.faults.recovery`). All randomness routes through
+(:mod:`repro.faults.injector`), and round-granularity checkpoint/restore
+(:mod:`repro.faults.checkpoint`), which the BSP engine's plan loop
+(:meth:`repro.exec.engine.BSPEngine.drive`) takes and replays at round
+boundaries. All randomness routes through
 :mod:`repro.faults.rng`, so a plan + seed fully determines every injected
 fault and the resulting trace bytes.
 """
@@ -20,7 +21,6 @@ from repro.faults.plan import (
     Straggler,
     named_plan,
 )
-from repro.faults.recovery import run_recoverable_loop
 from repro.faults.rng import stream_rng, stream_seed, stream_uniform
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "Straggler",
     "install_faults",
     "named_plan",
-    "run_recoverable_loop",
     "stream_rng",
     "stream_seed",
     "stream_uniform",

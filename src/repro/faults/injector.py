@@ -12,9 +12,10 @@ It is consulted from three places:
 * :class:`repro.kvstore.client.KvClient` - per request, to decide
   transient timeouts (charged as extra request messages).
 
-Crashes are not raised from inside phases: the recoverable loop driver
-(:mod:`repro.faults.recovery`) polls :meth:`crash_at` at round boundaries,
-which keeps every phase record well-formed and recovery attributable.
+Crashes are not raised from inside phases: the plan loop
+(:meth:`repro.exec.engine.BSPEngine.drive`) polls :meth:`crash_at` at
+round boundaries, which keeps every phase record well-formed and recovery
+attributable.
 
 Every decision is a pure function of ``(plan.seed, decision labels)`` via
 :mod:`repro.faults.rng`, so the same plan on the same workload yields a

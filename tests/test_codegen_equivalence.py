@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
+from repro.core import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, SUM
 from repro.core.reduction import ThreadLocalReduction
@@ -37,7 +38,6 @@ from repro.exec.codegen import (
 from repro.exec.plan import CmpFilter, EdgePush, NodeUpdate, apply_value_filter
 from repro.graph import Graph, generators
 from repro.partition import partition
-from repro.runtime.bool_reducer import BoolReducer
 from tests.conftest import canonical, random_graph
 
 APPS = tuple(sorted(KIMBAP_APPS))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.compiler.compile import compile_program
-from repro.compiler.interp import run_compiled, run_round
+from repro.compiler.interp import build_plan, run_compiled
 from repro.compiler.ir import (
     ActiveNode,
     Assign,
@@ -24,6 +24,7 @@ from repro.compiler.ir import (
     stmts,
 )
 from repro.core import MIN, SUM, NodePropMap
+from repro.exec import Executor
 from repro.graph import generators
 from repro.partition import partition
 
@@ -62,8 +63,10 @@ class TestEdgeWeightInPrograms:
         )
         loop = compile_program(program)
         # one productive round; the quiescence round re-adds, so run a
-        # single round manually
-        run_round(loop, cluster, pgraph, {"strength": strength})
+        # single round as a once plan
+        Executor(cluster).run(
+            build_plan(loop, pgraph, {"strength": strength}, once=True)
+        )
         snapshot = strength.snapshot()
         expected = {}
         for node in graph.nodes():

@@ -9,10 +9,9 @@ from repro.compiler.compile import compile_program
 from repro.compiler.interp import run_compiled
 from repro.compiler.parser import ParseError, parse_program, tokenize
 from repro.compiler.programs import cc_lp_program, cc_sv_hook, cc_sv_shortcut
-from repro.core import NodePropMap
+from repro.core import BoolReducer, NodePropMap
 from repro.graph import generators
 from repro.partition import partition
-from repro.runtime import BoolReducer
 
 HOOK_SOURCE = """
 // Figure 4's Hook, as source text

@@ -156,7 +156,7 @@ class TestExpressionEval:
             "==": py_op.eq, "!=": py_op.ne, "min": min, "max": max,
         }[op]
         from repro.cluster.metrics import PhaseKind
-        from repro.runtime.engine import OperatorContext
+        from repro.exec import OperatorContext
 
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             ctx = OperatorContext(
@@ -173,7 +173,7 @@ class TestExpressionEval:
     def test_boolean_ops_short_circuit_semantics(self):
         from repro.cluster.metrics import PhaseKind
         from repro.compiler.ir import Not
-        from repro.runtime.engine import OperatorContext
+        from repro.exec import OperatorContext
 
         executor, cluster = self.make_executor()
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
@@ -195,7 +195,7 @@ class TestExpressionEval:
 
     def test_division(self):
         from repro.cluster.metrics import PhaseKind
-        from repro.runtime.engine import OperatorContext
+        from repro.exec import OperatorContext
 
         executor, cluster = self.make_executor()
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,7 +44,6 @@ from hypothesis import strategies as st
 
 from repro import verify
 from repro.baselines.cost import cost_pagerank, cost_sssp
-from repro.compiler import interp
 from repro.compiler.apps import COMPILED_APPS
 from repro.core.variants import RuntimeVariant
 from repro.eval.harness import APP_WEIGHTED, KIMBAP_APPS, run_kimbap
@@ -128,9 +128,6 @@ class Rule(NamedTuple):
 
 
 RESIDUAL_APPS = ("BFS", "CC-LP", "PR", "SSSP")
-# Compiled programs that drive their loops from host code as one-round
-# plans: the async engine hands those to BSP, and a crash plan never fires.
-HOST_DRIVEN = ("compiled:CC-SCLP", "compiled:MIS", "compiled:PR")
 
 # In the order the code checks them: the first that fires refuses the run.
 RULES = (
@@ -139,9 +136,9 @@ RULES = (
     Rule("oec", ValueError, ("app", "policy"),
          lambda c: c.app in ("K-CORE", "VERTEX-COVER") and c.policy != "oec" and c.hosts > 1),
     Rule("fault", UnsupportedPlanError, ("engine", "fault"),
-         lambda c: c.engine == "async" and c.fault == "crash" and c.app not in HOST_DRIVEN),
+         lambda c: c.engine == "async" and c.fault == "crash"),
     Rule("residual", UnsupportedPlanError, ("engine", "app"),
-         lambda c: c.engine == "async" and c.app not in RESIDUAL_APPS + HOST_DRIVEN),
+         lambda c: c.engine == "async" and c.app not in RESIDUAL_APPS),
     Rule("GAR", UnsupportedPlanError, ("engine", "variant"),
          lambda c: c.engine == "async" and c.app in RESIDUAL_APPS and c.variant != GAR),
 )
@@ -225,6 +222,10 @@ NAMED = {
     "PR               road     4x2   sgr+cf+gar cvc    bulk    bsp    3    crash =": recovered,
     "CC-SV            road     4x2   sgr+cf+gar cvc    scalar  bsp    3    -     =": relayed,
     "CC-SV            road     4x2   sgr+cf+gar cvc    scalar  bsp    3    crash =": recovered,
+    # The compiled programs that compose several loops into one plan.
+    "compiled:CC-SCLP er       3x4   sgr-only   iec    bulk    bsp    1    crash =": recovered,
+    "compiled:MIS     er       3x4   mc         cvc    bulk    bsp    1    crash =": recovered,
+    "compiled:PR      road     1x1   mc         cvc    bulk    bsp    1    crash =": recovered,
 }
 # Columns: app, graph, shape, variant, policy, backend, engine, jobs, fault,
 # contract. With the named rows, the sweep's legal cells pair every legal
@@ -317,30 +318,27 @@ SWEEP = [
     "compiled:CC-LP   ladder   1x1   mc         oec    bulk    bsp    1    -     =",
     "compiled:CC-LP   rmat     1x1   sgr-only   cvc    scalar  bsp    1    -     =",
     "compiled:CC-LP   powerlaw 2x48  sgr+cf+gar iec    scalar  bsp    3    crash =",
-    "compiled:CC-SCLP er       4x2   sgr+cf     iec    bulk    async  1    -     ~",
     "compiled:CC-SCLP road     1x1   mc         hvc    bulk    bsp    3    -     =",
-    "compiled:CC-SCLP path     4x2   mc         hvc    bulk    async  1    -     ~",
-    "compiled:CC-SCLP ladder   2x48  sgr+cf+gar cvc    bulk    async  1    -     ~",
     "compiled:CC-SCLP rmat     4x2   sgr+cf+gar cvc    scalar  bsp    2    mem   =",
-    "compiled:CC-SCLP powerlaw 3x4   sgr-only   oec    bulk    async  1    crash ~",
+    "compiled:CC-SCLP path     2x48  sgr+cf     oec    bulk    bsp    1    -     =",
+    "compiled:CC-SCLP ladder   1x1   sgr+cf+gar cvc    bulk    bsp    1    -     =",
+    "compiled:CC-SCLP powerlaw 1x1   mc         cvc    scalar  bsp    1    -     =",
     "compiled:CC-SV   er       4x2   sgr-only   iec    scalar  bsp    3    crash =",
     "compiled:CC-SV   road     2x48  sgr+cf+gar oec    scalar  bsp    1    -     =",
     "compiled:CC-SV   path     3x4   sgr-only   oec    bulk    bsp    1    -     =",
     "compiled:CC-SV   ladder   1x1   mc         hvc    bulk    bsp    1    crash =",
     "compiled:CC-SV   rmat     2x48  sgr+cf+gar cvc    bulk    bsp    2    -     =",
     "compiled:CC-SV   powerlaw 3x4   sgr+cf     oec    bulk    bsp    1    mem   =",
-    "compiled:MIS     er       4x2   sgr+cf     cvc    bulk    async  1    -     ~",
     "compiled:MIS     road     1x1   sgr-only   iec    bulk    bsp    3    -     =",
-    "compiled:MIS     path     3x4   sgr+cf+gar oec    bulk    async  1    -     ~",
-    "compiled:MIS     ladder   3x4   mc         hvc    bulk    async  1    crash ~",
-    "compiled:MIS     rmat     3x4   mc         iec    scalar  async  1    -     ~",
     "compiled:MIS     powerlaw 2x48  sgr+cf     oec    scalar  bsp    2    mem   =",
+    "compiled:MIS     path     4x2   sgr+cf+gar hvc    bulk    bsp    1    -     =",
+    "compiled:MIS     ladder   1x1   sgr+cf     cvc    bulk    bsp    1    -     =",
+    "compiled:MIS     rmat     1x1   mc         cvc    scalar  bsp    1    -     =",
     "compiled:PR      er       3x4   sgr-only   hvc    bulk    bsp    3    -     =",
-    "compiled:PR      road     3x4   sgr+cf     oec    bulk    async  1    -     ~",
-    "compiled:PR      path     2x48  mc         hvc    bulk    async  1    -     ~",
-    "compiled:PR      ladder   4x2   mc         cvc    bulk    async  1    -     ~",
     "compiled:PR      rmat     4x2   sgr+cf     oec    scalar  bsp    2    mem   =",
-    "compiled:PR      powerlaw 1x1   sgr+cf+gar iec    bulk    async  1    crash ~",
+    "compiled:PR      path     2x48  sgr+cf+gar iec    bulk    bsp    1    -     =",
+    "compiled:PR      ladder   1x1   sgr+cf     cvc    bulk    bsp    1    -     =",
+    "compiled:PR      powerlaw 1x1   mc         cvc    scalar  bsp    1    -     =",
 ]
 REFUSED = [
     "BFS              er       2x48  mc         oec    scalar  async  1    -     !GAR",
@@ -365,23 +363,25 @@ REFUSED = [
     "VERTEX-COVER     road     3x4   sgr+cf+gar oec    bulk    async  1    -     !residual",
     "compiled:CC-LP   path     4x2   sgr+cf+gar oec    scalar  async  1    -     !residual",
     "compiled:CC-SV   ladder   2x48  sgr+cf+gar oec    bulk    async  1    -     !residual",
+    "compiled:CC-SCLP er       4x2   sgr+cf     iec    bulk    async  1    -     !residual",
+    "compiled:CC-SCLP path     4x2   mc         hvc    bulk    async  1    -     !residual",
+    "compiled:CC-SCLP ladder   2x48  sgr+cf+gar cvc    bulk    async  1    -     !residual",
+    "compiled:CC-SCLP powerlaw 3x4   sgr-only   oec    bulk    async  1    crash !fault",
+    "compiled:MIS     er       4x2   sgr+cf     cvc    bulk    async  1    -     !residual",
+    "compiled:MIS     path     3x4   sgr+cf+gar oec    bulk    async  1    -     !residual",
+    "compiled:MIS     ladder   3x4   mc         hvc    bulk    async  1    crash !fault",
+    "compiled:MIS     rmat     3x4   mc         iec    scalar  async  1    -     !residual",
+    "compiled:PR      road     3x4   sgr+cf     oec    bulk    async  1    -     !residual",
+    "compiled:PR      path     2x48  mc         hvc    bulk    async  1    -     !residual",
+    "compiled:PR      ladder   4x2   mc         cvc    bulk    async  1    -     !residual",
+    "compiled:PR      powerlaw 1x1   sgr+cf+gar iec    bulk    async  1    crash !fault",
 ]
 TABLE = [*NAMED, *SWEEP, *REFUSED]
 
 # ---------------------------------------------------------------- runner
 
 
-def _compiled(program):
-    def run(cluster, pgraph, variant, executor):
-        # A compiled program builds an Executor for every loop it drives;
-        # hand it the run's, so the cell's backend, jobs and engine apply.
-        with mock.patch.object(interp, "Executor", lambda cluster: executor):
-            return program(cluster, pgraph, variant=variant)
-
-    return run
-
-
-PROGRAMS = {f"compiled:{app}": _compiled(program) for app, program in COMPILED_APPS.items()}
+PROGRAMS = {f"compiled:{app}": program for app, program in COMPILED_APPS.items()}
 
 
 @functools.cache
@@ -440,6 +440,17 @@ def check_oracle(cell: Cell, seed: int, values, stats, tolerance: float = 0.0) -
         assert modularity >= singletons - 1e-9
 
 
+def check_cost_model(result) -> None:
+    """Modeled time is non-negative and additive: the total is computation
+    plus communication, and each is the sum of its per-phase-kind parts."""
+    report = result.to_dict()
+    kinds = report["time_by_kind"].values()
+    assert all(time["comp"] >= 0 and time["comm"] >= 0 for time in kinds)
+    assert report["total"] == report["comp"] + report["comm"]
+    for part in ("comp", "comm"):
+        assert math.fsum(time[part] for time in kinds) == pytest.approx(report[part], rel=1e-9)
+
+
 class Reference(NamedTuple):
     report: str
     values: dict
@@ -451,6 +462,7 @@ def reference(cell: Cell, seed: int) -> Reference:
     result = run_cell(cell, seed)
     assert result.outcome == "ok", result.failure
     assert "engine" not in result.to_dict()
+    check_cost_model(result)
     check_oracle(cell, seed, result.values, result.stats)
     if cell.fault != "-":
         # Crash recovery and a memory limit reach the fault-free values.
@@ -472,6 +484,7 @@ def check_cell(cell: Cell, seed: int):
         return None
     result = run_cell(cell, seed)
     assert result.outcome == "ok", result.failure
+    check_cost_model(result)
     if cell.engine == "async":
         tolerance = TOLERANCE.get(cell.app, 0.0)
         verify.check_equivalent_values(expected.values, result.values, tolerance)

@@ -31,7 +31,7 @@ from repro.cluster.metrics import PhaseKind
 from repro.cluster.network import Network
 from repro.core.variants import RuntimeVariant
 from repro.eval.harness import KIMBAP_APPS, _finish, run_kimbap
-from repro.exec import AsyncEngine, BSPEngine, Executor, UnsupportedPlanError, make_engine
+from repro.exec import AsyncEngine, Executor, UnsupportedPlanError, make_engine
 from repro.faults import named_plan
 from repro.graph import generators
 from repro.partition import POLICIES, partition
@@ -112,22 +112,10 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown engine"):
             make_engine(executor, "speculative")
 
-    def test_engine_instances_are_accepted(self):
-        cluster = Cluster(2, threads_per_host=2)
-        executor = Executor(cluster)
-        engine = BSPEngine(executor)
-        assert Executor(cluster, engine=engine).engine is engine
-
     def test_async_refuses_parallel_jobs(self):
         """The async chunk schedule is inherently sequential across hosts
         (owner-serialized apply order); the pool replays BSP rounds."""
         assert_async_refuses("CC-LP", "jobs", jobs=2)
-
-    def test_chunk_size_option_threads_through(self):
-        cluster = Cluster(2, threads_per_host=2)
-        engine = make_engine(Executor(cluster), "async", chunk_size=7)
-        assert isinstance(engine, AsyncEngine)
-        assert engine.chunk_size == 7
 
 
 class TestUnsupportedPlans:

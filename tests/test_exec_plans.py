@@ -17,6 +17,7 @@ from repro.compiler.apps import (
     compiled_cc_sv,
     compiled_pagerank,
 )
+from repro.core import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN
 from repro.exec import (
@@ -41,7 +42,6 @@ from repro.exec import (
 )
 from repro.graph import generators
 from repro.partition import partition
-from repro.runtime.bool_reducer import BoolReducer
 from repro.trace import build_timeline
 
 

@@ -30,6 +30,7 @@ from repro.algorithms.cc_sv import cc_sv_hook_plan
 from repro.algorithms.common import shortcut_plan
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind, PhaseRecord
+from repro.core import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, ReduceOp
 from repro.core.variants import RuntimeVariant
@@ -54,7 +55,6 @@ from repro.exec.pool import (
 from repro.faults import FaultPlan, HostCrash, MessageFlake
 from repro.graph import generators
 from repro.partition.policies import partition
-from repro.runtime.bool_reducer import BoolReducer
 from tests.conftest import canonical, random_graph
 
 

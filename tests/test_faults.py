@@ -15,8 +15,10 @@ import pytest
 from repro.cluster import Cluster
 from repro.cluster.cluster import SimulatedOutOfMemory
 from repro.cluster.metrics import PhaseKind
+from repro.compiler.apps import COMPILED_APPS
 from repro.core import MIN, SUM, NodePropMap, RuntimeVariant
 from repro.eval.harness import APP_POLICY, KIMBAP_APPS, run_kimbap
+from repro.exec import NodeUpdate, NonQuiescenceError, Operator, OperatorStep, Plan, SyncStep
 from repro.faults import (
     FaultPlan,
     HostCrash,
@@ -30,7 +32,6 @@ from repro.faults.plan import NAMED_PLANS
 from repro.faults.rng import stream_seed, stream_uniform
 from repro.graph import generators
 from repro.partition import partition
-from repro.runtime.engine import NonQuiescenceError, kimbap_while
 from repro.trace import to_chrome_trace
 from repro.verify import VerificationError, check_equivalent_values
 
@@ -222,6 +223,38 @@ class TestRecoveryEquivalence:
             check_equivalent_values(baseline.values, faulted.values)
             assert faulted.rounds == baseline.rounds
 
+    @pytest.mark.parametrize("app", ["CC-SCLP", "MIS", "PR"])
+    def test_compiled_multi_loop_programs_recover(self, app):
+        """The compiled programs that compose several loops into one round
+        are one plan each, so a crash fires at its round and the replay
+        reaches the fault-free values."""
+        graph = generators.road_like(16, 8, seed=0)
+
+        def run(fault_plan=None):
+            cluster = Cluster(3, threads_per_host=4)
+            injector = install_faults(cluster, fault_plan) if fault_plan else None
+            result = COMPILED_APPS[app](cluster, partition(graph, 3, "cvc"))
+            return result, injector
+
+        clean, _ = run()
+        faulted, injector = run(_crash_plan(2))
+        assert injector.report()["recoveries"] >= 1
+        assert faulted.values == clean.values
+        assert faulted.rounds == clean.rounds
+
+    @pytest.mark.parametrize("app", ["SSSP", "PR"])
+    def test_checkpoints_carry_their_round(self, app, small_graph):
+        """Every plan loop advances the round counter - PageRank's
+        tolerance loop too - so periodic checkpoints record the round
+        they were taken after, not round 0."""
+        faulted = run_kimbap(
+            app, "road", 3, threads=4, graph=small_graph, fault_plan=_crash_plan(3)
+        )
+        events = faulted.faults["events"]
+        rounds = [event["round"] for event in events if event["kind"] == "checkpoint"]
+        assert rounds[:3] == [0, 2, 4]  # entry, then every second round
+        assert faulted.faults["recoveries"] == 1
+
     def test_crash_past_last_round_stays_pending(self, small_graph):
         faulted = run_kimbap(
             "BFS",
@@ -279,6 +312,21 @@ class TestFaultCosts:
         assert faulted.messages > baseline.messages
         assert faulted.bytes > baseline.bytes
         assert faulted.total > baseline.total
+        check_equivalent_values(baseline.values, faulted.values)
+
+    def test_round_windowed_flake_reaches_pagerank(self, small_graph):
+        """A flake that opens at round 2 drops PageRank messages: its
+        phases carry their BSP round, so round windows apply to them."""
+        plan = FaultPlan(
+            name="late-flake",
+            checkpoint_interval=0,
+            flake=MessageFlake(drop_rate=0.3, first_round=2),
+        )
+        faulted = run_kimbap(
+            "PR", "road", 3, threads=4, graph=small_graph, fault_plan=plan
+        )
+        assert faulted.faults["messages_dropped"] > 0
+        baseline = run_kimbap("PR", "road", 3, threads=4, graph=small_graph)
         check_equivalent_values(baseline.values, faulted.values)
 
     def test_straggler_stretches_modeled_time_only(self, small_graph):
@@ -409,16 +457,28 @@ class TestStructuredFailures:
     def test_harness_reports_non_quiescence_as_outcome(
         self, small_graph, monkeypatch
     ):
-        def stuck(cluster, pgraph, variant=RuntimeVariant.KIMBAP, **kwargs):
+        def stuck(cluster, pgraph, variant=RuntimeVariant.KIMBAP, executor=None):
             prop = NodePropMap(cluster, pgraph, "stuck", variant=variant)
             prop.set_initial(lambda n: 0)
-
-            def body():
-                with cluster.phase(PhaseKind.REDUCE_COMPUTE):
-                    prop.reduce(0, 0, 0, 1, SUM)
-                prop.reduce_sync()
-
-            kimbap_while(prop, body, max_rounds=3)
+            # Every round adds 1 to every node: the map never rests.
+            executor.run(
+                Plan(
+                    name="stuck",
+                    pgraph=pgraph,
+                    steps=[
+                        OperatorStep(
+                            Operator(
+                                "stuck",
+                                "masters",
+                                NodeUpdate(prop, SUM, lambda nodes: nodes * 0 + 1),
+                            )
+                        ),
+                        SyncStep(prop, "reduce"),
+                    ],
+                    quiesce=(prop,),
+                    max_rounds=3,
+                )
+            )
 
         monkeypatch.setitem(KIMBAP_APPS, "STUCK", stuck)
         monkeypatch.setitem(APP_POLICY, "STUCK", "oec")

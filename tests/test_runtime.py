@@ -1,4 +1,4 @@
-"""Tests for the BSP runtime: par_for, kimbap_while, BoolReducer."""
+"""Tests for the BSP runtime: par_for, the KimbapWhile plan loop, BoolReducer."""
 
 from __future__ import annotations
 
@@ -6,10 +6,20 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
-from repro.core import MIN, NodePropMap
+from repro.core import MIN, BoolReducer, NodePropMap
+from repro.exec import (
+    Executor,
+    HostStep,
+    NonQuiescenceError,
+    Operator,
+    OperatorStep,
+    Plan,
+    ScalarKernel,
+    SyncStep,
+    par_for,
+)
 from repro.graph import generators
 from repro.partition import partition
-from repro.runtime import BoolReducer, kimbap_while, par_for
 
 
 @pytest.fixture
@@ -87,37 +97,47 @@ class TestParFor:
         assert counters.local_ops == 3 * counters.node_iters
 
 
+def _loop(pgraph, body, syncs, quiesce, **fields) -> Plan:
+    """A KimbapWhile loop as a plan: one masters operator running ``body``,
+    then a reduce-sync of every map in ``syncs``, until ``quiesce`` rests."""
+    return Plan(
+        name="loop",
+        pgraph=pgraph,
+        steps=[
+            OperatorStep(Operator("body", "masters", ScalarKernel(body))),
+            *(SyncStep(prop, "reduce") for prop in syncs),
+        ],
+        quiesce=quiesce,
+        **fields,
+    )
+
+
 class TestKimbapWhile:
     def test_runs_until_quiescent(self, setting):
         graph, pgraph, cluster = setting
         prop = NodePropMap(cluster, pgraph, "p")
         prop.set_initial(lambda n: n)
 
-        def round_body():
-            def body(ctx):
-                value = prop.read_local(ctx.host, ctx.local)
-                if value > 0:
-                    prop.reduce(ctx.host, ctx.thread, ctx.node, value - 1, MIN)
+        def body(ctx):
+            value = prop.read_local(ctx.host, ctx.local)
+            if value > 0:
+                prop.reduce(ctx.host, ctx.thread, ctx.node, value - 1, MIN)
 
-            par_for(cluster, pgraph, "masters", body)
-            prop.reduce_sync()
-
-        rounds = kimbap_while(prop, round_body)
+        rounds = Executor(cluster).run(_loop(pgraph, body, [prop], [prop]))
         # the largest initial value needs num_nodes - 1 decrements, plus the
         # final all-quiet round
         assert rounds == graph.num_nodes
         assert all(v == 0 for v in prop.snapshot().values())
+        # every round stamps its phases with its BSP round id
+        assert max(record.round for record in cluster.log.phases) == rounds
 
     def test_single_quiet_round(self, setting):
         _, pgraph, cluster = setting
         prop = NodePropMap(cluster, pgraph, "p")
         prop.set_initial(lambda n: 0)
 
-        def round_body():
-            par_for(cluster, pgraph, "masters", lambda ctx: None)
-            prop.reduce_sync()
-
-        assert kimbap_while(prop, round_body) == 1
+        plan = _loop(pgraph, lambda ctx: None, [prop], [prop])
+        assert Executor(cluster).run(plan) == 1
 
     def test_max_rounds_guard(self, setting):
         _, pgraph, cluster = setting
@@ -125,17 +145,17 @@ class TestKimbapWhile:
         prop.set_initial(lambda n: 0)
         counter = [0]
 
-        def round_body():
+        def count() -> None:
             counter[0] += 1
 
-            def body(ctx):
-                prop.reduce(ctx.host, ctx.thread, ctx.node, -counter[0], MIN)
+        def body(ctx):
+            prop.reduce(ctx.host, ctx.thread, ctx.node, -counter[0], MIN)
 
-            par_for(cluster, pgraph, "masters", body)
-            prop.reduce_sync()
-
-        with pytest.raises(RuntimeError):
-            kimbap_while(prop, round_body, max_rounds=5)
+        plan = _loop(pgraph, body, [prop], [prop], max_rounds=5)
+        plan.steps.insert(0, HostStep("count", count))
+        with pytest.raises(NonQuiescenceError) as stuck:
+            Executor(cluster).run(plan)
+        assert stuck.value.rounds == 5 and stuck.value.map_names == ["p"]
 
     def test_multiple_maps_any_update_continues(self, setting):
         _, pgraph, cluster = setting
@@ -144,17 +164,13 @@ class TestKimbapWhile:
         first.set_initial(lambda n: 0)
         second.set_initial(lambda n: 2)
 
-        def round_body():
-            def body(ctx):
-                value = second.read_local(ctx.host, ctx.local)
-                if value > 0:
-                    second.reduce(ctx.host, ctx.thread, ctx.node, value - 1, MIN)
+        def body(ctx):
+            value = second.read_local(ctx.host, ctx.local)
+            if value > 0:
+                second.reduce(ctx.host, ctx.thread, ctx.node, value - 1, MIN)
 
-            par_for(cluster, pgraph, "masters", body)
-            first.reduce_sync()
-            second.reduce_sync()
-
-        assert kimbap_while([first, second], round_body) == 3
+        plan = _loop(pgraph, body, [first, second], [first, second])
+        assert Executor(cluster).run(plan) == 3
 
 
 class TestBoolReducer:

@@ -47,7 +47,7 @@ class TestTimeline:
             assert 0.0 <= s.busy <= s.duration + 1e-12
 
     def test_round_attribution_matches_run_rounds(self, result, timeline):
-        # CC-LP is a single kimbap_while loop: the highest stamped round is
+        # CC-LP is a single plan loop: the highest stamped round is
         # the number of BSP rounds; init phases carry round 0.
         assert max(s.round for s in timeline.slices) == result.rounds
         init = [s for s in timeline.slices if s.kind is PhaseKind.INIT]
