@@ -136,7 +136,7 @@ def add_counter_row(counters: Counters, row: np.ndarray) -> None:
         setattr(counters, name, getattr(counters, name) + int(value))
 
 
-@dataclass
+@dataclass(slots=True)
 class PhaseRecord:
     """One executed phase: counters and traffic for every host.
 
@@ -177,17 +177,18 @@ class PhaseRecord:
         round: int = 0,
         operator: str = "",
     ) -> "PhaseRecord":
+        zeros = [0] * num_hosts
         return cls(
-            kind=kind,
-            parallel=parallel,
-            counters=[Counters() for _ in range(num_hosts)],
-            msgs_sent=[0] * num_hosts,
-            bytes_sent=[0] * num_hosts,
-            msgs_recv=[0] * num_hosts,
-            bytes_recv=[0] * num_hosts,
-            label=label,
-            round=round,
-            operator=operator,
+            kind,
+            parallel,
+            [Counters() for _ in range(num_hosts)],
+            zeros,
+            zeros.copy(),
+            zeros.copy(),
+            zeros.copy(),
+            label,
+            round,
+            operator,
         )
 
 

@@ -31,7 +31,6 @@ reports updates-to-convergence and modeled seconds side by side.
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 from typing import TYPE_CHECKING, Sequence
 
@@ -39,6 +38,7 @@ import numpy as np
 
 from repro.cluster.metrics import PhaseKind
 from repro.core.propmap import KEY_BYTES
+from repro.core.reducers import MIN
 from repro.exec.plan import (
     CmpFilter,
     EdgePush,
@@ -214,7 +214,9 @@ class AsyncEngine(Engine):
 
     ``once`` plans (warm-ups) delegate to the BSP engine unchanged; loop
     plans must carry a
-    :class:`~repro.exec.plan.ResidualDecl` on their ``EdgePush`` kernel.
+    :class:`~repro.exec.plan.ResidualDecl` on their ``EdgePush`` kernel,
+    and a monotone one must reduce with ``MIN``, which the relax loop
+    applies inline.
     """
 
     name = "async"
@@ -249,6 +251,11 @@ class AsyncEngine(Engine):
             raise UnsupportedPlanError(
                 f"async execution needs the GAR master layout; map "
                 f"{value_map.name!r} uses variant {value_map.variant.label!r}"
+            )
+        if decl.mode == "monotone" and operator.kernel.op.name != MIN.name:
+            raise UnsupportedPlanError(
+                f"monotone async execution relaxes with MIN; plan "
+                f"{plan.name!r} reduces with {operator.kernel.op.name!r}"
             )
         chunk = _ChunkSchedule(self, plan, operator.label, value_map)
         if decl.mode == "monotone":
@@ -299,7 +306,8 @@ class AsyncEngine(Engine):
 
     def _run_monotone(self, chunk: "_ChunkSchedule", kernel: EdgePush) -> np.ndarray:
         """Label-correcting relaxation: values improve monotonically under
-        the kernel's reducer, residual = size of the last improvement."""
+        ``MIN`` (applied inline, see :meth:`run`), residual = size of the
+        last improvement."""
         typed = np.array(kernel.target.snapshot_array(), copy=True)
         num_nodes = int(typed.size)
         # Initial frontier: every node whose value is pushable. Residuals
@@ -325,13 +333,14 @@ class AsyncEngine(Engine):
         node_iters, edge_iters, local_ops, applies = chunk.tallies
         owner, indptr, indices = chunk.columns
         hosts = len(node_iters)
-        fn, edge_filter = kernel.op.fn, kernel.edge_filter
+        edge_filter = kernel.edge_filter
+        filtered = edge_filter is not None
         per_source, per_edge = kernel.charge_per_source, kernel.charge_per_edge
         weighted = kernel.with_weight == "add"
         weights = None if kernel.unit_weights else chunk.plan.pgraph.graph.weights
         if weights is not None:
             weights = memoryview(weights)
-        inf, push = np.inf, heapq.heappush
+        push = heapq.heappush
         while heap:
             nodes = chunk.pop()
             if not nodes:
@@ -354,29 +363,34 @@ class AsyncEngine(Engine):
                     edge_iters[host] += last - first
                     local_ops[host] += per_edge * (last - first)
                     row = host * hosts
+                    candidate = value
                     for edge in range(first, last):
                         dst = indices[edge]
-                        if edge_filter is not None and not bool(
-                            edge_filter(u, dst)
-                        ):
+                        if filtered and not bool(edge_filter(u, dst)):
                             continue
-                        candidate = value
                         if weighted:
                             candidate = value + (
                                 1.0 if weights is None else weights[edge]
                             )
+                        # MIN inline: ``min(old, candidate) != old`` holds
+                        # exactly when the candidate is smaller or ``old``
+                        # is NaN (MIN keeps a NaN and still applies it).
                         old = values[dst]
-                        new = fn(old, candidate)
-                        if new == old:
-                            continue
-                        # The apply happens at the destination's owner;
-                        # a foreign improvement is one eager message.
-                        applies[row + owner[dst]] += 1
-                        values[dst] = new
-                        gain = abs(old - new) if old != inf else inf
-                        if gain > priority[dst]:
-                            priority[dst] = gain
-                            push(heap, (-gain, dst))
+                        if candidate < old:
+                            # The apply happens at the destination's owner;
+                            # a foreign improvement is one eager message.
+                            applies[row + owner[dst]] += 1
+                            values[dst] = candidate
+                            # Never negative (candidate < old) and +inf
+                            # when old is: the gain ``abs(old - new)`` was.
+                            gain = old - candidate
+                            if gain > priority[dst]:
+                                priority[dst] = gain
+                                push(heap, (-gain, dst))
+                        elif old != old:
+                            # The value stays NaN and so does its gain,
+                            # which outranks no priority: nothing to push.
+                            applies[row + owner[dst]] += 1
         return np.array(values, dtype=typed.dtype)
 
     # ------------------------------------------------ accumulate (PageRank)
@@ -477,12 +491,12 @@ class _ChunkSchedule:
     ``edge_iters`` / ``local_ops`` per host, and one ``applies`` count per
     (source owner, destination owner) pair, because every apply is one
     ``reduce_calls`` at the source, one owner-side ``local_ops`` at the
-    destination and, between two hosts, one eager message. :meth:`phase`
-    writes the tallies into the chunk's ``PhaseRecord`` once as it closes
-    (one ``send_many`` per non-empty foreign pair); integer sums are
-    exact, so the record equals what per-edge bumps produced. The
-    read-only ``columns`` (owner, indptr, indices) are memoryviews: plain
-    ints out, no per-element objects kept.
+    destination and, between two hosts, one eager message. :meth:`flush`
+    writes the tallies into the chunk's ``PhaseRecord`` once as its
+    :meth:`phase` closes (one ``send_many`` per non-empty foreign pair);
+    integer sums are exact, so the record equals what per-edge bumps
+    produced. The read-only ``columns`` (owner, indptr, indices) are
+    memoryviews: plain ints out, no per-element objects kept.
     """
 
     def __init__(self, engine: AsyncEngine, plan: Plan, operator: str, value_map) -> None:
@@ -514,42 +528,72 @@ class _ChunkSchedule:
         """Up to ``chunk_size`` live (non-stale) nodes, highest residual
         first, re-serialized by (owner host, node id) for the apply order."""
         heap, priority, owner = self.heap, self.priority, self.columns[0]
-        chunk_size, pop = self.chunk_size, heapq.heappop
+        room, pop = self.chunk_size, heapq.heappop
         nodes: list[int] = []
-        while heap and len(nodes) < chunk_size:
+        while heap:
             neg, node = pop(heap)
             # Lazy deletion: an entry is live only while it matches the
             # node's current priority; superseded entries are skipped.
-            if -neg == priority[node] and priority[node] > 0.0:
+            live = priority[node]
+            if -neg == live and live > 0.0:
                 priority[node] = 0.0
                 nodes.append(node)
-        nodes.sort(key=lambda n: (owner[n], n))
+                room -= 1
+                if not room:
+                    break
+        # Two stable C-level sorts make the (owner, node) order with no
+        # per-node key tuple: by node, then by owner.
+        nodes.sort()
+        nodes.sort(key=owner.__getitem__)
         return nodes
 
-    @contextlib.contextmanager
-    def phase(self):
+    def phase(self) -> "_ChunkPhase":
         """One chunk's barrier-free phase; closing it flushes the tallies."""
-        with self.cluster.phase(
+        open_phase = self.cluster.phase(
             PhaseKind.ASYNC_COMPUTE,
             label=f"{self.plan.name}:chunk",
             operator=self.operator,
-        ) as record:
-            record.chunk = self.opened
-            yield
-            node_iters, edge_iters, local_ops, applies = self.tallies
-            hosts, send_many = len(node_iters), self.cluster.network.send_many
-            for host, counters in enumerate(record.counters):
-                sent = applies[host * hosts : (host + 1) * hosts]
-                counters.node_iters += node_iters[host]
-                counters.edge_iters += edge_iters[host]
-                counters.reduce_calls += sum(sent)
-                counters.local_ops += local_ops[host] + sum(applies[host::hosts])
-                for dst, count in enumerate(sent):
-                    if count and dst != host:
-                        send_many(host, dst, self.message_bytes, count)
-            for tally in self.tallies:
-                tally[:] = [0] * len(tally)
-        self.opened += 1
+        )
+        open_phase.record.chunk = self.opened
+        return _ChunkPhase(self, open_phase)
+
+    def flush(self, record) -> None:
+        """Write the chunk's tallies into its record and zero them."""
+        node_iters, edge_iters, local_ops, applies = self.tallies
+        hosts, send_many = len(node_iters), self.cluster.network.send_many
+        for host, counters in enumerate(record.counters):
+            sent = applies[host * hosts : (host + 1) * hosts]
+            counters.node_iters += node_iters[host]
+            counters.edge_iters += edge_iters[host]
+            counters.reduce_calls += sum(sent)
+            counters.local_ops += local_ops[host] + sum(applies[host::hosts])
+            for dst, count in enumerate(sent):
+                if count and dst != host:
+                    send_many(host, dst, self.message_bytes, count)
+        for tally in self.tallies:
+            tally[:] = [0] * len(tally)
+
+
+class _ChunkPhase:
+    """An open chunk phase (:meth:`_ChunkSchedule.phase`): exiting flushes
+    the tallies and closes the record, an exception's exit included - one
+    small object, where a generator costs two resumes a chunk."""
+
+    __slots__ = ("chunk", "open_phase")
+
+    def __init__(self, chunk: _ChunkSchedule, open_phase) -> None:
+        self.chunk = chunk
+        self.open_phase = open_phase
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: object) -> None:
+        try:
+            self.chunk.flush(self.open_phase.record)
+        finally:
+            self.open_phase.__exit__(*exc_info)
+        self.chunk.opened += 1
 
 
 ENGINES = ("bsp", "async")

@@ -224,9 +224,11 @@ class ResidualDecl:
     ``mode``:
 
     * ``"monotone"`` - the push target improves monotonically under the
-      kernel's reducer (SSSP's MIN distances, CC-LP's MIN labels). A
-      node's residual is the size of its last improvement; processing a
-      node relaxes its out-edges exactly as the kernel describes.
+      kernel's reducer, which must be ``MIN`` (SSSP's distances, CC-LP's
+      and BFS's labels): the engine applies it inline and refuses any
+      other. A node's residual is the size of its last improvement;
+      processing a node relaxes its out-edges exactly as the kernel
+      describes.
     * ``"accumulate"`` - delta-style mass propagation (PageRank): each
       node holds a residual of un-pushed mass; processing moves the
       residual into ``value`` and pushes ``transform(residual, node)``

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster, CostModel, ModeledTime
 from repro.cluster.cluster import static_thread
-from repro.cluster.metrics import Counters, PhaseKind
+from repro.cluster.metrics import Counters, PhaseKind, PhaseRecord
 
 
 class TestStaticThread:
@@ -77,6 +80,31 @@ class TestPhases:
         with cluster.phase(PhaseKind.INIT):
             with pytest.raises(RuntimeError):
                 cluster.reset()
+
+    def test_records_are_slotted_and_survive_pickle_and_copy(self):
+        """Records carry no ``__dict__``; the pool's pickles and the
+        checkpoint's deep copies must still round-trip every field."""
+        cluster = Cluster(3)
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE, label="r", operator="op"):
+            cluster.counters(2).reduce_calls += 4
+            cluster.network.send(0, 2, 16)
+        record = cluster.log.phases[0]
+        record.chunk, record.slowdown = 5, [1.0, 2.0, 1.0]
+        assert not hasattr(record, "__dict__")
+        for twin in (
+            pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL)),
+            copy.deepcopy(record),
+            copy.copy(record),
+        ):
+            assert twin == record and twin is not record
+
+    def test_empty_record_traffic_lists_are_distinct(self):
+        record = PhaseRecord.empty(PhaseKind.INIT, 2, True)
+        record.msgs_sent[0] += 1
+        assert (record.bytes_sent, record.msgs_recv, record.bytes_recv) == ([0, 0],) * 3
+        assert len({id(column) for column in (
+            record.msgs_sent, record.bytes_sent, record.msgs_recv, record.bytes_recv
+        )}) == 4
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):

@@ -12,26 +12,48 @@
   ``async_report_pins.json`` holds the report digest, ``last_updates`` and
   ``last_chunks`` of every {app} x {road, powerlaw} x {chunk size} x
   {policy} cell as recorded before the chunk loop moved to per-chunk
-  tallied accounting (``python tests/test_engine_async.py`` re-records
-  it), and a counting test keeps the metering calls O(chunks), never
-  O(updates).
+  tallied accounting, plus the final values (``float.hex()``) of a
+  custom ``MIN`` plan seeded with NaN, both zeros, ``inf`` and int labels,
+  as recorded before the relax loop inlined its ``MIN`` test
+  (``python tests/test_engine_async.py`` re-records it). Counting tests
+  keep the metering calls O(chunks), never O(updates), and the reducer
+  out of the relax loop.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from repro.algorithms.cc_lp import cc_lp_plan
+from repro.algorithms.common import AlgorithmResult
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
 from repro.cluster.network import Network
+from repro.core.propmap import NodePropMap
+from repro.core.reducers import MAX, MIN, SUM, ReduceOp
 from repro.core.variants import RuntimeVariant
 from repro.eval.harness import KIMBAP_APPS, _finish, run_kimbap
-from repro.exec import AsyncEngine, Executor, UnsupportedPlanError, make_engine
+from repro.exec import (
+    ActiveFilter,
+    AsyncEngine,
+    EdgePush,
+    Executor,
+    Operator,
+    OperatorStep,
+    Plan,
+    ResidualDecl,
+    SyncStep,
+    UnsupportedPlanError,
+    make_engine,
+)
+from repro.exec.engine import _ChunkSchedule
 from repro.faults import named_plan
 from repro.graph import generators
 from repro.partition import POLICIES, partition
@@ -137,6 +159,14 @@ class TestUnsupportedPlans:
         bulk path; the kvstore (MC) variant has no such surface."""
         assert_async_refuses("CC-LP", "GAR", variant=RuntimeVariant.MC)
 
+    @pytest.mark.parametrize("op", [MAX, SUM], ids=lambda op: op.name)
+    def test_monotone_plans_reduce_with_min_only(self, op):
+        """The relax loop applies ``MIN`` inline, so a monotone plan with
+        any other reducer is refused before the first pop."""
+        with pytest.raises(UnsupportedPlanError, match=f"'{op.name}'") as refusal:
+            _edge_run("float", 64, op=op)
+        assert type(refusal.value) is UnsupportedPlanError
+
 
 # ------------------------------------------------------- the byte contract
 
@@ -190,6 +220,82 @@ def _pin_key(app: str, family: str, chunk_size: int, policy: str) -> str:
     return f"{app}/{family}/chunk{chunk_size}/{policy}"
 
 
+# A custom monotone MIN plan seeded with the values where "apply the
+# candidate when it is smaller" could part from ``min``: NaN (nothing is
+# smaller, yet MIN re-applies it), both signed zeros (equal, so neither
+# replaces the other), +inf, and int labels (exact integer compares).
+EDGE_SEEDS = {
+    "float": [math.nan, -0.0, 0.0, math.inf, 7.0, 3.5, -0.0, math.nan, 0.0],
+    "float-weighted": [math.inf, math.nan, 0.0, -0.0, math.inf, 2.25, math.nan],
+    "int": [(node * 7) % 11 - 5 for node in range(11)],
+}
+EDGE_CELLS = [(seeding, chunk_size) for seeding in sorted(EDGE_SEEDS) for chunk_size in (1, 64)]
+
+
+def _edge_plan(pgraph, target: NodePropMap, seeding: str, op: ReduceOp) -> Plan:
+    push = EdgePush(
+        target=target,
+        op=op,
+        source=target,
+        require_active=ActiveFilter(target),
+        charge_per_source=1,
+        with_weight="add" if seeding == "float-weighted" else None,
+        edge_filter=(lambda src, dst: (src + dst) % 3 != 0) if seeding == "int" else None,
+        residual=ResidualDecl(mode="monotone"),
+    )
+    return Plan(
+        name="edge_min",
+        pgraph=pgraph,
+        steps=[
+            OperatorStep(Operator("edge_min", "all", push)),
+            SyncStep(target, "reduce"),
+            SyncStep(target, "broadcast"),
+        ],
+        quiesce=(target,),
+    )
+
+
+def _edge_run(seeding: str, chunk_size: int, op: ReduceOp = MIN):
+    seeds = EDGE_SEEDS[seeding]
+    pgraph = partition(generators.road_like(6, 4, seed=5, weighted=True), PIN_HOSTS, "cvc")
+    cluster = Cluster(PIN_HOSTS, threads_per_host=8)
+    executor = Executor(cluster)
+    executor.engine = AsyncEngine(executor, chunk_size=chunk_size)
+    target = NodePropMap(cluster, pgraph, "edge_value")
+    executor.init_map(target, lambda nodes: np.asarray([seeds[n % len(seeds)] for n in nodes]))
+    target.pin_mirrors(invariant="none")
+    try:
+        rounds = executor.run(_edge_plan(pgraph, target, seeding, op))
+    finally:
+        executor.close()
+    target.unpin_mirrors()
+    values = target.snapshot()
+    result = AlgorithmResult(name="EDGE-MIN", values=values, rounds=rounds)
+    run = _finish("Kimbap", "EDGE-MIN", "road", PIN_HOSTS, cluster, result)
+    run.engine = executor.engine.name
+    return run, executor.engine
+
+
+def _edge_pin(seeding: str, chunk_size: int) -> dict:
+    run, engine = _edge_run(seeding, chunk_size)
+    exact = int if seeding == "int" else lambda value: float(value).hex()
+    return {
+        "report_sha256": _digest(run.to_dict()),
+        "values": [exact(run.values[node]) for node in sorted(run.values)],
+        "last_updates": engine.last_updates,
+        "last_chunks": engine.last_chunks,
+    }
+
+
+def _edge_key(seeding: str, chunk_size: int) -> str:
+    return f"EDGE-MIN/{seeding}/chunk{chunk_size}/cvc"
+
+
+def _recorded_pins() -> dict:
+    with open(PINS_PATH, encoding="utf-8") as src:
+        return json.load(src)
+
+
 class TestAsyncReportsArePinned:
     """``RunResult.to_dict()`` of an async run is a byte contract: the
     schedule (pop order, owner-serialized applies, lazy deletion, the
@@ -197,15 +303,17 @@ class TestAsyncReportsArePinned:
 
     @pytest.mark.parametrize("app,family,chunk_size,policy", PIN_CELLS)
     def test_report_matches_the_recorded_digest(self, app, family, chunk_size, policy):
-        with open(PINS_PATH, encoding="utf-8") as src:
-            pins = json.load(src)
-        assert _pin(app, family, chunk_size, policy) == pins[
+        assert _pin(app, family, chunk_size, policy) == _recorded_pins()[
             _pin_key(app, family, chunk_size, policy)
         ]
 
+    @pytest.mark.parametrize("seeding,chunk_size", EDGE_CELLS)
+    def test_min_edge_cases_match_the_recorded_values(self, seeding, chunk_size):
+        assert _edge_pin(seeding, chunk_size) == _recorded_pins()[_edge_key(seeding, chunk_size)]
+
     def test_the_table_covers_exactly_the_cells(self):
-        with open(PINS_PATH, encoding="utf-8") as src:
-            assert sorted(json.load(src)) == sorted(_pin_key(*cell) for cell in PIN_CELLS)
+        keys = [_pin_key(*cell) for cell in PIN_CELLS] + [_edge_key(*cell) for cell in EDGE_CELLS]
+        assert sorted(_recorded_pins()) == sorted(keys)
 
 
 class TestAsyncMeteringIsPerChunk:
@@ -242,10 +350,59 @@ class TestAsyncMeteringIsPerChunk:
         assert calls["send_many"] + calls["counters"] < engine.last_updates
 
 
+class TestRelaxLoopAppliesMinInline:
+    def test_cc_lp_makes_no_reducer_calls(self, monkeypatch):
+        """The relax loop compares ``candidate < old`` itself: a counting
+        ``MIN`` sees no call, and the run is the pinned one."""
+        calls = []
+
+        def counting_min(left, right):
+            calls.append(1)
+            return min(left, right)
+
+        # The package re-exports the function ``cc_lp`` over its module.
+        module = importlib.import_module("repro.algorithms.cc_lp")
+        monkeypatch.setattr(module, "MIN", ReduceOp("min", counting_min, ufunc=np.minimum))
+        assert _pin("CC-LP", "road", 64, "cvc") == _recorded_pins()[
+            _pin_key("CC-LP", "road", 64, "cvc")
+        ]
+        assert len(calls) == 0
+
+
+class TestChunkOrder:
+    def test_pop_serializes_by_owner_then_node_on_scattered_owners(self):
+        """Partition policies hand out blocked owners, where (owner, node)
+        order and node order agree; alternating owners tell them apart."""
+        pgraph = partition(generators.road_like(6, 4, seed=5), 2, "oec")
+        cluster = Cluster(2, threads_per_host=2)
+        executor = Executor(cluster)
+        engine = AsyncEngine(executor, chunk_size=9)
+        label = NodePropMap(cluster, pgraph, "label")
+        chunk = _ChunkSchedule(engine, cc_lp_plan(pgraph, label), "cc_lp", label)
+        num_nodes = pgraph.num_nodes
+        owner = [node % 2 for node in range(num_nodes)]
+        scattered = memoryview(np.asarray(owner, dtype=pgraph.owner.dtype))
+        chunk.columns = (scattered,) + chunk.columns[1:]
+        # Distinct priorities, so every node is popped exactly once.
+        chunk.schedule(num_nodes, [((node * 5) % num_nodes + 1.0, node) for node in range(num_nodes)])
+        popped = []
+        while chunk.heap:
+            nodes = chunk.pop()
+            assert len(nodes) <= 9
+            assert nodes == sorted(nodes, key=lambda node: (owner[node], node))
+            popped.append(nodes)
+        assert sorted(node for nodes in popped for node in nodes) == list(range(num_nodes))
+        # Teeth: node order alone would interleave the two owners.
+        assert any(nodes != sorted(nodes) for nodes in popped)
+        executor.close()
+
+
 if __name__ == "__main__":  # re-record the table: python tests/test_engine_async.py
     with open(PINS_PATH, "w", encoding="utf-8") as out:
+        pins = {_pin_key(*cell): _pin(*cell) for cell in PIN_CELLS}
+        pins.update({_edge_key(*cell): _edge_pin(*cell) for cell in EDGE_CELLS})
         json.dump(
-            {_pin_key(*cell): _pin(*cell) for cell in PIN_CELLS},
+            pins,
             out,
             indent=1,
             sort_keys=True,
