@@ -1,7 +1,7 @@
 """The tutorial's custom algorithm, end to end (docs/TUTORIAL.md).
 
-Degree-weighted label spreading written as an operator plan (a warm-up
-phase group plus a KimbapWhile loop whose operator body is plain Python
+Degree-weighted label spreading written as one operator plan (a warm-up
+phase group, then a KimbapWhile loop whose operator body is plain Python
 over the node-property-map API), then label propagation written as
 Figure 4-style *source text* and pushed through the compiler. Shows the
 full surface a downstream user touches when writing a new algorithm.
@@ -12,7 +12,7 @@ Run:  python examples/custom_algorithm.py
 from repro import verify
 from repro.cluster import Cluster
 from repro.compiler import compile_program, parse_program
-from repro.compiler.interp import run_compiled
+from repro.compiler.interp import build_plan
 from repro.core import MIN, NodePropMap
 from repro.exec import (
     DegreeReduce,
@@ -40,22 +40,8 @@ def main() -> None:
     label = NodePropMap(cluster, pgraph, "label")
     degree.set_initial(lambda node: 0)
     label.set_initial(lambda node: node)
-    executor.run(
-        Plan(
-            name="degrees",
-            pgraph=pgraph,
-            steps=[
-                OperatorStep(Operator("deg", "all", DegreeReduce(degree))),
-                SyncStep(degree, "reduce"),
-            ],
-            once=True,
-        )
-    )
 
     # -- custom operator: adopt the min label among higher-degree neighbors --
-    label.pin_mirrors(invariant="none")
-    degree.pin_mirrors(invariant="none")
-
     def spread(ctx):
         my_label = label.read_local(ctx.host, ctx.local)
         my_degree = degree.read_local(ctx.host, ctx.local)
@@ -67,21 +53,32 @@ def main() -> None:
                     label.reduce(ctx.host, ctx.thread, ctx.node, neighbor_label, MIN)
 
     # One round is the operator plus its reduce/broadcast syncs; the loop
-    # repeats it until no reduce-sync changed a label (KimbapWhile).
+    # repeats it until no reduce-sync changed a label (KimbapWhile), with
+    # both maps' mirrors pinned while it runs.
+    spread_loop = Plan(
+        name="spread",
+        pgraph=pgraph,
+        steps=[
+            OperatorStep(Operator("spread", "all", ScalarKernel(spread))),
+            SyncStep(label, "reduce"),
+            SyncStep(label, "broadcast"),
+        ],
+        quiesce=(label,),
+        pins={label: "none", degree: "none"},
+    )
+    # The whole algorithm is one plan: the warm-up steps run once, then the
+    # nested loop runs to quiescence.
     rounds = executor.run(
         Plan(
-            name="spread",
+            name="degree-spread",
             pgraph=pgraph,
             steps=[
-                OperatorStep(Operator("spread", "all", ScalarKernel(spread))),
-                SyncStep(label, "reduce"),
-                SyncStep(label, "broadcast"),
+                OperatorStep(Operator("deg", "all", DegreeReduce(degree))),
+                SyncStep(degree, "reduce"),
+                spread_loop,
             ],
-            quiesce=(label,),
         )
     )
-    label.unpin_mirrors()
-    degree.unpin_mirrors()
     remaining = len(set(label.snapshot().values()))
     print(f"degree-weighted spreading: {rounds} rounds, {remaining} labels remain")
 
@@ -102,7 +99,7 @@ def main() -> None:
     loop = compile_program(program)
     print("\ncompiled continuation:")
     print(loop.describe())
-    run_compiled(loop, cluster, pgraph, {"label": label}, executor=executor)
+    executor.run(build_plan(loop, pgraph, {"label": label}))
     verify.check_components(graph, label.snapshot())
     print("\nfinal labels are exactly the connected components (verified)")
     elapsed = cluster.elapsed()

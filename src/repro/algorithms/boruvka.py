@@ -26,7 +26,17 @@ from repro.core.bool_reducer import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, PAIR_MIN
 from repro.core.variants import RuntimeVariant
-from repro.exec import Executor, Operator, OperatorStep, Plan, ScalarKernel, SyncStep
+from repro.exec import (
+    Executor,
+    HostStep,
+    Operator,
+    OperatorStep,
+    Plan,
+    ResetStep,
+    ScalarKernel,
+    SyncStep,
+    Until,
+)
 from repro.partition.base import PartitionedGraph
 
 SENTINEL = (math.inf, -1, -1, -1)
@@ -67,27 +77,17 @@ def boruvka_msf(
             best_edge.reduce(ctx.host, ctx.thread, own_component, candidate, PAIR_MIN)
             work_done.reduce(ctx.host, True)
 
-    find_plan = Plan(
-        name="msf:min",
-        pgraph=pgraph,
-        steps=[
-            OperatorStep(
-                Operator(
-                    "msf:min",
-                    "all",
-                    ScalarKernel(
-                        find_minimum,
-                        read_names=(parent.name,),
-                        write_names=((best_edge.name, PAIR_MIN.name),),
-                        # the work-done vote's host flags are compute-phase
-                        # effects too (host-shard execution ships them)
-                        extra_effects=(work_done,),
-                    ),
-                )
-            ),
-            SyncStep(best_edge, "reduce"),
-        ],
-        once=True,
+    find_minimum_op = Operator(
+        "msf:min",
+        "all",
+        ScalarKernel(
+            find_minimum,
+            read_names=(parent.name,),
+            write_names=((best_edge.name, PAIR_MIN.name),),
+            # the work-done vote's host flags are compute-phase
+            # effects too (host-shard execution ships them)
+            extra_effects=(work_done,),
+        ),
     )
 
     def hook(ctx) -> None:
@@ -100,50 +100,57 @@ def boruvka_msf(
         smaller = min(ctx.node, other_component)
         parent.reduce(ctx.host, ctx.thread, larger, smaller, MIN)
 
-    hook_plan = Plan(
-        name="msf:hook",
-        pgraph=pgraph,
-        steps=[
-            OperatorStep(
-                Operator(
-                    "msf:hook",
-                    "masters",
-                    ScalarKernel(
-                        hook,
-                        read_names=(best_edge.name,),
-                        write_names=((parent.name, MIN.name),),
-                        # the body appends chosen edges to the host-global
-                        # forest set: not per-host addressable, so this
-                        # phase runs replicated under parallel execution
-                        host_local=False,
-                    ),
-                )
-            ),
-            SyncStep(parent, "reduce"),
-        ],
-        once=True,
+    hook_op = Operator(
+        "msf:hook",
+        "masters",
+        ScalarKernel(
+            hook,
+            read_names=(best_edge.name,),
+            write_names=((parent.name, MIN.name),),
+            # the body appends chosen edges to the host-global forest
+            # set: not per-host addressable, so this phase runs
+            # replicated under parallel execution
+            host_local=False,
+        ),
     )
 
-    flatten_plan = shortcut_plan(pgraph, parent)
-    total_rounds = 0
-    boruvka_round = 0
-    while True:
-        total_rounds += executor.run(flatten_plan)
-        parent.pin_mirrors(invariant="none")
-        best_edge.reset_values(lambda node: SENTINEL)
-        work_done.set_all(False)
-        executor.run(find_plan)
+    stats = {"boruvka_rounds": 0}
+
+    def vote() -> None:
         work_done.sync()
-        if not work_done.read():
-            parent.unpin_mirrors()
-            break
-        executor.run(hook_plan)
-        parent.unpin_mirrors()
-        total_rounds += 1
-        boruvka_round += 1
-        if boruvka_round > pgraph.num_nodes:
-            raise RuntimeError("Boruvka failed to converge")
-    total_rounds += executor.run(flatten_plan)
+        if work_done.read():
+            stats["boruvka_rounds"] += 1
+
+    flatten_plan = shortcut_plan(pgraph, parent)
+    # parent is pinned for find and hook only, so the flatten loops see it
+    # unpinned: the unpin opens each iteration and follows the loop, which
+    # its Until leaves mid-iteration with parent still pinned.
+    unpin = HostStep("msf:unpin", parent.unpin_mirrors)
+    boruvka_loop = Plan(
+        name="msf:boruvka",
+        pgraph=pgraph,
+        steps=[
+            unpin,
+            flatten_plan,
+            HostStep("msf:pin", lambda: parent.pin_mirrors(invariant="none")),
+            ResetStep(best_edge, lambda node: SENTINEL, elementwise=True),
+            HostStep("msf:reset", lambda: work_done.set_all(False)),
+            OperatorStep(find_minimum_op),
+            SyncStep(best_edge, "reduce"),
+            HostStep("msf:vote", vote),
+            Until(lambda: not work_done.read()),
+            OperatorStep(hook_op),
+            SyncStep(parent, "reduce"),
+        ],
+        # Each hooking iteration merges at least two components.
+        max_rounds=pgraph.num_nodes + 1,
+        loop_label="boruvka",
+    )
+    plan = Plan(
+        name="MSF", pgraph=pgraph, steps=[boruvka_loop, unpin, flatten_plan]
+    )
+    # Each hooking iteration counts as a round of its own.
+    total_rounds = executor.run(plan) + stats["boruvka_rounds"]
     total_weight = left_sum(np.fromiter((weight for _, _, weight in forest), float))
     return AlgorithmResult(
         name="MSF",
@@ -152,7 +159,7 @@ def boruvka_msf(
         stats={
             "forest_weight": total_weight,
             "forest_edges": float(len(forest)),
-            "boruvka_rounds": boruvka_round,
+            "boruvka_rounds": stats["boruvka_rounds"],
         },
         extra={"forest": sorted(forest)},
     )

@@ -68,6 +68,7 @@ def cc_lp_plan(pgraph: PartitionedGraph, label: NodePropMap) -> Plan:
             SyncStep(label, "broadcast"),
         ],
         quiesce=(label,),
+        pins={label: "push"},
     )
 
 
@@ -81,7 +82,5 @@ def cc_lp(
     executor = resolve_executor(cluster, executor)
     label = NodePropMap(cluster, pgraph, "cc_label", variant=variant)
     executor.init_map(label, lambda nodes: nodes.copy())
-    label.pin_mirrors(invariant="push")
     rounds = executor.run(cc_lp_plan(pgraph, label))
-    label.unpin_mirrors()
     return AlgorithmResult(name="CC-LP", values=label.snapshot(), rounds=rounds)

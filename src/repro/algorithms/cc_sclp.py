@@ -76,6 +76,7 @@ def cc_sclp_plan(pgraph: PartitionedGraph, label: NodePropMap) -> Plan:
             SyncStep(label, "broadcast"),
         ],
         quiesce=(label,),
+        pins={label: "none"},
     )
 
 
@@ -89,7 +90,5 @@ def cc_sclp(
     executor = resolve_executor(cluster, executor)
     label = NodePropMap(cluster, pgraph, "sclp_label", variant=variant)
     executor.init_map(label, lambda nodes: nodes.copy())
-    label.pin_mirrors(invariant="none")
     rounds = executor.run(cc_sclp_plan(pgraph, label))
-    label.unpin_mirrors()
     return AlgorithmResult(name="CC-SCLP", values=label.snapshot(), rounds=rounds)

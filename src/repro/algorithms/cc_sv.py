@@ -22,11 +22,13 @@ from repro.core.reducers import MIN
 from repro.core.variants import RuntimeVariant
 from repro.exec import (
     Executor,
+    HostStep,
     NeighborReduceToKey,
     Operator,
     OperatorStep,
     Plan,
     SyncStep,
+    Until,
 )
 from repro.partition.base import PartitionedGraph
 
@@ -34,7 +36,10 @@ from repro.partition.base import PartitionedGraph
 def cc_sv_hook_plan(
     pgraph: PartitionedGraph, parent: NodePropMap, work_done: BoolReducer
 ) -> Plan:
-    """The hook loop (run until quiescent between shortcut phases)."""
+    """The hook loop (run until quiescent between shortcut phases).
+
+    Hook reads the active node and its neighbors only (writes go
+    anywhere), so the compiler pins mirrors and elides requests."""
     return Plan(
         name="cc_sv:hook",
         pgraph=pgraph,
@@ -58,6 +63,7 @@ def cc_sv_hook_plan(
             SyncStep(parent, "broadcast"),
         ],
         quiesce=(parent,),
+        pins={parent: "none"},
     )
 
 
@@ -72,26 +78,30 @@ def cc_sv(
     parent = NodePropMap(cluster, pgraph, "sv_parent", variant=variant)
     executor.init_map(parent, lambda nodes: nodes.copy())
     work_done = BoolReducer(cluster, "sv_work")
-    hook_plan = cc_sv_hook_plan(pgraph, parent, work_done)
-    flatten_plan = shortcut_plan(pgraph, parent)
+    outer = {"rounds": 0}
 
-    total_rounds = 0
-    outer_rounds = 0
-    while True:
-        work_done.set_all(False)
-        # Hook reads the active node and its neighbors only (writes go
-        # anywhere), so the compiler pins mirrors and elides requests.
-        parent.pin_mirrors(invariant="none")
-        total_rounds += executor.run(hook_plan)
+    def vote() -> None:
         work_done.sync()
-        parent.unpin_mirrors()
-        total_rounds += executor.run(flatten_plan)
-        outer_rounds += 1
-        if not work_done.read():
-            break
+        outer["rounds"] += 1
+
+    # Figure 8's do-while: hook to quiescence, then flatten, until a hook
+    # round finds no work.
+    plan = Plan(
+        name="CC-SV",
+        pgraph=pgraph,
+        steps=[
+            HostStep("cc_sv:reset", lambda: work_done.set_all(False)),
+            cc_sv_hook_plan(pgraph, parent, work_done),
+            HostStep("cc_sv:vote", vote),
+            shortcut_plan(pgraph, parent),
+            Until(lambda: not work_done.read()),
+        ],
+        loop_label="CC-SV",
+    )
+    rounds = executor.run(plan)
     return AlgorithmResult(
         name="CC-SV",
         values=parent.snapshot(),
-        rounds=total_rounds,
-        stats={"outer_rounds": outer_rounds},
+        rounds=rounds,
+        stats={"outer_rounds": outer["rounds"]},
     )

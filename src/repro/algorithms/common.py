@@ -99,10 +99,7 @@ def shortcut_plan(
 
     Rounds advance the cluster's global round counter, so crash injection
     targeting any round of a multi-loop algorithm (CC-SV, MSF) lands
-    exactly once and recovery covers the shortcut loops too. Callers that
-    flatten repeatedly build the plan once and ``executor.run`` it each
-    time: the executor compiles a plan object once, and the parallel
-    backend (``repro.exec.pool``) builds its decision tables once.
+    exactly once and recovery covers the shortcut loops too.
     """
     return Plan(
         name="shortcut",

@@ -74,6 +74,7 @@ def k_core_plan(pgraph: PartitionedGraph, estimate: NodePropMap) -> Plan:
             SyncStep(estimate, "broadcast"),
         ],
         quiesce=(estimate,),
+        pins={estimate: "none"},
     )
 
 
@@ -92,9 +93,7 @@ def k_core(
         )
     estimate = NodePropMap(cluster, pgraph, "core_estimate", variant=variant)
     executor.init_map(estimate, elementwise=lambda node: pgraph.graph.degree(node))
-    estimate.pin_mirrors(invariant="none")
     rounds = executor.run(k_core_plan(pgraph, estimate))
-    estimate.unpin_mirrors()
     values = {k: int(v) for k, v in estimate.snapshot().items()}
     return AlgorithmResult(
         name="K-CORE",

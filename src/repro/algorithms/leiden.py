@@ -113,6 +113,7 @@ def connected_split_plan(
         ],
         quiesce=(sub,),
         loop_label=name,
+        pins={sub: "none"},
     )
 
 
@@ -133,9 +134,7 @@ def connected_split(
     executor = resolve_executor(cluster, executor)
     sub = NodePropMap(cluster, pgraph, name, variant=variant)
     executor.init_map(sub, lambda nodes: nodes.copy())
-    sub.pin_mirrors(invariant="none")
     rounds = executor.run(connected_split_plan(pgraph, sub, group_of, name))
-    sub.unpin_mirrors()
     snapshot = sub.snapshot()
     labels = np.asarray(
         [snapshot[node] for node in range(pgraph.graph.num_nodes)], dtype=np.int64

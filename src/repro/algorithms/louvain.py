@@ -101,7 +101,6 @@ def local_moving(
         info_map,
         elementwise=lambda node: (float(tot_init[node]), int(size_init[node])),
     )
-    cluster_map.pin_mirrors(invariant="none")
 
     min_moves = max(int(min_moves_fraction * graph.num_nodes), 1)
     # Loop-private host state in one dict so crash recovery can snapshot
@@ -262,9 +261,9 @@ def local_moving(
         loop_label=name,
         extra_snapshot=lambda: dict(state),
         extra_restore=restore_state,
+        pins={cluster_map: "none"},
     )
     rounds = executor.run(plan)
-    cluster_map.unpin_mirrors()
     snapshot = cluster_map.snapshot()
     labels = np.asarray(
         [snapshot[node] for node in range(graph.num_nodes)], dtype=np.int64

@@ -35,6 +35,7 @@ from repro.exec import (
     Operator,
     OperatorStep,
     Plan,
+    ResetStep,
     ScalarKernel,
     SyncStep,
 )
@@ -151,40 +152,50 @@ def mis(
     # (under a vertex-cut no single host knows a node's full degree).
     degree = NodePropMap(cluster, pgraph, "mis_degree", variant=variant)
     executor.init_map(degree, lambda nodes: np.zeros(nodes.size, dtype=np.int64))
-    executor.run(
-        Plan(
-            name="mis:warmup",
-            pgraph=pgraph,
-            steps=[
-                OperatorStep(Operator("mis:deg", "all", DegreeReduce(degree))),
-                SyncStep(degree, "reduce"),
-            ],
-            once=True,
-        )
-    )
-    degrees = degree.snapshot()
-
     priority = NodePropMap(
         cluster, pgraph, "mis_priority", variant=variant, value_nbytes=24
     )
-    executor.init_map(
-        priority,
-        elementwise=lambda node: (degrees[node], _hash_priority(node), node),
-    )
-    priority.pin_mirrors(invariant="none")
-
     state = NodePropMap(cluster, pgraph, "mis_state", variant=variant)
-    executor.init_map(
-        state, lambda nodes: np.full(nodes.size, UNDECIDED, dtype=np.int64)
-    )
-    state.pin_mirrors(invariant="none")
-
     blocked = NodePropMap(cluster, pgraph, "mis_blocked", variant=variant)
-    executor.init_map(blocked, lambda nodes: np.full(nodes.size, -1, dtype=np.int64))
 
-    rounds = executor.run(mis_plan(pgraph, state, priority, blocked))
-    state.unpin_mirrors()
-    priority.unpin_mirrors()
+    degrees: dict[int, int] = {}
+    # Each map is pinned right after its initialization - priority's
+    # before state's, state's before blocked's - which takes one plan level
+    # per pin: the phase order every MIS report is priced in.
+    pin_state = Plan(
+        name="mis:pin-state",
+        pgraph=pgraph,
+        steps=[
+            ResetStep(blocked, lambda nodes: np.full(nodes.size, -1, dtype=np.int64)),
+            mis_plan(pgraph, state, priority, blocked),
+        ],
+        pins={state: "none"},
+    )
+    pin_priority = Plan(
+        name="mis:pin-priority",
+        pgraph=pgraph,
+        steps=[
+            ResetStep(state, lambda nodes: np.full(nodes.size, UNDECIDED, dtype=np.int64)),
+            pin_state,
+        ],
+        pins={priority: "none"},
+    )
+    plan = Plan(
+        name="MIS",
+        pgraph=pgraph,
+        steps=[
+            OperatorStep(Operator("mis:deg", "all", DegreeReduce(degree))),
+            SyncStep(degree, "reduce"),
+            HostStep("mis:degrees", lambda: degrees.update(degree.snapshot())),
+            ResetStep(
+                priority,
+                lambda node: (degrees[node], _hash_priority(node), node),
+                elementwise=True,
+            ),
+            pin_priority,
+        ],
+    )
+    rounds = executor.run(plan)
     values = state.snapshot()
     return AlgorithmResult(
         name="MIS",

@@ -11,10 +11,10 @@ Under vertex cuts a node's out-degree spans hosts, so the global degrees
 are themselves computed by a SUM reduction first - the same warm-up as
 MIS and k-core.
 
-The whole round is one ``repro.exec`` plan (warm-up, push, dangling
-redistribution, rebuild, delta check); the executor picks the scalar or
-vectorized backend with byte-identical counters, modeled time, and rank
-values.
+The whole run is one ``repro.exec`` plan - the degree warm-up, then the
+round loop (push, dangling redistribution, rebuild, delta check); the
+executor picks the scalar or vectorized backend with byte-identical
+counters, modeled time, and rank values.
 """
 
 from __future__ import annotations
@@ -63,23 +63,15 @@ def pagerank(
 
     degree = NodePropMap(cluster, pgraph, "pr_degree", variant=variant)
     executor.init_map(degree, lambda nodes: np.zeros(nodes.size, dtype=np.int64))
-    executor.run(
-        Plan(
-            name="pr:warmup",
-            pgraph=pgraph,
-            steps=[
-                OperatorStep(Operator("pr:deg", "all", DegreeReduce(degree))),
-                SyncStep(degree, "reduce"),
-            ],
-            once=True,
-        )
-    )
-    degrees = degree.snapshot_array()
-
     rank = NodePropMap(cluster, pgraph, "pr_rank", variant=variant)
-    executor.init_map(rank, lambda nodes: np.full(nodes.size, 1.0 / num_nodes))
-    rank.pin_mirrors(invariant="none")
     contribution = NodePropMap(cluster, pgraph, "pr_contrib", variant=variant)
+    degrees = None  # the global out-degrees, once the warm-up has run
+
+    def start() -> None:
+        # After the degree warm-up: the global degrees, then the ranks.
+        nonlocal degrees
+        degrees = degree.snapshot_array()
+        executor.init_map(rank, lambda nodes: np.full(nodes.size, 1.0 / num_nodes))
 
     base = (1.0 - damping) / num_nodes
     # Loop-private state lives in one dict so crash recovery can snapshot
@@ -102,7 +94,7 @@ def pagerank(
         state.clear()
         state.update(saved)
 
-    plan = Plan(
+    loop = Plan(
         name="pagerank",
         pgraph=pgraph,
         steps=[
@@ -168,9 +160,14 @@ def pagerank(
         loop_label="pagerank",
         extra_snapshot=lambda: dict(state),
         extra_restore=restore_state,
+        pins={rank: "none"},
     )
-    rounds = executor.run(plan)
-    rank.unpin_mirrors()
+    warmup = [
+        OperatorStep(Operator("pr:deg", "all", DegreeReduce(degree))),
+        SyncStep(degree, "reduce"),
+        HostStep("pr:start", start),
+    ]
+    rounds = executor.run(Plan(name="PR", pgraph=pgraph, steps=[*warmup, loop]))
     if rounds:
         values = rank.snapshot()
     else:

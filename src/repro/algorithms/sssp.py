@@ -72,6 +72,7 @@ def sssp_plan(
             SyncStep(dist, "broadcast"),
         ],
         quiesce=(dist,),
+        pins={dist: "none"},
     )
 
 
@@ -89,9 +90,7 @@ def sssp(
         raise ValueError(f"source {source} out of range")
     dist = NodePropMap(cluster, pgraph, "sssp_dist", variant=variant)
     executor.init_map(dist, lambda nodes: np.where(nodes == source, 0.0, UNREACHED))
-    dist.pin_mirrors(invariant="none")
     rounds = executor.run(sssp_plan(pgraph, dist, unit_weights=unit_weights))
-    dist.unpin_mirrors()
     values = dist.snapshot()
     reached = sum(1 for v in values.values() if v != UNREACHED)
     return AlgorithmResult(

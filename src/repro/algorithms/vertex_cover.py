@@ -107,6 +107,7 @@ def vertex_cover_plan(
             SyncStep(state, "broadcast"),
         ],
         quiesce=(state,),
+        pins={priority: "none", state: "none", pick: "none"},
     )
 
 
@@ -141,12 +142,7 @@ def vertex_cover(
     executor.init_map(
         pick, lambda nodes: np.full(nodes.size, NO_PICK, dtype=np.int64)
     )
-    for prop in (priority, state, pick):
-        prop.pin_mirrors(invariant="none")
-
     rounds = executor.run(vertex_cover_plan(pgraph, state, priority, pick))
-    for prop in (priority, state, pick):
-        prop.unpin_mirrors()
     matched = state.snapshot()
     values = {node: matched[node] == MATCHED for node in range(pgraph.num_nodes)}
     return AlgorithmResult(

@@ -87,10 +87,11 @@ def make_gluon_map(
 
 
 def _push_plan(
-    pgraph: PartitionedGraph, prop: NodePropMap, label: str, body: Callable
+    pgraph: PartitionedGraph, prop: NodePropMap, label: str, body: Callable, invariant: str
 ) -> Plan:
     """One Gluon round: a push operator reducing straight into the cached
-    proxies, then reduce + broadcast; run until ``prop`` is quiescent."""
+    proxies, then reduce + broadcast; run until ``prop`` is quiescent,
+    its mirrors pinned under ``invariant``."""
     return Plan(
         name=label,
         pgraph=pgraph,
@@ -110,6 +111,7 @@ def _push_plan(
             SyncStep(prop, "broadcast"),
         ],
         quiesce=(prop,),
+        pins={prop: invariant},
     )
 
 
@@ -122,7 +124,6 @@ def gluon_sssp(
     """Gluon's data-driven SSSP (push-style Bellman-Ford on atomics)."""
     dist = make_gluon_map(cluster, pgraph, "gluon_dist")
     dist.set_initial(lambda node: 0.0 if node == source else math.inf)
-    dist.pin_mirrors(invariant="none")
 
     def relax(ctx) -> None:
         if ctx.part.degree(ctx.local) == 0:
@@ -139,8 +140,7 @@ def gluon_sssp(
                 ctx.host, ctx.thread, ctx.edge_dst(edge), my_dist + weight, MIN
             )
 
-    rounds = Executor(cluster).run(_push_plan(pgraph, dist, "gluon_sssp", relax))
-    dist.unpin_mirrors()
+    rounds = Executor(cluster).run(_push_plan(pgraph, dist, "gluon_sssp", relax, "none"))
     return AlgorithmResult(name="Gluon-SSSP", values=dist.snapshot(), rounds=rounds)
 
 
@@ -159,7 +159,6 @@ def gluon_cc_lp(cluster: Cluster, pgraph: PartitionedGraph) -> AlgorithmResult:
     """Gluon's label-propagation connected components."""
     label = make_gluon_map(cluster, pgraph, "gluon_label")
     label.set_initial(lambda node: node)
-    label.pin_mirrors(invariant="push")
 
     def push(ctx) -> None:
         if ctx.part.degree(ctx.local) == 0:
@@ -171,8 +170,7 @@ def gluon_cc_lp(cluster: Cluster, pgraph: PartitionedGraph) -> AlgorithmResult:
         for edge in ctx.edges():
             label.reduce(ctx.host, ctx.thread, ctx.edge_dst(edge), node_label, MIN)
 
-    rounds = Executor(cluster).run(_push_plan(pgraph, label, "gluon_lp", push))
-    label.unpin_mirrors()
+    rounds = Executor(cluster).run(_push_plan(pgraph, label, "gluon_lp", push, "push"))
     return AlgorithmResult(
         name="Gluon-LP", values=label.snapshot(), rounds=rounds
     )

@@ -356,27 +356,21 @@ def cmd_engines(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    """Print the operator plan(s) one application executes.
+    """Print the operator plan one application executes.
 
     The application runs once on a tiny built-in graph with an observing
-    executor; every distinct plan handed to ``Executor.run`` is reported,
-    so the output is the real executed plan set, not a static description.
+    executor; the plan handed to ``Executor.run`` is reported - one per
+    level for Louvain / Leiden, whose level loop is host code - so the
+    output is the real executed plan tree, not a static description.
     """
     graph = generators.road_like(4, 3, seed=1, weighted=True)
     hosts = 2
     pgraph = partition(graph, hosts, APP_POLICY[args.app])
     cluster = Cluster(hosts, threads_per_host=2)
     summaries: list[dict] = []
-    seen: set[str] = set()
-
-    def observe(plan) -> None:
-        summary = plan_summary(plan)
-        key = json.dumps(summary, sort_keys=True)
-        if key not in seen:
-            seen.add(key)
-            summaries.append(summary)
-
-    executor = Executor(cluster, observer=observe)
+    executor = Executor(
+        cluster, observer=lambda plan: summaries.append(plan_summary(plan))
+    )
     KIMBAP_APPS[args.app](cluster, pgraph, executor=executor)
     if args.json:
         print(
@@ -522,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser(
         "plan",
         help="print the operator plan(s) an application executes "
-        "(text, or --json for the repro-exec-plan/v1.2 schema)",
+        "(text, or --json for the repro-exec-plan/v1.3 schema)",
     )
     plan.add_argument("app", choices=sorted(KIMBAP_APPS))
     plan.add_argument(

@@ -140,9 +140,10 @@ def add_counter_row(counters: Counters, row: np.ndarray) -> None:
 class PhaseRecord:
     """One executed phase: counters and traffic for every host.
 
-    ``round`` is the BSP round the phase ran in (0 for pre-loop phases such
-    as initialization and one-shot warm-ups; plan-loop rounds count from
-    1) and
+    ``round`` is the BSP round the phase ran in (round loops count from 1;
+    a phase outside any round - initialization, an outer loop's own steps
+    such as a warm-up - carries the last round begun, 0 before the first)
+    and
     ``operator`` names the operator or collective that opened the phase -
     together they let traces and profiles attribute modeled time.
     """

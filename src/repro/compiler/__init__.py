@@ -16,8 +16,9 @@ control-flow graph, computes dominator and post-dominator trees, and then:
   (operators whose reads are all active-node/neighbor keys pin mirrors and
   broadcast instead of requesting).
 
-The output :class:`~repro.compiler.compile.CompiledLoop` is executed by the
-IR interpreter in :mod:`repro.compiler.interp` on the simulated cluster.
+The output :class:`~repro.compiler.compile.CompiledLoop` is lowered onto
+an operator plan by :func:`~repro.compiler.interp.build_plan` and run by
+the plan executor, its bodies by the IR interpreter.
 Compiling with ``optimize=False`` gives the NO-OPT arm of Figure 12.
 """
 
@@ -41,7 +42,7 @@ from repro.compiler.ir import (
 )
 from repro.compiler.analysis import OperatorAnalysis, analyze_operator
 from repro.compiler.compile import CompiledLoop, compile_program
-from repro.compiler.interp import run_compiled
+from repro.compiler.interp import build_plan
 from repro.compiler.parser import ParseError, parse_program, to_source
 
 __all__ = [
@@ -65,7 +66,7 @@ __all__ = [
     "analyze_operator",
     "CompiledLoop",
     "compile_program",
-    "run_compiled",
+    "build_plan",
     "ParseError",
     "parse_program",
     "to_source",

@@ -1,12 +1,15 @@
 """Compiled applications: Figure 4 programs run through the full pipeline.
 
-Each function compiles its DSL operators and drives them like the paper's
-generated code (Figure 8): each KimbapWhile is a compiled BSP loop, and
-operators the paper composes into one outer loop (CC-SCLP's propagate +
-shortcut, MIS's blocked/select/exclude, PageRank's push/rebuild) are one
-plan whose round runs them in sequence, with host steps for the scalar
-code between them. ``optimize=False`` produces the NO-OPT arms of
-Figure 12. Like the hand-written apps, they take ``executor=``.
+Each function compiles its DSL operators and lowers them with
+:func:`~repro.compiler.interp.build_plan` into one plan shaped like the
+paper's generated code (Figure 8): each KimbapWhile is a round loop that
+pins the mirrors its compilation pinned; operators the paper composes
+into one loop (CC-SCLP's propagate + shortcut, MIS's
+blocked/select/exclude, PageRank's push/rebuild) run in sequence each
+round, with host steps for the scalar code between them; and CC-SV's
+hook/shortcut do-while is an outer loop over two round loops.
+``optimize=False`` produces the NO-OPT arms of Figure 12. Like the
+hand-written apps, they take ``executor=``.
 
 These return the same :class:`~repro.algorithms.common.AlgorithmResult` as
 the hand-written kernels, and tests assert both paths agree exactly.
@@ -22,7 +25,7 @@ from repro.algorithms.common import AlgorithmResult, left_sum, resolve_executor
 from repro.algorithms.mis import _hash_priority
 from repro.cluster.cluster import Cluster
 from repro.compiler.compile import compile_program
-from repro.compiler.interp import build_plan, run_compiled
+from repro.compiler.interp import build_plan
 from repro.compiler.programs import (
     IN_SET,
     UNDECIDED,
@@ -41,7 +44,7 @@ from repro.compiler.programs import (
 from repro.core.bool_reducer import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.variants import RuntimeVariant
-from repro.exec import Executor, HostStep, ResetStep
+from repro.exec import Executor, HostStep, Plan, ResetStep, Until
 from repro.partition.base import PartitionedGraph
 
 
@@ -61,19 +64,20 @@ def compiled_cc_sv(
     work_done = BoolReducer(cluster, "work_done")
     maps = {"parent": parent}
     reducers = {"work_done": work_done}
-    total_rounds = 0
-    while True:
-        work_done.set_all(False)
-        total_rounds += run_compiled(
-            hook, cluster, pgraph, maps, reducers, executor=executor
-        )
-        work_done.sync()
-        total_rounds += run_compiled(
-            shortcut, cluster, pgraph, maps, reducers, executor=executor
-        )
-        if not work_done.read():
-            break
-    return AlgorithmResult(name="CC-SV", values=parent.snapshot(), rounds=total_rounds)
+    plan = Plan(
+        name="compiled:CC-SV",
+        pgraph=pgraph,
+        steps=[
+            HostStep("work_done:reset", lambda: work_done.set_all(False)),
+            build_plan(hook, pgraph, maps, reducers),
+            HostStep("work_done:sync", work_done.sync),
+            build_plan(shortcut, pgraph, maps, reducers),
+            Until(lambda: not work_done.read()),
+        ],
+        loop_label="compiled:CC-SV",
+    )
+    rounds = executor.run(plan)
+    return AlgorithmResult(name="CC-SV", values=parent.snapshot(), rounds=rounds)
 
 
 def compiled_cc_lp(
@@ -87,7 +91,7 @@ def compiled_cc_lp(
     loop = compile_program(cc_lp_program(), optimize=optimize)
     label = NodePropMap(cluster, pgraph, "label", variant=variant)
     label.set_initial(lambda node: node)
-    rounds = run_compiled(loop, cluster, pgraph, {"label": label}, executor=executor)
+    rounds = executor.run(build_plan(loop, pgraph, {"label": label}))
     return AlgorithmResult(name="CC-LP", values=label.snapshot(), rounds=rounds)
 
 
@@ -103,14 +107,9 @@ def compiled_cc_sclp(
     shortcut = compile_program(cc_sclp_shortcut(), optimize=optimize)
     label = NodePropMap(cluster, pgraph, "label", variant=variant)
     label.set_initial(lambda node: node)
-    maps = {"label": label}
     # One interleaved quiescence loop over both operators, as in the
-    # hand-written kernel: pin once around the whole loop.
-    for map_name, invariant in propagate.pinned.items():
-        maps[map_name].pin_mirrors(invariant=invariant)
-    rounds = executor.run(build_plan((propagate, shortcut), pgraph, maps))
-    for map_name in propagate.pinned:
-        maps[map_name].unpin_mirrors()
+    # hand-written kernel: pinned once around the whole loop.
+    rounds = executor.run(build_plan((propagate, shortcut), pgraph, {"label": label}))
     return AlgorithmResult(name="CC-SCLP", values=label.snapshot(), rounds=rounds)
 
 
@@ -133,11 +132,6 @@ def compiled_mis(
     priority.set_initial(lambda node: (_hash_priority(node), node))
     blocked.set_initial(lambda node: -1)
     maps = {"state": state, "priority": priority, "blocked": blocked}
-    pins: dict[str, str] = {}
-    for loop in (blocked_loop, select_loop, exclude_loop):
-        pins.update(loop.pinned)
-    for map_name, invariant in pins.items():
-        maps[map_name].pin_mirrors(invariant=invariant)
     # ``round`` stamps ``blocked``. Like the hand-written twin's counter it
     # is not part of the recovery snapshot: stamps are monotone, so stale
     # stamps from before a crash never equal a replayed round's fresh one.
@@ -154,8 +148,6 @@ def compiled_mis(
         quiesce=(state,),
     )
     rounds = executor.run(plan)
-    for map_name in pins:
-        maps[map_name].unpin_mirrors()
     values = state.snapshot()
     return AlgorithmResult(
         name="MIS",
@@ -196,13 +188,12 @@ def compiled_pagerank(
     rank.set_initial(lambda node: 1.0 / num_nodes)
     contribution.set_initial(lambda node: 0.0)
     maps = {"degree": degree, "rank": rank, "contribution": contribution}
-    executor.run(build_plan(degree_loop, pgraph, maps, once=True))
-    degrees = degree.snapshot_array()
+    degrees = None  # the global out-degrees, once the warm-up has run
 
-    # Pin after the degree warm-up so the push loop's mirrors (rank and the
-    # now-final degrees) start from reduced values.
-    for map_name, invariant in push_loop.pinned.items():
-        maps[map_name].pin_mirrors(invariant=invariant)
+    def take_degrees() -> None:
+        nonlocal degrees
+        degrees = degree.snapshot_array()
+
     base = (1.0 - damping) / num_nodes
     # The operators' extern constants (damping, uniform) and the loop's
     # host state share one dict, snapshotted for crash recovery.
@@ -221,7 +212,9 @@ def compiled_pagerank(
         state["delta"] = left_sum(np.abs(current - state["previous"]))
         state["previous"] = current
 
-    plan = build_plan(
+    # The loop pins after the degree warm-up, so the push loop's mirrors
+    # (rank and the now-final degrees) start from reduced values.
+    loop = build_plan(
         (
             ResetStep(contribution, lambda node: 0.0, elementwise=True),
             push_loop,
@@ -240,9 +233,14 @@ def compiled_pagerank(
         extra_snapshot=lambda: dict(state),
         extra_restore=state.update,
     )
-    rounds = executor.run(plan)
-    for map_name in push_loop.pinned:
-        maps[map_name].unpin_mirrors()
+    rounds = executor.run(
+        build_plan(
+            (degree_loop, HostStep("pr:degrees", take_degrees), loop),
+            pgraph,
+            maps,
+            name="compiled:PR",
+        )
+    )
     values = rank.snapshot()
     return AlgorithmResult(
         name="PR",

@@ -85,23 +85,19 @@ def immediate_post_dominators(cfg: CFG) -> dict[int, int]:
 def dominates(idom: dict[int, int], a: int, b: int) -> bool:
     """Does ``a`` dominate ``b``? (every node dominates itself)"""
     node = b
-    while True:
-        if node == a:
-            return True
+    while node != a:
         parent = idom.get(node)
         if parent is None or parent == node:
             return False
         node = parent
+    return True
 
 
 def dominators_of(idom: dict[int, int], node: int) -> list[int]:
     """All dominators of ``node``, nearest first (excluding node itself)."""
     chain = []
-    current = node
-    while True:
-        parent = idom.get(current)
-        if parent is None or parent == current:
-            break
+    parent = idom.get(node)
+    while parent is not None and parent != node:
         chain.append(parent)
-        current = parent
+        node, parent = parent, idom.get(parent)
     return chain

@@ -43,7 +43,6 @@ from repro.compiler.ir import walk
 from repro.core.bool_reducer import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.exec import (
-    Executor,
     Operator,
     OperatorContext,
     OperatorStep,
@@ -252,15 +251,17 @@ def build_plan(
     """Lower a compiled program onto the operator-plan layer; ``props``
     binds the program's map names.
 
-    ``program`` is one compiled loop, or a round's sequence of compiled
-    loops with plan steps (host steps, resets) between them - the way the
-    paper's generated code composes several KimbapWhile operators into one
-    outer loop. All loops share one interpreter, so a host step that
-    rebinds an ``extern`` constant is seen by every later operator.
-    ``fields`` are further :class:`Plan` fields (``once``, ``max_rounds``,
-    ``quiesce``, ``converged``, ...); by default the plan quiesces on its
-    loops' quiesce maps. This is what gives compiled programs the same
-    metering/trace/fault semantics as the hand-written algorithm plans.
+    ``program`` is one compiled loop, or a sequence of compiled loops with
+    plan steps (host steps, resets, sub-plans, ``Until``) between them -
+    the way the paper's generated code composes several KimbapWhile
+    operators into one loop. All loops share one interpreter, so a host
+    step that rebinds an ``extern`` constant is seen by every later
+    operator. ``fields`` are further :class:`Plan` fields (``name``,
+    ``max_rounds``, ``quiesce``, ``converged``, ``pins``, ...); by default
+    the plan quiesces on its loops' quiesce maps and pins the mirrors
+    their compilation pinned. This is what gives compiled programs the
+    same metering/trace/fault semantics as the hand-written algorithm
+    plans.
     """
     if isinstance(program, CompiledLoop):
         program = (program,)
@@ -272,41 +273,14 @@ def build_plan(
             steps.extend(_loop_steps(item, interp, props))
         else:
             steps.append(item)
-    name = "compiled:" + "+".join(loop.name for loop in loops)
+    fields.setdefault("name", "compiled:" + "+".join(loop.name for loop in loops))
     fields.setdefault(
         "quiesce",
         tuple(dict.fromkeys(props[m] for loop in loops for m in loop.quiesce_maps)),
     )
-    fields.setdefault("loop_label", name)
-    return Plan(name=name, pgraph=pgraph, steps=steps, **fields)
-
-
-def run_compiled(
-    loop: CompiledLoop,
-    cluster: Cluster,
-    pgraph: PartitionedGraph,
-    maps: Mapping[str, NodePropMap],
-    reducers: Mapping[str, BoolReducer] | None = None,
-    extern: dict[str, Any] | None = None,
-    manage_pins: bool = True,
-    max_rounds: int = 100000,
-    executor: Executor | None = None,
-) -> int:
-    """Run a compiled loop to quiescence; returns the number of BSP rounds.
-
-    Quiescence, round advancement, checkpoint/recovery, and non-quiescence
-    handling (``NonQuiescenceError``, a ``RuntimeError`` subclass) all come
-    from the shared plan executor.
-    """
-    if executor is None:
-        executor = Executor(cluster)
-    if manage_pins:
-        for map_name, invariant in loop.pinned.items():
-            maps[map_name].pin_mirrors(invariant=invariant)
-    rounds = executor.run(
-        build_plan(loop, pgraph, maps, reducers, extern, max_rounds=max_rounds)
+    fields.setdefault(
+        "pins",
+        {props[m]: inv for loop in loops for m, inv in loop.pinned.items()},
     )
-    if manage_pins:
-        for map_name in loop.pinned:
-            maps[map_name].unpin_mirrors()
-    return rounds
+    fields.setdefault("loop_label", fields["name"])
+    return Plan(pgraph=pgraph, steps=steps, **fields)

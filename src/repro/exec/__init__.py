@@ -1,7 +1,8 @@
 """repro.exec: the unified operator-plan execution layer.
 
 Algorithms are written once as declarative :class:`Plan` objects
-(operator specs + a loop/convergence condition); a single :class:`Executor`
+(operator specs + a loop/convergence condition, loops nesting as
+sub-plans); a single :class:`Executor`
 dispatches each plan to the scalar reference backend or the compiled
 bulk backend with byte-identical metrics, and hosts the shared
 checkpoint/recovery and trace/profile wiring. The code generation stage
@@ -47,10 +48,12 @@ from repro.exec.plan import (
     ResidualDecl,
     ScalarKernel,
     SyncStep,
+    Until,
     filter_summary,
     format_plan_summary,
     operator_summary,
     plan_summary,
+    walk_plans,
 )
 
 __all__ = [
@@ -88,7 +91,9 @@ __all__ = [
     "ResetStep",
     "ScalarKernel",
     "SyncStep",
+    "Until",
     "format_plan_summary",
     "operator_summary",
     "plan_summary",
+    "walk_plans",
 ]

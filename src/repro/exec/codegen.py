@@ -73,16 +73,19 @@ from repro.exec.plan import (
     ResetStep,
     ScalarKernel,
     SyncStep,
+    Until,
     apply_value_filter,
 )
 from repro.partition.base import LocalPartition, PartitionedGraph
 
-# Compiled-entry tags (repro.exec.executor.run_round's closed dispatch set):
-# a compute phase, a sync collective, and a prebound zero-argument callable
-# (reset / host steps).
+# Compiled-entry tags: a compute phase and a prebound zero-argument
+# callable (sync collective / reset / host step) - the closed dispatch set
+# of repro.exec.executor.run_entry - plus, in outer loops only, a sub-plan
+# and an Until predicate, which the engine's outer loop handles itself.
 ENTRY_OPERATOR = 0
-ENTRY_SYNC = 1
-ENTRY_EXEC = 2
+ENTRY_EXEC = 1
+ENTRY_PLAN = 2
+ENTRY_UNTIL = 3
 
 
 # ------------------------------------------------------- specialized kernels
@@ -599,11 +602,18 @@ def compile_plan(executor, plan: Plan) -> CompiledPlan:
                 (ENTRY_OPERATOR, _compile_operator(executor, step.operator))
             )
         elif isinstance(step, SyncStep):
-            entries.append((ENTRY_SYNC, step))
+            # Every process of a jobs=N run replays every collective whole;
+            # the pool only ever exchanges compute effects.
+            entries.append((ENTRY_EXEC, getattr(step.map, f"{step.action}_sync")))
         elif isinstance(step, ResetStep):
             entries.append((ENTRY_EXEC, _compile_reset(executor, step)))
         elif isinstance(step, HostStep):
             entries.append((ENTRY_EXEC, step.fn))
+        elif isinstance(step, Plan):
+            # Compiled on its own when the engine first drives it.
+            entries.append((ENTRY_PLAN, step))
+        elif isinstance(step, Until):
+            entries.append((ENTRY_UNTIL, step.predicate))
         else:  # pragma: no cover - the step union is closed
             raise TypeError(f"unknown plan step {step!r}")
     return CompiledPlan(plan, entries)
@@ -611,8 +621,9 @@ def compile_plan(executor, plan: Plan) -> CompiledPlan:
 
 __all__ = [
     "ENTRY_OPERATOR",
-    "ENTRY_SYNC",
     "ENTRY_EXEC",
+    "ENTRY_PLAN",
+    "ENTRY_UNTIL",
     "CompiledOperator",
     "CompiledPlan",
     "OperatorContext",

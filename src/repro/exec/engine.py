@@ -32,13 +32,14 @@ reports updates-to-convergence and modeled seconds side by side.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from repro.cluster.metrics import PhaseKind
 from repro.core.propmap import KEY_BYTES
 from repro.core.reducers import MIN
+from repro.exec.codegen import ENTRY_PLAN, ENTRY_UNTIL
 from repro.exec.plan import (
     CmpFilter,
     EdgePush,
@@ -47,6 +48,7 @@ from repro.exec.plan import (
     Plan,
     ResidualDecl,
     apply_value_filter,
+    walk_plans,
 )
 from repro.faults.checkpoint import CheckpointManager
 
@@ -59,11 +61,12 @@ class UnsupportedPlanError(ValueError):
 
 
 class NonQuiescenceError(RuntimeError):
-    """A quiescence loop hit its round cap without converging.
+    """A loop hit its ``max_rounds`` cap without converging.
 
-    Carries the rounds executed and the names of the maps that kept
-    updating, so ``eval.harness`` can record the failure as a structured
-    run outcome (like the paper's OOM cells) instead of crashing.
+    Carries the rounds (an outer loop's: iterations) executed and the
+    names of the maps that kept updating, so ``eval.harness`` can record
+    the failure as a structured run outcome (like the paper's OOM cells)
+    instead of crashing.
     """
 
     def __init__(self, rounds: int, map_names: Sequence[str], loop: str = "KimbapWhile") -> None:
@@ -76,14 +79,20 @@ class NonQuiescenceError(RuntimeError):
         self.loop = loop
 
 
+def _stuck(plan: Plan, rounds: int) -> NonQuiescenceError:
+    names = [prop.name for prop in plan.quiesce or plan.maps]
+    return NonQuiescenceError(rounds, names, loop=plan.loop_label)
+
+
 class Engine:
     """The drive-loop interface: schedules a plan's kernels to completion.
 
     Engines borrow everything stateful from their executor (cluster, pool,
     compiled plans); they own only control flow. ``run`` executes a whole
-    plan and returns completed rounds (0 for ``once`` plans); ``drive`` is
-    the loop body re-entry point the host-shard pool uses to replay a plan
-    on worker processes.
+    plan and returns its completed rounds; ``drive`` runs one plan of the
+    tree under its pins - an outer loop here, recursing through ``drive``
+    into its sub-plans, a round loop in the engine's ``_round_loop`` - and
+    is what host-shard pool workers replay.
     """
 
     name = "?"
@@ -95,7 +104,37 @@ class Engine:
         raise NotImplementedError
 
     def drive(self, plan: Plan) -> int:
-        raise NotImplementedError
+        for prop, invariant in plan.pins.items():
+            prop.pin_mirrors(invariant=invariant)
+        try:
+            if plan.is_outer:
+                return self._outer_loop(plan)
+            return self._round_loop(plan)
+        finally:
+            for prop in plan.pins:
+                prop.unpin_mirrors()
+
+    def _outer_loop(self, plan: Plan) -> int:
+        """Iterate an outer loop's steps until an ``Until`` fires (once
+        when it has none). Iterations are not rounds: no round counter,
+        checkpoint or crash poll - only sub-plans' rounds count, and each
+        sub-plan's own loop takes its checkpoints."""
+        executor = self.executor
+        entries = executor.compiled(plan).entries
+        loops = any(tag == ENTRY_UNTIL for tag, _ in entries)
+        rounds = 0
+        for _ in range(plan.max_rounds if loops else 1):
+            for tag, payload in entries:
+                if tag == ENTRY_PLAN:
+                    rounds += self.drive(payload)
+                elif tag == ENTRY_UNTIL:
+                    if payload():
+                        return rounds
+                else:
+                    executor.run_entry(plan.pgraph, tag, payload)
+        if loops and plan.raise_on_max_rounds:
+            raise _stuck(plan, plan.max_rounds)
+        return rounds
 
 
 class BSPEngine(Engine):
@@ -108,7 +147,7 @@ class BSPEngine(Engine):
     name = "bsp"
 
     def run(self, plan: Plan) -> int:
-        """Execute a plan; returns completed rounds (0 for ``once`` plans)."""
+        """Execute a whole plan tree; returns its completed rounds."""
         executor = self.executor
         pool = executor._ensure_pool(plan)
         # pool.active means this is a nested run launched from a HostStep
@@ -129,8 +168,8 @@ class BSPEngine(Engine):
                 pool.end_run(failed)
         return self.drive(plan)
 
-    def drive(self, plan: Plan) -> int:
-        """The plan loop proper, replayed identically by every process of
+    def _round_loop(self, plan: Plan) -> int:
+        """The round loop proper, replayed identically by every process of
         a parallel run (the pool endpoint decides shard vs replicated work
         per phase inside ``Executor._run_compiled_operator``).
 
@@ -147,12 +186,9 @@ class BSPEngine(Engine):
         plus the captured extra state, so recovered values equal the
         fault-free ones.
         """
-        executor = self.executor
-        if plan.once:
-            executor.run_round(plan)
-            return 0
         if plan.max_rounds <= 0:
             return 0
+        executor = self.executor
         cluster = executor.cluster
         quiesce = tuple(plan.quiesce)
         maps = tuple(plan.maps) if plan.maps else quiesce
@@ -170,7 +206,7 @@ class BSPEngine(Engine):
             )
             manager.take(0)
         rounds = 0
-        while True:
+        while rounds < plan.max_rounds:
             for prop in quiesce:
                 prop.reset_updated()
             cluster.advance_round()
@@ -187,13 +223,11 @@ class BSPEngine(Engine):
                 return rounds
             if plan.converged is not None and plan.converged():
                 return rounds
-            if rounds >= plan.max_rounds:
-                if plan.raise_on_max_rounds:
-                    names = [prop.name for prop in quiesce or maps]
-                    raise NonQuiescenceError(rounds, names, loop=plan.loop_label)
-                return rounds
-            if manager is not None and manager.due(rounds):
+            if rounds < plan.max_rounds and manager is not None and manager.due(rounds):
                 manager.take(rounds)
+        if plan.raise_on_max_rounds:
+            raise _stuck(plan, rounds)
+        return rounds
 
 
 class AsyncEngine(Engine):
@@ -212,11 +246,11 @@ class AsyncEngine(Engine):
     chunk loop stays a scalar loop and meters per chunk, not per edge
     (:class:`_ChunkSchedule`).
 
-    ``once`` plans (warm-ups) delegate to the BSP engine unchanged; loop
-    plans must carry a
-    :class:`~repro.exec.plan.ResidualDecl` on their ``EdgePush`` kernel,
+    An outer loop's own steps (a warm-up, say) run as BSP does; each round
+    loop of the plan must carry a
+    :class:`~repro.exec.plan.ResidualDecl` on its ``EdgePush`` kernel,
     and a monotone one must reduce with ``MIN``, which the relax loop
-    applies inline.
+    applies inline. :meth:`run` refuses a plan before any step runs.
     """
 
     name = "async"
@@ -226,7 +260,6 @@ class AsyncEngine(Engine):
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         self.chunk_size = int(chunk_size)
-        self._bsp = BSPEngine(executor)
         # Updates-to-convergence instrumentation for the engine-comparison
         # bench: node applies (processed pops) and chunks of the last run.
         self.last_updates = 0
@@ -235,15 +268,19 @@ class AsyncEngine(Engine):
     # ------------------------------------------------------------ dispatch
 
     def run(self, plan: Plan) -> int:
-        if plan.once:
-            # Warm-ups are one-shot BSP phase sequences; there is no loop
-            # for the async scheduler to own.
-            return self._bsp.run(plan)
         if self.executor.cluster.faults is not None:
             raise UnsupportedPlanError(
                 "the async engine does not run under fault injection; "
                 "checkpoint/recovery is round-structured (use engine='bsp')"
             )
+        for loop in walk_plans(plan):
+            if not loop.is_outer:
+                self._scheduled(loop)
+        return self.drive(plan)
+
+    def _scheduled(self, plan: Plan) -> tuple[Operator, ResidualDecl, Any]:
+        """The residual operator, its declaration and the value map of a
+        round loop the async scheduler can run; refuses any other."""
         operator = self._residual_operator(plan)
         decl = operator.kernel.residual
         value_map = decl.value if decl.value is not None else operator.kernel.target
@@ -257,16 +294,16 @@ class AsyncEngine(Engine):
                 f"monotone async execution relaxes with MIN; plan "
                 f"{plan.name!r} reduces with {operator.kernel.op.name!r}"
             )
+        return operator, decl, value_map
+
+    def _round_loop(self, plan: Plan) -> int:
+        operator, decl, value_map = self._scheduled(plan)
         chunk = _ChunkSchedule(self, plan, operator.label, value_map)
         if decl.mode == "monotone":
             values = self._run_monotone(chunk, operator.kernel)
         else:
             values = self._run_accumulate(chunk, operator.kernel, decl)
         return self._finish(chunk, value_map, values)
-
-    def drive(self, plan: Plan) -> int:
-        # Worker replay is a BSP-pool concern; the async engine never forks.
-        return self._bsp.drive(plan)
 
     def _residual_operator(self, plan: Plan) -> Operator:
         for step in plan.steps:
@@ -426,13 +463,11 @@ class AsyncEngine(Engine):
         uniform, dangling_scale = decl.dangling == "uniform", decl.dangling_scale
         push = heapq.heappush
         pool_mass = 0.0
-        while True:
-            nodes = chunk.pop()
+        nodes = chunk.pop()
+        while nodes or (uniform and not pool_mass < decl.tolerance):
             if not nodes:
-                # Queue drained: flush the dangling pool uniformly if it
+                # Queue drained: flush the dangling pool uniformly while it
                 # still carries meaningful mass, else converge.
-                if not uniform or pool_mass < decl.tolerance:
-                    break
                 with chunk.phase():
                     share = pool_mass / max(num_nodes, 1)
                     pool_mass = 0.0
@@ -444,6 +479,7 @@ class AsyncEngine(Engine):
                         if mass > threshold and mass > priority[node]:
                             priority[node] = mass
                             push(heap, (-mass, node))
+                nodes = chunk.pop()
                 continue
             with chunk.phase():
                 for u in nodes:
@@ -480,6 +516,7 @@ class AsyncEngine(Engine):
                         if grown > threshold and grown > priority[dst]:
                             priority[dst] = grown
                             push(heap, (-grown, dst))
+            nodes = chunk.pop()
         return np.array(values, dtype=np.float64)
 
 

@@ -51,13 +51,12 @@ from repro.core.propmap import NodePropMap
 from repro.core.reducers import SUM
 from repro.exec.codegen import (
     ENTRY_OPERATOR,
-    ENTRY_SYNC,
     CompiledOperator,
     CompiledPlan,
     OperatorContext,
     compile_plan,
 )
-from repro.exec.engine import BSPEngine, UnsupportedPlanError, make_engine
+from repro.exec.engine import UnsupportedPlanError, make_engine
 from repro.exec.plan import (
     DegreeReduce,
     EdgePush,
@@ -113,9 +112,8 @@ class Executor:
         self._pool: HostShardPool | None = None
         # The drive loop lives in the engine layer (repro.exec.engine);
         # "bsp" is the byte-identity oracle, "async" the barrier-free
-        # priority/delta scheduler. Pool workers always replay the BSP
-        # loop (see _drive), so the async engine excludes jobs>1.
-        self._bsp_engine = BSPEngine(self)
+        # priority/delta scheduler. Pool workers replay the BSP loop, so
+        # the async engine excludes jobs>1.
         self.engine = make_engine(self, engine)
         if self.engine.name != "bsp" and self.jobs > 1:
             raise UnsupportedPlanError(
@@ -145,11 +143,13 @@ class Executor:
     # -------------------------------------------------------- loop driver
 
     def run(self, plan: Plan) -> int:
-        """Execute a plan; returns completed rounds (0 for ``once`` plans).
+        """Execute a plan; returns its completed BSP rounds (an outer
+        loop's are its sub-plans' rounds, summed).
 
         The engine owns the drive loop (round/chunk scheduling,
-        convergence, quiesce, checkpoint hooks); the executor stays the
-        kernel-dispatch surface the engine calls back into."""
+        convergence, quiesce, checkpoint hooks, sub-plans, pins); the
+        executor stays the kernel-dispatch surface the engine calls back
+        into."""
         if self.observer is not None:
             self.observer(plan)
         return self.engine.run(plan)
@@ -188,14 +188,6 @@ class Executor:
         and the supervisor's death and diagnostic counts."""
         return None if self._pool is None else self._pool.stats()
 
-    def _drive(self, plan: Plan) -> int:
-        """The BSP plan loop, replayed identically by every process of a
-        parallel run (the pool endpoint decides shard vs replicated work
-        per phase inside :meth:`_run_compiled_operator`). Pool workers call
-        this directly - worker replay is a BSP-loop concept, so this always
-        drives through the BSP engine regardless of the selected engine."""
-        return self._bsp_engine.drive(plan)
-
     def compiled(self, plan: Plan) -> CompiledPlan:
         """The cached compiled form of ``plan`` for this binding."""
         cached = self._compiled_plans.get(id(plan))
@@ -205,20 +197,16 @@ class Executor:
 
     def run_round(self, plan: Plan) -> None:
         """One pass over the plan's compiled entries (one BSP round)."""
+        pgraph = plan.pgraph
         for tag, payload in self.compiled(plan).entries:
-            if tag == ENTRY_OPERATOR:
-                self._run_compiled_operator(plan.pgraph, payload)
-            elif tag == ENTRY_SYNC:
-                # Every process of a jobs=N run replays every collective
-                # whole; the pool only ever exchanges compute effects.
-                if payload.action == "request":
-                    payload.map.request_sync()
-                elif payload.action == "reduce":
-                    payload.map.reduce_sync()
-                else:
-                    payload.map.broadcast_sync()
-            else:  # ENTRY_EXEC: a prebound reset or host callable
-                payload()
+            self.run_entry(pgraph, tag, payload)
+
+    def run_entry(self, pgraph, tag: int, payload) -> None:
+        """Run one compiled leaf step: a round's, or an outer loop's."""
+        if tag == ENTRY_OPERATOR:
+            self._run_compiled_operator(pgraph, payload)
+        else:  # ENTRY_EXEC: a prebound sync, reset or host callable
+            payload()
 
     # --------------------------------------------------- kernel dispatch
 

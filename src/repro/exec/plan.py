@@ -1,7 +1,7 @@
 """Operator plans: the declarative algorithm specification layer.
 
-A plan describes one BSP round of an algorithm as data - a sequence of
-steps (operators, sync collectives, map resets, host-side scalar code)
+A plan describes an algorithm as data - a sequence of steps (operators,
+sync collectives, map resets, host-side scalar code, nested sub-plans)
 plus the loop/convergence driver - so a single
 :class:`repro.exec.executor.Executor` can run it on either the scalar
 reference backend (``par_for``) or the compiled bulk backend
@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 import operator as _operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Sequence, Union
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from repro.partition.base import PartitionedGraph
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.codegen import OperatorContext
 
-PLAN_SCHEMA = "repro-exec-plan/v1.2"
+PLAN_SCHEMA = "repro-exec-plan/v1.3"
 
 
 # ------------------------------------------------------------- filter specs
@@ -57,8 +57,8 @@ PLAN_SCHEMA = "repro-exec-plan/v1.2"
 # Declarative predicates for EdgePush. A plain callable remains a legal
 # value/edge filter, but it is opaque: the plan cannot serialize it
 # (``repro plan --json`` reports a refusal). The spec forms below are
-# data - an operator name plus operands - so they serialize under schema
-# v1.2. Each spec is itself callable with the legacy filter signature, so
+# data - an operator name plus operands - so they serialize (since schema
+# v1.2). Each spec is itself callable with the legacy filter signature, so
 # the scalar oracle, the compiled kernel
 # (repro.exec.codegen.PreparedFrontierPush), and the async engine run the
 # exact same predicate without knowing it is declarative.
@@ -597,7 +597,15 @@ class HostStep:
     fn: Callable[[], None]
 
 
-Step = Union[OperatorStep, SyncStep, ResetStep, HostStep]
+@dataclass
+class Until:
+    """An outer loop's exit test: when ``predicate()`` holds the loop ends
+    here, skipping the rest of the iteration (a do-while's ``break``)."""
+
+    predicate: Callable[[], bool]
+
+
+Step = Union[OperatorStep, SyncStep, ResetStep, HostStep, Until, "Plan"]
 
 
 # -------------------------------------------------------------------- plans
@@ -605,15 +613,19 @@ Step = Union[OperatorStep, SyncStep, ResetStep, HostStep]
 
 @dataclass
 class Plan:
-    """An algorithm loop (or one-shot phase group) as data.
+    """An algorithm loop as data; loops nest.
 
-    ``steps`` is one BSP round, and every round advances the cluster's
-    round counter. The engine (:meth:`repro.exec.engine.BSPEngine.drive`)
-    runs rounds until quiescence over ``quiesce`` maps and/or a custom
-    ``converged`` predicate, with checkpoint/recovery over ``maps``
-    (defaults to ``quiesce``) plus optional ``extra_snapshot`` /
-    ``extra_restore`` for loop-private host state. ``once`` plans execute
-    their steps exactly one time, outside any round (warm-ups).
+    Without sub-plans, ``steps`` is one BSP round and every round advances
+    the cluster's round counter. The engine
+    (:meth:`repro.exec.engine.BSPEngine.drive`) runs rounds until
+    quiescence over ``quiesce`` maps and/or a custom ``converged``
+    predicate, with checkpoint/recovery over ``maps`` (defaults to
+    ``quiesce``) plus optional ``extra_snapshot`` / ``extra_restore`` for
+    loop-private host state. A plan with a sub-plan among its ``steps`` is
+    an outer loop instead: its iterations are not rounds, and an
+    :class:`Until` step ends it (without one it runs once, like a
+    warm-up). ``pins`` maps each map whose mirrors the engine pins at plan
+    entry (before the entry checkpoint) to its invariant.
     """
 
     name: str
@@ -623,11 +635,28 @@ class Plan:
     converged: Callable[[], bool] | None = None
     maps: Sequence[NodePropMap] = ()
     max_rounds: int = 100000
-    once: bool = False
     raise_on_max_rounds: bool = True
     loop_label: str = "KimbapWhile"
     extra_snapshot: Callable[[], object] | None = None
     extra_restore: Callable[[object], None] | None = None
+    pins: Mapping[NodePropMap, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.is_outer and any(isinstance(step, Until) for step in self.steps):
+            raise ValueError(f"plan {self.name!r}: Until ends an outer loop only")
+
+    @property
+    def is_outer(self) -> bool:
+        """Does this plan nest sub-plans (an outer loop, not rounds)?"""
+        return any(isinstance(step, Plan) for step in self.steps)
+
+
+def walk_plans(plan: Plan) -> Iterator[Plan]:
+    """``plan`` and every plan nested in it, outermost first."""
+    yield plan
+    for step in plan.steps:
+        if isinstance(step, Plan):
+            yield from walk_plans(step)
 
 
 # ------------------------------------------------------------- introspection
@@ -676,35 +705,47 @@ def _step_summary(step: Step) -> dict:
         return {"step": "sync", "map": step.map.name, "action": step.action}
     if isinstance(step, ResetStep):
         return {"step": "reset", "map": step.map.name}
+    if isinstance(step, Plan):
+        return {"step": "plan", **plan_summary(step)}
+    if isinstance(step, Until):
+        return {"step": "until"}
     return {"step": "host", "label": step.label}
 
 
 def plan_summary(plan: Plan) -> dict:
-    """Machine-readable description of a whole plan."""
-    if plan.once:
-        condition = "once"
+    """Machine-readable description of a whole plan, sub-plans nested in
+    their ``"plan"`` steps. An outer plan that runs once has no ``loop``."""
+    summary: dict = {"name": plan.name}
+    if plan.is_outer:
+        if any(isinstance(step, Until) for step in plan.steps):
+            summary["loop"] = "until"
     elif plan.quiesce and plan.converged is not None:
-        condition = "quiescence+custom"
+        summary["loop"] = "quiescence+custom"
     elif plan.quiesce:
-        condition = "quiescence"
+        summary["loop"] = "quiescence"
     else:
-        condition = "custom"
-    summary = {
-        "name": plan.name,
-        "loop": condition,
-        "steps": [_step_summary(step) for step in plan.steps],
-    }
-    if not plan.once:
+        summary["loop"] = "custom"
+    summary["steps"] = [_step_summary(step) for step in plan.steps]
+    if not plan.is_outer:
         summary["quiesce"] = [prop.name for prop in plan.quiesce]
+    if "loop" in summary:
         summary["max_rounds"] = plan.max_rounds
+    if plan.pins:
+        summary["pins"] = {prop.name: invariant for prop, invariant in plan.pins.items()}
     return summary
 
 
-def format_plan_summary(summary: dict) -> str:
-    """Render one plan summary as indented text (the ``repro plan`` view)."""
-    lines = [f"plan {summary['name']} [{summary['loop']}]"]
+def format_plan_summary(summary: dict, indent: str = "") -> str:
+    """Render one plan summary as indented text (the ``repro plan`` view);
+    each sub-plan is indented under the plan that runs it."""
+    loop = f" [{summary['loop']}]" if "loop" in summary else ""
+    lines = [f"{indent}plan {summary['name']}{loop}"]
+    indent += "  "
     if summary.get("quiesce"):
-        lines.append(f"  quiesce: {', '.join(summary['quiesce'])}")
+        lines.append(f"{indent}quiesce: {', '.join(summary['quiesce'])}")
+    if summary.get("pins"):
+        pins = ", ".join(f"{name} ({inv})" for name, inv in summary["pins"].items())
+        lines.append(f"{indent}pins: {pins}")
     for step in summary["steps"]:
         if step["step"] == "operator":
             writes = ", ".join(
@@ -712,15 +753,19 @@ def format_plan_summary(summary: dict) -> str:
             )
             reads = ", ".join(step["reads"]) or "-"
             lines.append(
-                f"  operator {step['label']} ({step['form']}, {step['space']}, "
+                f"{indent}operator {step['label']} ({step['form']}, {step['space']}, "
                 f"{step['kind']}) reads: {reads} writes: {writes or '-'}"
             )
         elif step["step"] == "sync":
-            lines.append(f"  sync {step['action']} {step['map']}")
+            lines.append(f"{indent}sync {step['action']} {step['map']}")
         elif step["step"] == "reset":
-            lines.append(f"  reset {step['map']}")
+            lines.append(f"{indent}reset {step['map']}")
+        elif step["step"] == "plan":
+            lines.append(format_plan_summary(step, indent))
+        elif step["step"] == "until":
+            lines.append(f"{indent}until")
         else:
-            lines.append(f"  host {step['label']}")
+            lines.append(f"{indent}host {step['label']}")
     return "\n".join(lines)
 
 
@@ -745,8 +790,10 @@ __all__ = [
     "SyncStep",
     "ResetStep",
     "HostStep",
+    "Until",
     "Step",
     "Plan",
+    "walk_plans",
     "operator_summary",
     "plan_summary",
     "format_plan_summary",

@@ -83,7 +83,7 @@ from repro.cluster.metrics import (
     counters_to_rows,
 )
 from repro.core.reducers import NAMED_REDUCE_OPS, ReduceOp
-from repro.exec.plan import Operator, OperatorStep, Plan, ScalarKernel
+from repro.exec.plan import Operator, OperatorStep, Plan, ScalarKernel, walk_plans
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.executor import Executor
@@ -193,19 +193,18 @@ def _map_table(plan: Plan) -> dict[str, Any]:
         if obj is not None and _effect_carrier(obj):
             table[obj.name] = obj
 
-    for step in plan.steps:
-        if isinstance(step, OperatorStep):
-            kernel = step.operator.kernel
-            for field in dataclasses.fields(kernel):
-                put(getattr(kernel, field.name))
-            for extra in getattr(kernel, "extra_effects", ()):
-                put(extra)
-        else:
-            put(getattr(step, "map", None))
-    for prop in plan.quiesce:
-        put(prop)
-    for prop in plan.maps:
-        put(prop)
+    for loop in walk_plans(plan):
+        for step in loop.steps:
+            if isinstance(step, OperatorStep):
+                kernel = step.operator.kernel
+                for field in dataclasses.fields(kernel):
+                    put(getattr(kernel, field.name))
+                for extra in getattr(kernel, "extra_effects", ()):
+                    put(extra)
+            else:
+                put(getattr(step, "map", None))
+        for prop in (*loop.quiesce, *loop.maps):
+            put(prop)
     return table
 
 
@@ -214,16 +213,23 @@ def _op_table(plan: Plan) -> dict[str, ReduceOp]:
     operator object the plan's kernels carry (covers algorithm-local
     custom reducers like Louvain's pair_sum)."""
     ops = dict(NAMED_REDUCE_OPS)
-    for step in plan.steps:
-        if not isinstance(step, OperatorStep):
-            continue
-        kernel = step.operator.kernel
+    for operator in _operators(plan):
+        kernel = operator.kernel
         op = getattr(kernel, "op", None)
         if op is not None:
             ops[op.name] = op
         for extra in getattr(kernel, "ops", ()):
             ops[extra.name] = extra
     return ops
+
+
+def _operators(plan: Plan):
+    """Every operator of the plan tree: a jobs=N run is one fork per
+    top-level plan, so its decision tables cover the nested loops too."""
+    for loop in walk_plans(plan):
+        for step in loop.steps:
+            if isinstance(step, OperatorStep):
+                yield step.operator
 
 
 def _phase_carriers(
@@ -297,14 +303,11 @@ class HostShardPool:
         self.dead = False
         self.conn = None
         self.workers: list[tuple[Any, Any]] = []
-        # Plan registry: every plan this pool has seen, by object id, with
-        # its decision tables. Workers inherit it at fork time, so the
-        # worker entry names its plan by key.
-        self.registry: dict[int, Plan] = {}
-        self._tables: dict[int, dict[int, list[Any] | None]] = {}
-        self._plan_ops: dict[int, dict[str, ReduceOp]] = {}
-        self._plan_key = id(plan)
-        self.register_plan(plan)
+        # The run's plan tree and its decision tables, which workers
+        # inherit at fork time. Reducers resolvable by name accumulate
+        # over every plan seen: a map can carry one into the next plan.
+        self._ops: dict[str, ReduceOp] = {}
+        self.load_plan(plan)
         # Exchange state.
         self._eor_seen: set[int] = set()
         self._seq = 0
@@ -322,22 +325,18 @@ class HostShardPool:
         for the length of one, and a worker is always inside one."""
         return self.is_worker or bool(self.workers)
 
-    # -- plan registry -----------------------------------------------------
+    # -- the run's plan ----------------------------------------------------
 
-    def register_plan(self, plan: Plan) -> None:
-        key = id(plan)
-        if key in self.registry:
-            return
-        self.registry[key] = plan
+    def load_plan(self, plan: Plan) -> None:
+        """Make ``plan`` the one the next run drives: its carrier table
+        covers every operator of the tree, nested loops included."""
+        self.plan = plan
+        self._ops.update(_op_table(plan))
         by_name = _map_table(plan)
-        ops = _op_table(plan)
-        self._plan_ops[key] = ops
-        table: dict[int, list[Any] | None] = {}
-        for step in plan.steps:
-            if isinstance(step, OperatorStep):
-                table[id(step.operator)] = _phase_carriers(
-                    step.operator, by_name, ops
-                )
+        table: dict[int, list[Any] | None] = {
+            id(operator): _phase_carriers(operator, by_name, self._ops)
+            for operator in _operators(plan)
+        }
         # The key-value-store (RuntimeVariant.MC) invariant: kv-backed
         # phases run REPLICATED on every process, never sharded. KvCas
         # reductions apply immediately against shared server shards -
@@ -356,24 +355,16 @@ class HostShardPool:
                         f"kvstore-backed map {carrier.name!r} in a "
                         "shardable phase: MC phases must stay replicated"
                     )
-        self._tables[key] = table
+        self.table = table
 
-    def has_shardable_phase(self, plan: Plan | None = None) -> bool:
-        key = self._plan_key if plan is None else id(plan)
-        return any(c is not None for c in self._tables[key].values())
+    def has_shardable_phase(self) -> bool:
+        return any(c is not None for c in self.table.values())
 
     def shardable(self, operator: Operator) -> bool:
-        return self._tables[self._plan_key].get(id(operator)) is not None
+        return self.table.get(id(operator)) is not None
 
     def resolve_op(self, map_name: str, op_name: str) -> ReduceOp:
-        op = self._plan_ops[self._plan_key].get(op_name)
-        if op is None:
-            # A map can cross plans (cc_sv's parent map in hook and
-            # shortcut): fall back to any registered plan's table.
-            for table in self._plan_ops.values():
-                if op_name in table:
-                    op = table[op_name]
-                    break
+        op = self._ops.get(op_name)
         if op is None:
             raise RuntimeError(
                 f"reducer {op_name!r} for map {map_name!r} cannot be "
@@ -384,10 +375,10 @@ class HostShardPool:
 
     # -- lifecycle: fork ---------------------------------------------------
 
-    def fork_workers(self, plan: Plan) -> None:
+    def fork_workers(self) -> None:
         """Fork one worker per extra shard; each inherits the coordinator's
-        current state and drives ``plan`` from its start. The only way a
-        worker ever comes to exist.
+        current state and drives the loaded plan from its start. The only
+        way a worker ever comes to exist.
 
         If forking worker ``k`` fails midway, the already-started workers
         are reaped before the error propagates - a partial pool must not
@@ -398,7 +389,7 @@ class HostShardPool:
         pipes = [ctx.Pipe() for _ in self.shards[1:]]
         try:
             for index in range(1, len(self.shards)):
-                process = self._make_process(ctx, index, pipes, id(plan))
+                process = self._make_process(ctx, index, pipes)
                 process.start()
                 self.workers.append((process, pipes[index - 1][0]))
         except BaseException:
@@ -422,12 +413,12 @@ class HostShardPool:
         self.forks += 1
         self.dead = False
 
-    def _make_process(self, ctx, index: int, pipes, plan_key: int):
+    def _make_process(self, ctx, index: int, pipes):
         """One worker process (overridable seam: the fork-failure tests
         inject a factory that fails partway through the group)."""
         return ctx.Process(
             target=_worker_main,
-            args=(self.executor, self, index, pipes, plan_key),
+            args=(self.executor, self, index, pipes),
             daemon=True,
             name=f"repro-host-shard-{index}",
         )
@@ -438,12 +429,11 @@ class HostShardPool:
         """Coordinator run entry: fork this run's worker group. Returns
         False when the plan has no shardable phase (the caller runs it
         serially; nothing is forked)."""
-        self.register_plan(plan)
-        self._plan_key = id(plan)
-        if not self.has_shardable_phase(plan):
+        self.load_plan(plan)
+        if not self.has_shardable_phase():
             return False
         self._seq = 0
-        self.fork_workers(plan)
+        self.fork_workers()
         return True
 
     def end_run(self, failed: bool) -> None:
@@ -510,9 +500,7 @@ class HostShardPool:
             label=operator.label,
             hosts=self.shard,
         )
-        self.flush(
-            self._tables[self._plan_key][id(operator)], cluster.log.phases[-1]
-        )
+        self.flush(self.table[id(operator)], cluster.log.phases[-1])
 
     def flush(self, carriers: list[Any], record: PhaseRecord) -> None:
         """The compute-effect exchange: one bundle per process for the
@@ -772,7 +760,7 @@ def create_pool(executor: "Executor", plan: Plan) -> HostShardPool | None:
     # Effective shard count clamps to the host count: every shard owns at
     # least one host, so no worker ever idle-spins the protocol.
     assert all(pool.shards), "host shards must be non-empty"
-    if not pool.has_shardable_phase(plan):
+    if not pool.has_shardable_phase():
         return None
     return pool
 
@@ -803,11 +791,12 @@ def _worker_setup(pool: HostShardPool, index: int, pipes):
     return conn
 
 
-def _worker_drive(executor: "Executor", pool: HostShardPool, plan_key: int):
+def _worker_drive(executor: "Executor", pool: HostShardPool):
     """Replay one run; deterministic exceptions become the eor error
     triple instead of killing the worker."""
     try:
-        executor._drive(pool.registry[plan_key])
+        # jobs > 1 implies the BSP engine (Executor refuses the rest).
+        executor.engine.drive(pool.plan)
     except _RunAborted:
         return ("aborted", None, "")
     except Exception as exc:
@@ -824,12 +813,11 @@ def _worker_main(
     pool: HostShardPool,
     index: int,
     pipes,
-    plan_key: int,
 ) -> None:
     """Worker entry, running in the forked child only.
 
     The child inherited the coordinator's entire state copy-on-write, so
-    it switches its pool endpoint to worker mode, replays the named plan
+    it switches its pool endpoint to worker mode, replays the loaded plan
     from the start, reports the outcome in one ``eor`` token and exits. Deterministic
     exceptions (non-quiescence, simulated OOM) replay here too and ride
     in that token.
@@ -842,7 +830,7 @@ def _worker_main(
     try:
         conn = _worker_setup(pool, index, pipes)
         executor._pool = pool
-        _send_token(conn, "eor", _worker_drive(executor, pool, plan_key))
+        _send_token(conn, "eor", _worker_drive(executor, pool))
         status = 0
     except BaseException:
         try:

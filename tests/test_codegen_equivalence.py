@@ -29,7 +29,7 @@ from repro.core.reducers import MIN, SUM
 from repro.core.reduction import ThreadLocalReduction
 from repro.core.variants import RuntimeVariant
 from repro.eval.harness import APP_POLICY, APP_WEIGHTED, KIMBAP_APPS, run_kimbap
-from repro.exec import Executor, Operator, OperatorStep, Plan, SyncStep
+from repro.exec import Executor, Operator, OperatorStep, Plan, SyncStep, Until, walk_plans
 from repro.exec.codegen import (
     _SPECIALIZED_FORMS,
     ENTRY_OPERATOR,
@@ -93,7 +93,11 @@ def _two_updates(executor, pgraph):
         SyncStep(a, "reduce"),
         SyncStep(b, "reduce"),
     ]
-    return Plan(name="two-updates", pgraph=pgraph, steps=steps, once=True), (a, b)
+    plan = Plan(
+        name="two-updates", pgraph=pgraph, steps=steps,
+        max_rounds=1, raise_on_max_rounds=False,
+    )
+    return plan, (a, b)
 
 
 def _push_then_fill(executor, pgraph, **push_kwargs):
@@ -122,7 +126,11 @@ def _push_then_fill(executor, pgraph, **push_kwargs):
         ),
         SyncStep(out, "reduce"),
     ]
-    return Plan(name="push-then-fill", pgraph=pgraph, steps=steps, once=True), (out,)
+    plan = Plan(
+        name="push-then-fill", pgraph=pgraph, steps=steps,
+        max_rounds=1, raise_on_max_rounds=False,
+    )
+    return plan, (out,)
 
 
 def _phase_log(cluster):
@@ -327,7 +335,8 @@ class TestFrontierExtremes:
             plan = Plan(
                 name="nobody",
                 pgraph=pgraph,
-                once=True,
+                max_rounds=1,
+                raise_on_max_rounds=False,
                 steps=[
                     OperatorStep(
                         Operator(
@@ -428,7 +437,8 @@ class TestFrontierExtremes:
             edge_filter=(lambda s, d: (s + d) % 3 != 0) if edge_filter else None,
         )
         plan = Plan(
-            name="expansion", pgraph=pgraph, once=True,
+            name="expansion", pgraph=pgraph,
+            max_rounds=1, raise_on_max_rounds=False,
             steps=[OperatorStep(Operator("push", "all", kernel)), SyncStep(out, "reduce")],
         )
         with _ReduceSpy() as spy:
@@ -534,7 +544,8 @@ class TestOneEdgePushKernel:
         plan = Plan(
             name="static-push",
             pgraph=pgraph,
-            once=True,
+            max_rounds=1,
+            raise_on_max_rounds=False,
             steps=[
                 OperatorStep(
                     Operator(
@@ -635,7 +646,8 @@ class TestOneStaticBatchReducePath:
             plan = Plan(
                 name="edgeless",
                 pgraph=pgraph,
-                once=True,
+                max_rounds=1,
+                raise_on_max_rounds=False,
                 steps=[
                     OperatorStep(
                         Operator(
@@ -685,7 +697,8 @@ class TestCallableResultShapes:
         plan = Plan(
             name="shapes",
             pgraph=pgraph,
-            once=True,
+            max_rounds=1,
+            raise_on_max_rounds=False,
             steps=[
                 OperatorStep(Operator("op", "masters", kernel)),
                 SyncStep(out, "reduce"),
@@ -954,7 +967,9 @@ class TestCompiledTransVertexRoundHasNoPerNodePython:
         result = app(cluster, partition(graph, 3, "cvc"), executor=executor)
         operators = [
             compiled
-            for plan in {id(plan): plan for plan in plans}.values()
+            for plan in {
+                id(plan): plan for top in plans for plan in walk_plans(top)
+            }.values()
             for tag, compiled in executor.compiled(plan).entries
             if tag == ENTRY_OPERATOR
         ]
@@ -999,10 +1014,12 @@ class TestTrafficCensus:
             graph = generators.powerlaw_like(scale=5, seed=3, weighted=app_weighted(app))
             cluster = Cluster(2, threads_per_host=2)
             plans: dict[int, Plan] = {}
-            executor = Executor(
-                cluster, bulk=True,
-                observer=lambda plan, seen=plans: seen.setdefault(id(plan), plan),
-            )
+
+            def observe(top, seen=plans):
+                for plan in walk_plans(top):
+                    seen.setdefault(id(plan), plan)
+
+            executor = Executor(cluster, bulk=True, observer=observe)
             pgraph = partition(graph, 2, APP_POLICY[app])
             KIMBAP_APPS[app](cluster, pgraph, executor=executor)
             census[app] = list(plans.values())
@@ -1012,8 +1029,9 @@ class TestTrafficCensus:
     def test_no_abutting_compute_phases(self, plans_by_app, app):
         assert plans_by_app[app]
         for plan in plans_by_app[app]:
+            # A sub-plan step counts as no phase here: it is checked itself.
             compute = [isinstance(step, OperatorStep) for step in plan.steps]
-            if not plan.once:
+            if not plan.is_outer or any(isinstance(step, Until) for step in plan.steps):
                 compute.append(compute[0])  # the loop wraps around
             assert not any(a and b for a, b in zip(compute, compute[1:])), (
                 f"{app} plan {plan.name!r} runs abutting compute phases"

@@ -135,7 +135,7 @@ class TestOptimizationImpact:
 class TestInterpreter:
     def test_extern_variables_bind(self):
         from repro.compiler.compile import compile_program
-        from repro.compiler.interp import run_compiled
+        from repro.compiler.interp import build_plan
         from repro.compiler.ir import (
             ActiveNode,
             KimbapWhile,
@@ -146,6 +146,7 @@ class TestInterpreter:
             stmts,
         )
         from repro.core import MIN, NodePropMap
+        from repro.exec import Executor
 
         program = KimbapWhile(
             ("values",),
@@ -163,7 +164,9 @@ class TestInterpreter:
         values = NodePropMap(cluster, pgraph, "values")
         values.set_initial(lambda node: 100)
         loop = compile_program(program)
-        run_compiled(loop, cluster, pgraph, {"values": values}, extern={"floor": 7})
+        Executor(cluster).run(
+            build_plan(loop, pgraph, {"values": values}, extern={"floor": 7})
+        )
         assert all(v == 7 for v in values.snapshot().values())
 
     def test_unbound_variable_raises(self):

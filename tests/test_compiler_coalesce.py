@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.compiler.compile import RequestPhase, coalesce_request_phases, compile_program
-from repro.compiler.interp import run_compiled
+from repro.compiler.interp import build_plan
 from repro.compiler.ir import (
     ActiveNode,
     BinOp,
@@ -18,6 +18,7 @@ from repro.compiler.ir import (
     stmts,
 )
 from repro.core import MIN, NodePropMap
+from repro.exec import Executor
 from repro.graph import generators
 from repro.partition import partition
 
@@ -114,7 +115,7 @@ class TestCoalescedExecution:
         a.set_initial(lambda node: node)
         b.set_initial(lambda node: 10 - node)
         out.set_initial(lambda node: 999)
-        run_compiled(loop, cluster, pgraph, {"a": a, "b": b, "out": out})
+        Executor(cluster).run(build_plan(loop, pgraph, {"a": a, "b": b, "out": out}))
         snapshot = out.snapshot()
         assert snapshot == {node: min(node, 10 - node) for node in range(8)}
 
@@ -140,7 +141,7 @@ class TestCoalescedExecution:
             }
             for name, prop in maps.items():
                 prop.set_initial(lambda node: node)
-            run_compiled(loop, cluster, pgraph, maps)
+            Executor(cluster).run(build_plan(loop, pgraph, maps))
             return cluster.log.total_counters().node_iters
 
         # one merged request ParFor scans the nodes once instead of twice

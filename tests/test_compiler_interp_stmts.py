@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.compiler.compile import compile_program
-from repro.compiler.interp import build_plan, run_compiled
+from repro.compiler.interp import build_plan
 from repro.compiler.ir import (
     ActiveNode,
     Assign,
@@ -63,9 +63,12 @@ class TestEdgeWeightInPrograms:
         )
         loop = compile_program(program)
         # one productive round; the quiescence round re-adds, so run a
-        # single round as a once plan
+        # single round
         Executor(cluster).run(
-            build_plan(loop, pgraph, {"strength": strength}, once=True)
+            build_plan(
+                loop, pgraph, {"strength": strength},
+                max_rounds=1, raise_on_max_rounds=False,
+            )
         )
         snapshot = strength.snapshot()
         expected = {}
@@ -116,7 +119,7 @@ class TestNestedControlFlow:
             name="nested",
         )
         loop = compile_program(program)
-        run_compiled(loop, cluster, pgraph, {"flag": flag, "out": out})
+        Executor(cluster).run(build_plan(loop, pgraph, {"flag": flag, "out": out}))
         snapshot = out.snapshot()
         # node k receives k+1 iff k+1 is odd and k < k+1: even k get k+1
         for node in range(5):
@@ -141,7 +144,7 @@ class TestNestedControlFlow:
             ),
             name="chain",
         )
-        run_compiled(compile_program(program), cluster, pgraph, {"out": out})
+        Executor(cluster).run(build_plan(compile_program(program), pgraph, {"out": out}))
         snapshot = out.snapshot()
         for node in range(graph.num_nodes):
             assert snapshot[node] == 2 * node + (2 * node + 1)

@@ -6,10 +6,11 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.compiler.compile import compile_program
-from repro.compiler.interp import run_compiled
+from repro.compiler.interp import build_plan
 from repro.compiler.parser import ParseError, parse_program, tokenize
 from repro.compiler.programs import cc_lp_program, cc_sv_hook, cc_sv_shortcut
 from repro.core import BoolReducer, NodePropMap
+from repro.exec import Executor, HostStep, Plan, Until
 from repro.graph import generators
 from repro.partition import partition
 
@@ -107,13 +108,18 @@ class TestEndToEnd:
         shortcut = compile_program(parse_program(SHORTCUT_SOURCE, name="shortcut"))
         maps = {"parent": parent}
         reducers = {"work_done": work_done}
-        while True:
-            work_done.set_all(False)
-            run_compiled(hook, cluster, pgraph, maps, reducers)
-            work_done.sync()
-            run_compiled(shortcut, cluster, pgraph, maps, reducers)
-            if not work_done.read():
-                break
+        plan = Plan(
+            name="parsed-cc-sv",
+            pgraph=pgraph,
+            steps=[
+                HostStep("reset", lambda: work_done.set_all(False)),
+                build_plan(hook, pgraph, maps, reducers),
+                HostStep("sync", work_done.sync),
+                build_plan(shortcut, pgraph, maps, reducers),
+                Until(lambda: not work_done.read()),
+            ],
+        )
+        Executor(cluster).run(plan)
         from repro.verify import check_components
 
         check_components(graph, parent.snapshot())

@@ -13,6 +13,7 @@ from repro.cli import main
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
 from repro.compiler.apps import (
+    COMPILED_APPS,
     compiled_cc_lp,
     compiled_cc_sv,
     compiled_pagerank,
@@ -20,6 +21,7 @@ from repro.compiler.apps import (
 from repro.core import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN
+from repro.eval.harness import APP_POLICY, APP_WEIGHTED, KIMBAP_APPS
 from repro.exec import (
     PLAN_SCHEMA,
     CmpFilter,
@@ -27,14 +29,17 @@ from repro.exec import (
     DstCmpFilter,
     EdgePush,
     Executor,
+    HostStep,
     KeyRequest,
     NeighborReduceToKey,
     NodeGather,
     NodeUpdate,
+    NonQuiescenceError,
     Operator,
     OperatorStep,
     Plan,
     ScalarKernel,
+    Until,
     apply_value_filter,
     filter_summary,
     format_plan_summary,
@@ -48,6 +53,16 @@ from repro.trace import build_timeline
 @pytest.fixture(scope="module")
 def graph():
     return generators.powerlaw_like(scale=6, seed=3)
+
+
+def operator_steps(summaries):
+    """Every operator step of plan summaries, sub-plans included, in order."""
+    for summary in summaries:
+        for step in summary["steps"]:
+            if step["step"] == "plan":
+                yield from operator_steps([step])
+            elif step["step"] == "operator":
+                yield step
 
 
 def run_handwritten(app, graph, bulk):
@@ -73,23 +88,127 @@ class TestPlanSummaries:
         assert "operator cc_lp (edge-push, all, reduce-compute)" in text
         assert "sync reduce cc_label" in text
 
-    def test_once_plan_reports_no_loop_metadata(self, graph):
+    def test_outer_plan_summary(self, graph):
         cluster = Cluster(1)
         pgraph = partition(graph, 1, "cvc")
+        label = NodePropMap(cluster, pgraph, "cc_label")
+        Executor(cluster).init_map(label, lambda nodes: nodes.copy())
+        loop = cc_lp_plan(pgraph, label)
         plan = Plan(
             name="warmup",
             pgraph=pgraph,
             steps=[
                 OperatorStep(
                     Operator("noop", "masters", ScalarKernel(lambda ctx: None))
-                )
+                ),
+                loop,
             ],
-            once=True,
         )
         summary = plan_summary(plan)
-        assert summary["loop"] == "once"
-        assert "quiesce" not in summary
-        assert Executor(cluster).run(plan) == 0
+        # An outer plan without an Until runs once: no loop metadata.
+        assert "loop" not in summary
+        assert "quiesce" not in summary and "max_rounds" not in summary
+        assert [step["step"] for step in summary["steps"]] == ["operator", "plan"]
+        nested = summary["steps"][1]
+        assert nested == {"step": "plan", **plan_summary(loop)}
+        assert nested["loop"] == "quiescence"
+        assert nested["pins"] == {"cc_label": "push"}
+        text = format_plan_summary(summary)
+        assert text.splitlines()[:4] == [
+            "plan warmup",
+            "  operator noop (scalar, masters, reduce-compute) reads: - writes: -",
+            "  plan cc_lp [quiescence]",
+            "    quiesce: cc_label",
+        ]
+        assert "    pins: cc_label (push)" in text
+        # Its rounds are the sub-plan's; its own steps run outside any.
+        assert Executor(cluster).run(plan) == cluster.current_round > 0
+
+
+def _counting_plan(pgraph, steps, **fields):
+    """An outer loop around a one-round sub-plan, so iterations show up as
+    rounds; ``steps`` follow the sub-plan in the loop body."""
+    inner = Plan(
+        name="inner",
+        pgraph=pgraph,
+        steps=[HostStep("tick", lambda: None)],
+        max_rounds=1,
+        raise_on_max_rounds=False,
+    )
+    return Plan(name="outer", pgraph=pgraph, steps=[inner, *steps], **fields)
+
+
+class TestOuterLoops:
+    """A plan with a sub-plan is an outer loop: its iterations are not
+    rounds, an ``Until`` ends it, and ``max_rounds`` bounds it."""
+
+    @pytest.fixture
+    def setup(self, graph):
+        cluster = Cluster(2, threads_per_host=2)
+        return cluster, partition(graph, 2, "cvc")
+
+    def test_until_that_never_fires_stops_at_max_rounds(self, setup):
+        cluster, pgraph = setup
+        plan = _counting_plan(
+            pgraph, [Until(lambda: False)], max_rounds=4, loop_label="stuck"
+        )
+        with pytest.raises(NonQuiescenceError, match="stuck") as caught:
+            Executor(cluster).run(plan)
+        assert caught.value.loop == "stuck"
+        assert caught.value.rounds == 4
+        assert cluster.current_round == 4  # one sub-plan round per iteration
+
+    def test_until_mid_body_skips_the_rest_of_the_iteration(self, setup):
+        cluster, pgraph = setup
+        trail = []
+        plan = _counting_plan(
+            pgraph,
+            [
+                HostStep("before", lambda: trail.append("before")),
+                Until(lambda: trail.count("before") == 3),
+                HostStep("after", lambda: trail.append("after")),
+            ],
+        )
+        assert Executor(cluster).run(plan) == 3
+        assert trail == ["before", "after", "before", "after", "before"]
+
+    def test_outer_plan_without_until_runs_once(self, setup):
+        cluster, pgraph = setup
+        trail = []
+        plan = _counting_plan(
+            pgraph, [HostStep("once", lambda: trail.append(cluster.current_round))]
+        )
+        assert Executor(cluster).run(plan) == 1
+        assert trail == [1]
+
+    def test_until_needs_an_outer_loop(self, setup):
+        _, pgraph = setup
+        with pytest.raises(ValueError, match="Until ends an outer loop"):
+            Plan(name="flat", pgraph=pgraph, steps=[Until(lambda: True)])
+
+
+ONE_PLAN_APPS = [
+    (kind, app)
+    for kind, apps in (("kimbap", KIMBAP_APPS), ("compiled", COMPILED_APPS))
+    for app in sorted(apps)
+    if app not in ("LV", "LD")
+]
+
+
+@pytest.mark.parametrize(
+    "kind,app", ONE_PLAN_APPS, ids=[f"{kind}-{app}" for kind, app in ONE_PLAN_APPS]
+)
+def test_every_app_hands_the_executor_one_plan(kind, app):
+    """Build maps, one ``executor.run(plan)``, snapshot: the loops nest
+    inside that plan. Only Louvain/Leiden's level loop stays host code."""
+    graph = generators.powerlaw_like(scale=5, seed=3, weighted=APP_WEIGHTED.get(app, False))
+    cluster = Cluster(2, threads_per_host=2)
+    plans = []
+    executor = Executor(cluster, observer=plans.append)
+    pgraph = partition(graph, 2, APP_POLICY[app] if kind == "kimbap" else "cvc")
+    apps = KIMBAP_APPS if kind == "kimbap" else COMPILED_APPS
+    apps[app](cluster, pgraph, executor=executor)
+    assert len(plans) == 1
 
 
 class TestTransVertexForms:
@@ -142,7 +261,7 @@ class TestTransVertexForms:
         assert DegreeReduce(out).effects() == [out]
 
     def test_cc_sv_and_cc_sclp_plans_summarize_without_opaque_records(self, capsys):
-        assert PLAN_SCHEMA == "repro-exec-plan/v1.2"
+        assert PLAN_SCHEMA == "repro-exec-plan/v1.3"
         forms = {}
         for app in ("CC-SV", "CC-SCLP"):
             assert main(["plan", app, "--json"]) == 0
@@ -152,9 +271,7 @@ class TestTransVertexForms:
             assert "opaque" not in out and "scalar" not in out
             forms[app] = [
                 (step["label"], step["form"], step["kind"], step["reads"], step["writes"])
-                for plan in payload["plans"]
-                for step in plan["steps"]
-                if step["step"] == "operator"
+                for step in operator_steps(payload["plans"])
             ]
         parent = [{"map": "sv_parent", "reducer": "min"}]
         assert forms["CC-SV"] == [
@@ -306,19 +423,33 @@ class TestPlanCli:
         assert "plan cc_lp [quiescence]" in out
         assert "operator cc_lp (edge-push, all, reduce-compute)" in out
 
+    def test_plan_cc_sv_is_one_outer_loop(self, capsys):
+        assert main(["plan", "CC-SV", "--json"]) == 0
+        (plan,) = json.loads(capsys.readouterr().out)["plans"]
+        assert plan["loop"] == "until"
+        loops = [step["name"] for step in plan["steps"] if step["step"] == "plan"]
+        assert loops == ["cc_sv:hook", "shortcut"]
+        assert main(["plan", "CC-SV"]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("plan CC-SV [until]\n")
+        assert "\n  plan cc_sv:hook [quiescence]\n" in text
+        assert "\n    operator hook (neighbor-reduce-to-key" in text
+        assert text.rstrip().endswith("\n  until")
+
     def test_plan_json(self, capsys):
         assert main(["plan", "PR", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == PLAN_SCHEMA
         assert payload["app"] == "PR"
-        names = [plan["name"] for plan in payload["plans"]]
-        assert names == ["pr:warmup", "pagerank"]
-        operators = [
-            step
-            for plan in payload["plans"]
-            for step in plan["steps"]
-            if step["step"] == "operator"
+        # One plan: the degree warm-up's steps, then the round loop.
+        (plan,) = payload["plans"]
+        assert plan["name"] == "PR" and "loop" not in plan
+        assert [step["step"] for step in plan["steps"]] == [
+            "operator", "sync", "host", "plan",
         ]
+        assert plan["steps"][-1]["name"] == "pagerank"
+        assert plan["steps"][-1]["pins"] == {"pr_rank": "none"}
+        operators = list(operator_steps(payload["plans"]))
         forms = [step["form"] for step in operators]
         assert "edge-push" in forms and "degree-reduce" in forms
         # The residual the async engine schedules PageRank by.

@@ -113,7 +113,7 @@ class TestShardability:
         assert pool.shardable(_first_operator(plan))
         # The vote is a compute-phase effect too: the flag is a carrier of
         # the hook phase and resolvable by name on every process.
-        carriers = pool._tables[id(plan)][id(_first_operator(plan))]
+        carriers = pool.table[id(_first_operator(plan))]
         assert carriers == [parent, work]
         assert _map_table(plan) == {"parent": parent, "work": work}
 
@@ -125,8 +125,8 @@ class TestShardability:
         request, gather = (
             step.operator for step in plan.steps if isinstance(step, OperatorStep)
         )
-        assert pool._tables[id(plan)][id(request)] == [parent]  # request bits
-        assert pool._tables[id(plan)][id(gather)] == [parent]  # reductions
+        assert pool.table[id(request)] == [parent]  # request bits
+        assert pool.table[id(gather)] == [parent]  # reductions
 
     def test_a_form_the_pool_never_heard_of_registers_like_the_built_in_ones(
         self, setup
@@ -152,10 +152,9 @@ class TestShardability:
             steps=[
                 OperatorStep(Operator("tally", "all", Tally(tallied, votes, watched)))
             ],
-            once=True,
         )
         pool = _pool(cluster, plan)
-        assert pool._tables[id(plan)][id(_first_operator(plan))] == [tallied, votes]
+        assert pool.table[id(_first_operator(plan))] == [tallied, votes]
         assert _map_table(plan) == {"t": tallied, "v": votes, "w": watched}
 
     @pytest.mark.skipif(
@@ -172,7 +171,6 @@ class TestShardability:
             executor.init_map(parent, lambda nodes: nodes.copy())
             work = BoolReducer(cluster, "work")
             work.set_all(False)
-            parent.pin_mirrors(invariant="none")
             try:
                 executor.run(cc_sv_hook_plan(pgraph, parent, work))
                 stats = executor.parallel_stats()
@@ -196,7 +194,6 @@ class TestShardability:
                     Operator("push", "all", EdgePush(target=target, op=MIN))
                 )
             ],
-            once=True,
         )
         assert _pool(cluster, plan).shardable(_first_operator(plan))
 
@@ -213,7 +210,6 @@ class TestShardability:
             pgraph=pgraph,
             steps=[OperatorStep(Operator("op", "masters", kernel))],
             maps=(target,),
-            once=True,
         )
         pool = _pool(cluster, plan)
         assert not pool.shardable(_first_operator(plan))
@@ -232,7 +228,6 @@ class TestShardability:
             pgraph=pgraph,
             steps=[OperatorStep(Operator("op", "masters", kernel))],
             maps=(target,),
-            once=True,
         )
         assert not _pool(cluster, plan).shardable(_first_operator(plan))
 
@@ -250,7 +245,6 @@ class TestShardability:
             pgraph=pgraph,
             steps=[OperatorStep(Operator("op", "masters", kernel))],
             maps=(target,),
-            once=True,
         )
         pool = _pool(cluster, plan)
         assert pool.shardable(_first_operator(plan))
@@ -267,7 +261,6 @@ class TestShardability:
                     Operator("push", "all", EdgePush(target=target, op=MIN))
                 )
             ],
-            once=True,
         )
         assert not _pool(cluster, plan).shardable(_first_operator(plan))
 
@@ -282,7 +275,6 @@ class TestShardability:
                     Operator("push", "all", EdgePush(target=target, op=MIN))
                 )
             ],
-            once=True,
         )
         pool = _pool(cluster, plan)
         with pytest.raises(RuntimeError, match=r"ScalarKernel\(ops=\.\.\.\)"):
@@ -328,7 +320,8 @@ def _shardable_plan(cluster, pgraph, name="life"):
                 Operator("push", "all", EdgePush(target=target, op=MIN))
             )
         ],
-        once=True,
+        max_rounds=1,
+        raise_on_max_rounds=False,
     )
 
 
@@ -420,11 +413,12 @@ class TestNoExchangeInsideACollective:
 
 @needs_fork
 @pytest.mark.parametrize("bulk", (False, True), ids=("scalar", "bulk"))
-@pytest.mark.parametrize("app", ("CC-SV", "MSF"))
+@pytest.mark.parametrize("app", ("CC-SV", "MSF", "LV"))
 def test_repeated_runs_fork_once_each_and_leave_no_segments(monkeypatch, app, bulk):
-    """CC-SV and MSF run the same plans again and again through one
-    executor. Every sharded run is one fork from the coordinator's current
-    state, and its ``end_run`` leaves no worker process behind."""
+    """Every sharded run is one fork from the coordinator's current state,
+    and its ``end_run`` leaves no worker process behind. CC-SV and MSF are
+    one plan each - their nested loops ride a single fork - while LV runs
+    one plan per level through one executor."""
     left_behind = []  # one entry per sharded run: only those reach end_run
     end_run = HostShardPool.end_run
 
@@ -438,7 +432,8 @@ def test_repeated_runs_fork_once_each_and_leave_no_segments(monkeypatch, app, bu
     parallel = run_kimbap(app, "forks", 4, graph=graph, threads=4, bulk=bulk, jobs=2)
     assert canonical(parallel) == canonical(serial)
     stats = parallel.parallel
-    assert stats["forks"] == len(left_behind) > 2 and not any(left_behind)
+    assert stats["forks"] == len(left_behind) and not any(left_behind)
+    assert (stats["forks"] > 1) == (app == "LV")
     assert stats["bytes_exchanged"] > 0
     assert serial.parallel is None or serial.parallel["forks"] == 0
 
@@ -506,7 +501,7 @@ class TestForkFailureReaping:
 
         pool._make_process = failing_factory
         with pytest.raises(OSError, match="simulated fork failure"):
-            pool.fork_workers(plan)
+            pool.fork_workers()
         assert pool.workers == []
         assert not _live_workers()
 
@@ -537,7 +532,7 @@ class TestWorkerDeathSurfacing:
                 PhaseKind.REDUCE_COMPUTE, cluster.num_hosts, parallel=True
             )
             with pytest.raises(RuntimeError, match=expect) as exc:
-                pool.flush(pool._tables[id(plan)][id(operator)], record)
+                pool.flush(pool.table[id(operator)], record)
             # The typed taxonomy carries the failing worker's identity.
             assert isinstance(exc.value, WorkerDied)
             assert exc.value.worker == 1
@@ -605,7 +600,8 @@ class TestWorkerDeathSurfacing:
                     )
                 )
             ],
-            once=True,
+            max_rounds=1,
+            raise_on_max_rounds=False,
         )
         executor = Executor(cluster, jobs=2)
         try:
@@ -740,7 +736,8 @@ class TestFailFastSupervisor:
                             )
                         )
                     ],
-                    once=True,
+                    max_rounds=1,
+                    raise_on_max_rounds=False,
                 )
                 executor = Executor(cluster, jobs=2)
                 executor._ensure_pool(plan).exchange_timeout = 1
@@ -815,7 +812,8 @@ class TestAtexitCleanup:
                             )
                         )
                     ],
-                    once=True,
+                    max_rounds=1,
+                    raise_on_max_rounds=False,
                 )
                 pool = create_pool(Executor(cluster, jobs=2), plan)
                 assert pool.begin_run(plan)

@@ -159,7 +159,7 @@ class TestActivityFlagEndToEnd:
             try:
                 prop = NodePropMap(cluster, pgraph, "prop")
                 executor.init_map(prop, first_values)
-                prop.pin_mirrors(invariant="none")
+                # The plan pins prop's mirrors at entry, each run anew.
                 plan = (sssp_plan if app == "SSSP" else cc_lp_plan)(pgraph, prop)
                 rounds = [executor.run(plan)]
                 middle = prop.snapshot()
@@ -167,7 +167,6 @@ class TestActivityFlagEndToEnd:
                     prop.reset_values_bulk(second_values)
                 else:
                     prop.reset_values(lambda node: second_values(np.int64(node)).item())
-                prop.pin_mirrors(invariant="none")
                 rounds.append(executor.run(plan))
                 stats = executor.parallel_stats()
             finally:
