@@ -57,8 +57,8 @@ def main() -> None:
     print(f"\nLeiden disconnected communities: {disconnected} (guaranteed 0)")
     assert disconnected == 0
 
-    same_quality = abs(lv.stats["modularity"] - vite.stats["modularity"]) < 1e-9
-    print(f"Kimbap-LV and Vite agree exactly (same algorithm): {same_quality}")
+    same = lv.values == vite.values and lv.rounds == vite.rounds
+    print(f"Kimbap-LV and Vite agree exactly (same algorithm): {same}")
 
 
 if __name__ == "__main__":

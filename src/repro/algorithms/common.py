@@ -1,14 +1,16 @@
 """Shared pieces of the algorithm implementations.
 
 Includes the result type, the Table 2 operator classification, the shortcut
-(pointer-jumping) kernel reused by CC-SV / CC-SCLP / MSF, and the graph
-coarsening step shared by Louvain and Leiden.
+(pointer-jumping) kernel reused by CC-SV / CC-SCLP / MSF, and the one copy
+of each Louvain rule that Kimbap's LV/LD, Vite and Galois share: the
+graph coarsening step, the moving cutoff, the level loop, the next
+level's Leiden seeds and the community result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from repro.exec import (
 )
 from repro.graph.csr import Graph
 from repro.partition.base import PartitionedGraph
+from repro.partition.policies import partition
 
 # OVERWRITE (single-writer assignment expressed as a reduction) is defined
 # canonically in repro.core.reducers so the cross-process operator registry
@@ -206,3 +209,113 @@ def coarsen(
                 for dst in range(cluster.num_hosts):
                     cluster.network.send(src, dst, 24 * per_host // cluster.num_hosts + 8)
     return coarse, coarse_of
+
+
+def moving_cutoff_state(num_nodes: int) -> dict:
+    """Fresh state of :func:`moving_converged` for a level of
+    ``num_nodes`` nodes (plain values, so a loop's ``extra_snapshot`` of
+    the dict holding it checkpoints it too)."""
+    return {"previous_moves": num_nodes, "best_quality": -np.inf, "stalled": 0}
+
+
+def moving_converged(
+    state: dict,
+    moves: int,
+    graph: Graph,
+    labels: Callable[[], np.ndarray],
+    gamma: float,
+) -> bool:
+    """The local-moving cutoff of Kimbap's LV/LD and Vite, after a round
+    that moved ``moves`` nodes.
+
+    The level ends once fewer than 1% of the nodes moved in two
+    consecutive rounds (the iteration cutoff every production Louvain
+    uses; two, since parity gating halves each round) or when modularity
+    has not improved for four rounds - synchronous moving on stale totals
+    can cycle through a small set of configurations, and a stalled
+    objective is the principled signal to stop. ``labels`` is called only
+    when the move count does not end the level.
+    """
+    if moves + state["previous_moves"] < max(int(0.01 * graph.num_nodes), 1):
+        return True
+    state["previous_moves"] = moves
+    quality = modularity(graph, labels(), gamma)
+    if quality > state["best_quality"] + 1e-12:
+        state["best_quality"] = quality
+        state["stalled"] = 0
+        return False
+    state["stalled"] += 1
+    return state["stalled"] >= 4
+
+
+def louvain_levels(
+    cluster: Cluster,
+    graph: Graph,
+    pgraph: PartitionedGraph | None,
+    move: Callable[[Graph, PartitionedGraph | None, int], tuple[np.ndarray, int]],
+    gamma: float,
+    min_gain: float,
+    max_levels: int,
+) -> tuple[np.ndarray, int, int]:
+    """The Louvain level loop: ``move(level_graph, level_pgraph, level)``
+    refines a level's partition, then the loop stops on no move or on a
+    modularity gain below ``min_gain``, else coarsens and re-partitions.
+
+    Returns each original node's community, the rounds summed over the
+    levels, and the number of levels run. With ``pgraph=None`` (a
+    shared-memory system) the coarse graphs are not partitioned and
+    coarsening is not charged.
+    """
+    level_graph, level_pgraph = graph, pgraph
+    node_to_coarse = np.arange(graph.num_nodes, dtype=np.int64)
+    best_modularity = modularity(graph, np.arange(graph.num_nodes), gamma)
+    total_rounds = levels = 0
+    while levels < max_levels:
+        labels, rounds = move(level_graph, level_pgraph, levels)
+        total_rounds += rounds
+        levels += 1
+        level_modularity = modularity(level_graph, labels, gamma)
+        moved = bool(np.any(labels != np.arange(level_graph.num_nodes)))
+        if not moved or level_modularity < best_modularity + min_gain:
+            node_to_coarse = labels[node_to_coarse]
+            break
+        best_modularity = level_modularity
+        coarse_graph, coarse_of = coarsen(level_graph, labels, cluster, level_pgraph)
+        # coarse_of[v] is the compacted cluster of level node v, so the
+        # original -> coarse mapping composes directly (the cluster's
+        # representative node may itself have moved elsewhere, so going
+        # through `labels` again here would be wrong).
+        node_to_coarse = coarse_of[node_to_coarse]
+        if coarse_graph.num_nodes == level_graph.num_nodes:
+            break
+        level_graph = coarse_graph
+        if pgraph is not None:
+            level_pgraph = partition(coarse_graph, cluster.num_hosts, pgraph.policy)
+    return node_to_coarse, total_rounds, levels
+
+
+def cluster_seeds(labels: np.ndarray, coarse_of: np.ndarray, num_coarse: int) -> np.ndarray:
+    """Leiden's next-level seeds: each coarse node (a subcluster) starts
+    in its parent *cluster*, labelled by the cluster's first coarse node."""
+    parent_cluster = np.zeros(num_coarse, dtype=np.int64)
+    parent_cluster[coarse_of] = labels
+    _, first, inverse = np.unique(parent_cluster, return_index=True, return_inverse=True)
+    return first[inverse].astype(np.int64)
+
+
+def community_result(
+    name: str, graph: Graph, labels: np.ndarray, rounds: int, levels: int, gamma: float
+) -> AlgorithmResult:
+    """A community detection result: ``labels`` per original node, with
+    its modularity, level count and community count."""
+    communities = {node: int(labels[node]) for node in range(graph.num_nodes)}
+    return AlgorithmResult(
+        name=name,
+        values=communities,
+        rounds=rounds,
+        stats={
+            "modularity": modularity(graph, labels, gamma),
+            "levels": levels,
+            "num_communities": len(set(communities.values())),
+        },
+    )

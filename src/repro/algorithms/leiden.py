@@ -27,8 +27,9 @@ import numpy as np
 
 from repro.algorithms.common import (
     AlgorithmResult,
+    cluster_seeds,
     coarsen,
-    modularity,
+    community_result,
     resolve_executor,
 )
 from repro.algorithms.louvain import local_moving
@@ -41,10 +42,11 @@ from repro.exec import (
     DstCmpFilter,
     EdgePush,
     Executor,
+    KeyRequest,
+    NodeGather,
     Operator,
     OperatorStep,
     Plan,
-    ScalarKernel,
     SyncStep,
 )
 from repro.partition.base import PartitionedGraph
@@ -55,17 +57,6 @@ def connected_split_plan(
     pgraph: PartitionedGraph, sub: NodePropMap, group_of: np.ndarray, name: str
 ) -> Plan:
     """One intra-group LP + shortcut round as an operator plan."""
-
-    def request(ctx) -> None:
-        own_label = sub.read_local(ctx.host, ctx.local)
-        sub.request(ctx.host, own_label)
-
-    def shortcut(ctx) -> None:
-        own_label = sub.read_local(ctx.host, ctx.local)
-        label_of_label = sub.read(ctx.host, own_label)
-        if own_label != label_of_label:
-            sub.reduce(ctx.host, ctx.thread, ctx.node, label_of_label, MIN)
-
     return Plan(
         name=name,
         pgraph=pgraph,
@@ -92,7 +83,7 @@ def connected_split_plan(
                 Operator(
                     f"{name}:req",
                     "masters",
-                    ScalarKernel(request, read_names=(sub.name,)),
+                    KeyRequest(keys=sub, of=sub),
                     kind=PhaseKind.REQUEST_COMPUTE,
                 )
             ),
@@ -101,11 +92,7 @@ def connected_split_plan(
                 Operator(
                     f"{name}:short",
                     "masters",
-                    ScalarKernel(
-                        shortcut,
-                        read_names=(sub.name,),
-                        write_names=((sub.name, MIN.name),),
-                    ),
+                    NodeGather(keys=sub, of=sub, target=sub, op=MIN),
                 )
             ),
             SyncStep(sub, "reduce"),
@@ -135,11 +122,7 @@ def connected_split(
     sub = NodePropMap(cluster, pgraph, name, variant=variant)
     executor.init_map(sub, lambda nodes: nodes.copy())
     rounds = executor.run(connected_split_plan(pgraph, sub, group_of, name))
-    snapshot = sub.snapshot()
-    labels = np.asarray(
-        [snapshot[node] for node in range(pgraph.graph.num_nodes)], dtype=np.int64
-    )
-    return labels, rounds
+    return sub.snapshot_array(), rounds
 
 
 def leiden(
@@ -208,18 +191,8 @@ def leiden(
         coarse_graph, coarse_of = coarsen(level_graph, sub_labels, cluster, level_pgraph)
         if not moved and coarse_graph.num_nodes == level_graph.num_nodes:
             break
-        # Parent cluster of every coarse node (all members share it).
-        parent_cluster = np.zeros(coarse_graph.num_nodes, dtype=np.int64)
-        parent_cluster[coarse_of] = labels
-        # Next level starts from the *cluster* partition: pick one coarse
-        # node per cluster as the representative label.
-        representative: dict[int, int] = {}
-        for coarse_id, parent in enumerate(parent_cluster.tolist()):
-            representative.setdefault(parent, coarse_id)
-        initial_labels = np.asarray(
-            [representative[parent] for parent in parent_cluster.tolist()],
-            dtype=np.int64,
-        )
+        # Next level starts from the *cluster* partition.
+        initial_labels = cluster_seeds(labels, coarse_of, coarse_graph.num_nodes)
         node_to_coarse = coarse_of[node_to_coarse]
         if coarse_graph.num_nodes == level_graph.num_nodes:
             # No aggregation progress; one more moving pass cannot change
@@ -236,16 +209,4 @@ def leiden(
         executor=executor,
     )
     total_rounds += cleanup_rounds
-    communities = {
-        node: int(final_labels[node]) for node in range(pgraph.graph.num_nodes)
-    }
-    return AlgorithmResult(
-        name="LD",
-        values=communities,
-        rounds=total_rounds,
-        stats={
-            "modularity": modularity(pgraph.graph, final_labels, gamma),
-            "levels": levels,
-            "num_communities": len(set(communities.values())),
-        },
-    )
+    return community_result("LD", pgraph.graph, final_labels, total_rounds, levels, gamma)

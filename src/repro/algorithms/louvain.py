@@ -27,8 +27,10 @@ import numpy as np
 from repro.algorithms.common import (
     OVERWRITE,
     AlgorithmResult,
-    coarsen,
-    modularity,
+    community_result,
+    louvain_levels,
+    moving_converged,
+    moving_cutoff_state,
     resolve_executor,
     weighted_degrees,
 )
@@ -47,7 +49,6 @@ from repro.exec import (
     SyncStep,
 )
 from repro.partition.base import PartitionedGraph
-from repro.partition.policies import partition
 
 
 def local_moving(
@@ -59,7 +60,6 @@ def local_moving(
     name: str,
     initial_labels: np.ndarray | None = None,
     constraint: np.ndarray | None = None,
-    min_moves_fraction: float = 0.01,
     executor: Executor | None = None,
 ) -> tuple[np.ndarray, int]:
     """The BSP local-moving phase shared by Louvain and Leiden.
@@ -68,10 +68,8 @@ def local_moving(
     ``initial_labels`` seeds the partition (Leiden aggregates start from
     their parent clusters); ``constraint`` restricts moves to target
     clusters whose constraint matches the node's (Leiden's refinement).
-    ``min_moves_fraction`` is the standard Louvain iteration cutoff (used
-    by Vite/Grappolo too): stop refining once fewer than that fraction of
-    nodes moved in a round - the long tail of single-node rounds costs
-    full graph scans for negligible modularity.
+    A level ends on :func:`~repro.algorithms.common.moving_converged`,
+    Vite's cutoff too, or after ``max_rounds`` rounds.
     """
     executor = resolve_executor(cluster, executor)
     graph = pgraph.graph
@@ -102,19 +100,13 @@ def local_moving(
         elementwise=lambda node: (float(tot_init[node]), int(size_init[node])),
     )
 
-    min_moves = max(int(min_moves_fraction * graph.num_nodes), 1)
-    # Loop-private host state in one dict so crash recovery can snapshot
-    # and restore it alongside the maps. Stall detection: synchronous
-    # moving on stale totals can cycle through a small set of
-    # configurations; the objective (modularity) then stops improving,
-    # which is the principled signal to stop the level.
+    # Loop-private host state, the cutoff's included, in one dict so
+    # crash recovery can snapshot and restore it alongside the maps.
     state: dict = {
         "round": 0,
         "parity": 0,
         "moves": 0,
-        "previous_moves": graph.num_nodes,
-        "best_quality": -np.inf,
-        "stalled": 0,
+        **moving_cutoff_state(graph.num_nodes),
     }
 
     def start_round() -> None:
@@ -186,27 +178,10 @@ def local_moving(
         info_map.reduce(ctx.host, ctx.thread, best_cluster, (strength, 1), pair_sum)
 
     def converged() -> bool:
-        # Runs only when the round was not quiescent (the executor checks
-        # quiescence first), mirroring the legacy break order.
-        if state["moves"] + state["previous_moves"] < min_moves:
-            # The iteration cutoff every production Louvain uses (two
-            # consecutive rounds, since parity gating halves each round);
-            # the move count rides the same allreduce as the IsUpdated vote.
-            return True
-        state["previous_moves"] = state["moves"]
-        snapshot = cluster_map.snapshot()
-        current = np.asarray(
-            [snapshot[node] for node in range(graph.num_nodes)], dtype=np.int64
+        # The move count rides the same allreduce as the IsUpdated vote.
+        return moving_converged(
+            state, state["moves"], graph, cluster_map.snapshot_array, gamma
         )
-        quality = modularity(graph, current, gamma)
-        if quality > state["best_quality"] + 1e-12:
-            state["best_quality"] = quality
-            state["stalled"] = 0
-        else:
-            state["stalled"] += 1
-            if state["stalled"] >= 4:
-                return True
-        return False
 
     def restore_state(saved) -> None:
         state.clear()
@@ -253,7 +228,6 @@ def local_moving(
             SyncStep(cluster_map, "broadcast"),
             SyncStep(info_map, "reduce"),
         ],
-        quiesce=(cluster_map,),
         converged=converged,
         maps=(cluster_map, info_map),
         max_rounds=max_rounds,
@@ -264,11 +238,7 @@ def local_moving(
         pins={cluster_map: "none"},
     )
     rounds = executor.run(plan)
-    snapshot = cluster_map.snapshot()
-    labels = np.asarray(
-        [snapshot[node] for node in range(graph.num_nodes)], dtype=np.int64
-    )
-    return labels, rounds
+    return cluster_map.snapshot_array(), rounds
 
 
 def louvain(
@@ -283,54 +253,19 @@ def louvain(
 ) -> AlgorithmResult:
     """Run deterministic Louvain; values are community ids per original node."""
     executor = resolve_executor(cluster, executor)
-    level_graph = pgraph.graph
-    level_pgraph = pgraph
-    node_to_coarse = np.arange(level_graph.num_nodes, dtype=np.int64)
-    total_rounds = 0
-    best_modularity = modularity(level_graph, np.arange(level_graph.num_nodes), gamma)
-    levels = 0
-    while levels < max_levels:
-        labels, rounds = local_moving(
+
+    def move(level_graph, level_pgraph, level):
+        return local_moving(
             cluster,
             level_pgraph,
             variant,
             gamma,
             max_rounds_per_level,
-            name=f"lv{levels}",
+            name=f"lv{level}",
             executor=executor,
         )
-        total_rounds += rounds
-        levels += 1
-        level_modularity = modularity(level_graph, labels, gamma)
-        moved = bool(np.any(labels != np.arange(level_graph.num_nodes)))
-        if not moved or level_modularity < best_modularity + min_gain:
-            best_modularity = max(best_modularity, level_modularity)
-            node_to_coarse = labels[node_to_coarse]
-            break
-        best_modularity = level_modularity
-        coarse_graph, coarse_of = coarsen(level_graph, labels, cluster, level_pgraph)
-        # coarse_of[v] is the compacted cluster of level node v, so the
-        # original -> coarse mapping composes directly (the cluster's
-        # representative node may itself have moved elsewhere, so going
-        # through `labels` again here would be wrong).
-        node_to_coarse = coarse_of[node_to_coarse]
-        if coarse_graph.num_nodes == level_graph.num_nodes:
-            break
-        level_graph = coarse_graph
-        level_pgraph = partition(coarse_graph, cluster.num_hosts, pgraph.policy)
-    communities = {
-        node: int(node_to_coarse[node]) for node in range(pgraph.graph.num_nodes)
-    }
-    final_labels = np.asarray(
-        [communities[node] for node in range(pgraph.graph.num_nodes)], dtype=np.int64
+
+    communities, rounds, levels = louvain_levels(
+        cluster, pgraph.graph, pgraph, move, gamma, min_gain, max_levels
     )
-    return AlgorithmResult(
-        name="LV",
-        values=communities,
-        rounds=total_rounds,
-        stats={
-            "modularity": modularity(pgraph.graph, final_labels, gamma),
-            "levels": levels,
-            "num_communities": len(set(communities.values())),
-        },
-    )
+    return community_result("LV", pgraph.graph, communities, rounds, levels, gamma)

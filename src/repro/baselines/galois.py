@@ -24,7 +24,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import AlgorithmResult, coarsen, left_sum, modularity, weighted_degrees
+from repro.algorithms.common import (
+    AlgorithmResult,
+    cluster_seeds,
+    coarsen,
+    community_result,
+    left_sum,
+    louvain_levels,
+    modularity,
+    weighted_degrees,
+)
 from repro.cluster.cluster import Cluster, static_thread
 from repro.cluster.metrics import PhaseKind
 from repro.graph.csr import Graph
@@ -301,11 +310,12 @@ def _galois_moving(
 ) -> tuple[np.ndarray, int]:
     """Local moving with in-place atomic accumulations.
 
-    The paper's LV/LD are *the deterministic algorithm* in both systems
-    (Section 6.1), so the move rule, parity gating, and cutoffs match
-    :func:`repro.algorithms.louvain.local_moving` exactly; what differs is
-    the execution substrate - direct array reads and atomic in-place
-    updates instead of request phases and thread-local maps."""
+    The move rule, tie-breaks and parity gating are those of
+    :func:`repro.algorithms.louvain.local_moving`; the execution substrate
+    differs - direct array reads and atomic in-place updates instead of
+    request phases and thread-local maps - and so does the result: a move
+    is visible to the rest of its sweep, there is no singleton guard, and
+    the move cutoff counts one sweep, not two."""
     strengths = weighted_degrees(graph)
     two_m = float(strengths.sum())
     labels = (initial if initial is not None else np.arange(graph.num_nodes)).astype(
@@ -405,40 +415,17 @@ def galois_louvain(
     max_levels: int = 12,
 ) -> AlgorithmResult:
     _check_single_host(cluster)
-    level_graph = graph
-    node_to_coarse = np.arange(graph.num_nodes, dtype=np.int64)
-    best_q = modularity(level_graph, np.arange(level_graph.num_nodes), gamma)
-    total_sweeps = 0
-    levels = 0
-    while levels < max_levels:
-        labels, sweeps = _galois_moving(
+
+    def move(level_graph, level_pgraph, level):
+        return _galois_moving(
             cluster, level_graph, gamma, max_sweeps_per_level, heavy_conflicts=False
         )
-        total_sweeps += sweeps
-        levels += 1
-        level_q = modularity(level_graph, labels, gamma)
-        moved = bool(np.any(labels != np.arange(level_graph.num_nodes)))
-        if not moved or level_q < best_q + min_gain:
-            node_to_coarse = labels[node_to_coarse]
-            break
-        best_q = level_q
-        coarse_graph, coarse_of = coarsen(level_graph, labels)
-        node_to_coarse = coarse_of[node_to_coarse]
-        if coarse_graph.num_nodes == level_graph.num_nodes:
-            break
-        level_graph = coarse_graph
-    communities = {node: int(node_to_coarse[node]) for node in range(graph.num_nodes)}
-    final = np.asarray([communities[n] for n in range(graph.num_nodes)])
-    return AlgorithmResult(
-        name="Galois-LV",
-        values=communities,
-        rounds=total_sweeps,
-        stats={
-            "modularity": modularity(graph, final, gamma),
-            "levels": levels,
-            "num_communities": len(set(communities.values())),
-        },
+
+    # No partition: the coarse graphs stay whole and coarsening is free.
+    communities, sweeps, levels = louvain_levels(
+        cluster, graph, None, move, gamma, min_gain, max_levels
     )
+    return community_result("Galois-LV", graph, communities, sweeps, levels, gamma)
 
 
 def galois_leiden(
@@ -485,30 +472,11 @@ def galois_leiden(
         coarse_graph, coarse_of = coarsen(level_graph, refined)
         if not moved and coarse_graph.num_nodes == level_graph.num_nodes:
             break
-        parent_cluster = np.zeros(coarse_graph.num_nodes, dtype=np.int64)
-        parent_cluster[coarse_of] = labels
-        representative: dict[int, int] = {}
-        for coarse_id, parent in enumerate(parent_cluster.tolist()):
-            representative.setdefault(parent, coarse_id)
-        initial = np.asarray(
-            [representative[parent] for parent in parent_cluster.tolist()],
-            dtype=np.int64,
-        )
+        initial = cluster_seeds(labels, coarse_of, coarse_graph.num_nodes)
         node_to_coarse = coarse_of[node_to_coarse]
         if coarse_graph.num_nodes == level_graph.num_nodes:
             break
         level_graph = coarse_graph
-    communities = {
-        node: int(communities_of_original[node]) for node in range(graph.num_nodes)
-    }
-    final = np.asarray([communities[n] for n in range(graph.num_nodes)])
-    return AlgorithmResult(
-        name="Galois-LD",
-        values=communities,
-        rounds=total_sweeps,
-        stats={
-            "modularity": modularity(graph, final, gamma),
-            "levels": levels,
-            "num_communities": len(set(communities.values())),
-        },
+    return community_result(
+        "Galois-LD", graph, communities_of_original, total_sweeps, levels, gamma
     )

@@ -18,14 +18,23 @@ gap that request/response would otherwise open.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any
 
 from repro.algorithms.common import AlgorithmResult
 from repro.cluster.cluster import Cluster
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, ReduceOp
 from repro.core.variants import RuntimeVariant
-from repro.exec import Executor, Operator, OperatorStep, Plan, ScalarKernel, SyncStep
+from repro.exec import (
+    ActiveFilter,
+    CmpFilter,
+    EdgePush,
+    Executor,
+    Operator,
+    OperatorStep,
+    Plan,
+    SyncStep,
+)
 from repro.partition.base import PartitionedGraph
 
 
@@ -87,26 +96,25 @@ def make_gluon_map(
 
 
 def _push_plan(
-    pgraph: PartitionedGraph, prop: NodePropMap, label: str, body: Callable, invariant: str
+    pgraph: PartitionedGraph, prop: NodePropMap, label: str, invariant: str, **push
 ) -> Plan:
-    """One Gluon round: a push operator reducing straight into the cached
-    proxies, then reduce + broadcast; run until ``prop`` is quiescent,
-    its mirrors pinned under ``invariant``."""
+    """One Gluon round: a MIN push from the active (changed) nodes -
+    Gluon's worklist - reducing straight into the cached proxies, then
+    reduce + broadcast; run until ``prop`` is quiescent, its mirrors
+    pinned under ``invariant``. ``push`` adds :class:`EdgePush` fields."""
+    kernel = EdgePush(
+        target=prop,
+        op=MIN,
+        source=prop,
+        require_active=ActiveFilter(prop),
+        charge_per_source=1,
+        **push,
+    )
     return Plan(
         name=label,
         pgraph=pgraph,
         steps=[
-            OperatorStep(
-                Operator(
-                    label,
-                    "all",
-                    ScalarKernel(
-                        body,
-                        read_names=(prop.name,),
-                        write_names=((prop.name, MIN.name),),
-                    ),
-                )
-            ),
+            OperatorStep(Operator(label, "all", kernel)),
             SyncStep(prop, "reduce"),
             SyncStep(prop, "broadcast"),
         ],
@@ -124,23 +132,17 @@ def gluon_sssp(
     """Gluon's data-driven SSSP (push-style Bellman-Ford on atomics)."""
     dist = make_gluon_map(cluster, pgraph, "gluon_dist")
     dist.set_initial(lambda node: 0.0 if node == source else math.inf)
-
-    def relax(ctx) -> None:
-        if ctx.part.degree(ctx.local) == 0:
-            return
-        ctx.charge(1)
-        if not dist.is_active(ctx.host, ctx.node):
-            return
-        my_dist = dist.read_local(ctx.host, ctx.local)
-        if my_dist == math.inf:
-            return
-        for edge in ctx.edges():
-            weight = 1.0 if unit_weights else ctx.edge_weight(edge)
-            dist.reduce(
-                ctx.host, ctx.thread, ctx.edge_dst(edge), my_dist + weight, MIN
-            )
-
-    rounds = Executor(cluster).run(_push_plan(pgraph, dist, "gluon_sssp", relax, "none"))
+    plan = _push_plan(
+        pgraph,
+        dist,
+        "gluon_sssp",
+        "none",
+        value_filter=CmpFilter("ne", math.inf),
+        with_weight="add",
+        unit_weights=unit_weights,
+    )
+    # The scalar executor: the atomic reduction has no bulk entry point.
+    rounds = Executor(cluster).run(plan)
     return AlgorithmResult(name="Gluon-SSSP", values=dist.snapshot(), rounds=rounds)
 
 
@@ -159,18 +161,7 @@ def gluon_cc_lp(cluster: Cluster, pgraph: PartitionedGraph) -> AlgorithmResult:
     """Gluon's label-propagation connected components."""
     label = make_gluon_map(cluster, pgraph, "gluon_label")
     label.set_initial(lambda node: node)
-
-    def push(ctx) -> None:
-        if ctx.part.degree(ctx.local) == 0:
-            return
-        ctx.charge(1)
-        if not label.is_active(ctx.host, ctx.node):
-            return  # Gluon's worklist: only changed labels push
-        node_label = label.read_local(ctx.host, ctx.local)
-        for edge in ctx.edges():
-            label.reduce(ctx.host, ctx.thread, ctx.edge_dst(edge), node_label, MIN)
-
-    rounds = Executor(cluster).run(_push_plan(pgraph, label, "gluon_lp", push, "push"))
+    rounds = Executor(cluster).run(_push_plan(pgraph, label, "gluon_lp", "push"))
     return AlgorithmResult(
         name="Gluon-LP", values=label.snapshot(), rounds=rounds
     )

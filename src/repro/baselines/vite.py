@@ -1,8 +1,9 @@
 """Vite-like distributed Louvain (Ghosh et al. [38]).
 
 Same deterministic synchronous Louvain as :mod:`repro.algorithms.louvain`
-(identical move rule, tie-breaks, and singleton guard, so the clustering
-output matches Kimbap's LV exactly), but executed the way Vite executes it:
+(identical move rule, tie-breaks and singleton guard, and the level loop
+and moving cutoff of :mod:`repro.algorithms.common`, so labels and rounds
+match Kimbap's LV exactly), but executed the way Vite executes it:
 
 * **single-threaded inspection phase** per refinement round: one thread
   per host walks its edges to build the shared cluster-info map
@@ -27,11 +28,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import AlgorithmResult, coarsen, modularity, weighted_degrees
+from repro.algorithms.common import (
+    AlgorithmResult,
+    community_result,
+    louvain_levels,
+    moving_converged,
+    moving_cutoff_state,
+    weighted_degrees,
+)
 from repro.cluster.cluster import Cluster, static_thread
 from repro.cluster.metrics import PhaseKind
 from repro.partition.base import PartitionedGraph
-from repro.partition.policies import partition
 
 
 def _vite_moving_round(
@@ -175,10 +182,7 @@ def _vite_level(
         cluster.track_memory(
             part.host_id, "vite", 3 * part.num_masters + part.num_mirrors
         )
-    min_moves = max(int(0.01 * graph.num_nodes), 1)
-    previous_moves = graph.num_nodes
-    best_quality = -np.inf
-    stalled_rounds = 0
+    cutoff = moving_cutoff_state(graph.num_nodes)
     rounds = 0
     while rounds < max_rounds:
         if early_termination:
@@ -195,18 +199,9 @@ def _vite_level(
         if moved_nodes:
             stable_rounds[list(moved_nodes)] = 0
         rounds += 1
-        if len(moves) + previous_moves < min_moves:
-            # same iteration cutoff as Kimbap's LV (Vite/Grappolo use one too)
+        # the same cutoff as Kimbap's LV (Vite/Grappolo use one too)
+        if moving_converged(cutoff, len(moves), graph, lambda: labels, gamma):
             break
-        previous_moves = len(moves)
-        quality = modularity(graph, labels, gamma)
-        if quality > best_quality + 1e-12:
-            best_quality = quality
-            stalled_rounds = 0
-        else:
-            stalled_rounds += 1
-            if stalled_rounds >= 4:
-                break
     return labels, rounds
 
 
@@ -224,44 +219,13 @@ def vite_louvain(
     if pgraph.policy not in ("oec", "iec"):
         raise ValueError("Vite supports edge-cut partitioning only")
     rng = np.random.default_rng(seed)
-    level_graph = pgraph.graph
-    level_pgraph = pgraph
-    node_to_coarse = np.arange(level_graph.num_nodes, dtype=np.int64)
-    best_modularity = modularity(level_graph, np.arange(level_graph.num_nodes), gamma)
-    total_rounds = 0
-    levels = 0
-    while levels < max_levels:
-        labels, rounds = _vite_level(
+
+    def move(level_graph, level_pgraph, level):
+        return _vite_level(
             cluster, level_pgraph, gamma, max_rounds_per_level, early_termination, rng
         )
-        total_rounds += rounds
-        levels += 1
-        level_modularity = modularity(level_graph, labels, gamma)
-        moved = bool(np.any(labels != np.arange(level_graph.num_nodes)))
-        if not moved or level_modularity < best_modularity + min_gain:
-            best_modularity = max(best_modularity, level_modularity)
-            node_to_coarse = labels[node_to_coarse]
-            break
-        best_modularity = level_modularity
-        coarse_graph, coarse_of = coarsen(level_graph, labels, cluster, level_pgraph)
-        node_to_coarse = coarse_of[node_to_coarse]
-        if coarse_graph.num_nodes == level_graph.num_nodes:
-            break
-        level_graph = coarse_graph
-        level_pgraph = partition(coarse_graph, cluster.num_hosts, pgraph.policy)
-    communities = {
-        node: int(node_to_coarse[node]) for node in range(pgraph.graph.num_nodes)
-    }
-    final_labels = np.asarray(
-        [communities[node] for node in range(pgraph.graph.num_nodes)], dtype=np.int64
+
+    communities, rounds, levels = louvain_levels(
+        cluster, pgraph.graph, pgraph, move, gamma, min_gain, max_levels
     )
-    return AlgorithmResult(
-        name="Vite-LV",
-        values=communities,
-        rounds=total_rounds,
-        stats={
-            "modularity": modularity(pgraph.graph, final_labels, gamma),
-            "levels": levels,
-            "num_communities": len(set(communities.values())),
-        },
-    )
+    return community_result("Vite-LV", pgraph.graph, communities, rounds, levels, gamma)

@@ -139,12 +139,14 @@ def cmd_compare_lv(args: argparse.Namespace) -> int:
     vite = run_vite(args.graph, args.hosts, threads=args.threads)
     galois = run_galois("LV", args.graph, threads=args.threads)
     print(_result_rows([kimbap, vite, galois]))
+    # Kimbap and Vite run one deterministic Louvain; Galois moves in place
+    # and asynchronously, so its clustering differs and is not checked.
+    identical = kimbap.values == vite.values and kimbap.rounds == vite.rounds
     print(
         f"speedup over Vite: {vite.total / kimbap.total:.2f}x "
-        f"(identical clustering: "
-        f"{abs(kimbap.stats['modularity'] - vite.stats['modularity']) < 1e-9})"
+        f"(identical clustering: {identical}; rounds {kimbap.rounds} vs {vite.rounds})"
     )
-    return 0
+    return 0 if identical else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:

@@ -96,12 +96,10 @@ class GarHostStore:
         self._valid: np.ndarray | None = np.zeros(self.part.num_local, dtype=bool)
         self.values: Any = _ColumnTrap(self)
         masters = self.part.masters_global
-        # Blocked policies give contiguous master id ranges, enabling O(1)
-        # global -> local translation for masters (the heart of GAR).
+        # Blocked ownership (the partition contract) makes the masters one
+        # id range: global -> local translation is a subtraction (the
+        # heart of GAR).
         self._master_base = int(masters[0]) if masters.size else 0
-        self._masters_contiguous = bool(
-            masters.size == 0 or (masters[-1] - masters[0] + 1 == masters.size)
-        )
         self.pinned = False
         self._remote_keys = np.empty(0, dtype=np.int64)
         self._remote_values: list[Any] = []
@@ -208,10 +206,7 @@ class GarHostStore:
     def master_local(self, key: int) -> int | None:
         if self.owner[key] != self.host_id:
             return None
-        if self._masters_contiguous:
-            return key - self._master_base
-        self._check_counters().hash_probes += 1
-        return self.part.global_to_local[key]
+        return key - self._master_base
 
     def _mirror_local(self, key: int) -> int | None:
         local = self.part.global_to_local.get(key)
@@ -220,28 +215,15 @@ class GarHostStore:
         return local
 
     def _locals_of(self, keys: np.ndarray) -> np.ndarray:
-        """Master-local translation of keys this host owns: no ownership
-        check and no charge (callers that owe the probe charge pay it)."""
-        if self._masters_contiguous:
-            return keys - self._master_base
-        return self._translate_arr()[keys]
-
-    def _charge_master_probes(self, count: int) -> None:
-        """The per-key hash probe :meth:`master_local` pays when masters
-        are not id-contiguous."""
-        if not self._masters_contiguous:
-            self._check_counters().hash_probes += count
+        """Master-local translation of keys this host owns (no ownership
+        check)."""
+        return keys - self._master_base
 
     def _master_locals(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`master_local` for keys this host must own.
-
-        Charges the same per-key hash probe as the scalar translation when
-        masters are not id-contiguous.
-        """
+        """Vectorized :meth:`master_local` for keys this host must own."""
         if keys.size and np.any(self.owner[keys] != self.host_id):
             bad = int(keys[self.owner[keys] != self.host_id][0])
             raise KeyError(f"node {bad} is not a master on host {self.host_id}")
-        self._charge_master_probes(int(keys.size))
         return self._locals_of(keys)
 
     # -- reads ----------------------------------------------------------------
@@ -391,7 +373,6 @@ class GarHostStore:
         # dense: keys the column serves; the rest go to the remote cache.
         dense = np.zeros(count, dtype=bool)
         own = np.flatnonzero(self.owner[keys] == self.host_id)
-        self._charge_master_probes(int(own.size))
         counters.vector_reads += int(own.size)
         counters.reads_master += int(own.size)
         counters.reads_remote += count - int(own.size)
@@ -514,15 +495,13 @@ class GarHostStore:
 
         ``locals_`` is the keys' master-local translation when the caller
         holds it already (a prepared sync route, validated when it was
-        built); the translation charge is paid either way.
+        built).
         """
         if keys.size == 0:
             return keys
         count = int(keys.size)
         if locals_ is None:
             locals_ = self._master_locals(keys)
-        else:
-            self._charge_master_probes(count)
         counters = self.cluster.counters(self.host_id)
         counters.vector_reads += count
         counters.local_ops += count

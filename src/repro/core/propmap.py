@@ -154,12 +154,11 @@ class NodePropMap:
         # (see _route). A prepared fold's full round collects the *same
         # frozen key object* each time, so the entry is then built once.
         self._routes: list[tuple[np.ndarray, _Route] | None] = [None] * num_hosts
-        # Where each owner's block of node ids starts (one more entry
-        # closes the last), when ownership is blocked - GAR owners
-        # non-decreasing in node id, which every partition policy here
-        # produces; None otherwise. Observed from the partition, once.
+        # Where each GAR owner's block of node ids starts (one more entry
+        # closes the last): ownership is blocked by the partition contract.
+        # None for the hashed owners of the non-GAR variants.
         self._owner_starts: np.ndarray | None = None
-        if variant.uses_gar and bool(np.all(pgraph.owner[1:] >= pgraph.owner[:-1])):
+        if variant.uses_gar:
             self._owner_starts = np.searchsorted(
                 pgraph.owner, np.arange(num_hosts + 1)
             )
@@ -463,11 +462,7 @@ class NodePropMap:
         store = self.stores[host]
         eligible = np.ones(keys.size, dtype=bool)
         if isinstance(store, GarHostStore):
-            own = self.pgraph.owner[keys] == host
-            if not store._masters_contiguous:
-                # master_local() pays one probe per owned-key translation.
-                store._check_counters().hash_probes += int(np.count_nonzero(own))
-            eligible = ~own
+            eligible = self.pgraph.owner[keys] != host
             if self._pinned:
                 # Absent keys translate to -1, below every mirror slot.
                 eligible &= store._translate_arr()[keys] < store.part.num_masters

@@ -563,8 +563,9 @@ class _ChunkSchedule:
 
     def pop(self) -> list[int]:
         """Up to ``chunk_size`` live (non-stale) nodes, highest residual
-        first, re-serialized by (owner host, node id) for the apply order."""
-        heap, priority, owner = self.heap, self.priority, self.columns[0]
+        first, re-serialized by (owner host, node id) for the apply order -
+        ascending node id, since ownership is blocked."""
+        heap, priority = self.heap, self.priority
         room, pop = self.chunk_size, heapq.heappop
         nodes: list[int] = []
         while heap:
@@ -578,10 +579,7 @@ class _ChunkSchedule:
                 room -= 1
                 if not room:
                     break
-        # Two stable C-level sorts make the (owner, node) order with no
-        # per-node key tuple: by node, then by owner.
         nodes.sort()
-        nodes.sort(key=owner.__getitem__)
         return nodes
 
     def phase(self) -> "_ChunkPhase":

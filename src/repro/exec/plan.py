@@ -389,11 +389,11 @@ class KeyRequest:
     ``REQUEST_COMPUTE`` step; the request-sync that follows serves it).
 
     The canonical pipeline: node visit -> own read of ``keys`` (by local
-    id) -> one ``of.request`` per node (``local_ops``; the owned-key probe
-    when masters are not id-contiguous; deduplicated through the host's
-    request bitset, skipping keys that are already readable - own masters
-    and pinned mirrors). The request bits are the kernel's only effect and
-    are not a reduction, so ``writes()`` is empty.
+    id) -> one ``of.request`` per node (``local_ops``; deduplicated
+    through the host's request bitset, skipping keys that are already
+    readable - own masters and pinned mirrors). The request bits are the
+    kernel's only effect and are not a reduction, so ``writes()`` is
+    empty.
     """
 
     keys: NodePropMap

@@ -177,7 +177,20 @@ def build_partitioned(
     exists as either a master or a mirror proxy. ``num_hosts`` keeps empty
     hosts alive when there are more hosts than nodes (their partitions are
     simply empty).
+
+    Ownership must be blocked - ``owner`` non-decreasing in node id, as
+    :func:`balanced_node_blocks` hands it out - so every host's masters
+    are one id range and GAR translates a master's global id to its local
+    id by subtraction alone.
     """
+    descending = np.flatnonzero(owner[1:] < owner[:-1])
+    if descending.size:
+        node = int(descending[0]) + 1
+        raise ValueError(
+            f"owner must be non-decreasing in node id: node {node} is owned "
+            f"by host {int(owner[node])} after node {node - 1} on host "
+            f"{int(owner[node - 1])}"
+        )
     if num_hosts is None:
         num_hosts = int(owner.max(initial=-1)) + 1 if owner.size else 1
         num_hosts = max(num_hosts, int(edge_host.max(initial=-1)) + 1, 1)

@@ -112,3 +112,16 @@ class TestCommands:
         assert "Vite" in out
         assert "Galois" in out
         assert "speedup over Vite" in out
+        assert "identical clustering: True" in out
+
+    def test_compare_lv_fails_when_vite_disagrees(self, capsys, monkeypatch):
+        run_vite = repro.cli.run_vite
+
+        def one_round_more(*args, **kwargs):
+            result = run_vite(*args, **kwargs)
+            result.rounds += 1
+            return result
+
+        monkeypatch.setattr(repro.cli, "run_vite", one_round_more)
+        assert main(["compare-lv", "--hosts", "2", "--threads", "4"]) == 1
+        assert "identical clustering: False" in capsys.readouterr().out

@@ -12,7 +12,6 @@ from repro.cluster.metrics import PhaseKind
 from repro.core import MIN, SUM, NodePropMap, RuntimeVariant
 from repro.graph import generators
 from repro.partition import partition
-from repro.partition.base import build_partitioned
 
 ALL_VARIANTS = list(RuntimeVariant)
 
@@ -383,28 +382,6 @@ class TestDenseTranslation:
             kept_any = kept_any or bool(expected)
         assert kept_any or policy != "cvc"  # some policies elide every mirror
 
-    def test_snapshot_array_gathers_non_contiguous_masters(self):
-        # No built-in policy interleaves owners; a round-robin one does.
-        graph = generators.powerlaw_like(6, seed=2)
-        owner = np.arange(graph.num_nodes, dtype=np.int64) % 4
-        pgraph = build_partitioned(
-            graph, "round-robin", owner, owner[graph.edge_sources()], num_hosts=4
-        )
-        cluster = Cluster(4, threads_per_host=4)
-        prop = NodePropMap(cluster, pgraph, "p")
-        assert not any(store._masters_contiguous for store in prop.stores)
-        prop.set_initial_bulk(lambda nodes: nodes * 0.5)
-        want = prop.snapshot()
-        got = prop.snapshot_array()
-        assert got.dtype == np.float64
-        assert got.tolist() == [want[n] for n in range(graph.num_nodes)]
-        # Scalar-touched (list mode) columns take the same route.
-        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
-            for host in range(4):
-                prop.read_local(host, 0)
-        assert prop.snapshot_array().tolist() == got.tolist()
-        assert prop.snapshot() == want
-
     def test_snapshot_array_rejects_unset_masters(self):
         _, pgraph, prop = make_map()
         with pytest.raises(ValueError, match="uninitialized or non-numeric"):
@@ -455,47 +432,6 @@ class TestSyncRoute:
             assert keys[cut.idx].tolist() == keys[general.idx].tolist()
             assert cut.keys.tolist() == general.keys.tolist()
             assert cut.locals_.tolist() == general.locals_.tolist()
-
-
-    def test_routed_sync_charges_like_the_scalar_path_without_contiguity(self):
-        # Interleaved owners: every owner-side translation is a charged
-        # hash probe, which a route's pre-translated locals must still pay.
-        graph = generators.powerlaw_like(6, seed=2)
-        owner = np.arange(graph.num_nodes, dtype=np.int64) % 4
-        pgraph = build_partitioned(
-            graph, "round-robin", owner, owner[graph.edge_sources()], num_hosts=4
-        )
-        rng = np.random.default_rng(3)
-        threads = np.sort(rng.integers(0, 4, size=200))
-        keys = rng.integers(0, graph.num_nodes, size=200).astype(np.int64)
-        rounds = rng.integers(0, 100, size=(2, 200)).astype(np.float64)
-        outcomes = []
-        for bulk in (False, True):
-            cluster = Cluster(4, threads_per_host=4)
-            prop = NodePropMap(cluster, pgraph, "p")
-            assert prop._owner_starts is None  # the general per-owner route
-            prop.set_initial_bulk(lambda nodes: np.full(nodes.size, 50.0))
-            plans = [prop.prepare_reduce_bulk(host, threads, keys) for host in range(4)]
-            routes = []
-            for values in rounds:
-                with cluster.phase(PhaseKind.REDUCE_COMPUTE):
-                    for host in range(4):
-                        if bulk:
-                            prop.reduce_bulk_prepared(host, plans[host], values, MIN)
-                        else:
-                            for t, k, v in zip(
-                                threads.tolist(), keys.tolist(), values.tolist()
-                            ):
-                                prop.reduce(host, t, k, v, MIN)
-                prop.reduce_sync()
-                routes.append([entry and entry[1] for entry in prop._routes])
-            if bulk:  # the second round replayed the first round's routes
-                assert all(a is b for a, b in zip(*routes)) and all(routes[0])
-            outcomes.append(
-                (prop.snapshot(), cluster.log.total_counters(), cluster.log.total_bytes())
-            )
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][1].hash_probes > 0
 
 
 class TestCrossVariantAgreement:
@@ -554,15 +490,6 @@ class TestMessageAccounting:
             NodePropMap(cluster, pgraph, "p")
 
 
-def _round_robin(graph, hosts):
-    """No built-in policy interleaves owners; this one does, so master
-    ids are not contiguous and own-key translation pays its hash probe."""
-    owner = np.arange(graph.num_nodes, dtype=np.int64) % hosts
-    return build_partitioned(
-        graph, "round-robin", owner, owner[graph.edge_sources()], num_hosts=hosts
-    )
-
-
 class TestReadBulk:
     """``read_bulk`` is the per-key ``read`` loop with aggregate charges:
     same values, same ``Counters`` in every field, same ``KeyError``."""
@@ -576,10 +503,7 @@ class TestReadBulk:
         are empty and were requested (served from the cache), and some
         are empty and unreadable."""
         graph = generators.powerlaw_like(6, seed=2)
-        if policy == "round-robin":
-            pgraph = _round_robin(graph, self.HOSTS)
-        else:
-            pgraph = partition(graph, self.HOSTS, policy)
+        pgraph = partition(graph, self.HOSTS, policy)
         cluster = Cluster(self.HOSTS, threads_per_host=4)
         prop = NodePropMap(
             cluster, pgraph, "p", variant=variant, remote_layout=layout
@@ -638,7 +562,7 @@ class TestReadBulk:
         + [(v, "sorted") for v in ALL_VARIANTS if v is not RuntimeVariant.KIMBAP],
         ids=lambda value: getattr(value, "name", value),
     )
-    @pytest.mark.parametrize("policy", ["oec", "cvc", "round-robin"])
+    @pytest.mark.parametrize("policy", ["oec", "cvc"])
     def test_matches_the_per_key_read_loop(self, policy, variant, layout, list_mode):
         args = (policy, variant, layout, list_mode)
         served, refused = self.readable(*args)
@@ -659,13 +583,10 @@ class TestReadBulk:
         total = cluster.log.total_counters()
         assert total.reads_master and total.reads_remote
         if variant.uses_gar:
-            # Every path was crossed: own masters (probed when ids are not
-            # contiguous), pinned mirrors, and the requested-remote cache.
+            # Every path was crossed: own masters, pinned mirrors, and the
+            # requested-remote cache.
             cache_lookups = total.hash_probes if layout == "hash" else total.binsearch_steps
             assert cache_lookups and total.vector_reads > total.reads_master
-            assert (policy == "round-robin") == any(
-                not store._masters_contiguous for store in prop.stores
-            )
         for host, keys in enumerate(refused):
             if keys:
                 batch = np.append(batches[host][:5], keys[0])

@@ -4,11 +4,13 @@ compiled-program parity with hand-written plans, and the ``plan`` CLI."""
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.algorithms import cc_lp, cc_sv, pagerank
 from repro.algorithms.cc_lp import cc_lp_plan
+from repro.baselines import gluon
 from repro.cli import main
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
@@ -44,6 +46,7 @@ from repro.exec import (
     filter_summary,
     format_plan_summary,
     plan_summary,
+    walk_plans,
 )
 from repro.graph import generators
 from repro.partition import partition
@@ -209,6 +212,82 @@ def test_every_app_hands_the_executor_one_plan(kind, app):
     apps = KIMBAP_APPS if kind == "kimbap" else COMPILED_APPS
     apps[app](cluster, pgraph, executor=executor)
     assert len(plans) == 1
+
+
+def scalar_kernel_labels(plans):
+    """The operator labels of ``plans`` (sub-plans included) that run a
+    hand-written :class:`ScalarKernel`, level numbers folded to ``#``."""
+    return sorted(
+        {
+            re.sub(r"\d+", "#", step.operator.label)
+            for plan in plans
+            for sub in walk_plans(plan)
+            for step in sub.steps
+            if isinstance(step, OperatorStep)
+            and isinstance(step.operator.kernel, ScalarKernel)
+        }
+    )
+
+
+# Per app: the operators still written as scalar bodies rather than a
+# declarative form. Porting one (ROADMAP item 3) shrinks its line here;
+# a regression to a hand-written body grows it.
+SCALAR_KERNEL_CENSUS = {
+    "BFS": [],
+    "CC-LP": [],
+    "CC-SCLP": [],
+    "CC-SV": [],
+    "K-CORE": ["core"],
+    "LD": ["ld#m:move", "ld#m:req", "ld#r:move", "ld#r:req"],
+    "LV": ["lv#:move", "lv#:req"],
+    "MIS": ["mis:blocked", "mis:select"],
+    "MSF": ["msf:hook", "msf:min"],
+    "PR": [],
+    "SSSP": [],
+    "VERTEX-COVER": ["vc:match", "vc:propose"],
+}
+
+
+class TestFormCensus:
+    def test_census_covers_every_app(self):
+        assert sorted(SCALAR_KERNEL_CENSUS) == sorted(KIMBAP_APPS)
+
+    @pytest.mark.parametrize("app", sorted(KIMBAP_APPS))
+    def test_scalar_kernels_per_app(self, app):
+        graph = generators.powerlaw_like(
+            scale=5, seed=3, weighted=APP_WEIGHTED.get(app, False)
+        )
+        cluster = Cluster(2, threads_per_host=2)
+        plans = []
+        executor = Executor(cluster, observer=plans.append)
+        KIMBAP_APPS[app](cluster, partition(graph, 2, APP_POLICY[app]), executor=executor)
+        assert scalar_kernel_labels(plans) == SCALAR_KERNEL_CENSUS[app]
+
+    def test_leiden_connected_split_is_declarative(self):
+        graph = generators.powerlaw_like(scale=5, seed=3, weighted=True)
+        cluster = Cluster(2, threads_per_host=2)
+        plans = []
+        executor = Executor(cluster, observer=plans.append)
+        KIMBAP_APPS["LD"](cluster, partition(graph, 2, "oec"), executor=executor)
+        splits = [plan for plan in plans if re.fullmatch(r"ld\d+s|ld_final", plan.name)]
+        assert {plan.name for plan in splits} >= {"ld1s", "ld_final"}
+        assert scalar_kernel_labels(splits) == []
+
+    @pytest.mark.parametrize("app", ["SSSP", "BFS", "CC-LP"])
+    def test_gluon_pushes_are_declarative(self, app, monkeypatch):
+        """Gluon builds its own (scalar) executor; observe it there."""
+        plans = []
+        monkeypatch.setattr(
+            gluon, "Executor", lambda cluster: Executor(cluster, observer=plans.append)
+        )
+        run = {"SSSP": gluon.gluon_sssp, "BFS": gluon.gluon_bfs, "CC-LP": gluon.gluon_cc_lp}
+        graph = generators.powerlaw_like(scale=5, seed=3, weighted=app == "SSSP")
+        cluster = Cluster(2, threads_per_host=2)
+        run[app](cluster, partition(graph, 2, "cvc"))
+        (plan,) = plans
+        (operator,) = [step.operator for step in plan.steps if isinstance(step, OperatorStep)]
+        assert isinstance(operator.kernel, EdgePush)
+        assert scalar_kernel_labels(plans) == []
 
 
 class TestTransVertexForms:

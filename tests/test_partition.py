@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.graph import generators
 from repro.partition import POLICIES, partition
-from repro.partition.base import balanced_node_blocks
+from repro.partition.base import balanced_node_blocks, build_partitioned
 from repro.partition.cartesian import grid_shape
 
 
@@ -176,3 +176,21 @@ class TestFanOut:
     def test_zero_hosts_rejected(self):
         with pytest.raises(ValueError):
             partition(GRAPHS["road"], 0, "oec")
+
+    def test_scattered_owners_rejected(self):
+        """Ownership is blocked by contract (GAR's arithmetic master
+        translation): a round-robin owner array is refused, naming the
+        first node that breaks the order."""
+        graph = GRAPHS["road"]
+        owner = np.arange(graph.num_nodes, dtype=np.int64) % 4
+        with pytest.raises(ValueError, match="node 4 is owned by host 0"):
+            build_partitioned(
+                graph, "round-robin", owner, owner[graph.edge_sources()], num_hosts=4
+            )
+        blocked = np.sort(owner)
+        pgraph = build_partitioned(
+            graph, "blocked", blocked, blocked[graph.edge_sources()], num_hosts=4
+        )
+        assert [part.num_masters for part in pgraph.parts] == [
+            int(np.count_nonzero(blocked == host)) for host in range(4)
+        ]
