@@ -58,22 +58,9 @@ class Graph:
         edge_array = np.asarray(list(edges), dtype=np.int64)
         if edge_array.size == 0:
             edge_array = edge_array.reshape(0, 2)
-        srcs, dsts = edge_array[:, 0], edge_array[:, 1]
-        if srcs.size and (srcs.min() < 0 or srcs.max() >= num_nodes):
-            raise ValueError("edge source out of range")
-        weight_array = None
-        if weights is not None:
-            weight_array = np.asarray(list(weights), dtype=np.float64)
-            if weight_array.shape != srcs.shape:
-                raise ValueError("weights must match edges in length")
-        order = np.argsort(srcs, kind="stable")
-        srcs, dsts = srcs[order], dsts[order]
-        if weight_array is not None:
-            weight_array = weight_array[order]
-        counts = np.bincount(srcs, minlength=num_nodes)
-        indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dsts, weight_array)
+        srcs, dsts = np.ascontiguousarray(edge_array.T)
+        weight_array = None if weights is None else np.asarray(list(weights), dtype=np.float64)
+        return cls.from_arrays(num_nodes, srcs, dsts, weight_array)
 
     @classmethod
     def from_arrays(
@@ -83,21 +70,57 @@ class Graph:
         dsts: np.ndarray,
         weights: np.ndarray | None = None,
     ) -> "Graph":
-        """Vectorized variant of :meth:`from_edge_list`."""
+        """Vectorized variant of :meth:`from_edge_list`.
+
+        Edges keep their input order per source. Input already in source
+        order (every caller that derives its edges from a CSR graph) is
+        used as it is, without the stable sort.
+        """
         srcs = np.asarray(srcs, dtype=np.int64)
         dsts = np.asarray(dsts, dtype=np.int64)
         if srcs.shape != dsts.shape:
             raise ValueError("srcs and dsts must have the same shape")
         if srcs.size and (srcs.min() < 0 or srcs.max() >= num_nodes):
             raise ValueError("edge source out of range")
-        order = np.argsort(srcs, kind="stable")
-        srcs, dsts = srcs[order], dsts[order]
         if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)[order]
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != srcs.shape:
+                raise ValueError("weights must match edges in length")
+        if np.any(srcs[1:] < srcs[:-1]):
+            order = np.argsort(srcs, kind="stable")
+            srcs, dsts = srcs[order], dsts[order]
+            if weights is not None:
+                weights = weights[order]
         counts = np.bincount(srcs, minlength=num_nodes)
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         return cls(indptr, dsts, weights)
+
+    @classmethod
+    def symmetric_from_arrays(
+        cls, num_nodes: int, srcs: np.ndarray, dsts: np.ndarray
+    ) -> "Graph":
+        """The unweighted graph holding every ``(src, dst)`` pair in both
+        directions, each distinct pair once, neighbours ascending.
+
+        One sort of the ``src * num_nodes + dst`` key column gives the CSR
+        order outright: duplicates are neighbours in it, and the sorted keys
+        cut into ``indptr`` by search and into ``indices`` by remainder.
+        """
+        srcs = np.asarray(srcs, dtype=np.int64)
+        dsts = np.asarray(dsts, dtype=np.int64)
+        if srcs.shape != dsts.shape:
+            raise ValueError("srcs and dsts must have the same shape")
+        for ends in (srcs, dsts):
+            if ends.size and (ends.min() < 0 or ends.max() >= num_nodes):
+                raise ValueError("edge endpoint out of range")
+        keys = np.concatenate([srcs * num_nodes + dsts, dsts * num_nodes + srcs])
+        keys.sort()
+        if keys.size:
+            keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+        indptr = np.searchsorted(keys, np.arange(num_nodes + 1, dtype=np.int64) * num_nodes)
+        np.remainder(keys, num_nodes, out=keys)
+        return cls(indptr, keys)
 
     # -- basic accessors --------------------------------------------------
 
@@ -156,27 +179,23 @@ class Graph:
         """
         srcs = self.edge_sources()
         dsts = self.indices
+        if self.weights is None:
+            return Graph.symmetric_from_arrays(self.num_nodes, srcs, dsts)
+        # The max over a duplicate group is order-sensitive on -0.0/+0.0 and
+        # NaN, so weighted pairs keep the stable (input) order within a group.
         all_srcs = np.concatenate([srcs, dsts])
         all_dsts = np.concatenate([dsts, srcs])
-        if self.weights is not None:
-            all_weights = np.concatenate([self.weights, self.weights])
-        else:
-            all_weights = None
+        all_weights = np.concatenate([self.weights, self.weights])
         keys = all_srcs * self.num_nodes + all_dsts
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         keep = np.ones(keys.size, dtype=bool)
         keep[1:] = keys[1:] != keys[:-1]
         uniq = order[keep]
-        srcs_u, dsts_u = all_srcs[uniq], all_dsts[uniq]
-        weights_u = None
-        if all_weights is not None:
-            # max weight per duplicate group
-            group_ids = np.cumsum(keep) - 1
-            weights_sorted = all_weights[order]
-            weights_u = np.full(int(group_ids[-1]) + 1 if keys.size else 0, -np.inf)
-            np.maximum.at(weights_u, group_ids, weights_sorted)
-        return Graph.from_arrays(self.num_nodes, srcs_u, dsts_u, weights_u)
+        group_ids = np.cumsum(keep) - 1
+        weights_u = np.full(int(group_ids[-1]) + 1 if keys.size else 0, -np.inf)
+        np.maximum.at(weights_u, group_ids, all_weights[order])
+        return Graph.from_arrays(self.num_nodes, all_srcs[uniq], all_dsts[uniq], weights_u)
 
     def without_self_loops(self) -> "Graph":
         srcs = self.edge_sources()
@@ -185,9 +204,11 @@ class Graph:
         return Graph.from_arrays(self.num_nodes, srcs[keep], self.indices[keep], weights)
 
     def is_symmetric(self) -> bool:
+        """Whether every distinct (src, dst) pair also appears as (dst, src)."""
         srcs = self.edge_sources()
-        forward = set(zip(srcs.tolist(), self.indices.tolist()))
-        return all((dst, src) in forward for src, dst in forward)
+        forward = np.unique(srcs * self.num_nodes + self.indices)
+        backward = np.unique(self.indices * self.num_nodes + srcs)
+        return np.array_equal(forward, backward)
 
     def with_unit_weights(self) -> "Graph":
         return Graph(self.indptr, self.indices, np.ones(self.num_edges))

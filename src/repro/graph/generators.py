@@ -23,7 +23,6 @@ from repro.graph.csr import Graph
 
 def _attach_weights(graph: Graph, seed: int) -> Graph:
     """Give every undirected edge a weight, consistent in both directions."""
-    rng = np.random.default_rng(seed ^ 0x5EED)
     srcs = graph.edge_sources()
     dsts = graph.indices
     low = np.minimum(srcs, dsts)
@@ -31,8 +30,13 @@ def _attach_weights(graph: Graph, seed: int) -> Graph:
     # Hash the canonical (low, high) pair so both directions agree.
     mix = (low * 2654435761 + high * 40503 + seed) % (2**31)
     weights = 1.0 + (mix % 1000) / 1000.0 * 9.0  # in [1, 10)
-    del rng
     return Graph(graph.indptr, graph.indices, weights.astype(np.float64))
+
+
+def _simple_undirected(num_nodes: int, srcs: np.ndarray, dsts: np.ndarray) -> Graph:
+    """The symmetric graph of the drawn pairs, self-loops and duplicates dropped."""
+    distinct_ends = srcs != dsts
+    return Graph.symmetric_from_arrays(num_nodes, srcs[distinct_ends], dsts[distinct_ends])
 
 
 def road_like(
@@ -75,11 +79,7 @@ def road_like(
     for start in range(0, num_nodes, window):
         stop = min(start + window, num_nodes)
         perm[start:stop] = start + rng.permutation(stop - start)
-    all_srcs = perm[np.concatenate(srcs)]
-    all_dsts = perm[np.concatenate(dsts)]
-    graph = Graph.from_arrays(
-        num_nodes, all_srcs, all_dsts
-    ).without_self_loops().symmetrized()
+    graph = _simple_undirected(num_nodes, perm[np.concatenate(srcs)], perm[np.concatenate(dsts)])
     if weighted:
         graph = _attach_weights(graph, seed)
     return graph
@@ -116,9 +116,7 @@ def rmat(
         dsts |= dst_bit.astype(np.int64) << bit
     # Permute node ids so hubs are not clustered at id 0.
     perm = rng.permutation(num_nodes)
-    srcs, dsts = perm[srcs], perm[dsts]
-    graph = Graph.from_arrays(num_nodes, srcs, dsts)
-    graph = graph.without_self_loops().symmetrized()
+    graph = _simple_undirected(num_nodes, perm[srcs], perm[dsts])
     if weighted:
         graph = _attach_weights(graph, seed)
     return graph
@@ -145,14 +143,14 @@ def web_like_xl(scale: int = 12, seed: int = 2, weighted: bool = False) -> Graph
 def path(num_nodes: int, weighted: bool = False) -> Graph:
     """A symmetrized path 0 - 1 - ... - (n-1)."""
     srcs = np.arange(num_nodes - 1)
-    graph = Graph.from_arrays(num_nodes, srcs, srcs + 1).symmetrized()
+    graph = Graph.symmetric_from_arrays(num_nodes, srcs, srcs + 1)
     return _attach_weights(graph, 0) if weighted else graph
 
 
 def cycle(num_nodes: int, weighted: bool = False) -> Graph:
     srcs = np.arange(num_nodes)
     dsts = (srcs + 1) % num_nodes
-    graph = Graph.from_arrays(num_nodes, srcs, dsts).symmetrized()
+    graph = Graph.symmetric_from_arrays(num_nodes, srcs, dsts)
     return _attach_weights(graph, 0) if weighted else graph
 
 
@@ -160,7 +158,7 @@ def star(num_leaves: int, weighted: bool = False) -> Graph:
     """Node 0 connected to ``num_leaves`` leaves; a one-hub stress test."""
     srcs = np.zeros(num_leaves, dtype=np.int64)
     dsts = np.arange(1, num_leaves + 1)
-    graph = Graph.from_arrays(num_leaves + 1, srcs, dsts).symmetrized()
+    graph = Graph.symmetric_from_arrays(num_leaves + 1, srcs, dsts)
     return _attach_weights(graph, 0) if weighted else graph
 
 
@@ -188,5 +186,5 @@ def erdos_renyi(num_nodes: int, avg_degree: float, seed: int = 0, weighted: bool
     num_edges = int(num_nodes * avg_degree / 2)
     srcs = rng.integers(0, num_nodes, num_edges)
     dsts = rng.integers(0, num_nodes, num_edges)
-    graph = Graph.from_arrays(num_nodes, srcs, dsts).without_self_loops().symmetrized()
+    graph = _simple_undirected(num_nodes, srcs, dsts)
     return _attach_weights(graph, seed) if weighted else graph

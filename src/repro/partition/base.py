@@ -109,13 +109,14 @@ class PartitionedGraph:
         ``h`` pushes updated master values to exactly these hosts.
         """
         fan_out: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(self.num_hosts)]
+        # Mirrors ascend and ownership is blocked, so each owner's mirrors
+        # are one run, cut at the owner's first master id.
+        first_master = np.searchsorted(self.owner, np.arange(self.num_hosts + 1))
         for part in self.parts:
             mirrors = part.mirrors_global
-            if mirrors.size == 0:
-                continue
-            owners = self.owner[mirrors]
-            for owner_host in np.unique(owners):
-                owned_mirrors = mirrors[owners == owner_host]
+            cuts = np.searchsorted(mirrors, first_master)
+            for owner_host in np.flatnonzero(np.diff(cuts)):
+                owned_mirrors = mirrors[cuts[owner_host] : cuts[owner_host + 1]]
                 fan_out[int(owner_host)].append((part.host_id, owned_mirrors))
         return fan_out
 
@@ -123,11 +124,7 @@ class PartitionedGraph:
     def any_mirror_has_outgoing(self) -> bool:
         """False for outgoing edge-cuts: the structural invariant Gluon
         exploits to elide broadcasts for push-style operators."""
-        for part in self.parts:
-            for mirror_local in range(part.num_masters, part.num_local):
-                if part.degree(mirror_local) > 0:
-                    return True
-        return False
+        return any(np.diff(part.indptr)[part.num_masters :].any() for part in self.parts)
 
     @cached_property
     def any_mirror_has_incoming(self) -> bool:
@@ -181,8 +178,22 @@ def build_partitioned(
     Ownership must be blocked - ``owner`` non-decreasing in node id, as
     :func:`balanced_node_blocks` hands it out - so every host's masters
     are one id range and GAR translates a master's global id to its local
-    id by subtraction alone.
+    id by subtraction alone. The same contract orders each host's edges
+    without a sort: they arrive in ascending global source order, so in
+    local-id order they are the edges from masters, then those from
+    mirrors below the master range, then those from mirrors above it.
     """
+    owner = np.asarray(owner)
+    edge_host = np.asarray(edge_host)
+    if owner.shape != (graph.num_nodes,):
+        raise ValueError(
+            f"owner has {owner.size} entries for a graph of {graph.num_nodes} nodes"
+        )
+    if edge_host.shape != (graph.num_edges,):
+        raise ValueError(
+            f"edge_host has {edge_host.size} entries for a graph of "
+            f"{graph.num_edges} edges"
+        )
     descending = np.flatnonzero(owner[1:] < owner[:-1])
     if descending.size:
         node = int(descending[0]) + 1
@@ -194,39 +205,48 @@ def build_partitioned(
     if num_hosts is None:
         num_hosts = int(owner.max(initial=-1)) + 1 if owner.size else 1
         num_hosts = max(num_hosts, int(edge_host.max(initial=-1)) + 1, 1)
+    for name, hosts in (("owner", owner), ("edge_host", edge_host)):
+        stray = hosts[(hosts < 0) | (hosts >= num_hosts)]
+        if stray.size:
+            raise ValueError(f"{name} holds host {int(stray[0])} outside [0, {num_hosts})")
     srcs = graph.edge_sources()
     dsts = graph.indices
+    master_bounds = np.searchsorted(owner, np.arange(num_hosts + 1))
+    # Group the edges by host once; within a host they stay in CSR order. A
+    # narrow unsigned key makes the stable sort a radix sort.
+    by_host = np.argsort(edge_host.astype(np.min_scalar_type(num_hosts)), kind="stable")
+    edge_bounds = np.zeros(num_hosts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edge_host, minlength=num_hosts), out=edge_bounds[1:])
+    lookup = np.empty(graph.num_nodes, dtype=np.int64)
     parts: list[LocalPartition] = []
-    owned_by_host = [np.flatnonzero(owner == h) for h in range(num_hosts)]
     for host in range(num_hosts):
-        mask = edge_host == host
-        host_srcs = srcs[mask]
-        host_dsts = dsts[mask]
-        host_weights = graph.weights[mask] if graph.weights is not None else None
-        endpoints = np.unique(np.concatenate([host_srcs, host_dsts]))
-        masters = owned_by_host[host]
-        mirrors = np.setdiff1d(endpoints, masters, assume_unique=False)
-        local_to_global = np.concatenate([masters, mirrors])
-        lookup = np.empty(graph.num_nodes, dtype=np.int64)
+        lo, hi = int(master_bounds[host]), int(master_bounds[host + 1])
+        host_edges = by_host[edge_bounds[host] : edge_bounds[host + 1]]
+        cut_lo, cut_hi = np.searchsorted(srcs[host_edges], (lo, hi))
+        host_edges = np.concatenate(
+            [host_edges[cut_lo:cut_hi], host_edges[:cut_lo], host_edges[cut_hi:]]
+        )
+        host_srcs = srcs[host_edges]
+        host_dsts = dsts[host_edges]
+        present = np.zeros(graph.num_nodes, dtype=bool)
+        present[host_srcs] = True
+        present[host_dsts] = True
+        present[lo:hi] = False
+        local_to_global = np.concatenate(
+            [np.arange(lo, hi, dtype=np.int64), np.flatnonzero(present)]
+        )
         lookup[local_to_global] = np.arange(local_to_global.size, dtype=np.int64)
-        local_srcs = lookup[host_srcs]
-        local_dsts = lookup[host_dsts]
-        order = np.argsort(local_srcs, kind="stable")
-        local_srcs = local_srcs[order]
-        local_dsts = local_dsts[order]
-        if host_weights is not None:
-            host_weights = host_weights[order]
-        counts = np.bincount(local_srcs, minlength=local_to_global.size)
+        counts = np.bincount(lookup[host_srcs], minlength=local_to_global.size)
         indptr = np.zeros(local_to_global.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         parts.append(
             LocalPartition(
                 host_id=host,
                 local_to_global=local_to_global,
-                num_masters=masters.size,
+                num_masters=hi - lo,
                 indptr=indptr,
-                indices=local_dsts,
-                weights=host_weights,
+                indices=lookup[host_dsts],
+                weights=graph.weights[host_edges] if graph.weights is not None else None,
             )
         )
     return PartitionedGraph(graph=graph, policy=policy, owner=owner, parts=parts)

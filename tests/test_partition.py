@@ -194,3 +194,39 @@ class TestFanOut:
         assert [part.num_masters for part in pgraph.parts] == [
             int(np.count_nonzero(blocked == host)) for host in range(4)
         ]
+
+
+class TestBuildPartitionedRefusals:
+    """``build_partitioned`` is exported, so it checks what it is handed
+    instead of silently dropping masters or edges."""
+
+    GRAPH = generators.path(6)  # 10 directed edges
+
+    def _build(self, owner, edge_host, num_hosts=2):
+        return build_partitioned(
+            self.GRAPH, "x", np.asarray(owner), np.asarray(edge_host), num_hosts=num_hosts
+        )
+
+    def _edge_host(self, owner):
+        return np.asarray(owner)[self.GRAPH.edge_sources()]
+
+    def test_owner_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="owner has 5 entries for a graph of 6 nodes"):
+            self._build([0, 0, 1, 1, 1], self._edge_host([0, 0, 1, 1, 1, 1]))
+
+    def test_edge_host_length_mismatch_rejected(self):
+        owner = [0, 0, 0, 1, 1, 1]
+        with pytest.raises(ValueError, match="edge_host has 9 entries for a graph of 10 edges"):
+            self._build(owner, self._edge_host(owner)[:-1])
+
+    def test_owner_outside_hosts_rejected(self):
+        owner = [0, 0, 1, 1, 2, 2]
+        with pytest.raises(ValueError, match=r"owner holds host 2 outside \[0, 2\)"):
+            self._build(owner, self._edge_host(owner))
+
+    def test_edge_host_outside_hosts_rejected(self):
+        owner = [0, 0, 0, 1, 1, 1]
+        edge_host = self._edge_host(owner)
+        edge_host[3] = -1
+        with pytest.raises(ValueError, match=r"edge_host holds host -1 outside \[0, 2\)"):
+            self._build(owner, edge_host)
