@@ -470,12 +470,17 @@ class GarHostStore:
         self.cluster.counters(self.host_id).local_ops += int(keys.size)
         self._scatter(locals_, values)
 
-    def serve_master_bulk(self, keys: np.ndarray) -> np.ndarray | list[Any]:
+    def serve_master_bulk(
+        self, keys: np.ndarray, locals_: np.ndarray | None = None
+    ) -> np.ndarray | list[Any]:
         """Batched :meth:`serve_master`: one dense gather, same charges.
-        A column slice in array mode, a list in list mode."""
+        A column slice in array mode, a list in list mode. ``locals_`` is
+        the keys' master-local translation when the caller holds it (a
+        frozen broadcast fan-out, validated when it was frozen)."""
         if keys.size == 0:
             return []
-        locals_ = self._master_locals(keys)
+        if locals_ is None:
+            locals_ = self._master_locals(keys)
         self.cluster.counters(self.host_id).vector_reads += int(keys.size)
         return self._gather(locals_)
 
@@ -526,18 +531,28 @@ class GarHostStore:
                 changed_keys.append(key)
         return np.asarray(changed_keys, dtype=np.int64)
 
-    def write_mirror_bulk(self, keys: np.ndarray, values: Any) -> None:
-        """Batched :meth:`write_mirror` with aggregate accounting."""
+    def write_mirror_bulk(
+        self, keys: np.ndarray, values: Any, locals_: np.ndarray | None = None
+    ) -> None:
+        """Batched :meth:`write_mirror` with aggregate accounting.
+        ``locals_``: the keys' mirror-local ids, as for
+        :meth:`serve_master_bulk`."""
         count = int(keys.size)
         counters = self.cluster.counters(self.host_id)
         counters.hash_probes += count
         counters.local_ops += count
+        if locals_ is None:
+            locals_ = self.mirror_locals(keys)
+        self._scatter(locals_, values)
+
+    def mirror_locals(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`_mirror_local` for keys this host must mirror."""
         locals_ = self._translate_arr()[keys]
         bad = locals_ < self.part.num_masters
         if bad.any():
             key = int(keys[bad][0])
             raise KeyError(f"node {key} is not a mirror on host {self.host_id}")
-        self._scatter(locals_, values)
+        return locals_
 
     # -- remote cache ----------------------------------------------------------
 

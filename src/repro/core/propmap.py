@@ -63,6 +63,18 @@ class _Leg(NamedTuple):
 _Route = tuple[_Leg | None, list[_Leg]]
 
 
+class _Feed(NamedTuple):
+    """One (owner, mirror host) pair of a frozen broadcast fan-out: the
+    global ids it feeds, their master-local ids on the owner and their
+    mirror-local ids on the mirror host - translated and validated once,
+    when the fan-out is frozen."""
+
+    mirror_host: int
+    ids: np.ndarray
+    owner_locals: np.ndarray
+    mirror_locals: np.ndarray
+
+
 class _StaticBatch(NamedTuple):
     """A validated static reduce batch of a strategy with no fold tables."""
 
@@ -149,7 +161,7 @@ class NodePropMap:
         self._host_reduced = [False] * num_hosts
         self._pinned = False
         self._pin_invariant = "none"
-        self._mirror_filter_cache: dict[str, list[dict[int, np.ndarray]]] = {}
+        self._mirror_filter_cache: dict[str, list[list[_Feed]]] = {}
         # Per source host: the last collected key array and its route
         # (see _route). A prepared fold's full round collects the *same
         # frozen key object* each time, so the entry is then built once.
@@ -162,6 +174,7 @@ class NodePropMap:
             self._owner_starts = np.searchsorted(
                 pgraph.owner, np.arange(num_hosts + 1)
             )
+            self._owner_firsts = self._owner_starts[:-1].tolist()
 
     # ------------------------------------------------------------------ util
 
@@ -400,11 +413,6 @@ class NodePropMap:
         """
         return self._active[host] if self._host_active[host] else None
 
-    def any_active(self, host: int) -> bool:
-        """Would :meth:`is_active` hold for any node on ``host``? O(1):
-        a compiled push leaves an idle host before gathering its mask."""
-        return not self.variant.uses_gar or self._host_active[host]
-
     def is_active(self, host: int, key: int) -> bool:
         """Did ``key``'s locally-readable copy change last round?
 
@@ -415,14 +423,6 @@ class NodePropMap:
         if not self.variant.uses_gar:
             return True
         return bool(self._active[host][key])
-
-    def is_active_bulk(self, host: int, keys: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`is_active` (uncharged, like the scalar probe):
-        one gather from the activity mask."""
-        keys = np.asarray(keys)
-        if not self.variant.uses_gar:
-            return np.ones(keys.size, dtype=bool)
-        return self._active[host][keys]
 
     def is_updated(self) -> bool:
         """Did the last reduce_sync change any master value? (BSP-round vote)"""
@@ -637,38 +637,35 @@ class NodePropMap:
         cached = self._routes[host]
         if cached is not None and cached[0] is keys:
             return cached[1]
-        gar = self.variant.uses_gar
-        # Per owner present (ascending): where its keys sit in the batch.
-        positions: dict[int, slice | np.ndarray]
+        legs: list[_Leg] = []
         if self._owner_starts is not None:
             # Collected keys ascend, so blocked ownership cuts them into
-            # one slice per owner: every leg is a view.
-            cuts = np.searchsorted(keys, self._owner_starts).tolist()
-            positions = {
-                owner_host: slice(lo, hi)
-                for owner_host, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
-                if lo < hi
-            }
+            # one slice per owner: every leg is a view, and its master-
+            # local ids are its keys less the owner block's first id.
+            cuts = keys.searchsorted(self._owner_starts).tolist()
+            for owner_host, first in enumerate(self._owner_firsts):
+                lo, hi = cuts[owner_host], cuts[owner_host + 1]
+                if lo < hi:
+                    leg_keys = keys[lo:hi]
+                    legs.append(_Leg(owner_host, slice(lo, hi), leg_keys, leg_keys - first))
         else:
-            owners = self.pgraph.owner[keys] if gar else keys % self.cluster.num_hosts
-            # Owners are host ids, so a counting pass names the hosts
-            # present where a sort of the owner column would.
+            # Hashed owners (no GAR, so no local ids). Per owner present
+            # (ascending), where its keys sit in the batch: owners are host
+            # ids, so a counting pass names the hosts present where a sort
+            # of the owner column would.
+            owners = keys % self.cluster.num_hosts
             present = np.bincount(owners, minlength=self.cluster.num_hosts)
-            positions = {
-                owner_host: np.flatnonzero(owners == owner_host)
-                for owner_host in np.flatnonzero(present).tolist()
-            }
-
-        def leg(owner_host: int) -> _Leg:
-            idx = positions[owner_host]
-            leg_keys = keys[idx]
-            locals_ = self.stores[owner_host]._locals_of(leg_keys) if gar else None
-            return _Leg(owner_host, idx, leg_keys, locals_)
-
-        route: _Route = (
-            leg(host) if host in positions else None,
-            [leg(owner_host) for owner_host in positions if owner_host != host],
-        )
+            for owner_host in np.flatnonzero(present).tolist():
+                idx = np.flatnonzero(owners == owner_host)
+                legs.append(_Leg(owner_host, idx, keys[idx], None))
+        own = None
+        remote = []
+        for leg in legs:
+            if leg.owner == host:
+                own = leg
+            else:
+                remote.append(leg)
+        route: _Route = (own, remote)
         self._routes[host] = (keys, route)
         return route
 
@@ -757,14 +754,14 @@ class NodePropMap:
         with self.cluster.phase(PhaseKind.BROADCAST_SYNC, label=self.name):
             self._broadcast(full=False)
 
-    def _mirror_targets(self, invariant: str) -> list[dict[int, np.ndarray]]:
-        """fan-out[owner][mirror_host] -> global ids to feed, after elision."""
+    def _mirror_targets(self, invariant: str) -> list[list[_Feed]]:
+        """fan-out[owner] -> the owner's feeds in ascending mirror-host
+        order, after elision; frozen once per invariant, so a re-pin under
+        another invariant builds its own."""
         cached = self._mirror_filter_cache.get(invariant)
         if cached is not None:
             return cached
-        fan_out: list[dict[int, np.ndarray]] = [
-            {} for _ in range(self.cluster.num_hosts)
-        ]
+        fan_out: list[list[_Feed]] = [[] for _ in range(self.cluster.num_hosts)]
         for owner_host, pairs in enumerate(self.pgraph.mirror_hosts_by_owner):
             for mirror_host, ids in pairs:
                 part = self.pgraph.parts[mirror_host]
@@ -778,30 +775,36 @@ class NodePropMap:
                         degrees = part.in_degrees[locals_]
                     kept = ids[degrees > 0]
                 if kept.size:
-                    fan_out[owner_host][mirror_host] = kept
+                    fan_out[owner_host].append(_Feed(
+                        mirror_host,
+                        _frozen(kept),
+                        _frozen(self.stores[owner_host]._master_locals(kept)),
+                        _frozen(self.stores[mirror_host].mirror_locals(kept)),
+                    ))
         self._mirror_filter_cache[invariant] = fan_out
         return fan_out
 
     def _broadcast(self, full: bool) -> None:
         fan_out = self._mirror_targets(self._pin_invariant)
+        nbytes = KEY_BYTES + self.value_nbytes
         for owner_host in range(self.cluster.num_hosts):
             if not (full or self._host_pending[owner_host]):
                 continue
             pending = self._updated_masters[owner_host]
-            for mirror_host, ids in fan_out[owner_host].items():
-                # Every fan-out pair filters by one O(|ids|) gather.
-                selected = ids if full else ids[pending[ids]]
-                if selected.size == 0:
-                    continue
-                self.cluster.network.send(
-                    owner_host,
-                    mirror_host,
-                    (KEY_BYTES + self.value_nbytes) * selected.size,
-                )
-                values = self.stores[owner_host].serve_master_bulk(selected)
-                self.stores[mirror_host].write_mirror_bulk(selected, values)
+            owner_store = self.stores[owner_host]
+            for mirror_host, ids, owner_locals, mirror_locals in fan_out[owner_host]:
                 if not full:
-                    self._next_active[mirror_host][selected] = True
+                    # Every fan-out pair filters by one O(|ids|) gather.
+                    hit = pending[ids].nonzero()[0]
+                    if hit.size == 0:
+                        continue
+                    ids = ids[hit]
+                    owner_locals, mirror_locals = owner_locals[hit], mirror_locals[hit]
+                self.cluster.network.send(owner_host, mirror_host, nbytes * ids.size)
+                values = owner_store.serve_master_bulk(ids, owner_locals)
+                self.stores[mirror_host].write_mirror_bulk(ids, values, mirror_locals)
+                if not full:
+                    self._next_active[mirror_host][ids] = True
                     self._host_next[mirror_host] = True
         self._clear_pending()
 

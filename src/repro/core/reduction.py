@@ -23,8 +23,9 @@ or overwrite batch straight by key, see :meth:`PreparedFold.fold`) until
 ``collect``/``collect_arrays``, and every one of them is folded the same
 way: give each group a dense id off a presence mask (:func:`_present`,
 :func:`_rank`), then one identity-seeded ``ufunc.at`` scatter
-(:func:`_fold`). Anything without an exact identity (:func:`_foldable`)
-falls back to the scalar per-item path.
+(:func:`_fold`). Anything without an exact identity, and a float min/max
+batch the ufunc may fold unlike the scalar rule (:func:`_foldable`), falls
+back to the scalar per-item path.
 """
 
 from __future__ import annotations
@@ -52,12 +53,50 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 _NO_KEYS = _frozen(np.empty(0, dtype=np.int64))
 
 
-def _foldable(values: np.ndarray, op: ReduceOp) -> bool:
+def _foldable(
+    values: np.ndarray, op: ReduceOp, keys: np.ndarray, idx: np.ndarray | None = None
+) -> bool:
     """Whether a batch takes :func:`_fold`: anything else - object values,
-    an operator or dtype with no exact identity - applies ``op`` per item."""
-    return values.dtype != object and (
-        op.name == "overwrite" or op.identity(values.dtype) is not None
+    an operator or dtype with no exact identity, a float min/max batch the
+    ufunc may fold unlike the scalar rule (:func:`_unlike_scalar_rule`;
+    ``keys`` are the batch's, or a prepared batch's at positions ``idx``) -
+    applies ``op`` per item."""
+    return (
+        values.dtype != object
+        and (op.name == "overwrite" or op.identity(values.dtype) is not None)
+        and not _unlike_scalar_rule(values, op, keys, idx)
     )
+
+
+def _unlike_scalar_rule(
+    values: np.ndarray, op: ReduceOp, keys: np.ndarray, idx: np.ndarray | None
+) -> bool:
+    """Whether folding a float batch with ``np.minimum``/``np.maximum``
+    may part from the left fold of builtin ``min``/``max``.
+
+    The ufuncs propagate a NaN and keep the later of two tied values; the
+    builtins keep the first operand. Tied non-zero floats are the same
+    bits, so the two rules part only on a NaN or where one key receives
+    both ``+0.0`` and ``-0.0``. (Where the owner applies a folded value a
+    tie of zeros changes nothing: the apply writes only what compares
+    unequal.) One pass over the batch settles the usual one-signed batch:
+    a NaN fails both comparisons; the keys are read only when it holds
+    zeros of both signs.
+    """
+    if values.dtype.kind != "f" or not values.size or (
+        op.ufunc is not np.minimum and op.ufunc is not np.maximum
+    ):
+        return False
+    if values.min() > 0 or values.max() < 0:
+        return False
+    if np.isnan(values).any():
+        return True
+    zeros = np.flatnonzero(values == 0)
+    negative = np.signbit(values[zeros])
+    if negative.all() or not negative.any():
+        return False
+    zero_keys = (keys if idx is None else keys[idx])[zeros]
+    return np.intersect1d(zero_keys[negative], zero_keys[~negative]).size > 0
 
 
 def _present(ids: np.ndarray, num_ids: int) -> np.ndarray:
@@ -67,7 +106,7 @@ def _present(ids: np.ndarray, num_ids: int) -> np.ndarray:
     byte scan; all scratch is per call."""
     seen = np.zeros(num_ids, dtype=bool)
     seen[ids] = True
-    return np.flatnonzero(seen)
+    return seen.nonzero()[0]
 
 
 def _rank(ids: np.ndarray, num_ids: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +222,10 @@ class PreparedFold:
     function of it and are ranked once, here, and frozen: per batch
     position the id of its ``(thread, key)`` composite among the sorted
     unique composites (``slot``, into ``uniq``), and per slot the id of its
-    key among the sorted unique keys (``kslot``, into ``ukeys``).
+    key among the sorted unique keys (``kslot``, into ``ukeys``). A min,
+    max or overwrite fold also reads per position the id of its key
+    (``kslot[slot]``, :attr:`kpos`), built on its first fold and frozen,
+    so a round gathers it once instead of chaining two gathers.
 
     A sum folds by slot and then the slots by key (:meth:`fold_slots`,
     :meth:`collect`); every other operator in one level (:meth:`fold`).
@@ -197,7 +239,8 @@ class PreparedFold:
     """
 
     __slots__ = (
-        "threads", "keys", "span", "slot", "uniq", "kslot", "ukeys", "_klast",
+        "threads", "keys", "span", "slot", "uniq", "kslot", "ukeys", "_kpos",
+        "_klast",
     )
 
     def __init__(self, threads: np.ndarray, keys: np.ndarray) -> None:
@@ -206,13 +249,21 @@ class PreparedFold:
         num_threads = int(threads.max()) + 1 if threads.size else 0
         self.span, *tables = _slots(threads, keys, num_threads)
         self.uniq, self.slot, self.ukeys, self.kslot = map(_frozen, tables)
-        self._klast = None
+        self._kpos = self._klast = None
+
+    @property
+    def kpos(self) -> np.ndarray:
+        """Per batch position the id of its key (``kslot[slot]``), built on
+        first use - a sum never builds it."""
+        if self._kpos is None:
+            self._kpos = _frozen(self.kslot[self.slot])
+        return self._kpos
 
     @property
     def klast(self) -> np.ndarray:
         """Per key id its last batch position (overwrite), built on first use."""
         if self._klast is None:
-            self._klast = _frozen(_last(self.kslot[self.slot], self.ukeys.size))
+            self._klast = _frozen(_last(self.kpos, self.ukeys.size))
         return self._klast
 
     def fold(
@@ -240,14 +291,13 @@ class PreparedFold:
             slots, keys = self.uniq.size, self.ukeys
             merged = (
                 values[self.klast] if op.name == "overwrite"
-                else _fold(self.kslot[self.slot], keys.size, values, op)
+                else _fold(self.kpos, keys.size, values, op)
             )
         else:
-            slot = self.slot[idx]
             seen = np.zeros(self.uniq.size, dtype=bool)
-            seen[slot] = True
+            seen[self.slot[idx]] = True
             slots = np.count_nonzero(seen)
-            kpresent, merged = _fold_present(self.kslot[slot], self.ukeys.size, values, op)
+            kpresent, merged = _fold_present(self.kpos[idx], self.ukeys.size, values, op)
             keys = self.ukeys[kpresent]
         return _Batch(
             int(slots),
@@ -337,7 +387,7 @@ class ThreadLocalReduction:
         values = np.asarray(values)
         if self._batch is not None:
             self._spill_batch()
-        if not self._dict_state and _foldable(values, op):
+        if not self._dict_state and _foldable(values, op, keys):
             # All threads clean: fold the whole batch at once by (thread,
             # key) slot. Bit-identical to per-thread folds: slots order as
             # (thread, key), and the ``.at`` application order within a
@@ -345,8 +395,9 @@ class ThreadLocalReduction:
             span, uniq, slot, _, _ = _slots(threads, keys, len(self.maps))
             self._batch = _slot_batch(span, uniq, _fold(slot, uniq.size, values, op))
             return
-        # Prior pending state or a batch with no exact identity: apply the
-        # exact sequential scalar rule into the thread dicts.
+        # Prior pending state, or a batch with no exact identity or that
+        # the ufunc may fold unlike the scalar rule: apply the exact
+        # sequential scalar rule into the thread dicts.
         self._dict_state = True
         maps = self.maps
         for thread, key, value in zip(
@@ -378,7 +429,11 @@ class ThreadLocalReduction:
         if count == 0:
             return
         values = np.asarray(values)
-        if self._batch is not None or self._dict_state or not _foldable(values, op):
+        if (
+            self._batch is not None
+            or self._dict_state
+            or not _foldable(values, op, prepared.keys, idx)
+        ):
             threads, keys = prepared.threads, prepared.keys
             if idx is not None:
                 threads, keys = threads[idx], keys[idx]
@@ -541,7 +596,7 @@ class SharedMapReduction:
         if count == 0:
             return
         values = np.asarray(values)
-        if self.map or self._bulk_keys is not None or not _foldable(values, op):
+        if self.map or self._bulk_keys is not None or not _foldable(values, op, keys):
             if self._bulk_keys is not None:
                 self._spill_bulk()
             for thread, key, value in zip(

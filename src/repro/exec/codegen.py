@@ -143,11 +143,11 @@ class PreparedFrontierPush(_SpecializedKernel):
     (``source_pos``/destinations/threads/weights), charge constants - is
     computed once per host. What cannot be frozen is the *selection*: the
     active set changes every round, and value/edge filters depend on live
-    values. Each round the kernel gathers the frontier once
-    (``np.flatnonzero`` over a gather from the map's dense activity
-    mask - skipped, after the static per-source charge, on a host the
-    map reports idle), shrinks it with the value-filter mask, and takes
-    the survivors' edges out of the frozen expansion. The index array
+    values. Each round the kernel gathers the frontier once (the
+    nonzero positions of a gather from the map's dense activity mask -
+    skipped, after the static per-source charge, on a host the map
+    reports idle), shrinks it with the value-filter mask, and takes the
+    survivors' edges out of the frozen expansion. The index array
     has two sources and no density test: every candidate survived - the
     frozen full arrays; otherwise the *run expansion* - an ``arange``
     over the frontier's edges plus one ``np.repeat`` of each run's
@@ -206,7 +206,11 @@ class PreparedFrontierPush(_SpecializedKernel):
         source_pos_full = _frozen(source_pos_full)
         sel = _frozen(sel)
         num_candidates = sel.size
+        # The frontier map's activity mask, when it keeps one (a GAR map;
+        # any other reports every node active: the full candidate list).
         require_active = k.require_active
+        if require_active is not None and not require_active.variant.uses_gar:
+            require_active = None
         source, target, op = k.source, k.target, k.op
         value_filter, transform, edge_filter = (
             k.value_filter,
@@ -217,6 +221,9 @@ class PreparedFrontierPush(_SpecializedKernel):
         prepared = target.prepare_reduce_bulk(host, threads_full, dst_full)
         charge_per_edge = k.charge_per_edge
 
+        # The round body calls ndarray methods (``nonzero``, ``repeat``,
+        # ``cumsum``) where the numpy functions would only add a Python
+        # wrapper frame each, round after round.
         def run() -> None:
             counters = cluster.counters(host)
             if charge_src:
@@ -226,9 +233,10 @@ class PreparedFrontierPush(_SpecializedKernel):
             # mask), skipped outright on a host no copy changed on.
             sel_pos = all_pos
             if require_active is not None:
-                if not require_active.any_active(host):
+                active = require_active.active_mask(host)
+                if active is None:
                     return
-                sel_pos = np.flatnonzero(require_active.is_active_bulk(host, node_sel))
+                sel_pos = active[node_sel].nonzero()[0]
                 if sel_pos.size == 0:
                     return
             values = None
@@ -237,10 +245,11 @@ class PreparedFrontierPush(_SpecializedKernel):
                 if value_filter is not None:
                     nodes = node_sel[sel_pos] if filter_nodes else None
                     keep_v = np.asarray(apply_value_filter(value_filter, values, nodes))
-                    sel_pos = sel_pos[keep_v]
-                    values = values[keep_v]
-                    if sel_pos.size == 0:
-                        return
+                    if not keep_v.all():
+                        sel_pos = sel_pos[keep_v]
+                        values = values[keep_v]
+                        if sel_pos.size == 0:
+                            return
                 if transform is not None:
                     nodes = node_sel[sel_pos]
                     values = _per_node(
@@ -261,12 +270,10 @@ class PreparedFrontierPush(_SpecializedKernel):
                 idx = all_edges
                 pushes = values[source_pos_full] if const_full is None else const_full
             else:
-                idx = np.arange(n_edges, dtype=np.int64)
-                idx += np.repeat(
-                    offsets[sel_pos] - (np.cumsum(counts_k) - counts_k), counts_k
-                )
+                idx = (offsets[sel_pos] - (counts_k.cumsum() - counts_k)).repeat(counts_k)
+                idx += all_edges[:n_edges]
                 if const_full is None:
-                    pushes = np.repeat(values, counts_k)
+                    pushes = values.repeat(counts_k)
                 else:
                     pushes = const_full[:n_edges]
             if edge_filter is not None:

@@ -26,6 +26,7 @@ legal cells on random graphs.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -44,6 +45,7 @@ from hypothesis import strategies as st
 
 from repro import verify
 from repro.baselines.cost import cost_pagerank, cost_sssp
+from repro.cluster.metrics import STATISTIC_FIELDS, MetricsLog
 from repro.compiler.apps import COMPILED_APPS
 from repro.core.variants import RuntimeVariant
 from repro.eval.harness import APP_WEIGHTED, KIMBAP_APPS, run_kimbap
@@ -442,13 +444,32 @@ def check_oracle(cell: Cell, seed: int, values, stats, tolerance: float = 0.0) -
 
 def check_cost_model(result) -> None:
     """Modeled time is non-negative and additive: the total is computation
-    plus communication, and each is the sum of its per-phase-kind parts."""
+    plus communication, and each is the sum of its per-phase-kind parts.
+    Zero-weight statistics (``STATISTIC_FIELDS``, the master/remote read
+    mirrors) are never priced: the log re-priced with them zeroed costs
+    the same seconds, bit for bit."""
     report = result.to_dict()
     kinds = report["time_by_kind"].values()
     assert all(time["comp"] >= 0 and time["comm"] >= 0 for time in kinds)
     assert report["total"] == report["comp"] + report["comm"]
     for part in ("comp", "comm"):
         assert math.fsum(time[part] for time in kinds) == pytest.approx(report[part], rel=1e-9)
+    cluster = result.cluster
+    zeroed = MetricsLog(cluster.log.num_hosts)
+    zeroed.phases = [
+        dataclasses.replace(phase, counters=[
+            dataclasses.replace(counters, **dict.fromkeys(STATISTIC_FIELDS, 0))
+            for counters in phase.counters
+        ])
+        for phase in cluster.log.phases
+    ]
+
+    def priced(log: MetricsLog) -> list[str]:
+        total, by_kind = cluster.cost_model.time_totals(log, cluster.threads_per_host)
+        times = [total, *by_kind.values()]
+        return [float(x).hex() for t in times for x in (t.computation, t.communication)]
+
+    assert priced(zeroed) == priced(cluster.log)
 
 
 class Reference(NamedTuple):

@@ -206,7 +206,7 @@ class TestActivityTracking:
         prop.reset_updated()
         assert prop.is_active(0, target)
         assert not prop.is_active(0, untouched)
-        assert prop.is_active_bulk(0, [target, untouched]).tolist() == [True, False]
+        assert prop.active_mask(0)[[target, untouched]].tolist() == [True, False]
 
     def test_bulk_losing_reduce_inactive(self):
         pgraph, cluster, prop = self.bulk_setting()
@@ -278,4 +278,5 @@ class TestActivityTracking:
                 for k in pgraph.parts[h].local_to_global.tolist():
                     expected = k in reference_set
                     assert prop.is_active(h, k) == expected
-                    assert prop.is_active_bulk(h, [k])[0] == expected
+                    mask = prop.active_mask(h)
+                    assert (mask is not None and bool(mask[k])) == expected

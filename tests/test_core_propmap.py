@@ -377,8 +377,19 @@ class TestDenseTranslation:
                 kept = [g for g, d in zip(ids.tolist(), degrees) if d > 0]
                 if kept:
                     expected[mirror_host] = kept
-            got = {host: ids.tolist() for host, ids in fan_out[owner_host].items()}
+            got = {feed.mirror_host: feed.ids.tolist() for feed in fan_out[owner_host]}
             assert got == expected
+            # The frozen translations are the dict ones, on either side.
+            for feed in fan_out[owner_host]:
+                owner_part = pgraph.parts[owner_host]
+                mirror_part = pgraph.parts[feed.mirror_host]
+                assert feed.owner_locals.tolist() == [
+                    owner_part.global_to_local[g] for g in feed.ids.tolist()
+                ]
+                assert feed.mirror_locals.tolist() == [
+                    mirror_part.global_to_local[g] for g in feed.ids.tolist()
+                ]
+                assert (feed.mirror_locals >= mirror_part.num_masters).all()
             kept_any = kept_any or bool(expected)
         assert kept_any or policy != "cvc"  # some policies elide every mirror
 
@@ -417,21 +428,24 @@ class TestSyncRoute:
     def test_range_cut_route_equals_the_per_owner_route(self, picked, policy, host):
         # The same ascending keys routed both ways: by cutting them at
         # the owners' block starts, and - blockedness forgotten - by the
-        # general per-owner selection.
+        # general per-owner selection off the owner column, each leg
+        # translated through its owner's dict.
         _, pgraph, prop = make_map(hosts=3, policy=policy)
         keys = np.flatnonzero(picked[: pgraph.num_nodes]).astype(np.int64)
         assert prop._owner_starts is not None
         cut_own, cut_remote = prop._route(host, keys)
-        prop._owner_starts, prop._routes[host] = None, None
-        own, remote = prop._route(host, keys)
-        assert (cut_own is None) == (own is None)
-        assert len(cut_remote) == len(remote)
-        pairs = zip([cut_own, *cut_remote], [own, *remote])
-        for cut, general in (pair for pair in pairs if pair[0] is not None):
-            assert cut.owner == general.owner
-            assert keys[cut.idx].tolist() == keys[general.idx].tolist()
-            assert cut.keys.tolist() == general.keys.tolist()
-            assert cut.locals_.tolist() == general.locals_.tolist()
+        owners = pgraph.owner[keys]
+        positions = {
+            owner: np.flatnonzero(owners == owner) for owner in np.unique(owners).tolist()
+        }
+        assert (cut_own is None) == (host not in positions)
+        assert [leg.owner for leg in cut_remote] == [o for o in positions if o != host]
+        for cut in (leg for leg in [cut_own, *cut_remote] if leg is not None):
+            leg_keys = keys[positions[cut.owner]].tolist()
+            assert keys[cut.idx].tolist() == leg_keys
+            assert cut.keys.tolist() == leg_keys
+            to_local = pgraph.parts[cut.owner].global_to_local
+            assert cut.locals_.tolist() == [to_local[k] for k in leg_keys]
 
 
 class TestCrossVariantAgreement:

@@ -756,24 +756,35 @@ class TestFoldAgainstTheScalarOracle:
         assert np.signbit(folded[folded == 0.0]).any()
 
     @pytest.mark.parametrize("op", [MIN, MAX], ids=lambda op: op.name)
-    def test_a_tie_between_the_two_zeros_follows_numpy(self, op):
-        # Not this fold's doing and older than it: on a +0.0 / -0.0 tie
-        # numpy's minimum/maximum keep the later operand, Python's min/max
-        # the earlier. The two zeros are equal, so values agree with the
-        # scalar oracle and only the sign bit can differ; the bits are
-        # those of the sort-based reference fold, as they always were.
+    def test_a_tie_between_the_two_zeros_follows_the_scalar_rule(self, op):
+        # On a +0.0 / -0.0 tie numpy's minimum/maximum keep the later
+        # operand, Python's min/max the earlier: a key that receives both
+        # zeros sends the batch - generic or prepared, full or subset - to
+        # the per-item rule, so even the sign bits are the oracle's.
         threads = np.zeros(4, dtype=np.int64)
         keys = np.array([0, 0, 1, 1], dtype=np.int64)
         values = np.array([0.0, -0.0, -0.0, 0.0])
-        reduction = ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
-        with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
-            reduction.reduce_bulk(threads, keys, values, op)
-        _, uniq, folded = reduction._batch.state()
-        want_uniq, want_folded = _sorted_fold(keys, values, op)
-        assert np.array_equal(uniq, want_uniq)
-        assert folded.tobytes() == want_folded.tobytes()
-        maps, _, _ = self._oracle(threads, keys, values, op)
-        assert folded.tolist() == [maps[0][0], maps[0][1]] == [0.0, 0.0]
+        maps, combined, want_counters = self._oracle(threads, keys, values, op)
+        want = [float(v).hex() for v in combined.values()]
+        assert want == [(0.0).hex(), (-0.0).hex()]
+        plan = PreparedFold(threads, keys)
+        for route in ("generic", "full", "every-position"):
+            reduction = ThreadLocalReduction(
+                Cluster(1, threads_per_host=self.THREADS), 0
+            )
+            with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                if route == "generic":
+                    reduction.reduce_bulk(threads, keys, values, op)
+                else:
+                    idx = None if route == "full" else np.arange(keys.size)
+                    reduction.reduce_bulk_prepared(plan, values, op, idx)
+            assert reduction._batch is None, route
+            assert [dict(m) for m in reduction.maps] == maps, route
+            with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+                got = reduction.collect(op)
+            assert list(got) == list(combined), route
+            assert [float(v).hex() for v in got.values()] == want, route
+            assert reduction.cluster.log.total_counters() == want_counters, route
 
     @pytest.mark.parametrize(
         "op, dtype",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -28,8 +28,8 @@ from repro.algorithms.sssp import UNREACHED, sssp_plan
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
 from repro.core.propmap import NodePropMap
-from repro.core.reducers import MIN
-from repro.core.reduction import ThreadLocalReduction
+from repro.core.reducers import MIN, SUM
+from repro.core.reduction import PreparedFold, ThreadLocalReduction
 from repro.eval.harness import run_kimbap
 from repro.exec import Executor
 from repro.exec.pool import fork_available
@@ -60,7 +60,6 @@ def _flags_match_masks(prop: NodePropMap) -> None:
     for host in range(prop.cluster.num_hosts):
         live = bool(prop._active[host].any())
         assert prop._host_active[host] == live
-        assert prop.any_active(host) == live
         assert (prop.active_mask(host) is not None) == live
         assert prop._host_pending[host] == bool(prop._updated_masters[host].any())
         assert prop._host_next[host] == bool(prop._next_active[host].any())
@@ -283,8 +282,13 @@ class TestActivityFlagInstallSites:
         prop = NodePropMap(cluster, pgraph, "p", variant=RuntimeVariant.SGR_ONLY)
         prop.reset_updated()
         prop.reset_updated()
-        assert all(prop.any_active(host) for host in range(2))
-        assert prop.is_active_bulk(0, np.arange(3)).all()
+        # No activity mask is kept, so a compiled push takes every
+        # candidate (it reads ``active_mask`` off GAR maps only).
+        assert all(
+            prop.is_active(host, key)
+            for host in range(2)
+            for key in pgraph.parts[host].local_to_global.tolist()
+        )
 
 
 # ----------------------------------------------------- the dict-state flag
@@ -551,3 +555,62 @@ class TestARoundTouchesOnlyItsDirtyHosts:
         assert totals["dirty"] < 1.5 * totals["swaps"]
         assert totals["pending"] < 1.5 * totals["broadcasts"]
         assert len(collected) < 1.5 * totals["broadcasts"] and not reduced
+
+
+# ------------------------------------------------ state hoisted out of a round
+
+class TestHoistedRoundState:
+    def test_fan_out_locals_are_rebuilt_under_another_invariant(self):
+        # hvc keeps a few of its mirrors under "pull" (those with incoming
+        # edges on their host) and every one under "none".
+        cluster = Cluster(3, threads_per_host=2)
+        pgraph = partition(generators.powerlaw_like(7, seed=4), 3, "hvc")
+        prop = NodePropMap(cluster, pgraph, "p")
+        prop.set_initial_bulk(lambda nodes: nodes.astype(np.float64))
+        prop.pin_mirrors(invariant="none")
+        every = prop._mirror_targets("none")
+        prop.unpin_mirrors()
+        prop.pin_mirrors(invariant="pull")
+        pulled = prop._mirror_targets("pull")
+        assert pulled is not every and prop._mirror_targets("pull") is pulled
+        kept = elided = 0
+        for host, store in enumerate(prop.stores):
+            part = pgraph.parts[host]
+            fed = {
+                local
+                for feeds in pulled
+                for feed in feeds
+                if feed.mirror_host == host
+                for local in feed.mirror_locals.tolist()
+            }
+            # The re-pin fed exactly the pull fan-out's mirror slots - the
+            # mirrors with incoming edges - translated afresh.
+            set_slots = set(np.flatnonzero(store._valid).tolist())
+            assert set_slots - set(range(part.num_masters)) == fed
+            assert all(part.in_degrees[local] > 0 for local in fed)
+            kept += len(fed)
+            elided += part.num_local - part.num_masters - len(fed)
+        assert kept > 0 and elided > 0  # the invariants feed different slots
+        for feeds in pulled:
+            for feed in feeds:
+                assert not feed.ids.flags.writeable
+                assert not feed.owner_locals.flags.writeable
+                assert not feed.mirror_locals.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        threads=st.lists(st.integers(0, 5), min_size=1, max_size=40).map(sorted),
+        keys=st.lists(st.integers(0, 9), min_size=40, max_size=40),
+    )
+    def test_key_id_table_is_kslot_of_slot(self, threads, keys):
+        threads = np.asarray(threads, dtype=np.int64)
+        keys = np.asarray(keys[: threads.size], dtype=np.int64)
+        plan = PreparedFold(threads, keys)
+        values = np.arange(keys.size, dtype=np.float64)
+        plan.fold(values, SUM)
+        assert plan._kpos is None  # a sum folds by slot and never builds it
+        plan.fold(values, MIN)
+        assert plan.kpos is plan._kpos
+        assert plan.kpos.tobytes() == plan.kslot[plan.slot].tobytes()
+        assert plan.ukeys[plan.kpos].tolist() == keys.tolist()
+        assert not plan.kpos.flags.writeable
