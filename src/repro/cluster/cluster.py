@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.costmodel import CostModel, ModeledTime
-from repro.cluster.metrics import Counters, MetricsLog, PhaseKind, PhaseRecord
+from repro.cluster.metrics import HostCells, MetricsLog, OpenPhase, PhaseKind
 from repro.cluster.network import Network
 
 
@@ -51,17 +51,16 @@ class SimulatedOutOfMemory(MemoryError):
 
 
 class _OpenPhase:
-    """An open phase (:meth:`Cluster.phase`): ``with`` yields its record
-    and closes it - one small object, where a generator costs a frame."""
+    """An open phase's scope (:meth:`Cluster.phase`), one per cluster: ``with``
+    yields the log's open-phase handle, then closes the phase."""
 
-    __slots__ = ("cluster", "record")
+    __slots__ = ("cluster",)
 
-    def __init__(self, cluster: "Cluster", record: PhaseRecord) -> None:
+    def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
-        self.record = record
 
-    def __enter__(self) -> PhaseRecord:
-        return self.record
+    def __enter__(self) -> OpenPhase:
+        return self.cluster.log.open
 
     def __exit__(self, *exc_info: object) -> None:
         self.cluster._current = None
@@ -96,7 +95,8 @@ class Cluster:
         self.cost_model = cost_model or CostModel()
         self.network = Network(num_hosts)
         self.log = MetricsLog(num_hosts)
-        self._current: PhaseRecord | None = None
+        self._current: OpenPhase | None = None
+        self._scope = _OpenPhase(self)
         # Round/operator attribution for traces and profiles: phases opened
         # before any loop round belong to round 0; the plan loop
         # (repro.exec.engine.BSPEngine.drive) advances the round counter
@@ -138,20 +138,16 @@ class Cluster:
                 f"phase {self._current.kind} is still open; phases do not nest"
             )
         record = self.log.start_phase(
-            kind,
-            parallel=parallel,
-            label=label,
-            round=self.current_round,
-            operator=operator or label,
+            kind, parallel, label, self.current_round, operator or label
         )
         self._current = record
         self.network.bind_phase(record)
         if self.faults is not None:
             self.faults.on_phase_start(record)
-        return _OpenPhase(self, record)
+        return self._scope
 
-    def counters(self, host_id: int) -> Counters:
-        """The current phase's counters for ``host_id``."""
+    def counters(self, host_id: int) -> HostCells:
+        """The cells ``host_id``'s events in the current phase are added to."""
         if self._current is None:
             raise RuntimeError("no phase is open")
         return self._current.counters[host_id]

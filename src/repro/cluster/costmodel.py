@@ -27,8 +27,8 @@ Weight rationale (relative units):
 
 ``phase_time`` / ``host_phase_time`` price one record (``repro.trace``,
 the profile tables, the pricing property test's oracle); ``time_totals``
-prices a whole log as array passes over its packed rows - the only loop
-over a log here. Both add floats as strict left folds (never builtin
+prices a whole log as array passes over its block - the only loop over a
+log here. Both add floats as strict left folds (never builtin
 ``sum``, compensated from Python 3.12 on, never a pairwise ``np.sum``),
 so they agree bit for bit on every interpreter.
 """
@@ -191,7 +191,7 @@ class CostModel:
         self, log: MetricsLog, threads: int
     ) -> tuple[ModeledTime, dict[PhaseKind, ModeledTime]]:
         """The run total and each kind's total (kinds in first-appearance
-        order), priced in one array pass over the packed log.
+        order), priced in one array pass over the log's block.
 
         Every step is elementwise over phases and keeps the per-element
         IEEE sequence of :meth:`phase_time`; the totals accumulate with
@@ -199,20 +199,28 @@ class CostModel:
         order - so the result is bit-identical to folding ``phase_time``
         record by record.
         """
-        tags = log.columns()
-        units = np.zeros((len(log.phases), log.num_hosts))
-        for host, rows in enumerate(log.host_rows()):
+        per_phase, parallel, slowdown = log.columns()
+        units = np.zeros((len(per_phase), log.num_hosts))
+        # Each phase's largest per-host message and byte totals (alpha-beta).
+        max_msgs, max_bytes = np.zeros((2, len(per_phase)), dtype=np.int64)
+        start = 0
+        for rows in log.row_blocks():  # block by block: pricing copies no log
+            part = slice(start, start + len(rows))
             for column, name in enumerate(COUNTER_FIELDS):
                 if self.weights[name]:
-                    units[:, host] += self.weights[name] * rows[:, column]
-        if tags.slowdown is not None:
-            units *= tags.slowdown
-        units /= np.where(tags.parallel, threads, 1)[:, None]
+                    units[part] += self.weights[name] * rows[:, :, column]
+            traffic = rows[:, :, len(COUNTER_FIELDS) :]
+            max_msgs[part] = traffic[:, :, 0::2].max(axis=(1, 2), initial=0)
+            max_bytes[part] = traffic[:, :, 1::2].max(axis=(1, 2), initial=0)
+            start = part.stop
+        if slowdown is not None:
+            units *= slowdown
+        units /= np.where(parallel, threads, 1)[:, None]
         compute = units.max(axis=1, initial=0.0) * self.seconds_per_unit
-        comm = self.alpha * tags.max_msgs + self.beta * tags.max_bytes
+        comm = self.alpha * max_msgs + self.beta * max_bytes
         kinds = tuple(PhaseKind)
-        is_sync = np.array([kind.is_sync for kind in kinds])[tags.kinds]
-        is_async = tags.kinds == kinds.index(PhaseKind.ASYNC_COMPUTE)
+        is_sync = np.array([kind.is_sync for kind in kinds])[per_phase]
+        is_async = per_phase == kinds.index(PhaseKind.ASYNC_COMPUTE)
         exposed = np.where(is_async, np.maximum(comm - compute, 0.0), comm)
         priced = np.stack(
             (np.where(is_sync, 0.0, compute), np.where(is_sync, compute + comm, exposed)),
@@ -223,8 +231,8 @@ class CostModel:
             terms = np.vstack((np.zeros((1, 2)), priced[rows]))
             return ModeledTime(*np.cumsum(terms, axis=0)[-1].tolist())
 
-        codes, first = np.unique(tags.kinds, return_index=True)
+        codes, first = np.unique(per_phase, return_index=True)
         return fold(slice(None)), {
-            kinds[code]: fold(tags.kinds == code)
+            kinds[code]: fold(per_phase == code)
             for code in codes[np.argsort(first)].tolist()
         }

@@ -1,23 +1,20 @@
 """Event counters: what the simulation measures instead of wall-clock time.
 
-Every phase of every BSP round produces one :class:`PhaseRecord` holding a
-:class:`Counters` per host plus per-host message/byte totals. The cost model
-(:mod:`repro.cluster.costmodel`) prices these records into modeled seconds.
-
-Records stay plain objects while a run writes them; a report reads the
-log packed into arrays - :meth:`MetricsLog.host_rows` (``int64``
-``(phases, counters)`` per host) and :meth:`MetricsLog.columns` (per-phase
-tags) - so totals and pricing are array passes, not one Python call per
-phase per question.
+Every phase of every BSP round claims one ``int64`` row of the
+:class:`MetricsLog`'s block - per host, its ``CELL_FIELDS``: the event
+counters and the four traffic totals - which the cost model
+(:mod:`repro.cluster.costmodel`) prices into modeled seconds.
+:class:`PhaseRecord` / :class:`Counters` are row views built on demand
+for traces, profiles and tests.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field, fields
-from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+import struct
+from array import array
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -111,34 +108,33 @@ class Counters:
 COUNTER_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(Counters))
 
 
-_counter_values = operator.attrgetter(*COUNTER_FIELDS)
+TRAFFIC_FIELDS: tuple[str, ...] = ("msgs_sent", "bytes_sent", "msgs_recv", "bytes_recv")
+CELL_FIELDS: tuple[str, ...] = COUNTER_FIELDS + TRAFFIC_FIELDS
+
+_KINDS = tuple(PhaseKind)
+# A phase's tag row: kind (index into tuple(PhaseKind)), parallel, label
+# and operator (codes into the log's name table), round, chunk (-1: none).
+_TAG_WIDTH = 6
+_cell_values = operator.attrgetter(*CELL_FIELDS)
+# Rows go in packed: one C call a row, where extending from ints is one a value.
+_pack_cells = struct.Struct(f"{len(CELL_FIELDS)}q").pack
+_pack_tags = struct.Struct(f"{_TAG_WIDTH}q").pack
 
 
-def counters_to_rows(rows: Iterable[Counters]) -> np.ndarray:
-    """Pack counters into one ``int64`` matrix, one row each, column order
-    = ``COUNTER_FIELDS``: the accumulation layout of the parallel
-    exchange's bundles (:mod:`repro.exec.pool`) and of a host's rows of
-    the phase log (:meth:`MetricsLog.host_rows`). Streamed through
-    ``np.fromiter`` - no nested list of boxed ints is ever built."""
-    rows = list(rows)
-    flat = np.fromiter(
-        chain.from_iterable(map(_counter_values, rows)),
-        dtype=np.int64,
-        count=len(rows) * len(COUNTER_FIELDS),
-    )
-    return flat.reshape(-1, len(COUNTER_FIELDS))
+class HostCells:
+    """One host's cells of the open phase, reused by every phase of a log:
+    plain slots holding Python ints, so a ``+=`` is one slot store."""
 
+    __slots__ = CELL_FIELDS
 
-def add_counter_row(counters: Counters, row: np.ndarray) -> None:
-    """Fold one packed row back in, keeping the fields plain Python ints
-    (byte-identity: ``as_dict`` must serialize exactly as a serial run)."""
-    for name, value in zip(COUNTER_FIELDS, row):
-        setattr(counters, name, getattr(counters, name) + int(value))
+    def __init__(self) -> None:
+        for name in CELL_FIELDS:
+            setattr(self, name, 0)
 
 
 @dataclass(slots=True)
 class PhaseRecord:
-    """One executed phase: counters and traffic for every host.
+    """A row view of one phase (a copy): counters and traffic per host.
 
     ``round`` is the BSP round the phase ran in (round loops count from 1;
     a phase outside any round - initialization, an outer loop's own steps
@@ -162,60 +158,59 @@ class PhaseRecord:
     # injector (straggler modeling); None - the overwhelmingly common
     # case - prices identically to all-ones.
     slowdown: list[float] | None = None
-    # Chunk ordinal within an asynchronous run (repro.exec.engine): the
-    # async engine has no rounds, so traces key attribution on the chunk
-    # instead. None for every BSP phase - never serialized, like
-    # ``slowdown``, so the BSP byte-identity contract is untouched.
+    # Chunk ordinal within an asynchronous run (repro.exec.engine), which
+    # has no rounds to attribute by; None under BSP, never serialized.
     chunk: int | None = None
 
-    @classmethod
-    def empty(
-        cls,
-        kind: PhaseKind,
-        num_hosts: int,
-        parallel: bool,
-        label: str = "",
-        round: int = 0,
-        operator: str = "",
-    ) -> "PhaseRecord":
-        zeros = [0] * num_hosts
-        return cls(
-            kind,
-            parallel,
-            [Counters() for _ in range(num_hosts)],
-            zeros,
-            zeros.copy(),
-            zeros.copy(),
-            zeros.copy(),
-            label,
-            round,
-            operator,
-        )
+
+class OpenPhase:
+    """The log's last phase, as the handle ``start_phase`` returns and
+    ``with cluster.phase(...)`` yields - one per log, reused by every
+    phase. ``counters`` are the log's :class:`HostCells`; ``chunk`` and
+    ``slowdown`` are written into the last phase's tags."""
+
+    __slots__ = ("log", "counters", "kind", "label", "round", "operator")
+
+    def __init__(self, log: "MetricsLog") -> None:
+        self.log, self.counters = log, log.hosts
+
+    @property
+    def chunk(self) -> int | None:
+        return None if self.log._tags[-1] < 0 else self.log._tags[-1]
+
+    @chunk.setter
+    def chunk(self, value: int) -> None:
+        self.log._tags[-1] = value
+
+    @property
+    def slowdown(self) -> list[float] | None:
+        return self.log._slowdown.get(self.log.num_phases - 1)
+
+    @slowdown.setter
+    def slowdown(self, value: list[float]) -> None:
+        self.log._slowdown[self.log.num_phases - 1] = list(value)
 
 
-class PhaseColumns(NamedTuple):
-    """Per-phase tags of a log as arrays, one row per record in log order."""
-
-    parallel: np.ndarray  # bool
-    kinds: np.ndarray  # indices into tuple(PhaseKind)
-    # Largest per-host sent-or-received total of each record: the
-    # alpha-beta term's operands.
-    max_msgs: np.ndarray
-    max_bytes: np.ndarray
-    # float64 (phases, hosts), exact ones where a record carries no
-    # straggler multipliers; None when no record does.
-    slowdown: np.ndarray | None
-
-
-@dataclass
 class MetricsLog:
-    """Append-only log of phase records for one measured region."""
+    """Append-only log of one measured region: growable ``int64`` blocks of
+    rows and tags plus the open phase's :class:`HostCells` - O(hosts)
+    objects for any number of phases. ``start_phase`` seals the open phase
+    (appends its cells as a row, zeroes them); a read syncs the open row
+    without sealing it, so writes after a phase closes (the pool's merge,
+    the async engine's flush) land in the last phase."""
 
-    num_hosts: int
-    phases: list[PhaseRecord] = field(default_factory=list)
-    # What the last full ``host_rows()`` pass read: (records, the last
-    # one's counters by value, counter column sums).
-    _totalled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, num_hosts: int) -> None:
+        self.num_hosts = num_hosts
+        self.hosts = tuple(HostCells() for _ in range(num_hosts))
+        self.open = OpenPhase(self)
+        self._block = array("q")
+        self._tags = array("q")
+        self._names: dict[str, int] = {}  # label / operator -> code
+        self._slowdown: dict[int, list[float]] = {}  # phase -> straggler factors
+
+    @property
+    def num_phases(self) -> int:
+        return len(self._tags) // _TAG_WIDTH
 
     def start_phase(
         self,
@@ -224,82 +219,99 @@ class MetricsLog:
         label: str = "",
         round: int = 0,
         operator: str = "",
-    ) -> PhaseRecord:
-        record = PhaseRecord.empty(
-            kind, self.num_hosts, parallel, label, round=round, operator=operator
+    ) -> OpenPhase:
+        tags = self._tags
+        if tags:
+            # Every cell named, in CELL_FIELDS order: a spelled-out slot read or
+            # store is specialised, half the cost of attrgetter / setattr.
+            seal = self._block.frombytes
+            for c in self.hosts:
+                seal(_pack_cells(
+                    c.node_iters, c.edge_iters, c.local_ops, c.reads_master, c.reads_remote,
+                    c.vector_reads, c.binsearch_steps, c.hash_probes, c.reduce_calls,
+                    c.cas_attempts, c.cas_conflicts, c.combine_ops, c.materialize_ops,
+                    c.kv_string_ops, c.msgs_sent, c.bytes_sent, c.msgs_recv, c.bytes_recv,
+                ))
+                c.node_iters = c.edge_iters = c.local_ops = c.reads_master = 0
+                c.reads_remote = c.vector_reads = c.binsearch_steps = c.hash_probes = 0
+                c.reduce_calls = c.cas_attempts = c.cas_conflicts = c.combine_ops = 0
+                c.materialize_ops = c.kv_string_ops = 0
+                c.msgs_sent = c.bytes_sent = c.msgs_recv = c.bytes_recv = 0
+        names = self._names
+        label_code = names.setdefault(label, len(names))
+        operator_code = names.setdefault(operator, len(names))
+        tags.frombytes(
+            _pack_tags(_KINDS.index(kind), parallel, label_code, round, operator_code, -1)
         )
-        self.phases.append(record)
-        return record
+        handle = self.open
+        handle.kind, handle.label, handle.round, handle.operator = kind, label, round, operator
+        return handle
 
-    def host_rows(self) -> Iterator[np.ndarray]:
-        """Each host's counters over the whole log in turn: ``int64``
-        ``(phases, len(COUNTER_FIELDS))``. One host at a time because all
-        hosts at once is the size of the log again; a pass that reaches
-        the last host also leaves the counter column sums behind, so the
-        ``total_counters()`` that follows pricing in a report is free."""
-        phases = self.phases
-        sums = np.zeros(len(COUNTER_FIELDS), dtype=np.int64)
-        for host in range(self.num_hosts):
-            rows = counters_to_rows([phase.counters[host] for phase in phases])
-            sums += rows.sum(axis=0)
-            yield rows
-        self._totalled = (list(phases), self._open_counters(), sums.tolist())
+    def open_row(self) -> np.ndarray:
+        """The open phase's cells so far, ``int64`` ``(hosts, cells)``."""
+        return np.array([*map(_cell_values, self.hosts)], dtype=np.int64)
 
-    def _open_counters(self) -> list:
-        """The last record's counters by value: phases do not nest, so it
-        is the only record that can still be written after a report."""
-        return [*map(_counter_values, self.phases[-1].counters)] if self.phases else []
+    def add(self, host: int, values, names: tuple[str, ...] = CELL_FIELDS) -> None:
+        """Add ``values`` (in ``names`` order) to ``host``'s open cells."""
+        cells = self.hosts[host]
+        for name, value in zip(names, values):
+            setattr(cells, name, getattr(cells, name) + int(value))
 
-    def columns(self) -> PhaseColumns:
-        """The log's per-phase tags, packed."""
-        phases, count = self.phases, len(self.phases)
-        codes = {kind: code for code, kind in enumerate(PhaseKind)}
+    def row_blocks(self) -> tuple[np.ndarray, ...]:
+        """Every phase's row in log order, ``int64`` ``(phases, hosts,
+        cells)`` in two blocks: the sealed rows - a view of the block, so
+        read it before the next seal - then the open row, synced."""
+        sealed = np.frombuffer(self._block, np.int64)
+        sealed = sealed.reshape(-1, self.num_hosts, len(CELL_FIELDS))
+        return (sealed, self.open_row()[np.newaxis]) if self._tags else (sealed,)
 
-        def largest(sent: str, received: str) -> np.ndarray:
-            width = 2 * self.num_hosts
-            per_host = chain.from_iterable(map(operator.attrgetter(sent, received), phases))
-            flat = np.fromiter(chain.from_iterable(per_host), np.int64, count * width)
-            return flat.reshape(count, width).max(axis=1, initial=0)
+    def cells(self) -> np.ndarray:
+        """Every phase's row, as one fresh array."""
+        return np.concatenate(self.row_blocks())
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Per-phase kinds (indices into ``tuple(PhaseKind)``), parallel, and
+        ``(phases, hosts)`` slowdown (ones where a phase has none; or None)."""
+        tags = np.frombuffer(self._tags, np.int64).reshape(-1, _TAG_WIDTH)
         slowdown = None
-        if any(phase.slowdown is not None for phase in phases):
-            ones = [1.0] * self.num_hosts
-            slowdown = np.array([phase.slowdown or ones for phase in phases])
-        return PhaseColumns(
-            parallel=np.fromiter((phase.parallel for phase in phases), bool, count),
-            kinds=np.fromiter((codes[phase.kind] for phase in phases), np.int64, count),
-            max_msgs=largest("msgs_sent", "msgs_recv"),
-            max_bytes=largest("bytes_sent", "bytes_recv"),
-            slowdown=slowdown,
-        )
+        if self._slowdown:
+            slowdown = np.ones((len(tags), self.num_hosts))
+            for index, factors in self._slowdown.items():
+                slowdown[index] = factors
+        return tags[:, 0].copy(), tags[:, 1].astype(bool), slowdown
+
+    @property
+    def phases(self) -> list[PhaseRecord]:
+        """Every phase as a :class:`PhaseRecord` row view (a copy)."""
+        width, names = len(COUNTER_FIELDS), list(self._names)
+        tags = np.frombuffer(self._tags, np.int64).reshape(-1, _TAG_WIDTH).tolist()
+        return [
+            PhaseRecord(
+                _KINDS[kind], bool(parallel), [Counters(*row[:width]) for row in rows],
+                *([row[width + column] for row in rows] for column in range(4)),
+                label=names[label], round=round, operator=names[operator],
+                slowdown=[*self._slowdown[index]] if index in self._slowdown else None,
+                chunk=None if chunk < 0 else chunk,
+            )
+            for index, (rows, (kind, parallel, label, round, operator, chunk)) in enumerate(
+                zip(self.cells().tolist(), tags)
+            )
+        ]
+
+    def _sums(self) -> list[int]:
+        """Every cell column summed over phases and hosts, exactly (``einsum``:
+        the strided ``sum(axis=(0, 1))`` pass takes twice as long)."""
+        sums = np.zeros(len(CELL_FIELDS), dtype=np.int64)
+        for rows in self.row_blocks():
+            sums += np.einsum("phc->c", rows)
+        return sums.tolist()
 
     def total_counters(self) -> Counters:
-        """The packed rows' column sums - integer addition is exact, so
-        they match a ``Counters.add`` fold field for field, as plain
-        Python ints (``as_dict`` is serialized). Read again when the log
-        was appended to, truncated (a fault rollback) or written into
-        since the last pass."""
-        phases, seen = self.phases, self._totalled
-        if (
-            seen is None
-            or len(seen[0]) != len(phases)
-            or not all(map(operator.is_, seen[0], phases))
-            or seen[1] != self._open_counters()
-        ):
-            for _ in self.host_rows():
-                pass
-        return Counters(*self._totalled[2])
+        """The log's counters summed, plain Python ints (``as_dict`` is serialized)."""
+        return Counters(*self._sums()[: len(COUNTER_FIELDS)])
 
     def total_messages(self) -> int:
-        return sum(sum(phase.msgs_sent) for phase in self.phases)
+        return self._sums()[CELL_FIELDS.index("msgs_sent")]
 
     def total_bytes(self) -> int:
-        return sum(sum(phase.bytes_sent) for phase in self.phases)
-
-    def counters_by_kind(self) -> dict[PhaseKind, Counters]:
-        by_kind: dict[PhaseKind, Counters] = {}
-        for phase in self.phases:
-            bucket = by_kind.setdefault(phase.kind, Counters())
-            for counters in phase.counters:
-                bucket.add(counters)
-        return by_kind
+        return self._sums()[CELL_FIELDS.index("bytes_sent")]

@@ -2,27 +2,27 @@
 
 Values move between hosts as ordinary Python data (the simulation is
 in-process), so the network's only job is to *count*: every logical message
-records its size against the sender's and receiver's totals in the current
+adds its size to the sender's and receiver's traffic cells in the current
 phase. The cost model later prices a phase's traffic with an alpha-beta
 model (latency per message + volume / bandwidth).
 """
 
 from __future__ import annotations
 
-from repro.cluster.metrics import PhaseRecord
+from repro.cluster.metrics import OpenPhase
 
 
 class Network:
-    """Counts messages and bytes against the currently-open phase record."""
+    """Counts messages and bytes into the currently-open phase's cells."""
 
     def __init__(self, num_hosts: int) -> None:
         self.num_hosts = num_hosts
-        self._phase: PhaseRecord | None = None
+        self._phase: OpenPhase | None = None
         # Fault injection hook (repro.faults.install_faults); None keeps
         # the accounting below byte-identical to the fault-free model.
         self.faults = None
 
-    def bind_phase(self, phase: PhaseRecord | None) -> None:
+    def bind_phase(self, phase: OpenPhase | None) -> None:
         self._phase = phase
 
     def send(self, src: int, dst: int, nbytes: int) -> None:
@@ -38,18 +38,19 @@ class Network:
             return
         if self._phase is None:
             raise RuntimeError("network used outside of a phase")
+        sender, receiver = self._phase.counters[src], self._phase.counters[dst]
         if self.faults is not None:
             drops, duplicates = self.faults.on_send(self._phase, src, dst, nbytes)
             if drops:
-                self._phase.msgs_sent[src] += drops
-                self._phase.bytes_sent[src] += nbytes * drops
+                sender.msgs_sent += drops
+                sender.bytes_sent += nbytes * drops
             if duplicates:
-                self._phase.msgs_recv[dst] += duplicates
-                self._phase.bytes_recv[dst] += nbytes * duplicates
-        self._phase.msgs_sent[src] += 1
-        self._phase.bytes_sent[src] += nbytes
-        self._phase.msgs_recv[dst] += 1
-        self._phase.bytes_recv[dst] += nbytes
+                receiver.msgs_recv += duplicates
+                receiver.bytes_recv += nbytes * duplicates
+        sender.msgs_sent += 1
+        sender.bytes_sent += nbytes
+        receiver.msgs_recv += 1
+        receiver.bytes_recv += nbytes
 
     def send_many(self, src: int, dst: int, nbytes_each: int, count: int) -> None:
         """Record ``count`` identical messages of ``nbytes_each``.
@@ -67,10 +68,11 @@ class Network:
             return
         if self._phase is None:
             raise RuntimeError("network used outside of a phase")
-        self._phase.msgs_sent[src] += count
-        self._phase.bytes_sent[src] += nbytes_each * count
-        self._phase.msgs_recv[dst] += count
-        self._phase.bytes_recv[dst] += nbytes_each * count
+        sender, receiver = self._phase.counters[src], self._phase.counters[dst]
+        sender.msgs_sent += count
+        sender.bytes_sent += nbytes_each * count
+        receiver.msgs_recv += count
+        receiver.bytes_recv += nbytes_each * count
 
     def allreduce(self, nbytes: int) -> None:
         """Record a small collective (e.g. the BoolReducer / IsUpdated vote).

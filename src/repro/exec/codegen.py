@@ -36,7 +36,7 @@ kernels below.
   callables share the spec call signature - and a filter-free push is the
   full-frontier case of the same kernel.
 
-One compute phase is one entry, one :class:`PhaseRecord` and one driver
+One compute phase is one entry, one row of the phase log and one driver
 call; adjacent operator steps are legal and simply run as consecutive
 phases (DESIGN.md, "Why there is no fusion or deferral").
 

@@ -529,9 +529,9 @@ class _ChunkSchedule:
     (source owner, destination owner) pair, because every apply is one
     ``reduce_calls`` at the source, one owner-side ``local_ops`` at the
     destination and, between two hosts, one eager message. :meth:`flush`
-    writes the tallies into the chunk's ``PhaseRecord`` once as its
+    writes the tallies into the chunk's phase once as its
     :meth:`phase` closes (one ``send_many`` per non-empty foreign pair);
-    integer sums are exact, so the record equals what per-edge bumps
+    integer sums are exact, so the row equals what per-edge bumps
     produced. The read-only ``columns`` (owner, indptr, indices) are
     memoryviews: plain ints out, no per-element objects kept.
     """
@@ -589,14 +589,14 @@ class _ChunkSchedule:
             label=f"{self.plan.name}:chunk",
             operator=self.operator,
         )
-        open_phase.record.chunk = self.opened
+        self.cluster.log.open.chunk = self.opened
         return _ChunkPhase(self, open_phase)
 
-    def flush(self, record) -> None:
-        """Write the chunk's tallies into its record and zero them."""
+    def flush(self) -> None:
+        """Write the chunk's tallies into its phase's cells and zero them."""
         node_iters, edge_iters, local_ops, applies = self.tallies
         hosts, send_many = len(node_iters), self.cluster.network.send_many
-        for host, counters in enumerate(record.counters):
+        for host, counters in enumerate(self.cluster.log.hosts):
             sent = applies[host * hosts : (host + 1) * hosts]
             counters.node_iters += node_iters[host]
             counters.edge_iters += edge_iters[host]
@@ -611,7 +611,7 @@ class _ChunkSchedule:
 
 class _ChunkPhase:
     """An open chunk phase (:meth:`_ChunkSchedule.phase`): exiting flushes
-    the tallies and closes the record, an exception's exit included - one
+    the tallies and closes the phase, an exception's exit included - one
     small object, where a generator costs two resumes a chunk."""
 
     __slots__ = ("chunk", "open_phase")
@@ -625,7 +625,7 @@ class _ChunkPhase:
 
     def __exit__(self, *exc_info: object) -> None:
         try:
-            self.chunk.flush(self.open_phase.record)
+            self.chunk.flush()
         finally:
             self.open_phase.__exit__(*exc_info)
         self.chunk.opened += 1

@@ -30,8 +30,9 @@ exchange over the worker pipes - one fork per sharded run.**
   sync collective always follows a compute phase, so there is nothing to
   batch - DESIGN.md, "Why there is no fusion or deferral"). One flush
   ships, per worker, a single bundle: the per-host effect state of
-  every carrier the phase touches, plus the phase's :class:`Counters`
-  rows and message rows as one ``int64`` matrix each. That exchange
+  every carrier the phase touches, plus the phase's row of the metrics
+  log sliced to the shard's counters and every host's traffic (one
+  ``int64`` matrix each). That exchange
   (:meth:`HostShardPool.flush`) is the only one, and its coordinator and
   worker halves are the only place the fx token protocol is written:
   every sync collective is replayed whole by every process on its own
@@ -43,7 +44,7 @@ exchange over the worker pipes - one fork per sharded run.**
   in index order (DESIGN.md, "Why the exchange is the pipe").
 * The coordinator merges worker bundles **in worker order** - shards
   are contiguous ascending, so worker order IS host order and the
-  merged phase records are byte-identical to the serial visit. Phases
+  merged phase rows are byte-identical to the serial visit. Phases
   that are not shardable simply run **replicated** on every process.
 
 The coordinator's metrics log, counters, conflict counts, modeled
@@ -74,14 +75,7 @@ import time
 import traceback
 from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
-
-from repro.cluster.metrics import (
-    Counters,
-    PhaseRecord,
-    add_counter_row,
-    counters_to_rows,
-)
+from repro.cluster.metrics import COUNTER_FIELDS, TRAFFIC_FIELDS, MetricsLog
 from repro.core.reducers import NAMED_REDUCE_OPS, ReduceOp
 from repro.exec.plan import Operator, OperatorStep, Plan, ScalarKernel, walk_plans
 
@@ -480,11 +474,8 @@ class HostShardPool:
     def _phase_label(self) -> str | None:
         """The phase in flight, else the last one logged: the sharded
         phase whose effects a flush is exchanging."""
-        cluster = self.executor.cluster
-        record = cluster._current
-        if record is None and cluster.log.phases:
-            record = cluster.log.phases[-1]
-        return (record.label or record.operator) if record is not None else None
+        log = self.executor.cluster.log
+        return (log.open.label or log.open.operator) if log.num_phases else None
 
     # -- operator-phase execution ------------------------------------------
 
@@ -500,9 +491,9 @@ class HostShardPool:
             label=operator.label,
             hosts=self.shard,
         )
-        self.flush(self.table[id(operator)], cluster.log.phases[-1])
+        self.flush(self.table[id(operator)], cluster.log)
 
-    def flush(self, carriers: list[Any], record: PhaseRecord) -> None:
+    def flush(self, carriers: list[Any], log: MetricsLog) -> None:
         """The compute-effect exchange: one bundle per process for the
         sharded phase that just closed. Replay determinism makes every
         process reach the same flush in the same order, so the collective
@@ -510,11 +501,11 @@ class HostShardPool:
         """
         self._seq += 1
         if self.is_worker:
-            self._flush_worker(carriers, record)
+            self._flush_worker(carriers, log)
         else:
-            self._flush_coordinator(carriers, record)
+            self._flush_coordinator(carriers, log)
 
-    def _export_bundle(self, carriers: list[Any], record: PhaseRecord) -> dict[str, Any]:
+    def _export_bundle(self, carriers: list[Any], log: MetricsLog) -> dict[str, Any]:
         bundle: dict[str, Any] = {
             "effects": [
                 [carrier.export_compute_effects(host) for host in self.shard]
@@ -522,18 +513,10 @@ class HostShardPool:
             ],
         }
         if self.is_worker:
-            bundle["counters"] = counters_to_rows(
-                [record.counters[h] for h in self.shard]
-            )
-            bundle["net"] = np.array(
-                [
-                    record.msgs_sent,
-                    record.bytes_sent,
-                    record.msgs_recv,
-                    record.bytes_recv,
-                ],
-                dtype=np.int64,
-            )
+            # The phase's row, sliced: the shard's counters, every host's traffic.
+            row = log.open_row()
+            bundle["counters"] = row[list(self.shard), : len(COUNTER_FIELDS)]
+            bundle["net"] = row[:, len(COUNTER_FIELDS) :]
         return bundle
 
     def _install_effects(
@@ -543,10 +526,10 @@ class HostShardPool:
             for host, effects in zip(shard, per_host):
                 carrier.install_compute_effects(host, effects, self.resolve_op)
 
-    def _pack(self, carriers: list[Any], record: PhaseRecord) -> bytes:
+    def _pack(self, carriers: list[Any], log: MetricsLog) -> bytes:
         """This process's ``fx`` message for the current exchange."""
         return pickle.dumps(
-            ("fx", self._seq, self._export_bundle(carriers, record)),
+            ("fx", self._seq, self._export_bundle(carriers, log)),
             pickle.HIGHEST_PROTOCOL,
         )
 
@@ -558,8 +541,8 @@ class HostShardPool:
         except OSError:
             raise self._death_error(f"worker {index}", process, index) from None
 
-    def _flush_worker(self, carriers, record: PhaseRecord) -> None:
-        message = self._pack(carriers, record)
+    def _flush_worker(self, carriers, log: MetricsLog) -> None:
+        message = self._pack(carriers, log)
         self.bytes_exchanged += len(message)
         self.conn.send_bytes(message)
         # Every other process's message, in index order: the coordinator's
@@ -577,7 +560,7 @@ class HostShardPool:
                 )
             self._install_effects(carriers, self.shards[index], token[2])
 
-    def _flush_coordinator(self, carriers, record: PhaseRecord) -> None:
+    def _flush_coordinator(self, carriers, log: MetricsLog) -> None:
         relayed: list[bytes] = []
         for index, (process, conn) in enumerate(self.workers, start=1):
             token, message = self._recv_token(conn, index, process)
@@ -596,9 +579,9 @@ class HostShardPool:
                     phase=self._phase_label(),
                 )
             self.bytes_exchanged += len(message)
-            self._merge_worker_bundle(index, carriers, record, token[2])
+            self._merge_worker_bundle(index, carriers, log, token[2])
             relayed.append(message)
-        own = self._pack(carriers, record)
+        own = self._pack(carriers, log)
         self.bytes_exchanged += len(own)
         messages = [own, *relayed]
         for index, (process, conn) in enumerate(self.workers, start=1):
@@ -607,20 +590,16 @@ class HostShardPool:
                     self._send_to_worker(index, process, conn, message)
 
     def _merge_worker_bundle(
-        self, index: int, carriers, record: PhaseRecord, bundle: dict
+        self, index: int, carriers, log: MetricsLog, bundle: dict
     ) -> None:
-        """Fold one worker's bundle into the coordinator's record, in
+        """Fold one worker's bundle into the coordinator's last phase, in
         worker order = host order, keeping the log byte-identical to the
         serial visit."""
         shard = self.shards[index]
         for host, row in zip(shard, bundle["counters"]):
-            add_counter_row(record.counters[host], row)
-        rows = bundle["net"]
-        for host in range(self.num_hosts):
-            record.msgs_sent[host] += int(rows[0, host])
-            record.bytes_sent[host] += int(rows[1, host])
-            record.msgs_recv[host] += int(rows[2, host])
-            record.bytes_recv[host] += int(rows[3, host])
+            log.add(host, row, COUNTER_FIELDS)
+        for host, row in enumerate(bundle["net"]):
+            log.add(host, row, TRAFFIC_FIELDS)
         self._install_effects(carriers, shard, bundle)
 
     # -- tokens and failure surfacing --------------------------------------

@@ -33,7 +33,7 @@ from repro.faults.rng import stream_uniform
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cluster.cluster import Cluster
-    from repro.cluster.metrics import PhaseRecord
+    from repro.cluster.metrics import OpenPhase
 
 
 class HostCrashError(RuntimeError):
@@ -50,7 +50,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, cluster: "Cluster") -> None:
         self.plan = plan
         self.cluster = cluster
-        self._phase: "PhaseRecord | None" = None
+        self._phase: "OpenPhase | None" = None
         self._phase_ordinal = -1
         self._msg_seq: dict[tuple[int, int], int] = {}
         self._kv_seq: dict[tuple[int, int], int] = {}
@@ -70,7 +70,7 @@ class FaultInjector:
 
     # ------------------------------------------------------------ phase hook
 
-    def on_phase_start(self, record: "PhaseRecord") -> None:
+    def on_phase_start(self, record: "OpenPhase") -> None:
         """Advance the per-phase decision streams; stamp straggler slowdown."""
         self._phase = record
         self._phase_ordinal += 1
@@ -90,7 +90,7 @@ class FaultInjector:
     # ---------------------------------------------------------- network hook
 
     def on_send(
-        self, record: "PhaseRecord", src: int, dst: int, nbytes: int
+        self, record: "OpenPhase", src: int, dst: int, nbytes: int
     ) -> tuple[int, int]:
         """Decide one message's fate: ``(dropped_attempts, duplicates)``."""
         flake = self.plan.flake

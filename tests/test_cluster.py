@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import Cluster, CostModel, ModeledTime
 from repro.cluster.cluster import static_thread
-from repro.cluster.metrics import Counters, PhaseKind, PhaseRecord
+from repro.cluster.metrics import Counters, PhaseKind
 
 
 class TestStaticThread:
@@ -99,12 +99,16 @@ class TestPhases:
             assert twin == record and twin is not record
 
     def test_empty_record_traffic_lists_are_distinct(self):
-        record = PhaseRecord.empty(PhaseKind.INIT, 2, True)
+        cluster = Cluster(2)
+        with cluster.phase(PhaseKind.INIT):
+            pass
+        record = cluster.log.phases[0]
         record.msgs_sent[0] += 1
         assert (record.bytes_sent, record.msgs_recv, record.bytes_recv) == ([0, 0],) * 3
         assert len({id(column) for column in (
             record.msgs_sent, record.bytes_sent, record.msgs_recv, record.bytes_recv
         )}) == 4
+        assert cluster.log.phases[0].msgs_sent == [0, 0]  # a row view is a copy
 
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ValueError):

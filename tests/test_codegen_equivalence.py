@@ -166,7 +166,7 @@ def _run_abutting(build, bulk, jobs=1):
 
 class TestFusionBoundaries:
     """Adjacent operator steps are legal and run as consecutive phases:
-    one ``PhaseRecord`` per step in step order, values and phase logs
+    one phase per step in step order, values and phase logs
     identical across scalar / bulk / ``jobs=2``. (The class and test
     names date from kernel fusion, which these plans were the boundary
     cases of; the plans outlived it.)"""
@@ -178,9 +178,9 @@ class TestFusionBoundaries:
         flushed = []
         flush = HostShardPool.flush
 
-        def counted_flush(self, carriers, record):
-            flushed.append(record.label)
-            flush(self, carriers, record)
+        def counted_flush(self, carriers, log):
+            flushed.append(log.open.label)
+            flush(self, carriers, log)
 
         monkeypatch.setattr(HostShardPool, "flush", counted_flush)
 

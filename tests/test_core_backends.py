@@ -199,7 +199,7 @@ class TestReadBulkStores:
             store = GarHostStore(cluster, pgraph, 0, remote_layout=layout)
             with cluster.phase(PhaseKind.REQUEST_SYNC):
                 store.materialize_remote(remote[::-1].copy(), [40, 30, 20, 10])
-            with cluster.phase(PhaseKind.REDUCE_COMPUTE) as record:
+            with cluster.phase(PhaseKind.REDUCE_COMPUTE):
                 if bulk:
                     values = store.read_bulk(batch).tolist()
                 else:
@@ -212,7 +212,7 @@ class TestReadBulkStores:
                         store.read_bulk(np.asarray([master]))
                     else:
                         store.read(master)
-            outcomes.append((values, record.counters[0].as_dict()))
+            outcomes.append((values, cluster.log.phases[-1].counters[0].as_dict()))
             assert store._col is None and _is_array_mode(store) == bulk
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == [10, 20, 30, 40, 10, 30]
@@ -231,7 +231,7 @@ class TestReadBulkStores:
             with cluster.phase(PhaseKind.INIT):
                 store.write_master_bulk(np.asarray(owned), [k * 2 for k in owned])
                 store.materialize_remote(fetched, (fetched * 5).tolist())
-            with cluster.phase(PhaseKind.REDUCE_COMPUTE) as record:
+            with cluster.phase(PhaseKind.REDUCE_COMPUTE):
                 if bulk:
                     values = store.read_bulk(batch).tolist()
                 else:
@@ -245,7 +245,7 @@ class TestReadBulkStores:
                         store.read_bulk(np.asarray([unfetched]))
                     else:
                         store.read(unfetched)
-            outcomes.append((values, record.counters[host].as_dict()))
+            outcomes.append((values, cluster.log.phases[-1].counters[host].as_dict()))
         assert outcomes[0] == outcomes[1]
         counters = outcomes[0][1]
         assert counters["reads_master"] and counters["reads_remote"]

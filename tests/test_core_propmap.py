@@ -561,13 +561,13 @@ class TestReadBulk:
 
     def read_all(self, prop, cluster, batches, bulk):
         values = []
-        with cluster.phase(PhaseKind.REDUCE_COMPUTE) as record:
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             for host, keys in enumerate(batches):
                 if bulk:
                     values.append(prop.read_bulk(host, keys).tolist())
                 else:
                     values.append([prop.read(host, key) for key in keys.tolist()])
-        return values, [counters.as_dict() for counters in record.counters]
+        return values, [counters.as_dict() for counters in cluster.log.phases[-1].counters]
 
     @pytest.mark.parametrize("list_mode", [False, True], ids=["array", "list"])
     @pytest.mark.parametrize(

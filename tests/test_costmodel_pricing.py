@@ -1,8 +1,9 @@
 """Log pricing: one array pass, bit-identical to the per-phase oracle.
 
-``CostModel.time_totals`` prices a whole ``MetricsLog`` over its packed
-rows and columns; ``CostModel.phase_time`` prices one record and is the
-oracle. The two must agree in ``float.hex()`` - per kind and in total,
+``CostModel.time_totals`` prices a whole ``MetricsLog`` over its block
+and tag columns; ``CostModel.phase_time`` prices one row view
+(``PhaseRecord``) and is the oracle. The two must agree in
+``float.hex()`` - per kind and in total,
 for every phase kind, slowdown rows, traffic, integer and non-integer
 weights - and that value must not depend on the interpreter: builtin
 ``sum()`` is compensated from Python 3.12 on, so every float fold here is
@@ -20,10 +21,10 @@ from hypothesis import strategies as st
 from repro.cluster import CostModel, ModeledTime
 from repro.cluster.metrics import (
     COUNTER_FIELDS,
+    TRAFFIC_FIELDS,
     Counters,
     MetricsLog,
     PhaseKind,
-    PhaseRecord,
 )
 from repro.eval.harness import run_kimbap
 from repro.faults import named_plan
@@ -83,29 +84,29 @@ WEIGHTS = st.one_of(
 )
 
 
-@st.composite
-def phase_records(draw, num_hosts: int) -> PhaseRecord:
+def draw_phase(draw, log: MetricsLog) -> None:
+    """Start one drawn phase in ``log`` and write its cells."""
     kind = draw(st.sampled_from(list(PhaseKind)))
     parallel = False if kind is PhaseKind.SERIAL else draw(st.booleans())
-    record = PhaseRecord.empty(kind, num_hosts, parallel)
+    record = log.start_phase(kind, parallel)
     for counters in record.counters:
         for name in draw(st.sets(st.sampled_from(COUNTER_FIELDS), max_size=5)):
             setattr(counters, name, draw(COUNTS))
     if draw(st.booleans()):
-        for column in ("msgs_sent", "msgs_recv", "bytes_sent", "bytes_recv"):
-            setattr(record, column, [draw(COUNTS) for _ in range(num_hosts)])
+        for column in TRAFFIC_FIELDS:
+            for counters in record.counters:
+                setattr(counters, column, draw(COUNTS))
     if draw(st.booleans()):
         record.slowdown = [
-            draw(st.sampled_from([1.0, 1.5, 3.0, 7.25])) for _ in range(num_hosts)
+            draw(st.sampled_from([1.0, 1.5, 3.0, 7.25])) for _ in range(log.num_hosts)
         ]
-    return record
 
 
 @st.composite
 def logs(draw) -> MetricsLog:
-    num_hosts = draw(st.integers(min_value=1, max_value=4))
-    log = MetricsLog(num_hosts)
-    log.phases.extend(draw(st.lists(phase_records(num_hosts), max_size=10)))
+    log = MetricsLog(draw(st.integers(min_value=1, max_value=4)))
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        draw_phase(draw, log)
     return log
 
 
@@ -131,29 +132,19 @@ class TestOnePassPricing:
         assert_totalled_like_the_fold(log)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        log=logs(),
-        more=logs(),
-        model=cost_models(),
-        keep=st.integers(min_value=0, max_value=10),
-    )
-    def test_a_changed_log_is_re_priced_not_served_stale(self, log, more, model, keep):
-        """Append after a first report, truncate (a fault rollback is
-        ``del log.phases[n:]``), write into the still-open last record."""
+    @given(log=logs(), model=cost_models(), data=st.data())
+    def test_a_changed_log_is_re_priced_not_served_stale(self, log, model, data):
+        """Append after a first report, then write into the still-open
+        last phase."""
         assert_priced_like_the_oracle(model, log, 8)
-        log.phases.extend(
-            PhaseRecord.empty(phase.kind, log.num_hosts, phase.parallel)
-            for phase in more.phases
-        )
-        assert_priced_like_the_oracle(model, log, 8)
-        assert_totalled_like_the_fold(log)
-        del log.phases[keep:]
+        for _ in range(data.draw(st.integers(min_value=0, max_value=5))):
+            draw_phase(data.draw, log)
         assert_priced_like_the_oracle(model, log, 8)
         assert_totalled_like_the_fold(log)
         log.start_phase(PhaseKind.REDUCE_COMPUTE)
         assert_priced_like_the_oracle(model, log, 8)
-        log.phases[-1].counters[0].edge_iters += 12345
-        log.phases[-1].msgs_sent[0] += 3
+        log.open.counters[0].edge_iters += 12345
+        log.open.counters[0].msgs_sent += 3
         assert_priced_like_the_oracle(model, log, 8)
         assert_totalled_like_the_fold(log)
 
@@ -168,8 +159,8 @@ class TestOnePassPricing:
         assert_totalled_like_the_fold(one)
 
     def test_a_real_run_under_rollback_and_stragglers(self):
-        """The chaos plan crashes a host (the log is truncated to the
-        checkpoint) and slows one down (``slowdown`` rows)."""
+        """The chaos plan crashes a host (recovered from the checkpoint)
+        and slows one down (``slowdown`` rows)."""
         graph = generators.road_like(6, 4, seed=2)
         plan = named_plan("chaos", seed=1, hosts=4, crash_round=2, checkpoint_interval=2)
         run = run_kimbap("CC-LP", "road", 4, graph=graph, fault_plan=plan)
@@ -210,8 +201,12 @@ def fixed_log() -> MetricsLog:
             for name in COUNTER_FIELDS:
                 setattr(counters, name, rng.randrange(10**6))
         if index % 3 == 0:
-            record.msgs_sent = [rng.randrange(500) for _ in range(3)]
-            record.bytes_recv = [rng.randrange(10**5) for _ in range(3)]
+            for counters, sent in zip(record.counters, [rng.randrange(500) for _ in range(3)]):
+                counters.msgs_sent = sent
+            for counters, received in zip(
+                record.counters, [rng.randrange(10**5) for _ in range(3)]
+            ):
+                counters.bytes_recv = received
         if index % 4 == 1:
             record.slowdown = [1.0, 2.5, 1.0]
     return log

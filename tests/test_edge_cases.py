@@ -132,13 +132,3 @@ class TestClusterEdgeCases:
         graph = generators.path(3)
         result = cc_lp(Cluster(1, threads_per_host=64), partition(graph, 1, "oec"))
         verify.check_components(graph, result.values)
-
-    def test_counters_by_kind_partition_log(self):
-        cluster = Cluster(2)
-        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
-            cluster.counters(0).local_ops += 5
-        with cluster.phase(PhaseKind.REDUCE_SYNC):
-            cluster.counters(1).local_ops += 3
-        by_kind = cluster.log.counters_by_kind()
-        assert by_kind[PhaseKind.REDUCE_COMPUTE].local_ops == 5
-        assert by_kind[PhaseKind.REDUCE_SYNC].local_ops == 3

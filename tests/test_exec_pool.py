@@ -29,7 +29,7 @@ import pytest
 from repro.algorithms.cc_sv import cc_sv_hook_plan
 from repro.algorithms.common import shortcut_plan
 from repro.cluster import Cluster
-from repro.cluster.metrics import PhaseKind, PhaseRecord
+from repro.cluster.metrics import MetricsLog, PhaseKind
 from repro.core import BoolReducer
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, ReduceOp
@@ -330,7 +330,7 @@ def _shardable_plan(cluster, pgraph, name="life"):
 
 @needs_fork
 class TestNoExchangeInsideACollective:
-    """One ``flush`` per sharded compute ``PhaseRecord`` and no effect
+    """One ``flush`` per sharded compute phase and no effect
     traffic outside it: every process replays the sync collectives whole,
     fault-free and under a fault plan alike."""
 
@@ -360,17 +360,18 @@ class TestNoExchangeInsideACollective:
         # Coordinator-side spies (forked workers inherit them; their
         # copies of these lists die with them).
         state = {"pool": None, "exchanging": False}
-        flushed: list[PhaseRecord] = []
+        # (log, phase index) of every flush.
+        flushed: list[tuple[MetricsLog, int]] = []
         traffic: list[tuple[bool, PhaseKind | None]] = []
 
         real_flush = HostShardPool.flush
 
-        def flush(pool, carriers, record):
+        def flush(pool, carriers, log):
             state["pool"] = pool
-            flushed.append(record)
+            flushed.append((log, log.num_phases - 1))
             state["exchanging"] = True
             try:
-                return real_flush(pool, carriers, record)
+                return real_flush(pool, carriers, log)
             finally:
                 state["exchanging"] = False
 
@@ -404,11 +405,13 @@ class TestNoExchangeInsideACollective:
         assert all(exchanging for exchanging, _ in traffic)
         assert not [kind for _, kind in traffic if kind in self.SYNC]
         # Every compute phase of these apps is a declarative form, hence
-        # shardable: the flushed records are the log's compute records.
+        # shardable: the flushed phases are the log's compute phases.
         log = state["pool"].executor.cluster.log
-        sharded = [record for record in log.phases if record.kind in self.COMPUTE]
-        assert len(flushed) == len(sharded)
-        assert all(a is b for a, b in zip(flushed, sharded))
+        sharded = [
+            index for index, record in enumerate(log.phases) if record.kind in self.COMPUTE
+        ]
+        assert all(flushed_log is log for flushed_log, _ in flushed)
+        assert [index for _, index in flushed] == sharded
 
 
 @needs_fork
@@ -528,11 +531,9 @@ class TestWorkerDeathSurfacing:
             os.kill(process.pid, signum)
             process.join(timeout=10)
             operator = _first_operator(plan)
-            record = PhaseRecord.empty(
-                PhaseKind.REDUCE_COMPUTE, cluster.num_hosts, parallel=True
-            )
+            cluster.log.start_phase(PhaseKind.REDUCE_COMPUTE)
             with pytest.raises(RuntimeError, match=expect) as exc:
-                pool.flush(pool.table[id(operator)], record)
+                pool.flush(pool.table[id(operator)], cluster.log)
             # The typed taxonomy carries the failing worker's identity.
             assert isinstance(exc.value, WorkerDied)
             assert exc.value.worker == 1

@@ -223,7 +223,8 @@ class TestBoolReducer:
             cluster.reset()
             reducer = BoolReducer(cluster)
             reducer.set_all(False)
-            with cluster.phase(PhaseKind.REDUCE_COMPUTE) as record:
+            with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                compute = cluster.log.num_phases - 1
                 if counted:
                     reducer.reduce_count(1, hits)
                 else:
@@ -234,7 +235,7 @@ class TestBoolReducer:
                 (
                     reducer.read(),
                     reducer.export_compute_effects(1),
-                    [counters.as_dict() for counters in record.counters],
+                    [counters.as_dict() for counters in cluster.log.phases[compute].counters],
                 )
             )
         assert outcomes[0] == outcomes[1]
