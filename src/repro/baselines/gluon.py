@@ -20,10 +20,13 @@ from __future__ import annotations
 import math
 from typing import Any
 
+import numpy as np
+
 from repro.algorithms.common import AlgorithmResult
 from repro.cluster.cluster import Cluster
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN, ReduceOp
+from repro.core.reduction import dict_arrays
 from repro.core.variants import RuntimeVariant
 from repro.exec import (
     ActiveFilter,
@@ -78,6 +81,12 @@ class GluonAtomicReduction:
         self.map = {}
         self._last_writer.clear()
         return combined
+
+    def collect_arrays(self, op: ReduceOp) -> tuple[np.ndarray, list[Any]]:
+        """The reduce-sync collect: the proxies reduced into this round, as
+        ascending keys and a plain list of values (the owner applies them
+        by the per-key scalar rule)."""
+        return dict_arrays(self.collect(op))
 
 
 def make_gluon_map(

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.compiler.cfg import build_cfg
-from repro.compiler.dominators import immediate_dominators
 from repro.compiler.ir import (
     ActiveNode,
     Assign,
@@ -168,11 +167,10 @@ def _mentions_edges(expr: Expr) -> bool:
 
 def reads_in_dominance_order(par_for: ParFor) -> list[MapRead]:
     """Map reads ordered so dominators come first (Section 5.1's iteration
-    order). For the structured IR, CFG-node creation order realizes this;
-    the dominator tree is still computed to assert the invariant."""
+    order). For the structured IR, CFG-node creation order realizes this
+    without a dominator tree; ``tests/test_compiler_properties.py`` checks
+    the order against :mod:`repro.compiler.dominators` on random bodies."""
     cfg = build_cfg(par_for.body)
-    idom = immediate_dominators(cfg)
-    del idom  # computed for parity with the paper; order is structural
     ordered: list[MapRead] = []
     for node in range(2, cfg.num_nodes):
         stmt = cfg.stmt_of[node]

@@ -18,6 +18,13 @@ object / mixed-type value (list mode). The representation follows from
 what the store observes - there is no option - and only ever moves from
 array to list, so a scalar-kernel run converts once and never flip-flops.
 Counters are charged identically in both modes.
+
+The owner side - initial writes, reduce-sync applies, request serving and
+the broadcast's mirror writes - is bulk only (``*_bulk``), on both stores
+and for both kernel backends: a batch is an ndarray or a plain list, and
+a list (dict state off a scalar kernel, tuple values) takes the per-key
+scalar rule in list mode. The one per-element write is ``write_master``,
+Figure 2's ``Set``.
 """
 
 from __future__ import annotations
@@ -439,29 +446,7 @@ class GarHostStore:
         self.cluster.counters(self.host_id).local_ops += 1
         self.values[local] = value
 
-    def serve_master(self, key: int) -> Any:
-        local = self.master_local(key)
-        if local is None:
-            raise KeyError(f"node {key} is not a master on host {self.host_id}")
-        self.cluster.counters(self.host_id).vector_reads += 1
-        return self.values[local]
-
-    def apply_master(self, key: int, value: Any, op: ReduceOp) -> bool:
-        """Reduce ``value`` onto the canonical master value; True if changed."""
-        local = self.master_local(key)
-        if local is None:
-            raise KeyError(f"node {key} is not a master on host {self.host_id}")
-        counters = self.cluster.counters(self.host_id)
-        counters.vector_reads += 1
-        counters.local_ops += 1
-        old = self.values[local]
-        new = value if old is None else op(old, value)
-        if new != old:
-            self.values[local] = new
-            return True
-        return False
-
-    # -- bulk owner-side operations (vectorized execution path) ---------------
+    # -- bulk owner-side operations -------------------------------------------
 
     def write_master_bulk(self, keys: np.ndarray, values: Any) -> None:
         """Batched :meth:`write_master` with aggregate accounting
@@ -473,8 +458,9 @@ class GarHostStore:
     def serve_master_bulk(
         self, keys: np.ndarray, locals_: np.ndarray | None = None
     ) -> np.ndarray | list[Any]:
-        """Batched :meth:`serve_master`: one dense gather, same charges.
-        A column slice in array mode, a list in list mode. ``locals_`` is
+        """Serve master values (request-sync, broadcast): one dense gather,
+        one ``vector_reads`` per key. A column slice in array mode, a list
+        in list mode. ``locals_`` is
         the keys' master-local translation when the caller holds it (a
         frozen broadcast fan-out, validated when it was frozen)."""
         if keys.size == 0:
@@ -487,16 +473,18 @@ class GarHostStore:
     def apply_master_bulk(
         self,
         keys: np.ndarray,
-        values: np.ndarray,
+        values: np.ndarray | list[Any],
         op: ReduceOp,
         locals_: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Batched :meth:`apply_master`; returns the keys whose canonical
-        value changed. Bit-identical results and accounting: a batch of
-        the column's dtype folds through the op's ufunc on the column
-        itself (each key appears once per batch); anything else - list
-        mode, another dtype, an unset slot, an op with no ufunc - runs
-        the per-key scalar rule in list mode.
+        """Reduce one value per key onto the canonical masters (each key
+        once per batch); returns the keys whose value changed. One
+        ``vector_reads`` and one ``local_ops`` per key. A batch of the
+        column's dtype folds through the op's ufunc on the column itself;
+        anything else - a plain list, list mode, another dtype, an unset
+        slot, an op with no ufunc - runs the per-key scalar rule (``old is
+        None`` takes the value; write what compares unequal) in list mode,
+        and both give the same bits.
 
         ``locals_`` is the keys' master-local translation when the caller
         holds it already (a prepared sync route, validated when it was
@@ -534,9 +522,9 @@ class GarHostStore:
     def write_mirror_bulk(
         self, keys: np.ndarray, values: Any, locals_: np.ndarray | None = None
     ) -> None:
-        """Batched :meth:`write_mirror` with aggregate accounting.
-        ``locals_``: the keys' mirror-local ids, as for
-        :meth:`serve_master_bulk`."""
+        """Write broadcast values into pinned mirror slots: one
+        ``hash_probes`` and one ``local_ops`` per key. ``locals_``: the
+        keys' mirror-local ids, as for :meth:`serve_master_bulk`."""
         count = int(keys.size)
         counters = self.cluster.counters(self.host_id)
         counters.hash_probes += count
@@ -647,15 +635,6 @@ class GarHostStore:
         else:
             self.values[num_masters:] = [None] * (self.part.num_local - num_masters)
 
-    def write_mirror(self, key: int, value: Any) -> None:
-        mirror = self._mirror_local(key)
-        if mirror is None:
-            raise KeyError(f"node {key} is not a mirror on host {self.host_id}")
-        counters = self.cluster.counters(self.host_id)
-        counters.hash_probes += 1
-        counters.local_ops += 1
-        self.values[mirror] = value
-
 
 class HashHostStore:
     """Modulo-hashed per-host store (the MC / SGR-only / SGR+CF layout)."""
@@ -756,42 +735,28 @@ class HashHostStore:
         self.cluster.counters(self.host_id).hash_probes += 1
         self.owned[key] = value
 
-    def write_master_bulk(self, keys: np.ndarray, values: list[Any]) -> None:
+    def write_master_bulk(self, keys: np.ndarray, values: np.ndarray | list[Any]) -> None:
         self.cluster.counters(self.host_id).hash_probes += int(keys.size)
-        self.owned.update(zip(keys.tolist(), values))
-
-    def serve_master(self, key: int) -> Any:
-        self.cluster.counters(self.host_id).hash_probes += 1
-        return self.owned[key]
+        self.owned.update(zip(keys.tolist(), native_list(values)))
 
     def serve_master_bulk(self, keys: np.ndarray) -> list[Any]:
         self.cluster.counters(self.host_id).hash_probes += int(keys.size)
         owned = self.owned
         return [owned[key] for key in keys.tolist()]
 
-    def apply_master(self, key: int, value: Any, op: ReduceOp) -> bool:
-        counters = self.cluster.counters(self.host_id)
-        counters.hash_probes += 1
-        counters.local_ops += 1
-        old = self.owned.get(key)
-        new = value if old is None else op(old, value)
-        if new != old:
-            self.owned[key] = new
-            return True
-        return False
-
     def apply_master_bulk(
-        self, keys: np.ndarray, values: np.ndarray, op: ReduceOp
+        self, keys: np.ndarray, values: np.ndarray | list[Any], op: ReduceOp
     ) -> np.ndarray:
-        """Batched :meth:`apply_master` (hash layout keeps the per-key rule;
-        only the counter updates aggregate). Returns the changed keys."""
+        """:meth:`GarHostStore.apply_master_bulk` in the hash layout: the
+        per-key scalar rule on every batch, one ``hash_probes`` and one
+        ``local_ops`` per key. Returns the changed keys."""
         count = int(keys.size)
         counters = self.cluster.counters(self.host_id)
         counters.hash_probes += count
         counters.local_ops += count
         owned = self.owned
         changed_keys: list[int] = []
-        for key, value in zip(keys.tolist(), np.asarray(values).tolist()):
+        for key, value in zip(keys.tolist(), native_list(values)):
             old = owned.get(key)
             new = value if old is None else op(old, value)
             if new != old:

@@ -82,6 +82,19 @@ class _StaticBatch(NamedTuple):
     keys: np.ndarray
 
 
+def _take(values: np.ndarray | list[Any], idx: np.ndarray | slice) -> np.ndarray | list[Any]:
+    """``values[idx]`` for an ndarray batch or a plain-list batch."""
+    if isinstance(values, list) and not isinstance(idx, slice):
+        return [values[i] for i in idx.tolist()]
+    return values[idx]
+
+
+def _per_node(value_of: Callable[[int], Any]) -> Callable[[np.ndarray], list[Any]]:
+    """A per-node initializer as a batch one: the values as given, in a
+    plain list."""
+    return lambda keys: [value_of(key) for key in keys.tolist()]
+
+
 class NodePropMap:
     """A node-id -> property map distributed across the cluster."""
 
@@ -556,10 +569,11 @@ class NodePropMap:
     def reduce_sync(self) -> None:
         """Scatter-gather-reduce: route partials to owners, apply, vote.
 
-        Bulk-foldable pending state takes the array path
-        (:meth:`_sgr_reduce_bulk`), anything else - scalar dict state,
-        object-valued batches - the per-key path. Every process of a
-        ``jobs=N`` run replays the whole collective on its own replica.
+        One route (:meth:`_sgr_reduce`) whatever filled the maps: every
+        reduction strategy collects ascending keys plus values - a folded
+        batch's ndarray, or dict state's plain list - and the owner
+        stores apply them in bulk. Every process of a ``jobs=N`` run
+        replays the whole collective on its own replica.
         """
         # Peak-footprint moment: thread-local maps full, remote cache
         # still materialized.
@@ -595,30 +609,35 @@ class NodePropMap:
                 self._serve_requests(requests)
 
     def _sgr_reduce(self) -> None:
+        """The scatter-gather-reduce route: collect each host's (ascending
+        keys, values), apply its self-owned partials during the host scan,
+        then ship and apply the cross-host legs in ascending source order
+        (owner-ascending within a source) - one message per (source,
+        owner) pair, and per key the owner's own partial first, then the
+        other hosts' in ascending host order."""
         op = self._op
-        # Hosts that did not reduce since the last collect hold nothing.
-        hosts = [host for host, reduced in enumerate(self._host_reduced) if reduced]
+        # Hosts that did not reduce since the last collect hold nothing
+        # (nor does any host before a reduce binds the operator).
+        hosts = [
+            host
+            for host, reduced in enumerate(self._host_reduced)
+            if reduced and op is not None
+        ]
         self._host_reduced = [False] * len(self._host_reduced)
-        if op is not None and all(
-            getattr(self.reductions[host], "bulk_state_only", False) for host in hosts
-        ):
-            self._sgr_reduce_bulk(op, hosts)
-            return
-        payloads: dict[tuple[int, int], list[tuple[int, Any]]] = {}
+        payloads: list[tuple[int, _Leg, np.ndarray | list[Any]]] = []
         for host in hosts:
-            combined = self.reductions[host].collect(op) if op else {}
-            for key, value in combined.items():
-                owner = self.owner_of(key)
-                if owner == host:
-                    self._apply_at_owner(owner, key, value, op)
-                else:
-                    payloads.setdefault((host, owner), []).append((key, value))
-        for (src, dst), items in payloads.items():
+            keys, values = self.reductions[host].collect_arrays(op)
+            if keys.size == 0:
+                continue
+            own, remote = self._route(host, keys)
+            if own is not None:
+                self._apply_leg(own, _take(values, own.idx), op)
+            payloads.extend((host, leg, _take(values, leg.idx)) for leg in remote)
+        for src, leg, values in payloads:
             self.cluster.network.send(
-                src, dst, (KEY_BYTES + self.value_nbytes) * len(items)
+                src, leg.owner, (KEY_BYTES + self.value_nbytes) * int(leg.keys.size)
             )
-            for key, value in items:
-                self._apply_at_owner(dst, key, value, op)
+            self._apply_leg(leg, values, op)
         for store in self.stores:
             store.drop_remote()
 
@@ -669,34 +688,7 @@ class NodePropMap:
         self._routes[host] = (keys, route)
         return route
 
-    def _sgr_reduce_bulk(self, op: ReduceOp, hosts: list[int]) -> None:
-        """Array scatter-gather-reduce: collect per-host folded arrays,
-        apply self-owned partials during the host scan (as the scalar path
-        does), then ship and apply cross-host payloads in ascending source
-        order - the same per-key application order, message count, and
-        byte totals as the scalar path."""
-        payloads: list[tuple[int, _Leg, np.ndarray]] = []
-        for host in hosts:
-            keys, values = self.reductions[host].collect_arrays(op)
-            if keys.size == 0:
-                continue
-            own, remote = self._route(host, keys)
-            if own is not None:
-                self._apply_at_owner_bulk(own, values[own.idx], op)
-            payloads.extend((host, leg, values[leg.idx]) for leg in remote)
-        for src, leg, values in payloads:
-            self.cluster.network.send(
-                src, leg.owner, (KEY_BYTES + self.value_nbytes) * int(leg.keys.size)
-            )
-            self._apply_at_owner_bulk(leg, values, op)
-        for store in self.stores:
-            store.drop_remote()
-
-    def _apply_at_owner(self, owner: int, key: int, value: Any, op: ReduceOp) -> None:
-        if self.stores[owner].apply_master(key, value, op):
-            self._mark_changed(owner, key)
-
-    def _mark_changed(self, owner: int, changed: int | np.ndarray) -> None:
+    def _mark_changed(self, owner: int, changed: np.ndarray) -> None:
         """Record master(s) of ``owner`` whose value an apply changed:
         the round vote, pending for the next broadcast, active next round."""
         self._any_updated = True
@@ -705,7 +697,9 @@ class NodePropMap:
             self._next_active[owner][changed] = True
             self._host_pending[owner] = self._host_next[owner] = True
 
-    def _apply_at_owner_bulk(self, leg: _Leg, values: np.ndarray, op: ReduceOp) -> None:
+    def _apply_leg(
+        self, leg: _Leg, values: np.ndarray | list[Any], op: ReduceOp
+    ) -> None:
         owner = leg.owner
         if leg.locals_ is None:
             changed = self.stores[owner].apply_master_bulk(leg.keys, values, op)
@@ -819,36 +813,38 @@ class NodePropMap:
     # --------------------------------------------------------------- helpers
 
     def set_initial(self, value_of: Callable[[int], Any]) -> None:
-        """Initialize every node's canonical property (an init ParFor)."""
-        with self.cluster.phase(PhaseKind.INIT, label=f"{self.name}:init"):
-            for host in range(self.cluster.num_hosts):
-                counters = self.cluster.counters(host)
-                for key in self.pgraph.parts[host].masters_global.tolist():
-                    counters.node_iters += 1
-                    self.set(host, key, value_of(key))
-        self._report_memory()
-        if not self.variant.uses_gar:
-            self._refetch_all(f"{self.name}:init-fetch")
+        """Initialize every node's canonical property (an init ParFor)
+        from Figure 2's per-node initializer: an adapter onto
+        :meth:`set_initial_bulk`, whose values go down as a plain list."""
+        self.set_initial_bulk(_per_node(value_of))
 
-    def set_initial_bulk(self, values_of: Callable[[np.ndarray], np.ndarray]) -> None:
-        """Vectorized :meth:`set_initial`: ``values_of`` maps an array of
-        global ids to an array of values. Byte-identical accounting."""
+    def set_initial_bulk(
+        self, values_of: Callable[[np.ndarray], np.ndarray | list[Any]]
+    ) -> None:
+        """The one initializer: ``values_of`` maps an array of global ids
+        (one host's masters, ascending) to their values - an array, or a
+        plain list that is stored as given (tuples stay tuples)."""
         with self.cluster.phase(PhaseKind.INIT, label=f"{self.name}:init"):
             for host in range(self.cluster.num_hosts):
                 keys = self.pgraph.parts[host].masters_global
                 self.cluster.counters(host).node_iters += int(keys.size)
                 if keys.size == 0:
                     continue
-                self._set_bulk(host, keys, np.asarray(values_of(keys)))
+                values = values_of(keys)
+                if not isinstance(values, list):
+                    values = np.asarray(values)
+                self._set_bulk(host, keys, values)
         self._report_memory()
         if not self.variant.uses_gar:
             self._refetch_all(f"{self.name}:init-fetch")
 
-    def _set_bulk(self, host: int, keys: np.ndarray, values: np.ndarray) -> None:
+    def _set_bulk(
+        self, host: int, keys: np.ndarray, values: np.ndarray | list[Any]
+    ) -> None:
         """Batched :meth:`set` for keys iterated in ascending order."""
         if self.variant.uses_kvstore:
             assert self.kv_client is not None
-            for key, value in zip(keys.tolist(), values.tolist()):
+            for key, value in zip(keys.tolist(), native_list(values)):
                 self.kv_client.set(host, self._kv_key(key), value)
             return
         if self.variant.uses_gar:
@@ -857,30 +853,25 @@ class NodePropMap:
             return
         owners = keys % self.cluster.num_hosts
         for owner in np.unique(owners).tolist():
-            mask = owners == owner
-            owned_keys = keys[mask]
+            idx = np.flatnonzero(owners == owner)
             self.cluster.network.send_many(
-                host, owner, KEY_BYTES + self.value_nbytes, int(owned_keys.size)
+                host, owner, KEY_BYTES + self.value_nbytes, int(idx.size)
             )
-            self.stores[owner].write_master_bulk(
-                owned_keys, values[mask].tolist()
-            )
+            self.stores[owner].write_master_bulk(keys[idx], _take(values, idx))
 
     def reset_values(self, value_of: Callable[[int], Any]) -> None:
+        """:meth:`reset_values_bulk` from a per-node initializer (the
+        adapter :meth:`set_initial` is)."""
+        self.reset_values_bulk(_per_node(value_of))
+
+    def reset_values_bulk(
+        self, values_of: Callable[[np.ndarray], np.ndarray | list[Any]]
+    ) -> None:
         """Reinitialize every canonical value (a fresh init ParFor).
 
         Lets per-round scratch maps (e.g. Boruvka's best-edge map) be
-        reused instead of reallocated; costs the same as set_initial.
+        reused instead of reallocated; costs the same as set_initial_bulk.
         """
-        self._op = None
-        self._any_updated = False
-        self._clear_pending()
-        self.set_initial(value_of)
-
-    def reset_values_bulk(
-        self, values_of: Callable[[np.ndarray], np.ndarray]
-    ) -> None:
-        """Vectorized :meth:`reset_values` (same cost as set_initial_bulk)."""
         self._op = None
         self._any_updated = False
         self._clear_pending()

@@ -20,12 +20,18 @@ equivalent sequence of scalar ``reduce`` calls (``threads`` non-decreasing,
 as the static dealing produces). Numeric batches stay folded as sorted
 key/value arrays (thread-major composite keys for CF; a prepared min, max
 or overwrite batch straight by key, see :meth:`PreparedFold.fold`) until
-``collect``/``collect_arrays``, and every one of them is folded the same
-way: give each group a dense id off a presence mask (:func:`_present`,
+``collect_arrays``, and every one of them is folded the same way: give
+each group a dense id off a presence mask (:func:`_present`,
 :func:`_rank`), then one identity-seeded ``ufunc.at`` scatter
 (:func:`_fold`). Anything without an exact identity, and a float min/max
 batch the ufunc may fold unlike the scalar rule (:func:`_foldable`), falls
-back to the scalar per-item path.
+back to the scalar per-item path into dicts.
+
+Reduce-sync has one route whatever the pending state: ``collect_arrays``
+returns ascending unique keys plus their values - a folded batch's
+ndarray, or, for dict state, a plain list off the dict merge
+(``collect``, :func:`dict_arrays`), which the owner applies by the
+per-key scalar rule.
 """
 
 from __future__ import annotations
@@ -190,10 +196,18 @@ def _fold_present(
     return present, _fold(ids, num_ids, values, op)[present]
 
 
+def dict_arrays(combined: dict[int, Any]) -> tuple[np.ndarray, list[Any]]:
+    """A collected dict as ``(ascending keys, their values)``. The values
+    stay a plain list - tuples stay tuples, nothing is coerced to a dtype
+    - so the owner applies them by the per-key scalar rule."""
+    keys = sorted(combined)
+    return np.asarray(keys, dtype=np.int64), [combined[key] for key in keys]
+
+
 class _Batch(NamedTuple):
     """A folded bulk batch awaiting reduce-sync: the ``(thread, key)``
     slots it touched (``pending`` counts them), its per-slot state
-    ``(span, uniq, folded)`` for a spill, an export or the dict-path
+    ``(span, uniq, folded)`` for a spill, an export or the dict merge of
     collect, and the thread-order merge by key ``collect_arrays`` returns."""
 
     slots: int
@@ -476,12 +490,6 @@ class ThreadLocalReduction:
         self._dict_state = any(maps)
         self._batch = None if batch is None else _slot_batch(*batch)
 
-    @property
-    def bulk_state_only(self) -> bool:
-        """True when no thread holds dict state, so collect_arrays() can
-        fold without materializing Python dicts."""
-        return not self._dict_state
-
     def _charge_combine(self) -> None:
         counters = self.cluster.counters(self.host_id)
         # Each entry is scanned while filtering by range and combined once.
@@ -522,13 +530,19 @@ class ThreadLocalReduction:
                     combined[key] = value
         return combined
 
-    def collect_arrays(self, op: ReduceOp) -> tuple[np.ndarray, np.ndarray]:
-        """Bulk collect: the same combining semantics and charge as
-        :meth:`collect`, returning (sorted unique keys, values) arrays.
-        Requires :attr:`bulk_state_only`. An idle host - nothing reduced
-        since the last collect - returns before any scan: its combine
-        charge is ``2 * 0``, and with no values there is no value dtype
-        to report, so the empty key array stands in for both."""
+    def collect_arrays(
+        self, op: ReduceOp
+    ) -> tuple[np.ndarray, np.ndarray | list[Any]]:
+        """The reduce-sync collect: :meth:`collect`'s combining semantics
+        and charge, as ``(ascending unique keys, values)``. A folded batch
+        merges straight to arrays; dict state goes through :meth:`collect`
+        and returns its values as a plain list (:func:`dict_arrays`). An
+        idle host - nothing reduced since the last collect - returns
+        before any scan: its combine charge is ``2 * 0``, and with no
+        values there is no value dtype to report, so the empty key array
+        stands in for both."""
+        if self._dict_state:
+            return dict_arrays(self.collect(op))
         if self._batch is None:
             return _NO_KEYS, _NO_KEYS
         self._charge_combine()
@@ -708,10 +722,6 @@ class SharedMapReduction:
             self._bulk_multi,
         ) = state
 
-    @property
-    def bulk_state_only(self) -> bool:
-        return not self.map
-
     def collect(self, op: ReduceOp) -> dict[int, Any]:
         del op  # combining happened eagerly, amortized into compute
         if self._bulk_keys is not None:
@@ -723,8 +733,13 @@ class SharedMapReduction:
         self._write_count = 0
         return combined
 
-    def collect_arrays(self, op: ReduceOp) -> tuple[np.ndarray, np.ndarray]:
-        del op
+    def collect_arrays(
+        self, op: ReduceOp
+    ) -> tuple[np.ndarray, np.ndarray | list[Any]]:
+        """:meth:`collect` as ``(ascending unique keys, values)``: the
+        folded arrays, or dict state's plain list (:func:`dict_arrays`)."""
+        if self.map:
+            return dict_arrays(self.collect(op))
         keys = self._bulk_keys
         vals = self._bulk_vals
         self._bulk_keys = self._bulk_vals = None

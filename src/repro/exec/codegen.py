@@ -9,9 +9,10 @@ kernel form and backend: the scalar backend binds the reference
 ``par_for`` bodies (the oracle), the bulk backend binds the compiled
 kernels below.
 
-* **Dispatch caching** - every step's backend decision (``par_for`` vs
-  :func:`run_hosted`, kernel body, reset/host callables) is made at
-  compile time, once per ``(plan, executor)`` binding.
+* **Dispatch caching** - every step's dispatch is made at compile time,
+  once per ``(plan, executor)`` binding. The backend decides only an
+  operator's driver and kernel body (``par_for`` vs :func:`run_hosted`);
+  syncs, resets and host callables bind the same way on both backends.
 * **Compiled kernels** - each declarative kernel form
   (:class:`~repro.exec.plan.EdgePush`, :class:`~repro.exec.plan.NodeUpdate`,
   :class:`~repro.exec.plan.DegreeReduce`, and the trans-vertex
@@ -588,16 +589,12 @@ def _compile_operator(executor, operator: Operator) -> CompiledOperator:
     )
 
 
-def _compile_reset(executor, step: ResetStep) -> Callable[[], None]:
+def _compile_reset(step: ResetStep) -> Callable[[], None]:
+    """A reset is the same on both backends, like ``Executor.init_map``."""
     if step.elementwise:
         return lambda: step.map.reset_values(step.values)
-    if executor.bulk:
-        bulk_values = lambda nodes: np.asarray(step.values(nodes))  # noqa: E731
-        return lambda: step.map.reset_values_bulk(bulk_values)
-    from repro.exec.executor import _elementwise
-
-    elementwise = _elementwise(step.values)
-    return lambda: step.map.reset_values(elementwise)
+    bulk_values = lambda nodes: np.asarray(step.values(nodes))  # noqa: E731
+    return lambda: step.map.reset_values_bulk(bulk_values)
 
 
 def compile_plan(executor, plan: Plan) -> CompiledPlan:
@@ -613,7 +610,7 @@ def compile_plan(executor, plan: Plan) -> CompiledPlan:
             # the pool only ever exchanges compute effects.
             entries.append((ENTRY_EXEC, getattr(step.map, f"{step.action}_sync")))
         elif isinstance(step, ResetStep):
-            entries.append((ENTRY_EXEC, _compile_reset(executor, step)))
+            entries.append((ENTRY_EXEC, _compile_reset(step)))
         elif isinstance(step, HostStep):
             entries.append((ENTRY_EXEC, step.fn))
         elif isinstance(step, Plan):

@@ -33,11 +33,13 @@ scheduler instead; its results are value-equivalent (not byte-identical)
 to the BSP oracle.
 
 Each ``run`` executes through a compiled form of the plan
-(:mod:`repro.exec.codegen`): the per-step backend dispatch - scalar vs
-bulk driver, kernel-closure construction, reset binding - is decided
-once per ``(plan, executor)`` binding and cached, and the per-round loop
-replays a flat list of prebound entries instead of re-walking the step
-list with ``isinstance`` checks.
+(:mod:`repro.exec.codegen`): the per-step dispatch - scalar vs bulk
+driver and kernel closure (the one backend decision), sync and reset
+binding - is decided once per ``(plan, executor)`` binding and cached,
+and the per-round loop replays a flat list of prebound entries instead
+of re-walking the step list with ``isinstance`` checks. Everything under
+the kernels - map initialization and reset, request-, reduce- and
+broadcast-sync - has one implementation for both backends.
 """
 
 from __future__ import annotations
@@ -130,15 +132,13 @@ class Executor:
         *,
         elementwise: Callable[[int], Any] | None = None,
     ) -> None:
-        """Backend-dispatched ``set_initial``: array-style ``values`` uses
-        the bulk path under ``bulk=True``; ``elementwise`` initializers
-        (needed for non-numeric values) run identically on both backends."""
+        """Initialize ``prop`` the same way on both backends: array-style
+        ``values`` go to ``set_initial_bulk`` as an array; ``elementwise``
+        initializers (needed for non-numeric values) to ``set_initial``."""
         if elementwise is not None:
             prop.set_initial(elementwise)
-        elif self.bulk:
-            prop.set_initial_bulk(lambda nodes: np.asarray(values(nodes)))
         else:
-            prop.set_initial(_elementwise(values))
+            prop.set_initial_bulk(lambda nodes: np.asarray(values(nodes)))
 
     # -------------------------------------------------------- loop driver
 

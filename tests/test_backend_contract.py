@@ -58,7 +58,7 @@ class TestPinnedUnbroadcastMirror:
         mirror = int(pgraph.parts[host].mirrors_global[0])
         store.pin()
         with cluster.phase(PhaseKind.BROADCAST_SYNC):
-            store.write_mirror(mirror, 11)
+            store.write_mirror_bulk(np.array([mirror]), [11])
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             assert store.can_read(mirror)
             assert store.read(mirror) == 11
@@ -260,7 +260,7 @@ def test_backend_contract_parity(ops):
             elif op[0] == "write_mirror":
                 key, value = _MIRRORS[op[1]], op[2]
                 for store in gar_stores:  # no mirror slots without GAR
-                    store.write_mirror(key, value)
+                    store.write_mirror_bulk(np.array([key]), [value])
 
         for key in range(pgraph.num_nodes):
             outcomes = []

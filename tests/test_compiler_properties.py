@@ -11,6 +11,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.compiler.analysis import reads_in_dominance_order
 from repro.compiler.cfg import ENTRY, build_cfg
 from repro.compiler.dominators import dominates, immediate_dominators
 from repro.compiler.ir import (
@@ -22,6 +23,7 @@ from repro.compiler.ir import (
     If,
     MapRead,
     MapReduce,
+    ParFor,
     Var,
     walk,
 )
@@ -114,6 +116,30 @@ def test_slice_ends_with_single_request(body):
         requests = [s for s in walk(sliced) if isinstance(s, MapRequest)]
         assert len(requests) == 1
         assert requests[0].key == target.key
+
+
+@given(bodies())
+@settings(max_examples=60, deadline=None)
+def test_reads_in_dominance_order_puts_dominators_first(body):
+    """The structural read order the split transform iterates (Section
+    5.1) against the dominator tree: every read is listed once (equal
+    reads once), and a read that dominates another never comes after it."""
+    reads = reads_in_dominance_order(ParFor(body))
+    occurrences = [s for s in walk(body) if isinstance(s, MapRead)]
+    assert all(reads.count(read) == 1 for read in reads)
+    assert all(read in reads for read in occurrences)
+    # An equal read is listed at its first occurrence: compare those.
+    occurrences = [
+        read for i, read in enumerate(occurrences) if read not in occurrences[:i]
+    ]
+    cfg = build_cfg(body)
+    idom = immediate_dominators(cfg)
+    for first in occurrences:
+        for second in occurrences:
+            if first is not second and dominates(
+                idom, cfg.nodes_of(first)[0], cfg.nodes_of(second)[0]
+            ):
+                assert reads.index(first) <= reads.index(second)
 
 
 @given(bodies())

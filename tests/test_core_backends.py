@@ -41,7 +41,7 @@ class TestGarHostStore:
         key = int(pgraph.parts[0].masters_global[0])
         with cluster.phase(PhaseKind.INIT):
             store.write_master(key, 42)
-            assert store.serve_master(key) == 42
+            assert store.serve_master_bulk(np.array([key])) == [42]
 
     def test_write_foreign_master_rejected(self, setup):
         _, pgraph, cluster = setup
@@ -54,20 +54,20 @@ class TestGarHostStore:
     def test_apply_master_reports_change(self, setup):
         _, pgraph, cluster = setup
         store = GarHostStore(cluster, pgraph, 0)
-        key = int(pgraph.parts[0].masters_global[0])
+        key = np.array([int(pgraph.parts[0].masters_global[0])])
         with cluster.phase(PhaseKind.INIT):
-            store.write_master(key, 10)
-            assert store.apply_master(key, 5, MIN) is True
-            assert store.apply_master(key, 7, MIN) is False
-            assert store.serve_master(key) == 5
+            store.write_master(int(key[0]), 10)
+            assert store.apply_master_bulk(key, [5], MIN).tolist() == key.tolist()
+            assert store.apply_master_bulk(key, [7], MIN).tolist() == []
+            assert store.serve_master_bulk(key) == [5]
 
     def test_apply_to_unset_master_takes_value(self, setup):
         _, pgraph, cluster = setup
         store = GarHostStore(cluster, pgraph, 0)
-        key = int(pgraph.parts[0].masters_global[0])
+        key = np.array([int(pgraph.parts[0].masters_global[0])])
         with cluster.phase(PhaseKind.INIT):
-            assert store.apply_master(key, 3, SUM) is True
-            assert store.serve_master(key) == 3
+            assert store.apply_master_bulk(key, [3], SUM).tolist() == key.tolist()
+            assert store.serve_master_bulk(key) == [3]
 
     def test_remote_merge_keeps_both_batches(self, setup):
         _, pgraph, cluster = setup
@@ -98,7 +98,7 @@ class TestGarHostStore:
         master = int(pgraph.parts[0].masters_global[0])
         with cluster.phase(PhaseKind.BROADCAST_SYNC):
             with pytest.raises(KeyError):
-                store.write_mirror(master, 1)
+                store.write_mirror_bulk(np.array([master]), [1])
 
     def test_unpin_invalidates_mirrors_only(self, setup):
         _, pgraph, cluster = setup
@@ -109,9 +109,9 @@ class TestGarHostStore:
         with cluster.phase(PhaseKind.INIT):
             store.write_master(master, 1)
             store.pin()
-            store.write_mirror(mirror, 2)
+            store.write_mirror_bulk(np.array([mirror]), [2])
             store.unpin()
-            assert store.serve_master(master) == 1
+            assert store.serve_master_bulk(np.array([master])) == [1]
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             with pytest.raises(KeyError):
                 store.read(mirror)
@@ -134,7 +134,7 @@ class TestGarHostStore:
         assert not store.can_read(mirror)
         with cluster.phase(PhaseKind.INIT):
             store.pin()
-            store.write_mirror(mirror, 2)
+            store.write_mirror_bulk(np.array([mirror]), [2])
         assert store.can_read(mirror)
         assert not store.can_read(foreign)
 
@@ -569,13 +569,9 @@ def _column_sequences(draw):
             return kind, batch(0, _NL)
         if kind == "write":
             return kind, draw(st.integers(0, _NM - 1)), draw(st.one_of(_INTS, _FLOATS))
-        if kind == "apply":
-            return (
-                kind,
-                draw(st.integers(0, _NM - 1)),
-                draw(st.one_of(_INTS, _FLOATS)),
-                draw(st.sampled_from(sorted(_COL_OPS))),
-            )
+        if kind == "apply":  # a plain-list batch: dict state's route
+            locals_, values = batch(0, _NM)
+            return kind, locals_, values.tolist(), draw(st.sampled_from(sorted(_COL_OPS)))
         if kind == "read":
             return kind, draw(st.integers(0, _NL - 1))
         return (kind,)
@@ -672,9 +668,14 @@ def test_column_matches_list_only_reference(drawn):
                 both(lambda s: s.write_master(int(l2g[step[1]]), step[2]))
                 model[step[1]] = step[2]
             elif kind == "apply":
-                op = _COL_OPS[step[3]]
-                got = both(lambda s: s.apply_master(int(l2g[step[1]]), step[2], op))
-                assert got[0] == got[1] == model_apply(step[1], step[2], op)
+                locals_, values, op = step[1], step[2], _COL_OPS[step[3]]
+                got = both(lambda s: s.apply_master_bulk(l2g[locals_], values, op))
+                expected = [
+                    int(l2g[local])
+                    for local, value in zip(locals_.tolist(), values)
+                    if model_apply(local, value, op)
+                ]
+                assert got[0].tolist() == got[1].tolist() == expected
             elif kind == "read":
                 got = both(lambda s: s.read_local(step[1]))
                 if got is not None:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
 from repro.core import MIN, SUM, NodePropMap, RuntimeVariant
+from repro.core.reducers import PAIR_MIN
 from repro.graph import generators
 from repro.partition import partition
 
@@ -103,6 +104,23 @@ class TestEveryVariant:
                 prop.reduce(0, thread, 1, 10, SUM)
         prop.reduce_sync()
         assert prop.snapshot()[1] == 30
+
+    def test_tuple_values_stay_tuples(self, variant):
+        """The one batch writer and the one reduce-sync route take a plain
+        list as given, on every store: tuples stay tuples through the
+        per-node initializer, a list-valued batch reset and an owner apply
+        of partials reduced on every host."""
+        cluster, _, prop = make_map(variant)
+        prop.set_initial(lambda n: (float(n), n))
+        assert prop.snapshot() == {n: (float(n), n) for n in prop.snapshot()}
+        prop.reset_values_bulk(lambda nodes: [(1.0, n) for n in nodes.tolist()])
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            for host in range(cluster.num_hosts):
+                prop.reduce(host, 0, 2, (0.5, host), PAIR_MIN)
+        prop.reduce_sync()
+        snap = prop.snapshot()
+        assert snap[2] == (0.5, 0) and snap[3] == (1.0, 3)
+        assert {type(value) for value in snap.values()} == {tuple}
 
     def test_mixed_ops_rejected(self, variant):
         cluster, _, prop = make_map(variant)

@@ -4,16 +4,27 @@ from __future__ import annotations
 
 import ast
 import inspect
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.gluon import GluonAtomicReduction
 from repro.cluster import Cluster
 from repro.cluster.metrics import PhaseKind
 from repro.core import reduction as reduction_module
-from repro.core.reducers import LOGICAL_OR, MAX, MIN, OVERWRITE, SUM, ReduceOp
+from repro.core.reducers import (
+    LOGICAL_OR,
+    MAX,
+    MIN,
+    OVERWRITE,
+    PAIR_MAX,
+    PAIR_MIN,
+    SUM,
+    ReduceOp,
+)
 from repro.core.reduction import (
     KvCasReduction,
     PreparedFold,
@@ -477,7 +488,7 @@ class TestOneLevelSelectionFold:
     to keys; the two-level fold - by ``(thread, key)`` slot, then the slots
     by key - is the reference. Bit for bit: the collected keys and values,
     the touched-slot count behind the combine charge, ``pending()``, and
-    the per-slot state a spill, an export and the dict-path collect rebuild
+    the per-slot state a spill, an export and the dict merge (``collect``) rebuild
     from the kept inputs. A sum keeps both levels."""
 
     OPS = (MIN, MAX, OVERWRITE)
@@ -524,7 +535,12 @@ class TestOneLevelSelectionFold:
             exported = reduction.export_state()[2]
             with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
                 if consume.endswith("arrays"):
-                    out = [array.tobytes() for array in reduction.collect_arrays(op)]
+                    # A batch collects arrays, dict state a plain list.
+                    got_keys, got = reduction.collect_arrays(op)
+                    out = [
+                        got_keys.tobytes(),
+                        np.asarray(got, dtype=values.dtype).tobytes(),
+                    ]
                 elif consume.endswith("spill"):
                     if reduction._batch is not None:
                         reduction._spill_batch()
@@ -872,13 +888,235 @@ class TestNoExactIdentityTakesTheScalarRule:
                 self.THREADS[idx].tolist(), self.KEYS[idx].tolist(), values[idx].tolist()
             ):
                 scalar.reduce(thread, key, value, op)
-        assert not bulk.bulk_state_only  # it went to the dicts, per item
         assert bulk.export_state() == scalar.export_state()
         with bulk.cluster.phase(PhaseKind.REDUCE_SYNC):
-            got = bulk.collect(op)
+            got_keys, got = bulk.collect_arrays(op)
+        assert isinstance(got, list)  # it went to the dicts, per item
         with scalar.cluster.phase(PhaseKind.REDUCE_SYNC):
-            assert got == scalar.collect(op)
+            want = scalar.collect(op)
+        assert got_keys.tolist() == sorted(want)
+        assert got == [want[key] for key in sorted(want)]
         assert bulk.cluster.log.total_counters() == scalar.cluster.log.total_counters()
+
+
+# ------------------------------------------------ the one collect contract
+
+_FLOATS = (0.0, -0.0, 1.0, -1.5, 0.1, 1e16, 5e-324, math.inf, -math.inf, math.nan)
+_PAIR_SUM = ReduceOp("pair_sum", lambda a, b: (a[0] + b[0], a[1] + b[1]))
+# Per value kind: the operators it reduces with, a value strategy, the batch dtype.
+_KINDS = {
+    "float": (
+        (SUM, MIN, MAX, OVERWRITE), st.sampled_from(_FLOATS), np.float64
+    ),
+    "int": ((SUM, MIN, MAX, OVERWRITE), st.integers(-4, 4), np.int64),
+    "pair": (
+        (PAIR_MIN, PAIR_MAX, _PAIR_SUM, OVERWRITE),
+        st.tuples(st.sampled_from(_FLOATS), st.integers(-2, 2)),
+        object,
+    ),
+}
+_COLLECT_THREADS = 3
+_COLLECT_KEYS = 6
+
+
+def _batch_array(values, dtype):
+    """A batch's values as an ndarray - tuples one per slot, as objects."""
+    if dtype is not object:
+        return np.array(values, dtype=dtype)
+    out = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        out[i] = value
+    return out
+
+
+@st.composite
+def _collect_programs(draw):
+    """A value kind, one of its operators, a static ``(threads, keys)``
+    batch and a program over it: scalar reduces, generic batches, prepared
+    rounds (whole or an ascending subset) and collects, interleaved."""
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    ops, value, _ = _KINDS[kind]
+    op = draw(st.sampled_from(ops))
+    thread = st.integers(0, _COLLECT_THREADS - 1)
+    key = st.integers(0, _COLLECT_KEYS - 1)
+    static = sorted(draw(st.lists(st.tuples(thread, key), min_size=1, max_size=8)))
+    actions = st.one_of(
+        st.tuples(st.just("reduce"), thread, key, value),
+        st.tuples(
+            st.just("bulk"),
+            st.lists(st.tuples(thread, key, value), min_size=1, max_size=8).map(
+                lambda items: sorted(items, key=lambda item: item[0])
+            ),
+        ),
+        st.tuples(
+            st.just("prepared"),
+            st.lists(
+                st.tuples(st.booleans(), value),
+                min_size=len(static),
+                max_size=len(static),
+            ),
+            st.booleans(),
+        ),
+        st.tuples(st.just("collect")),
+    )
+    return kind, op, static, draw(st.lists(actions, max_size=10))
+
+
+class _LeftFoldModel:
+    """The reference: per key a left fold of ``op``'s scalar rule in call
+    order - per thread and then across threads in ascending order for the
+    conflict-free maps, in one shared map otherwise - plus the charges the
+    strategy's scalar calls make (``combine_ops``: two per pending
+    ``(thread, key)`` slot at a conflict-free collect; ``cas_conflicts``:
+    the shared map's writer-set and 1-in-2 structural rule, Gluon's
+    cross-thread value changes). Gluon writes only a value that compares
+    unequal, so its fold keeps the old value otherwise."""
+
+    def __init__(self, strategy, op):
+        self.strategy, self.op = strategy, op
+        self.combine_ops = self.cas_conflicts = 0
+        self._clear()
+
+    def _clear(self):
+        self.maps = [{} for _ in range(_COLLECT_THREADS)]
+        self.writers, self.map_writers, self.writes = {}, set(), 0
+        self.last_writer = {}
+
+    def reduce(self, thread, key, value):
+        op = self.op
+        if self.strategy is ThreadLocalReduction:
+            local = self.maps[thread]
+            local[key] = value if key not in local else op(local[key], value)
+        elif self.strategy is SharedMapReduction:
+            writers = self.writers.setdefault(key, set())
+            writers.add(thread)
+            self.cas_conflicts += len(writers) > 1
+            self.map_writers.add(thread)
+            self.writes += 1
+            self.cas_conflicts += len(self.map_writers) > 1 and self.writes % 2 == 0
+            shared = self.maps[0]
+            shared[key] = value if key not in shared else op(shared[key], value)
+        else:
+            shared = self.maps[0]
+            old = shared.get(key)
+            new = value if old is None else op(old, value)
+            if new != old:
+                previous = self.last_writer.get(key)
+                self.cas_conflicts += previous is not None and previous != thread
+                shared[key] = new
+                self.last_writer[key] = thread
+
+    def collect(self):
+        if self.strategy is ThreadLocalReduction:
+            self.combine_ops += 2 * sum(map(len, self.maps))
+        combined = {}
+        for local in self.maps:
+            for key, value in local.items():
+                combined[key] = (
+                    value if key not in combined else self.op(combined[key], value)
+                )
+        self._clear()
+        return [(key, combined[key]) for key in sorted(combined)]
+
+
+def _bits(value):
+    """A collected value, comparable bit for bit and by type: a float by
+    its IEEE bytes (NaN and the sign of zero count), a tuple as a tuple."""
+    if isinstance(value, tuple):
+        return ("tuple", tuple(_bits(item) for item in value))
+    if isinstance(value, (float, np.floating)):
+        return ("float", np.float64(value).tobytes())
+    return (type(value).__name__, value)
+
+
+class TestOneCollectContract:
+    """The collect reduce-sync routes, one contract for every strategy:
+    ``collect_arrays`` gives ascending unique keys and the values of a
+    per-key left fold, whatever mix of scalar ``reduce``, ``reduce_bulk``
+    and ``reduce_bulk_prepared`` calls filled it - a folded batch as an
+    ndarray, dict state as a plain list whose tuples stay tuples and whose
+    floats keep their bits - and charges the ``combine_ops`` and
+    ``cas_conflicts`` the scalar calls would. Batches reach each strategy
+    the way ``NodePropMap`` hands them down: the conflict-free maps take a
+    prepared fold, the shared map a prepared round's arrays, and Gluon's
+    atomics (no bulk entry point, like the scalar executor that drives
+    them) every item."""
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [ThreadLocalReduction, SharedMapReduction, GluonAtomicReduction],
+        ids=lambda strategy: strategy.__name__,
+    )
+    @settings(max_examples=150, deadline=None)
+    @given(program=_collect_programs())
+    def test_collect_arrays_is_the_left_fold(self, strategy, program):
+        kind, op, static, actions = program
+        dtype = _KINDS[kind][2]
+        cluster = Cluster(1, threads_per_host=_COLLECT_THREADS)
+        reduction = strategy(cluster, 0)
+        model = _LeftFoldModel(strategy, op)
+        threads = np.array([thread for thread, _ in static])
+        keys = np.array([key for _, key in static], dtype=np.int64)
+        prepared = (
+            reduction.prepare_bulk(threads, keys)
+            if strategy is ThreadLocalReduction
+            else None
+        )
+
+        def reduce_batch(batch_threads, batch_keys, values, fold=None, round_idx=None):
+            """One batch: into the model item by item, into the strategy as
+            a prepared ``fold`` round (at ``round_idx``) or generic arrays."""
+            items = list(zip(batch_threads.tolist(), batch_keys.tolist(), values))
+            for item in items:
+                model.reduce(*item)
+            array = _batch_array(values, dtype)
+            with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                if strategy is GluonAtomicReduction:
+                    for item in items:
+                        reduction.reduce(*item, op)
+                elif fold is not None:
+                    reduction.reduce_bulk_prepared(fold, array, op, round_idx)
+                else:
+                    reduction.reduce_bulk(batch_threads, batch_keys, array, op)
+
+        def collect():
+            with cluster.phase(PhaseKind.REDUCE_SYNC):
+                got_keys, got = reduction.collect_arrays(op)
+            want = model.collect()
+            assert isinstance(got, (list, np.ndarray))
+            assert np.all(np.diff(got_keys) > 0)  # ascending, unique
+            assert got_keys.tolist() == [key for key, _ in want]
+            got_values = got.tolist() if isinstance(got, np.ndarray) else got
+            assert [_bits(value) for value in got_values] == [
+                _bits(value) for _, value in want
+            ]
+
+        with np.errstate(invalid="ignore", over="ignore"):
+            for action in actions:
+                if action[0] == "reduce":
+                    _, thread, key, value = action
+                    model.reduce(thread, key, value)
+                    with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                        reduction.reduce(thread, key, value, op)
+                elif action[0] == "bulk":
+                    batch_threads, batch_keys, values = zip(*action[1])
+                    reduce_batch(
+                        np.array(batch_threads),
+                        np.array(batch_keys, dtype=np.int64),
+                        list(values),
+                    )
+                elif action[0] == "prepared":
+                    _, picks, whole = action
+                    idx = None if whole else np.flatnonzero([pick for pick, _ in picks])
+                    chosen = np.arange(keys.size) if idx is None else idx
+                    values = [picks[i][1] for i in chosen.tolist()]
+                    reduce_batch(threads[chosen], keys[chosen], values, prepared, idx)
+                else:
+                    collect()
+            collect()
+        counters = cluster.log.total_counters()
+        assert counters.combine_ops == model.combine_ops
+        assert counters.cas_conflicts == model.cas_conflicts
 
 
 class TestSharedMap:
