@@ -325,21 +325,28 @@ class GarHostStore:
             raise KeyError(f"local node {local_id} (global {global_id}) has no value")
         return value
 
-    def read_local_bulk(self, local_ids: np.ndarray) -> np.ndarray:
+    def read_local_bulk(
+        self, local_ids: np.ndarray, masters: int | None = None
+    ) -> np.ndarray:
         """Batched :meth:`read_local`: identical per-key accounting, values
-        returned as one array (numeric when possible)."""
+        returned as one array (numeric when possible). ``masters`` is how
+        many of ``local_ids`` are masters when the caller holds the count
+        already (a frozen batch, counted when it was built)."""
         count = int(local_ids.size)
         counters = self.cluster.counters(self.host_id)
         counters.vector_reads += count
-        masters = int(np.count_nonzero(local_ids < self.part.num_masters))
+        if masters is None:
+            masters = int(np.count_nonzero(local_ids < self.part.num_masters))
         counters.reads_master += masters
         counters.reads_remote += count - masters
-        if self._valid is not None:
-            present = self._valid[local_ids]
-            if present.all():
+        valid = self._valid
+        if valid is not None:
+            # A batch larger than the column (an edge list) checks the
+            # whole column first: every slot set covers every id.
+            if (count >= valid.size and valid.all()) or valid[local_ids].all():
                 # An untyped column has no set slot, so the batch is empty.
                 return self._col[local_ids] if self._col is not None else np.empty(0)
-            absent = int(local_ids[~present][0])
+            absent = int(local_ids[~valid[local_ids]][0])
         else:
             store = self.values
             ids = local_ids.tolist()
@@ -553,9 +560,15 @@ class GarHostStore:
         are fresher reads of the same canonical masters.
         """
         installed = len(values)
+        self.cluster.counters(self.host_id).materialize_ops += installed
         if self.remote_layout == "hash":
             self._remote_hash.update(zip(keys.tolist(), values))
-            self.cluster.counters(self.host_id).materialize_ops += installed
+            return
+        if not self._remote_keys.size and (keys[1:] > keys[:-1]).all():
+            # The first request phase of a round, deduplicated: the keys
+            # arrive ascending and unique, so they are the sorted cache.
+            self._remote_keys = keys
+            self._remote_values = values
             return
         # Deduplicate last-wins *before* sorting: a batch may repeat a key
         # (e.g. with request dedup disabled), and np.argsort's default
@@ -570,7 +583,6 @@ class GarHostStore:
         order = np.argsort(keys, kind="stable")
         self._remote_keys = keys[order]
         self._remote_values = [values[i] for i in order]
-        self.cluster.counters(self.host_id).materialize_ops += installed
 
     def drop_remote(self) -> None:
         if self.remote_cache_size:  # an empty cache stays as it is
@@ -693,12 +705,16 @@ class HashHostStore:
     def read_local(self, local_id: int) -> Any:
         return self.read(int(self.part.local_to_global[local_id]))
 
-    def read_local_bulk(self, local_ids: np.ndarray) -> np.ndarray:
-        """Batched :meth:`read_local`: aggregate charges, same probe counts."""
+    def read_local_bulk(
+        self, local_ids: np.ndarray, masters: int | None = None
+    ) -> np.ndarray:
+        """Batched :meth:`read_local`: aggregate charges, same probe counts
+        (``masters`` as for :meth:`GarHostStore.read_local_bulk`)."""
         count = int(local_ids.size)
         counters = self.cluster.counters(self.host_id)
         counters.hash_probes += count
-        masters = int(np.count_nonzero(local_ids < self.part.num_masters))
+        if masters is None:
+            masters = int(np.count_nonzero(local_ids < self.part.num_masters))
         counters.reads_master += masters
         counters.reads_remote += count - masters
         return self._lookup(self.part.local_to_global[local_ids])

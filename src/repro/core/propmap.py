@@ -50,11 +50,12 @@ KEY_BYTES = 8
 
 
 class _Leg(NamedTuple):
-    """One leg of a reduce-sync route: the part of a source host's
-    collected batch that one owner host applies."""
+    """One leg of a sync route: the part of a source host's collected
+    batch (reduce-sync) or requested keys (request-sync) that one owner
+    host applies or serves."""
 
     owner: int
-    idx: np.ndarray | slice  # positions of the leg's keys in the collected batch
+    idx: np.ndarray | slice  # positions of the leg's keys in the batch
     keys: np.ndarray
     locals_: np.ndarray | None  # master-local ids on the owner (GAR only)
 
@@ -116,6 +117,7 @@ class NodePropMap:
         self.variant = variant
         self.value_nbytes = value_nbytes
         self.request_dedup = request_dedup
+        self._num_nodes = pgraph.num_nodes
         num_hosts = cluster.num_hosts
         if pgraph.num_hosts != num_hosts:
             raise ValueError("partitioned graph and cluster disagree on host count")
@@ -251,23 +253,50 @@ class NodePropMap:
 
     def read(self, host: int, key: int) -> Any:
         """Read a property by global node id (Figure 2's Read)."""
-        return self.stores[host].read(int(key))
+        key = int(key)
+        if not 0 <= key < self._num_nodes:
+            raise self._not_a_node(key, "read key")
+        return self.stores[host].read(key)
 
     def read_local(self, host: int, local_id: int) -> Any:
         """Read by local id: the fast path for active nodes and edge endpoints."""
         return self.stores[host].read_local(local_id)
 
-    def read_local_bulk(self, host: int, local_ids: np.ndarray) -> np.ndarray:
-        """Batched :meth:`read_local`: identical accounting, one array out."""
+    def read_local_bulk(
+        self, host: int, local_ids: np.ndarray, masters: int | None = None
+    ) -> np.ndarray:
+        """Batched :meth:`read_local`: identical accounting, one array out.
+        ``masters``: how many of ``local_ids`` are masters, when a compiled
+        kernel counted it at build (its ids are frozen)."""
         return self.stores[host].read_local_bulk(
-            np.asarray(local_ids, dtype=np.int64)
+            np.asarray(local_ids, dtype=np.int64), masters
         )
 
     def read_bulk(self, host: int, keys: np.ndarray) -> np.ndarray:
         """Batched :meth:`read` by global node id: identical accounting on
         every path a key can take (master, pinned mirror, requested remote)
         and the same ``KeyError`` for an unreadable key, one array out."""
-        return self.stores[host].read_bulk(np.asarray(keys, dtype=np.int64))
+        keys = np.asarray(keys, dtype=np.int64)
+        if keys.size:
+            self._check_ids(keys, "read key")
+        return self.stores[host].read_bulk(keys)
+
+    def _check_ids(self, keys: np.ndarray, what: str) -> None:
+        """Every key of a non-empty batch is a node id, else the
+        ``KeyError`` every keyed entry point raises before it charges
+        anything (:meth:`_not_a_node`; a one-key entry point compares
+        inline): a negative or too large id would otherwise index the
+        dense per-node tables from the wrong end, or past it."""
+        low, high = int(keys.min()), int(keys.max())
+        if low < 0:
+            raise self._not_a_node(low, what)
+        if high >= self._num_nodes:
+            raise self._not_a_node(high, what)
+
+    def _not_a_node(self, key: int, what: str) -> KeyError:
+        return KeyError(
+            f"{what} {key} is not a node id (graph has {self._num_nodes} nodes)"
+        )
 
     def _check_reduce(
         self,
@@ -295,16 +324,10 @@ class NodePropMap:
             )
         if count == 0:
             return
-        if keys is not None:
-            if isinstance(keys, np.ndarray):
-                low, high = int(keys.min()), int(keys.max())
-            else:
-                low = high = keys
-            if low < 0 or high >= self.pgraph.num_nodes:
-                raise KeyError(
-                    f"reduce target {low if low < 0 else high} is not a node id "
-                    f"(graph has {self.pgraph.num_nodes} nodes)"
-                )
+        if isinstance(keys, np.ndarray):
+            self._check_ids(keys, "reduce target")
+        elif keys is not None and not 0 <= keys < self._num_nodes:
+            raise self._not_a_node(keys, "reduce target")
         if op is None:
             return
         if self._op is None:
@@ -449,6 +472,8 @@ class NodePropMap:
         RequestSync elision reasoning.
         """
         key = int(key)
+        if not 0 <= key < self._num_nodes:
+            raise self._not_a_node(key, "request key")
         counters = self.cluster.counters(host)
         counters.local_ops += 1
         store = self.stores[host]
@@ -468,6 +493,8 @@ class NodePropMap:
     def request_bulk(self, host: int, keys: np.ndarray) -> np.ndarray:
         """Batched :meth:`request`; returns the per-key accepted mask."""
         keys = np.asarray(keys, dtype=np.int64)
+        if keys.size:
+            self._check_ids(keys, "request key")
         counters = self.cluster.counters(host)
         counters.local_ops += int(keys.size)
         if keys.size == 0:
@@ -513,35 +540,40 @@ class NodePropMap:
         self._report_memory()
 
     def _serve_requests(self, requests: list[np.ndarray]) -> None:
+        """Serve each host's ascending requested keys, owner by owner
+        (ascending): the reduce-sync's legs (:meth:`_legs`), one request
+        and one reply message per (requester, owner) pair. GAR legs are
+        slices that tile the keys in order, so the served values join
+        end to end; hashed legs scatter back by position."""
         for host, keys in enumerate(requests):
             if keys.size == 0:
                 continue
-            owners = (
-                self.pgraph.owner[keys]
-                if self.variant.uses_gar
-                else keys % self.cluster.num_hosts
-            )
-            gathered_values: list[Any] = [None] * keys.size
-            for owner_host in np.unique(owners):
-                owner_host = int(owner_host)
-                mask = owners == owner_host
-                owned_keys = keys[mask]
-                if owner_host != host:
+            legs = self._legs(keys)
+            served: list[np.ndarray | list[Any]] = []
+            for leg in legs:
+                count = int(leg.keys.size)
+                store = self.stores[leg.owner]
+                if leg.owner != host:
+                    self.cluster.network.send(host, leg.owner, KEY_BYTES * count)
+                if leg.locals_ is None:
+                    values = store.serve_master_bulk(leg.keys)
+                else:
+                    values = store.serve_master_bulk(leg.keys, leg.locals_)
+                if leg.owner != host:
                     self.cluster.network.send(
-                        host, owner_host, KEY_BYTES * owned_keys.size
+                        leg.owner, host, (KEY_BYTES + self.value_nbytes) * count
                     )
-                served = self.stores[owner_host].serve_master_bulk(owned_keys)
-                if owner_host != host:
-                    self.cluster.network.send(
-                        owner_host,
-                        host,
-                        (KEY_BYTES + self.value_nbytes) * owned_keys.size,
-                    )
-                for index, value in zip(
-                    np.flatnonzero(mask).tolist(), native_list(served)
-                ):
-                    gathered_values[index] = value
-            self.stores[host].materialize_remote(keys, gathered_values)
+                served.append(values)
+            if self._owner_starts is not None:
+                gathered: list[Any] = []
+                for values in served:
+                    gathered.extend(native_list(values))
+            else:
+                gathered = [None] * keys.size
+                for leg, values in zip(legs, served):
+                    for index, value in zip(leg.idx.tolist(), native_list(values)):
+                        gathered[index] = value
+            self.stores[host].materialize_remote(keys, gathered)
 
     def _kv_fetch_requests(self, include_always: bool) -> None:
         assert self.kv_client is not None
@@ -641,45 +673,58 @@ class NodePropMap:
         for store in self.stores:
             store.drop_remote()
 
+    def _legs(self, keys: np.ndarray) -> list[_Leg]:
+        """Ascending ``keys`` cut by owner, in ascending owner order: the
+        address translation request-sync and reduce-sync share.
+
+        Under GAR, blocked ownership cuts the keys into one slice per
+        owner with one ``searchsorted``: every leg is a view, and its
+        master-local ids are its keys less the owner block's first id.
+        Legs are cut by owner, so ownership holds by construction and the
+        owner stores skip re-validating it. (Repeated keys - requests
+        without deduplication - stay in their leg.)
+        """
+        if self._owner_starts is not None:
+            cuts = keys.searchsorted(self._owner_starts)
+            legs = []
+            for owner_host in np.flatnonzero(cuts[1:] > cuts[:-1]).tolist():
+                lo, hi = int(cuts[owner_host]), int(cuts[owner_host + 1])
+                leg_keys = keys[lo:hi]
+                legs.append(_Leg(
+                    owner_host, slice(lo, hi), leg_keys,
+                    leg_keys - self._owner_firsts[owner_host],
+                ))
+            return legs
+        # Hashed owners (no GAR, so no local ids). Per owner present
+        # (ascending), where its keys sit in the batch: owners are host
+        # ids, so a counting pass names the hosts present where a sort of
+        # the owner column would.
+        owners = keys % self.cluster.num_hosts
+        present = np.bincount(owners, minlength=self.cluster.num_hosts)
+        legs = []
+        for owner_host in np.flatnonzero(present).tolist():
+            idx = np.flatnonzero(owners == owner_host)
+            legs.append(_Leg(owner_host, idx, keys[idx], None))
+        return legs
+
     def _route(self, host: int, keys: np.ndarray) -> _Route:
         """Where source ``host``'s collected ``keys`` go: the address
-        translation of a reduce-sync, hoisted out of the round.
+        translation of a reduce-sync (:meth:`_legs`), hoisted out of the
+        round.
 
         Owners, the self-owned / per-owner index sets and each leg's
         master-local translation are pure functions of the key array and
         the partition, so they are cached against the key *object*: a
         prepared fold's full round hands back one frozen array and routes
         once; partial-round and generic batches collect a fresh array
-        and are routed afresh. Legs are cut by owner, so ownership holds
-        by construction and the owner stores skip re-validating it.
+        and are routed afresh.
         """
         cached = self._routes[host]
         if cached is not None and cached[0] is keys:
             return cached[1]
-        legs: list[_Leg] = []
-        if self._owner_starts is not None:
-            # Collected keys ascend, so blocked ownership cuts them into
-            # one slice per owner: every leg is a view, and its master-
-            # local ids are its keys less the owner block's first id.
-            cuts = keys.searchsorted(self._owner_starts).tolist()
-            for owner_host, first in enumerate(self._owner_firsts):
-                lo, hi = cuts[owner_host], cuts[owner_host + 1]
-                if lo < hi:
-                    leg_keys = keys[lo:hi]
-                    legs.append(_Leg(owner_host, slice(lo, hi), leg_keys, leg_keys - first))
-        else:
-            # Hashed owners (no GAR, so no local ids). Per owner present
-            # (ascending), where its keys sit in the batch: owners are host
-            # ids, so a counting pass names the hosts present where a sort
-            # of the owner column would.
-            owners = keys % self.cluster.num_hosts
-            present = np.bincount(owners, minlength=self.cluster.num_hosts)
-            for owner_host in np.flatnonzero(present).tolist():
-                idx = np.flatnonzero(owners == owner_host)
-                legs.append(_Leg(owner_host, idx, keys[idx], None))
         own = None
         remote = []
-        for leg in legs:
+        for leg in self._legs(keys):
             if leg.owner == host:
                 own = leg
             else:

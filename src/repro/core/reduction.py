@@ -18,14 +18,15 @@ path. The contract is strict: a bulk call must produce the same folded
 values, the same conflict counts, and the same counter totals as the
 equivalent sequence of scalar ``reduce`` calls (``threads`` non-decreasing,
 as the static dealing produces). Numeric batches stay folded as sorted
-key/value arrays (thread-major composite keys for CF; a prepared min, max
-or overwrite batch straight by key, see :meth:`PreparedFold.fold`) until
-``collect_arrays``, and every one of them is folded the same way: give
-each group a dense id off a presence mask (:func:`_present`,
-:func:`_rank`), then one identity-seeded ``ufunc.at`` scatter
-(:func:`_fold`). Anything without an exact identity, and a float min/max
-batch the ufunc may fold unlike the scalar rule (:func:`_foldable`), falls
-back to the scalar per-item path into dicts.
+key/value arrays until ``collect_arrays`` - straight by key for an
+operator that groups freely (min, max, overwrite, integer sum;
+:func:`_groups_freely`), else by thread-major ``(thread, key)`` slot
+first - and every one of them is folded the same way: give each group a
+dense id off a presence mask (:func:`_present`, :func:`_rank`), then one
+identity-seeded ``ufunc.at`` scatter (:func:`_fold`). Anything without an
+exact identity, and a float min/max batch the ufunc may fold unlike the
+scalar rule (:func:`_foldable`), falls back to the scalar per-item path
+into dicts.
 
 Reduce-sync has one route whatever the pending state: ``collect_arrays``
 returns ascending unique keys plus their values - a folded batch's
@@ -105,6 +106,28 @@ def _unlike_scalar_rule(
     return np.intersect1d(zero_keys[negative], zero_keys[~negative]).size > 0
 
 
+def _groups_freely(op: ReduceOp, dtype: np.dtype) -> bool:
+    """Whether a foldable batch (:func:`_foldable`) may fold straight to
+    keys in one level instead of by ``(thread, key)`` slot and then by key:
+    the one predicate of the generic and the prepared fold.
+
+    A key's positions, taken in batch order, are its per-thread runs in
+    thread order, so one left fold over them equals folding each run and
+    then the runs wherever regrouping changes no bit: min and max (numpy
+    keeps the later of tied values, and ties on a foldable batch are the
+    same bits), overwrite (the key's last position is its last thread's
+    last) and integer sum (addition modulo ``2**64`` associates). Float
+    sum does not associate, so it keeps two levels.
+    """
+    ufunc = op.ufunc
+    return (
+        op.name == "overwrite"
+        or ufunc is np.minimum
+        or ufunc is np.maximum
+        or (ufunc is np.add and dtype.kind in "iu")
+    )
+
+
 def _present(ids: np.ndarray, num_ids: int) -> np.ndarray:
     """``np.unique(ids)`` for ids that are already non-negative integers
     below ``num_ids``, without the sort: the ``flatnonzero`` of a presence
@@ -113,6 +136,14 @@ def _present(ids: np.ndarray, num_ids: int) -> np.ndarray:
     seen = np.zeros(num_ids, dtype=bool)
     seen[ids] = True
     return seen.nonzero()[0]
+
+
+def _count_present(ids: np.ndarray, num_ids: int) -> int:
+    """``np.unique(ids).size`` off the same presence mask, without taking
+    the ids out of it."""
+    seen = np.zeros(num_ids, dtype=bool)
+    seen[ids] = True
+    return int(np.count_nonzero(seen))
 
 
 def _rank(ids: np.ndarray, num_ids: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,6 +155,16 @@ def _rank(ids: np.ndarray, num_ids: int) -> tuple[np.ndarray, np.ndarray]:
     return present, rank[ids]
 
 
+def _rank_keys(keys: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """A batch's keys ranked once: ``(span, ukeys, key_rank)``, its
+    ``max(keys) + 1``, the distinct keys ascending and each position's
+    id among them. Keys are node ids (non-negative; ``NodePropMap``
+    checks), so they rank over a ``span``-wide mask. An empty batch (a
+    push over 0-degree nodes only) has no largest key: its span stays 1."""
+    span = int(keys.max()) + 1 if keys.size else 1
+    return (span, *_rank(keys, span))
+
+
 def _slots(
     threads: np.ndarray, keys: np.ndarray, num_threads: int
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -133,16 +174,13 @@ def _slots(
     ``uniq`` are the batch's distinct ``thread * span + key`` composites,
     ascending (thread-major), and ``slot`` each position's id among them;
     ``ukeys`` the distinct keys, ascending, and ``kslot`` each slot's id
-    among those. Keys are node ids (non-negative; ``NodePropMap`` checks)
-    and threads are below ``num_threads``, so both rank through
-    :func:`_rank`: the keys first, over a ``span``-wide mask, then the
+    among those. Threads are below ``num_threads``, so both rank through
+    :func:`_rank`: the keys first (:func:`_rank_keys`), then the
     ``(thread, key rank)`` pairs - a scan of ``span`` + ``num_threads`` x
     distinct keys bytes, never ``num_threads * span``.
     """
-    # An empty batch (a push over 0-degree nodes only) has no largest key
-    # and no distinct keys: both widths stay 1.
-    span = int(keys.max()) + 1 if keys.size else 1
-    ukeys, key_rank = _rank(keys, span)
+    span, ukeys, key_rank = _rank_keys(keys)
+    # An empty batch has no distinct keys either: its width stays 1 too.
     width = max(int(ukeys.size), 1)
     present, slot = _rank(np.int64(width) * threads + key_rank, num_threads * width)
     thread, kslot = np.divmod(present, width)
@@ -215,6 +253,27 @@ class _Batch(NamedTuple):
     merge: Callable[[ReduceOp], tuple[np.ndarray, np.ndarray]]
 
 
+def _key_batch(
+    threads: np.ndarray, keys: np.ndarray, values: np.ndarray, op: ReduceOp,
+    num_threads: int,
+) -> _Batch:
+    """A generic batch whose operator groups freely (:func:`_groups_freely`),
+    folded in one level: the keys ranked once, the touched ``(thread,
+    key)`` slots only counted off a presence mask, the values folded
+    straight to keys. The per-slot state is rebuilt from the kept inputs
+    only when a spill, an export or the dict merge asks for it."""
+    span, ukeys, key_rank = _rank_keys(keys)
+    width = int(ukeys.size)
+    slots = _count_present(np.int64(width) * threads + key_rank, num_threads * width)
+    merged = _fold(key_rank, width, values, op)
+
+    def state() -> tuple[int, np.ndarray, np.ndarray]:
+        _, uniq, slot, _, _ = _slots(threads, keys, num_threads)
+        return span, uniq, _fold(slot, uniq.size, values, op)
+
+    return _Batch(slots, state, lambda _op: (ukeys, merged))
+
+
 def _slot_batch(span: int, uniq: np.ndarray, folded: np.ndarray) -> _Batch:
     """A batch held as per-slot state (a generic reduce, an installed
     export). Stripping the thread component leaves each thread's sorted
@@ -241,8 +300,9 @@ class PreparedFold:
     (``kslot[slot]``, :attr:`kpos`), built on its first fold and frozen,
     so a round gathers it once instead of chaining two gathers.
 
-    A sum folds by slot and then the slots by key (:meth:`fold_slots`,
-    :meth:`collect`); every other operator in one level (:meth:`fold`).
+    A float sum folds by slot and then the slots by key (:meth:`fold_slots`,
+    :meth:`collect`); an operator that groups freely in one level
+    (:meth:`fold`).
     Either way values apply in ascending batch position (:func:`_fold`),
     and ``span`` is the full batch's ``max(keys) + 1`` (any span above
     every key orders composites and splits them by ``% span`` the same
@@ -286,15 +346,14 @@ class PreparedFold:
         """Fold the batch's ``values`` - or, given ascending batch
         positions ``idx``, that subset's (``values`` aligned with ``idx``).
 
-        A sum takes two levels: float addition does not associate. Min, max
-        and overwrite go straight to keys in one scatter: a key's positions
-        are thread-major, so its per-thread partials are runs of them, and
-        an operator that keeps one operand by a rule that groups freely
-        (numpy: the later of tied values, the first NaN) gives the same bits
-        either way. Their touched slots are only counted; the per-slot state
-        is rebuilt from ``values`` (held until reduce-sync) when asked for.
+        A float sum takes two levels: float addition does not associate.
+        Min, max, overwrite and an integer sum go straight to keys in one
+        scatter (:func:`_groups_freely`, the predicate the generic
+        :meth:`ThreadLocalReduction.reduce_bulk` takes too). Their touched
+        slots are only counted; the per-slot state is rebuilt from
+        ``values`` (held until reduce-sync) when asked for.
         """
-        if op.ufunc is np.add:
+        if not _groups_freely(op, values.dtype):
             uniq, folded, present = self.fold_slots(values, op, idx)
             return _Batch(
                 int(uniq.size),
@@ -302,19 +361,17 @@ class PreparedFold:
                 partial(self.collect, present, folded),
             )
         if idx is None:
-            slots, keys = self.uniq.size, self.ukeys
+            slots, keys = int(self.uniq.size), self.ukeys
             merged = (
                 values[self.klast] if op.name == "overwrite"
                 else _fold(self.kpos, keys.size, values, op)
             )
         else:
-            seen = np.zeros(self.uniq.size, dtype=bool)
-            seen[self.slot[idx]] = True
-            slots = np.count_nonzero(seen)
+            slots = _count_present(self.slot[idx], self.uniq.size)
             kpresent, merged = _fold_present(self.kpos[idx], self.ukeys.size, values, op)
             keys = self.ukeys[kpresent]
         return _Batch(
-            int(slots),
+            slots,
             lambda: (self.span, *self.fold_slots(values, op, idx)[:2]),
             lambda _op: (keys, merged),
         )
@@ -402,10 +459,14 @@ class ThreadLocalReduction:
         if self._batch is not None:
             self._spill_batch()
         if not self._dict_state and _foldable(values, op, keys):
-            # All threads clean: fold the whole batch at once by (thread,
-            # key) slot. Bit-identical to per-thread folds: slots order as
+            # All threads clean: fold the whole batch at once - straight to
+            # keys when the operator groups freely, else by (thread, key)
+            # slot. Bit-identical to per-thread folds: slots order as
             # (thread, key), and the ``.at`` application order within a
             # slot is the thread's own left-to-right fold of that key.
+            if _groups_freely(op, values.dtype):
+                self._batch = _key_batch(threads, keys, values, op, len(self.maps))
+                return
             span, uniq, slot, _, _ = _slots(threads, keys, len(self.maps))
             self._batch = _slot_batch(span, uniq, _fold(slot, uniq.size, values, op))
             return

@@ -173,21 +173,19 @@ class PreparedFrontierPush(_SpecializedKernel):
             return _noop
         charge_src = int(k.charge_per_source * sel.size)
         node_sel = _frozen(part.local_to_global[sel])
-        starts = indptr[sel]
-        counts = indptr[sel + 1] - starts
-        edge_total = int(counts.sum())
         # The full expansion over every candidate source, frozen; rounds
-        # index into it instead of re-deriving it. (All arrays may be
-        # empty when skip_zero_degree=False leaves only 0-degree nodes.)
+        # index into it instead of re-deriving it. The candidates ascend
+        # and a 0-degree one adds no edge, so it is the CSR's first
+        # ``indptr[total]`` edges in order: expansion position = edge id,
+        # and each candidate's run starts at its ``indptr`` entry. (All
+        # arrays may be empty when skip_zero_degree=False leaves only
+        # 0-degree nodes.)
+        offsets = _frozen(indptr[sel])
+        counts = indptr[sel + 1] - offsets
+        edge_total = int(indptr[total])
         source_pos_full = np.repeat(np.arange(sel.size, dtype=np.int64), counts)
-        offsets = _frozen(np.cumsum(counts) - counts)
-        edge_ids_full = (
-            np.arange(edge_total, dtype=np.int64)
-            - np.repeat(offsets, counts)
-            + np.repeat(starts, counts)
-        )
         threads_full = _frozen(cluster.threads_of(total)[sel][source_pos_full])
-        dst_full = _frozen(part.local_to_global[part.indices[edge_ids_full]])
+        dst_full = _frozen(part.local_to_global[part.indices[:edge_total]])
         src_full = (
             _frozen(node_sel[source_pos_full]) if k.edge_filter is not None else None
         )
@@ -196,7 +194,7 @@ class PreparedFrontierPush(_SpecializedKernel):
             if k.unit_weights or part.weights is None:
                 weights_full = np.ones(edge_total, dtype=np.float64)
             else:
-                weights_full = np.asarray(part.weights[edge_ids_full])
+                weights_full = np.asarray(part.weights[:edge_total])
             weights_full = _frozen(weights_full)
         const_full = None
         if k.const_value is not None:
@@ -386,10 +384,13 @@ class SpecializedNodeGather(_SpecializedKernel):
 
 class SpecializedNeighborReduceToKey(_SpecializedKernel):
     """A NeighborReduceToKey with the CSR expansion frozen (per-edge
-    destination local ids, per-edge source threads, per-node degrees):
-    per round two bulk reads, one ``np.repeat`` compare, one counted vote
-    and one generic reduce - the reduce keys are property values, so
-    there is no static batch to prepare a fold for."""
+    destination local ids, per-edge source threads, per-node degrees)
+    and both reads' master counts taken at build: per round two bulk
+    reads, one ``repeat`` compare, one counted vote and one generic
+    reduce - the reduce keys are property values, so there is no static
+    batch to prepare a fold for. (``repeat`` of the own values by degree
+    reads them once per edge at half the cost of a gather through a
+    per-edge source index.)"""
 
     def _build(self, cluster: Cluster, part: Any, host: int):
         k = self.kernel
@@ -397,18 +398,20 @@ class SpecializedNeighborReduceToKey(_SpecializedKernel):
         if total == 0:
             return _noop
         local_ids = _frozen(np.arange(total, dtype=np.int64))
+        own_masters = min(total, part.num_masters)
         degrees = _frozen(np.diff(part.indptr[: total + 1]))
         num_edges = int(part.indptr[total])
         dst_locals = _frozen(np.asarray(part.indices[:num_edges], dtype=np.int64))
+        dst_masters = int(np.count_nonzero(dst_locals < part.num_masters))
         edge_threads = _frozen(np.repeat(cluster.threads_of(total), degrees))
         source, target, op, flag, compare = k.source, k.target, k.op, k.flag, k.compare
 
         def run() -> None:
-            own = source.read_local_bulk(host, local_ids)
+            own = source.read_local_bulk(host, local_ids, own_masters)
             cluster.counters(host).edge_iters += num_edges
-            other = source.read_local_bulk(host, dst_locals)
-            own_per_edge = np.repeat(own, degrees)
-            hits = np.flatnonzero(compare(own_per_edge, other))
+            other = source.read_local_bulk(host, dst_locals, dst_masters)
+            own_per_edge = own.repeat(degrees)
+            hits = compare(own_per_edge, other).nonzero()[0]
             flag.reduce_count(host, int(hits.size))
             target.reduce_bulk(
                 host, edge_threads[hits], own_per_edge[hits], other[hits], op

@@ -8,9 +8,14 @@ report (``RunResult.to_dict()``), of the final values, and the per-host
 ``peak_memory_slots`` that no report carries (Fig 9 reads it), for
 {SSSP, BFS, CC-LP, CC-SV, PR} x {road, powerlaw} x {1, 3, 4} hosts x
 {scalar, bulk}, plus one crash-and-recover cell and one memory-limit
-(out-of-memory) cell. ``python tests/test_bsp_report_pins.py``
-re-records the table: only ever do that on a tree whose BSP reports are
-known good, and a re-record must leave every existing cell unchanged.
+(out-of-memory) cell, and five many-host cells where request-sync and
+reduce-sync cut batches for dozens of owners: scalar LV, MSF and CC-SV on
+the Fig 10 web analog at 32 hosts, bulk CC-SV on a power-law graph at 16
+hosts, and bulk CC-SV at 32 hosts under a flaky network, whose drop and
+duplication draws follow the order in which messages are sent.
+``python tests/test_bsp_report_pins.py`` re-records the table: only ever
+do that on a tree whose BSP reports are known good, and a re-record must
+leave every existing cell unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import os
 import pytest
 
 from repro.eval.harness import run_kimbap
-from repro.faults import FaultPlan, HostCrash
+from repro.faults import FaultPlan, HostCrash, MessageFlake
 from repro.graph import generators
 
 PINS_PATH = os.path.join(os.path.dirname(__file__), "bsp_report_pins.json")
@@ -31,11 +36,13 @@ APPS = ("SSSP", "BFS", "CC-LP", "CC-SV", "PR")
 GRAPHS = {
     "road": lambda weighted: generators.road_like(16, 6, seed=5, weighted=weighted),
     "powerlaw": lambda weighted: generators.powerlaw_like(7, seed=3, weighted=weighted),
+    "powerlaw10": lambda weighted: generators.powerlaw_like(10, seed=3, weighted=weighted),
+    "web": lambda weighted: generators.web_like(10, seed=11, weighted=weighted),
 }
 CELLS = [
     (app, family, hosts, backend, "clean")
     for app in APPS
-    for family in sorted(GRAPHS)
+    for family in ("powerlaw", "road")
     for hosts in (1, 3, 4)
     for backend in ("scalar", "bulk")
 ]
@@ -46,10 +53,19 @@ CRASH = FaultPlan(
     name="crash@5", checkpoint_interval=2, crashes=(HostCrash(host=2, round=5),)
 )
 MEMORY_LIMIT_SLOTS = 85
+FLAKY = FaultPlan(
+    name="flaky", seed=3, flake=MessageFlake(drop_rate=0.1, duplicate_rate=0.05)
+)
 EXTRA_CELLS = [
     ("SSSP", "road", 4, "bulk", "crash"),
     ("SSSP", "road", 4, "bulk", "memory-limit"),
+    ("LV", "web", 32, "scalar", "clean"),
+    ("MSF", "web", 32, "scalar", "clean"),
+    ("CC-SV", "web", 32, "scalar", "clean"),
+    ("CC-SV", "powerlaw10", 16, "bulk", "clean"),
+    ("CC-SV", "web", 32, "bulk", "flaky"),
 ]
+FAULT_PLANS = {"crash": CRASH, "flaky": FLAKY}
 
 
 def _digest(payload) -> str:
@@ -65,7 +81,7 @@ def _pin(app: str, family: str, hosts: int, backend: str, case: str) -> dict:
         threads=THREADS,
         graph=graph,
         bulk=backend == "bulk",
-        fault_plan=CRASH if case == "crash" else None,
+        fault_plan=FAULT_PLANS.get(case),
         memory_limit_slots=MEMORY_LIMIT_SLOTS if case == "memory-limit" else None,
     )
     return {
@@ -101,6 +117,11 @@ def test_extra_cells_fail_and_recover_as_pinned():
         bulk=True, memory_limit_slots=MEMORY_LIMIT_SLOTS,
     )
     assert oom.outcome == "oom"
+    flaky = run_kimbap(
+        "CC-SV", "web", 32, threads=THREADS, graph=GRAPHS["web"](False),
+        bulk=True, fault_plan=FLAKY,
+    )
+    assert flaky.faults["messages_dropped"] and flaky.faults["messages_duplicated"]
 
 
 def test_every_cell_is_recorded():

@@ -288,6 +288,46 @@ def _expansion_reference(kernel, part, host, act):
     return idx, pushes
 
 
+class TestFrozenExpansionIsTheCsrSlice:
+    """A compiled EdgePush's frozen expansion - its prepared batch's keys
+    and threads - is the CSR's first ``indptr[total]`` edges in edge
+    order: the candidate sources ascend and a 0-degree one adds no edge,
+    so expansion position and edge id coincide whether 0-degree sources
+    are skipped or not."""
+
+    # CC-SCLP pushes from 0-degree sources too (skip_zero_degree=False).
+    @pytest.mark.parametrize("app", ["CC-LP", "CC-SCLP", "SSSP", "BFS", "PR"])
+    @pytest.mark.parametrize("hosts", [1, 3])
+    def test_prepared_batch_is_the_edge_prefix(self, monkeypatch, app, hosts):
+        builds = []
+        original_build = PreparedFrontierPush._build
+
+        def build(kernel, cluster, part, host):
+            target = kernel.kernel.target
+            original_prepare = target.prepare_reduce_bulk
+
+            def prepare(prop_host, threads, keys):
+                builds.append((kernel, cluster, part, np.array(threads), np.array(keys)))
+                return original_prepare(prop_host, threads, keys)
+
+            target.prepare_reduce_bulk = prepare  # shadows the method, this build only
+            try:
+                return original_build(kernel, cluster, part, host)
+            finally:
+                del target.prepare_reduce_bulk
+
+        monkeypatch.setattr(PreparedFrontierPush, "_build", build)
+        graph = generators.powerlaw_like(scale=6, seed=3, weighted=app_weighted(app))
+        run_kimbap(app, "powerlaw", hosts, threads=4, graph=graph, bulk=True)
+        assert {part.host_id for _, _, part, _, _ in builds} == set(range(hosts))
+        for kernel, cluster, part, threads, keys in builds:
+            total = part.num_masters if kernel.space == "masters" else part.num_local
+            edges = int(part.indptr[total])
+            assert keys.tolist() == part.local_to_global[part.indices[:edges]].tolist()
+            sources = np.repeat(np.arange(total), np.diff(part.indptr[: total + 1]))
+            assert threads.tolist() == cluster.threads_of(total)[sources].tolist()
+
+
 class TestFrontierExtremes:
     """Frontier-aware kernels at the extremes - empty, full, one source,
     and everything between - stay byte-identical to the scalar oracle,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import Cluster
-from repro.cluster.metrics import PhaseKind
+from repro.cluster.metrics import CELL_FIELDS, PhaseKind
 from repro.core import MIN, SUM, NodePropMap, RuntimeVariant
 from repro.core.reducers import PAIR_MIN
 from repro.graph import generators
@@ -636,3 +636,136 @@ class TestReadBulk:
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             assert prop.read_bulk(0, np.empty(0, dtype=np.int64)).size == 0
         assert cluster.log.total_counters() == type(cluster.log.total_counters())()
+
+
+class TestOutOfRangeIds:
+    """A read or request of an id outside ``[0, num_nodes)`` raises the
+    ``KeyError`` a reduce does, before anything is charged or recorded.
+    The dense tables behind the GAR paths would otherwise wrap a negative
+    id round to the last nodes (a scalar read of -1 read node 28, a bulk
+    read node 31, and a request of -1 requested node 31) or index past
+    the end."""
+
+    VALUE = 10.0
+
+    @pytest.mark.parametrize("key", [-1, -32, 32, 10**6])
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.name)
+    def test_reads_and_requests_refuse_before_charging(self, variant, key):
+        graph = generators.road_like(rows=8, cols=4, seed=1)
+        cluster, pgraph, prop = make_map(variant, hosts=2, policy="cvc", graph=graph)
+        assert pgraph.num_nodes == 32
+        prop.set_initial_bulk(lambda nodes: nodes * self.VALUE)
+        before = cluster.log.total_counters()
+        calls = (
+            lambda: prop.read(1, key),
+            lambda: prop.read_bulk(1, np.array([0, key])),
+            lambda: prop.request(0, key),
+            lambda: prop.request_bulk(0, np.array([key, 5])),
+        )
+        with cluster.phase(PhaseKind.REQUEST_COMPUTE):
+            for call in calls:
+                with pytest.raises(KeyError, match=f"{key} is not a node id"):
+                    call()
+        assert cluster.log.total_counters() == before
+        assert not any(len(bitset) for bitset in prop.bitsets)
+        assert prop._dup_requests == [[], []]
+
+    @pytest.mark.parametrize("key", [-1, 10**6])
+    def test_reduce_raises_the_same_error(self, key):
+        cluster, _, prop = make_map(hosts=2, policy="cvc")
+        calls = (
+            lambda: prop.reduce(0, 0, key, 1.0, MIN),
+            lambda: prop.reduce_bulk(
+                0, np.zeros(1, dtype=np.int64), np.array([key]), np.ones(1), MIN
+            ),
+        )
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            for call in calls:
+                with pytest.raises(KeyError, match=f"reduce target {key} is not a node id"):
+                    call()
+
+
+class TestRequestSyncModel:
+    """Request-sync against a per-owner reference model kept here: per
+    requester (ascending) the keys it asked for that are neither its own
+    masters nor - while pinned - its mirrors, ascending (repeats kept
+    without deduplication); per owner of those (ascending) one request
+    message of 8 bytes a key and one reply of 16; the owner reads each
+    key once (``vector_reads``), the requester materializes each. The
+    cache then holds every accepted key with its owner's value."""
+
+    HOSTS = 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        policy=st.sampled_from(["oec", "cvc", "hvc"]),
+        dedup=st.booleans(),
+        pinned=st.booleans(),
+        list_mode=st.booleans(),
+        layout=st.sampled_from(["sorted", "hash"]),
+        scalar=st.booleans(),
+        wanted=st.lists(
+            st.lists(st.integers(0, 63), max_size=40), min_size=4, max_size=4
+        ),
+    )
+    def test_matches_the_per_owner_model(
+        self, policy, dedup, pinned, list_mode, layout, scalar, wanted
+    ):
+        graph = generators.powerlaw_like(6, seed=2)
+        pgraph = partition(graph, self.HOSTS, policy)
+        cluster = Cluster(self.HOSTS, threads_per_host=4)
+        prop = NodePropMap(
+            cluster, pgraph, "p", request_dedup=dedup, remote_layout=layout
+        )
+        if list_mode:
+            prop.set_initial(lambda node: node * 3 + 1)
+        else:
+            prop.set_initial_bulk(lambda nodes: nodes * 3 + 1)
+        if pinned:
+            prop.pin_mirrors()
+        with cluster.phase(PhaseKind.REQUEST_COMPUTE):
+            for host, keys in enumerate(wanted):
+                if scalar:
+                    for key in keys:
+                        prop.request(host, key)
+                else:
+                    prop.request_bulk(host, np.array(keys, dtype=np.int64))
+        sent = []
+        send = cluster.network.send
+        cluster.network.send = lambda src, dst, nbytes: (
+            sent.append((src, dst, nbytes)), send(src, dst, nbytes)
+        )
+        prop.request_sync()
+
+        want_sent = []
+        want_cells = np.zeros((self.HOSTS, len(CELL_FIELDS)), dtype=np.int64)
+        for host, keys in enumerate(wanted):
+            part = pgraph.parts[host]
+            accepted = [
+                key for key in keys
+                if pgraph.owner[key] != host
+                and not (
+                    pinned and part.global_to_local.get(key, -1) >= part.num_masters
+                )
+            ]
+            accepted = sorted(set(accepted) if dedup else accepted)
+            for owner in sorted({int(pgraph.owner[key]) for key in accepted}):
+                count = sum(1 for key in accepted if pgraph.owner[key] == owner)
+                want_sent += [(host, owner, 8 * count), (owner, host, 16 * count)]
+                want_cells[owner, CELL_FIELDS.index("vector_reads")] += count
+            want_cells[host, CELL_FIELDS.index("materialize_ops")] += len(accepted)
+            store = prop.stores[host]
+            if layout == "hash":
+                cache = sorted(store._remote_hash.items())
+            else:
+                cache = list(zip(store._remote_keys.tolist(), store._remote_values))
+            assert cache == [(key, key * 3 + 1) for key in sorted(set(accepted))]
+            assert all(type(value) is int for _, value in cache)
+        assert sent == want_sent
+        field = CELL_FIELDS.index
+        for src, dst, nbytes in want_sent:
+            want_cells[src, field("msgs_sent")] += 1
+            want_cells[src, field("bytes_sent")] += nbytes
+            want_cells[dst, field("msgs_recv")] += 1
+            want_cells[dst, field("bytes_recv")] += nbytes
+        assert cluster.log.cells()[-1].tolist() == want_cells.tolist()

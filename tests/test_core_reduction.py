@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -1252,3 +1253,151 @@ class TestKvCas:
             before = cluster.log.total_counters().cas_conflicts
             reductions[0].reduce(0, 3, 20, MIN)
             assert cluster.log.total_counters().cas_conflicts == before
+
+
+
+class _PerThreadDicts:
+    """The one-level fold's reference, sharing no code with the module:
+    one dict per virtual thread, each item folded by ``op``'s scalar rule
+    in call order; ``pending`` counts the ``(thread, key)`` entries; the
+    collect merges the dicts in thread order, ``(ascending keys, value
+    bits at ``dtype``)``."""
+
+    def __init__(self, op, dtype):
+        self.op = op
+        self.dtype = dtype
+        self.maps = {}
+
+    def reduce(self, thread, key, value):
+        local = self.maps.setdefault(thread, {})
+        local[key] = self.op(local[key], value) if key in local else value
+
+    def pending(self):
+        return sum(len(local) for local in self.maps.values())
+
+    def collect(self):
+        merged = {}
+        for thread in sorted(self.maps):
+            for key, value in self.maps[thread].items():
+                merged[key] = self.op(merged[key], value) if key in merged else value
+        self.maps = {}
+        keys = sorted(merged)
+        return keys, np.array([merged[key] for key in keys], dtype=self.dtype).tobytes()
+
+
+@st.composite
+def _freely_grouping_rounds(draw):
+    """A batch of an operator that groups freely: non-decreasing threads,
+    repeating keys, and either integers under min / max / overwrite / sum,
+    or floats under min / max holding NaNs and zeros of both signs (a NaN,
+    or both zeros on one key, must still take the per-item rule) - or,
+    for contrast, floats under a sum, which keeps two levels; how the
+    batch arrives (generic, or a prepared full or subset round); and
+    perhaps one scalar reduce after it, which spills it."""
+    count = draw(st.integers(1, 40))
+    num_threads = draw(st.integers(1, 8))
+    threads = np.sort(np.array(draw(st.lists(
+        st.integers(0, num_threads - 1), min_size=count, max_size=count
+    ))))
+    max_key = draw(st.integers(0, 12))
+    keys = np.array(draw(st.lists(
+        st.integers(0, max_key), min_size=count, max_size=count
+    )), dtype=np.int64)
+    if draw(st.booleans()):
+        op = draw(st.sampled_from([MIN, MAX, OVERWRITE, SUM]))
+        values = np.array(draw(st.lists(
+            st.integers(-1000, 1000), min_size=count, max_size=count
+        )), dtype=np.int64)
+    elif draw(st.booleans()):
+        op = draw(st.sampled_from([MIN, MAX]))
+        values = np.array(draw(st.lists(
+            st.sampled_from([0.0, -0.0, 1.5, -2.0, np.nan]),
+            min_size=count, max_size=count,
+        )), dtype=np.float64)
+    else:
+        op = SUM  # does not associate: its two levels show in the bits
+        values = np.array(draw(st.lists(
+            st.sampled_from([0.1, 3.0, 1e16, -1e16, -0.0]),
+            min_size=count, max_size=count,
+        )), dtype=np.float64)
+    how = draw(st.sampled_from(["generic", "prepared", "subset"]))
+    idx = None
+    if how == "subset":
+        picked = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        idx = np.flatnonzero(picked)
+        if idx.size == 0:
+            idx = np.array([draw(st.integers(0, count - 1))])
+    spill = draw(st.none() | st.tuples(
+        st.integers(0, num_threads - 1), st.integers(0, max_key)
+    ))
+    return threads, keys, values, op, how, idx, spill
+
+
+class TestFreelyGroupingFoldIsThePerThreadModel:
+    """Min, max, overwrite and integer sum fold straight to keys in one
+    level - through the generic ``reduce_bulk`` and the prepared full and
+    subset rounds alike - and still read, in every way the pending state
+    is read, exactly as per-thread dicts would: the collected keys and
+    value bits, ``pending()``, the ``combine_ops`` charge, a spill by a
+    later scalar reduce, and an export installed on a second reduction.
+    Float min / max batches with a NaN, or both zeros on one key, take the
+    per-item rule; a float sum, which does not group freely, matches the
+    model by keeping its two levels."""
+
+    THREADS = 8
+
+    def _reduction(self):
+        return ThreadLocalReduction(Cluster(1, threads_per_host=self.THREADS), 0)
+
+    def _collect(self, reduction, op, dtype):
+        """``(keys, value bits, combine_ops charged)`` of one collect."""
+        with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
+            keys, values = reduction.collect_arrays(op)
+        combine = reduction.cluster.log.phases[-1].counters[0].combine_ops
+        return keys.tolist(), np.asarray(values, dtype=dtype).tobytes(), combine
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_freely_grouping_rounds())
+    def test_matches_per_thread_dicts(self, case):
+        threads, keys, values, op, how, idx, spill = case
+        positions = np.arange(keys.size) if idx is None else idx
+        items = [
+            (threads[i].item(), keys[i].item(), values[i].item())
+            for i in positions.tolist()
+        ]
+        batch_model = _PerThreadDicts(op, values.dtype)
+        for item in items:
+            batch_model.reduce(*item)
+        pending = batch_model.pending()  # read before the merge empties it
+        want_batch = (*batch_model.collect(), 2 * pending)
+        spill_model = _PerThreadDicts(op, values.dtype)
+        for item in items + ([(*spill, values[0].item())] if spill else []):
+            spill_model.reduce(*item)
+        spill_pending = spill_model.pending()
+        want_spill = (*spill_model.collect(), 2 * spill_pending)
+
+        with np.errstate(invalid="ignore"):
+            reduction = self._reduction()
+            with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                if how == "generic":
+                    reduction.reduce_bulk(threads, keys, values, op)
+                else:
+                    plan = reduction.prepare_bulk(threads, keys)
+                    reduction.reduce_bulk_prepared(plan, values[positions], op, idx)
+            assert reduction.pending() == pending
+            if values.dtype.kind == "f" and np.isnan(values[positions]).any():
+                assert reduction._batch is None  # the per-item rule
+            elif values.dtype.kind == "i":
+                assert reduction._batch is not None  # folded, not per item
+            # Across the process boundary the export is pickled: a snapshot.
+            exported = pickle.dumps(reduction.export_state())
+            if spill is not None:
+                with reduction.cluster.phase(PhaseKind.REDUCE_COMPUTE):
+                    reduction.reduce(*spill, values[0].item(), op)
+            assert self._collect(reduction, op, values.dtype) == want_spill
+            # The export, installed on a second reduction, collects the
+            # batch alone.
+            twin = self._reduction()
+            twin.install_state(pickle.loads(exported))
+            assert twin.pending() == pending
+            assert self._collect(twin, op, values.dtype) == want_batch
