@@ -53,6 +53,22 @@ def native_list(values: Any) -> list[Any]:
     return values.tolist() if isinstance(values, np.ndarray) else values
 
 
+def joined(parts: list[Any]) -> np.ndarray | list[Any]:
+    """Batches joined end to end: one array when every part is a column
+    slice of one column dtype (``np.asarray`` of their plain values gives
+    that dtype back), else one list of plain values."""
+    # Type first: ``np.dtype(None)`` is float64, so a list's missing dtype
+    # would pass the membership test.
+    if all(isinstance(part, np.ndarray) for part in parts):
+        dtypes = {part.dtype for part in parts}
+        if len(dtypes) == 1 and dtypes.pop() in _COLUMN_DTYPES:
+            return np.concatenate(parts)
+    out: list[Any] = []
+    for part in parts:
+        out.extend(native_list(part))
+    return out
+
+
 class _ColumnTrap:
     """Array-mode stand-in for :attr:`GarHostStore.values`.
 
@@ -110,6 +126,9 @@ class GarHostStore:
         self.pinned = False
         self._remote_keys = np.empty(0, dtype=np.int64)
         self._remote_values: list[Any] = []
+        # The sorted cache's values as one typed array, when they arrived
+        # as one (see materialize_remote); None otherwise.
+        self._remote_array: np.ndarray | None = None
         self._remote_hash: dict[int, Any] = {}
         # Dense global->local translation (-1 where absent), built lazily
         # for the bulk paths; scalar reads keep the dict. Pure layout - no
@@ -415,7 +434,7 @@ class GarHostStore:
         out[cached_at] = cached
         return out
 
-    def _read_cached(self, keys: np.ndarray) -> list[Any]:
+    def _read_cached(self, keys: np.ndarray) -> np.ndarray | list[Any]:
         """The requested-remote-cache leg of :meth:`read_bulk`: one lookup
         charge per key, then the values or the unreadable-key error."""
         counters = self.cluster.counters(self.host_id)
@@ -434,6 +453,8 @@ class GarHostStore:
         found = self._remote_keys[index] == keys
         if not found.all():
             raise self._unreadable(int(keys[~found][0]))
+        if self._remote_array is not None:
+            return self._remote_array[index]
         remote_values = self._remote_values
         return [remote_values[i] for i in index.tolist()]
 
@@ -551,14 +572,19 @@ class GarHostStore:
 
     # -- remote cache ----------------------------------------------------------
 
-    def materialize_remote(self, keys: np.ndarray, values: list[Any]) -> None:
+    def materialize_remote(self, keys: np.ndarray, values: np.ndarray | list[Any]) -> None:
         """Install requested remote properties into the sorted arrays.
 
         Merges with already-materialized entries: a round may have several
         request phases (chained dynamic reads), and each stays readable
         until the next reduce-sync drops the cache. New values win - they
-        are fresher reads of the same canonical masters.
+        are fresher reads of the same canonical masters. The cache holds
+        plain values; a batch that arrives as one typed array (see
+        :func:`joined`) is also kept as it is while the cache is that batch
+        alone, so a bulk read is one gather.
         """
+        typed = values if isinstance(values, np.ndarray) else None
+        values = native_list(values)
         installed = len(values)
         self.cluster.counters(self.host_id).materialize_ops += installed
         if self.remote_layout == "hash":
@@ -569,6 +595,7 @@ class GarHostStore:
             # arrive ascending and unique, so they are the sorted cache.
             self._remote_keys = keys
             self._remote_values = values
+            self._remote_array = typed
             return
         # Deduplicate last-wins *before* sorting: a batch may repeat a key
         # (e.g. with request dedup disabled), and np.argsort's default
@@ -583,11 +610,13 @@ class GarHostStore:
         order = np.argsort(keys, kind="stable")
         self._remote_keys = keys[order]
         self._remote_values = [values[i] for i in order]
+        self._remote_array = None
 
     def drop_remote(self) -> None:
         if self.remote_cache_size:  # an empty cache stays as it is
             self._remote_keys = np.empty(0, dtype=np.int64)
             self._remote_values = []
+            self._remote_array = None
             self._remote_hash.clear()
 
     @property
@@ -631,6 +660,7 @@ class GarHostStore:
             self.values = _ColumnTrap(self)
         self._remote_keys = state["remote_keys"].copy()
         self._remote_values = copy.deepcopy(state["remote_values"])
+        self._remote_array = None
         self._remote_hash = copy.deepcopy(state["remote_hash"])
         self.pinned = state["pinned"]
 

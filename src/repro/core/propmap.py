@@ -30,8 +30,9 @@ from repro.cluster.metrics import PhaseKind
 from repro.core.backends import (
     GarHostStore,
     HashHostStore,
-    native_list,
+    joined,
     make_store,
+    native_list,
 )
 from repro.core.bitset import ConcurrentBitset
 from repro.core.reducers import ReduceOp
@@ -565,9 +566,7 @@ class NodePropMap:
                     )
                 served.append(values)
             if self._owner_starts is not None:
-                gathered: list[Any] = []
-                for values in served:
-                    gathered.extend(native_list(values))
+                gathered: np.ndarray | list[Any] = joined(served)
             else:
                 gathered = [None] * keys.size
                 for leg, values in zip(legs, served):

@@ -32,6 +32,7 @@ reports updates-to-convergence and modeled seconds side by side.
 from __future__ import annotations
 
 import heapq
+from array import array
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
@@ -349,7 +350,7 @@ class AsyncEngine(Engine):
         num_nodes = int(typed.size)
         # Initial frontier: every node whose value is pushable. Residuals
         # start at +inf (nothing has been processed yet); ties and equal
-        # priorities break by node id via the heap tuple. A declarative
+        # priorities break by node id via the heap key. A declarative
         # value filter (CmpFilter) seeds the frontier as one compiled
         # mask over the whole value array; an opaque callable keeps the
         # per-node probe (its scalar contract is all we may assume).
@@ -366,14 +367,21 @@ class AsyncEngine(Engine):
         # (typed again only on return); Python's float/int arithmetic is
         # the IEEE/exact arithmetic the numpy scalars did.
         values = typed.tolist()
-        heap, priority = chunk.schedule(num_nodes, [(np.inf, node) for node in seed])
+        weighted = kernel.with_weight == "add"
+        # Gains are Python ints exactly when the column is integer or bool
+        # and nothing is added to it: edge weights (and the unit weight
+        # ``1.0``) are floats.
+        int_gains = typed.dtype.kind in "biu" and not weighted
+        heap, priority, live = chunk.schedule(
+            num_nodes, [(np.inf, node) for node in seed], int_gains
+        )
+        as_float, as_bits = chunk.as_float, chunk.as_bits
         node_iters, edge_iters, local_ops, applies = chunk.tallies
         owner, indptr, indices = chunk.columns
         hosts = len(node_iters)
         edge_filter = kernel.edge_filter
         filtered = edge_filter is not None
         per_source, per_edge = kernel.charge_per_source, kernel.charge_per_edge
-        weighted = kernel.with_weight == "add"
         weights = None if kernel.unit_weights else chunk.plan.pgraph.graph.weights
         if weights is not None:
             weights = memoryview(weights)
@@ -422,8 +430,15 @@ class AsyncEngine(Engine):
                             # when old is: the gain ``abs(old - new)`` was.
                             gain = old - candidate
                             if gain > priority[dst]:
+                                # _ChunkSchedule.push, inlined.
                                 priority[dst] = gain
-                                push(heap, (-gain, dst))
+                                if int_gains:
+                                    key = dst - gain * num_nodes
+                                else:
+                                    as_float[0] = gain
+                                    key = dst - as_bits[0] * num_nodes
+                                live[dst] = key
+                                push(heap, key)
                         elif old != old:
                             # The value stays NaN and so does its gain,
                             # which outranks no priority: nothing to push.
@@ -450,11 +465,16 @@ class AsyncEngine(Engine):
         ).tolist()
         # Below this per-node residual a node is not worth scheduling: the
         # unscheduled leftover across all nodes stays under the tolerance.
+        # Only a positive residual is ever live (see _ChunkSchedule), so a
+        # negative tolerance schedules nothing a zero one would not.
         threshold = decl.tolerance / max(num_nodes, 1)
-        heap, priority = chunk.schedule(
+        if threshold < 0.0:
+            threshold = 0.0
+        heap, priority, live = chunk.schedule(
             num_nodes,
             [(mass, node) for node, mass in enumerate(residual) if mass > threshold],
         )
+        as_float, as_bits = chunk.as_float, chunk.as_bits
         node_iters, edge_iters, local_ops, applies = chunk.tallies
         owner, indptr, indices = chunk.columns
         hosts = len(node_iters)
@@ -477,8 +497,7 @@ class AsyncEngine(Engine):
                         local_ops[host] += int(masters.size)
                     for node, mass in enumerate(residual):
                         if mass > threshold and mass > priority[node]:
-                            priority[node] = mass
-                            push(heap, (-mass, node))
+                            chunk.push(mass, node)
                 nodes = chunk.pop()
                 continue
             with chunk.phase():
@@ -514,15 +533,34 @@ class AsyncEngine(Engine):
                         grown = residual[dst] + mass
                         residual[dst] = grown
                         if grown > threshold and grown > priority[dst]:
+                            # _ChunkSchedule.push, inlined.
                             priority[dst] = grown
-                            push(heap, (-grown, dst))
+                            as_float[0] = grown
+                            live[dst] = key = dst - as_bits[0] * num_nodes
+                            push(heap, key)
             nodes = chunk.pop()
         return np.array(values, dtype=np.float64)
+
+
+# The rank of a ``+inf`` seed when gains are Python ints: above every gain,
+# since two int64 (or uint64) values differ by at most ``2**64 - 1``.
+_INF_RANK = 1 << 64
 
 
 class _ChunkSchedule:
     """What the two async modes share: the residual heap over the per-node
     ``priority`` column, and per-chunk tallied metering.
+
+    A heap entry is one Python int, ``node - rank(priority) * num_nodes``,
+    whose order is exactly that of the tuple ``(-priority, node)``: higher
+    priority first, ties by node id. Ranks are integers that order as the
+    (always positive) priorities do. When a run's gains are Python ints
+    the rank is the gain itself, ``+inf`` seeds taking ``_INF_RANK``;
+    otherwise it is the float's IEEE-754 bits read as an int64, which
+    order as positive floats do, ``+inf`` included. One int compare
+    replaces a tuple rich-compare inside ``heapq``, and ``key % num_nodes``
+    gives the node back. An entry is live while it is its node's last
+    pushed key (the ``live`` column).
 
     Inside a chunk the modes count in plain integers - ``node_iters`` /
     ``edge_iters`` / ``local_ops`` per host, and one ``applies`` count per
@@ -548,32 +586,64 @@ class _ChunkSchedule:
         )
         hosts = cluster.num_hosts
         self.tallies = ([0] * hosts, [0] * hosts, [0] * hosts, [0] * hosts**2)
+        # One float's 8 bytes seen as a double and as an int64: store a
+        # gain in ``as_float[0]``, read its rank from ``as_bits[0]``.
+        self.as_float = array("d", [0.0])
+        self.as_bits = memoryview(self.as_float).cast("B").cast("q")
         # Chunk phases opened and node applies (processed pops) so far.
         self.opened = self.updates = 0
 
-    def schedule(self, num_nodes: int, seeds: list[tuple[float, int]]):
-        """The heap and priority column holding ``(residual, node)`` seeds;
-        ties and equal priorities break by node id via the heap tuple."""
-        self.priority = [0.0] * num_nodes
+    def schedule(
+        self, num_nodes: int, seeds: list[tuple[float, int]], int_gains: bool = False
+    ):
+        """The heap, priority and live columns holding ``(residual, node)``
+        seeds (one per node). ``int_gains`` says every gain of the run is
+        a Python int; it picks the rank for the whole run. A non-positive
+        seed gets no entry: it is never live."""
+        self.num_nodes, self.int_gains = num_nodes, int_gains
+        self.priority = priority = [0.0] * num_nodes
+        # Each node's last pushed key; 0 (every key is negative) once
+        # popped or while never pushed.
+        self.live = live = [0] * num_nodes
+        self.heap = heap = []
         for mass, node in seeds:
-            self.priority[node] = mass
-        self.heap = [(-mass, node) for mass, node in seeds]
-        heapq.heapify(self.heap)
-        return self.heap, self.priority
+            priority[node] = mass
+            if mass > 0.0:
+                live[node] = key = self.key(mass, node)
+                heap.append(key)
+        heapq.heapify(heap)
+        return heap, priority, live
+
+    def key(self, gain: Any, node: int) -> int:
+        """The heap key of ``node`` at the positive priority ``gain``."""
+        if self.int_gains:
+            rank = _INF_RANK if gain == np.inf else gain
+        else:
+            self.as_float[0] = gain
+            rank = self.as_bits[0]
+        return node - rank * self.num_nodes
+
+    def push(self, gain: Any, node: int) -> None:
+        """Raise ``node``'s priority to the positive ``gain`` (the relax
+        loops inline this); any earlier entry of the node goes stale."""
+        self.priority[node] = gain
+        self.live[node] = key = self.key(gain, node)
+        heapq.heappush(self.heap, key)
 
     def pop(self) -> list[int]:
         """Up to ``chunk_size`` live (non-stale) nodes, highest residual
         first, re-serialized by (owner host, node id) for the apply order -
         ascending node id, since ownership is blocked."""
-        heap, priority = self.heap, self.priority
-        room, pop = self.chunk_size, heapq.heappop
+        heap, live, priority = self.heap, self.live, self.priority
+        num_nodes, room, pop = self.num_nodes, self.chunk_size, heapq.heappop
         nodes: list[int] = []
         while heap:
-            neg, node = pop(heap)
-            # Lazy deletion: an entry is live only while it matches the
-            # node's current priority; superseded entries are skipped.
-            live = priority[node]
-            if -neg == live and live > 0.0:
+            key = pop(heap)
+            node = key % num_nodes
+            # Lazy deletion: an entry is live only while it is the node's
+            # last pushed key; superseded entries are skipped.
+            if live[node] == key:
+                live[node] = 0
                 priority[node] = 0.0
                 nodes.append(node)
                 room -= 1

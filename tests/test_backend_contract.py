@@ -363,3 +363,47 @@ def test_serve_requests_from_an_array_mode_owner_materializes_natives():
     assert all(s._valid is not None for s in prop.stores)
     with cluster.phase(PhaseKind.REDUCE_COMPUTE):
         assert type(prop.read(host, int(wanted[0]))) is float
+
+
+@pytest.mark.parametrize(
+    "values_of",
+    [lambda node: node * 0.5, lambda node: node * 3 - 7, lambda node: (node, -node)],
+    ids=["float", "int", "tuple"],
+)
+def test_bulk_reads_of_the_remote_cache_gather_the_typed_copy(values_of):
+    """Served from array-mode owners, a request-sync's values also stay one
+    typed array in the cache, and a bulk read gathers from it: the same
+    array, dtype and phase cells as the per-key read of the plain values.
+    Tuple values are served as lists and keep only the list."""
+    from repro.core import NodePropMap
+
+    _, pgraph, cluster = make_setup()
+    prop = NodePropMap(cluster, pgraph, "p")
+    typed = not isinstance(values_of(1), tuple)
+    if typed:
+        prop.set_initial_bulk(values_of)
+    else:
+        prop.set_initial(values_of)
+    host = mirror_host(pgraph)
+    wanted = pgraph.parts[host].mirrors_global
+    with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+        assert prop.request_bulk(host, wanted).all()
+    prop.request_sync()
+    store = prop.stores[host]
+    assert (store._remote_array is not None) == typed
+    keys = np.concatenate([wanted[::-2], wanted[1::2]])
+
+    def read():
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            out = prop.read_bulk(host, keys)
+        return out, cluster.log.cells()[-1].tolist()
+
+    gathered, cells = read()
+    store._remote_array = None
+    plain, plain_cells = read()
+    assert gathered.dtype == plain.dtype
+    assert gathered.tolist() == plain.tolist()
+    assert cells == plain_cells
+    assert plain.tolist() == [
+        values_of(key) if typed else list(values_of(key)) for key in keys.tolist()
+    ]

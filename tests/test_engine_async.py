@@ -12,17 +12,22 @@
   ``async_report_pins.json`` holds the report digest, ``last_updates`` and
   ``last_chunks`` of every {app} x {road, powerlaw} x {chunk size} x
   {policy} cell as recorded before the chunk loop moved to per-chunk
-  tallied accounting, plus the final values (``float.hex()``) of a
-  custom ``MIN`` plan seeded with NaN, both zeros, ``inf`` and int labels,
-  as recorded before the relax loop inlined its ``MIN`` test
-  (``python tests/test_engine_async.py`` re-records it). Counting tests
-  keep the metering calls O(chunks), never O(updates), and the reducer
-  out of the relax loop.
+  tallied accounting, plus the final values (``float.hex()``, or exact
+  ints) of a custom ``MIN`` plan seeded with NaN, both zeros, ``inf`` and
+  int labels, as recorded before the relax loop inlined its ``MIN`` test,
+  and with int labels under float weights or spanning +-2**62, as
+  recorded before the heap keyed its entries by one int
+  (``python tests/test_engine_async.py`` re-records it). A model test
+  drives the heap against a tuple heap. Counting tests keep the metering
+  calls O(chunks), never O(updates), and the reducer out of the relax
+  loop.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import heapq
 import importlib
 import json
 import math
@@ -30,6 +35,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.cc_lp import cc_lp_plan
 from repro.algorithms.common import AlgorithmResult
@@ -228,6 +235,12 @@ EDGE_SEEDS = {
     "float": [math.nan, -0.0, 0.0, math.inf, 7.0, 3.5, -0.0, math.nan, 0.0],
     "float-weighted": [math.inf, math.nan, 0.0, -0.0, math.inf, 2.25, math.nan],
     "int": [(node * 7) % 11 - 5 for node in range(11)],
+    # Float weights added to int labels: float candidates, so float gains,
+    # flow into an int column.
+    "int-weighted": [(node * 5) % 9 - 4 for node in range(9)],
+    # Labels spanning +-2**62: gains above 2**53, distinct where a float
+    # rounds them together.
+    "int-wide": [(1 - 2 * (node % 2)) * (2**62 - 3 * node) for node in range(11)],
 }
 EDGE_CELLS = [(seeding, chunk_size) for seeding in sorted(EDGE_SEEDS) for chunk_size in (1, 64)]
 
@@ -239,7 +252,7 @@ def _edge_plan(pgraph, target: NodePropMap, seeding: str, op: ReduceOp) -> Plan:
         source=target,
         require_active=ActiveFilter(target),
         charge_per_source=1,
-        with_weight="add" if seeding == "float-weighted" else None,
+        with_weight="add" if seeding.endswith("-weighted") else None,
         edge_filter=(lambda src, dst: (src + dst) % 3 != 0) if seeding == "int" else None,
         residual=ResidualDecl(mode="monotone"),
     )
@@ -278,7 +291,7 @@ def _edge_run(seeding: str, chunk_size: int, op: ReduceOp = MIN):
 
 def _edge_pin(seeding: str, chunk_size: int) -> dict:
     run, engine = _edge_run(seeding, chunk_size)
-    exact = int if seeding == "int" else lambda value: float(value).hex()
+    exact = int if seeding.startswith("int") else lambda value: float(value).hex()
     return {
         "report_sha256": _digest(run.to_dict()),
         "values": [exact(run.values[node]) for node in sorted(run.values)],
@@ -394,6 +407,103 @@ class TestChunkOrder:
         # Teeth: some chunk spans both owners, so their order is observed.
         assert any(len({owner[node] for node in nodes}) == 2 for nodes in popped)
         executor.close()
+
+
+@functools.lru_cache(maxsize=None)
+def _bare_chunk() -> _ChunkSchedule:
+    """A schedule to drive by hand: ``schedule`` resets every column it
+    pops from, so one object serves every example."""
+    pgraph = partition(generators.road_like(2, 2, seed=5), 1, "oec")
+    cluster = Cluster(1, threads_per_host=1)
+    executor = Executor(cluster)
+    label = NodePropMap(cluster, pgraph, "label")
+    chunk = _ChunkSchedule(AsyncEngine(executor), cc_lp_plan(pgraph, label), "cc_lp", label)
+    executor.close()
+    return chunk
+
+
+_INT_GAINS = st.one_of(
+    st.integers(1, 9), st.integers(2**64 - 9, 2**64 - 1), st.integers(1, 2**64 - 1)
+)
+_FLOAT_GAINS = st.one_of(
+    st.sampled_from([5e-324, 1e-323, 2.2250738585072009e-308, 1.0, 1.5, math.inf]),
+    st.floats(min_value=5e-324, max_value=2.2250738585072009e-308),  # subnormal
+    st.floats(min_value=5e-324, allow_nan=False, allow_infinity=True),
+)
+
+
+@st.composite
+def _streams(draw):
+    """A schedule's life: seeds (``+inf`` ones, as the monotone mode seeds,
+    and - float mode - never-live non-positive ones), then pushes and
+    chunk pops. Gains come from a small pool, so ties, stale entries and a
+    re-push at a priority an earlier entry still holds are common."""
+    int_gains = draw(st.booleans())
+    num_nodes = draw(st.integers(1, 9))
+    pool = draw(st.lists(_INT_GAINS if int_gains else _FLOAT_GAINS, min_size=1, max_size=4))
+    seed_gains = st.sampled_from([math.inf, *pool])
+    if not int_gains:
+        seed_gains = st.one_of(seed_gains, st.sampled_from([0.0, -0.0, -2.5]))
+    seeded = draw(st.sets(st.integers(0, num_nodes - 1)))
+    seeds = [(draw(seed_gains), node) for node in sorted(seeded)]
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.just(None),
+                st.tuples(st.sampled_from(pool), st.integers(0, num_nodes - 1)),
+            ),
+            max_size=30,
+        )
+    )
+    return int_gains, num_nodes, draw(st.integers(1, 4)), seeds, ops
+
+
+def _tuple_pop(heap: list, priority: list, chunk_size: int) -> list[int]:
+    """The reference chunk pop over ``(-priority, node)`` tuples."""
+    nodes: list[int] = []
+    while heap and len(nodes) < chunk_size:
+        neg, node = heapq.heappop(heap)
+        live = priority[node]
+        if -neg == live and live > 0.0:
+            priority[node] = 0.0
+            nodes.append(node)
+    return sorted(nodes)
+
+
+class TestHeapKeysKeepTheTupleOrder:
+    """``_ChunkSchedule`` keys each heap entry by one int ordered exactly as
+    ``(-priority, node)``: driven against a tuple heap kept here, every
+    chunk pops the same nodes and leaves the same priority column."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=_streams())
+    # Gains a float rounds together: only the exact int rank tells them apart.
+    @example(stream=(True, 2, 1, [], [((2**64 - 2), 0), ((2**64 - 1), 1), None, None]))
+    # A tie across a chunk boundary, then a re-push at an earlier priority.
+    @example(stream=(False, 3, 2, [(1.0, 2), (1.0, 0)], [(1.0, 1), None, (1.0, 0), None, None]))
+    def test_every_chunk_pops_what_the_tuple_heap_pops(self, stream):
+        int_gains, num_nodes, chunk_size, seeds, ops = stream
+        chunk = _bare_chunk()
+        chunk.chunk_size = chunk_size
+        chunk.schedule(num_nodes, seeds, int_gains)
+        priority = [0.0] * num_nodes
+        for mass, node in seeds:
+            priority[node] = mass
+        reference = [(-mass, node) for mass, node in seeds]
+        heapq.heapify(reference)
+        for op in ops:
+            if op is None:
+                assert chunk.pop() == _tuple_pop(reference, priority, chunk_size)
+            else:
+                gain, node = op
+                chunk.push(gain, node)
+                priority[node] = gain
+                heapq.heappush(reference, (-gain, node))
+            assert chunk.priority == priority
+        assert all(type(key) is int for key in chunk.heap)
+        while reference:
+            assert chunk.pop() == _tuple_pop(reference, priority, chunk_size)
+        assert chunk.pop() == []
 
 
 if __name__ == "__main__":  # re-record the table: python tests/test_engine_async.py
