@@ -84,9 +84,6 @@ def boruvka_msf(
             find_minimum,
             read_names=(parent.name,),
             write_names=((best_edge.name, PAIR_MIN.name),),
-            # the work-done vote's host flags are compute-phase
-            # effects too (host-shard execution ships them)
-            extra_effects=(work_done,),
         ),
     )
 
@@ -107,10 +104,6 @@ def boruvka_msf(
             hook,
             read_names=(best_edge.name,),
             write_names=((parent.name, MIN.name),),
-            # the body appends chosen edges to the host-global forest
-            # set: not per-host addressable, so this phase runs
-            # replicated under parallel execution
-            host_local=False,
         ),
     )
 

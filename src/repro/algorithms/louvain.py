@@ -215,12 +215,6 @@ def local_moving(
                             (cluster_map.name, OVERWRITE.name),
                             (info_map.name, pair_sum.name),
                         ),
-                        ops=(pair_sum,),
-                        # the body bumps the host-global move counter the
-                        # convergence check reads: not per-host
-                        # addressable, so this phase runs replicated
-                        # under parallel execution
-                        host_local=False,
                     ),
                 )
             ),

@@ -58,17 +58,6 @@ class ConcurrentBitset:
         """All set indices, ascending (the aggregation step of request-sync)."""
         return np.flatnonzero(self._bits)
 
-    def export_state(self) -> np.ndarray:
-        """Dense state as its set indices (the host-shard exchange form)."""
-        return self.nonzero()
-
-    def install_state(self, indices: np.ndarray) -> None:
-        """Replace the bitset's contents with exactly ``indices`` set."""
-        self._bits[:] = False
-        idx = np.asarray(indices, dtype=np.int64)
-        self._bits[idx] = True
-        self._count = int(idx.size)
-
     def __len__(self) -> int:
         return self._count
 

@@ -44,15 +44,3 @@ class BoolReducer:
 
     def read(self) -> bool:
         return self._value
-
-    # Effect-carrier protocol (repro.exec.pool): the host flag is the only
-    # state a compute phase mutates, and it is per-host addressable, so a
-    # kernel that reduces into this object stays shardable by naming it
-    # (``NeighborReduceToKey.flag``, ``ScalarKernel.extra_effects``).
-
-    def export_compute_effects(self, host: int) -> bool:
-        return self._flags[host]
-
-    def install_compute_effects(self, host: int, effects: bool, resolve_op) -> None:
-        del resolve_op  # uniform carrier signature; no operators to resolve
-        self._flags[host] = bool(effects)

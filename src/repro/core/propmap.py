@@ -1014,49 +1014,27 @@ class NodePropMap:
 
     def export_compute_effects(self, host: int) -> tuple:
         """One host's compute-phase side effects, for the host-shard
-        exchange (``repro.exec.pool``).
+        exchange (``repro.exec.pool``): its pending reduction state.
 
-        Compute phases mutate exactly four things on the computing host:
-        the pending reduction state, the request bitset, the duplicate
-        request log, and the map's bound reduction operator. Everything
-        else (stores, activity masks, updated flags) changes only during
-        sync collectives, which every process replays identically. The
-        state is *cumulative* since the last reduce-sync, so installing an
-        export replaces the receiver's copy wholesale - re-installing a
-        newer export of the same host stays correct (replacement, not
-        accumulation). The operator ships by name: ``ReduceOp`` closes
-        over lambdas, which do not cross process boundaries.
+        A sharded phase (an adjacent-vertex form reducing into a
+        thread-local map) mutates nothing else on the computing host;
+        stores, activity masks and updated flags change only during sync
+        collectives, which every process replays identically. The state
+        is *cumulative* since the last reduce-sync, so installing an
+        export replaces the receiver's copy wholesale.
         """
-        return (
-            self._op.name if self._op is not None else None,
-            self.reductions[host].export_state(),
-            self.bitsets[host].export_state(),
-            list(self._dup_requests[host]),
-        )
+        return self.reductions[host].export_state()
 
-    def install_compute_effects(
-        self, host: int, effects: tuple, resolve_op: Callable[[str, str], ReduceOp]
-    ) -> None:
-        """Install another process's exported compute effects for ``host``.
-
-        ``resolve_op(map_name, op_name)`` maps a shipped operator name back
-        to a live ``ReduceOp`` (the pool builds the table from the named
-        reducers plus the plan's kernels).
-        """
-        op_name, reduction_state, request_bits, dup_requests = effects
-        if op_name is not None:
-            if self._op is None:
-                self._op = resolve_op(self.name, op_name)
-            elif self._op.name != op_name:
-                raise ValueError(
-                    f"map {self.name!r} reduced with {op_name!r} on another "
-                    f"process after {self._op.name!r} here; a map uses a "
-                    "single reduction operator per loop"
-                )
-        self.reductions[host].install_state(reduction_state)
-        self._host_reduced[host] = True
-        self.bitsets[host].install_state(request_bits)
-        self._dup_requests[host] = list(dup_requests)
+    def install_compute_effects(self, host: int, state: tuple, op: ReduceOp) -> None:
+        """Install another process's export for ``host``. ``op`` is the
+        sharded kernel's operator: a host that reduced binds it, as its
+        reduce did on the exporting process - so a process whose own
+        shard reduced nothing still reduce-syncs with it."""
+        reduction = self.reductions[host]
+        reduction.install_state(state)
+        if reduction.pending():
+            self._host_reduced[host] = True
+            self._check_reduce(1, None, op)
 
     def checkpoint_state(self) -> dict:
         """Copy all mutable distributed state, for restore-and-replay.

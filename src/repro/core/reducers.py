@@ -87,22 +87,3 @@ PAIR_MAX = ReduceOp("pair_max", max)
 # Last-write-wins "reduction": rebuild-style operators (PageRank's rank
 # rebuild) overwrite the property rather than fold into it.
 OVERWRITE = ReduceOp("overwrite", lambda old, new: new)
-
-# Operators resolvable by name across process boundaries: ``ReduceOp``
-# instances close over lambdas, so the host-shard execution layer
-# (``repro.exec.pool``) ships the *name* in its effect bundles and
-# resolves it against this table (plus any operators harvested from the
-# plan's kernels, which covers algorithm-local custom reducers).
-NAMED_REDUCE_OPS: dict[str, ReduceOp] = {
-    op.name: op
-    for op in (
-        MIN,
-        MAX,
-        SUM,
-        LOGICAL_OR,
-        LOGICAL_AND,
-        PAIR_MIN,
-        PAIR_MAX,
-        OVERWRITE,
-    )
-}

@@ -540,13 +540,11 @@ class ThreadLocalReduction:
         fine - the pipe serializes a snapshot. A batch ships as per-slot
         state (its plan stays in this process), and a peer that installs
         it takes the presence-mask merge at the next reduce-sync."""
-        return ("tl", self.maps, self._batch and self._batch.state())
+        return (self.maps, self._batch and self._batch.state())
 
     def install_state(self, state: tuple) -> None:
         """Replace the pending state with an exported snapshot."""
-        tag, maps, batch = state
-        if tag != "tl":  # pragma: no cover - strategies never change mid-run
-            raise ValueError(f"cannot install {tag!r} state into a CF reduction")
+        maps, batch = state
         self.maps = list(maps)
         self._dict_state = any(maps)
         self._batch = None if batch is None else _slot_batch(*batch)
@@ -749,39 +747,6 @@ class SharedMapReduction:
         if self._bulk_keys is not None:
             total += int(self._bulk_keys.size)
         return total
-
-    def export_state(self) -> tuple:
-        """Complete pending state including the conflict-accounting tables,
-        for the host-shard exchange (see ``ThreadLocalReduction``)."""
-        return (
-            "sm",
-            self.map,
-            self._writers,
-            self._map_writers,
-            self._write_count,
-            self._bulk_keys,
-            self._bulk_vals,
-            self._bulk_first_writer,
-            self._bulk_multi,
-        )
-
-    def install_state(self, state: tuple) -> None:
-        """Replace the pending state with an exported snapshot."""
-        if state[0] != "sm":  # pragma: no cover - strategies never change
-            raise ValueError(
-                f"cannot install {state[0]!r} state into a shared-map reduction"
-            )
-        (
-            _,
-            self.map,
-            self._writers,
-            self._map_writers,
-            self._write_count,
-            self._bulk_keys,
-            self._bulk_vals,
-            self._bulk_first_writer,
-            self._bulk_multi,
-        ) = state
 
     def collect(self, op: ReduceOp) -> dict[int, Any]:
         del op  # combining happened eagerly, amortized into compute

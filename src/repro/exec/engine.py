@@ -517,14 +517,7 @@ class AsyncEngine(Engine):
                             pool_mass += dangling_scale * mass
                         continue
                     if transform is not None:
-                        mass = float(
-                            np.asarray(
-                                transform(
-                                    np.asarray([mass]),
-                                    np.asarray([u], dtype=np.int64),
-                                )
-                            )[0]
-                        )
+                        mass = float(transform(mass, u))
                     edge_iters[host] += last - first
                     local_ops[host] += per_edge * (last - first)
                     row = host * hosts

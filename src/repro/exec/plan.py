@@ -94,7 +94,7 @@ class ActiveFilter:
     """Declarative activity filter: keep sources whose ``map`` copy
     changed last round (the data-driven frontier). ``EdgePush``
     normalizes this to its ``require_active`` map, so downstream layers
-    (reads metadata, pool carriers, both backends) see the map they
+    (reads metadata, both backends) see the map they
     always did; declaring the spec documents intent and keeps algorithm
     code fully declarative."""
 
@@ -313,8 +313,8 @@ class EdgePush:
 
     def __post_init__(self) -> None:
         # ActiveFilter is declarative sugar over the require_active map:
-        # normalize here so every downstream layer (reads metadata, pool
-        # carriers, both backends) handles one form.
+        # normalize here so every downstream layer (reads metadata, both
+        # backends) handles one form.
         if isinstance(self.require_active, ActiveFilter):
             self.require_active = self.require_active.map
 
@@ -332,11 +332,6 @@ class EdgePush:
 
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ((self.target.name, self.op.name),)
-
-    def effects(self) -> list[Any]:
-        """The effect carriers this kernel mutates, all host-locally - what
-        a host shard must export after running it (``repro.exec.pool``)."""
-        return [self.target]
 
 
 @dataclass
@@ -359,9 +354,6 @@ class NodeUpdate:
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ((self.target.name, self.op.name),)
 
-    def effects(self) -> list[Any]:
-        return [self.target]
-
 
 @dataclass
 class DegreeReduce:
@@ -378,9 +370,6 @@ class DegreeReduce:
 
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ((self.target.name, SUM.name),)
-
-    def effects(self) -> list[Any]:
-        return [self.target]
 
 
 @dataclass
@@ -409,9 +398,6 @@ class KeyRequest:
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ()
 
-    def effects(self) -> list[Any]:
-        return [self.of]
-
 
 @dataclass
 class NodeGather:
@@ -439,9 +425,6 @@ class NodeGather:
 
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ((self.target.name, self.op.name),)
-
-    def effects(self) -> list[Any]:
-        return [self.target]
 
 
 @dataclass
@@ -484,9 +467,6 @@ class NeighborReduceToKey:
     def writes(self) -> tuple[tuple[str, str], ...]:
         return ((self.target.name, self.op.name),)
 
-    def effects(self) -> list[Any]:
-        return [self.target, self.flag]
-
 
 @dataclass
 class ScalarKernel:
@@ -494,32 +474,14 @@ class ScalarKernel:
     backends. ``read_names``/``write_names`` declare the maps touched so
     plans stay introspectable (``repro plan``) even for opaque bodies.
 
-    Three further declarations exist for the host-shard execution layer
-    (``repro.exec.pool``), which fans compute phases out to worker
-    processes and must know everything a body can mutate:
-
-    * ``ops`` - non-canonical ``ReduceOp`` instances the body reduces
-      with (canonical named reducers resolve automatically). Operators
-      ship by name between processes and need a live object per name; a
-      body whose declared write reducers cannot all be resolved runs
-      replicated on every process instead of sharded - still correct,
-      just not sped up.
-    * ``extra_effects`` - effect carriers beyond the named maps whose
-      per-host state the body mutates (e.g. a ``BoolReducer``'s host
-      flags). Anything exposing ``export_compute_effects(host)`` /
-      ``install_compute_effects(host, effects, resolve_op)`` qualifies.
-    * ``host_local`` - set False when the body mutates host-global state
-      that is *not* per-host addressable (appends to a result set, bumps
-      a shared counter). Such phases run replicated on every process
-      (identical state evolution everywhere) instead of sharded.
+    Under ``jobs=N`` a scalar body runs replicated on every process, like
+    every phase but the adjacent-vertex forms on thread-local maps
+    (``repro.exec.pool``): it needs no declaration of what it mutates.
     """
 
     body: Callable[[OperatorContext], None]
     read_names: tuple[str, ...] = ()
     write_names: tuple[tuple[str, str], ...] = ()
-    ops: tuple[ReduceOp, ...] = ()
-    extra_effects: tuple[Any, ...] = ()
-    host_local: bool = True
 
     @property
     def form(self) -> str:

@@ -24,15 +24,18 @@ exchange over the worker pipes - one fork per sharded run.**
   runs and nothing is resynchronized (DESIGN.md, "Why a run is a fork").
   A run ends with one ``eor`` token per worker - including after
   exceptions, which abort cleanly.
-* **One mechanism:** only *shardable compute phases* divide work. Each
-  process drives ``par_for``/``run_hosted`` over its own contiguous host
-  shard, then exchanges the phase's effects before anything else runs (a
-  sync collective always follows a compute phase, so there is nothing to
-  batch - DESIGN.md, "Why there is no fusion or deferral"). One flush
-  ships, per worker, a single bundle: the per-host effect state of
-  every carrier the phase touches, plus the phase's row of the metrics
+* **One mechanism:** only *sharded compute phases* divide work: an
+  adjacent-vertex form (``EdgePush``, ``NodeUpdate``, ``DegreeReduce``)
+  whose target reduces through thread-local maps (the KIMBAP and SGR+CF
+  variants). Each process drives ``par_for``/``run_hosted`` over its own
+  contiguous host shard, then exchanges the phase's effects before
+  anything else runs (a sync collective always follows a compute phase,
+  so there is nothing to batch - DESIGN.md, "Why there is no fusion or
+  deferral"). One flush ships, per worker, a single bundle: the target
+  map's per-host reduction state, plus the phase's row of the metrics
   log sliced to the shard's counters and every host's traffic (one
-  ``int64`` matrix each). That exchange
+  ``int64`` matrix each). The receiver installs the state with the
+  kernel's own operator. That exchange
   (:meth:`HostShardPool.flush`) is the only one, and its coordinator and
   worker halves are the only place the fx token protocol is written:
   every sync collective is replayed whole by every process on its own
@@ -44,8 +47,9 @@ exchange over the worker pipes - one fork per sharded run.**
   in index order (DESIGN.md, "Why the exchange is the pipe").
 * The coordinator merges worker bundles **in worker order** - shards
   are contiguous ascending, so worker order IS host order and the
-  merged phase rows are byte-identical to the serial visit. Phases
-  that are not shardable simply run **replicated** on every process.
+  merged phase rows are byte-identical to the serial visit. Every other
+  phase - trans-vertex forms, scalar bodies, shared-map and key-value
+  store targets - runs **replicated** on every process.
 
 The coordinator's metrics log, counters, conflict counts, modeled
 seconds, and trace rows therefore evolve exactly as a serial run's
@@ -66,7 +70,6 @@ the :mod:`repro.faults` layer's business.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import pickle
@@ -76,8 +79,18 @@ import traceback
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.cluster.metrics import COUNTER_FIELDS, TRAFFIC_FIELDS, MetricsLog
-from repro.core.reducers import NAMED_REDUCE_OPS, ReduceOp
-from repro.exec.plan import Operator, OperatorStep, Plan, ScalarKernel, walk_plans
+from repro.core.propmap import NodePropMap
+from repro.core.reducers import SUM, ReduceOp
+from repro.core.reduction import ThreadLocalReduction
+from repro.exec.plan import (
+    DegreeReduce,
+    EdgePush,
+    NodeUpdate,
+    Operator,
+    OperatorStep,
+    Plan,
+    walk_plans,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.executor import Executor
@@ -173,103 +186,39 @@ class ProtocolDivergence(PoolError):
 # --------------------------------------------------------------- plan tables
 
 
-def _effect_carrier(obj: Any) -> bool:
-    return hasattr(obj, "export_compute_effects")
-
-
-def _map_table(plan: Plan) -> dict[str, Any]:
-    """Every effect carrier the plan names, keyed by name (identical on
-    all processes: the table is built from the same plan object on the
-    coordinator and, via fork inheritance, on every worker)."""
-    table: dict[str, Any] = {}
-
-    def put(obj: Any) -> None:
-        if obj is not None and _effect_carrier(obj):
-            table[obj.name] = obj
-
-    for loop in walk_plans(plan):
-        for step in loop.steps:
-            if isinstance(step, OperatorStep):
-                kernel = step.operator.kernel
-                for field in dataclasses.fields(kernel):
-                    put(getattr(kernel, field.name))
-                for extra in getattr(kernel, "extra_effects", ()):
-                    put(extra)
-            else:
-                put(getattr(step, "map", None))
-        for prop in (*loop.quiesce, *loop.maps):
-            put(prop)
-    return table
-
-
-def _op_table(plan: Plan) -> dict[str, ReduceOp]:
-    """Reducers resolvable by name: the canonical registry plus every
-    operator object the plan's kernels carry (covers algorithm-local
-    custom reducers like Louvain's pair_sum)."""
-    ops = dict(NAMED_REDUCE_OPS)
-    for operator in _operators(plan):
-        kernel = operator.kernel
-        op = getattr(kernel, "op", None)
-        if op is not None:
-            ops[op.name] = op
-        for extra in getattr(kernel, "ops", ()):
-            ops[extra.name] = extra
-    return ops
+# What a sharded phase exchanges: the map it reduces into and the
+# kernel's operator.
+Sharded = tuple[NodePropMap, ReduceOp]
 
 
 def _operators(plan: Plan):
     """Every operator of the plan tree: a jobs=N run is one fork per
-    top-level plan, so its decision tables cover the nested loops too."""
+    top-level plan, so its decision table covers the nested loops too."""
     for loop in walk_plans(plan):
         for step in loop.steps:
             if isinstance(step, OperatorStep):
                 yield step.operator
 
 
-def _phase_carriers(
-    operator: Operator, by_name: dict[str, Any], ops: dict[str, ReduceOp]
-) -> list[Any] | None:
-    """The effect carriers of one compute phase, or None when the phase
-    must run replicated instead of sharded.
+def _sharded(operator: Operator) -> Sharded | None:
+    """The target and operator of a phase that shards, or None when it
+    runs replicated.
 
-    The declarative kernel forms are shardable by construction: their
-    only mutations are host-local and each form declares the carriers
-    that take them (``effects()``: reductions into the target, a
-    ``KeyRequest``'s request bits in the map it requests from, a
-    ``NeighborReduceToKey``'s vote in its flag). A
-    ``ScalarKernel`` is shardable when it declares itself host-local,
-    every map it names resolves, and every reducer it writes with is
-    resolvable by name across processes. Key-value-store maps are never
-    shardable: their reductions hit shared server shards and the network
-    immediately.
+    A phase shards when its kernel is an adjacent-vertex form and its
+    target reduces through thread-local maps: its one host-local effect
+    is then that map's pending reduction state, which the exchange ships
+    whole. Everything else replays replicated on every process - the
+    trans-vertex forms (request bits, votes), scalar bodies (whatever
+    they mutate), shared-map conflict tables and key-value-store
+    reductions, whose conflict draws depend on the global operation
+    order.
     """
     kernel = operator.kernel
-    if isinstance(kernel, ScalarKernel):
-        if not kernel.host_local:
-            return None
-        names: list[str] = []
-        for name in kernel.read_names:
-            if name not in names:
-                names.append(name)
-        for name, op_name in kernel.write_names:
-            if name not in names:
-                names.append(name)
-            if op_name not in ops:
-                return None
-        carriers = []
-        for name in names:
-            carrier = by_name.get(name)
-            if carrier is None:
-                return None
-            carriers.append(carrier)
-        carriers.extend(kernel.extra_effects)
-    else:
-        carriers = kernel.effects()
-    for carrier in carriers:
-        variant = getattr(carrier, "variant", None)
-        if variant is not None and variant.uses_kvstore:
-            return None
-    return carriers
+    if isinstance(kernel, (EdgePush, NodeUpdate, DegreeReduce)) and isinstance(
+        kernel.target.reductions[0], ThreadLocalReduction
+    ):
+        return kernel.target, SUM if isinstance(kernel, DegreeReduce) else kernel.op
+    return None
 
 
 # ------------------------------------------------------------- the endpoint
@@ -282,7 +231,7 @@ def _send_token(conn, *token: Any) -> None:
 class HostShardPool:
     """The executor's process-group endpoint: coordinator in the parent,
     worker (same object, mutated post-fork) in each child. Construction
-    only builds the decision tables; ``begin_run`` forks the workers of
+    only builds the decision table; ``begin_run`` forks the workers of
     one run and ``end_run`` reaps them."""
 
     def __init__(self, executor: "Executor", plan: Plan, jobs: int) -> None:
@@ -297,10 +246,8 @@ class HostShardPool:
         self.dead = False
         self.conn = None
         self.workers: list[tuple[Any, Any]] = []
-        # The run's plan tree and its decision tables, which workers
-        # inherit at fork time. Reducers resolvable by name accumulate
-        # over every plan seen: a map can carry one into the next plan.
-        self._ops: dict[str, ReduceOp] = {}
+        # The run's plan tree and its decision table, which workers
+        # inherit at fork time.
         self.load_plan(plan)
         # Exchange state.
         self._eor_seen: set[int] = set()
@@ -322,50 +269,18 @@ class HostShardPool:
     # -- the run's plan ----------------------------------------------------
 
     def load_plan(self, plan: Plan) -> None:
-        """Make ``plan`` the one the next run drives: its carrier table
-        covers every operator of the tree, nested loops included."""
+        """Make ``plan`` the one the next run drives: its table covers
+        every operator of the tree, nested loops included."""
         self.plan = plan
-        self._ops.update(_op_table(plan))
-        by_name = _map_table(plan)
-        table: dict[int, list[Any] | None] = {
-            id(operator): _phase_carriers(operator, by_name, self._ops)
-            for operator in _operators(plan)
+        self.table: dict[int, Sharded | None] = {
+            id(operator): _sharded(operator) for operator in _operators(plan)
         }
-        # The key-value-store (RuntimeVariant.MC) invariant: kv-backed
-        # phases run REPLICATED on every process, never sharded. KvCas
-        # reductions apply immediately against shared server shards -
-        # conflict draws and the kv network accounting depend on the
-        # global operation order, which host-sharding would change.
-        # Replicated replay IS the correctness strategy, enforced here
-        # so a future carrier-table change cannot silently shard a kv
-        # phase.
-        for carriers in table.values():
-            if carriers is None:
-                continue
-            for carrier in carriers:
-                variant = getattr(carrier, "variant", None)
-                if variant is not None and variant.uses_kvstore:
-                    raise AssertionError(
-                        f"kvstore-backed map {carrier.name!r} in a "
-                        "shardable phase: MC phases must stay replicated"
-                    )
-        self.table = table
 
     def has_shardable_phase(self) -> bool:
-        return any(c is not None for c in self.table.values())
+        return any(sharded is not None for sharded in self.table.values())
 
     def shardable(self, operator: Operator) -> bool:
         return self.table.get(id(operator)) is not None
-
-    def resolve_op(self, map_name: str, op_name: str) -> ReduceOp:
-        op = self._ops.get(op_name)
-        if op is None:
-            raise RuntimeError(
-                f"reducer {op_name!r} for map {map_name!r} cannot be "
-                "resolved across processes; declare the operator via "
-                "ScalarKernel(ops=...) so the plan carries a live object"
-            )
-        return op
 
     # -- lifecycle: fork ---------------------------------------------------
 
@@ -493,7 +408,7 @@ class HostShardPool:
         )
         self.flush(self.table[id(operator)], cluster.log)
 
-    def flush(self, carriers: list[Any], log: MetricsLog) -> None:
+    def flush(self, sharded: Sharded, log: MetricsLog) -> None:
         """The compute-effect exchange: one bundle per process for the
         sharded phase that just closed. Replay determinism makes every
         process reach the same flush in the same order, so the collective
@@ -501,16 +416,14 @@ class HostShardPool:
         """
         self._seq += 1
         if self.is_worker:
-            self._flush_worker(carriers, log)
+            self._flush_worker(sharded, log)
         else:
-            self._flush_coordinator(carriers, log)
+            self._flush_coordinator(sharded, log)
 
-    def _export_bundle(self, carriers: list[Any], log: MetricsLog) -> dict[str, Any]:
+    def _export_bundle(self, sharded: Sharded, log: MetricsLog) -> dict[str, Any]:
+        target, _ = sharded
         bundle: dict[str, Any] = {
-            "effects": [
-                [carrier.export_compute_effects(host) for host in self.shard]
-                for carrier in carriers
-            ],
+            "effects": [target.export_compute_effects(host) for host in self.shard],
         }
         if self.is_worker:
             # The phase's row, sliced: the shard's counters, every host's traffic.
@@ -520,16 +433,16 @@ class HostShardPool:
         return bundle
 
     def _install_effects(
-        self, carriers: list[Any], shard: Sequence[int], bundle: dict
+        self, sharded: Sharded, shard: Sequence[int], bundle: dict
     ) -> None:
-        for carrier, per_host in zip(carriers, bundle["effects"]):
-            for host, effects in zip(shard, per_host):
-                carrier.install_compute_effects(host, effects, self.resolve_op)
+        target, op = sharded
+        for host, state in zip(shard, bundle["effects"]):
+            target.install_compute_effects(host, state, op)
 
-    def _pack(self, carriers: list[Any], log: MetricsLog) -> bytes:
+    def _pack(self, sharded: Sharded, log: MetricsLog) -> bytes:
         """This process's ``fx`` message for the current exchange."""
         return pickle.dumps(
-            ("fx", self._seq, self._export_bundle(carriers, log)),
+            ("fx", self._seq, self._export_bundle(sharded, log)),
             pickle.HIGHEST_PROTOCOL,
         )
 
@@ -541,8 +454,8 @@ class HostShardPool:
         except OSError:
             raise self._death_error(f"worker {index}", process, index) from None
 
-    def _flush_worker(self, carriers, log: MetricsLog) -> None:
-        message = self._pack(carriers, log)
+    def _flush_worker(self, sharded: Sharded, log: MetricsLog) -> None:
+        message = self._pack(sharded, log)
         self.bytes_exchanged += len(message)
         self.conn.send_bytes(message)
         # Every other process's message, in index order: the coordinator's
@@ -558,9 +471,9 @@ class HostShardPool:
                     f"expected fx token {self._seq}, got {token[:2]!r}",
                     worker=self.index,
                 )
-            self._install_effects(carriers, self.shards[index], token[2])
+            self._install_effects(sharded, self.shards[index], token[2])
 
-    def _flush_coordinator(self, carriers, log: MetricsLog) -> None:
+    def _flush_coordinator(self, sharded: Sharded, log: MetricsLog) -> None:
         relayed: list[bytes] = []
         for index, (process, conn) in enumerate(self.workers, start=1):
             token, message = self._recv_token(conn, index, process)
@@ -579,9 +492,9 @@ class HostShardPool:
                     phase=self._phase_label(),
                 )
             self.bytes_exchanged += len(message)
-            self._merge_worker_bundle(index, carriers, log, token[2])
+            self._merge_worker_bundle(index, sharded, log, token[2])
             relayed.append(message)
-        own = self._pack(carriers, log)
+        own = self._pack(sharded, log)
         self.bytes_exchanged += len(own)
         messages = [own, *relayed]
         for index, (process, conn) in enumerate(self.workers, start=1):
@@ -590,7 +503,7 @@ class HostShardPool:
                     self._send_to_worker(index, process, conn, message)
 
     def _merge_worker_bundle(
-        self, index: int, carriers, log: MetricsLog, bundle: dict
+        self, index: int, sharded: Sharded, log: MetricsLog, bundle: dict
     ) -> None:
         """Fold one worker's bundle into the coordinator's last phase, in
         worker order = host order, keeping the log byte-identical to the
@@ -600,7 +513,7 @@ class HostShardPool:
             log.add(host, row, COUNTER_FIELDS)
         for host, row in enumerate(bundle["net"]):
             log.add(host, row, TRAFFIC_FIELDS)
-        self._install_effects(carriers, shard, bundle)
+        self._install_effects(sharded, shard, bundle)
 
     # -- tokens and failure surfacing --------------------------------------
 
@@ -729,8 +642,8 @@ class HostShardPool:
 def create_pool(executor: "Executor", plan: Plan) -> HostShardPool | None:
     """Build (but do not fork) the pool, or None when parallelism cannot
     help right now: a single host, no fork on this platform, or no phase
-    of this plan the metadata proves shardable (then the serial path is
-    already optimal and correct; a later plan may still create the pool).
+    of this plan that shards (then the serial path is already optimal and
+    correct; a later plan may still create the pool).
     """
     jobs = min(executor.jobs, executor.cluster.num_hosts)
     if jobs < 2 or not fork_available():

@@ -178,9 +178,9 @@ class TestFusionBoundaries:
         flushed = []
         flush = HostShardPool.flush
 
-        def counted_flush(self, carriers, log):
+        def counted_flush(self, sharded, log):
             flushed.append(log.open.label)
-            flush(self, carriers, log)
+            flush(self, sharded, log)
 
         monkeypatch.setattr(HostShardPool, "flush", counted_flush)
 

@@ -194,6 +194,11 @@ def relayed(result) -> None:
     assert result.parallel["forks"] >= 1 and result.parallel["bytes_exchanged"] > 0
 
 
+def unpooled(result) -> None:
+    # No phase of the run shards, so jobs=N builds no pool at all.
+    assert result.parallel is None
+
+
 # Regression cells carried over from the suites the table replaced, each
 # with a check of its own run that it still exercises what it is kept for.
 NAMED = {
@@ -209,7 +214,7 @@ NAMED = {
     "CC-SV            powerlaw 3x4   sgr+cf+gar hvc    bulk    bsp    1    -     =":
         counted("shortcut", "binsearch_steps"),
     # The kvstore variant keeps its phases replicated under jobs=2.
-    "CC-LP            powerlaw 3x4   mc         cvc    bulk    bsp    2    -     =": None,
+    "CC-LP            powerlaw 3x4   mc         cvc    bulk    bsp    2    -     =": unpooled,
     # The trans-vertex apps under a crash plan and a memory limit.
     "CC-SV            road     3x4   sgr+cf+gar cvc    bulk    bsp    1    crash =": recovered,
     "CC-SCLP          road     4x2   sgr+cf+gar cvc    bulk    bsp    2    crash =": recovered,
@@ -218,10 +223,11 @@ NAMED = {
     "CC-SCLP          road     3x4   sgr+cf+gar cvc    bulk    bsp    1    mem   =": None,
     "MSF              road     4x2   sgr+cf+gar cvc    bulk    bsp    2    mem   =": None,
     # jobs=3 on four hosts: two workers, each of which sees the other's
-    # effects only as the bytes the coordinator relays.
+    # effects only as the bytes the coordinator relays. CC-SV's phases
+    # are all trans-vertex: they replay replicated, and nothing forks.
     "PR               road     4x2   sgr+cf+gar cvc    bulk    bsp    3    -     =": relayed,
     "PR               road     4x2   sgr+cf+gar cvc    bulk    bsp    3    crash =": recovered,
-    "CC-SV            road     4x2   sgr+cf+gar cvc    scalar  bsp    3    -     =": relayed,
+    "CC-SV            road     4x2   sgr+cf+gar cvc    scalar  bsp    3    -     =": unpooled,
     "CC-SV            road     4x2   sgr+cf+gar cvc    scalar  bsp    3    crash =": recovered,
     # The compiled programs that compose several loops into one plan.
     "compiled:CC-SCLP er       3x4   sgr-only   iec    bulk    bsp    1    crash =": recovered,

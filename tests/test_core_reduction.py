@@ -224,8 +224,8 @@ class TestPreparedCollect:
         for red in (reduction, reference):
             with red.cluster.phase(PhaseKind.REDUCE_COMPUTE):
                 red.reduce_bulk_prepared(plan, values, SUM)
-        tag, maps, (span, uniq, folded) = reduction.export_state()
-        reduction.install_state((tag, maps, (span, uniq.copy(), folded.copy())))
+        maps, (span, uniq, folded) = reduction.export_state()
+        reduction.install_state((maps, (span, uniq.copy(), folded.copy())))
         got_keys, got = self._collect(reduction, SUM)
         want_keys, want = self._collect(reference, SUM)
         assert got_keys is not want_keys
@@ -533,7 +533,7 @@ class TestOneLevelSelectionFold:
                 else:
                     reduction.reduce_bulk(threads, keys, values, op)
             pending = reduction.pending()
-            exported = reduction.export_state()[2]
+            exported = reduction.export_state()[1]
             with reduction.cluster.phase(PhaseKind.REDUCE_SYNC):
                 if consume.endswith("arrays"):
                     # A batch collects arrays, dict state a plain list.
@@ -889,7 +889,8 @@ class TestNoExactIdentityTakesTheScalarRule:
                 self.THREADS[idx].tolist(), self.KEYS[idx].tolist(), values[idx].tolist()
             ):
                 scalar.reduce(thread, key, value, op)
-        assert bulk.export_state() == scalar.export_state()
+        # The whole pending state (maps, writer tables, batch), read directly.
+        assert _pending_state(bulk) == _pending_state(scalar)
         with bulk.cluster.phase(PhaseKind.REDUCE_SYNC):
             got_keys, got = bulk.collect_arrays(op)
         assert isinstance(got, list)  # it went to the dicts, per item
@@ -898,6 +899,14 @@ class TestNoExactIdentityTakesTheScalarRule:
         assert got_keys.tolist() == sorted(want)
         assert got == [want[key] for key in sorted(want)]
         assert bulk.cluster.log.total_counters() == scalar.cluster.log.total_counters()
+
+
+def _pending_state(reduction) -> dict:
+    return {
+        name: value
+        for name, value in vars(reduction).items()
+        if name not in ("cluster", "host_id")
+    }
 
 
 # ------------------------------------------------ the one collect contract

@@ -27,7 +27,6 @@ from repro.eval.harness import APP_POLICY, APP_WEIGHTED, KIMBAP_APPS
 from repro.exec import (
     PLAN_SCHEMA,
     CmpFilter,
-    DegreeReduce,
     DstCmpFilter,
     EdgePush,
     Executor,
@@ -35,7 +34,6 @@ from repro.exec import (
     KeyRequest,
     NeighborReduceToKey,
     NodeGather,
-    NodeUpdate,
     NonQuiescenceError,
     Operator,
     OperatorStep,
@@ -327,17 +325,6 @@ class TestTransVertexForms:
                 source=keys, target=out, op=MIN, cmp="spaceship",
                 flag=BoolReducer(cluster, "f"),
             )
-
-    def test_every_form_declares_the_carriers_it_mutates(self, maps):
-        cluster, _, keys, of, out = maps
-        flag = BoolReducer(cluster, "f")
-        assert KeyRequest(keys=keys, of=of).effects() == [of]  # request bits
-        assert NodeGather(keys=keys, of=of, target=out, op=MIN).effects() == [out]
-        hook = NeighborReduceToKey(source=keys, target=out, op=MIN, cmp="gt", flag=flag)
-        assert hook.effects() == [out, flag]
-        assert EdgePush(target=out, op=MIN, source=keys).effects() == [out]
-        assert NodeUpdate(out, MIN, value=lambda nodes: nodes).effects() == [out]
-        assert DegreeReduce(out).effects() == [out]
 
     def test_cc_sv_and_cc_sclp_plans_summarize_without_opaque_records(self, capsys):
         assert PLAN_SCHEMA == "repro-exec-plan/v1.3"

@@ -3,11 +3,13 @@ closed-form thread dealing.
 
 The end-to-end byte-identity of ``jobs=N`` against ``jobs=1`` is a column
 of the conformance table (``tests/test_conformance.py``); these tests pin
-the pieces the pool relies on: shard geometry, the per-phase shardability
-decisions derived from plan metadata, operator resolution by name, one
-fork per sharded run and the coordinator's relay of worker bundles - plus
-its fail-fast contract: a dead, silent or diverged worker fails the run
-with a typed, picklable error naming the worker, shard and phase.
+the pieces the pool relies on: shard geometry, the shardability rule (an
+adjacent-vertex form into a thread-local map shards, every other phase
+runs replicated), which apps fork at all, the install of a peer's state
+with the kernel's operator, one fork per sharded run and the
+coordinator's relay of worker bundles - plus its fail-fast contract: a
+dead, silent or diverged worker fails the run with a typed, picklable
+error naming the worker, shard and phase.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import textwrap
 import time
 from multiprocessing.connection import Connection
 
+import numpy as np
 import pytest
 
 from repro.algorithms.cc_sv import cc_sv_hook_plan
@@ -32,22 +35,28 @@ from repro.cluster import Cluster
 from repro.cluster.metrics import MetricsLog, PhaseKind
 from repro.core import BoolReducer
 from repro.core.propmap import NodePropMap
-from repro.core.reducers import MIN, ReduceOp
+from repro.core.reducers import MIN, SUM, ReduceOp
 from repro.core.variants import RuntimeVariant
-from repro.eval.harness import APP_WEIGHTED, run_kimbap
+from repro.eval.harness import APP_WEIGHTED, KIMBAP_APPS, run_kimbap
 from repro.exec import (
+    DegreeReduce,
     EdgePush,
     Executor,
+    KeyRequest,
+    NeighborReduceToKey,
+    NodeGather,
+    NodeUpdate,
     Operator,
     OperatorStep,
     Plan,
     ScalarKernel,
+    SyncStep,
 )
+from repro.exec.plan import walk_plans
 from repro.exec.pool import (
     ExchangeTimeout,
     HostShardPool,
     WorkerDied,
-    _map_table,
     create_pool,
     fork_available,
     shard_hosts,
@@ -102,22 +111,70 @@ def _first_operator(plan):
     )
 
 
+def _one_phase_plan(pgraph, kernel, *maps):
+    return Plan(
+        name="p",
+        pgraph=pgraph,
+        steps=[OperatorStep(Operator("op", "all", kernel))],
+        maps=maps,
+    )
+
+
+# Each kernel form over one target map: (the kernel, the operator a
+# sharded phase installs with - None for the forms that never shard).
+FORMS = {
+    "edge-push": lambda m, other, flag: (EdgePush(target=m, op=MIN), MIN),
+    "node-update": lambda m, other, flag: (
+        NodeUpdate(m, SUM, value=lambda nodes: nodes), SUM
+    ),
+    "degree-reduce": lambda m, other, flag: (DegreeReduce(m), SUM),
+    "key-request": lambda m, other, flag: (KeyRequest(keys=other, of=m), None),
+    "node-gather": lambda m, other, flag: (
+        NodeGather(keys=other, of=m, target=m, op=MIN), None
+    ),
+    "neighbor-reduce-to-key": lambda m, other, flag: (
+        NeighborReduceToKey(source=other, target=m, op=MIN, cmp="gt", flag=flag),
+        None,
+    ),
+    "scalar": lambda m, other, flag: (
+        ScalarKernel(lambda ctx: None, write_names=((m.name, MIN.name),)), None
+    ),
+}
+THREAD_LOCAL = (RuntimeVariant.KIMBAP, RuntimeVariant.SGR_CF)
+
+
 class TestShardability:
-    def test_neighbor_reduce_to_key_is_shardable_with_its_flag(self, setup):
+    @pytest.mark.parametrize("variant", list(RuntimeVariant), ids=lambda v: v.value)
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_only_adjacent_vertex_forms_on_thread_local_maps_shard(
+        self, setup, form, variant
+    ):
+        """The rule: a phase shards iff its kernel is an ``EdgePush``,
+        ``NodeUpdate`` or ``DegreeReduce`` and its target reduces through
+        thread-local maps. Its table entry is that target and the
+        kernel's own operator; every other phase runs replicated."""
+        cluster, pgraph = setup
+        target = NodePropMap(cluster, pgraph, "m", variant=variant)
+        other = NodePropMap(cluster, pgraph, "keys")
+        kernel, op = FORMS[form](target, other, BoolReducer(cluster, "f"))
+        assert kernel.form == form
+        plan = _one_phase_plan(pgraph, kernel, target, other)
+        pool = _pool(cluster, plan)
+        sharded = op is not None and variant in THREAD_LOCAL
+        assert pool.shardable(_first_operator(plan)) == sharded
+        assert pool.has_shardable_phase() == sharded
+        if sharded:
+            assert pool.table[id(_first_operator(plan))] == (target, op)
+
+    def test_neighbor_reduce_to_key_runs_replicated(self, setup):
         cluster, pgraph = setup
         parent = NodePropMap(cluster, pgraph, "parent")
-        work = BoolReducer(cluster, "work")
-        plan = cc_sv_hook_plan(pgraph, parent, work)
+        plan = cc_sv_hook_plan(pgraph, parent, BoolReducer(cluster, "work"))
         pool = _pool(cluster, plan)
-        assert pool.has_shardable_phase()
-        assert pool.shardable(_first_operator(plan))
-        # The vote is a compute-phase effect too: the flag is a carrier of
-        # the hook phase and resolvable by name on every process.
-        carriers = pool.table[id(_first_operator(plan))]
-        assert carriers == [parent, work]
-        assert _map_table(plan) == {"parent": parent, "work": work}
+        assert not pool.shardable(_first_operator(plan))
+        assert not pool.has_shardable_phase()
 
-    def test_shortcut_forms_carry_the_map_they_mutate(self, setup):
+    def test_shortcut_forms_run_replicated(self, setup):
         cluster, pgraph = setup
         parent = NodePropMap(cluster, pgraph, "parent")
         plan = shortcut_plan(pgraph, parent)
@@ -125,43 +182,27 @@ class TestShardability:
         request, gather = (
             step.operator for step in plan.steps if isinstance(step, OperatorStep)
         )
-        assert pool.table[id(request)] == [parent]  # request bits
-        assert pool.table[id(gather)] == [parent]  # reductions
+        assert (pool.table[id(request)], pool.table[id(gather)]) == (None, None)
 
-    def test_a_form_the_pool_never_heard_of_registers_like_the_built_in_ones(
-        self, setup
-    ):
-        # The pool knows a declarative form only by its dataclass fields
-        # (the name table) and its effects() (the phase's carriers), so a
-        # new form - carriers under new field names - needs no pool edit.
+    def test_a_form_the_pool_never_heard_of_runs_replicated(self, setup):
+        # A new declarative form reducing into a thread-local map is not
+        # an adjacent-vertex form: it replays on every process until the
+        # pool is taught what it mutates.
         @dataclasses.dataclass
         class Tally:
-            tallied: NodePropMap
-            votes: BoolReducer
-            watched: NodePropMap
-
-            def effects(self):
-                return [self.tallied, self.votes]
+            target: NodePropMap
+            op: ReduceOp = MIN
 
         cluster, pgraph = setup
-        tallied, watched = (NodePropMap(cluster, pgraph, name) for name in "tw")
-        votes = BoolReducer(cluster, "v")
-        plan = Plan(
-            name="tally",
-            pgraph=pgraph,
-            steps=[
-                OperatorStep(Operator("tally", "all", Tally(tallied, votes, watched)))
-            ],
-        )
-        pool = _pool(cluster, plan)
-        assert pool.table[id(_first_operator(plan))] == [tallied, votes]
-        assert _map_table(plan) == {"t": tallied, "v": votes, "w": watched}
+        tallied = NodePropMap(cluster, pgraph, "t")
+        plan = _one_phase_plan(pgraph, Tally(tallied), tallied)
+        assert not _pool(cluster, plan).has_shardable_phase()
 
     @pytest.mark.skipif(
         not fork_available(), reason="host-shard parallelism needs POSIX fork"
     )
     @pytest.mark.parametrize("bulk", (False, True), ids=("scalar", "bulk"))
-    def test_hook_votes_cross_the_shard_exchange(self, setup, bulk):
+    def test_hook_votes_agree_without_a_pool(self, setup, bulk):
         _, pgraph = setup
         flags = []
         for jobs in (1, 2):
@@ -173,14 +214,12 @@ class TestShardability:
             work.set_all(False)
             try:
                 executor.run(cc_sv_hook_plan(pgraph, parent, work))
-                stats = executor.parallel_stats()
+                # The hook is trans-vertex: jobs=2 builds no pool at all.
+                assert executor.parallel_stats() is None
             finally:
                 executor.close()
-            assert (stats is not None and stats["forks"] >= 1) == (jobs == 2)
             flags.append((list(work._flags), parent.snapshot()))
         assert flags[0] == flags[1]
-        # Hosts 2 and 3 are the worker's shard: their votes reached the
-        # coordinator only through the exchanged flag carrier.
         assert any(flags[1][0][2:])
 
     def test_edge_push_is_shardable(self, setup):
@@ -201,9 +240,7 @@ class TestShardability:
         cluster, pgraph = setup
         target = NodePropMap(cluster, pgraph, "m")
         kernel = ScalarKernel(
-            lambda ctx: None,
-            write_names=((target.name, MIN.name),),
-            host_local=False,
+            lambda ctx: None, write_names=((target.name, MIN.name),)
         )
         plan = Plan(
             name="p",
@@ -218,8 +255,8 @@ class TestShardability:
     def test_unresolvable_reducer_runs_replicated(self, setup):
         cluster, pgraph = setup
         target = NodePropMap(cluster, pgraph, "m")
-        # A write through a reducer the plan does not carry (no ops=
-        # declaration): the phase must degrade to replication, not error.
+        # A scalar body writing through a reducer no plan object carries:
+        # like every scalar body, it replays on every process.
         kernel = ScalarKernel(
             lambda ctx: None, write_names=((target.name, "bespoke"),)
         )
@@ -231,24 +268,15 @@ class TestShardability:
         )
         assert not _pool(cluster, plan).shardable(_first_operator(plan))
 
-    def test_declared_ops_make_custom_reducer_shardable(self, setup):
+    def test_custom_reducer_shards_with_the_kernels_op(self, setup):
+        # No registry and no declaration: the installing process holds
+        # the same kernel, so it reduces with the same live operator.
         cluster, pgraph = setup
         target = NodePropMap(cluster, pgraph, "m")
         bespoke = ReduceOp("bespoke", lambda a, b: a + b)
-        kernel = ScalarKernel(
-            lambda ctx: None,
-            write_names=((target.name, "bespoke"),),
-            ops=(bespoke,),
-        )
-        plan = Plan(
-            name="p",
-            pgraph=pgraph,
-            steps=[OperatorStep(Operator("op", "masters", kernel))],
-            maps=(target,),
-        )
-        pool = _pool(cluster, plan)
-        assert pool.shardable(_first_operator(plan))
-        assert pool.resolve_op(target.name, "bespoke") is bespoke
+        plan = _one_phase_plan(pgraph, EdgePush(target=target, op=bespoke), target)
+        sharded = _pool(cluster, plan).table[id(_first_operator(plan))]
+        assert sharded == (target, bespoke)
 
     def test_kvstore_variant_runs_replicated(self, setup):
         cluster, pgraph = setup
@@ -264,21 +292,55 @@ class TestShardability:
         )
         assert not _pool(cluster, plan).shardable(_first_operator(plan))
 
-    def test_resolve_op_error_names_the_fix(self, setup):
-        cluster, pgraph = setup
-        target = NodePropMap(cluster, pgraph, "m")
+
+@pytest.mark.skipif(
+    not fork_available(), reason="host-shard parallelism needs POSIX fork"
+)
+def test_a_shard_that_reduced_nothing_reduce_syncs_with_the_kernels_op():
+    """Under ``oec`` an edge lives on its source's owner, so filtering to
+    sources owned by hosts 2 and 3 leaves the coordinator's shard (hosts 0
+    and 1) without a single reduce: its replica binds the target's
+    operator only when it installs the worker's state, with the kernel's
+    op - without it the reduce-sync would apply nothing."""
+    graph = generators.erdos_renyi(24, 2.0, seed=5)
+    pgraph = partition(graph, 4, "oec")
+    owner = np.array([pgraph.owner_of(node) for node in range(graph.num_nodes)])
+    outcomes = []
+    for jobs in (1, 2):
+        cluster = Cluster(4, threads_per_host=2)
+        executor = Executor(cluster, bulk=True, jobs=jobs)
+        target = NodePropMap(cluster, pgraph, "far")
+        executor.init_map(target, lambda nodes: np.full(nodes.size, np.inf))
+        push = EdgePush(
+            target=target,
+            op=MIN,
+            const_value=1.0,
+            edge_filter=lambda src, dst: owner[src] >= 2,
+        )
         plan = Plan(
-            name="p",
+            name="far",
             pgraph=pgraph,
             steps=[
-                OperatorStep(
-                    Operator("push", "all", EdgePush(target=target, op=MIN))
-                )
+                OperatorStep(Operator("push", "all", push)),
+                SyncStep(target, "reduce"),
             ],
+            max_rounds=1,
+            raise_on_max_rounds=False,
         )
-        pool = _pool(cluster, plan)
-        with pytest.raises(RuntimeError, match=r"ScalarKernel\(ops=\.\.\.\)"):
-            pool.resolve_op("m", "no-such-op")
+        try:
+            executor.run(plan)
+            stats = executor.parallel_stats()
+        finally:
+            executor.close()
+        (phase,) = [record for record in cluster.log.phases if record.operator == "push"]
+        outcomes.append(
+            (target.snapshot(), [counters.reduce_calls for counters in phase.counters])
+        )
+    assert stats["forks"] == 1
+    assert outcomes[0] == outcomes[1]
+    values, calls = outcomes[1]
+    assert calls[:2] == [0, 0] and sum(calls) > 0
+    assert 1.0 in values.values()
 
 
 # ------------------------------------------- closed-form thread dealing
@@ -332,14 +394,18 @@ def _shardable_plan(cluster, pgraph, name="life"):
 class TestNoExchangeInsideACollective:
     """One ``flush`` per sharded compute phase and no effect
     traffic outside it: every process replays the sync collectives whole,
-    fault-free and under a fault plan alike."""
+    fault-free and under a fault plan alike. CC-SCLP mixes both kinds of
+    compute phase: its edge pushes shard, its shortcut's request and
+    gather replay replicated."""
+
+    ADJACENT_VERTEX = ("edge-push", "node-update", "degree-reduce")
 
     COMPUTE = (PhaseKind.REQUEST_COMPUTE, PhaseKind.REDUCE_COMPUTE)
     SYNC = (PhaseKind.REQUEST_SYNC, PhaseKind.REDUCE_SYNC, PhaseKind.BROADCAST_SYNC)
 
     @pytest.mark.parametrize("faulted", (False, True), ids=("fault-free", "fault-plan"))
     @pytest.mark.parametrize(
-        "app,bulk", (("PR", True), ("SSSP", True), ("CC-SV", False))
+        "app,bulk", (("PR", True), ("SSSP", True), ("CC-SCLP", False))
     )
     def test_arena_traffic_only_inside_a_compute_flush(
         self, monkeypatch, app, bulk, faulted
@@ -366,12 +432,12 @@ class TestNoExchangeInsideACollective:
 
         real_flush = HostShardPool.flush
 
-        def flush(pool, carriers, log):
+        def flush(pool, sharded, log):
             state["pool"] = pool
             flushed.append((log, log.num_phases - 1))
             state["exchanging"] = True
             try:
-                return real_flush(pool, carriers, log)
+                return real_flush(pool, sharded, log)
             finally:
                 state["exchanging"] = False
 
@@ -404,24 +470,43 @@ class TestNoExchangeInsideACollective:
         assert flushed and traffic, "the run never sharded a phase"
         assert all(exchanging for exchanging, _ in traffic)
         assert not [kind for _, kind in traffic if kind in self.SYNC]
-        # Every compute phase of these apps is a declarative form, hence
-        # shardable: the flushed phases are the log's compute phases.
-        log = state["pool"].executor.cluster.log
-        sharded = [
-            index for index, record in enumerate(log.phases) if record.kind in self.COMPUTE
+        # The flushed phases are exactly the log's adjacent-vertex compute
+        # phases (every map of these apps is thread-local).
+        pool = state["pool"]
+        adjacent = {
+            step.operator.label
+            for loop in walk_plans(pool.plan)
+            for step in loop.steps
+            if isinstance(step, OperatorStep)
+            and step.operator.kernel.form in self.ADJACENT_VERTEX
+        }
+        log = pool.executor.cluster.log
+        compute = [
+            (index, record.operator in adjacent)
+            for index, record in enumerate(log.phases)
+            if record.kind in self.COMPUTE
         ]
         assert all(flushed_log is log for flushed_log, _ in flushed)
-        assert [index for _, index in flushed] == sharded
+        assert [index for _, index in flushed] == [i for i, adj in compute if adj]
+        assert all(adj for _, adj in compute) == (app != "CC-SCLP")
+
+
+# The jobs=2 census: apps none of whose phases is an adjacent-vertex form
+# (CC-SV's hook and shortcut are trans-vertex, the rest scalar bodies)
+# build no pool; every other app forks.
+UNPOOLED_APPS = ("CC-SV", "K-CORE", "LV", "MSF", "VERTEX-COVER")
 
 
 @needs_fork
 @pytest.mark.parametrize("bulk", (False, True), ids=("scalar", "bulk"))
-@pytest.mark.parametrize("app", ("CC-SV", "MSF", "LV"))
+@pytest.mark.parametrize("app", sorted(KIMBAP_APPS))
 def test_repeated_runs_fork_once_each_and_leave_no_segments(monkeypatch, app, bulk):
     """Every sharded run is one fork from the coordinator's current state,
-    and its ``end_run`` leaves no worker process behind. CC-SV and MSF are
-    one plan each - their nested loops ride a single fork - while LV runs
-    one plan per level through one executor."""
+    and its ``end_run`` leaves no worker process behind. Every forking app
+    but LD is one plan - PR's and MIS's nested loops ride its single fork
+    - while LD runs plans per level through one executor. The
+    ``UNPOOLED_APPS`` shard no phase: they run to the same bytes without
+    a pool."""
     left_behind = []  # one entry per sharded run: only those reach end_run
     end_run = HostShardPool.end_run
 
@@ -434,11 +519,14 @@ def test_repeated_runs_fork_once_each_and_leave_no_segments(monkeypatch, app, bu
     serial = run_kimbap(app, "forks", 4, graph=graph, threads=4, bulk=bulk)
     parallel = run_kimbap(app, "forks", 4, graph=graph, threads=4, bulk=bulk, jobs=2)
     assert canonical(parallel) == canonical(serial)
+    assert serial.parallel is None
     stats = parallel.parallel
+    if app in UNPOOLED_APPS:
+        assert stats is None and not left_behind
+        return
     assert stats["forks"] == len(left_behind) and not any(left_behind)
-    assert (stats["forks"] > 1) == (app == "LV")
+    assert (stats["forks"] > 1) == (app == "LD")
     assert stats["bytes_exchanged"] > 0
-    assert serial.parallel is None or serial.parallel["forks"] == 0
 
 
 @needs_fork
@@ -584,7 +672,7 @@ class TestWorkerDeathSurfacing:
         cluster, pgraph = setup
         target = NodePropMap(cluster, pgraph, "boom")
 
-        def body(ctx):
+        def edge_filter(src, dst):
             raise ValueError("deterministic kernel failure")
 
         plan = Plan(
@@ -594,9 +682,10 @@ class TestWorkerDeathSurfacing:
                 OperatorStep(
                     Operator(
                         "boom",
-                        "masters",
-                        ScalarKernel(
-                            body, write_names=((target.name, MIN.name),)
+                        "all",
+                        EdgePush(
+                            target=target, op=MIN, const_value=1,
+                            edge_filter=edge_filter,
                         ),
                     )
                 )
@@ -608,6 +697,7 @@ class TestWorkerDeathSurfacing:
         try:
             with pytest.raises(ValueError, match="deterministic kernel failure"):
                 executor.run(plan)
+            assert executor.parallel_stats()["forks"] == 1
         finally:
             executor.close()
         assert not _live_workers()

@@ -234,7 +234,7 @@ class TestBoolReducer:
             outcomes.append(
                 (
                     reducer.read(),
-                    reducer.export_compute_effects(1),
+                    reducer._flags[1],
                     [counters.as_dict() for counters in cluster.log.phases[compute].counters],
                 )
             )
