@@ -201,9 +201,9 @@ class Cluster:
 
     def threads_of(self, total: int) -> np.ndarray:
         """Vectorized :func:`static_thread`: the thread id of every item
-        (read-only)."""
+        (read-only), in the narrowest unsigned type: a byte an item."""
         threads = np.repeat(
-            np.arange(self.threads_per_host, dtype=np.int64),
+            np.arange(self.threads_per_host, dtype=np.min_scalar_type(self.threads_per_host - 1)),
             np.diff(self.thread_boundaries(total)),
         )
         threads.flags.writeable = False

@@ -403,34 +403,41 @@ class GarHostStore:
             return np.empty(0)
         counters = self.cluster.counters(self.host_id)
         locals_ = self._translate_arr()[keys]
-        # dense: keys the column serves; the rest go to the remote cache.
-        dense = np.zeros(count, dtype=bool)
-        own = np.flatnonzero(self.owner[keys] == self.host_id)
-        counters.vector_reads += int(own.size)
-        counters.reads_master += int(own.size)
-        counters.reads_remote += count - int(own.size)
-        initialized = self._slots_set(locals_[own])
-        dense[own] = initialized
-        if not initialized.all():
-            key = int(keys[own][~initialized][0])
+        # Blocked ownership (the partition contract): the own masters are one id range.
+        base = self._master_base
+        own = (keys >= base) & (keys < base + self.part.num_masters)
+        owned = int(np.count_nonzero(own))
+        counters.vector_reads += owned
+        counters.reads_master += owned
+        counters.reads_remote += count - owned
+        # Set slots: an absent key's -1 reads a slot it never uses (a host with none has none).
+        is_set = self._slots_set(locals_) if self.part.num_local else own
+        if (own > is_set).any():
+            key = int(keys[(own > is_set).argmax()])
             raise KeyError(f"master {key} read before initialization")
+        # dense: keys the column serves; the rest go to the remote cache.
+        dense = own
         if self.pinned:
-            # Own keys translate below num_masters, absent ones to -1.
-            mirror = np.flatnonzero(locals_ >= self.part.num_masters)
-            counters.hash_probes += int(mirror.size)
-            counters.vector_reads += int(mirror.size)
+            # Own keys translate below num_masters, mirrors above, absent ones to -1.
+            present = locals_ >= 0
+            mirrors = int(np.count_nonzero(present)) - owned
+            counters.hash_probes += mirrors
+            counters.vector_reads += mirrors
             # A pinned mirror not yet broadcast falls through to the cache.
-            dense[mirror] = self._slots_set(locals_[mirror])
+            dense = present & is_set
         cached_at = np.flatnonzero(~dense)
-        if cached_at.size == 0:
-            return np.asarray(self._gather(locals_))
+        if cached_at.size == 0:  # the column serves every key
+            return np.asarray(self._gather(locals_)) if self._col is None else self._col[locals_]
         cached = np.asarray(self._read_cached(keys[cached_at]))
         if cached_at.size == count:
             return cached
-        dense_at = np.flatnonzero(dense)
-        values = np.asarray(self._gather(locals_[dense_at]))
-        out = np.empty(count, dtype=np.result_type(values, cached))
-        out[dense_at] = values
+        if self._col is not None and self._col.dtype == cached.dtype:
+            out = self._col[locals_]  # one gather; the cached keys' slots are overwritten
+        else:
+            dense_at = np.flatnonzero(dense)
+            values = np.asarray(self._gather(locals_[dense_at]))
+            out = np.empty(count, dtype=np.result_type(values, cached))
+            out[dense_at] = values
         out[cached_at] = cached
         return out
 

@@ -82,6 +82,7 @@ class _StaticBatch(NamedTuple):
 
     threads: np.ndarray
     keys: np.ndarray
+    size: int
 
 
 def _take(values: np.ndarray | list[Any], idx: np.ndarray | slice) -> np.ndarray | list[Any]:
@@ -386,7 +387,7 @@ class NodePropMap:
         reduction = self.reductions[host]
         if isinstance(reduction, ThreadLocalReduction):
             return reduction.prepare_bulk(threads, keys)
-        return _StaticBatch(threads, keys)
+        return _StaticBatch(threads, keys, int(keys.size))
 
     def reduce_bulk_prepared(
         self,
@@ -400,7 +401,7 @@ class NodePropMap:
         or its subset at ascending positions ``idx`` (``values`` aligned
         with ``idx``): byte-identical charges, conflicts, and folded state."""
         values = np.asarray(values)
-        count = int((prepared.keys if idx is None else idx).size)
+        count = prepared.size if idx is None else int(idx.size)
         self._check_reduce(count, None, op, values)
         reduction = self.reductions[host]  # each strategy ignores an empty batch
         if count:

@@ -60,24 +60,19 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 _NO_KEYS = _frozen(np.empty(0, dtype=np.int64))
 
 
-def _foldable(
-    values: np.ndarray, op: ReduceOp, keys: np.ndarray, idx: np.ndarray | None = None
-) -> bool:
+def _foldable(values: np.ndarray, op: ReduceOp, keys: Callable[[], np.ndarray]) -> bool:
     """Whether a batch takes :func:`_fold`: anything else - object values,
     an operator or dtype with no exact identity, a float min/max batch the
     ufunc may fold unlike the scalar rule (:func:`_unlike_scalar_rule`;
-    ``keys`` are the batch's, or a prepared batch's at positions ``idx``) -
-    applies ``op`` per item."""
+    ``keys()`` gives the batch's keys) - applies ``op`` per item."""
     return (
         values.dtype != object
         and (op.name == "overwrite" or op.identity(values.dtype) is not None)
-        and not _unlike_scalar_rule(values, op, keys, idx)
+        and not _unlike_scalar_rule(values, op, keys)
     )
 
 
-def _unlike_scalar_rule(
-    values: np.ndarray, op: ReduceOp, keys: np.ndarray, idx: np.ndarray | None
-) -> bool:
+def _unlike_scalar_rule(values: np.ndarray, op: ReduceOp, keys: Callable[[], np.ndarray]) -> bool:
     """Whether folding a float batch with ``np.minimum``/``np.maximum``
     may part from the left fold of builtin ``min``/``max``.
 
@@ -102,7 +97,7 @@ def _unlike_scalar_rule(
     negative = np.signbit(values[zeros])
     if negative.all() or not negative.any():
         return False
-    zero_keys = (keys if idx is None else keys[idx])[zeros]
+    zero_keys = keys()[zeros]
     return np.intersect1d(zero_keys[negative], zero_keys[~negative]).size > 0
 
 
@@ -148,11 +143,12 @@ def _count_present(ids: np.ndarray, num_ids: int) -> int:
 
 def _rank(ids: np.ndarray, num_ids: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(ids, return_inverse=True)`` the same way: an ``arange``
-    scattered over the present ids ranks every position."""
+    scattered over the present ids ranks every position. The table (a fold
+    build's largest scratch) is ``int32`` where it fits; ranks come out ``int64``."""
     present = _present(ids, num_ids)
-    rank = np.empty(num_ids, dtype=np.int64)
-    rank[present] = np.arange(present.size, dtype=np.int64)
-    return present, rank[ids]
+    rank = np.empty(num_ids, dtype=np.int32 if num_ids <= 2**31 else np.int64)
+    rank[present] = np.arange(present.size, dtype=rank.dtype)
+    return present, rank[ids].astype(np.int64)
 
 
 def _rank_keys(keys: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
@@ -182,7 +178,8 @@ def _slots(
     span, ukeys, key_rank = _rank_keys(keys)
     # An empty batch has no distinct keys either: its width stays 1 too.
     width = max(int(ukeys.size), 1)
-    present, slot = _rank(np.int64(width) * threads + key_rank, num_threads * width)
+    composites = np.multiply(threads, width, dtype=np.int64) + key_rank
+    present, slot = _rank(composites, num_threads * width)
     thread, kslot = np.divmod(present, width)
     return span, thread * span + ukeys[kslot], slot, ukeys, kslot
 
@@ -264,7 +261,8 @@ def _key_batch(
     only when a spill, an export or the dict merge asks for it."""
     span, ukeys, key_rank = _rank_keys(keys)
     width = int(ukeys.size)
-    slots = _count_present(np.int64(width) * threads + key_rank, num_threads * width)
+    composites = np.multiply(threads, width, dtype=np.int64) + key_rank
+    slots = _count_present(composites, num_threads * width)
     merged = _fold(key_rank, width, values, op)
 
     def state() -> tuple[int, np.ndarray, np.ndarray]:
@@ -300,6 +298,10 @@ class PreparedFold:
     (``kslot[slot]``, :attr:`kpos`), built on its first fold and frozen,
     so a round gathers it once instead of chaining two gathers.
 
+    ``slot`` is the one array per batch position it keeps (``size`` long):
+    :meth:`batch` derives the batch back for the generic fallback, taken
+    when the fast path's preconditions (clean maps, a foldable batch) fail.
+
     A float sum folds by slot and then the slots by key (:meth:`fold_slots`,
     :meth:`collect`); an operator that groups freely in one level
     (:meth:`fold`).
@@ -307,23 +309,21 @@ class PreparedFold:
     and ``span`` is the full batch's ``max(keys) + 1`` (any span above
     every key orders composites and splits them by ``% span`` the same
     way), so the per-slot state is interchangeable with what
-    :meth:`ThreadLocalReduction.reduce_bulk` stores. ``threads``/``keys``
-    are kept for the fallback to that generic path when the fast path's
-    preconditions (clean thread maps, a foldable batch) fail at run time.
+    :meth:`ThreadLocalReduction.reduce_bulk` stores.
     """
 
-    __slots__ = (
-        "threads", "keys", "span", "slot", "uniq", "kslot", "ukeys", "_kpos",
-        "_klast",
-    )
+    __slots__ = ("size", "span", "slot", "uniq", "kslot", "ukeys", "_kpos", "_klast")
 
     def __init__(self, threads: np.ndarray, keys: np.ndarray) -> None:
-        self.threads = threads
-        self.keys = keys
+        self.size = int(keys.size)
         num_threads = int(threads.max()) + 1 if threads.size else 0
         self.span, *tables = _slots(threads, keys, num_threads)
         self.uniq, self.slot, self.ukeys, self.kslot = map(_frozen, tables)
         self._kpos = self._klast = None
+
+    def batch(self, idx: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(threads, keys)`` of the batch, or of its subset at ``idx``."""
+        return np.divmod(self.uniq[self.slot if idx is None else self.slot[idx]], self.span)
 
     @property
     def kpos(self) -> np.ndarray:
@@ -458,7 +458,7 @@ class ThreadLocalReduction:
         values = np.asarray(values)
         if self._batch is not None:
             self._spill_batch()
-        if not self._dict_state and _foldable(values, op, keys):
+        if not self._dict_state and _foldable(values, op, lambda: keys):
             # All threads clean: fold the whole batch at once - straight to
             # keys when the operator groups freely, else by (thread, key)
             # slot. Bit-identical to per-thread folds: slots order as
@@ -500,19 +500,16 @@ class ThreadLocalReduction:
         state, minus the per-round sorts. Falls back to the generic path
         whenever its preconditions do not hold. ``values`` is handed over
         (:meth:`PreparedFold.fold` may hold it until reduce-sync)."""
-        count = int((prepared.keys if idx is None else idx).size)
+        count = prepared.size if idx is None else int(idx.size)
         if count == 0:
             return
         values = np.asarray(values)
         if (
             self._batch is not None
             or self._dict_state
-            or not _foldable(values, op, prepared.keys, idx)
+            or not _foldable(values, op, lambda: prepared.batch(idx)[1])
         ):
-            threads, keys = prepared.threads, prepared.keys
-            if idx is not None:
-                threads, keys = threads[idx], keys[idx]
-            self.reduce_bulk(threads, keys, values, op)
+            self.reduce_bulk(*prepared.batch(idx), values, op)
             return
         counters = self.cluster.counters(self.host_id)
         counters.reduce_calls += count
@@ -669,7 +666,7 @@ class SharedMapReduction:
         if count == 0:
             return
         values = np.asarray(values)
-        if self.map or self._bulk_keys is not None or not _foldable(values, op, keys):
+        if self.map or self._bulk_keys is not None or not _foldable(values, op, lambda: keys):
             if self._bulk_keys is not None:
                 self._spill_bulk()
             for thread, key, value in zip(

@@ -140,90 +140,79 @@ class PreparedFrontierPush(_SpecializedKernel):
     """The compiled EdgePush: the static decomposition frozen at build,
     the per-round selection applied as numpy masks.
 
-    The partition-derived pipeline - degree selection, CSR expansion
-    (``source_pos``/destinations/threads/weights), charge constants - is
-    computed once per host. What cannot be frozen is the *selection*: the
-    active set changes every round, and value/edge filters depend on live
-    values. Each round the kernel gathers the frontier once (the
-    nonzero positions of a gather from the map's dense activity mask -
-    skipped, after the static per-source charge, on a host the map
-    reports idle), shrinks it with the value-filter mask, and takes the
-    survivors' edges out of the frozen expansion. The index array
-    has two sources and no density test: every candidate survived - the
-    frozen full arrays; otherwise the *run expansion* - an ``arange``
-    over the frontier's edges plus one ``np.repeat`` of each run's
-    offset into the frozen expansion, O(frontier edges), with the pushes
-    one ``np.repeat`` of the values. Both are the ascending positions
-    the scalar oracle's source-by-source walk visits, so counters,
-    read/reduce accounting and folded values stay byte-identical to it.
-    A push with no filter at all is the degenerate case: every round is
-    a full frontier. The reduce is one call either way: the target's
-    prepared batch over the frozen expansion, whole (``idx=None``) or at
-    the round's ascending positions.
+    The partition-derived pipeline - degree selection, CSR expansion, the
+    target's prepared fold, charge constants - is computed once per host.
+    What cannot be frozen is the *selection*: the active set changes every
+    round, and value/edge filters depend on live values. Each round the
+    kernel gathers the frontier once (the nonzero positions of a gather
+    from the map's dense activity mask - skipped, after the static
+    per-source charge, on a host the map reports idle), shrinks it with
+    the value-filter mask, and pushes ``np.repeat`` of the values by run
+    length. The edge positions have two forms and no density test: every
+    candidate survived - the whole expansion, no index; otherwise the
+    *run expansion* - an ``arange`` over the frontier's edges plus one
+    ``np.repeat`` of each run's offset into the expansion, O(frontier
+    edges). Both are the ascending positions the scalar oracle's
+    source-by-source walk visits, so counters, read/reduce accounting and
+    folded values stay byte-identical to it. A push with no filter at all
+    is the degenerate case: every round is a full frontier. Per edge the
+    kernel keeps only what a round computes with - the fold's slot
+    column, a weighted push's weights, an edge filter's two ends; unit
+    weights and a constant are broadcast views (DESIGN.md, "Why a
+    compiled kernel keeps one array per edge").
     """
 
     def _build(self, cluster: Cluster, part: Any, host: int):
         k = self.kernel
         total = len(_iteration_set(part, self.space))
         indptr = part.indptr
-        local_ids = np.arange(total, dtype=np.int64)
-        degrees = indptr[local_ids + 1] - indptr[local_ids]
-        sel = np.flatnonzero(degrees > 0) if k.skip_zero_degree else local_ids
+        degrees = np.diff(indptr[: total + 1])
+        sel = np.flatnonzero(degrees > 0) if k.skip_zero_degree else np.arange(total)
         if sel.size == 0:
             return _noop
         charge_src = int(k.charge_per_source * sel.size)
         node_sel = _frozen(part.local_to_global[sel])
-        # The full expansion over every candidate source, frozen; rounds
-        # index into it instead of re-deriving it. The candidates ascend
-        # and a 0-degree one adds no edge, so it is the CSR's first
+        # The full expansion over every candidate source. The candidates
+        # ascend and a 0-degree one adds no edge, so it is the CSR's first
         # ``indptr[total]`` edges in order: expansion position = edge id,
         # and each candidate's run starts at its ``indptr`` entry. (All
         # arrays may be empty when skip_zero_degree=False leaves only
-        # 0-degree nodes.)
+        # 0-degree nodes.) Its threads and destinations live until ranked.
         offsets = _frozen(indptr[sel])
-        counts = indptr[sel + 1] - offsets
+        counts = _frozen(indptr[sel + 1] - offsets)
         edge_total = int(indptr[total])
-        source_pos_full = np.repeat(np.arange(sel.size, dtype=np.int64), counts)
-        threads_full = _frozen(cluster.threads_of(total)[sel][source_pos_full])
-        dst_full = _frozen(part.local_to_global[part.indices[:edge_total]])
-        src_full = (
-            _frozen(node_sel[source_pos_full]) if k.edge_filter is not None else None
+        dst = part.local_to_global[part.indices[:edge_total]]
+        prepared = k.target.prepare_reduce_bulk(
+            host, cluster.threads_of(total)[sel].repeat(counts), dst
         )
-        weights_full = None
-        if k.with_weight == "add":
-            if k.unit_weights or part.weights is None:
-                weights_full = np.ones(edge_total, dtype=np.float64)
-            else:
-                weights_full = np.asarray(part.weights[:edge_total])
-            weights_full = _frozen(weights_full)
-        const_full = None
+        src_full = dst_full = None
+        if k.edge_filter is not None:
+            src_full, dst_full = _frozen(node_sel.repeat(counts)), _frozen(dst)
+        weights_full = const_full = None  # unit weights, a constant: broadcast views
+        if k.with_weight == "add" and (k.unit_weights or part.weights is None):
+            weights_full = np.broadcast_to(1.0, edge_total)
+        elif k.with_weight == "add":
+            weights_full = _frozen(part.weights[:edge_total])
         if k.const_value is not None:
-            const_full = _frozen(np.full(edge_total, k.const_value))
-        counts = _frozen(counts)
+            const_full = np.broadcast_to(k.const_value, edge_total)
         all_pos = _frozen(np.arange(sel.size, dtype=np.int64))
-        all_edges = _frozen(np.arange(edge_total, dtype=np.int64))
-        source_pos_full = _frozen(source_pos_full)
         sel = _frozen(sel)
-        num_candidates = sel.size
+        ramp = None  # 0, 1, 2, ... over the edges, built at the first partial round
         # The frontier map's activity mask, when it keeps one (a GAR map;
         # any other reports every node active: the full candidate list).
         require_active = k.require_active
         if require_active is not None and not require_active.variant.uses_gar:
             require_active = None
         source, target, op = k.source, k.target, k.op
-        value_filter, transform, edge_filter = (
-            k.value_filter,
-            k.transform,
-            k.edge_filter,
-        )
+        value_filter, transform, edge_filter = k.value_filter, k.transform, k.edge_filter
         filter_nodes = getattr(value_filter, "needs_nodes", False)
-        prepared = target.prepare_reduce_bulk(host, threads_full, dst_full)
         charge_per_edge = k.charge_per_edge
 
         # The round body calls ndarray methods (``nonzero``, ``repeat``,
         # ``cumsum``) where the numpy functions would only add a Python
         # wrapper frame each, round after round.
         def run() -> None:
+            nonlocal ramp
             counters = cluster.counters(host)
             if charge_src:
                 counters.local_ops += charge_src
@@ -261,32 +250,28 @@ class PreparedFrontierPush(_SpecializedKernel):
                 counters.local_ops += charge_per_edge * n_edges
             if n_edges == 0:
                 return
-            # The frontier's ascending positions in the frozen expansion:
-            # all of it, or each surviving source's run of edges - an
-            # arange shifted, run by run, from where the run sits among
-            # the frontier's edges to where it sits among all of them.
-            if sel_pos.size == num_candidates:
-                idx = all_edges
-                pushes = values[source_pos_full] if const_full is None else const_full
-            else:
+            # The frontier's ascending positions in the expansion: all of it
+            # (``idx`` None: no candidate left out has an edge), or each run
+            # of edges - an arange shifted, run by run, from where the run
+            # sits among the frontier's edges to where it sits among all.
+            idx = None
+            if n_edges != edge_total:
+                if ramp is None:
+                    ramp = _frozen(np.arange(edge_total, dtype=np.int64))
                 idx = (offsets[sel_pos] - (counts_k.cumsum() - counts_k)).repeat(counts_k)
-                idx += all_edges[:n_edges]
-                if const_full is None:
-                    pushes = values.repeat(counts_k)
-                else:
-                    pushes = const_full[:n_edges]
+                idx += ramp[:n_edges]
+            pushes = values.repeat(counts_k) if const_full is None else const_full[:n_edges]
             if edge_filter is not None:
-                keep_e = np.asarray(edge_filter(src_full[idx], dst_full[idx]))
+                ends = (src_full, dst_full) if idx is None else (src_full[idx], dst_full[idx])
+                keep_e = np.asarray(edge_filter(*ends))
                 if not np.all(keep_e):
                     pushes = pushes[keep_e]
-                    idx = idx[keep_e]
+                    idx = keep_e.nonzero()[0] if idx is None else idx[keep_e]
                     if idx.size == 0:
                         return
             if weights_full is not None:
-                pushes = pushes + weights_full[idx]
-            target.reduce_bulk_prepared(
-                host, prepared, pushes, op, None if idx.size == edge_total else idx
-            )
+                pushes = pushes + (weights_full if idx is None else weights_full[idx])
+            target.reduce_bulk_prepared(host, prepared, pushes, op, idx)
 
         return run
 
@@ -321,9 +306,7 @@ class SpecializedDegreeReduce(_SpecializedKernel):
     def _build(self, cluster: Cluster, part: Any, host: int):
         k = self.kernel
         total = len(_iteration_set(part, self.space))
-        local_ids = np.arange(total, dtype=np.int64)
-        indptr = part.indptr
-        degs = indptr[local_ids + 1] - indptr[local_ids]
+        degs = np.diff(part.indptr[: total + 1])
         sel = np.flatnonzero(degs > 0)
         if sel.size == 0:
             return _noop

@@ -114,7 +114,10 @@ class Graph:
         for ends in (srcs, dsts):
             if ends.size and (ends.min() < 0 or ends.max() >= num_nodes):
                 raise ValueError("edge endpoint out of range")
-        keys = np.concatenate([srcs * num_nodes + dsts, dsts * num_nodes + srcs])
+        keys = np.empty(2 * srcs.size, dtype=np.int64)  # both halves written in place
+        for half, ends, others in zip(np.split(keys, 2), (srcs, dsts), (dsts, srcs)):
+            np.multiply(ends, num_nodes, out=half)
+            half += others
         keys.sort()
         if keys.size:
             keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]

@@ -34,9 +34,12 @@ def _attach_weights(graph: Graph, seed: int) -> Graph:
 
 
 def _simple_undirected(num_nodes: int, srcs: np.ndarray, dsts: np.ndarray) -> Graph:
-    """The symmetric graph of the drawn pairs, self-loops and duplicates dropped."""
+    """The symmetric graph of the pairs, compacted in place: no self-loops or duplicates."""
     distinct_ends = srcs != dsts
-    return Graph.symmetric_from_arrays(num_nodes, srcs[distinct_ends], dsts[distinct_ends])
+    kept = int(np.count_nonzero(distinct_ends))
+    for ends in (srcs, dsts):
+        ends[:kept] = ends[distinct_ends]
+    return Graph.symmetric_from_arrays(num_nodes, srcs[:kept], dsts[:kept])
 
 
 def road_like(
@@ -108,15 +111,19 @@ def rmat(
     rng = np.random.default_rng(seed)
     srcs = np.zeros(num_edges, dtype=np.int64)
     dsts = np.zeros(num_edges, dtype=np.int64)
+    draws = np.empty(num_edges)  # refilled per bit, like rng.random(num_edges)
     for bit in range(scale):
-        draws = rng.random(num_edges)
+        rng.random(out=draws)
         src_bit = draws >= a + b  # quadrants c and d set the source bit
-        dst_bit = (draws >= a) & (draws < a + b) | (draws >= a + b + c)
-        srcs |= src_bit.astype(np.int64) << bit
-        dsts |= dst_bit.astype(np.int64) << bit
+        dst_bit = (draws >= a) & ~src_bit | (draws >= a + b + c)
+        srcs |= np.left_shift(src_bit, bit, dtype=np.int64)
+        dsts |= np.left_shift(dst_bit, bit, dtype=np.int64)
+    del draws, src_bit, dst_bit
     # Permute node ids so hubs are not clustered at id 0.
     perm = rng.permutation(num_nodes)
-    graph = _simple_undirected(num_nodes, perm[srcs], perm[dsts])
+    np.take(perm, srcs, out=srcs)
+    np.take(perm, dsts, out=dsts)
+    graph = _simple_undirected(num_nodes, srcs, dsts)
     if weighted:
         graph = _attach_weights(graph, seed)
     return graph

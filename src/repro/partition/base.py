@@ -217,6 +217,7 @@ def build_partitioned(
     by_host = np.argsort(edge_host.astype(np.min_scalar_type(num_hosts)), kind="stable")
     edge_bounds = np.zeros(num_hosts + 1, dtype=np.int64)
     np.cumsum(np.bincount(edge_host, minlength=num_hosts), out=edge_bounds[1:])
+    present = np.zeros(graph.num_nodes, dtype=bool)
     lookup = np.empty(graph.num_nodes, dtype=np.int64)
     parts: list[LocalPartition] = []
     for host in range(num_hosts):
@@ -228,15 +229,17 @@ def build_partitioned(
         )
         host_srcs = srcs[host_edges]
         host_dsts = dsts[host_edges]
-        present = np.zeros(graph.num_nodes, dtype=bool)
         present[host_srcs] = True
         present[host_dsts] = True
         present[lo:hi] = False
         local_to_global = np.concatenate(
             [np.arange(lo, hi, dtype=np.int64), np.flatnonzero(present)]
         )
+        present[local_to_global] = False
         lookup[local_to_global] = np.arange(local_to_global.size, dtype=np.int64)
-        counts = np.bincount(lookup[host_srcs], minlength=local_to_global.size)
+        np.take(lookup, host_srcs, out=host_srcs)
+        np.take(lookup, host_dsts, out=host_dsts)
+        counts = np.bincount(host_srcs, minlength=local_to_global.size)
         indptr = np.zeros(local_to_global.size + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         parts.append(
@@ -245,7 +248,7 @@ def build_partitioned(
                 local_to_global=local_to_global,
                 num_masters=hi - lo,
                 indptr=indptr,
-                indices=lookup[host_dsts],
+                indices=host_dsts,
                 weights=graph.weights[host_edges] if graph.weights is not None else None,
             )
         )

@@ -36,9 +36,8 @@ class CartesianVertexCut:
         rows, cols = grid_shape(num_hosts)
         owner = balanced_node_blocks(graph, num_hosts)
         owner = np.minimum(owner, num_hosts - 1)
-        srcs = graph.edge_sources()
-        dsts = graph.indices
-        src_row = owner[srcs] // cols
-        dst_col = owner[dsts] % cols
-        edge_host = src_row * cols + dst_col
+        # Source row start + destination column, per-node tables: a byte an edge.
+        host_type = np.min_scalar_type(num_hosts - 1)
+        edge_host = (owner // cols * cols).astype(host_type).repeat(graph.out_degrees())
+        edge_host += (owner % cols).astype(host_type)[graph.indices]
         return build_partitioned(graph, self.name, owner, edge_host, num_hosts=num_hosts)

@@ -247,7 +247,7 @@ class _ReduceSpy:
     def shares(self):
         """Per call, the share of the prepared batch's edges it pushed."""
         return [
-            1.0 if idx is None else idx.size / prepared.keys.size
+            1.0 if idx is None else idx.size / prepared.size
             for _, prepared, _, idx in self.calls
         ]
 
@@ -492,7 +492,7 @@ class TestFrontierExtremes:
                 continue
             prepared, values, got_idx = got[host]
             if got_idx is None:
-                got_idx = np.arange(prepared.keys.size)
+                got_idx = np.arange(prepared.size)
             assert got_idx.tolist() == idx
             assert values.tolist() == pushes
 
@@ -843,7 +843,7 @@ class TestPreparedFold:
         reduction = ThreadLocalReduction(cluster, 0)
         empty = np.array([], dtype=np.int64)
         plan = reduction.prepare_bulk(empty, empty)
-        assert plan.keys.size == 0 and plan.uniq.size == 0 and plan.ukeys.size == 0
+        assert plan.size == 0 and plan.uniq.size == 0 and plan.ukeys.size == 0
         with cluster.phase(PhaseKind.REDUCE_COMPUTE):
             reduction.reduce_bulk_prepared(plan, np.empty(0), SUM)
             reduction.reduce_bulk_prepared(plan, np.empty(0), SUM, empty)

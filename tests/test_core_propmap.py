@@ -637,6 +637,23 @@ class TestReadBulk:
             assert prop.read_bulk(0, np.empty(0, dtype=np.int64)).size == 0
         assert cluster.log.total_counters() == type(cluster.log.total_counters())()
 
+    def test_a_host_without_nodes_refuses_like_the_per_key_read(self):
+        """More hosts than nodes leaves a host with no slot at all: its bulk
+        read refuses the first key with the per-key read's ``KeyError``."""
+        pgraph = partition(generators.path(3), 5, "oec")
+        empty = next(part.host_id for part in pgraph.parts if part.num_local == 0)
+        cluster = Cluster(5, threads_per_host=2)
+        prop = NodePropMap(cluster, pgraph, "p")
+        prop.set_initial_bulk(lambda nodes: nodes * 3)
+        refusals = []
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            for read in (lambda: prop.read_bulk(empty, np.array([0, 1])),
+                         lambda: prop.read(empty, 0)):
+                with pytest.raises(KeyError) as refused:
+                    read()
+                refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+
 
 class TestOutOfRangeIds:
     """A read or request of an id outside ``[0, num_nodes)`` raises the
