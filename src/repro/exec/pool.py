@@ -70,7 +70,6 @@ the :mod:`repro.faults` layer's business.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import signal as _signal
@@ -98,6 +97,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 def fork_available() -> bool:
     """Parallel execution needs POSIX fork (workers inherit closures)."""
+    import multiprocessing
+
     return "fork" in multiprocessing.get_all_start_methods()
 
 
@@ -293,6 +294,8 @@ class HostShardPool:
         are reaped before the error propagates - a partial pool must not
         leak children.
         """
+        import multiprocessing
+
         self._eor_seen = set()
         ctx = multiprocessing.get_context("fork")
         pipes = [ctx.Pipe() for _ in self.shards[1:]]

@@ -182,6 +182,9 @@ def build_partitioned(
     without a sort: they arrive in ascending global source order, so in
     local-id order they are the edges from masters, then those from
     mirrors below the master range, then those from mirrors above it.
+    Each host's edges are found with one compare over ``edge_host`` (pass
+    a narrow unsigned array: a byte an edge up to 256 hosts); no per-edge
+    temporary wider than that compare's mask spans the whole graph.
     """
     owner = np.asarray(owner)
     edge_host = np.asarray(edge_host)
@@ -209,27 +212,24 @@ def build_partitioned(
         stray = hosts[(hosts < 0) | (hosts >= num_hosts)]
         if stray.size:
             raise ValueError(f"{name} holds host {int(stray[0])} outside [0, {num_hosts})")
-    srcs = graph.edge_sources()
-    dsts = graph.indices
     master_bounds = np.searchsorted(owner, np.arange(num_hosts + 1))
-    # Group the edges by host once; within a host they stay in CSR order. A
-    # narrow unsigned key makes the stable sort a radix sort.
-    by_host = np.argsort(edge_host.astype(np.min_scalar_type(num_hosts)), kind="stable")
-    edge_bounds = np.zeros(num_hosts + 1, dtype=np.int64)
-    np.cumsum(np.bincount(edge_host, minlength=num_hosts), out=edge_bounds[1:])
     present = np.zeros(graph.num_nodes, dtype=bool)
     lookup = np.empty(graph.num_nodes, dtype=np.int64)
     parts: list[LocalPartition] = []
     for host in range(num_hosts):
         lo, hi = int(master_bounds[host]), int(master_bounds[host + 1])
-        host_edges = by_host[edge_bounds[host] : edge_bounds[host + 1]]
-        cut_lo, cut_hi = np.searchsorted(srcs[host_edges], (lo, hi))
+        # The host's edge ids ascend, so searching each node's first edge
+        # id among them counts the host's edges per source node without a
+        # per-edge source column.
+        host_edges = np.flatnonzero(edge_host == host)
+        starts = np.searchsorted(host_edges, graph.indptr)
+        counts = np.diff(starts)
+        cut_lo, cut_hi = int(starts[lo]), int(starts[hi])
         host_edges = np.concatenate(
             [host_edges[cut_lo:cut_hi], host_edges[:cut_lo], host_edges[cut_hi:]]
         )
-        host_srcs = srcs[host_edges]
-        host_dsts = dsts[host_edges]
-        present[host_srcs] = True
+        host_dsts = graph.indices[host_edges]
+        present[counts > 0] = True
         present[host_dsts] = True
         present[lo:hi] = False
         local_to_global = np.concatenate(
@@ -237,11 +237,11 @@ def build_partitioned(
         )
         present[local_to_global] = False
         lookup[local_to_global] = np.arange(local_to_global.size, dtype=np.int64)
-        np.take(lookup, host_srcs, out=host_srcs)
         np.take(lookup, host_dsts, out=host_dsts)
-        counts = np.bincount(host_srcs, minlength=local_to_global.size)
+        # Local ids keep the edges' source order, so the local CSR offsets
+        # are the per-node counts in local-id order.
         indptr = np.zeros(local_to_global.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(counts[local_to_global], out=indptr[1:])
         parts.append(
             LocalPartition(
                 host_id=host,

@@ -21,7 +21,7 @@ class OutgoingEdgeCut:
     def partition(self, graph: Graph, num_hosts: int) -> PartitionedGraph:
         owner = balanced_node_blocks(graph, num_hosts)
         owner = np.minimum(owner, num_hosts - 1)
-        edge_host = owner[graph.edge_sources()]
+        edge_host = owner.astype(np.min_scalar_type(num_hosts - 1)).repeat(graph.out_degrees())
         return build_partitioned(graph, self.name, owner, edge_host, num_hosts=num_hosts)
 
 
@@ -33,5 +33,5 @@ class IncomingEdgeCut:
     def partition(self, graph: Graph, num_hosts: int) -> PartitionedGraph:
         owner = balanced_node_blocks(graph, num_hosts)
         owner = np.minimum(owner, num_hosts - 1)
-        edge_host = owner[graph.indices]
+        edge_host = owner.astype(np.min_scalar_type(num_hosts - 1))[graph.indices]
         return build_partitioned(graph, self.name, owner, edge_host, num_hosts=num_hosts)

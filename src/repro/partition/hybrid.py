@@ -33,8 +33,10 @@ class HybridVertexCut:
             # default: hubs are nodes whose in-degree exceeds 4x the mean
             mean_degree = max(graph.num_edges / max(graph.num_nodes, 1), 1.0)
             threshold = int(4 * mean_degree) + 1
-        srcs = graph.edge_sources()
-        dsts = graph.indices
-        is_hub_dst = in_degrees[dsts] >= threshold
-        edge_host = np.where(is_hub_dst, owner[srcs], owner[dsts])
+        # Narrow per-node tables, then a byte an edge: owner(dst), with the
+        # edges into hubs overwritten by owner(src).
+        host = owner.astype(np.min_scalar_type(num_hosts - 1))
+        edge_host = host[graph.indices]
+        into_hub = (in_degrees >= threshold)[graph.indices]
+        np.copyto(edge_host, host.repeat(graph.out_degrees()), where=into_hub)
         return build_partitioned(graph, self.name, owner, edge_host, num_hosts=num_hosts)

@@ -4,13 +4,16 @@ Shared by the test suite, the examples, and downstream users who want to
 check a run's output against ground truth (networkx where applicable).
 Each function raises :class:`VerificationError` with a specific message on
 the first violation, and returns quietly on success.
+
+networkx loads on the first oracle call that needs it, not with this
+module: a process that imports the checks but runs none of them (the CLI,
+a timed benchmark run) never loads it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Mapping
 
-import networkx as nx
 import numpy as np
 
 from repro.graph.csr import Graph
@@ -139,6 +142,8 @@ def check_equivalent_value_maps(
 
 def expected_components(graph: Graph) -> dict[int, int]:
     """Ground truth: every node mapped to its component's minimum id."""
+    import networkx as nx
+
     expected: dict[int, int] = {}
     for component in nx.connected_components(_undirected(graph)):
         smallest = min(component)
@@ -184,6 +189,8 @@ def check_spanning_forest(
     graph: Graph, forest: Iterable[tuple[int, int, float]]
 ) -> None:
     """The edges must form a minimum spanning forest (exact weight match)."""
+    import networkx as nx
+
     forest = list(forest)
     nx_graph = _undirected(graph)
     candidate = nx.Graph()
@@ -224,6 +231,8 @@ def check_community_partition(
     if missing:
         raise VerificationError(f"nodes without a community: {missing[:5]}...")
     if require_connected:
+        import networkx as nx
+
         nx_graph = _undirected(graph)
         for community in set(values.values()):
             members = [n for n, c in values.items() if c == community]
@@ -255,6 +264,8 @@ def check_vertex_cover(graph: Graph, in_cover: Mapping[int, bool]) -> None:
 
 def check_core_numbers(graph: Graph, values: Mapping[int, int]) -> None:
     """Core numbers must match networkx exactly."""
+    import networkx as nx
+
     simple = _undirected(graph)
     simple.remove_edges_from(nx.selfloop_edges(simple))
     expected = nx.core_number(simple)

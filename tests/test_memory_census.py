@@ -13,8 +13,9 @@ keeps one array per edge"):
   the batch; the batch it derives back must be the one it was built from,
   and a prepared reduce that takes the generic fallback through it must
   leave the state the direct call leaves.
-* **Ingest.** tracemalloc peaks of generating and partitioning the
-  benchmark's power-law and road inputs, as multiples of what they build.
+* **Ingest.** tracemalloc peaks of generating the benchmark's power-law
+  and road inputs and of partitioning them under every policy, as
+  multiples of what they build.
 """
 
 from __future__ import annotations
@@ -256,14 +257,15 @@ def _nbytes(*arrays) -> int:
     ],
 )
 def test_ingest_peaks_stay_within_budget(make):
-    """Generating a graph peaks at no more than 5x its bytes; the
-    Cartesian vertex cut at no more than 2.5x the graph plus its partition."""
+    """Generating a graph peaks at no more than 5x its bytes; every
+    partitioning policy at no more than 2.5x the graph plus its partition."""
     graph, generate_peak = _traced_peak(make)
     graph_bytes = _nbytes(graph.indptr, graph.indices, graph.weights)
     assert generate_peak <= 5 * graph_bytes, generate_peak / graph_bytes
-    pgraph, partition_peak = _traced_peak(lambda: partition(graph, HOSTS, "cvc"))
-    held = graph_bytes + _nbytes(pgraph.owner) + sum(
-        _nbytes(part.local_to_global, part.indptr, part.indices, part.weights)
-        for part in pgraph.parts
-    )
-    assert partition_peak <= 2.5 * held, partition_peak / held
+    for policy in ("cvc", "oec", "iec", "hvc"):
+        pgraph, partition_peak = _traced_peak(lambda: partition(graph, HOSTS, policy))
+        held = graph_bytes + _nbytes(pgraph.owner) + sum(
+            _nbytes(part.local_to_global, part.indptr, part.indices, part.weights)
+            for part in pgraph.parts
+        )
+        assert partition_peak <= 2.5 * held, (policy, partition_peak / held)
