@@ -1,9 +1,11 @@
 """Dominator and post-dominator trees (Cooper-Harvey-Kennedy).
 
-The compiler uses dominance to order map reads, collect the statements a
-request ParFor must replicate, and place RequestSync/ReduceSync before the
-immediate post-dominator of each ParFor (Section 5.1). Tests cross-check
-this implementation against ``networkx.immediate_dominators``.
+The compiler does not call this module: it orders map reads by CFG node
+order and takes a request ParFor's statements from the read's enclosing
+block chain (:mod:`repro.compiler.transforms`), and it appends the reduce
+syncs after the main ParFor. Tests use these trees as the oracle for both
+(Section 5.1) and cross-check them against
+``networkx.immediate_dominators``.
 """
 
 from __future__ import annotations

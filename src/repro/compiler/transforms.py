@@ -10,8 +10,8 @@ For the structured IR, "the statements dominating R" are exactly the
 prefix of R's enclosing block chain: straight-line statements before each
 enclosing construct, plus the enclosing If/ForEdges headers themselves
 (with the non-taken branches dropped - their contents do not dominate R).
-The CFG dominator computation in :mod:`repro.compiler.analysis` exists to
-check this equivalence in tests.
+The CFG dominator computation in :mod:`repro.compiler.dominators` exists
+to check this equivalence in tests.
 """
 
 from __future__ import annotations

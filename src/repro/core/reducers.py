@@ -9,6 +9,7 @@ Boruvka MSF and priority MIS, ``LOGICAL_OR`` for the work-done reducer.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Any, Callable
@@ -77,7 +78,10 @@ class ReduceOp:
 
 MIN = ReduceOp("min", min, ufunc=np.minimum)
 MAX = ReduceOp("max", max, ufunc=np.maximum)
-SUM = ReduceOp("sum", lambda a, b: a + b, ufunc=np.add)
+# ``operator.add``, not ``lambda a, b: a + b``: where two NaNs meet, CPython's
+# specialised float ``+`` keeps the other operand's sign than its generic
+# path, so a lambda's sum of two NaNs changes once the interpreter warms it up.
+SUM = ReduceOp("sum", operator.add, ufunc=np.add)
 LOGICAL_OR = ReduceOp("or", lambda a, b: bool(a) or bool(b))
 LOGICAL_AND = ReduceOp("and", lambda a, b: bool(a) and bool(b))
 # Tuples compare lexicographically, so min/max work directly; the aliases

@@ -24,8 +24,8 @@ operator that groups freely (min, max, overwrite, integer sum;
 first - and every one of them is folded the same way: give each group a
 dense id off a presence mask (:func:`_present`, :func:`_rank`), then one
 identity-seeded ``ufunc.at`` scatter (:func:`_fold`). Anything without an
-exact identity, and a float min/max batch the ufunc may fold unlike the
-scalar rule (:func:`_foldable`), falls back to the scalar per-item path
+exact identity, and a float batch the ufunc may fold unlike the scalar
+rule (:func:`_foldable`), falls back to the scalar per-item path
 into dicts.
 
 Reduce-sync has one route whatever the pending state: ``collect_arrays``
@@ -62,8 +62,8 @@ _NO_KEYS = _frozen(np.empty(0, dtype=np.int64))
 
 def _foldable(values: np.ndarray, op: ReduceOp, keys: Callable[[], np.ndarray]) -> bool:
     """Whether a batch takes :func:`_fold`: anything else - object values,
-    an operator or dtype with no exact identity, a float min/max batch the
-    ufunc may fold unlike the scalar rule (:func:`_unlike_scalar_rule`;
+    an operator or dtype with no exact identity, a float batch the ufunc
+    may fold unlike the scalar rule (:func:`_unlike_scalar_rule`;
     ``keys()`` gives the batch's keys) - applies ``op`` per item."""
     return (
         values.dtype != object
@@ -73,21 +73,41 @@ def _foldable(values: np.ndarray, op: ReduceOp, keys: Callable[[], np.ndarray]) 
 
 
 def _unlike_scalar_rule(values: np.ndarray, op: ReduceOp, keys: Callable[[], np.ndarray]) -> bool:
-    """Whether folding a float batch with ``np.minimum``/``np.maximum``
-    may part from the left fold of builtin ``min``/``max``.
+    """Whether folding a float batch with its ufunc may part from the left
+    fold of the scalar rule (``+``, builtin ``min``/``max``).
 
-    The ufuncs propagate a NaN and keep the later of two tied values; the
-    builtins keep the first operand. Tied non-zero floats are the same
-    bits, so the two rules part only on a NaN or where one key receives
-    both ``+0.0`` and ``-0.0``. (Where the owner applies a folded value a
-    tie of zeros changes nothing: the apply writes only what compares
-    unequal.) One pass over the batch settles the usual one-signed batch:
-    a NaN fails both comparisons; the keys are read only when it holds
-    zeros of both signs.
+    Where two NaNs meet, ``np.add`` and Python's ``+`` may keep the sign
+    of different operands. A NaN that ``inf - inf`` makes is the one
+    default NaN on both sides, so a sum parts only where a NaN of the
+    batch may meet a second NaN at its key: another NaN there, an
+    infinity there, or a partial sum that overflows. The usual batch
+    holds no NaN and costs one ``min``.
+
+    ``np.minimum``/``np.maximum`` propagate a NaN and keep the later of
+    two tied values; the builtins keep the first operand. Tied non-zero
+    floats are the same bits, so the two rules part only on a NaN or where
+    one key receives both ``+0.0`` and ``-0.0``. (Where the owner applies
+    a folded value a tie of zeros changes nothing: the apply writes only
+    what compares unequal.) One pass over the batch settles the usual
+    one-signed batch: a NaN fails both comparisons; the keys are read only
+    when it holds zeros of both signs.
     """
-    if values.dtype.kind != "f" or not values.size or (
-        op.ufunc is not np.minimum and op.ufunc is not np.maximum
-    ):
+    if values.dtype.kind != "f" or not values.size:
+        return False
+    if op.ufunc is np.add:
+        if not np.isnan(values.min()):  # the min of a batch with a NaN is NaN
+            return False
+        nan = np.isnan(values)
+        finite = np.isfinite(values)
+        with np.errstate(over="ignore"):
+            magnitude = np.abs(values[finite]).sum()
+        if magnitude >= np.finfo(values.dtype).max / 2:
+            return True
+        batch_keys = keys()
+        # Per key its NaNs and infinities: a NaN's key may hold only itself.
+        nonfinite = np.bincount(batch_keys[~finite])
+        return bool((nonfinite[batch_keys[nan]] > 1).any())
+    if op.ufunc is not np.minimum and op.ufunc is not np.maximum:
         return False
     if values.min() > 0 or values.max() < 0:
         return False

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.graph import generators
+
+# A failed pin check shows the recorded and the computed cell side by side.
+pytest.register_assert_rewrite("tests.pins")
 
 
 def random_graph(seed: int, weighted: bool = False):

@@ -3,34 +3,30 @@
 ``tests/test_conformance.py`` holds bulk = scalar, which cannot see a
 change that moves both sides at once - and the stores, the broadcast and
 the memory reporting are shared by the scalar oracle and the compiled
-kernels. So ``bsp_report_pins.json`` holds, per cell, the sha256 of the
-report (``RunResult.to_dict()``), of the final values, and the per-host
-``peak_memory_slots`` that no report carries (Fig 9 reads it), for
+kernels. So the BSP pin table (``tests/pins.py``) holds, per cell, the
+sha256 of the report (``RunResult.to_dict()``), of the final values, and
+the per-host ``peak_memory_slots`` that no report carries (Fig 9 reads it), for
 {SSSP, BFS, CC-LP, CC-SV, PR} x {road, powerlaw} x {1, 3, 4} hosts x
 {scalar, bulk}, plus one crash-and-recover cell and one memory-limit
 (out-of-memory) cell, and five many-host cells where request-sync and
 reduce-sync cut batches for dozens of owners: scalar LV, MSF and CC-SV on
 the Fig 10 web analog at 32 hosts, bulk CC-SV on a power-law graph at 16
 hosts, and bulk CC-SV at 32 hosts under a flaky network, whose drop and
-duplication draws follow the order in which messages are sent.
-``python tests/test_bsp_report_pins.py`` re-records the table: only ever
-do that on a tree whose BSP reports are known good, and a re-record must
-leave every existing cell unchanged.
+duplication draws follow the order in which messages are sent. The 62
+cells were recorded before the fold froze its key ids and the broadcast
+its translations, the five many-host ones before request-sync moved onto
+the reduce-sync route.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
-import os
 
 import pytest
 
 from repro.eval.harness import run_kimbap
 from repro.faults import FaultPlan, HostCrash, MessageFlake
 from repro.graph import generators
+from tests.pins import BSP_REPORTS, PinTable, sha256_json
 
-PINS_PATH = os.path.join(os.path.dirname(__file__), "bsp_report_pins.json")
 THREADS = 4
 APPS = ("SSSP", "BFS", "CC-LP", "CC-SV", "PR")
 GRAPHS = {
@@ -68,25 +64,24 @@ EXTRA_CELLS = [
 FAULT_PLANS = {"crash": CRASH, "flaky": FLAKY}
 
 
-def _digest(payload) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def _pin(app: str, family: str, hosts: int, backend: str, case: str) -> dict:
-    graph = GRAPHS[family](app == "SSSP")
-    result = run_kimbap(
+def _run(app: str, family: str, hosts: int, backend: str, case: str):
+    return run_kimbap(
         app,
         family,
         hosts,
         threads=THREADS,
-        graph=graph,
+        graph=GRAPHS[family](app == "SSSP"),
         bulk=backend == "bulk",
         fault_plan=FAULT_PLANS.get(case),
         memory_limit_slots=MEMORY_LIMIT_SLOTS if case == "memory-limit" else None,
     )
+
+
+def _pin(*cell) -> dict:
+    result = _run(*cell)
     return {
-        "report_sha256": _digest(result.to_dict()),
-        "values_sha256": _digest(sorted((result.values or {}).items())),
+        "report_sha256": sha256_json(result.to_dict()),
+        "values_sha256": sha256_json(sorted((result.values or {}).items())),
         "peak_memory_slots": list(result.cluster.peak_memory_slots),
     }
 
@@ -95,45 +90,22 @@ def _key(app: str, family: str, hosts: int, backend: str, case: str) -> str:
     return f"{app}/{family}/{hosts}h/{backend}/{case}"
 
 
-def _recorded() -> dict:
-    with open(PINS_PATH, encoding="utf-8") as src:
-        return json.load(src)
+PINS = PinTable(BSP_REPORTS, {_key(*cell): cell for cell in CELLS + EXTRA_CELLS}, _pin)
 
 
-@pytest.mark.parametrize("cell", CELLS + EXTRA_CELLS, ids=lambda cell: _key(*cell))
-def test_bsp_report_is_pinned(cell):
-    assert _pin(*cell) == _recorded()[_key(*cell)]
+@pytest.mark.parametrize("key", PINS.cells)
+def test_bsp_report_is_pinned(key):
+    PINS.check(key)
 
 
 def test_extra_cells_fail_and_recover_as_pinned():
-    # The two extra cells exercise what they are named for.
-    crash = run_kimbap(
-        "SSSP", "road", 4, threads=THREADS, graph=GRAPHS["road"](True),
-        bulk=True, fault_plan=CRASH,
-    )
+    # The fault cells exercise what they are named for.
+    crash = _run("SSSP", "road", 4, "bulk", "crash")
     assert crash.outcome == "ok" and crash.faults["recoveries"] == 1
-    oom = run_kimbap(
-        "SSSP", "road", 4, threads=THREADS, graph=GRAPHS["road"](True),
-        bulk=True, memory_limit_slots=MEMORY_LIMIT_SLOTS,
-    )
-    assert oom.outcome == "oom"
-    flaky = run_kimbap(
-        "CC-SV", "web", 32, threads=THREADS, graph=GRAPHS["web"](False),
-        bulk=True, fault_plan=FLAKY,
-    )
+    assert _run("SSSP", "road", 4, "bulk", "memory-limit").outcome == "oom"
+    flaky = _run("CC-SV", "web", 32, "bulk", "flaky")
     assert flaky.faults["messages_dropped"] and flaky.faults["messages_duplicated"]
 
 
 def test_every_cell_is_recorded():
-    assert set(_recorded()) == {_key(*cell) for cell in CELLS + EXTRA_CELLS}
-
-
-if __name__ == "__main__":  # re-record the table: python tests/test_bsp_report_pins.py
-    with open(PINS_PATH, "w", encoding="utf-8") as out:
-        json.dump(
-            {_key(*cell): _pin(*cell) for cell in CELLS + EXTRA_CELLS},
-            out,
-            indent=1,
-            sort_keys=True,
-        )
-        out.write("\n")
+    PINS.check_coverage()

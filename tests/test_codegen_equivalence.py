@@ -252,6 +252,29 @@ class _ReduceSpy:
         ]
 
 
+def _src_out(graph, policy="cvc", bulk=True, out_init=lambda nodes: np.zeros(nodes.size)):
+    """Two hosts, a ``src`` map holding each node's id and an ``out`` map."""
+    cluster = Cluster(2, threads_per_host=2)
+    pgraph = partition(graph, 2, policy)
+    executor = Executor(cluster, bulk=bulk)
+    src = NodePropMap(cluster, pgraph, "src")
+    out = NodePropMap(cluster, pgraph, "out")
+    executor.init_map(src, lambda nodes: nodes + 0.0)
+    executor.init_map(out, out_init)
+    return executor, pgraph, src, out
+
+
+def _one_round(name, pgraph, out, kernel) -> Plan:
+    """One round of ``kernel`` over the masters, then ``out``'s reduce."""
+    return Plan(
+        name=name,
+        pgraph=pgraph,
+        max_rounds=1,
+        raise_on_max_rounds=False,
+        steps=[OperatorStep(Operator("push", "masters", kernel)), SyncStep(out, "reduce")],
+    )
+
+
 def _expansion_source(nodes):
     return (nodes % 7) + 0.5
 
@@ -365,38 +388,18 @@ class TestFrontierExtremes:
         graph = generators.powerlaw_like(scale=5, seed=7)
         outcomes = []
         for bulk in (False, True):
-            cluster = Cluster(2, threads_per_host=2)
-            pgraph = partition(graph, 2, "cvc")
-            executor = Executor(cluster, bulk=bulk)
-            src = NodePropMap(cluster, pgraph, "src")
-            out = NodePropMap(cluster, pgraph, "out")
-            executor.init_map(src, lambda nodes: nodes + 0.0)
-            executor.init_map(out, lambda nodes: nodes + 0.0)
-            plan = Plan(
-                name="nobody",
-                pgraph=pgraph,
-                max_rounds=1,
-                raise_on_max_rounds=False,
-                steps=[
-                    OperatorStep(
-                        Operator(
-                            "push", "masters",
-                            EdgePush(
-                                target=out, op=MIN, source=src,
-                                charge_per_source=3,
-                                value_filter=CmpFilter("lt", -1.0),
-                            ),
-                        )
-                    ),
-                    SyncStep(out, "reduce"),
-                ],
+            executor, pgraph, src, out = _src_out(graph, bulk=bulk, out_init=lambda n: n + 0.0)
+            kernel = EdgePush(
+                target=out, op=MIN, source=src,
+                charge_per_source=3,
+                value_filter=CmpFilter("lt", -1.0),
             )
             with _ReduceSpy() as spy:
-                executor.run(plan)
+                executor.run(_one_round("nobody", pgraph, out, kernel))
             assert spy.calls == []
-            outcomes.append((out.snapshot(), _phase_log(cluster)))
+            outcomes.append((out.snapshot(), _phase_log(executor.cluster)))
         assert outcomes[0] == outcomes[1]
-        push = next(r for r in cluster.log.phases if r.operator == "push")
+        push = next(r for r in executor.cluster.log.phases if r.operator == "push")
         assert all(c.local_ops > 0 and c.edge_iters == 0 for c in push.counters)
 
     def test_frontier_narrow_to_wide_mid_run(self):
@@ -573,28 +576,8 @@ class TestOneEdgePushKernel:
                 return _original(self, *args)
 
             monkeypatch.setattr(NodePropMap, name, spy)
-        graph = generators.powerlaw_like(scale=5, seed=3)
-        cluster = Cluster(2, threads_per_host=2)
-        pgraph = partition(graph, 2, "cvc")
-        executor = Executor(cluster, bulk=True)
-        src = NodePropMap(cluster, pgraph, "src")
-        out = NodePropMap(cluster, pgraph, "out")
-        executor.init_map(src, lambda nodes: nodes + 0.0)
-        executor.init_map(out, lambda nodes: np.zeros(nodes.size))
-        plan = Plan(
-            name="static-push",
-            pgraph=pgraph,
-            max_rounds=1,
-            raise_on_max_rounds=False,
-            steps=[
-                OperatorStep(
-                    Operator(
-                        "push", "masters", EdgePush(target=out, op=SUM, source=src)
-                    )
-                ),
-                SyncStep(out, "reduce"),
-            ],
-        )
+        executor, pgraph, src, out = _src_out(generators.powerlaw_like(scale=5, seed=3))
+        plan = _one_round("static-push", pgraph, out, EdgePush(target=out, op=SUM, source=src))
         executor.run(plan)
         assert calls == ["reduce_bulk_prepared"] * 2
         executor.run(plan)
@@ -676,36 +659,17 @@ class TestOneStaticBatchReducePath:
         graph = Graph.from_edge_list(6, [])
         outcomes = []
         for bulk in (False, True):
-            cluster = Cluster(2, threads_per_host=2)
-            pgraph = partition(graph, 2, "oec")
-            executor = Executor(cluster, bulk=bulk)
-            src = NodePropMap(cluster, pgraph, "src")
-            out = NodePropMap(cluster, pgraph, "out")
-            executor.init_map(src, lambda nodes: nodes + 0.0)
-            executor.init_map(out, lambda nodes: nodes + 0.0)
-            plan = Plan(
-                name="edgeless",
-                pgraph=pgraph,
-                max_rounds=1,
-                raise_on_max_rounds=False,
-                steps=[
-                    OperatorStep(
-                        Operator(
-                            "push", "masters",
-                            EdgePush(
-                                target=out, op=MIN, source=src,
-                                skip_zero_degree=False, charge_per_source=2,
-                            ),
-                        )
-                    ),
-                    SyncStep(out, "reduce"),
-                ],
+            executor, pgraph, src, out = _src_out(graph, "oec", bulk, lambda n: n + 0.0)
+            kernel = EdgePush(
+                target=out, op=MIN, source=src,
+                skip_zero_degree=False, charge_per_source=2,
             )
+            plan = _one_round("edgeless", pgraph, out, kernel)
             with _ReduceSpy() as spy:
                 executor.run(plan)
                 executor.run(plan)
             assert spy.calls == []
-            outcomes.append((out.snapshot(), _phase_log(cluster)))
+            outcomes.append((out.snapshot(), _phase_log(executor.cluster)))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == {node: float(node) for node in range(6)}
 
@@ -723,28 +687,10 @@ class TestCallableResultShapes:
     }
 
     def _setup(self):
-        graph = generators.powerlaw_like(scale=5, seed=3)
-        cluster = Cluster(2, threads_per_host=2)
-        pgraph = partition(graph, 2, "cvc")
-        executor = Executor(cluster, bulk=True)
-        src = NodePropMap(cluster, pgraph, "src")
-        out = NodePropMap(cluster, pgraph, "out")
-        executor.init_map(src, lambda nodes: nodes + 0.0)
-        executor.init_map(out, lambda nodes: np.zeros(nodes.size))
-        return executor, pgraph, src, out
+        return _src_out(generators.powerlaw_like(scale=5, seed=3))
 
     def _run_once(self, executor, pgraph, out, kernel):
-        plan = Plan(
-            name="shapes",
-            pgraph=pgraph,
-            max_rounds=1,
-            raise_on_max_rounds=False,
-            steps=[
-                OperatorStep(Operator("op", "masters", kernel)),
-                SyncStep(out, "reduce"),
-            ],
-        )
-        executor.run(plan)
+        executor.run(_one_round("shapes", pgraph, out, kernel))
 
     @pytest.mark.parametrize("shape", sorted(WRONG))
     def test_edge_push_transform(self, shape):

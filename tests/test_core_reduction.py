@@ -5,11 +5,12 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+import operator
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.gluon import GluonAtomicReduction
@@ -912,7 +913,10 @@ def _pending_state(reduction) -> dict:
 # ------------------------------------------------ the one collect contract
 
 _FLOATS = (0.0, -0.0, 1.0, -1.5, 0.1, 1e16, 5e-324, math.inf, -math.inf, math.nan)
-_PAIR_SUM = ReduceOp("pair_sum", lambda a, b: (a[0] + b[0], a[1] + b[1]))
+# ``operator.add`` for the reason ``SUM`` uses it: a NaN sum that holds still.
+_PAIR_SUM = ReduceOp(
+    "pair_sum", lambda a, b: (operator.add(a[0], b[0]), operator.add(a[1], b[1]))
+)
 # Per value kind: the operators it reduces with, a value strategy, the batch dtype.
 _KINDS = {
     "float": (
@@ -1059,6 +1063,24 @@ class TestOneCollectContract:
     )
     @settings(max_examples=150, deadline=None)
     @given(program=_collect_programs())
+    # inf - inf makes a NaN that then meets the batch's own NaN at one key.
+    @example(
+        program=(
+            "float",
+            SUM,
+            [(0, 0)],
+            [("bulk", [(0, 0, math.inf), (0, 0, -math.inf), (0, 0, math.nan)])],
+        )
+    )
+    # Two threads' NaNs of opposite sign meet at the key merge.
+    @example(
+        program=(
+            "float",
+            SUM,
+            [(0, 0)],
+            [("bulk", [(0, 0, -math.nan), (1, 0, 1.0), (2, 0, math.nan)])],
+        )
+    )
     def test_collect_arrays_is_the_left_fold(self, strategy, program):
         kind, op, static, actions = program
         dtype = _KINDS[kind][2]

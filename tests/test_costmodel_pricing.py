@@ -7,7 +7,8 @@ and tag columns; ``CostModel.phase_time`` prices one row view
 for every phase kind, slowdown rows, traffic, integer and non-integer
 weights - and that value must not depend on the interpreter: builtin
 ``sum()`` is compensated from Python 3.12 on, so every float fold here is
-an explicit left fold and a fixed log's hex digits are pinned.
+an explicit left fold and a fixed log's hex digits are pinned (the
+pricing table of ``tests/pins.py``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.cluster.metrics import (
 from repro.eval.harness import run_kimbap
 from repro.faults import named_plan
 from repro.graph import generators
+from tests.pins import PRICING, PinTable
 
 ZERO = ModeledTime(0.0, 0.0)
 
@@ -212,72 +214,25 @@ def fixed_log() -> MetricsLog:
     return log
 
 
-# fmt: off
-PINNED_UNITS = ['0x1.20dd20570a3d6p+24',
- '0x1.388660028f5c2p+24',
- '0x1.5d90e9cccccccp+23',
- '0x1.158969a8f5c29p+24',
- '0x1.e07dee570a3d6p+23',
- '0x1.0594cbfd70a3cp+24',
- '0x1.3b8acda3d70a4p+24',
- '0x1.1378b468f5c29p+24',
- '0x1.575def0f5c28fp+23',
- '0x1.0d1aae7d70a3dp+24',
- '0x1.bba38fdc28f5cp+23',
- '0x1.28e1f4f5c28f6p+24',
- '0x1.988409f0a3d70p+23',
- '0x1.41e15a51eb851p+23',
- '0x1.a5e06bfffffffp+23',
- '0x1.e0cd930f5c290p+23',
- '0x1.c352748000000p+23',
- '0x1.f0e04bd70a3d6p+23',
- '0x1.f8c97275c28f4p+23',
- '0x1.a49683428f5c4p+23',
- '0x1.38ed52fd70a3dp+24',
- '0x1.2f4e47947ae14p+24',
- '0x1.1e28db3d70a3ep+24',
- '0x1.b7e8085c28f5dp+23',
- '0x1.ded4e14ccccccp+23',
- '0x1.89e57eae147aep+23',
- '0x1.0f251051eb852p+24',
- '0x1.ec267c8000001p+23',
- '0x1.b8653cfae147ap+23',
- '0x1.a3bf886147ae1p+23',
- '0x1.a422dc0f5c290p+23',
- '0x1.a62ba0fae147ap+23',
- '0x1.12cd73051eb85p+24',
- '0x1.fcc3881999998p+23',
- '0x1.1179247ae147bp+24',
- '0x1.0a09930a3d70ap+24']
-PINNED_PHASES = [('0x1.507be4705780fp+9', '0x1.32155bb1d77e0p-1'),
- ('0x0.0p+0', '0x1.435472bdc26dcp+10'),
- ('0x1.53bb8981d5b3dp+9', '0x0.0p+0'),
- ('0x0.0p+0', '0x1.3fe2f11bbcb79p+9'),
- ('0x0.0p+0', '0x1.c6380af4311aep+8'),
- ('0x1.2fb37a1accaeep+10', '0x0.0p+0'),
- ('0x1.26cd64622fa00p+12', '0x1.ac931a2397b4cp-2'),
- ('0x0.0p+0', '0x1.468edd81129b6p+9'),
- ('0x0.0p+0', '0x1.23ee77b0b57c7p+9'),
- ('0x1.2859309528f18p+10', '0x0.0p+0'),
- ('0x1.27dea39aa45b9p+9', '0x0.0p+0'),
- ('0x0.0p+0', '0x1.26703e4ed17a7p+9')]
-PINNED_TOTAL = ('0x1.1b29a89fe39d2p+13', '0x1.0762f0e984938p+12')
-# fmt: on
+def _pricing_pin() -> dict:
+    log = fixed_log()
+    return {
+        "units": [FRACTIONAL.units(c).hex() for phase in log.phases for c in phase.counters],
+        "phase_time": [list(hexed(FRACTIONAL.phase_time(phase, 7))) for phase in log.phases],
+        "time_totals": list(hexed(FRACTIONAL.time_totals(log, 7)[0])),
+    }
+
+
+PINS = PinTable(PRICING, {"FRACTIONAL/fixed_log/7": ()}, _pricing_pin)
 
 
 class TestPricingIsInterpreterIndependent:
     def test_units_phase_time_and_time_totals_are_pinned(self):
-        log = fixed_log()
-        units = [
-            FRACTIONAL.units(counters).hex()
-            for phase in log.phases
-            for counters in phase.counters
-        ]
-        assert units == PINNED_UNITS
-        phases = [hexed(FRACTIONAL.phase_time(phase, 7)) for phase in log.phases]
-        assert phases == PINNED_PHASES
-        assert hexed(FRACTIONAL.time_totals(log, 7)[0]) == PINNED_TOTAL
-        assert_priced_like_the_oracle(FRACTIONAL, log, 7)
+        PINS.check("FRACTIONAL/fixed_log/7")
+        assert_priced_like_the_oracle(FRACTIONAL, fixed_log(), 7)
+
+    def test_the_pricing_table_covers_exactly_its_cell(self):
+        PINS.check_coverage()
 
     def test_the_pinned_rows_are_order_sensitive(self):
         """The pin has teeth: on some rows a compensated sum of the same

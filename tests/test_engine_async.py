@@ -8,16 +8,15 @@
   within the declared residual tolerance for SSSP and delta-PR, on all
   four partitioning policies; the conformance table
   (``tests/test_conformance.py``) carries the contract and the refusals
-  across the other axes. Its *own* bytes are pinned too:
-  ``async_report_pins.json`` holds the report digest, ``last_updates`` and
+  across the other axes. Its *own* bytes are pinned too: the async pin
+  table (``tests/pins.py``) holds the report digest, ``last_updates`` and
   ``last_chunks`` of every {app} x {road, powerlaw} x {chunk size} x
   {policy} cell as recorded before the chunk loop moved to per-chunk
   tallied accounting, plus the final values (``float.hex()``, or exact
   ints) of a custom ``MIN`` plan seeded with NaN, both zeros, ``inf`` and
   int labels, as recorded before the relax loop inlined its ``MIN`` test,
   and with int labels under float weights or spanning +-2**62, as
-  recorded before the heap keyed its entries by one int
-  (``python tests/test_engine_async.py`` re-records it). A model test
+  recorded before the heap keyed its entries by one int. A model test
   drives the heap against a tuple heap. Counting tests keep the metering
   calls O(chunks), never O(updates), and the reducer out of the relax
   loop.
@@ -26,12 +25,9 @@
 from __future__ import annotations
 
 import functools
-import hashlib
 import heapq
 import importlib
-import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -66,6 +62,7 @@ from repro.graph import generators
 from repro.partition import POLICIES, partition
 from repro.verify import check_equivalent_values
 from tests.conftest import canonical
+from tests.pins import ASYNC_REPORTS, PinTable, sha256_json
 
 # Async value-equivalence tolerance vs the BSP oracle, per app.
 TOLERANCE = {"PR": 1e-6, "SSSP": 1e-9, "CC-LP": 0.0, "BFS": 0.0}
@@ -177,7 +174,6 @@ class TestUnsupportedPlans:
 
 # ------------------------------------------------------- the byte contract
 
-PINS_PATH = os.path.join(os.path.dirname(__file__), "async_report_pins.json")
 PIN_HOSTS = 4
 PIN_GRAPHS = {
     "road": lambda weighted: generators.road_like(12, 6, seed=5, weighted=weighted),
@@ -190,10 +186,6 @@ PIN_CELLS = [
     for chunk_size in (1, 7, 64)
     for policy in ("oec", "cvc")
 ]
-
-
-def _digest(payload) -> str:
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _async_run(app: str, family: str, chunk_size: int, policy: str):
@@ -216,8 +208,8 @@ def _async_run(app: str, family: str, chunk_size: int, policy: str):
 def _pin(app: str, family: str, chunk_size: int, policy: str) -> dict:
     run, engine = _async_run(app, family, chunk_size, policy)
     return {
-        "report_sha256": _digest(run.to_dict()),
-        "values_sha256": _digest(sorted(run.values.items())),
+        "report_sha256": sha256_json(run.to_dict()),
+        "values_sha256": sha256_json(sorted(run.values.items())),
         "last_updates": engine.last_updates,
         "last_chunks": engine.last_chunks,
     }
@@ -293,7 +285,7 @@ def _edge_pin(seeding: str, chunk_size: int) -> dict:
     run, engine = _edge_run(seeding, chunk_size)
     exact = int if seeding.startswith("int") else lambda value: float(value).hex()
     return {
-        "report_sha256": _digest(run.to_dict()),
+        "report_sha256": sha256_json(run.to_dict()),
         "values": [exact(run.values[node]) for node in sorted(run.values)],
         "last_updates": engine.last_updates,
         "last_chunks": engine.last_chunks,
@@ -304,9 +296,15 @@ def _edge_key(seeding: str, chunk_size: int) -> str:
     return f"EDGE-MIN/{seeding}/chunk{chunk_size}/cvc"
 
 
-def _recorded_pins() -> dict:
-    with open(PINS_PATH, encoding="utf-8") as src:
-        return json.load(src)
+# A cell's arguments start with the function that computes it.
+PINS = PinTable(
+    ASYNC_REPORTS,
+    {
+        **{_pin_key(*cell): (_pin, *cell) for cell in PIN_CELLS},
+        **{_edge_key(*cell): (_edge_pin, *cell) for cell in EDGE_CELLS},
+    },
+    lambda pin, *cell: pin(*cell),
+)
 
 
 class TestAsyncReportsArePinned:
@@ -316,17 +314,14 @@ class TestAsyncReportsArePinned:
 
     @pytest.mark.parametrize("app,family,chunk_size,policy", PIN_CELLS)
     def test_report_matches_the_recorded_digest(self, app, family, chunk_size, policy):
-        assert _pin(app, family, chunk_size, policy) == _recorded_pins()[
-            _pin_key(app, family, chunk_size, policy)
-        ]
+        PINS.check(_pin_key(app, family, chunk_size, policy))
 
     @pytest.mark.parametrize("seeding,chunk_size", EDGE_CELLS)
     def test_min_edge_cases_match_the_recorded_values(self, seeding, chunk_size):
-        assert _edge_pin(seeding, chunk_size) == _recorded_pins()[_edge_key(seeding, chunk_size)]
+        PINS.check(_edge_key(seeding, chunk_size))
 
     def test_the_table_covers_exactly_the_cells(self):
-        keys = [_pin_key(*cell) for cell in PIN_CELLS] + [_edge_key(*cell) for cell in EDGE_CELLS]
-        assert sorted(_recorded_pins()) == sorted(keys)
+        PINS.check_coverage()
 
 
 class TestAsyncMeteringIsPerChunk:
@@ -376,9 +371,7 @@ class TestRelaxLoopAppliesMinInline:
         # The package re-exports the function ``cc_lp`` over its module.
         module = importlib.import_module("repro.algorithms.cc_lp")
         monkeypatch.setattr(module, "MIN", ReduceOp("min", counting_min, ufunc=np.minimum))
-        assert _pin("CC-LP", "road", 64, "cvc") == _recorded_pins()[
-            _pin_key("CC-LP", "road", 64, "cvc")
-        ]
+        PINS.check(_pin_key("CC-LP", "road", 64, "cvc"))
         assert len(calls) == 0
 
 
@@ -504,16 +497,3 @@ class TestHeapKeysKeepTheTupleOrder:
         while reference:
             assert chunk.pop() == _tuple_pop(reference, priority, chunk_size)
         assert chunk.pop() == []
-
-
-if __name__ == "__main__":  # re-record the table: python tests/test_engine_async.py
-    with open(PINS_PATH, "w", encoding="utf-8") as out:
-        pins = {_pin_key(*cell): _pin(*cell) for cell in PIN_CELLS}
-        pins.update({_edge_key(*cell): _edge_pin(*cell) for cell in EDGE_CELLS})
-        json.dump(
-            pins,
-            out,
-            indent=1,
-            sort_keys=True,
-        )
-        out.write("\n")

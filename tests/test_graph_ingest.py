@@ -2,12 +2,11 @@
 
 Two guards hold the ingest bytes still:
 
-* ``ingest_pins.json`` holds sha256 digests of ``(indptr, indices,
-  weights)`` for every generator at its defaults (plus the four inputs of
-  the end-to-end benchmark at seeds 7 and 11), and of every policy's
-  partition at 1, 3 and 4 hosts, as recorded before ingest stopped
-  argsorting (``python tests/test_graph_ingest.py`` re-records it; only
-  ever do that on a tree whose graphs are known good).
+* The ingest pin file (``tests/pins.py``) holds two tables: sha256
+  digests of ``(indptr, indices, weights)`` for every generator at its
+  defaults (plus the four inputs of the end-to-end benchmark at seeds 7
+  and 11), and of every policy's partition at 1, 3 and 4 hosts, as
+  recorded before ingest stopped argsorting.
 * A hypothesis property compares ``Graph.from_arrays``,
   ``Graph.symmetrized``, ``Graph.is_symmetric`` and ``build_partitioned``
   against the straight stable-argsort implementations kept below, on
@@ -19,8 +18,6 @@ Two guards hold the ingest bytes still:
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 
 import numpy as np
 import pytest
@@ -30,8 +27,7 @@ from hypothesis import strategies as st
 from repro.graph import Graph, generators
 from repro.partition import POLICIES, partition
 from repro.partition.base import build_partitioned
-
-PINS_PATH = os.path.join(os.path.dirname(__file__), "ingest_pins.json")
+from tests.pins import INGEST, PinTable
 
 # name -> zero-argument builder; defaults where the generator has them
 GENERATORS = {
@@ -88,49 +84,47 @@ def _digest(*arrays) -> str:
     return sha.hexdigest()
 
 
-def _graph_digest(graph: Graph) -> str:
+def _graph_pin(name: str) -> str:
+    graph = GENERATORS[name]()
     return _digest(graph.indptr, graph.indices, graph.weights)
 
 
-def _partition_digest(pgraph) -> str:
-    return _digest(
-        pgraph.owner,
-        *(
-            array
-            for part in pgraph.parts
-            for array in (
-                part.local_to_global,
-                part.indptr,
-                part.indices,
-                np.int64(part.num_masters),
-                part.weights,
-            )
-        ),
-    )
+def _partition_pin(graph: str, policy: str, hosts: int) -> str:
+    pgraph = partition(PARTITION_GRAPHS[graph](), hosts, policy)
+    parts = [
+        (part.local_to_global, part.indptr, part.indices, np.int64(part.num_masters), part.weights)
+        for part in pgraph.parts
+    ]
+    return _digest(pgraph.owner, *(array for arrays in parts for array in arrays))
 
 
-def _partition_key(graph: str, policy: str, hosts: int) -> str:
-    return f"{graph}/{policy}/{hosts}"
+GRAPH_PINS = PinTable(INGEST, {n: (n,) for n in sorted(GENERATORS)}, _graph_pin, section="graphs")
+PARTITION_PINS = PinTable(
+    INGEST,
+    {
+        f"{graph}/{policy}/{hosts}": (graph, policy, hosts)
+        for graph in sorted(PARTITION_GRAPHS)
+        for policy in sorted(POLICIES)
+        for hosts in PARTITION_HOSTS
+    },
+    _partition_pin,
+    section="partitions",
+)
 
 
-def _recorded() -> dict:
-    with open(PINS_PATH, encoding="utf-8") as src:
-        return json.load(src)
-
-
-@pytest.mark.parametrize("name", sorted(GENERATORS))
+@pytest.mark.parametrize("name", GRAPH_PINS.cells)
 def test_generator_bytes_are_pinned(name):
-    assert _graph_digest(GENERATORS[name]()) == _recorded()["graphs"][name]
+    GRAPH_PINS.check(name)
 
 
-@pytest.mark.parametrize("graph", sorted(PARTITION_GRAPHS))
-def test_partition_bytes_are_pinned(graph):
-    pins = _recorded()["partitions"]
-    built = PARTITION_GRAPHS[graph]()
-    for policy in sorted(POLICIES):
-        for hosts in PARTITION_HOSTS:
-            key = _partition_key(graph, policy, hosts)
-            assert _partition_digest(partition(built, hosts, policy)) == pins[key], key
+@pytest.mark.parametrize("key", PARTITION_PINS.cells)
+def test_partition_bytes_are_pinned(key):
+    PARTITION_PINS.check(key)
+
+
+def test_every_ingest_cell_is_recorded():
+    GRAPH_PINS.check_coverage()
+    PARTITION_PINS.check_coverage()
 
 
 # -- straight stable-argsort references --------------------------------------
@@ -293,20 +287,3 @@ def test_build_partitioned_matches_stable_argsort(spec, num_hosts, rnd):
         for part in pgraph.parts
         for local in range(part.num_masters, part.num_local)
     )
-
-
-if __name__ == "__main__":  # re-record the pins: python tests/test_graph_ingest.py
-    pins = {
-        "graphs": {name: _graph_digest(build()) for name, build in sorted(GENERATORS.items())},
-        "partitions": {},
-    }
-    for graph_name, build in PARTITION_GRAPHS.items():
-        built = build()
-        for policy in sorted(POLICIES):
-            for hosts in PARTITION_HOSTS:
-                pins["partitions"][_partition_key(graph_name, policy, hosts)] = (
-                    _partition_digest(partition(built, hosts, policy))
-                )
-    with open(PINS_PATH, "w", encoding="utf-8") as out:
-        json.dump(pins, out, indent=1, sort_keys=True)
-        out.write("\n")

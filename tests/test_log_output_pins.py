@@ -2,8 +2,8 @@
 
 ``repro trace`` (its Chrome JSON and its stdout, which carries
 ``format_phase_breakdown``), ``repro profile`` and ``repro faults`` read
-every phase of the log; ``log_output_pins.json`` holds the sha256 of each
-output for three small fixed runs:
+every phase of the log; the log pin table (``tests/pins.py``) holds the
+sha256 of each output for three small fixed runs:
 
 * bulk SSSP on ``road`` (4 hosts);
 * CC-LP on the async engine (every phase an ``async-compute`` chunk);
@@ -12,8 +12,7 @@ output for three small fixed runs:
   phase breakdown and top phases are pinned from the library, since the
   ``profile`` command takes no fault plan.
 
-``python tests/test_log_output_pins.py`` re-records the table: only ever
-do that on a tree whose traces and profiles are known good.
+They were recorded before the phase log became one ``int64`` block.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import json
 import os
 import tempfile
 
@@ -32,8 +30,8 @@ from repro.eval.harness import run_kimbap
 from repro.eval.reporting import format_phase_breakdown
 from repro.faults import named_plan
 from repro.trace import top_phases
+from tests.pins import LOG_OUTPUTS, PinTable
 
-PINS_PATH = os.path.join(os.path.dirname(__file__), "log_output_pins.json")
 BASE = ["--graph", "road", "--hosts", "4"]
 RUNS = {
     "sssp-bulk": ["SSSP", *BASE, "--bulk"],
@@ -85,17 +83,16 @@ def _pins(name: str) -> dict[str, str]:
     }
 
 
-NAMES = (*RUNS, "sssp-chaos")
+PINS = PinTable(LOG_OUTPUTS, {name: (name,) for name in (*RUNS, "sssp-chaos")}, _pins)
 
 
-def _recorded() -> dict:
-    with open(PINS_PATH, encoding="utf-8") as src:
-        return json.load(src)
-
-
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", PINS.cells)
 def test_log_outputs_are_pinned(name):
-    assert _pins(name) == _recorded()[name]
+    PINS.check(name)
+
+
+def test_every_output_is_recorded():
+    PINS.check_coverage()
 
 
 def test_chaos_run_logs_stragglers_flakes_and_recovery():
@@ -105,9 +102,3 @@ def test_chaos_run_logs_stragglers_flakes_and_recovery():
     phases = faulted.cluster.log.phases
     assert any(phase.slowdown is not None for phase in phases)
     assert faulted.faults["retries"] > 0 and faulted.faults["recoveries"] == 1
-
-
-if __name__ == "__main__":  # re-record: python tests/test_log_output_pins.py
-    with open(PINS_PATH, "w", encoding="utf-8") as out:
-        json.dump({name: _pins(name) for name in NAMES}, out, indent=1, sort_keys=True)
-        out.write("\n")
