@@ -28,6 +28,7 @@ ASYNC_REPORTS = os.path.join(_HERE, "async_report_pins.json")
 LOG_OUTPUTS = os.path.join(_HERE, "log_output_pins.json")
 INGEST = os.path.join(_HERE, "ingest_pins.json")
 PRICING = os.path.join(_HERE, "pricing_pins.json")
+RULES = os.path.join(_HERE, "rule_pins.json")
 
 
 def sha256_json(payload) -> str:
@@ -102,10 +103,11 @@ def registered() -> list[PinTable]:
     """The committed tables, from the test modules that declare them."""
     from tests import test_bsp_report_pins as bsp, test_engine_async as engine
     from tests import test_costmodel_pricing as pricing, test_graph_ingest as ingest
-    from tests import test_log_output_pins as log
+    from tests import test_log_output_pins as log, test_rule_pins as rules
 
     return [
-        bsp.PINS, engine.PINS, log.PINS, ingest.GRAPH_PINS, ingest.PARTITION_PINS, pricing.PINS
+        bsp.PINS, engine.PINS, log.PINS, ingest.GRAPH_PINS, ingest.PARTITION_PINS, pricing.PINS,
+        rules.PINS,
     ]
 
 
