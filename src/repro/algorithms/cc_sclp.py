@@ -9,9 +9,8 @@ plain CC-LP on the high-diameter road graph.
 
 from __future__ import annotations
 
-from repro.algorithms.common import AlgorithmResult, resolve_executor
+from repro.algorithms.common import AlgorithmResult, resolve_executor, shortcut_steps
 from repro.cluster.cluster import Cluster
-from repro.cluster.metrics import PhaseKind
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN
 from repro.core.variants import RuntimeVariant
@@ -19,8 +18,6 @@ from repro.exec import (
     ActiveFilter,
     EdgePush,
     Executor,
-    KeyRequest,
-    NodeGather,
     Operator,
     OperatorStep,
     Plan,
@@ -56,24 +53,7 @@ def cc_sclp_plan(pgraph: PartitionedGraph, label: NodePropMap) -> Plan:
             SyncStep(label, "reduce"),
             SyncStep(label, "broadcast"),
             # Shortcut step (trans): label <- label(label).
-            OperatorStep(
-                Operator(
-                    "sclp:req",
-                    "masters",
-                    KeyRequest(keys=label, of=label),
-                    kind=PhaseKind.REQUEST_COMPUTE,
-                )
-            ),
-            SyncStep(label, "request"),
-            OperatorStep(
-                Operator(
-                    "sclp:short",
-                    "masters",
-                    NodeGather(keys=label, of=label, target=label, op=MIN),
-                )
-            ),
-            SyncStep(label, "reduce"),
-            SyncStep(label, "broadcast"),
+            *shortcut_steps(label, "sclp:req", "sclp:short"),
         ],
         quiesce=(label,),
         pins={label: "none"},

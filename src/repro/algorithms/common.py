@@ -1,10 +1,11 @@
 """Shared pieces of the algorithm implementations.
 
-Includes the result type, the Table 2 operator classification, the shortcut
-(pointer-jumping) kernel reused by CC-SV / CC-SCLP / MSF, and the one copy
-of each Louvain rule that Kimbap's LV/LD, Vite and Galois share: the
-graph coarsening step, the moving cutoff, the level loop, the next
-level's Leiden seeds and the community result.
+Includes the result type, the Table 2 operator classification, the
+pointer-jumping steps CC-SV, MSF, CC-SCLP and LD's connected split share,
+and the one copy of each Louvain rule that Kimbap's LV/LD, Vite and
+Galois share: the move choice, the graph coarsening step, the moving
+cutoff, the Louvain and Leiden level loops, the next level's Leiden seeds
+and the community result.
 """
 
 from __future__ import annotations
@@ -86,19 +87,46 @@ ALGORITHM_OPERATORS: dict[str, OperatorKinds] = {
 }
 
 
+def shortcut_steps(
+    parent: NodePropMap, request_label: str, jump_label: str
+) -> list[OperatorStep | SyncStep]:
+    """Pointer jumping's steps, the one copy CC-SV, MSF, CC-SCLP and LD's
+    connected split share: a request operator over master nodes reads
+    each node's parent and requests the grandparent; after request-sync,
+    the ``jump_label`` operator min-reduces the grandparent onto the node,
+    then reduce-sync and broadcast. The first request ParFor of the naive
+    compilation (requesting the node's own parent) is elided - master
+    properties are always local."""
+    return [
+        OperatorStep(
+            Operator(
+                request_label,
+                "masters",
+                KeyRequest(keys=parent, of=parent),
+                kind=PhaseKind.REQUEST_COMPUTE,
+            )
+        ),
+        SyncStep(parent, "request"),
+        OperatorStep(
+            Operator(
+                jump_label,
+                "masters",
+                NodeGather(keys=parent, of=parent, target=parent, op=MIN),
+            )
+        ),
+        SyncStep(parent, "reduce"),
+        SyncStep(parent, "broadcast"),
+    ]
+
+
 def shortcut_plan(
     pgraph: PartitionedGraph,
     parent: NodePropMap,
     max_rounds: int = 100000,
 ) -> Plan:
-    """Pointer jumping (Figure 8's compiled shortcut) as an operator plan,
-    run until the forest is flat.
-
-    Each round: a request operator over master nodes reads each node's
-    parent and requests the grandparent; after request-sync, the shortcut
-    operator min-reduces the grandparent onto the node. The first request
-    ParFor of the naive compilation (requesting the node's own parent) is
-    elided - master properties are always local.
+    """Pointer jumping (Figure 8's compiled shortcut,
+    :func:`shortcut_steps`) as an operator plan, run until the forest is
+    flat.
 
     Rounds advance the cluster's global round counter, so crash injection
     targeting any round of a multi-loop algorithm (CC-SV, MSF) lands
@@ -107,26 +135,7 @@ def shortcut_plan(
     return Plan(
         name="shortcut",
         pgraph=pgraph,
-        steps=[
-            OperatorStep(
-                Operator(
-                    "shortcut:req",
-                    "masters",
-                    KeyRequest(keys=parent, of=parent),
-                    kind=PhaseKind.REQUEST_COMPUTE,
-                )
-            ),
-            SyncStep(parent, "request"),
-            OperatorStep(
-                Operator(
-                    "shortcut",
-                    "masters",
-                    NodeGather(keys=parent, of=parent, target=parent, op=MIN),
-                )
-            ),
-            SyncStep(parent, "reduce"),
-            SyncStep(parent, "broadcast"),
-        ],
+        steps=shortcut_steps(parent, "shortcut:req", "shortcut"),
         quiesce=(parent,),
         max_rounds=max_rounds,
         loop_label="shortcut",
@@ -248,6 +257,54 @@ def moving_converged(
     return state["stalled"] >= 4
 
 
+def choose_move(
+    node: int,
+    own_cluster: int,
+    own_tot: float,
+    weight_to: dict[int, float],
+    strength: float,
+    gamma: float,
+    two_m: float,
+    tot_of: Callable[[int], float],
+    constraint: np.ndarray | None = None,
+    target_size: Callable[[int], int] | None = None,
+) -> int:
+    """Louvain's move choice, the one copy Kimbap's LV/LD, Vite and Galois
+    share: the cluster ``node`` moves to (``own_cluster``: stay).
+
+    ``own_tot`` is the node's cluster total, its own ``strength``
+    included; ``weight_to`` its edge weight per neighboring cluster,
+    self-loops left out. A cluster scores its weight less
+    ``gamma * tot * strength / two_m``; candidates scan in ascending id
+    and a tie goes to the smaller id. ``tot_of(candidate)`` is called once
+    per scored candidate (each system charges its own read); a candidate
+    whose ``constraint`` differs from the node's (Leiden's refinement) is
+    skipped. ``target_size``, given for a singleton node only, reads the
+    chosen cluster's size: a singleton joins another singleton only when
+    that has the smaller id (else synchronous rounds swap the pair forever).
+    """
+    best_cluster = own_cluster
+    best_score = (
+        weight_to.get(own_cluster, 0.0) - gamma * (own_tot - strength) * strength / two_m
+    )
+    for candidate, weight in sorted(weight_to.items()):
+        if candidate == own_cluster:
+            continue
+        if constraint is not None and constraint[candidate] != constraint[node]:
+            continue
+        score = weight - gamma * tot_of(candidate) * strength / two_m
+        if score > best_score or (score == best_score and candidate < best_cluster):
+            best_cluster, best_score = candidate, score
+    if (
+        best_cluster != own_cluster
+        and target_size is not None
+        and target_size(best_cluster) == 1
+        and best_cluster > own_cluster
+    ):
+        return own_cluster
+    return best_cluster
+
+
 def louvain_levels(
     cluster: Cluster,
     graph: Graph,
@@ -292,6 +349,50 @@ def louvain_levels(
         if pgraph is not None:
             level_pgraph = partition(coarse_graph, cluster.num_hosts, pgraph.policy)
     return node_to_coarse, total_rounds, levels
+
+
+def leiden_levels(
+    cluster: Cluster,
+    graph: Graph,
+    pgraph: PartitionedGraph | None,
+    move: Callable[
+        [Graph, PartitionedGraph | None, int, np.ndarray | None], tuple[np.ndarray, int]
+    ],
+    refine: Callable[[Graph, PartitionedGraph | None, int, np.ndarray], tuple[np.ndarray, int]],
+    max_levels: int,
+) -> tuple[np.ndarray, int, int]:
+    """The Leiden level loop, the one copy Kimbap's LD and Galois share.
+
+    ``move(level_graph, level_pgraph, level, seeds)`` runs local moving
+    from ``seeds`` (None: singletons); ``refine(..., level, labels)``
+    splits its clusters into the subclusters the level coarsens over; the
+    next level starts from the *cluster* partition (:func:`cluster_seeds`),
+    so loosely connected subclusters move as whole units. The loop stops
+    once a level aggregates no node. Returns each original node's cluster
+    after the last moving pass, the rounds of both passes summed over the
+    levels, and the number of levels; ``pgraph=None`` as in
+    :func:`louvain_levels`.
+    """
+    level_graph, level_pgraph = graph, pgraph
+    node_to_coarse = np.arange(graph.num_nodes, dtype=np.int64)
+    communities = node_to_coarse.copy()
+    seeds: np.ndarray | None = None
+    total_rounds = levels = 0
+    while levels < max_levels:
+        labels, rounds = move(level_graph, level_pgraph, levels, seeds)
+        communities = labels[node_to_coarse]
+        sub_labels, refine_rounds = refine(level_graph, level_pgraph, levels, labels)
+        total_rounds += rounds + refine_rounds
+        levels += 1
+        coarse_graph, coarse_of = coarsen(level_graph, sub_labels, cluster, level_pgraph)
+        if coarse_graph.num_nodes == level_graph.num_nodes:
+            break
+        seeds = cluster_seeds(labels, coarse_of, coarse_graph.num_nodes)
+        node_to_coarse = coarse_of[node_to_coarse]
+        level_graph = coarse_graph
+        if pgraph is not None:
+            level_pgraph = partition(coarse_graph, cluster.num_hosts, pgraph.policy)
+    return communities, total_rounds, levels
 
 
 def cluster_seeds(labels: np.ndarray, coarse_of: np.ndarray, num_coarse: int) -> np.ndarray:

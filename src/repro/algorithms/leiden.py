@@ -13,7 +13,8 @@ reproduces its structure:
 3. **aggregation** - the graph is coarsened over *subclusters*, but the
    next level's local moving starts from the *cluster* partition, so
    loosely connected subclusters can move to neighboring clusters as
-   whole units - exactly the paper's description of LD.
+   whole units - exactly the paper's description of LD. The level loop
+   is :func:`~repro.algorithms.common.leiden_levels`, Galois' LD's too.
 
 This uses five persistent node-property maps per level (cluster, cluster
 tot, cluster size, refinement cluster/tot/size share the same three map
@@ -27,14 +28,13 @@ import numpy as np
 
 from repro.algorithms.common import (
     AlgorithmResult,
-    cluster_seeds,
-    coarsen,
     community_result,
+    leiden_levels,
     resolve_executor,
+    shortcut_steps,
 )
 from repro.algorithms.louvain import local_moving
 from repro.cluster.cluster import Cluster
-from repro.cluster.metrics import PhaseKind
 from repro.core.propmap import NodePropMap
 from repro.core.reducers import MIN
 from repro.core.variants import RuntimeVariant
@@ -42,15 +42,12 @@ from repro.exec import (
     DstCmpFilter,
     EdgePush,
     Executor,
-    KeyRequest,
-    NodeGather,
     Operator,
     OperatorStep,
     Plan,
     SyncStep,
 )
 from repro.partition.base import PartitionedGraph
-from repro.partition.policies import partition
 
 
 def connected_split_plan(
@@ -79,24 +76,7 @@ def connected_split_plan(
             ),
             SyncStep(sub, "reduce"),
             SyncStep(sub, "broadcast"),
-            OperatorStep(
-                Operator(
-                    f"{name}:req",
-                    "masters",
-                    KeyRequest(keys=sub, of=sub),
-                    kind=PhaseKind.REQUEST_COMPUTE,
-                )
-            ),
-            SyncStep(sub, "request"),
-            OperatorStep(
-                Operator(
-                    f"{name}:short",
-                    "masters",
-                    NodeGather(keys=sub, of=sub, target=sub, op=MIN),
-                )
-            ),
-            SyncStep(sub, "reduce"),
-            SyncStep(sub, "broadcast"),
+            *shortcut_steps(sub, f"{name}:req", f"{name}:short"),
         ],
         quiesce=(sub,),
         loop_label=name,
@@ -141,71 +121,36 @@ def leiden(
     subclusters.
     """
     executor = resolve_executor(cluster, executor)
-    level_graph = pgraph.graph
-    level_pgraph = pgraph
-    node_to_coarse = np.arange(level_graph.num_nodes, dtype=np.int64)
-    initial_labels: np.ndarray | None = None
-    communities_of_original = node_to_coarse.copy()
-    total_rounds = 0
-    levels = 0
-    while levels < max_levels:
-        labels, moving_rounds = local_moving(
-            cluster,
-            level_pgraph,
-            variant,
-            gamma,
-            max_rounds_per_level,
-            name=f"ld{levels}m",
-            initial_labels=initial_labels,
-            executor=executor,
-        )
-        total_rounds += moving_rounds
-        levels += 1
-        seeds = (
-            initial_labels
-            if initial_labels is not None
-            else np.arange(level_graph.num_nodes)
-        )
-        moved = bool(np.any(labels != seeds))
-        communities_of_original = labels[node_to_coarse]
 
-        # Refinement: constrained moving inside clusters, then split into
-        # connected pieces so aggregated communities stay connected.
+    def move(level_graph, level_pgraph, level, seeds):
+        return local_moving(
+            cluster, level_pgraph, variant, gamma, max_rounds_per_level,
+            name=f"ld{level}m", initial_labels=seeds, executor=executor,
+        )
+
+    def refine(level_graph, level_pgraph, level, labels):
+        # Constrained moving inside clusters, then a split into connected
+        # pieces so aggregated communities stay connected. (These plans
+        # number the levels from 1.)
         refined, refine_rounds = local_moving(
-            cluster,
-            level_pgraph,
-            variant,
-            gamma,
-            max_rounds_per_level,
-            name=f"ld{levels}r",
-            constraint=labels,
-            executor=executor,
+            cluster, level_pgraph, variant, gamma, max_rounds_per_level,
+            name=f"ld{level + 1}r", constraint=labels, executor=executor,
         )
-        total_rounds += refine_rounds
         sub_labels, split_rounds = connected_split(
-            cluster, level_pgraph, variant, refined, name=f"ld{levels}s",
+            cluster, level_pgraph, variant, refined, name=f"ld{level + 1}s",
             executor=executor,
         )
-        total_rounds += split_rounds
+        return sub_labels, refine_rounds + split_rounds
 
-        coarse_graph, coarse_of = coarsen(level_graph, sub_labels, cluster, level_pgraph)
-        if not moved and coarse_graph.num_nodes == level_graph.num_nodes:
-            break
-        # Next level starts from the *cluster* partition.
-        initial_labels = cluster_seeds(labels, coarse_of, coarse_graph.num_nodes)
-        node_to_coarse = coarse_of[node_to_coarse]
-        if coarse_graph.num_nodes == level_graph.num_nodes:
-            # No aggregation progress; one more moving pass cannot change
-            # anything new, so stop.
-            break
-        level_graph = coarse_graph
-        level_pgraph = partition(coarse_graph, cluster.num_hosts, pgraph.policy)
+    communities, total_rounds, levels = leiden_levels(
+        cluster, pgraph.graph, pgraph, move, refine, max_levels
+    )
 
     # Guarantee the headline Leiden property on the *output*: if the last
     # moving pass left any community disconnected on the original graph,
     # split it into its connected pieces (this never lowers modularity).
     final_labels, cleanup_rounds = connected_split(
-        cluster, pgraph, variant, communities_of_original, name="ld_final",
+        cluster, pgraph, variant, communities, name="ld_final",
         executor=executor,
     )
     total_rounds += cleanup_rounds

@@ -14,7 +14,9 @@ Two alternating phases, as in the paper's Section 6.1:
 Determinism and convergence follow Vite/Grappolo's minimum-label
 heuristics: ties go to the smaller cluster id, and a singleton node only
 moves into another singleton's cluster when that cluster has the smaller
-id (otherwise synchronous rounds make the pair swap forever).
+id (otherwise synchronous rounds make the pair swap forever). The move
+choice is :func:`~repro.algorithms.common.choose_move`, the copy Vite and
+Galois run too.
 
 Three node-property maps per level: cluster assignment, cluster total
 strength, and cluster size.
@@ -27,6 +29,7 @@ import numpy as np
 from repro.algorithms.common import (
     OVERWRITE,
     AlgorithmResult,
+    choose_move,
     community_result,
     louvain_levels,
     moving_converged,
@@ -145,33 +148,20 @@ def local_moving(
                 weight_to.get(neighbor_cluster, 0.0) + ctx.edge_weight(edge)
             )
         own_tot, own_size = info_map.read(ctx.host, own_cluster)
-        own_tot -= strength
-        stay_score = (
-            weight_to.get(own_cluster, 0.0) - gamma * own_tot * strength / two_m
-        )
-        best_cluster = own_cluster
-        best_score = stay_score
-        for candidate, weight in sorted(weight_to.items()):
-            if candidate == own_cluster:
-                continue
-            if constraint is not None and constraint[candidate] != constraint[node]:
-                continue
+
+        def tot_of(candidate: int) -> float:
             ctx.charge(2)
-            candidate_tot, _ = info_map.read(ctx.host, candidate)
-            score = weight - gamma * candidate_tot * strength / two_m
-            if score > best_score or (
-                score == best_score and candidate < best_cluster
-            ):
-                best_cluster = candidate
-                best_score = score
+            return info_map.read(ctx.host, candidate)[0]
+
+        def target_size(target: int) -> int:
+            return info_map.read(ctx.host, target)[1]
+
+        best_cluster = choose_move(
+            node, own_cluster, own_tot, weight_to, strength, gamma, two_m, tot_of,
+            constraint, target_size if own_size == 1 else None,
+        )
         if best_cluster == own_cluster:
             return
-        if own_size == 1:
-            _, target_size = info_map.read(ctx.host, best_cluster)
-            if target_size == 1 and best_cluster > own_cluster:
-                # minimum-label heuristic: stops singleton pairs from
-                # swapping clusters forever under synchronous rounds
-                return
         state["moves"] += 1
         cluster_map.reduce(ctx.host, ctx.thread, node, best_cluster, OVERWRITE)
         info_map.reduce(ctx.host, ctx.thread, own_cluster, (-strength, -1), pair_sum)

@@ -26,9 +26,9 @@ import numpy as np
 
 from repro.algorithms.common import (
     AlgorithmResult,
-    cluster_seeds,
-    coarsen,
+    choose_move,
     community_result,
+    leiden_levels,
     left_sum,
     louvain_levels,
     modularity,
@@ -310,8 +310,8 @@ def _galois_moving(
 ) -> tuple[np.ndarray, int]:
     """Local moving with in-place atomic accumulations.
 
-    The move rule, tie-breaks and parity gating are those of
-    :func:`repro.algorithms.louvain.local_moving`; the execution substrate
+    The move choice (:func:`~repro.algorithms.common.choose_move`) and
+    parity gating are those of Kimbap's LV; the execution substrate
     differs - direct array reads and atomic in-place updates instead of
     request phases and thread-local maps - and so does the result: a move
     is visible to the rest of its sweep, there is no singleton guard, and
@@ -339,6 +339,13 @@ def _galois_moving(
         round_parity = sweeps % 2
         with cluster.phase(PhaseKind.REDUCE_COMPUTE, label="galois_moving"):
             counters = cluster.counters(0)
+
+            def tot_of(candidate: int) -> float:
+                # a scored candidate reads its cluster's total in place
+                counters.local_ops += 2
+                counters.vector_reads += 1
+                return float(tots[candidate])
+
             for node in range(graph.num_nodes):
                 counters.node_iters += 1
                 counters.local_ops += TASK_OVERHEAD_UNITS
@@ -363,21 +370,10 @@ def _galois_moving(
                         # in place per edge - the atomic updates the paper
                         # blames for Galois' LD timeout.
                         slots.update(thread, neighbor_cluster, True)
-                own_tot = float(tots[own_cluster]) - strength
-                stay = weight_to.get(own_cluster, 0.0) - gamma * own_tot * strength / two_m
-                best_cluster, best_score = own_cluster, stay
-                for candidate, weight in sorted(weight_to.items()):
-                    if candidate == own_cluster:
-                        continue
-                    if constraint is not None and constraint[candidate] != constraint[node]:
-                        continue
-                    counters.local_ops += 2
-                    counters.vector_reads += 1
-                    score = weight - gamma * float(tots[candidate]) * strength / two_m
-                    if score > best_score or (
-                        score == best_score and candidate < best_cluster
-                    ):
-                        best_cluster, best_score = candidate, score
+                best_cluster = choose_move(
+                    node, own_cluster, float(tots[own_cluster]), weight_to, strength,
+                    gamma, two_m, tot_of, constraint,
+                )
                 if best_cluster == own_cluster:
                     continue
                 # async move: apply immediately with atomic accumulations
@@ -439,44 +435,21 @@ def galois_leiden(
     updates contend heavily (the paper's explanation for Galois timing out
     on LD), charged via the heavy-conflict regime."""
     _check_single_host(cluster)
-    level_graph = graph
-    node_to_coarse = np.arange(graph.num_nodes, dtype=np.int64)
-    communities_of_original = node_to_coarse.copy()
-    initial: np.ndarray | None = None
-    total_sweeps = 0
-    levels = 0
-    while levels < max_levels:
-        labels, sweeps = _galois_moving(
-            cluster,
-            level_graph,
-            gamma,
-            max_sweeps_per_level,
-            heavy_conflicts=False,
-            initial=initial,
+
+    def move(level_graph, level_pgraph, level, seeds):
+        return _galois_moving(
+            cluster, level_graph, gamma, max_sweeps_per_level, heavy_conflicts=False,
+            initial=seeds,
         )
-        total_sweeps += sweeps
-        levels += 1
-        seeds = initial if initial is not None else np.arange(level_graph.num_nodes)
-        moved = bool(np.any(labels != seeds))
-        communities_of_original = labels[node_to_coarse]
+
+    def refine(level_graph, level_pgraph, level, labels):
         # Refinement with atomics on subcluster properties: heavy conflicts.
-        refined, refine_sweeps = _galois_moving(
-            cluster,
-            level_graph,
-            gamma,
-            max_sweeps_per_level,
-            heavy_conflicts=True,
+        return _galois_moving(
+            cluster, level_graph, gamma, max_sweeps_per_level, heavy_conflicts=True,
             constraint=labels,
         )
-        total_sweeps += refine_sweeps
-        coarse_graph, coarse_of = coarsen(level_graph, refined)
-        if not moved and coarse_graph.num_nodes == level_graph.num_nodes:
-            break
-        initial = cluster_seeds(labels, coarse_of, coarse_graph.num_nodes)
-        node_to_coarse = coarse_of[node_to_coarse]
-        if coarse_graph.num_nodes == level_graph.num_nodes:
-            break
-        level_graph = coarse_graph
-    return community_result(
-        "Galois-LD", graph, communities_of_original, total_sweeps, levels, gamma
+
+    communities, sweeps, levels = leiden_levels(
+        cluster, graph, None, move, refine, max_levels
     )
+    return community_result("Galois-LD", graph, communities, sweeps, levels, gamma)

@@ -1,4 +1,4 @@
-"""Gluon-like adjacent-vertex engine (Dathathri et al. [27]) with CC-LP.
+"""Gluon-like adjacent-vertex engine (Dathathri et al. [27]): CC-LP, SSSP, BFS.
 
 Gluon's execution differs from Kimbap's in how reductions are absorbed
 (Section 4.1): mirrors are always cached and operators reduce *directly
@@ -9,6 +9,10 @@ conflict accounting here only charges when a cross-thread update actually
 changes the slot. Communication uses the partitioning-invariant elisions:
 only updated values are reduced to masters (temporal invariant), and
 broadcast is elided for mirrors a push-style operator never reads.
+Gluon runs Kimbap's own SSSP and CC-LP plans
+(:func:`~repro.algorithms.sssp.sssp_plan`,
+:func:`~repro.algorithms.cc_lp.cc_lp_plan`) on maps wired this way, so
+the two systems differ in the substrate only.
 
 The paper's claim to reproduce: Kimbap's CC-LP is *comparable* to Gluon's
 (Figures 9c/10c) - the compiler's pinned-mirror specialization closes the
@@ -22,22 +26,15 @@ from typing import Any
 
 import numpy as np
 
+from repro.algorithms.cc_lp import cc_lp_plan
 from repro.algorithms.common import AlgorithmResult
+from repro.algorithms.sssp import sssp_plan
 from repro.cluster.cluster import Cluster
 from repro.core.propmap import NodePropMap
-from repro.core.reducers import MIN, ReduceOp
+from repro.core.reducers import ReduceOp
 from repro.core.reduction import dict_arrays
 from repro.core.variants import RuntimeVariant
-from repro.exec import (
-    ActiveFilter,
-    CmpFilter,
-    EdgePush,
-    Executor,
-    Operator,
-    OperatorStep,
-    Plan,
-    SyncStep,
-)
+from repro.exec import Executor
 from repro.partition.base import PartitionedGraph
 
 
@@ -104,34 +101,6 @@ def make_gluon_map(
     return prop
 
 
-def _push_plan(
-    pgraph: PartitionedGraph, prop: NodePropMap, label: str, invariant: str, **push
-) -> Plan:
-    """One Gluon round: a MIN push from the active (changed) nodes -
-    Gluon's worklist - reducing straight into the cached proxies, then
-    reduce + broadcast; run until ``prop`` is quiescent, its mirrors
-    pinned under ``invariant``. ``push`` adds :class:`EdgePush` fields."""
-    kernel = EdgePush(
-        target=prop,
-        op=MIN,
-        source=prop,
-        require_active=ActiveFilter(prop),
-        charge_per_source=1,
-        **push,
-    )
-    return Plan(
-        name=label,
-        pgraph=pgraph,
-        steps=[
-            OperatorStep(Operator(label, "all", kernel)),
-            SyncStep(prop, "reduce"),
-            SyncStep(prop, "broadcast"),
-        ],
-        quiesce=(prop,),
-        pins={prop: invariant},
-    )
-
-
 def gluon_sssp(
     cluster: Cluster,
     pgraph: PartitionedGraph,
@@ -141,17 +110,8 @@ def gluon_sssp(
     """Gluon's data-driven SSSP (push-style Bellman-Ford on atomics)."""
     dist = make_gluon_map(cluster, pgraph, "gluon_dist")
     dist.set_initial(lambda node: 0.0 if node == source else math.inf)
-    plan = _push_plan(
-        pgraph,
-        dist,
-        "gluon_sssp",
-        "none",
-        value_filter=CmpFilter("ne", math.inf),
-        with_weight="add",
-        unit_weights=unit_weights,
-    )
     # The scalar executor: the atomic reduction has no bulk entry point.
-    rounds = Executor(cluster).run(plan)
+    rounds = Executor(cluster).run(sssp_plan(pgraph, dist, unit_weights))
     return AlgorithmResult(name="Gluon-SSSP", values=dist.snapshot(), rounds=rounds)
 
 
@@ -170,7 +130,5 @@ def gluon_cc_lp(cluster: Cluster, pgraph: PartitionedGraph) -> AlgorithmResult:
     """Gluon's label-propagation connected components."""
     label = make_gluon_map(cluster, pgraph, "gluon_label")
     label.set_initial(lambda node: node)
-    rounds = Executor(cluster).run(_push_plan(pgraph, label, "gluon_lp", "push"))
-    return AlgorithmResult(
-        name="Gluon-LP", values=label.snapshot(), rounds=rounds
-    )
+    rounds = Executor(cluster).run(cc_lp_plan(pgraph, label))
+    return AlgorithmResult(name="Gluon-LP", values=label.snapshot(), rounds=rounds)

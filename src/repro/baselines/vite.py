@@ -1,9 +1,9 @@
 """Vite-like distributed Louvain (Ghosh et al. [38]).
 
 Same deterministic synchronous Louvain as :mod:`repro.algorithms.louvain`
-(identical move rule, tie-breaks and singleton guard, and the level loop
-and moving cutoff of :mod:`repro.algorithms.common`, so labels and rounds
-match Kimbap's LV exactly), but executed the way Vite executes it:
+(the move choice, level loop and moving cutoff of
+:mod:`repro.algorithms.common`, so labels and rounds match Kimbap's LV
+exactly), but executed the way Vite executes it:
 
 * **single-threaded inspection phase** per refinement round: one thread
   per host walks its edges to build the shared cluster-info map
@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.algorithms.common import (
     AlgorithmResult,
+    choose_move,
     community_result,
     louvain_levels,
     moving_converged,
@@ -69,6 +70,13 @@ def _vite_moving_round(
     with cluster.phase(PhaseKind.REDUCE_COMPUTE, label="vite:execute"):
         for part in pgraph.parts:
             counters = cluster.counters(part.host_id)
+
+            def tot_of(candidate: int) -> float:
+                # a scored candidate: one probe of the shared map
+                counters.local_ops += 2
+                counters.hash_probes += 1
+                return float(tots[candidate])
+
             writers: dict[int, set[int]] = {}
             map_writers: set[int] = set()
             write_count = 0
@@ -104,26 +112,14 @@ def _vite_moving_round(
                     write_count += 1
                     if len(map_writers) > 1:
                         counters.cas_conflicts += write_count % 2
-                own_tot = float(tots[own_cluster]) - strength
-                stay_score = (
-                    weight_to.get(own_cluster, 0.0) - gamma * own_tot * strength / two_m
+
+                best_cluster = choose_move(
+                    node, own_cluster, float(tots[own_cluster]), weight_to, strength,
+                    gamma, two_m, tot_of,
+                    target_size=sizes.__getitem__ if sizes[own_cluster] == 1 else None,
                 )
-                best_cluster, best_score = own_cluster, stay_score
-                for candidate, weight in sorted(weight_to.items()):
-                    if candidate == own_cluster:
-                        continue
-                    counters.local_ops += 2
-                    counters.hash_probes += 1
-                    score = weight - gamma * float(tots[candidate]) * strength / two_m
-                    if score > best_score or (
-                        score == best_score and candidate < best_cluster
-                    ):
-                        best_cluster, best_score = candidate, score
                 if best_cluster == own_cluster:
                     continue
-                if sizes[own_cluster] == 1 and sizes[best_cluster] == 1:
-                    if best_cluster > own_cluster:
-                        continue
                 moves.append((node, own_cluster, best_cluster))
                 # Atomic updates to the shared map: tot/size of both
                 # clusters. Cross-thread same-key updates conflict, and the

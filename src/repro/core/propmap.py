@@ -244,6 +244,9 @@ class NodePropMap:
         The canonical value lands at the key's owner; a cross-host Set
         sends one message.
         """
+        key = int(key)
+        if not 0 <= key < self._num_nodes:
+            raise self._not_a_node(key, "set key")
         if self.variant.uses_kvstore:
             assert self.kv_client is not None
             self.kv_client.set(host, self._kv_key(key), value)

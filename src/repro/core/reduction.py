@@ -17,16 +17,18 @@ Each strategy also exposes ``reduce_bulk`` for the vectorized execution
 path. The contract is strict: a bulk call must produce the same folded
 values, the same conflict counts, and the same counter totals as the
 equivalent sequence of scalar ``reduce`` calls (``threads`` non-decreasing,
-as the static dealing produces). Numeric batches stay folded as sorted
-key/value arrays until ``collect_arrays`` - straight by key for an
-operator that groups freely (min, max, overwrite, integer sum;
-:func:`_groups_freely`), else by thread-major ``(thread, key)`` slot
-first - and every one of them is folded the same way: give each group a
-dense id off a presence mask (:func:`_present`, :func:`_rank`), then one
-identity-seeded ``ufunc.at`` scatter (:func:`_fold`). Anything without an
-exact identity, and a float batch the ufunc may fold unlike the scalar
-rule (:func:`_foldable`), falls back to the scalar per-item path
-into dicts.
+as the static dealing produces). The shared-map and key-value-store
+strategies meet it by applying their scalar rule item by item: their
+conflicts depend on state the scalar rule carries from call to call.
+Only CF folds: numeric batches stay folded as sorted key/value arrays
+until ``collect_arrays`` - straight by key for an operator that groups
+freely (min, max, overwrite, integer sum; :func:`_groups_freely`), else
+by thread-major ``(thread, key)`` slot first - and every one of them is
+folded the same way: give each group a dense id off a presence mask
+(:func:`_present`, :func:`_rank`), then one identity-seeded ``ufunc.at``
+scatter (:func:`_fold`). Anything without an exact identity, and a float
+batch the ufunc may fold unlike the scalar rule (:func:`_foldable`),
+falls back to the scalar per-item path into dicts.
 
 Reduce-sync has one route whatever the pending state: ``collect_arrays``
 returns ascending unique keys plus their values - a folded batch's
@@ -217,7 +219,6 @@ def _fold(
     num_ids: int,
     values: np.ndarray,
     op: ReduceOp,
-    last: np.ndarray | None = None,
 ) -> np.ndarray:
     """The one fold kernel: ``values`` folded by id, one accumulator for
     each of the ``num_ids`` ids (an id that does not occur keeps a filler).
@@ -228,11 +229,10 @@ def _fold(
     left-to-right sequence of the scalar rule - no first-occurrence pass,
     no sort - and the folded bits match. (Not ``reduceat`` over a sorted
     copy: that folds segments pairwise, and float sums drift.) Overwrite
-    keeps each id's last position (``last``, when a static batch has it
-    precomputed).
+    keeps each id's last position.
     """
     if op.name == "overwrite":
-        return values[_last(ids, num_ids) if last is None else last]
+        return values[_last(ids, num_ids)]
     acc = np.full(num_ids, op.identity(values.dtype), dtype=values.dtype)
     op.ufunc.at(acc, ids, values)
     return acc
@@ -626,7 +626,27 @@ class ThreadLocalReduction:
         return batch.merge(op)
 
 
-class SharedMapReduction:
+class _PerItem:
+    """The bulk entry points of a strategy whose conflicts depend on state
+    its scalar rule carries from call to call (the shared map's writer
+    sets and write count; the store's per-key writers): ``reduce_bulk``
+    applies ``reduce`` item by item, so the rule is written once, and
+    reduce-sync reads :meth:`collect`'s dict as ascending keys and a
+    plain list of values (:func:`dict_arrays`)."""
+
+    def reduce_bulk(
+        self, threads: np.ndarray, keys: np.ndarray, values: np.ndarray, op: ReduceOp
+    ) -> None:
+        for thread, key, value in zip(
+            threads.tolist(), keys.tolist(), np.asarray(values).tolist()
+        ):
+            self.reduce(thread, key, value, op)
+
+    def collect_arrays(self, op: ReduceOp) -> tuple[np.ndarray, list[Any]]:
+        return dict_arrays(self.collect(op))
+
+
+class SharedMapReduction(_PerItem):
     """One shared concurrent map; same-key cross-thread updates conflict."""
 
     conflict_free = False
@@ -638,18 +658,8 @@ class SharedMapReduction:
         self._writers: dict[int, set[int]] = {}
         self._map_writers: set[int] = set()
         self._write_count = 0
-        # Bulk-path state: folded (sorted unique keys, values) plus per-key
-        # first writer and whether more than one thread touched the key
-        # (enough to reconstruct exact writer-set conflict behavior if a
-        # scalar reduce follows).
-        self._bulk_keys: np.ndarray | None = None
-        self._bulk_vals: np.ndarray | None = None
-        self._bulk_first_writer: np.ndarray | None = None
-        self._bulk_multi: np.ndarray | None = None
 
     def reduce(self, thread: int, key: int, value: Any, op: ReduceOp) -> None:
-        if self._bulk_keys is not None:
-            self._spill_bulk()
         counters = self.cluster.counters(self.host_id)
         counters.cas_attempts += 1
         counters.hash_probes += 1
@@ -673,102 +683,11 @@ class SharedMapReduction:
         else:
             self.map[key] = value
 
-    def reduce_bulk(
-        self,
-        threads: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        op: ReduceOp,
-    ) -> None:
-        """Batched reduce (``threads`` non-decreasing): conflict counts are
-        derived arithmetically, bit-identical to the scalar call sequence."""
-        count = int(keys.size)
-        if count == 0:
-            return
-        values = np.asarray(values)
-        if self.map or self._bulk_keys is not None or not _foldable(values, op, lambda: keys):
-            if self._bulk_keys is not None:
-                self._spill_bulk()
-            for thread, key, value in zip(
-                threads.tolist(), keys.tolist(), values.tolist()
-            ):
-                self.reduce(thread, key, value, op)
-            return
-        counters = self.cluster.counters(self.host_id)
-        counters.cas_attempts += count
-        counters.hash_probes += count
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        sorted_threads = threads[order]
-        sorted_values = values[order]
-        seg_starts = np.flatnonzero(
-            np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-        )
-        seg_lens = np.diff(np.r_[seg_starts, count])
-        first_writers = sorted_threads[seg_starts]
-        # Per-key conflicts: within a key's calls (original order, preserved
-        # by the stable sort; threads non-decreasing) the writer set stays
-        # singleton through the leading run of the first thread and is
-        # multi-writer for every call after it.
-        same_as_first = sorted_threads == np.repeat(first_writers, seg_lens)
-        uncontended = np.add.reduceat(same_as_first.astype(np.int64), seg_starts)
-        counters.cas_conflicts += count - int(uncontended.sum())
-        # Structural contention in closed form: call i (1-based within the
-        # batch) conflicts iff the map's writer set holds >= 2 threads by
-        # then and the running write count W+i is even. The set reaches 2
-        # at the first call whose thread differs from the established
-        # single writer; the even-count tally over (W+j, W+count] follows.
-        write_count = self._write_count
-        first_thread = int(threads[0])
-        if len(self._map_writers) >= 2 or (
-            self._map_writers and first_thread not in self._map_writers
-        ):
-            eligible_from = 0
-        else:
-            eligible_from = int(np.searchsorted(threads, first_thread, side="right"))
-        counters.cas_conflicts += (write_count + count) // 2 - (
-            write_count + eligible_from
-        ) // 2
-        self._write_count = write_count + count
-        self._map_writers.update(np.unique(threads).tolist())
-        # The stable sort keeps each key's calls in their original order.
-        segment = np.repeat(np.arange(seg_starts.size, dtype=np.int64), seg_lens)
-        self._bulk_keys = sorted_keys[seg_starts]
-        self._bulk_vals = _fold(
-            segment, seg_starts.size, sorted_values, op, seg_starts + seg_lens - 1
-        )
-        self._bulk_first_writer = first_writers
-        self._bulk_multi = seg_lens != uncontended
-
-    def _spill_bulk(self) -> None:
-        """Move folded arrays into the shared dict + writer-set tables.
-
-        A contended key gets a synthetic extra writer (-1): any later real
-        thread then sees a multi-writer set, exactly as after the scalar
-        calls (the conflict rule only tests ``len(writers) > 1``).
-        """
-        keys = self._bulk_keys
-        vals = self._bulk_vals
-        firsts = self._bulk_first_writer
-        multi = self._bulk_multi
-        self._bulk_keys = self._bulk_vals = None
-        self._bulk_first_writer = self._bulk_multi = None
-        for key, value, writer, contended in zip(
-            keys.tolist(), vals.tolist(), firsts.tolist(), multi.tolist()
-        ):
-            self.map[key] = value
-            self._writers[key] = {writer, -1} if contended else {writer}
-
     def pending(self) -> int:
-        total = len(self.map)
-        if self._bulk_keys is not None:
-            total += int(self._bulk_keys.size)
-        return total
+        return len(self.map)
 
     def collect(self, op: ReduceOp) -> dict[int, Any]:
         del op  # combining happened eagerly, amortized into compute
-        if self._bulk_keys is not None:
-            self._spill_bulk()
         combined = self.map
         self.map = {}
         self._writers.clear()
@@ -776,32 +695,17 @@ class SharedMapReduction:
         self._write_count = 0
         return combined
 
-    def collect_arrays(
-        self, op: ReduceOp
-    ) -> tuple[np.ndarray, np.ndarray | list[Any]]:
-        """:meth:`collect` as ``(ascending unique keys, values)``: the
-        folded arrays, or dict state's plain list (:func:`dict_arrays`)."""
-        if self.map:
-            return dict_arrays(self.collect(op))
-        keys = self._bulk_keys
-        vals = self._bulk_vals
-        self._bulk_keys = self._bulk_vals = None
-        self._bulk_first_writer = self._bulk_multi = None
-        self._writers.clear()
-        self._map_writers.clear()
-        self._write_count = 0
-        if keys is None:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        return keys, vals
 
-
-class KvCasReduction:
+class KvCasReduction(_PerItem):
     """Distributed CAS retry loops against the key-value store (MC variant).
 
     Reductions apply *immediately* to the canonical value in the store
     (ReduceSync is then a no-op, Section 6.4). Contention is modeled from
     the number of distinct (host, thread) writers per key this round: each
     additional concurrent writer costs one failed round trip, capped.
+    Every reduction is a get+CAS round trip against string keys: the MC
+    layout has no bulk fast path, by design (this *is* the paper's point
+    about property maps layered over a generic kvstore).
     """
 
     conflict_free = False
@@ -847,21 +751,6 @@ class KvCasReduction:
             self.client.cas(self.host_id, string_key, new, version)
             if new != old_value:
                 self.on_change(key)
-
-    def reduce_bulk(
-        self,
-        threads: np.ndarray,
-        keys: np.ndarray,
-        values: np.ndarray,
-        op: ReduceOp,
-    ) -> None:
-        # Every reduction is a get+CAS round trip against string keys: the
-        # MC layout has no bulk fast path, by design (this *is* the paper's
-        # point about property maps layered over a generic kvstore).
-        for thread, key, value in zip(
-            threads.tolist(), keys.tolist(), np.asarray(values).tolist()
-        ):
-            self.reduce(thread, key, value, op)
 
     def pending(self) -> int:
         return 0

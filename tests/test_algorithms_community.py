@@ -117,6 +117,39 @@ class TestCoarsen:
         )
 
 
+def test_the_move_choice_breaks_ties_low_and_skips_disallowed_candidates():
+    """``common.choose_move``, the one copy Kimbap's LV/LD, Vite and Galois
+    run: with every total zero the scores are the edge weights, and the
+    stay score of a node whose cluster holds only itself is its weight
+    to that cluster."""
+    scored = []
+
+    def tot_of(candidate):
+        scored.append(candidate)
+        return 0.0
+
+    def choose(own, weight_to, constraint=None, target_size=None):
+        scored.clear()
+        return common.choose_move(
+            0, own, 1.0, weight_to, 1.0, 1.0, 100.0, tot_of, constraint, target_size
+        )
+
+    weight_to = {1: 5.0, 3: 2.0, 7: 2.0}
+    assert choose(5, weight_to) == 1
+    # Candidate 1 sits in another group: skipped unscored. 3 and 7 tie and
+    # the smaller id wins.
+    group = np.array([0, 1, 0, 0, 0, 0, 0, 0])
+    assert choose(5, weight_to, group) == 3 and scored == [3, 7]
+    # A tie with the stay score goes to the smaller id too: move down,
+    # stay rather than move up.
+    assert choose(5, {3: 2.0, 5: 2.0}) == 3
+    assert choose(2, {2: 2.0, 3: 2.0}) == 2
+    # The singleton guard: a singleton joins another singleton's cluster
+    # only when that id is smaller.
+    assert choose(2, {3: 2.0}, target_size=lambda target: 1) == 2
+    assert choose(5, {3: 2.0}, target_size=lambda target: 1) == 3
+    assert choose(2, {3: 2.0}, target_size=lambda target: 2) == 3
+
 @pytest.mark.parametrize("algorithm", [louvain, leiden])
 class TestCommunityDetection:
     def test_recovers_planted_cliques(self, algorithm):

@@ -135,9 +135,10 @@ class TestReductionBulk:
                 np.asarray([v for _, v in items], dtype=np.int64),
                 MIN,
             )
+        # Shared-map state is a dict: its values come back as a plain list.
         keys, values = bulk.collect_arrays(MIN)
 
-        assert dict(zip(keys.tolist(), values.tolist())) == scalar_combined
+        assert dict(zip(keys.tolist(), values)) == scalar_combined
         assert (
             scalar_cluster.log.total_counters().as_dict()
             == bulk_cluster.log.total_counters().as_dict()

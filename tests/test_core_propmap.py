@@ -656,8 +656,8 @@ class TestReadBulk:
 
 
 class TestOutOfRangeIds:
-    """A read or request of an id outside ``[0, num_nodes)`` raises the
-    ``KeyError`` a reduce does, before anything is charged or recorded.
+    """A read, request or set of an id outside ``[0, num_nodes)`` raises
+    the ``KeyError`` a reduce does, before anything is charged or recorded.
     The dense tables behind the GAR paths would otherwise wrap a negative
     id round to the last nodes (a scalar read of -1 read node 28, a bulk
     read node 31, and a request of -1 requested node 31) or index past
@@ -701,6 +701,23 @@ class TestOutOfRangeIds:
                 with pytest.raises(KeyError, match=f"reduce target {key} is not a node id"):
                     call()
 
+
+    @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.name)
+    def test_set_raises_the_same_error(self, variant):
+        # A Set of a computed key (the DSL's MapSet) used to store a
+        # phantom entry, or wrap -1 round under GAR, or fail on an index
+        # after charging the message.
+        cluster, pgraph, prop = make_map(variant)
+        prop.set_initial_bulk(lambda nodes: nodes * self.VALUE)
+        before = prop.snapshot()
+        counters, messages = cluster.log.total_counters(), cluster.log.total_messages()
+        with cluster.phase(PhaseKind.REDUCE_COMPUTE):
+            for key in (-1, pgraph.num_nodes):
+                with pytest.raises(KeyError, match=f"set key {key} is not a node id"):
+                    prop.set(0, key, self.VALUE)
+        assert cluster.log.total_counters() == counters
+        assert cluster.log.total_messages() == messages
+        assert prop.snapshot() == before
 
 class TestRequestSyncModel:
     """Request-sync against a per-owner reference model kept here: per
